@@ -15,8 +15,8 @@ generate at irregular times.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional
+from dataclasses import dataclass, replace
+from typing import List, Mapping, Optional
 
 from repro.core import codec
 from repro.core.config import ProtocolConfig
@@ -86,6 +86,10 @@ class BlockBody:
         return root
 
 
+def _encode_digests(digests: Mapping[int, Digest]) -> bytes:
+    return codec.encode_digest_map({node: d.value for node, d in digests.items()})
+
+
 @dataclass(frozen=True)
 class BlockHeader:
     """The header segment ``b^h`` (Fig. 2).
@@ -133,16 +137,25 @@ class BlockHeader:
     # -- identity -------------------------------------------------------------
     @property
     def block_id(self) -> BlockId:
-        """(origin, index)."""
-        return BlockId(self.origin, self.index)
+        """(origin, index); one shared :class:`BlockId` per header."""
+        block_id = self.__dict__.get("_hdr_block_id")
+        if block_id is None:
+            block_id = BlockId(self.origin, self.index)
+            object.__setattr__(self, "_hdr_block_id", block_id)
+        return block_id
 
     # -- canonical encodings ------------------------------------------------
-    def _digest_bytes_map(self) -> Dict[int, bytes]:
-        return {node: digest.value for node, digest in self.digests.items()}
+    def _encoded_digests(self) -> bytes:
+        """Canonical bytes of Δ, shared by the puzzle and the signature."""
+        encoded = self.__dict__.get("_hdr_digests_encoded")
+        if encoded is None:
+            encoded = _encode_digests(self.digests)
+            object.__setattr__(self, "_hdr_digests_encoded", encoded)
+        return encoded
 
     def puzzle_fields(self) -> List[bytes]:
         """The fields hashed by the Eq. (5) nonce puzzle: root and Δ."""
-        return [self.root.value, codec.encode_digest_map(self._digest_bytes_map())]
+        return [self.root.value, self._encoded_digests()]
 
     def signing_payload(self) -> bytes:
         """Canonical bytes covered by the signature (Eq. 6); memoised."""
@@ -153,7 +166,7 @@ class BlockHeader:
                     ("version", codec.encode_u32(self.version)),
                     ("time", codec.encode_time(self.time)),
                     ("root", self.root.value),
-                    ("digests", codec.encode_digest_map(self._digest_bytes_map())),
+                    ("digests", self._encoded_digests()),
                     ("nonce", codec.encode_u64(self.nonce)),
                 ]
             )
@@ -282,8 +295,8 @@ def build_block(
         puzzle = NoncePuzzle(config.puzzle_difficulty_bits, config.hash_bits)
     root = body.root(config.hash_bits)
     digest_map = dict(digests)
-    puzzle_fields = [root.value, codec.encode_digest_map({n: d.value for n, d in digest_map.items()})]
-    solution = puzzle.solve(puzzle_fields)
+    encoded_digests = _encode_digests(digest_map)
+    solution = puzzle.solve([root.value, encoded_digests])
     unsigned = BlockHeader(
         origin=origin,
         index=index,
@@ -294,20 +307,12 @@ def build_block(
         nonce=solution.nonce,
         signature=b"",
     )
+    object.__setattr__(unsigned, "_hdr_digests_encoded", encoded_digests)
     payload = unsigned.signing_payload()
-    signature = sign(payload, keypair)
-    header = BlockHeader(
-        origin=origin,
-        index=index,
-        version=config.protocol_version,
-        time=time,
-        root=root,
-        digests=digest_map,
-        nonce=solution.nonce,
-        signature=signature,
-    )
-    # The signature does not cover itself, so the signed header's
-    # payload is byte-identical to the unsigned one — warm its cache.
+    header = replace(unsigned, signature=sign(payload, keypair))
+    # The signature enters neither Δ's encoding nor its own payload, so
+    # both are byte-identical on the signed header — warm its caches.
+    object.__setattr__(header, "_hdr_digests_encoded", encoded_digests)
     object.__setattr__(header, "_hdr_signing_payload", payload)
     return DataBlock(header=header, body=body)
 

@@ -12,7 +12,7 @@ one place.
 from __future__ import annotations
 
 import random
-from typing import Dict, Optional, Set
+from typing import Dict, FrozenSet, Optional, Set
 
 from repro.core.block import BlockId, DataBlock, build_block, make_body
 from repro.core.config import ProtocolConfig
@@ -133,9 +133,9 @@ class IoTNode:
 
     # -- identity ----------------------------------------------------------
     @property
-    def neighbors(self) -> Set[int]:
-        """``N(i)`` from the shared topology."""
-        return set(self.topology.neighbors(self.node_id))
+    def neighbors(self) -> FrozenSet[int]:
+        """``N(i)``: the shared topology's own frozen set, never a copy."""
+        return self.topology.neighbors(self.node_id)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<IoTNode {self.node_id} blocks={len(self.store)}>"
@@ -197,12 +197,9 @@ class IoTNode:
         digest = block.digest(self.config.hash_bits)
         tracer = self.network.tracer
         if tracer.enabled:
-            # topology.neighbors is queried directly: the ``neighbors``
-            # property builds a fresh set per call, too heavy here.
             tracer.emit(
                 self.network.sim.now, "block.gossiped", self.node_id,
-                block=str(block.block_id),
-                neighbors=len(self.topology.neighbors(self.node_id)),
+                block=str(block.block_id), neighbors=len(self.neighbors),
             )
         self.interface.broadcast_neighbors(
             "digest", (self.node_id, digest), self.config.digest_message_bits

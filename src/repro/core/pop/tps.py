@@ -54,31 +54,29 @@ def trust_path_selection(
     from the cache would loop the pop/re-add cycle forever.  The
     caller's ``consensus_set`` and ``path`` are extended; the returned
     record reports what changed.
+
+    ``consensus_set`` must hold the origin of every header on ``path``
+    (it is the ``R_i`` of ``P_i``).  That is what keeps a path member
+    from being adopted twice, with no per-call set of path ids: only
+    free steps that enlarge ``R_i`` are taken — a cached child from an
+    origin already on the path burns DAG runway without advancing
+    consensus (micro-loop traversal is the live protocol's job, via the
+    self-candidate fallback) — so every step excludes its own origin
+    from the next lookup and the walk ends within ``|V|`` steps on any
+    cache, even a poisoned one.
     """
     added: List[BlockHeader] = []
     current = verifying_header
-    seen_ids = {h.block_id for h in path}
-    if skip_ids:
-        seen_ids |= skip_ids
     while True:
-        # Only take free steps that enlarge R_i: a cached child from an
-        # origin already on the path burns DAG runway without advancing
-        # consensus (micro-loop traversal is the live protocol's job,
-        # via the self-candidate fallback).
         child = cache.find_child(
             current.digest(hash_bits),
-            skip_ids=seen_ids,
+            skip_ids=skip_ids,
             exclude_origins=consensus_set,
         )
         if child is None:
             break
-        if child.block_id in seen_ids:
-            # Defensive: a correctly built DAG cannot revisit a block
-            # (paths are acyclic), but a poisoned cache must not loop us.
-            break
         consensus_set.add(child.origin)
         path.append(child)
-        seen_ids.add(child.block_id)
         added.append(child)
         current = child
     return TpsResult(verifying_header=current, added_headers=added, steps=len(added))

@@ -13,11 +13,12 @@ past the verifier itself.
 
 Implementation notes (deviations documented):
 
-* ``R_i`` is maintained as the derived set of origins of blocks on
-  ``P_i``.  The paper mutates ``R_i`` separately; deriving it keeps the
-  two consistent during rollbacks through micro-loops, where one origin
-  can own several path blocks (popping one block must not evict the
-  origin while another of its blocks remains on the path).
+* ``R_i`` always equals the set of origins of blocks on ``P_i``:
+  appending a block adds its origin, and a rollback re-derives the set
+  from the path.  The paper mutates ``R_i`` separately; deriving it
+  keeps the two consistent during rollbacks through micro-loops, where
+  one origin can own several path blocks (popping one block must not
+  evict the origin while another of its blocks remains on the path).
 * Reply validation goes beyond line 21's digest comparison: the header
   must be authored by the queried responder, carry a valid signature
   (Eq. 6) and satisfy the nonce puzzle (Eq. 5) — the checks §IV-D
@@ -234,10 +235,15 @@ class PopValidator:
         dead_ends: Set[BlockId] = set()
         reply_memo: Dict[Tuple[int, bytes], Optional[BlockHeader]] = {}
         quorum = self.config.consensus_quorum()
+        # R_i, kept in step with the path: TPS and live extensions add
+        # the origin they append; only a rollback re-derives it.
+        consensus_set = {header.origin}
+        # The path's headers that arrived over the network, in path
+        # order — the rest came out of H_i and need no re-insertion.
+        fetched: List[BlockHeader] = [header]
 
         # --- Construct path (lines 8-38).
         while True:
-            consensus_set = {h.origin for h in path}
             if self.use_tps:
                 result = trust_path_selection(
                     self.cache, consensus_set, path, verifying,
@@ -245,7 +251,6 @@ class PopValidator:
                 )
                 outcome.tps_steps += result.steps
                 verifying = result.verifying_header
-                consensus_set = {h.origin for h in path}
             if len(consensus_set) >= quorum:
                 break
 
@@ -254,25 +259,29 @@ class PopValidator:
             )
             if accepted is not None:
                 path.append(accepted)
+                fetched.append(accepted)
+                consensus_set.add(accepted.origin)
                 verifying = accepted
                 continue
 
             # Rollback (lines 26-34): this verifying block is a dead end.
             outcome.rollbacks += 1
             dead_ends.add(verifying.block_id)
-            path.pop()
+            if path.pop() is fetched[-1]:
+                fetched.pop()
             if not path:
                 outcome.error = "exhausted"
                 outcome.consensus_set = set()
                 outcome.finished_at = sim.now
                 return outcome
             verifying = path[-1]
+            consensus_set = {h.origin for h in path}
 
         # --- Success: persist the path into H_i (line 39).
-        for header in path:
+        for header in fetched:
             self.cache.add(header)
         outcome.success = True
-        outcome.consensus_set = {h.origin for h in path}
+        outcome.consensus_set = consensus_set
         outcome.path = path
         outcome.finished_at = sim.now
         return outcome

@@ -15,8 +15,9 @@ verify another block that is generated in the past using PoP").
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.core.block import BlockId
@@ -137,6 +138,32 @@ class TwoLayerDagNetwork:
         return total / len(self.nodes)
 
 
+_ORIGIN = attrgetter("origin")
+
+
+class _PoolWithoutOrigin:
+    """A sorted block pool minus one origin's blocks, as a lazy sequence.
+
+    The pool is ordered by ``(origin, index)``, so an origin's blocks
+    are one contiguous range found by bisection.  ``rng.choice`` needs
+    only ``len`` and indexing, so it draws the same number and picks
+    the same element as from the filtered list, without building it.
+    """
+
+    __slots__ = ("_pool", "_start", "_gap")
+
+    def __init__(self, pool: List[BlockId], origin: int) -> None:
+        self._pool = pool
+        self._start = bisect_left(pool, origin, key=_ORIGIN)
+        self._gap = bisect_right(pool, origin, lo=self._start, key=_ORIGIN) - self._start
+
+    def __len__(self) -> int:
+        return len(self._pool) - self._gap
+
+    def __getitem__(self, position: int) -> BlockId:
+        return self._pool[position if position < self._start else position + self._gap]
+
+
 @dataclass
 class SlotReport:
     """What happened during one simulated slot."""
@@ -224,7 +251,7 @@ class SlotSimulation:
         # sorted incrementally.  Re-sorting every eligible block on every
         # pick dominated large workloads (O(blocks · log) comparisons per
         # generated block); folding each slot in once as it ages past the
-        # eligibility boundary makes a pick a linear filter.
+        # eligibility boundary makes a pick two bisections.
         self._eligible_sorted: List[BlockId] = []
         self._eligible_merged_slot: Optional[int] = None
 
@@ -312,20 +339,18 @@ class SlotSimulation:
         newest_eligible_slot = slot - self.validation_min_age_slots
         merge_boundary = min(newest_eligible_slot, self.current_slot)
         self._merge_eligible_through(merge_boundary)
-        eligible = [b for b in self._eligible_sorted if b.origin != exclude_origin]
+        pool = self._eligible_sorted
         if merge_boundary < newest_eligible_slot:
             # Eligibility reaches into the in-flight slot (only possible
             # with a minimum age below one slot): scan it live, exactly
             # as the pre-pooled implementation did.
-            extra = [
+            pool = sorted(pool + [
                 block
                 for s, blocks in self.blocks_by_slot.items()
                 if merge_boundary < s <= newest_eligible_slot
                 for block in blocks
-                if block.origin != exclude_origin
-            ]
-            if extra:
-                eligible = sorted(eligible + extra)
+            ])
+        eligible = _PoolWithoutOrigin(pool, exclude_origin)
         if not eligible:
             return None
         return self._rng.choice(eligible)

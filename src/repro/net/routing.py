@@ -15,7 +15,7 @@ option).
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.net.topology import Topology
 
@@ -37,6 +37,16 @@ class RoutingTable:
         self._next_hop: Dict[int, Dict[int, int]] = {}
         for source in topology.node_ids:
             self._compute_from(source)
+        # Every route is walked once here, hop by hop through each relay's
+        # own next-hop choice, and then only looked up per message.
+        self._routes: Dict[int, Dict[int, Tuple[int, ...]]] = {}
+        for source, next_hop in self._next_hop.items():
+            routes = self._routes[source] = {source: (source,)}
+            for destination in next_hop:
+                route = [source]
+                while route[-1] != destination:
+                    route.append(self._next_hop[route[-1]][destination])
+                routes[destination] = tuple(route)
 
     def _compute_from(self, source: int) -> None:
         distance: Dict[int, int] = {source: 0}
@@ -78,17 +88,10 @@ class RoutingTable:
 
         Raises ``ValueError`` when the destination is unreachable.
         """
-        if source == destination:
-            return [source]
-        route = [source]
-        cursor = source
-        while cursor != destination:
-            step = self.next_hop(cursor, destination)
-            if step is None:
-                raise ValueError(f"no route from {source} to {destination}")
-            route.append(step)
-            cursor = step
-        return route
+        route = self._routes[source].get(destination)
+        if route is None:
+            raise ValueError(f"no route from {source} to {destination}")
+        return list(route)
 
     def eccentricity(self, node: int) -> int:
         """Largest hop count from ``node`` to any reachable node."""

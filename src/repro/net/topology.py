@@ -68,6 +68,11 @@ class Topology:
             for node, neighbors in self.adjacency.items()
         }
 
+    @cached_property
+    def sorted_neighbors(self) -> Dict[int, Tuple[int, ...]]:
+        """``N(node)`` in ascending id order — the digest-push send order."""
+        return {node: tuple(sorted(n)) for node, n in self.adjacency.items()}
+
     def closed_neighborhood(self, node: int) -> FrozenSet[int]:
         """``N(node) ∪ {node}`` from the precomputed table."""
         return self.closed_neighborhoods[node]

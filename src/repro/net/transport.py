@@ -18,6 +18,7 @@ partitions (§IV-D).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.metrics.collector import TrafficLedger
@@ -80,10 +81,10 @@ class NodeInterface:
 
     def broadcast_neighbors(self, kind: str, payload: Any, size_bits: int) -> List[Message]:
         """Send ``payload`` to every physical neighbour (digest push)."""
-        messages = []
-        for neighbor in sorted(self.network.topology.neighbors(self.node_id)):
-            messages.append(self.send(neighbor, kind, payload, size_bits))
-        return messages
+        return [
+            self.send(neighbor, kind, payload, size_bits)
+            for neighbor in self.network.topology.sorted_neighbors[self.node_id]
+        ]
 
     def request(
         self, recipient: int, kind: str, payload: Any, size_bits: int, timeout: float
@@ -179,9 +180,6 @@ class Network:
         """Remove all drop rules."""
         self._drop_rules.clear()
 
-    def _dropped(self, message: Message, hop_from: int, hop_to: int) -> bool:
-        return any(rule(message, hop_from, hop_to) for rule in self._drop_rules)
-
     # -- delivery -------------------------------------------------------------
     def unicast(self, message: Message) -> None:
         """Route ``message`` hop by hop, accounting every transmission.
@@ -195,7 +193,7 @@ class Network:
         self.ledger.record_message(message.kind)
         if message.sender == message.recipient:
             # Loopback costs nothing on the medium.
-            self.sim.call_in(0.0, lambda: self._deliver(message))
+            self.sim.call_in(0.0, partial(self._deliver, message))
             return
         try:
             route = self.routing.path(message.sender, message.recipient)
@@ -203,16 +201,18 @@ class Network:
             self.tracer.emit(self.sim.now, "net.unroutable", message.sender,
                              recipient=message.recipient, kind=message.kind)
             return
-        for hop_index in range(len(route) - 1):
-            hop_from, hop_to = route[hop_index], route[hop_index + 1]
-            self.ledger.record_tx(hop_from, category, message.size_bits)
-            if self._dropped(message, hop_from, hop_to):
-                self.tracer.emit(self.sim.now, "net.dropped", hop_from,
-                                 hop_to=hop_to, kind=message.kind)
-                return
-            self.ledger.record_rx(hop_to, category, message.size_bits)
+        record_tx, record_rx = self.ledger.record_tx, self.ledger.record_rx
+        rules, bits = self._drop_rules, message.size_bits
+        for hop_from, hop_to in zip(route, route[1:]):
+            record_tx(hop_from, category, bits)
+            for rule in rules:
+                if rule(message, hop_from, hop_to):
+                    self.tracer.emit(self.sim.now, "net.dropped", hop_from,
+                                     hop_to=hop_to, kind=message.kind)
+                    return
+            record_rx(hop_to, category, bits)
         latency = self.per_hop_latency * (len(route) - 1)
-        self.sim.call_in(latency, lambda: self._deliver(message))
+        self.sim.call_in(latency, partial(self._deliver, message))
 
     def _deliver(self, message: Message) -> None:
         interface = self._interfaces.get(message.recipient)

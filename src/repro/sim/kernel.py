@@ -24,9 +24,12 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Generator, List, Optional, Tuple
 
 from repro.sim.errors import EventStateError, SchedulingError, SimulationError
+
+if TYPE_CHECKING:
+    from repro.sim.process import Process
 
 #: Priority given to ordinary events.
 PRIORITY_NORMAL = 10
@@ -34,6 +37,9 @@ PRIORITY_NORMAL = 10
 PRIORITY_HIGH = 0
 #: Priority for events that must observe everything else at a time step.
 PRIORITY_LOW = 20
+
+#: An ``until`` earlier than every event: drains cancelled heads only.
+_BEFORE_ALL = float("-inf")
 
 
 class Event:
@@ -162,7 +168,7 @@ class ScheduledCall:
     __slots__ = ("fn", "_processed", "_cancelled")
 
     def __init__(self, fn: Callable[[], None]) -> None:
-        self.fn = fn
+        self.fn: Optional[Callable[[], None]] = fn
         self._processed = False
         self._cancelled = False
 
@@ -184,10 +190,11 @@ class ScheduledCall:
         self.fn = None  # drop the closure early; the heap entry lingers
 
     def _process(self) -> None:
-        if self._cancelled:
+        fn = self.fn
+        if fn is None:  # cancelled: cancel() dropped the callable
             return
         self._processed = True
-        fn, self.fn = self.fn, None
+        self.fn = None
         fn()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -234,7 +241,7 @@ class Simulator:
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
         # Heap entries hold either a full Event or a ScheduledCall; both
-        # expose .cancelled and ._process(), which is all step() needs.
+        # expose ._cancelled and ._process(), which is all _drain() needs.
         self._heap: List[Tuple[float, int, int, Any]] = []
         self._sequence = itertools.count()
         self._running = False
@@ -291,9 +298,11 @@ class Simulator:
         """Run ``fn`` ``delay`` units from now."""
         if delay < 0:
             raise SchedulingError(f"negative delay: {delay}")
-        return self.call_at(self._now + delay, fn, priority)
+        entry = ScheduledCall(fn)
+        heapq.heappush(self._heap, (self._now + delay, priority, next(self._sequence), entry))
+        return entry
 
-    def process(self, generator) -> "Process":
+    def process(self, generator: Generator["Event", Any, Any]) -> "Process":
         """Start a generator as a :class:`repro.sim.process.Process`."""
         from repro.sim.process import Process
 
@@ -303,36 +312,45 @@ class Simulator:
     def _enqueue(self, time: float, priority: int, event: Event) -> None:
         heapq.heappush(self._heap, (time, priority, next(self._sequence), event))
 
-    def _discard_cancelled(self) -> None:
-        """Drop cancelled entries from the heap top (lazy cancellation).
+    def _drain(self, until: Optional[float], limit: Optional[int]) -> int:
+        """The one event loop behind :meth:`peek`, :meth:`step` and :meth:`run`.
 
-        The single place cancelled pops happen: ``peek`` and ``step``
-        both call this, so neither re-checks entries the other already
-        discarded, and every discard is counted once in
-        :attr:`cancelled_count`.
+        Discards cancelled heads (lazy cancellation — the single place
+        it happens, so every discard is counted once in
+        :attr:`cancelled_count`), stops at the first live entry later
+        than ``until``, otherwise pops and dispatches it in
+        ``(time, priority, sequence)`` order; stops once ``limit``
+        events have run.  Returns the number of events processed.
         """
         heap = self._heap
-        while heap and heap[0][3].cancelled:
+        done = 0
+        while heap:
+            time, _priority, _seq, entry = heap[0]
+            if entry._cancelled:
+                heapq.heappop(heap)
+                self._cancelled_count += 1
+                continue
+            if until is not None and time > until:
+                break
             heapq.heappop(heap)
-            self._cancelled_count += 1
+            if time < self._now:
+                raise SimulationError("event heap corrupted: time moved backwards")
+            self._now = time
+            entry._process()
+            self._processed_count += 1
+            done += 1
+            if limit is not None and done >= limit:
+                break
+        return done
 
     def peek(self) -> Optional[float]:
         """Time of the next queued event, or ``None`` if the heap is empty."""
-        self._discard_cancelled()
+        self._drain(_BEFORE_ALL, None)
         return self._heap[0][0] if self._heap else None
 
     def step(self) -> bool:
         """Process the single next event.  Returns ``False`` if none remain."""
-        self._discard_cancelled()
-        if not self._heap:
-            return False
-        time, _priority, _seq, event = heapq.heappop(self._heap)
-        if time < self._now:
-            raise SimulationError("event heap corrupted: time moved backwards")
-        self._now = time
-        event._process()
-        self._processed_count += 1
-        return True
+        return self._drain(None, 1) == 1
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run until the heap drains, ``until`` is reached, or a budget hits.
@@ -349,21 +367,12 @@ class Simulator:
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run())")
         self._running = True
-        processed = 0
         try:
-            while True:
-                next_time = self.peek()
-                if next_time is None:
-                    break
-                if until is not None and next_time > until:
-                    if until > self._now:
-                        self._now = float(until)
-                    break
-                if not self.step():
-                    break
-                processed += 1
-                if max_events is not None and processed >= max_events:
-                    raise SimulationError(f"max_events budget of {max_events} exhausted")
+            done = self._drain(until, max_events)
+            # The budget is looked at after each event, so even one
+            # below 1 lets a first event run before it trips.
+            if max_events is not None and done >= max(max_events, 1):
+                raise SimulationError(f"max_events budget of {max_events} exhausted")
             if until is not None and self._now < until:
                 self._now = float(until)
         finally:

@@ -11,8 +11,8 @@ import dataclasses
 
 import pytest
 
-from repro.core import wire
-from repro.core.block import BlockHeader, build_block, make_body
+from repro.core import codec, wire
+from repro.core.block import BlockHeader, BlockId, build_block, make_body
 from repro.core.config import ProtocolConfig
 from repro.crypto.hashing import hash_bytes
 from repro.crypto.keys import KeyPair
@@ -23,6 +23,8 @@ CACHE_ATTRS = (
     "_hdr_digest_by_bits",
     "_hdr_ref_values",
     "_hdr_wire",
+    "_hdr_block_id",
+    "_hdr_digests_encoded",
 )
 
 
@@ -88,6 +90,54 @@ class TestDigestCache:
         tampered = dataclasses.replace(header, nonce=header.nonce + 1)
         assert "_hdr_digest_by_bits" not in tampered.__dict__
         assert tampered.digest() != header.digest()
+
+
+class TestIdentitySlots:
+    """``block_id`` and the encoded Δ: once per header, cold on copies."""
+
+    def test_block_id_is_one_shared_object(self, header):
+        assert header.block_id == BlockId(3, 5)
+        assert header.block_id is header.block_id
+
+    def test_encoded_digests_prewarmed_and_shared(self, header):
+        warm = header.__dict__["_hdr_digests_encoded"]  # build_block's copy
+        assert header.puzzle_fields() == [header.root.value, warm]
+        assert header.puzzle_fields()[1] is warm
+        assert warm == codec.encode_digest_map(
+            {node: digest.value for node, digest in header.digests.items()}
+        )
+        clear_caches(header)
+        assert header.puzzle_fields()[1] == warm
+        assert warm in header.signing_payload()
+
+    @pytest.mark.parametrize("field, changes_payload", [
+        ("root", True), ("digests", True), ("origin", False), ("index", False),
+    ])
+    def test_replace_recomputes_every_identity(
+        self, header, keypair, field, changes_payload
+    ):
+        for warm_up in (header.digest, header.encode, header.signing_payload,
+                        header.puzzle_fields, lambda: header.block_id):
+            warm_up()
+        changed = {
+            "root": hash_bytes(b"another body"),
+            "digests": {**header.digests, 9: hash_bytes(b"grafted parent")},
+            "origin": header.origin + 1,
+            "index": header.index + 1,
+        }[field]
+        copy = dataclasses.replace(header, **{field: changed})
+        assert not set(CACHE_ATTRS) & set(copy.__dict__)
+        assert copy.digest() != header.digest()
+        if changes_payload:
+            assert copy.block_id == header.block_id
+            assert copy.puzzle_fields() != header.puzzle_fields()
+            assert copy.signing_payload() != header.signing_payload()
+            # The nonce was mined and the signature made over the old bytes.
+            assert header.verify_signature(keypair.public)
+            assert not copy.verify_signature(keypair.public)
+        else:
+            assert copy.block_id != header.block_id
+            assert copy.block_id == BlockId(copy.origin, copy.index)
 
 
 class TestMutationSafety:

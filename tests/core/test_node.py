@@ -63,6 +63,18 @@ class TestGeneration:
 
 
 class TestDigestHandling:
+    def test_neighbors_is_the_topology_frozen_set(self, deployment, fig3_topology):
+        node = deployment.node(1)
+        assert node.neighbors is fig3_topology.neighbors(1)
+        assert node.neighbors == frozenset({0, 2, 3})
+        assert not hasattr(node.neighbors, "add")  # nothing a caller can mutate
+
+    def test_digest_push_goes_out_in_ascending_neighbor_order(self, deployment):
+        sent = [m.recipient for m in deployment.node(1).interface.broadcast_neighbors(
+            "digest", (1, None), 256
+        )]
+        assert sent == [0, 2, 3]
+
     def test_non_neighbor_digest_ignored(self, deployment):
         """A digest claiming to come over a non-existent edge is dropped."""
         node_a = deployment.node(0)  # A's only neighbour is B

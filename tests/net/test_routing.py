@@ -3,7 +3,12 @@
 import pytest
 
 from repro.net.routing import UNREACHABLE, RoutingTable
-from repro.net.topology import explicit_topology, grid_topology
+from repro.net.topology import (
+    explicit_topology,
+    grid_topology,
+    sequential_geometric_topology,
+)
+from repro.sim.rng import RandomStreams
 
 
 class TestHopCounts:
@@ -57,6 +62,32 @@ class TestPaths:
         table = RoutingTable(grid9)
         # 0 -> 4 has routes via 1 or 3; next hop must be 1.
         assert table.next_hop(0, 4) == 1
+
+    @pytest.mark.parametrize("topology", [
+        pytest.param(grid_topology(4, 5, comm_range=90.0), id="dense-grid"),
+        pytest.param(
+            sequential_geometric_topology(node_count=30, streams=RandomStreams(3)),
+            id="geometric-30",
+        ),
+    ])
+    def test_stored_route_is_the_hop_by_hop_walk(self, topology):
+        """Every relay forwards by its *own* next-hop choice.
+
+        The stored routes must equal that walk, not the source's BFS
+        tree path: the two are equally short but charge different relays.
+        """
+        table = RoutingTable(topology)
+        for source in topology.node_ids:
+            for destination in topology.node_ids:
+                walk = [source]
+                while walk[-1] != destination:
+                    walk.append(table.next_hop(walk[-1], destination))
+                assert table.path(source, destination) == walk
+
+    def test_path_hands_out_a_private_list(self, grid9):
+        table = RoutingTable(grid9)
+        table.path(0, 8).append(99)
+        assert table.path(0, 8)[-1] == 8
 
 
 class TestAggregates:

@@ -154,8 +154,55 @@ class TestDropRules:
         network.attach(0).send(3, "ping", None, 100)
         network.sim.run()
         assert network.ledger.tx_bits(0) == 100
+        assert network.ledger.rx_bits(1) == 100
         assert network.ledger.tx_bits(1) == 100
         assert network.ledger.rx_bits(2) == 0
+        assert network.ledger.tx_bits(2) == 0
+        assert network.ledger.rx_bits(3) == 0
+
+    def test_rule_that_never_fires_leaves_ledger_unchanged(self, grid9):
+        """No rules installed ≡ one rule that always answers False."""
+
+        def drive(rules):
+            sim = Simulator()
+            network = Network(sim, grid9, per_hop_latency=0.01)
+            for rule in rules:
+                network.add_drop_rule(rule)
+            delivered = []
+            for node in grid9.node_ids:
+                network.attach(node).on(
+                    "data", lambda m, n=node: delivered.append((sim.now, n, m.sender))
+                )
+            for source in grid9.node_ids:
+                network.interface(source).broadcast_neighbors("digest", None, 256)
+                for target in grid9.node_ids:
+                    network.interface(source).send(target, "data", None, 1000 + source)
+            sim.run()
+            ledger = network.ledger
+            return (
+                delivered,
+                sim.processed_count,
+                ledger.message_counts(),
+                {n: (ledger.tx_bits(n), ledger.rx_bits(n)) for n in grid9.node_ids},
+            )
+
+        consulted = []
+
+        def never(message, hop_from, hop_to):
+            consulted.append((hop_from, hop_to))
+            return False
+
+        assert drive([never]) == drive([])
+        assert consulted  # the rule really was asked, once per hop
+
+    def test_rules_after_the_one_that_fires_are_not_asked(self, network):
+        asked = []
+        network.attach(3)
+        network.add_drop_rule(lambda m, a, b: (a, b) == (0, 1))
+        network.add_drop_rule(lambda m, a, b: asked.append((a, b)) or False)
+        network.attach(0).send(3, "ping", None, 100)
+        network.sim.run()
+        assert asked == []
 
     def test_clear_drop_rules(self, network):
         received = []

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.metrics.cdf import EmpiricalCDF
-from repro.sim.kernel import Simulator
+from repro.sim.errors import SimulationError
+from repro.sim.kernel import PRIORITY_HIGH, PRIORITY_LOW, PRIORITY_NORMAL, Simulator
 
 
 class TestKernelProperties:
@@ -33,6 +34,104 @@ class TestKernelProperties:
         chain(delays)
         sim.run()
         assert observed == sorted(observed)
+
+
+#: Few distinct times and priorities, so ties on both are the common case.
+_TIMES = st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.0, 2.5, 4.0])
+_PRIORITIES = st.sampled_from([PRIORITY_HIGH, PRIORITY_NORMAL, PRIORITY_LOW])
+#: What an entry does when it runs: nothing, cancel entry k, or schedule a child.
+_ACTIONS = st.one_of(
+    st.just(("noop",)),
+    st.tuples(st.just("cancel"), st.integers(0, 30)),
+    st.tuples(st.just("spawn"), st.sampled_from([0.0, 0.5, 1.5])),
+)
+_ENTRIES = st.lists(
+    st.tuples(_TIMES, _PRIORITIES, st.booleans(), st.booleans(), _ACTIONS),
+    min_size=0, max_size=25,
+)
+
+
+def _build(entries):
+    """A simulator loaded with ``entries`` and the log its callbacks write."""
+    sim, log, handles = Simulator(), [], []
+
+    def act(tag, action):
+        log.append((tag, sim.now))
+        if action[0] == "cancel":
+            victim = handles[action[1] % len(handles)]
+            if not victim.processed:
+                victim.cancel()
+        elif action[0] == "spawn":
+            sim.call_in(action[1], lambda: log.append((f"child-of-{tag}", sim.now)))
+
+    for tag, (time, priority, as_event, precancelled, action) in enumerate(entries):
+        if as_event:  # a full Event and a ScheduledCall share the heap
+            handle = sim.event()
+            handle.callbacks.append(lambda _e, t=tag, a=action: act(t, a))
+            sim._enqueue(time, priority, handle)
+        else:
+            handle = sim.call_at(time, lambda t=tag, a=action: act(t, a), priority)
+        handles.append(handle)
+        if precancelled:
+            handle.cancel()
+    return sim, log
+
+
+def _reference_run(sim, until, max_events):
+    """``run()`` as it was written on ``peek()`` and ``step()``."""
+    processed = 0
+    while True:
+        next_time = sim.peek()
+        if next_time is None or (until is not None and next_time > until):
+            break
+        assert sim.step()
+        processed += 1
+        if max_events is not None and processed >= max_events:
+            return "budget"
+    return "done"
+
+
+class TestRunIsRepeatedStep:
+    """``run()`` ≡ ``while step()``: one drain loop serves both."""
+
+    @given(
+        _ENTRIES,
+        st.one_of(st.none(), st.sampled_from([0.0, 0.75, 1.0, 2.5, 3.0, 9.0])),
+        st.one_of(st.none(), st.integers(0, 12)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_same_order_clock_and_counters(self, entries, until, max_events):
+        ran, ran_log = _build(entries)
+        stepped, stepped_log = _build(entries)
+        try:
+            ran.run(until=until, max_events=max_events)
+            verdict = "done"
+        except SimulationError:
+            verdict = "budget"
+        assert _reference_run(stepped, until, max_events) == verdict
+        assert ran_log == stepped_log
+        assert ran.processed_count == stepped.processed_count
+        assert ran.cancelled_count == stepped.cancelled_count
+        assert ran.pending_count == stepped.pending_count
+        if verdict == "done" and until is not None:
+            # run() parks the clock on ``until``; step() cannot.
+            assert ran.now == max(stepped.now, until)
+        else:
+            assert ran.now == stepped.now
+
+    @given(_ENTRIES)
+    @settings(max_examples=100, deadline=None)
+    def test_draining_by_step_alone(self, entries):
+        ran, ran_log = _build(entries)
+        stepped, stepped_log = _build(entries)
+        ran.run()
+        while stepped.step():
+            pass
+        assert ran_log == stepped_log
+        assert (ran.now, ran.processed_count, ran.cancelled_count) == (
+            stepped.now, stepped.processed_count, stepped.cancelled_count
+        )
+        assert stepped.peek() is None and stepped.pending_count == 0
 
 
 class TestCdfProperties:

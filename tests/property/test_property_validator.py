@@ -82,6 +82,10 @@ class TestValidatorInvariants:
         # Quorum of distinct origins.
         assert len({h.origin for h in outcome.path}) >= config.consensus_quorum()
         assert outcome.consensus_set == {h.origin for h in outcome.path}
+        # Line 39: the whole path is in H_i afterwards, whether a header
+        # arrived over the network or was already there.
+        cache = deployment.node(validator_id).cache
+        assert all(cache.get(h.block_id) == h for h in outcome.path)
         # Genuine chain: each element references its predecessor.
         for parent, child in zip(outcome.path, outcome.path[1:]):
             assert child.references(parent.digest(config.hash_bits))
