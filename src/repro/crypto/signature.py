@@ -22,6 +22,7 @@ See DESIGN.md §2 for the substitution record.
 from __future__ import annotations
 
 import hashlib
+import hmac
 from typing import Dict
 
 from repro.crypto.keys import KeyPair
@@ -52,13 +53,4 @@ def verify(message: bytes, signature: bytes, public: bytes) -> bool:
     if private is None:
         return False
     expected = hashlib.sha256(b"sig:" + private + message).digest()
-    return _constant_time_equal(expected, signature)
-
-
-def _constant_time_equal(a: bytes, b: bytes) -> bool:
-    if len(a) != len(b):
-        return False
-    result = 0
-    for x, y in zip(a, b):
-        result |= x ^ y
-    return result == 0
+    return hmac.compare_digest(expected, signature)

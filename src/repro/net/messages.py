@@ -10,15 +10,24 @@ phases (DAG construction vs consensus — Fig. 8(b) vs 8(c)).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple, Optional
 
-_MESSAGE_IDS = itertools.count(1)
+_next_message_id = itertools.count(1).__next__
+_new_tuple = tuple.__new__
 
 
-@dataclass(frozen=True)
-class Message:
-    """An addressed, sized protocol message.
+class _Envelope(NamedTuple):
+    sender: int
+    recipient: int
+    kind: str
+    payload: Any
+    size_bits: int
+    msg_id: int
+    in_reply_to: Optional[int]
+
+
+class Message(_Envelope):
+    """An addressed, sized protocol message (immutable).
 
     Attributes
     ----------
@@ -33,22 +42,22 @@ class Message:
         Wire size used for communication accounting.
     msg_id:
         Unique id, useful for request/reply matching and replay
-        detection (the nonce of §IV-D-5).
+        detection (the nonce of §IV-D-5); drawn when not given.
     in_reply_to:
         ``msg_id`` of the request this message answers, or ``None``.
     """
 
-    sender: int
-    recipient: int
-    kind: str
-    payload: Any
-    size_bits: int
-    msg_id: int = field(default_factory=lambda: next(_MESSAGE_IDS))
-    in_reply_to: Any = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.size_bits < 0:
-            raise ValueError(f"message size must be non-negative, got {self.size_bits}")
+    def __new__(
+        cls, sender: int, recipient: int, kind: str, payload: Any, size_bits: int,
+        msg_id: Optional[int] = None, in_reply_to: Optional[int] = None,
+    ) -> "Message":
+        if size_bits < 0:
+            raise ValueError(f"message size must be non-negative, got {size_bits}")
+        if msg_id is None:
+            msg_id = _next_message_id()
+        return _new_tuple(cls, (sender, recipient, kind, payload, size_bits, msg_id, in_reply_to))
 
     @property
     def size_bytes(self) -> float:
@@ -57,11 +66,4 @@ class Message:
 
     def reply(self, kind: str, payload: Any, size_bits: int) -> "Message":
         """Construct the reverse-direction message for request/reply flows."""
-        return Message(
-            sender=self.recipient,
-            recipient=self.sender,
-            kind=kind,
-            payload=payload,
-            size_bits=size_bits,
-            in_reply_to=self.msg_id,
-        )
+        return Message(self.recipient, self.sender, kind, payload, size_bits, None, self.msg_id)

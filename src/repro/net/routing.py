@@ -40,13 +40,18 @@ class RoutingTable:
         # Every route is walked once here, hop by hop through each relay's
         # own next-hop choice, and then only looked up per message.
         self._routes: Dict[int, Dict[int, Tuple[int, ...]]] = {}
+        #: ``hops[source][destination]``: the route's ``(hop_from, hop_to)``
+        #: pairs — ``()`` for self, no entry if unreachable.  Read-only.
+        self.hops: Dict[int, Dict[int, Tuple[Tuple[int, int], ...]]] = {}
         for source, next_hop in self._next_hop.items():
             routes = self._routes[source] = {source: (source,)}
+            hops = self.hops[source] = {source: ()}
             for destination in next_hop:
                 route = [source]
                 while route[-1] != destination:
                     route.append(self._next_hop[route[-1]][destination])
                 routes[destination] = tuple(route)
+                hops[destination] = tuple(zip(route, route[1:]))
 
     def _compute_from(self, source: int) -> None:
         distance: Dict[int, int] = {source: 0}

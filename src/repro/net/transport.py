@@ -18,7 +18,6 @@ partitions (§IV-D).
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.metrics.collector import TrafficLedger
@@ -66,10 +65,7 @@ class NodeInterface:
     # -- sending -----------------------------------------------------------
     def send(self, recipient: int, kind: str, payload: Any, size_bits: int) -> Message:
         """Unicast to ``recipient`` over the shortest route."""
-        message = Message(
-            sender=self.node_id, recipient=recipient, kind=kind,
-            payload=payload, size_bits=size_bits,
-        )
+        message = Message(self.node_id, recipient, kind, payload, size_bits)
         self.network.unicast(message)
         return message
 
@@ -97,30 +93,17 @@ class NodeInterface:
         time elapses with no answer — silent malicious responders are
         thus survivable.
         """
-        message = self.send(recipient, kind, payload, size_bits)
-        waiter = self.network.sim.event()
-        self._pending[message.msg_id] = waiter
-
-        def expire() -> None:
-            pending = self._pending.pop(message.msg_id, None)
-            if pending is not None and not pending.triggered:
-                pending.succeed(None)
-
-        self.network.sim.call_in(timeout, expire)
+        sim = self.network.sim
+        msg_id = self.send(recipient, kind, payload, size_bits).msg_id
+        waiter = self._pending[msg_id] = sim.event()
+        # Only the id rides to the timeout, so an answered request is freed.
+        sim.call_in(timeout, self._expire, msg_id)
         return waiter
 
-    # -- delivery (called by Network) ------------------------------------------
-    def deliver(self, message: Message) -> None:
-        """Dispatch an arriving message to a waiter or handler."""
-        if message.in_reply_to is not None:
-            waiter = self._pending.pop(message.in_reply_to, None)
-            if waiter is not None:
-                if not waiter.triggered:
-                    waiter.succeed(message)
-                return
-        handler = self._handlers.get(message.kind, self._default_handler)
-        if handler is not None:
-            handler(message)
+    def _expire(self, msg_id: int) -> None:
+        waiter = self._pending.pop(msg_id, None)
+        if waiter is not None and not waiter.triggered:
+            waiter.succeed(None)
 
 
 class Network:
@@ -189,35 +172,43 @@ class Network:
         still accounted — bytes were spent even though delivery failed,
         matching how a real radio medium behaves.
         """
-        category = self.category_fn(message.kind)
-        self.ledger.record_message(message.kind)
-        if message.sender == message.recipient:
-            # Loopback costs nothing on the medium.
-            self.sim.call_in(0.0, partial(self._deliver, message))
-            return
-        try:
-            route = self.routing.path(message.sender, message.recipient)
-        except ValueError:
+        kind = message.kind
+        category = self.category_fn(kind)
+        self.ledger.record_message(kind)
+        # Loopback has no hops: it costs nothing on the medium and no time.
+        hops = self.routing.hops[message.sender].get(message.recipient)
+        if hops is None:
             self.tracer.emit(self.sim.now, "net.unroutable", message.sender,
-                             recipient=message.recipient, kind=message.kind)
+                             recipient=message.recipient, kind=kind)
             return
         record_tx, record_rx = self.ledger.record_tx, self.ledger.record_rx
         rules, bits = self._drop_rules, message.size_bits
-        for hop_from, hop_to in zip(route, route[1:]):
+        for hop_from, hop_to in hops:
             record_tx(hop_from, category, bits)
             for rule in rules:
                 if rule(message, hop_from, hop_to):
                     self.tracer.emit(self.sim.now, "net.dropped", hop_from,
-                                     hop_to=hop_to, kind=message.kind)
+                                     hop_to=hop_to, kind=kind)
                     return
             record_rx(hop_to, category, bits)
-        latency = self.per_hop_latency * (len(route) - 1)
-        self.sim.call_in(latency, partial(self._deliver, message))
+        # The latency is read per send: link faults change it mid-run.
+        self.sim.call_in(self.per_hop_latency * len(hops), self._deliver, message)
 
     def _deliver(self, message: Message) -> None:
+        """Hand an arrived message to its reply waiter or its kind handler."""
+        # The interface is resolved now, not at send time.
         interface = self._interfaces.get(message.recipient)
-        if interface is not None:
-            interface.deliver(message)
+        if interface is None:
+            return
+        if message.in_reply_to is not None:
+            waiter = interface._pending.pop(message.in_reply_to, None)
+            if waiter is not None:
+                if not waiter.triggered:
+                    waiter.succeed(message)
+                return
+        handler = interface._handlers.get(message.kind, interface._default_handler)
+        if handler is not None:
+            handler(message)
 
     def hop_count(self, source: int, destination: int) -> int:
         """Hops between two nodes (routing shortcut for experiments)."""

@@ -9,7 +9,7 @@ from a single seed.
 Two scheduling styles are supported:
 
 * callback style — :meth:`Simulator.call_at` / :meth:`Simulator.call_in`
-  run a plain callable at a simulated time (scheduled as a lightweight
+  run ``fn(*args)`` at a simulated time (scheduled as a lightweight
   :class:`ScheduledCall`, the kernel's allocation-lean fast path);
 * process style — :class:`repro.sim.process.Process` wraps a generator
   that ``yield``\\ s events (usually :class:`Timeout`) and is resumed when
@@ -153,8 +153,9 @@ class ScheduledCall:
     Callback scheduling is the kernel's hottest operation (every digest
     push, transport delivery and slot tick goes through it), and a full
     :class:`Event` costs a callbacks list, a value slot and a wrapping
-    closure per call.  A ``ScheduledCall`` carries only the callable;
-    it shares the heap with full events and obeys the same
+    closure per call.  A ``ScheduledCall`` carries only the callable
+    and its positional arguments (so callers need no ``partial`` or
+    closure); it shares the heap with full events and obeys the same
     ``(time, priority, sequence)`` ordering, so interleavings — and
     therefore whole-simulation determinism — are unchanged.
 
@@ -165,10 +166,11 @@ class ScheduledCall:
     :meth:`Simulator.event` when a future is needed.
     """
 
-    __slots__ = ("fn", "_processed", "_cancelled")
+    __slots__ = ("fn", "args", "_processed", "_cancelled")
 
-    def __init__(self, fn: Callable[[], None]) -> None:
-        self.fn: Optional[Callable[[], None]] = fn
+    def __init__(self, fn: Callable[..., None], args: Tuple[Any, ...] = ()) -> None:
+        self.fn: Optional[Callable[..., None]] = fn
+        self.args = args
         self._processed = False
         self._cancelled = False
 
@@ -187,15 +189,15 @@ class ScheduledCall:
         if self._processed:
             raise EventStateError("cannot cancel a processed event")
         self._cancelled = True
-        self.fn = None  # drop the closure early; the heap entry lingers
+        self.fn, self.args = None, ()  # drop the call early; the heap entry lingers
 
     def _process(self) -> None:
-        fn = self.fn
+        fn, args = self.fn, self.args
         if fn is None:  # cancelled: cancel() dropped the callable
             return
         self._processed = True
-        self.fn = None
-        fn()
+        self.fn, self.args = None, ()
+        fn(*args)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = (
@@ -279,26 +281,26 @@ class Simulator:
         return Timeout(self, delay, value)
 
     def call_at(
-        self, time: float, fn: Callable[[], None], priority: int = PRIORITY_NORMAL
+        self, time: float, fn: Callable[..., None], *args: Any, priority: int = PRIORITY_NORMAL
     ) -> "ScheduledCall":
-        """Run ``fn`` (no arguments) at absolute simulated ``time``.
+        """Run ``fn(*args)`` at absolute simulated ``time``.
 
         Returns a lightweight :class:`ScheduledCall` handle (supports
         ``cancel()``); scheduling order still breaks same-time ties.
         """
         if time < self._now:
             raise SchedulingError(f"cannot schedule at {time} < now {self._now}")
-        entry = ScheduledCall(fn)
+        entry = ScheduledCall(fn, args)
         heapq.heappush(self._heap, (time, priority, next(self._sequence), entry))
         return entry
 
     def call_in(
-        self, delay: float, fn: Callable[[], None], priority: int = PRIORITY_NORMAL
+        self, delay: float, fn: Callable[..., None], *args: Any, priority: int = PRIORITY_NORMAL
     ) -> "ScheduledCall":
-        """Run ``fn`` ``delay`` units from now."""
+        """Run ``fn(*args)`` ``delay`` units from now."""
         if delay < 0:
             raise SchedulingError(f"negative delay: {delay}")
-        entry = ScheduledCall(fn)
+        entry = ScheduledCall(fn, args)
         heapq.heappush(self._heap, (self._now + delay, priority, next(self._sequence), entry))
         return entry
 

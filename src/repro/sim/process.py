@@ -12,7 +12,7 @@ sending requests and waiting (with a timeout) for replies.
 
 from __future__ import annotations
 
-from typing import Any, Generator
+from typing import Any, Callable, Generator
 
 from repro.sim.errors import StopProcess
 from repro.sim.kernel import Event, Simulator
@@ -55,17 +55,17 @@ class Process(Event):
 
     # -- internal ------------------------------------------------------------
     def _resume(self, event: Event) -> None:
-        if event.ok:
-            self._advance(lambda: self._generator.send(event.value))
+        if event._ok:
+            self._advance(self._generator.send, event._value)
         else:
-            self._advance(lambda: self._generator.throw(event.value))
+            self._advance(self._generator.throw, event._value)
 
     def _throw(self, exc: BaseException) -> None:
-        self._advance(lambda: self._generator.throw(exc))
+        self._advance(self._generator.throw, exc)
 
-    def _advance(self, step) -> None:
+    def _advance(self, step: Callable[[Any], Any], value: Any) -> None:
         try:
-            target = step()
+            target = step(value)
         except StopIteration as stop:
             self.succeed(stop.value)
             return

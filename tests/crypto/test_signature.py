@@ -1,5 +1,9 @@
 """Unit tests for the simulated signature scheme."""
 
+import hashlib
+
+import pytest
+
 from repro.crypto.keys import KeyPair, KeyRegistry
 from repro.crypto.signature import sign, verify
 
@@ -31,6 +35,30 @@ class TestSignVerify:
         pair = KeyPair.generate(1)
         signature = sign(b"message", pair)
         assert not verify(b"message", signature[:-1], pair.public)
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            lambda sig: bytes([sig[0] ^ 0x01]) + sig[1:],
+            lambda sig: sig[:-1] + bytes([sig[-1] ^ 0x80]),
+            lambda sig: sig + b"\x00",
+            lambda sig: b"",
+        ],
+        ids=["first-byte", "last-byte", "one-byte-longer", "empty"],
+    )
+    def test_tampered_signature_rejected(self, tamper):
+        pair = KeyPair.generate(1)
+        signature = sign(b"message", pair)
+        assert verify(b"message", signature, pair.public)
+        assert verify(b"message", tamper(signature), pair.public) is False
+
+    def test_unregistered_public_key_verifies_false_even_with_valid_tag(self):
+        # A pair that never signed is unknown to the oracle: its own
+        # correctly computed tag must still verify as exactly False.
+        stranger = KeyPair.generate(424242, seed=13)
+        message = b"message"
+        tag = hashlib.sha256(b"sig:" + stranger.private + message).digest()
+        assert verify(message, tag, stranger.public) is False
 
     def test_deterministic_keys(self):
         assert KeyPair.generate(3, seed=9) == KeyPair.generate(3, seed=9)

@@ -27,3 +27,32 @@ class TestMessage:
 
     def test_fresh_message_has_no_reply_marker(self):
         assert Message(0, 1, "k", None, 10).in_reply_to is None
+
+    def test_keyword_construction_and_field_names(self):
+        message = Message(sender=2, recipient=5, kind="k", payload={"a": 1}, size_bits=16)
+        assert (message.sender, message.recipient, message.kind) == (2, 5, "k")
+        assert message.payload == {"a": 1}
+        assert message.size_bits == 16
+
+    def test_explicit_msg_id_and_reply_marker_are_kept(self):
+        message = Message(0, 1, "k", None, 10, msg_id=77, in_reply_to=5)
+        assert (message.msg_id, message.in_reply_to) == (77, 5)
+
+    def test_ids_increase_monotonically(self):
+        ids = [Message(0, 1, "k", None, 10).msg_id for _ in range(5)]
+        assert ids == sorted(set(ids))
+        assert Message(0, 1, "k", None, 10).reply("r", None, 1).msg_id > ids[-1]
+
+    @pytest.mark.parametrize("name", ["sender", "payload", "msg_id", "size_bits", "extra"])
+    def test_attribute_assignment_rejected(self, name):
+        message = Message(0, 1, "k", None, 10)
+        with pytest.raises(AttributeError):
+            setattr(message, name, 3)
+
+    def test_reply_carries_kind_payload_and_size(self):
+        reply = Message(3, 7, "ask", "q", 10).reply("answer", "a", 20)
+        assert (reply.kind, reply.payload, reply.size_bits) == ("answer", "a", 20)
+
+    def test_negative_size_rejected_on_reply_too(self):
+        with pytest.raises(ValueError):
+            Message(3, 7, "ask", "q", 10).reply("answer", "a", -20)

@@ -1,8 +1,13 @@
 """Unit tests for the message transport and byte accounting."""
 
+import gc
+import sys
+import weakref
+
 import pytest
 
 from repro.metrics.collector import TrafficLedger
+from repro.net.linkmodels import LinkDegradation
 from repro.net.transport import Network
 from repro.sim.kernel import Simulator
 
@@ -53,6 +58,43 @@ class TestDelivery:
         network.attach(1)
         network.attach(0).send(1, "mystery", None, 10)
         network.sim.run()  # must not raise
+
+
+    def test_handler_runs_two_frames_under_the_drain_loop(self, network):
+        # _drain -> ScheduledCall._process -> Network._deliver -> handler:
+        # a wrapper frame put back on the message path fails here.
+        stacks = []
+
+        def handler(message):
+            frame, names = sys._getframe(1), []
+            while frame is not None and len(names) < 3:
+                names.append(frame.f_code.co_name)
+                frame = frame.f_back
+            stacks.append(names)
+
+        network.attach(3).on("ping", handler)
+        network.attach(0).send(3, "ping", None, 10)
+        network.sim.run()
+        assert stacks == [["_deliver", "_process", "_drain"]]
+
+    def test_latency_is_read_at_send_time(self, network):
+        # A degradation installed and revoked mid-run moves only the
+        # messages sent while it is live; in-flight ones keep their time.
+        sim, times = network.sim, []
+        network.attach(3).on("ping", lambda m: times.append((m.payload, sim.now)))
+        source = network.attach(0)
+        live = []
+        sim.call_at(0.0, source.send, 3, "ping", "before", 10)
+        sim.call_at(0.99, source.send, 3, "ping", "in-flight", 10)
+        sim.call_at(1.0, lambda: live.append(LinkDegradation(network, loss=0.0, extra_latency=0.005)))
+        sim.call_at(1.0, source.send, 3, "ping", "degraded", 10)
+        sim.call_at(2.0, lambda: live.pop().revoke())
+        sim.call_at(2.0, source.send, 3, "ping", "restored", 10)
+        sim.run()
+        assert times == [
+            ("before", pytest.approx(0.03)), ("in-flight", pytest.approx(1.02)),
+            ("degraded", pytest.approx(1.045)), ("restored", pytest.approx(2.03)),
+        ]
 
 
 class TestAccounting:
@@ -137,6 +179,52 @@ class TestRequestReply:
         waiter = network.attach(0).request(3, "ask", None, 10, timeout=0.5)
         network.sim.run()
         assert waiter.value is None  # timeout won; late reply dropped
+
+
+    def test_late_reply_does_not_resurrect_the_waiter(self, network):
+        responder, requester = network.attach(3), network.attach(0)
+        strays = []
+        requester.on("late", strays.append)
+        responder.on("ask", lambda m: network.sim.call_in(2.0, responder.reply, m, "late", "x", 10))
+        waiter = requester.request(3, "ask", None, 10, timeout=0.5)
+        network.sim.run(until=1.0)
+        assert waiter.processed and waiter.value is None
+        assert requester._pending == {}
+        network.sim.run()
+        # The reply found no waiter: it went to the kind handler like any
+        # unsolicited message, and the timed-out event stayed as it was.
+        assert requester._pending == {}
+        assert waiter.value is None
+        assert [m.payload for m in strays] == ["x"]
+
+    def test_answered_request_is_released_before_its_timeout(self, network):
+        class Payload:
+            pass
+
+        responder = network.attach(3)
+        responder.on("ask", lambda m: responder.reply(m, "answer", None, 10))
+        payload = Payload()
+        alive = weakref.ref(payload)
+        waiter = network.attach(0).request(3, "ask", payload, 10, timeout=5.0)
+        del payload
+        network.sim.run(until=1.0)  # round trip is 0.06; the timeout is still queued
+        assert waiter.processed and waiter.value.kind == "answer"
+        assert network.sim.pending_count == 1
+        gc.collect()
+        assert alive() is None
+
+    def test_expiry_after_a_reply_is_still_one_event(self, network):
+        responder = network.attach(3)
+        responder.on("ask", lambda m: responder.reply(m, "answer", None, 10))
+        waiter = network.attach(0).request(3, "ask", None, 10, timeout=5.0)
+        network.sim.run(until=1.0)
+        # request delivery, reply delivery, the waiter's own event
+        assert network.sim.processed_count == 3
+        network.sim.run()
+        assert network.sim.now == 5.0
+        assert network.sim.processed_count == 4  # the no-op expiry is counted
+        assert network.sim.cancelled_count == 0
+        assert waiter.value.kind == "answer"
 
 
 class TestDropRules:

@@ -1,5 +1,7 @@
 """Property-based tests on the simulation kernel and CDF."""
 
+from functools import partial
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -51,9 +53,18 @@ _ENTRIES = st.lists(
 )
 
 
-def _build(entries):
-    """A simulator loaded with ``entries`` and the log its callbacks write."""
+def _build(entries, carry_args=True):
+    """A simulator loaded with ``entries`` and the log its callbacks write.
+
+    Calls are scheduled as ``call_*(t, fn, *args)``, or — the form that
+    replaced — as ``call_*(t, partial(fn, *args))``.
+    """
     sim, log, handles = Simulator(), [], []
+
+    def call(scheduler, when, priority, fn, *args):
+        if carry_args:
+            return scheduler(when, fn, *args, priority=priority)
+        return scheduler(when, partial(fn, *args), priority=priority)
 
     def act(tag, action):
         log.append((tag, sim.now))
@@ -62,7 +73,7 @@ def _build(entries):
             if not victim.processed:
                 victim.cancel()
         elif action[0] == "spawn":
-            sim.call_in(action[1], lambda: log.append((f"child-of-{tag}", sim.now)))
+            call(sim.call_in, action[1], PRIORITY_NORMAL, act, f"child-of-{tag}", ("noop",))
 
     for tag, (time, priority, as_event, precancelled, action) in enumerate(entries):
         if as_event:  # a full Event and a ScheduledCall share the heap
@@ -70,7 +81,7 @@ def _build(entries):
             handle.callbacks.append(lambda _e, t=tag, a=action: act(t, a))
             sim._enqueue(time, priority, handle)
         else:
-            handle = sim.call_at(time, lambda t=tag, a=action: act(t, a), priority)
+            handle = call(sim.call_at, time, priority, act, tag, action)
         handles.append(handle)
         if precancelled:
             handle.cancel()
@@ -132,6 +143,22 @@ class TestRunIsRepeatedStep:
             stepped.now, stepped.processed_count, stepped.cancelled_count
         )
         assert stepped.peek() is None and stepped.pending_count == 0
+
+
+class TestArgumentCarryingCalls:
+    """``call_in(d, fn, *args)`` ≡ ``call_in(d, partial(fn, *args))``."""
+
+    @given(_ENTRIES, st.one_of(st.none(), st.sampled_from([0.0, 1.0, 2.5, 9.0])))
+    @settings(max_examples=200, deadline=None)
+    def test_same_order_clock_and_counters(self, entries, until):
+        carried, carried_log = _build(entries, carry_args=True)
+        wrapped, wrapped_log = _build(entries, carry_args=False)
+        carried.run(until=until)
+        wrapped.run(until=until)
+        assert carried_log == wrapped_log
+        assert (carried.now, carried.processed_count, carried.cancelled_count, carried.pending_count) == (
+            wrapped.now, wrapped.processed_count, wrapped.cancelled_count, wrapped.pending_count
+        )
 
 
 class TestCdfProperties:

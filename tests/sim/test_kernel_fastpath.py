@@ -38,6 +38,33 @@ class TestScheduledCall:
         handle.cancel()
         assert handle.fn is None
 
+    def test_positional_arguments_reach_the_callable(self, sim):
+        got = []
+        sim.call_at(2.0, lambda *args: got.append((sim.now, args)), "a", 1)
+        sim.call_in(1.0, lambda *args: got.append((sim.now, args)), "b")
+        sim.call_in(3.0, lambda *args: got.append((sim.now, args)))
+        sim.run()
+        assert got == [(1.0, ("b",)), (2.0, ("a", 1)), (3.0, ())]
+
+    def test_priority_is_keyword_only(self, sim):
+        # A third positional value is an argument of ``fn``, never the priority.
+        order = []
+        sim.call_at(1.0, order.append, "normal")
+        sim.call_at(1.0, order.append, PRIORITY_HIGH)
+        sim.call_at(1.0, order.append, "high", priority=PRIORITY_HIGH)
+        sim.run()
+        assert order == ["high", "normal", PRIORITY_HIGH]
+
+    def test_cancel_and_run_both_drop_the_arguments(self, sim):
+        payload = object()
+        cancelled = sim.call_in(1.0, lambda _p: None, payload)
+        ran = sim.call_in(1.0, lambda _p: None, payload)
+        assert cancelled.args == ran.args == (payload,)
+        cancelled.cancel()
+        sim.run()
+        assert cancelled.args == () and cancelled.fn is None
+        assert ran.args == () and ran.fn is None and ran.processed
+
 
 class TestOrderingWithFullEvents:
     def test_interleaves_with_timeouts_in_schedule_order(self, sim):

@@ -1,5 +1,7 @@
 """Unit tests for generator-based processes."""
 
+import sys
+
 import pytest
 
 from repro.sim.errors import StopProcess
@@ -20,6 +22,31 @@ class TestBasics:
         sim.process(worker())
         sim.run()
         assert trace == [0.0, 2.0, 5.0]
+
+    def test_resumed_generator_runs_three_frames_under_the_drain_loop(self, sim):
+        # _drain -> Event._process -> Process._resume -> _advance -> generator:
+        # a wrapper put back between a reply and the validator fails here.
+        stacks = []
+
+        def snapshot():
+            frame, names = sys._getframe(2), []
+            while frame is not None and len(names) < 4:
+                names.append(frame.f_code.co_name)
+                frame = frame.f_back
+            stacks.append(names)
+
+        def worker():
+            snapshot()
+            yield sim.timeout(1.0)
+            snapshot()
+            try:
+                yield sim.event().fail(RuntimeError("boom"))
+            except RuntimeError:
+                snapshot()
+
+        sim.process(worker())
+        sim.run()
+        assert stacks == [["_advance", "_resume", "_process", "_drain"]] * 3
 
     def test_return_value_becomes_process_value(self, sim):
         def worker():
