@@ -97,9 +97,11 @@ class IotaNode:
             self._forward(transaction, exclude=message.sender)
 
     def _forward(self, transaction: Transaction, exclude: Optional[int]) -> None:
-        for neighbor in sorted(self.network.topology.neighbors(self.node_id)):
-            if neighbor != exclude:
-                self.interface.send(neighbor, KIND_TX, transaction, transaction.size_bits)
+        neighbors = self.network.topology.sorted_neighbors[self.node_id]
+        self.interface.multicast(
+            [neighbor for neighbor in neighbors if neighbor != exclude],
+            KIND_TX, transaction, transaction.size_bits,
+        )
 
     # -- accounting --------------------------------------------------------
     def storage_bits(self) -> int:

@@ -79,6 +79,7 @@ class PbftReplica:
     ) -> None:
         self.replica_id = replica_id
         self.replica_ids = sorted(replica_ids)
+        self._peers = [other for other in self.replica_ids if other != replica_id]
         self.n = len(self.replica_ids)
         self.f = (self.n - 1) // 3
         self.network = network
@@ -357,11 +358,8 @@ class PbftReplica:
 
     def _broadcast(self, kind: str, payload, size_bits: int) -> None:
         """Point-to-point multicast to every other replica."""
-        if self.crashed:
-            return
-        for other in self.replica_ids:
-            if other != self.replica_id:
-                self.interface.send(other, kind, payload, size_bits)
+        if not self.crashed:
+            self.interface.multicast(self._peers, kind, payload, size_bits)
 
     # -- accounting --------------------------------------------------------
     def storage_bits(self) -> int:

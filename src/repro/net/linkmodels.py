@@ -64,36 +64,18 @@ def bandwidth_latency(
 def install_latency_model(network: Network, model, size_aware: bool = False) -> None:
     """Replace the network's constant per-hop latency with ``model``.
 
-    Monkey-patches the network's unicast latency computation in a
-    supported way: the network keeps routing and accounting; only the
-    delay calculation changes.
+    Sets :attr:`Network.link_latency`, the transport's one delay hook:
+    the network keeps routing and accounting, and every message —
+    unicast or fanned out — is delayed by the model summed over its
+    route.  Installing again replaces the previous model.  While one
+    is installed the constant is not read, so a :class:`LinkDegradation`
+    adds loss but no delay.
     """
-    original_unicast = network.unicast
-
-    def unicast(message: Message) -> None:
-        # Recompute the route to derive the per-hop latency sum, then
-        # delegate with a temporarily adjusted per-hop latency.
-        try:
-            route = network.routing.path(message.sender, message.recipient)
-        except ValueError:
-            original_unicast(message)
-            return
-        total = 0.0
-        for hop_index in range(len(route) - 1):
-            a, b = route[hop_index], route[hop_index + 1]
-            if size_aware:
-                total += model(network.topology, a, b, message.size_bits)
-            else:
-                total += model(network.topology, a, b)
-        hops = max(1, len(route) - 1)
-        saved = network.per_hop_latency
-        network.per_hop_latency = total / hops
-        try:
-            original_unicast(message)
-        finally:
-            network.per_hop_latency = saved
-
-    network.unicast = unicast  # type: ignore[method-assign]
+    topology = network.topology
+    if size_aware:
+        network.link_latency = lambda a, b, bits: model(topology, a, b, bits)
+    else:
+        network.link_latency = lambda a, b, bits: model(topology, a, b)
 
 
 def partition_drop_rule(groups: Sequence[Sequence[int]]) -> DropRule:

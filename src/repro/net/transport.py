@@ -11,14 +11,17 @@
   is charged transmit bits and every receiving node receive bits, so a
   few central relays accumulate the heavy tails seen in Fig. 8(d).
 
-Messages are delivered after ``hops × per_hop_latency`` simulated time.
-Per-node drop rules model malicious silence, DoS filtering and eclipse
-partitions (§IV-D).
+Messages are delivered after ``hops × per_hop_latency`` simulated time
+(or the installed per-link model summed over the route).  Per-node drop
+rules model malicious silence, DoS filtering and eclipse partitions
+(§IV-D).  A fan-out — :meth:`NodeInterface.multicast` — is accounted
+message by message like so many unicasts, and its deliveries share one
+kernel entry per arrival time.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.metrics.collector import TrafficLedger
 from repro.net.messages import Message
@@ -29,6 +32,9 @@ from repro.sim.tracing import Tracer
 
 #: A drop rule decides, per message and hop, whether the link eats it.
 DropRule = Callable[[Message, int, int], bool]
+
+#: Seconds one hop takes: ``(hop_from, hop_to, size_bits) -> delay``.
+LinkLatency = Callable[[int, int, int], float]
 
 #: Maps a message kind to the ledger category it is accounted under.
 CategoryFn = Callable[[str], str]
@@ -43,7 +49,8 @@ class NodeInterface:
     """One node's attachment point to the :class:`Network`.
 
     Protocol stacks register handlers by message kind and use
-    :meth:`send`, :meth:`broadcast_neighbors` and :meth:`request`.
+    :meth:`send`, :meth:`multicast`, :meth:`broadcast_neighbors` and
+    :meth:`request`.
     """
 
     def __init__(self, network: "Network", node_id: int) -> None:
@@ -75,12 +82,20 @@ class NodeInterface:
         self.network.unicast(message)
         return message
 
+    def multicast(
+        self, recipients: Iterable[int], kind: str, payload: Any, size_bits: int
+    ) -> List[Message]:
+        """One :meth:`send` per recipient, in order, as a single fan-out."""
+        sender = self.node_id
+        messages = [Message(sender, recipient, kind, payload, size_bits) for recipient in recipients]
+        self.network.multicast(messages)
+        return messages
+
     def broadcast_neighbors(self, kind: str, payload: Any, size_bits: int) -> List[Message]:
         """Send ``payload`` to every physical neighbour (digest push)."""
-        return [
-            self.send(neighbor, kind, payload, size_bits)
-            for neighbor in self.network.topology.sorted_neighbors[self.node_id]
-        ]
+        return self.multicast(
+            self.network.topology.sorted_neighbors[self.node_id], kind, payload, size_bits
+        )
 
     def request(
         self, recipient: int, kind: str, payload: Any, size_bits: int, timeout: float
@@ -123,6 +138,9 @@ class Network:
         self.routing = RoutingTable(topology)
         self.ledger = ledger if ledger is not None else TrafficLedger()
         self.per_hop_latency = per_hop_latency
+        #: Per-link delay replacing the constant one; see
+        #: :func:`repro.net.linkmodels.install_latency_model`.
+        self.link_latency: Optional[LinkLatency] = None
         self.category_fn = category_fn
         self.tracer = tracer if tracer is not None else Tracer()
         self._interfaces: Dict[int, NodeInterface] = {}
@@ -164,8 +182,8 @@ class Network:
         self._drop_rules.clear()
 
     # -- delivery -------------------------------------------------------------
-    def unicast(self, message: Message) -> None:
-        """Route ``message`` hop by hop, accounting every transmission.
+    def _transmit(self, message: Message) -> Optional[float]:
+        """Account ``message`` hop by hop; its delivery delay, ``None`` if lost.
 
         If the destination is unreachable (e.g. after node removal) or a
         drop rule fires mid-route, traffic up to the failure point is
@@ -180,7 +198,7 @@ class Network:
         if hops is None:
             self.tracer.emit(self.sim.now, "net.unroutable", message.sender,
                              recipient=message.recipient, kind=kind)
-            return
+            return None
         record_tx, record_rx = self.ledger.record_tx, self.ledger.record_rx
         rules, bits = self._drop_rules, message.size_bits
         for hop_from, hop_to in hops:
@@ -189,10 +207,42 @@ class Network:
                 if rule(message, hop_from, hop_to):
                     self.tracer.emit(self.sim.now, "net.dropped", hop_from,
                                      hop_to=hop_to, kind=kind)
-                    return
+                    return None
             record_rx(hop_to, category, bits)
-        # The latency is read per send: link faults change it mid-run.
-        self.sim.call_in(self.per_hop_latency * len(hops), self._deliver, message)
+        # The one place a delay is computed, read per send: link faults
+        # change the constant mid-run.
+        link_latency = self.link_latency
+        if link_latency is None:
+            return self.per_hop_latency * len(hops)
+        return sum([link_latency(hop_from, hop_to, bits) for hop_from, hop_to in hops])
+
+    def unicast(self, message: Message) -> None:
+        """Route ``message`` over its shortest path and schedule its delivery."""
+        delay = self._transmit(message)
+        if delay is not None:
+            self.sim.call_in(delay, self._deliver, message)
+
+    def multicast(self, messages: Iterable[Message]) -> None:
+        """:meth:`unicast` each message in order; one kernel entry per arrival time.
+
+        Accounting, drop rules and trace records are those of the
+        unicasts.  Survivors that arrive together keep their send order
+        inside one :meth:`~repro.sim.kernel.Simulator.call_in_each`.
+        """
+        now = self.sim.now
+        arrivals: Dict[float, Tuple[float, List[Message]]] = {}
+        for message in messages:
+            delay = self._transmit(message)
+            if delay is not None:
+                # Keyed by arrival time: two delays can round to one instant.
+                when = now + delay
+                arrival = arrivals.get(when)
+                if arrival is None:
+                    arrivals[when] = (delay, [message])
+                else:
+                    arrival[1].append(message)
+        for delay, group in arrivals.values():
+            self.sim.call_in_each(delay, self._deliver, group)
 
     def _deliver(self, message: Message) -> None:
         """Hand an arrived message to its reply waiter or its kind handler."""

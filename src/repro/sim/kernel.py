@@ -11,6 +11,8 @@ Two scheduling styles are supported:
 * callback style — :meth:`Simulator.call_at` / :meth:`Simulator.call_in`
   run ``fn(*args)`` at a simulated time (scheduled as a lightweight
   :class:`ScheduledCall`, the kernel's allocation-lean fast path);
+  :meth:`Simulator.call_in_each` queues a whole fan-out, one event per
+  item, as a single :class:`ScheduledBatch`;
 * process style — :class:`repro.sim.process.Process` wraps a generator
   that ``yield``\\ s events (usually :class:`Timeout`) and is resumed when
   they trigger.
@@ -24,7 +26,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import TYPE_CHECKING, Any, Callable, Generator, List, Optional, Tuple
+from operator import length_hint
+from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, List, Optional, Tuple
 
 from repro.sim.errors import EventStateError, SchedulingError, SimulationError
 
@@ -96,6 +99,8 @@ class Event:
         """Trigger the event successfully after ``delay`` sim-time units."""
         if self._triggered:
             raise EventStateError("event already triggered")
+        if delay < 0:
+            raise SchedulingError(f"negative delay: {delay}")
         self._value = value
         self._ok = True
         self.sim._enqueue(self.sim.now + delay, PRIORITY_NORMAL, self)
@@ -112,6 +117,8 @@ class Event:
             raise EventStateError("event already triggered")
         if not isinstance(exception, BaseException):
             raise TypeError("fail() requires an exception instance")
+        if delay < 0:
+            raise SchedulingError(f"negative delay: {delay}")
         self._value = exception
         self._ok = False
         self.sim._enqueue(self.sim.now + delay, PRIORITY_NORMAL, self)
@@ -208,6 +215,23 @@ class ScheduledCall:
         return f"<ScheduledCall {state}>"
 
 
+class ScheduledBatch:
+    """The ``call_in_each`` entry: a run of ``fn(item)`` events under one key.
+
+    A fan-out schedules one delivery per recipient back to back, so no
+    other entry can sort between them; ``Simulator._drain`` runs the
+    batch member by member, each counted as one event.  ``members``
+    iterates over those not yet run.  There is no handle to cancel.
+    """
+
+    __slots__ = ("fn", "members")
+    _cancelled = False
+
+    def __init__(self, fn: Callable[[Any], None], items: Tuple[Any, ...]) -> None:
+        self.fn = fn
+        self.members = iter(items)
+
+
 class Timeout(Event):
     """An event that triggers itself ``delay`` units after creation."""
 
@@ -242,10 +266,12 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
-        # Heap entries hold either a full Event or a ScheduledCall; both
-        # expose ._cancelled and ._process(), which is all _drain() needs.
+        # Heap entries hold a full Event or a ScheduledCall (both expose
+        # ._cancelled and ._process(), all _drain() needs) or a ScheduledBatch.
         self._heap: List[Tuple[float, int, int, Any]] = []
         self._sequence = itertools.count()
+        # Batch members not yet started, beyond one per batch heap entry.
+        self._batched = 0
         self._running = False
         self._processed_count = 0
         self._cancelled_count = 0
@@ -259,7 +285,7 @@ class Simulator:
     @property
     def pending_count(self) -> int:
         """Number of events still queued (including cancelled ones)."""
-        return len(self._heap)
+        return len(self._heap) + self._batched
 
     @property
     def processed_count(self) -> int:
@@ -304,6 +330,24 @@ class Simulator:
         heapq.heappush(self._heap, (self._now + delay, priority, next(self._sequence), entry))
         return entry
 
+    def call_in_each(
+        self, delay: float, fn: Callable[[Any], None], items: Iterable[Any],
+        *, priority: int = PRIORITY_NORMAL,
+    ) -> None:
+        """``for item in items: call_in(delay, fn, item)`` as one heap entry.
+
+        Still one event per item for :attr:`processed_count`, ``step()``
+        and ``max_events``, and whatever a member schedules runs where
+        it would have.
+        """
+        if delay < 0:
+            raise SchedulingError(f"negative delay: {delay}")
+        members = tuple(items)
+        if members:
+            entry = ScheduledBatch(fn, members)
+            heapq.heappush(self._heap, (self._now + delay, priority, next(self._sequence), entry))
+            self._batched += len(members) - 1
+
     def process(self, generator: Generator["Event", Any, Any]) -> "Process":
         """Start a generator as a :class:`repro.sim.process.Process`."""
         from repro.sim.process import Process
@@ -327,7 +371,8 @@ class Simulator:
         heap = self._heap
         done = 0
         while heap:
-            time, _priority, _seq, entry = heap[0]
+            head = heap[0]
+            time, _priority, _seq, entry = head
             if entry._cancelled:
                 heapq.heappop(heap)
                 self._cancelled_count += 1
@@ -338,9 +383,27 @@ class Simulator:
             if time < self._now:
                 raise SimulationError("event heap corrupted: time moved backwards")
             self._now = time
-            entry._process()
-            self._processed_count += 1
-            done += 1
+            if entry.__class__ is ScheduledBatch:
+                # Members run back to back until the budget is spent or one
+                # scheduled something that sorts first; the rest go back.
+                fn, members = entry.fn, entry.members
+                self._batched += 1
+                try:
+                    for item in members:
+                        self._batched -= 1
+                        fn(item)
+                        self._processed_count += 1
+                        done += 1
+                        if (limit is not None and done >= limit) or (heap and heap[0] < head):
+                            break
+                finally:
+                    if length_hint(members):
+                        heapq.heappush(heap, head)
+                        self._batched -= 1
+            else:
+                entry._process()
+                self._processed_count += 1
+                done += 1
             if limit is not None and done >= limit:
                 break
         return done

@@ -145,6 +145,29 @@ class TestGossip:
         for node in network.nodes.values():
             assert node.tangle.is_consistent()
 
+    def test_forward_skips_the_neighbour_it_came_from(self):
+        # Line 0-1-2: 0 issues, 1 forwards to 2 only, 2 has no one left.
+        network = IotaNetwork(topology=grid_topology(1, 3), payload_bits=800, seed=1)
+        hops = []
+        network.network.add_drop_rule(lambda message, a, b: hops.append((a, b)) and False)
+        network.nodes[0].issue(800)
+        network.sim.run()
+        assert hops == [(0, 1), (1, 2)]
+        assert network.traffic.message_count("iota.tx") == 2
+        # The middle node's own transaction goes both ways, in id order.
+        del hops[:]
+        network.nodes[1].issue(800)
+        network.sim.run()
+        assert hops == [(1, 0), (1, 2)]
+
+    def test_offline_node_forwards_nothing(self):
+        network = IotaNetwork(topology=grid_topology(1, 3), payload_bits=800, seed=1)
+        network.nodes[1].online = False
+        network.nodes[0].issue(800)
+        network.sim.run()
+        assert network.traffic.message_count("iota.tx") == 1
+        assert len(network.nodes[2].tangle) == 0
+
     def test_mcmc_strategy_runs(self):
         network = IotaNetwork(
             topology=grid_topology(2, 2), payload_bits=800, seed=1,

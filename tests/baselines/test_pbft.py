@@ -93,6 +93,19 @@ class TestFaults:
         assert all(h == 10 for h in live_heights)
         assert cluster.chains_consistent()
 
+    def test_crashed_replica_originates_nothing(self):
+        cluster = PbftCluster(topology=grid_topology(1, 7), payload_bits=4000, seed=1, crashed={5})
+        senders = set()
+        cluster.network.add_drop_rule(lambda message, a, b: senders.add(message.sender) and False)
+        cluster.run_slots(1, settle_time=8.0)
+        assert senders == {0, 1, 2, 3, 4, 6}
+        # A phase message goes to every other replica, the crashed one included.
+        sent = cluster.replicas[0].interface.multicast(cluster.replicas[0]._peers, "probe", None, 8)
+        assert [m.recipient for m in sent] == [1, 2, 3, 4, 5, 6]
+        cluster.crash([0])
+        cluster.replicas[0]._broadcast("probe", None, 8)
+        assert cluster.traffic.message_count("probe") == 6
+
     def test_view_change_on_crashed_primary(self):
         """With the view-0 primary silent, replicas elect a new one."""
         topology = grid_topology(2, 2)

@@ -11,6 +11,7 @@ from repro.net.linkmodels import (
     install_latency_model,
     random_loss_rule,
 )
+from repro.net.topology import explicit_topology
 from repro.net.transport import Network
 from repro.sim.kernel import Simulator
 
@@ -62,6 +63,38 @@ class TestLatencyModels:
         network.sim.run()
         assert network.ledger.tx_bits(0) == 100
         assert network.ledger.tx_bits(1) == 100
+
+
+    def test_fan_out_arrives_like_one_send_per_neighbour(self):
+        # Star around 0 with links 1, 2 and 3 m long (unit positions).
+        star = explicit_topology([(0, 1), (0, 2), (0, 3)])
+
+        def arrivals(fan_out):
+            network = Network(Simulator(), star)
+            install_latency_model(network, distance_proportional_latency(0.25))
+            seen = []
+            for node in (1, 2, 3):
+                network.attach(node).on("digest", lambda m, n=node: seen.append((network.sim.now, n)))
+            source = network.attach(0)
+            network.sim.call_at(1.0, fan_out, source)
+            network.sim.run()
+            return seen
+
+        pushed = arrivals(lambda source: source.broadcast_neighbors("digest", None, 256))
+        assert pushed == arrivals(
+            lambda source: [source.send(n, "digest", None, 256) for n in (1, 2, 3)]
+        )
+        assert pushed == [(1.25, 1), (1.5, 2), (1.75, 3)]
+
+    def test_installing_twice_replaces_the_model(self, network):
+        install_latency_model(network, constant_latency(0.5))
+        install_latency_model(network, constant_latency(0.02))
+        arrivals = []
+        network.attach(3).on("ping", lambda m: arrivals.append(network.sim.now))
+        network.attach(0).send(3, "ping", None, 10)
+        network.sim.run()
+        assert arrivals == [pytest.approx(0.06)]
+        assert network.per_hop_latency == 0.01  # the constant is left alone
 
 
 class TestLossModels:

@@ -18,6 +18,15 @@ def network(line_topology):
     return Network(sim, line_topology, ledger=TrafficLedger(), per_hop_latency=0.01)
 
 
+def _frames_above(count):
+    """Function names of the ``count`` frames that called the caller."""
+    frame, names = sys._getframe(2), []
+    while frame is not None and len(names) < count:
+        names.append(frame.f_code.co_name)
+        frame = frame.f_back
+    return names
+
+
 class TestDelivery:
     def test_unicast_reaches_handler(self, network):
         received = []
@@ -64,18 +73,36 @@ class TestDelivery:
         # _drain -> ScheduledCall._process -> Network._deliver -> handler:
         # a wrapper frame put back on the message path fails here.
         stacks = []
-
-        def handler(message):
-            frame, names = sys._getframe(1), []
-            while frame is not None and len(names) < 3:
-                names.append(frame.f_code.co_name)
-                frame = frame.f_back
-            stacks.append(names)
-
-        network.attach(3).on("ping", handler)
+        network.attach(3).on("ping", lambda message: stacks.append(_frames_above(3)))
         network.attach(0).send(3, "ping", None, 10)
         network.sim.run()
         assert stacks == [["_deliver", "_process", "_drain"]]
+
+    def test_fanned_out_handler_runs_one_frame_under_the_drain_loop(self, network):
+        # _drain -> Network._deliver -> handler: the batch entry has no
+        # frame of its own, and every recipient is still one event.
+        stacks = []
+        for node in (0, 2):
+            network.attach(node).on("ping", lambda message: stacks.append(_frames_above(2)))
+        sent = network.attach(1).broadcast_neighbors("ping", None, 10)
+        assert [m.recipient for m in sent] == [0, 2]
+        assert network.sim.pending_count == 2
+        network.sim.run()
+        assert stacks == [["_deliver", "_drain"]] * 2
+        assert network.sim.processed_count == 2
+
+    def test_multicast_is_one_send_per_recipient_in_order(self, network):
+        arrivals = []
+        for node in range(4):
+            network.attach(node).on("ping", lambda m, n=node: arrivals.append((network.sim.now, n)))
+        sent = network.interface(0).multicast([3, 0, 1, 2], "ping", "x", 10)
+        assert [m.msg_id - sent[0].msg_id for m in sent] == [0, 1, 2, 3]
+        network.sim.run()
+        assert arrivals == [
+            (0.0, 0), (pytest.approx(0.01), 1), (pytest.approx(0.02), 2), (pytest.approx(0.03), 3)
+        ]
+        assert network.ledger.message_counts() == {"ping": 4}
+        assert network.ledger.tx_bits(0) == 30 and network.ledger.tx_bits(1) == 20
 
     def test_latency_is_read_at_send_time(self, network):
         # A degradation installed and revoked mid-run moves only the

@@ -1,4 +1,4 @@
-"""Property tests pinning the stored-hop-pair transport to a hop-by-hop reference."""
+"""Property tests pinning the transport (stored hop pairs, batched fan-outs) to a hop-by-hop reference."""
 
 import random
 from functools import partial
@@ -7,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.metrics.collector import TrafficLedger
-from repro.net.linkmodels import LinkDegradation
+from repro.net.linkmodels import (
+    LinkDegradation,
+    bandwidth_latency,
+    distance_proportional_latency,
+    install_latency_model,
+)
+from repro.net.messages import Message
 from repro.net.routing import RoutingTable
 from repro.net.topology import explicit_topology
 from repro.net.transport import Network
@@ -45,7 +51,14 @@ class TestStoredHopPairs:
 
 
 class _HopByHopNetwork(Network):
-    """The transport as it walked a route before the pairs were stored."""
+    """The transport as it walked a route before the pairs were stored.
+
+    Every message is its own kernel entry: a fan-out is a loop of sends.
+    """
+
+    def multicast(self, messages):
+        for message in messages:
+            self.unicast(message)
 
     def unicast(self, message):
         category = self.category_fn(message.kind)
@@ -68,14 +81,21 @@ class _HopByHopNetwork(Network):
                                      hop_to=hop_to, kind=message.kind)
                     return
             self.ledger.record_rx(hop_to, category, message.size_bits)
-        self.sim.call_in(self.per_hop_latency * (len(route) - 1), partial(self._deliver, message))
+        if self.link_latency is None:
+            delay = self.per_hop_latency * (len(route) - 1)
+        else:
+            delay = sum(self.link_latency(a, b, message.size_bits) for a, b in zip(route, route[1:]))
+        self.sim.call_in(delay, partial(self._deliver, message))
 
 
 #: One step of a schedule: (time, what, a, b, size) — node picks are taken modulo the node count.
 _STEPS = st.lists(
     st.tuples(
         st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.0, 3.5]),
-        st.sampled_from(["send", "send", "send", "loopback", "request", "degrade", "restore", "cut", "mend"]),
+        st.sampled_from([
+            "send", "send", "loopback", "request", "degrade", "restore", "cut", "mend",
+            "push", "push", "fan", "fan", "fan", "block", "model", "sized-model", "unmodel",
+        ]),
         st.integers(0, 63), st.integers(0, 63), st.integers(0, 4096),
     ),
     min_size=1, max_size=30,
@@ -93,11 +113,14 @@ def _drive(network_class, edges, steps):
         category_fn=lambda kind: kind.split(".")[0], tracer=tracer,
     )
     delivered, answers = [], []
+    first_id = Message(0, 0, "probe", None, 0).msg_id  # the id counter is process-wide
     for node in nodes:
         interface = network.attach(node)
-        interface.on("data.blob", lambda m, n=node: delivered.append((sim.now, n, m.sender, m.size_bits)))
+        interface.on("data.blob", lambda m, n=node: delivered.append(
+            (sim.now, n, m.sender, m.size_bits, m.msg_id - first_id, sim.processed_count, sim.pending_count)
+        ))
         interface.on("ctl.ask", lambda m, i=interface: i.reply(m, "ctl.answer", m.payload, 64))
-    state = {"degradation": None, "cut": None}
+    state = {"degradation": None, "cut": None, "block": None}
 
     def act(what, a, b, size):
         source, target = nodes[a % len(nodes)], nodes[b % len(nodes)]
@@ -110,6 +133,26 @@ def _drive(network_class, edges, steps):
             waiter.callbacks.append(
                 lambda ev: answers.append((sim.now, source, None if ev.value is None else ev.value.payload))
             )
+        elif what == "push":
+            network.interface(source).broadcast_neighbors("data.blob", None, size)
+        elif what == "fan":
+            # Any subset in any order: the sender itself, multi-hop and
+            # unroutable recipients included.
+            chosen = [n for i, n in enumerate(nodes) if (b + size) >> i & 1]
+            if size % 2:
+                chosen.reverse()
+            sent = network.interface(source).multicast(chosen, "data.blob", None, size)
+            assert [m.recipient for m in sent] == chosen
+        elif what == "block" and state["block"] is None:
+            # Fires in the middle of a fan-out that has ``target`` among its recipients.
+            state["block"] = lambda message, hop_from, hop_to: hop_to == target
+            network.add_drop_rule(state["block"])
+        elif what == "model":
+            install_latency_model(network, distance_proportional_latency(0.003 * (1 + size % 3)))
+        elif what == "sized-model":
+            install_latency_model(network, bandwidth_latency(1e5, base=0.002), size_aware=True)
+        elif what == "unmodel":
+            network.link_latency = None
         elif what == "degrade" and state["degradation"] is None:
             state["degradation"] = LinkDegradation(network, loss=0.3, extra_latency=0.004, rng=random.Random(size))
         elif what == "restore" and state["degradation"] is not None:
@@ -119,9 +162,11 @@ def _drive(network_class, edges, steps):
             # Fires mid-route for anything relayed through ``target``.
             state["cut"] = lambda message, hop_from, hop_to: hop_from == target
             network.add_drop_rule(state["cut"])
-        elif what == "mend" and state["cut"] is not None:
-            network.remove_drop_rule(state["cut"])
-            state["cut"] = None
+        elif what == "mend":
+            for name in ("cut", "block"):
+                if state[name] is not None:
+                    network.remove_drop_rule(state[name])
+                    state[name] = None
 
     for time, what, a, b, size in steps:
         sim.call_at(time, act, what, a, b, size)
@@ -140,9 +185,36 @@ def _drive(network_class, edges, steps):
 
 class TestUnicastMatchesHopByHopWalk:
     @given(_EDGES, _STEPS)
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     def test_same_ledger_deliveries_trace_and_event_count(self, edges, steps):
         assert _drive(Network, edges, steps) == _drive(_HopByHopNetwork, edges, steps)
+
+    def test_fan_outs_covering_every_case(self):
+        # Star 0-{1,2,4} with the chain 2-3 and the island 5-6; under the
+        # distance model the three links out of 0 are 1, 2 and 4 m long.
+        edges = [(0, 1), (0, 2), (0, 4), (2, 3), (5, 6)]
+        everyone = 0b1111111
+        steps = [
+            (0.0, "push", 0, 0, 800), (0.0, "fan", 0, everyone, 0), (0.0, "push", 2, 0, 300),
+            (0.5, "block", 0, 2, 0), (0.5, "fan", 0, everyone, 0), (0.5, "push", 0, 0, 100),
+            (1.0, "mend", 0, 0, 0), (1.0, "degrade", 0, 0, 3), (1.0, "fan", 0, everyone, 0),
+            (1.0, "fan", 3, everyone - 1, 1),
+            (2.0, "restore", 0, 0, 0), (2.0, "model", 0, 0, 0), (2.0, "push", 0, 0, 640),
+            (2.0, "fan", 0, everyone, 0), (2.5, "sized-model", 0, 0, 0), (2.5, "fan", 0, everyone, 2000),
+            (3.5, "unmodel", 0, 0, 0), (3.5, "push", 0, 0, 10),
+        ]
+        observed = _drive(Network, edges, steps)
+        assert observed == _drive(_HopByHopNetwork, edges, steps)
+        assert {r[1] for r in observed["trace"]} == {"net.unroutable", "net.dropped"}
+        # Seven recipients from 0: loopback now, 1/2/4 after one hop, 3 after two, 5 and 6 never.
+        first_fan = [(time, node) for time, node, sender, size, *_ in observed["delivered"] if size == 0][:5]
+        assert first_fan == [(0.0, 0), (0.01, 1), (0.01, 2), (0.01, 4), (0.02, 3)]
+        # Under the distance model the same push lands in link-length order.
+        modelled = [
+            (round(time - 2.0, 6), node)
+            for time, node, _sender, size, *_ in observed["delivered"] if size == 640
+        ]
+        assert modelled == [(0.003, 1), (0.006, 2), (0.012, 4)]
 
     def test_schedule_covering_every_case(self):
         # line 0-1-2-3 plus the island 4-5: a mid-route cut, an unroutable

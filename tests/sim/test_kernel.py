@@ -150,6 +150,22 @@ class TestEvents:
         with pytest.raises(SchedulingError):
             sim.timeout(-1.0)
 
+    @pytest.mark.parametrize("trigger", [
+        lambda event: event.succeed("late", delay=-0.5),
+        lambda event: event.fail(RuntimeError("late"), delay=-0.5),
+    ])
+    def test_negative_trigger_delay_raises_at_the_call_site(self, sim, trigger):
+        sim.call_at(1.0, lambda: None)
+        sim.run()
+        event = sim.event()
+        with pytest.raises(SchedulingError):
+            trigger(event)
+        # Nothing was queued into the past; the event can still be triggered.
+        assert not event.triggered and sim.pending_count == 0
+        event.succeed("on time")
+        sim.run()
+        assert event.processed and event.value == "on time" and sim.now == 1.0
+
 
 class TestDeterminism:
     def test_identical_schedules_identical_orders(self):
