@@ -15,9 +15,9 @@ simulation itself quantises, no dict iteration order dependence).
 
 from __future__ import annotations
 
-import hashlib
 from typing import List
 
+from repro.canonical import sha256_lines
 from repro.core.protocol import SlotSimulation
 
 
@@ -49,5 +49,4 @@ def slot_simulation_trace_lines(workload: SlotSimulation) -> List[str]:
 
 def slot_simulation_trace_digest(workload: SlotSimulation) -> str:
     """Hex SHA-256 of the canonical trace of a finished workload."""
-    payload = "\n".join(slot_simulation_trace_lines(workload)).encode("utf-8")
-    return hashlib.sha256(payload).hexdigest()
+    return sha256_lines(slot_simulation_trace_lines(workload))

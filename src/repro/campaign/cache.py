@@ -54,7 +54,6 @@ a crash is skipped on read.  The event schema (see
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import shutil
@@ -62,6 +61,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
 from repro.campaign.spec import CAMPAIGN_CODE_VERSION, CellSpec
+from repro.canonical import canonical_json, sha256_lines
 from repro.experiments.persistence import atomic_write_text
 
 #: Format marker for cache envelopes; mismatches load as cache misses.
@@ -87,8 +87,7 @@ def payload_digest(payload: Dict[str, Any]) -> str:
     of the same cell must produce the same payload digest, or the
     executor flags the cell flaky (``cell-flaky`` journal event).
     """
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return sha256_lines([canonical_json(payload)])
 
 
 def summarize_cell_events(events: List[Dict[str, Any]]) -> Dict[str, Dict[str, Any]]:
@@ -211,9 +210,8 @@ class ResultCache:
         """Append one event line to the campaign's journal."""
         path = self.journal_path(campaign_digest)
         path.parent.mkdir(parents=True, exist_ok=True)
-        line = json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
         with open(path, "a", encoding="utf-8") as handle:
-            handle.write(line)
+            handle.write(canonical_json(record) + "\n")
 
     def read_journal(self, campaign_digest: str) -> List[Dict[str, Any]]:
         """Every parseable journal event, oldest first."""

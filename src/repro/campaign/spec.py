@@ -27,13 +27,13 @@ Execution lives in :mod:`repro.campaign.executor`; cell kinds in
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import itertools
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Sequence, Tuple, Union
 
+from repro.canonical import canonical_json, sha256_lines
 from repro.scenario.registry import get_scenario, scenario_names
 from repro.scenario.spec import ScenarioError, ScenarioSpec
 
@@ -48,11 +48,6 @@ CAMPAIGN_CODE_VERSION = 1
 
 class CampaignError(ValueError):
     """A campaign that cannot describe a runnable fleet."""
-
-
-def _canonical_json(payload: Any) -> str:
-    """The canonical (sorted, compact) JSON text digests are taken over."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 @dataclass(frozen=True)
@@ -73,7 +68,7 @@ class CellSpec:
         if not self.kind or not isinstance(self.kind, str):
             raise CampaignError(f"cell kind must be a non-empty string, got {self.kind!r}")
         try:
-            _canonical_json(dict(self.params))
+            canonical_json(dict(self.params))
         except (TypeError, ValueError) as error:
             raise CampaignError(f"cell params must be JSON-serializable: {error}")
 
@@ -103,7 +98,7 @@ class CellSpec:
             "params": dict(self.params),
             "scenario": self.scenario.to_dict(),
         }
-        return hashlib.sha256(_canonical_json(document).encode("utf-8")).hexdigest()
+        return sha256_lines([canonical_json(document)])
 
     def to_dict(self) -> Dict[str, Any]:
         """A JSON-ready dict (round-trips through :meth:`from_dict`)."""
@@ -305,7 +300,7 @@ class CampaignSpec:
             "name": self.name,
             "cells": [cell.digest() for cell in self.cells],
         }
-        return hashlib.sha256(_canonical_json(document).encode("utf-8")).hexdigest()
+        return sha256_lines([canonical_json(document)])
 
     # -- serialization -----------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:

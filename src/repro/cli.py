@@ -439,18 +439,15 @@ def cmd_campaign(args) -> int:
         monitors_doc = None
         waterfalls = None
         if telemetry_dir and os.path.isdir(telemetry_dir):
-            from repro.telemetry import TelemetryError
+            from repro.telemetry import TelemetryError, read_streams, tracepath
             from repro.telemetry.monitors import evaluate_monitors
-            from repro.telemetry import tracepath
 
             try:
                 monitors_doc = evaluate_monitors([telemetry_dir])
                 if not monitors_doc["runs"]:
                     monitors_doc = None
                 waterfalls = []
-                for path, records in tracepath.read_trace_streams(
-                    [telemetry_dir]
-                ):
+                for path, records in read_streams([telemetry_dir], 2):
                     figure = tracepath.waterfall_figure(path, records)
                     if figure is not None:
                         waterfalls.append(figure)
@@ -739,35 +736,23 @@ def cmd_telemetry(args) -> int:
     """Summarize, export, or validate per-slot telemetry event streams."""
     from repro.telemetry import (
         TelemetryError,
-        discover_streams,
         export_prometheus,
         format_summary_table,
+        read_streams,
+        stream_start,
+        stream_version,
         summarize_streams,
-        validate_stream,
+        validate_streams,
     )
-
-    from repro.telemetry.spans import is_trace_stream, validate_trace_stream
 
     paths = _telemetry_paths(args)
     if args.action == "validate":
         try:
-            streams = discover_streams(paths)
+            streams, records, errors = validate_streams(paths)
         except TelemetryError as error:
             print(str(error), file=sys.stderr)
             return 2
-        errors: List[str] = []
-        records = 0
-        traces = 0
-        for stream in streams:
-            text = stream.read_text()
-            # Trace streams carry the v2 span schema; everything else
-            # is a v1 per-slot stream.  Validate each against its own.
-            if is_trace_stream(stream):
-                traces += 1
-                errors.extend(validate_trace_stream(text, source=str(stream)))
-            else:
-                errors.extend(validate_stream(text, source=str(stream)))
-            records += sum(1 for line in text.splitlines() if line.strip())
+        traces = sum(stream_version(stream) == 2 for stream in streams)
         for message in errors:
             print(message, file=sys.stderr)
         if errors:
@@ -781,7 +766,7 @@ def cmd_telemetry(args) -> int:
         from repro.telemetry import tracepath
 
         try:
-            streams = tracepath.read_trace_streams(paths)
+            streams = read_streams(paths, 2)
         except TelemetryError as error:
             print(str(error), file=sys.stderr)
             return 2
@@ -802,11 +787,10 @@ def cmd_telemetry(args) -> int:
                       file=sys.stderr)
                 return 1
             for path, trace, records in found:
-                start = next(
-                    r for r in records if r.get("event") == "trace-start"
-                )
                 print(f"# {path}")
-                print(tracepath.block_waterfall(trace, start["backend"]))
+                print(tracepath.block_waterfall(
+                    trace, stream_start(records)["backend"]
+                ))
             return 0
         report = tracepath.trace_report(streams)
         if getattr(args, "json", False):

@@ -40,11 +40,11 @@ Backends must be registered before a spec naming them validates
 
 from __future__ import annotations
 
-import hashlib
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Dict, Iterable, List, Optional, Tuple, Type
 
+from repro.canonical import sha256_lines
 from repro.faults.engine import FaultCapabilityError
 from repro.faults.spec import (
     FAULT_KINDS,
@@ -531,11 +531,6 @@ class TwoLayerDagBackend(LedgerBackend):
 
 # -- baselines -----------------------------------------------------------------
 
-def _digest_lines(lines: List[str]) -> str:
-    """Hex SHA-256 of canonical text lines (same framing as bench traces)."""
-    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
-
-
 @register_backend
 class PbftBackend(LedgerBackend):
     """The PBFT cluster baseline driven by the scenario workload.
@@ -637,7 +632,7 @@ class PbftBackend(LedgerBackend):
             )
         lines.append(f"events {cluster.sim.processed_count}")
         lines.append(f"now {cluster.sim.now!r}")
-        return _digest_lines(lines)
+        return sha256_lines(lines)
 
     def telemetry_counters(self) -> Dict[str, float]:
         cluster = self.cluster
@@ -761,7 +756,7 @@ class IotaBackend(LedgerBackend):
         lines.append(f"tips {len(reference.tips())}")
         lines.append(f"events {network.sim.processed_count}")
         lines.append(f"now {network.sim.now!r}")
-        return _digest_lines(lines)
+        return sha256_lines(lines)
 
     def telemetry_counters(self) -> Dict[str, float]:
         network = self.network

@@ -5,10 +5,13 @@ Two halves, both dependency-free and deterministic:
 * :mod:`repro.telemetry.metrics` — a process-local
   :class:`MetricsRegistry` of Counter/Gauge/Histogram families with
   labels and byte-stable Prometheus text exposition.
+* :mod:`repro.telemetry.stream` — the on-disk format of both stream
+  families (v1 per-slot, v2 block-trace): one schema table, one
+  validator, one reader, one writer.
 * :mod:`repro.telemetry.events` — the :class:`TelemetryRecorder`
-  emitting each run's pinned-schema per-slot JSONL stream, plus the
-  validators CI uses; :mod:`repro.telemetry.summarize` is the read
-  side (tables + exposition for ``python -m repro telemetry ...``).
+  emitting each run's pinned-schema per-slot JSONL stream;
+  :mod:`repro.telemetry.summarize` is the read side (tables +
+  exposition for ``python -m repro telemetry ...``).
 
 On top, block-lifecycle tracing and invariant monitoring:
 
@@ -29,22 +32,10 @@ off (CI-gated).  See docs/observability.md.
 """
 
 from repro.telemetry.events import (
-    EVENT_KINDS,
-    FAULT,
-    RUN_END,
-    RUN_START,
     SCHEMA_VERSION,
-    SLOT,
-    SLOT_SERIES_KEYS,
     TELEMETRY_ENV_VAR,
-    TelemetryError,
     TelemetryRecorder,
-    discover_streams,
-    parse_stream,
-    stream_filename,
     telemetry_dir_from_env,
-    validate_record,
-    validate_stream,
 )
 from repro.telemetry.metrics import (
     COUNTER,
@@ -68,18 +59,29 @@ from repro.telemetry.spans import (
     TRACE_SAMPLE_ENV_VAR,
     SpanRecorder,
     block_sampled,
-    is_trace_stream,
-    parse_trace_stream,
-    span_stream_digest,
     trace_sample_from_env,
-    trace_stream_filename,
-    validate_trace_record,
-    validate_trace_stream,
+)
+from repro.telemetry.stream import (
+    FAULT,
+    RUN_END,
+    RUN_START,
+    SCHEMAS,
+    SLOT,
+    SLOT_SERIES_KEYS,
+    TelemetryError,
+    discover_streams,
+    parse_stream,
+    read_streams,
+    stream_filename,
+    stream_start,
+    stream_version,
+    validate_record,
+    validate_stream,
+    validate_streams,
 )
 from repro.telemetry.summarize import (
     export_prometheus,
     format_summary_table,
-    read_streams,
     registry_from_records,
     summarize_records,
     summarize_streams,
@@ -88,7 +90,6 @@ from repro.telemetry.tracepath import (
     block_waterfall,
     critical_path,
     format_trace_report,
-    read_trace_streams,
     trace_report,
     waterfall_figure,
     waterfall_svg,
@@ -97,7 +98,6 @@ from repro.telemetry.tracepath import (
 __all__ = [
     "COUNTER",
     "DEFAULT_BUCKETS",
-    "EVENT_KINDS",
     "FAULT",
     "GAUGE",
     "HISTOGRAM",
@@ -108,6 +108,7 @@ __all__ = [
     "MetricsRegistry",
     "RUN_END",
     "RUN_START",
+    "SCHEMAS",
     "SCHEMA_VERSION",
     "SLOT",
     "SLOT_SERIES_KEYS",
@@ -126,26 +127,22 @@ __all__ = [
     "format_monitor_table",
     "format_summary_table",
     "format_trace_report",
-    "is_trace_stream",
     "load_monitor_document",
     "parse_stream",
-    "parse_trace_stream",
     "read_streams",
-    "read_trace_streams",
     "registry_from_records",
-    "span_stream_digest",
     "stream_filename",
+    "stream_start",
+    "stream_version",
     "summarize_records",
     "summarize_streams",
     "telemetry_dir_from_env",
     "trace_report",
     "trace_sample_from_env",
-    "trace_stream_filename",
     "validate_monitor_document",
     "validate_record",
     "validate_stream",
-    "validate_trace_record",
-    "validate_trace_stream",
+    "validate_streams",
     "waterfall_figure",
     "waterfall_svg",
 ]

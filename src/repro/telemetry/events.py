@@ -33,76 +33,32 @@ boundaries, because chunking is observable to some backends (PBFT
 settles per driven chunk).  Each record therefore covers
 ``slots_covered`` slots ending at ``slot``.
 
-:func:`validate_record` / :func:`validate_stream` check a stream
-against this schema; ``python -m repro telemetry validate`` is the CLI
-face CI uses.
+The schema table, the validator, the reader and the append path live
+in :mod:`repro.telemetry.stream`, shared with the v2 trace streams;
+this module keeps only what is particular to v1: which records a run
+emits and the delta bookkeeping between ``slot`` records.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import re
-from pathlib import Path
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Union
+from typing import Dict, Mapping, Optional
+
+from repro.telemetry.stream import (
+    FAULT,
+    RUN_END,
+    RUN_START,
+    SLOT,
+    SLOT_SERIES_KEYS,
+    PathLike,
+    StreamWriter,
+)
 
 #: The pinned stream schema version; every record carries it as ``v``.
 SCHEMA_VERSION = 1
 
 #: Environment override enabling telemetry without a CLI flag.
 TELEMETRY_ENV_VAR = "REPRO_TELEMETRY"
-
-#: Event kinds, in emission order.
-RUN_START = "run-start"
-SLOT = "slot"
-FAULT = "fault"
-RUN_END = "run-end"
-EVENT_KINDS = (RUN_START, SLOT, FAULT, RUN_END)
-
-#: The series keys every ``slot`` record carries (the runner's
-#: canonical sampled series — see repro.scenario.runner.SERIES_KEYS).
-SLOT_SERIES_KEYS = (
-    "storage_mb", "traffic_mbit", "traffic_dag_mbit", "traffic_pop_mbit"
-)
-
-#: Required fields per event kind: name -> required python type(s).
-_NUMBER = (int, float)
-_FIELDS: Dict[str, Dict[str, tuple]] = {
-    RUN_START: {
-        "scenario": (str,),
-        "backend": (str,),
-        "nodes": (int,),
-        "slots": (int,),
-        "seed": (int,),
-    },
-    SLOT: {
-        "slot": (int,),
-        "slots_covered": (int,),
-        "sim_now": _NUMBER,
-        "series": (dict,),
-        "deltas": (dict,),
-        "counters": (dict,),
-        "counter_deltas": (dict,),
-    },
-    FAULT: {
-        "slot": (int,),
-        "kind": (str,),
-        "detail": (str,),
-    },
-    RUN_END: {
-        "slot": (int,),
-        "sim_now": _NUMBER,
-        "blocks": (int,),
-        "validations": (int,),
-        "success_rate": _NUMBER,
-        "events": (int,),
-        "trace_sha256": (str,),
-    },
-}
-
-
-class TelemetryError(ValueError):
-    """A telemetry record or stream that violates the pinned schema."""
 
 
 def telemetry_dir_from_env() -> Optional[str]:
@@ -111,171 +67,36 @@ def telemetry_dir_from_env() -> Optional[str]:
     return value or None
 
 
-def validate_record(record: Any, line: int = 0) -> None:
-    """Raise :class:`TelemetryError` unless ``record`` fits the schema."""
-    where = f"line {line}: " if line else ""
-    if not isinstance(record, dict):
-        raise TelemetryError(f"{where}record must be a JSON object")
-    version = record.get("v")
-    if version != SCHEMA_VERSION:
-        raise TelemetryError(
-            f"{where}schema version {version!r} is not the pinned "
-            f"{SCHEMA_VERSION}"
-        )
-    kind = record.get("event")
-    if kind not in _FIELDS:
-        raise TelemetryError(
-            f"{where}unknown event kind {kind!r}; known: "
-            f"{', '.join(EVENT_KINDS)}"
-        )
-    spec = _FIELDS[kind]
-    for field, types in spec.items():
-        if field not in record:
-            raise TelemetryError(f"{where}{kind} record lacks field {field!r}")
-        value = record[field]
-        if not isinstance(value, types) or isinstance(value, bool):
-            raise TelemetryError(
-                f"{where}{kind} field {field!r} has type "
-                f"{type(value).__name__}, expected "
-                f"{'/'.join(t.__name__ for t in types)}"
-            )
-    unknown = set(record) - set(spec) - {"v", "event"}
-    if unknown:
-        raise TelemetryError(
-            f"{where}{kind} record carries unknown field(s): "
-            f"{', '.join(sorted(unknown))}"
-        )
-    if kind == SLOT:
-        for mapping_field in ("series", "deltas"):
-            mapping = record[mapping_field]
-            if sorted(mapping) != sorted(SLOT_SERIES_KEYS):
-                raise TelemetryError(
-                    f"{where}slot {mapping_field} must carry exactly "
-                    f"{list(SLOT_SERIES_KEYS)}, got {sorted(mapping)}"
-                )
-        for mapping_field in ("series", "deltas", "counters", "counter_deltas"):
-            for key, value in record[mapping_field].items():
-                if not isinstance(value, _NUMBER) or isinstance(value, bool):
-                    raise TelemetryError(
-                        f"{where}slot {mapping_field}[{key!r}] must be "
-                        f"numeric, got {type(value).__name__}"
-                    )
-        if sorted(record["counters"]) != sorted(record["counter_deltas"]):
-            raise TelemetryError(
-                f"{where}slot counters and counter_deltas must carry the "
-                f"same keys"
-            )
+def _deltas(now: Dict[str, float], last: Dict[str, float]) -> Dict[str, float]:
+    """Each value's change since the previous record (absent = from 0)."""
+    return {key: value - last.get(key, 0.0) for key, value in now.items()}
 
 
-def parse_stream(text: str, source: str = "<stream>") -> List[Dict[str, Any]]:
-    """Parse and validate one JSONL stream; raises on the first defect."""
-    records: List[Dict[str, Any]] = []
-    for line_number, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except ValueError as error:
-            raise TelemetryError(
-                f"{source}: line {line_number}: not valid JSON ({error})"
-            )
-        try:
-            validate_record(record, line=line_number)
-        except TelemetryError as error:
-            raise TelemetryError(f"{source}: {error}")
-        records.append(record)
-    return records
-
-
-def validate_stream(text: str, source: str = "<stream>") -> List[str]:
-    """Every schema violation in ``text`` as messages (empty = clean)."""
-    errors: List[str] = []
-    for line_number, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except ValueError as error:
-            errors.append(f"{source}: line {line_number}: not valid JSON ({error})")
-            continue
-        try:
-            validate_record(record, line=line_number)
-        except TelemetryError as error:
-            errors.append(f"{source}: {error}")
-    return errors
-
-
-_UNSAFE_NAME = re.compile(r"[^A-Za-z0-9._-]+")
-
-
-def stream_filename(scenario: str, backend: str, seed: int) -> str:
-    """The deterministic stream file name for one run."""
-    safe = _UNSAFE_NAME.sub("-", scenario) or "scenario"
-    return f"run-{safe}-{backend}-seed{seed}.jsonl"
-
-
-class TelemetryRecorder:
+class TelemetryRecorder(StreamWriter):
     """Write one run's event stream under a telemetry directory.
 
     The recorder is handed to a
     :class:`~repro.scenario.runner.ScenarioRunner`; the runner calls
     the ``run_started`` / ``slot_advanced`` / ``fault_applied`` /
     ``run_finished`` hooks and the recorder does the bookkeeping
-    (per-record deltas, schema construction, JSONL writing).  Every
-    emitted record is validated against the pinned schema before it is
-    written, so a drifting instrumentation site fails loudly in tests
-    rather than silently corrupting streams.
-
-    Writes are plain appends of single lines (the journal idiom);
-    ``run_started`` truncates any previous stream of the same run name
-    so a re-run leaves a clean, byte-deterministic file.
+    (per-record deltas, record construction); the
+    :class:`~repro.telemetry.stream.StreamWriter` base validates and
+    appends.
     """
 
-    def __init__(self, directory: Union[str, Path]) -> None:
-        self.directory = Path(directory)
-        self.path: Optional[Path] = None
+    version = SCHEMA_VERSION
+
+    def __init__(self, directory: PathLike) -> None:
+        super().__init__(directory)
         self._last_series: Dict[str, float] = {}
         self._last_counters: Dict[str, float] = {}
-        self.records_written = 0
 
-    # -- plumbing ----------------------------------------------------------
-    def _write(self, record: Dict[str, Any]) -> None:
-        validate_record(record)
-        if self.path is None:
-            raise TelemetryError(
-                "telemetry stream not opened; run_started() must come first"
-            )
-        self.directory.mkdir(parents=True, exist_ok=True)
-        line = json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(line)
-        self.records_written += 1
-
-    # -- the runner-facing hooks -------------------------------------------
     def run_started(self, spec) -> None:
         """Open the stream and emit the ``run-start`` record."""
-        self.path = self.directory / stream_filename(
-            spec.name, spec.backend, spec.seed
-        )
-        self.directory.mkdir(parents=True, exist_ok=True)
-        try:
-            self.path.unlink()
-        except OSError:
-            pass
+        header = self._open(spec)
         self._last_series = {}
         self._last_counters = {}
-        self.records_written = 0
-        self._write({
-            "v": SCHEMA_VERSION,
-            "event": RUN_START,
-            "scenario": spec.name,
-            "backend": spec.backend,
-            "nodes": spec.node_count,
-            "slots": spec.workload.slots,
-            "seed": spec.seed,
-        })
+        self._write({"event": RUN_START, **header})
 
     def slot_advanced(
         self,
@@ -288,24 +109,15 @@ class TelemetryRecorder:
         """Emit one ``slot`` record (deltas computed vs the previous)."""
         series_now = {key: float(series[key]) for key in SLOT_SERIES_KEYS}
         counters_now = {key: float(value) for key, value in counters.items()}
-        deltas = {
-            key: value - self._last_series.get(key, 0.0)
-            for key, value in series_now.items()
-        }
-        counter_deltas = {
-            key: value - self._last_counters.get(key, 0.0)
-            for key, value in counters_now.items()
-        }
         self._write({
-            "v": SCHEMA_VERSION,
             "event": SLOT,
             "slot": slot,
             "slots_covered": slots_covered,
             "sim_now": float(sim_now),
             "series": series_now,
-            "deltas": deltas,
+            "deltas": _deltas(series_now, self._last_series),
             "counters": counters_now,
-            "counter_deltas": counter_deltas,
+            "counter_deltas": _deltas(counters_now, self._last_counters),
         })
         self._last_series = series_now
         self._last_counters = counters_now
@@ -313,7 +125,6 @@ class TelemetryRecorder:
     def fault_applied(self, event, slot: int) -> None:
         """Emit one ``fault`` record for an applied timeline event."""
         self._write({
-            "v": SCHEMA_VERSION,
             "event": FAULT,
             "slot": slot,
             "kind": event.kind,
@@ -332,7 +143,6 @@ class TelemetryRecorder:
     ) -> None:
         """Emit the terminal ``run-end`` record."""
         self._write({
-            "v": SCHEMA_VERSION,
             "event": RUN_END,
             "slot": slot,
             "sim_now": float(sim_now),
@@ -342,23 +152,3 @@ class TelemetryRecorder:
             "events": events,
             "trace_sha256": trace_sha256,
         })
-
-
-def discover_streams(paths: Iterable[Union[str, Path]]) -> List[Path]:
-    """Stream files under ``paths`` (files verbatim, dirs globbed)."""
-    found: List[Path] = []
-    for raw in paths:
-        path = Path(raw)
-        if path.is_dir():
-            found.extend(sorted(path.glob("*.jsonl")))
-        elif path.is_file():
-            found.append(path)
-        else:
-            raise TelemetryError(f"no such telemetry file or directory: {raw}")
-    seen: set = set()
-    unique: List[Path] = []
-    for path in found:
-        if path not in seen:
-            seen.add(path)
-            unique.append(path)
-    return unique

@@ -31,19 +31,15 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.metrics.reporting import format_table
-from repro.telemetry.events import (
-    RUN_START,
-    SLOT,
-    TelemetryError,
-    discover_streams,
-    parse_stream,
-)
-from repro.telemetry.spans import (
+from repro.telemetry.stream import (
     BLOCK_TRACE,
-    TRACE_FAULT,
-    TRACE_START,
-    is_trace_stream,
-    parse_trace_stream,
+    FAULT,
+    SLOT,
+    PathLike,
+    Record,
+    TelemetryError,
+    read_streams,
+    stream_start,
 )
 
 #: The pinned monitors-document schema version.
@@ -252,7 +248,23 @@ def _check_fault_consistency(
 
 # -- evaluation ----------------------------------------------------------------
 
-def evaluate_monitors(paths: Iterable[Union[str, Path]]) -> Dict[str, Any]:
+RunKey = Tuple[str, str, int]
+
+
+def _runs_by_key(
+    paths: Iterable[PathLike], version: int
+) -> Dict[RunKey, Tuple[Path, List[Record]]]:
+    """(scenario, backend, seed) -> (path, records) per headed stream."""
+    runs: Dict[RunKey, Tuple[Path, List[Record]]] = {}
+    for path, records in read_streams(paths, version):
+        start = stream_start(records)
+        if start is not None:
+            key = (start["scenario"], start["backend"], start["seed"])
+            runs[key] = (path, records)
+    return runs
+
+
+def evaluate_monitors(paths: Iterable[PathLike]) -> Dict[str, Any]:
     """Probe every stream under ``paths``; returns the verdict document.
 
     Streams pair up per run (scenario, backend, seed): the v1 per-slot
@@ -260,49 +272,22 @@ def evaluate_monitors(paths: Iterable[Union[str, Path]]) -> Dict[str, Any]:
     feeds the commit/fault probes.  A run missing one kind of stream
     gets ``skip`` verdicts for the probes that need it.
     """
-    v1_runs: Dict[Tuple[str, str, int], Dict[str, Any]] = {}
-    trace_runs: Dict[Tuple[str, str, int], Dict[str, Any]] = {}
-    for path in discover_streams(paths):
-        text = path.read_text(encoding="utf-8")
-        if is_trace_stream(path):
-            records = parse_trace_stream(text, source=str(path))
-            start = next(
-                (r for r in records if r.get("event") == TRACE_START), None
-            )
-            if start is None:
-                continue
-            trace_runs[(start["scenario"], start["backend"], start["seed"])] = {
-                "path": path, "records": records,
-            }
-        else:
-            records = parse_stream(text, source=str(path))
-            start = next(
-                (r for r in records if r.get("event") == RUN_START), None
-            )
-            if start is None:
-                continue
-            v1_runs[(start["scenario"], start["backend"], start["seed"])] = {
-                "path": path, "records": records,
-            }
+    paths = list(paths)
+    v1_runs = _runs_by_key(paths, 1)
+    trace_runs = _runs_by_key(paths, 2)
 
     runs: List[Dict[str, Any]] = []
     counts = {MONITOR_PASS: 0, MONITOR_FAIL: 0, MONITOR_SKIP: 0}
     for key in sorted(set(v1_runs) | set(trace_runs)):
         scenario, backend, seed = key
-        slot_records = [
-            r for r in v1_runs.get(key, {}).get("records", [])
-            if r.get("event") == SLOT
-        ]
+        _, v1_records = v1_runs.get(key, (None, []))
+        slot_records = [r for r in v1_records if r["event"] == SLOT]
         trace = trace_runs.get(key)
         traces = None
         fault_records = None
         if trace is not None:
-            traces = [
-                r for r in trace["records"] if r.get("event") == BLOCK_TRACE
-            ]
-            fault_records = [
-                r for r in trace["records"] if r.get("event") == TRACE_FAULT
-            ]
+            traces = [r for r in trace[1] if r["event"] == BLOCK_TRACE]
+            fault_records = [r for r in trace[1] if r["event"] == FAULT]
         verdicts = [
             _check_liveness(slot_records)
             if key in v1_runs
@@ -319,11 +304,10 @@ def evaluate_monitors(paths: Iterable[Union[str, Path]]) -> Dict[str, Any]:
         ]
         for verdict in verdicts:
             counts[verdict["status"]] += 1
-        streams = []
-        if key in v1_runs:
-            streams.append(str(v1_runs[key]["path"]))
-        if trace is not None:
-            streams.append(str(trace["path"]))
+        streams = [
+            str(family[key][0])
+            for family in (v1_runs, trace_runs) if key in family
+        ]
         runs.append({
             "scenario": scenario,
             "backend": backend,

@@ -22,8 +22,10 @@ The moving parts:
   seed and the block key, so the sampled set is identical across
   processes, replays and backends that share a key.
 * :class:`SpanRecorder` writes one run's trace stream as JSONL under
-  the telemetry directory, validated record by record against the
-  pinned v2 schema.
+  the telemetry directory, through the
+  :class:`~repro.telemetry.stream.StreamWriter` it shares with the v1
+  recorder (every record validated against the pinned v2 table in
+  :data:`repro.telemetry.stream.SCHEMAS` before it is written).
 
 Stream schema (``v`` = :data:`SPAN_SCHEMA_VERSION`, pinned; adding a
 record kind or a field bumps it)::
@@ -35,21 +37,28 @@ record kind or a field bumps it)::
                  faults: [{slot, kind, time, detail}…]}
     trace-end   {v, event, blocks, spans, digest}
 
-``trace-end.digest`` is :func:`span_stream_digest` over every earlier
-record — a self-certifying checksum :func:`parse_trace_stream`
-re-verifies, and the witness the determinism tests pin per backend.
+``trace-end.digest`` is the SHA-256 over the canonical lines of every
+earlier record — a self-certifying checksum
+:func:`~repro.telemetry.stream.parse_stream` re-verifies, and the
+witness the determinism tests pin per backend.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
-from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple
 
+from repro.canonical import sha256_lines
 from repro.sim.rng import derive_seed, derive_unit
-from repro.telemetry.events import _UNSAFE_NAME, TelemetryError
+from repro.telemetry.stream import (
+    BLOCK_TRACE,
+    FAULT,
+    TRACE_END,
+    TRACE_START,
+    PathLike,
+    StreamWriter,
+    TelemetryError,
+)
 
 #: The pinned trace-stream schema version (v1 is the per-slot stream).
 SPAN_SCHEMA_VERSION = 2
@@ -60,13 +69,6 @@ TRACE_SAMPLE_ENV_VAR = "REPRO_TRACE_SAMPLE"
 
 #: Default block sample rate when tracing is enabled without a rate.
 DEFAULT_TRACE_SAMPLE = 0.25
-
-#: Record kinds, in emission order.
-TRACE_START = "trace-start"
-TRACE_FAULT = "fault"
-BLOCK_TRACE = "block-trace"
-TRACE_END = "trace-end"
-TRACE_RECORD_KINDS = (TRACE_START, TRACE_FAULT, BLOCK_TRACE, TRACE_END)
 
 #: Canonical lifecycle phases per backend, in causal order.  Phases
 #: not listed here (``view-change``) are annotations: they attach to a
@@ -81,54 +83,6 @@ PHASE_ORDER: Dict[str, Tuple[str, ...]] = {
 #: Cumulative approval weight at which the IOTA collector calls a
 #: transaction confirmed (the tangle analogue of a commit quorum).
 IOTA_CONFIRM_WEIGHT = 3
-
-_NUMBER = (int, float)
-
-#: Required fields per record kind: name -> allowed python type(s).
-_TRACE_FIELDS: Dict[str, Dict[str, tuple]] = {
-    TRACE_START: {
-        "scenario": (str,),
-        "backend": (str,),
-        "nodes": (int,),
-        "slots": (int,),
-        "seed": (int,),
-        "sample": _NUMBER,
-    },
-    TRACE_FAULT: {
-        "slot": (int,),
-        "kind": (str,),
-        "time": _NUMBER,
-        "nodes": (list,),
-        "detail": (str,),
-    },
-    BLOCK_TRACE: {
-        "block": (str,),
-        "origin": (int,),
-        "confirmed": (bool,),
-        "spans": (list,),
-        "faults": (list,),
-    },
-    TRACE_END: {
-        "blocks": (int,),
-        "spans": (int,),
-        "digest": (str,),
-    },
-}
-
-_SPAN_KEYS: Dict[str, tuple] = {
-    "phase": (str,),
-    "node": (int,),
-    "slot": (int,),
-    "start": _NUMBER,
-    "end": _NUMBER,
-}
-
-_FAULT_NOTE_KEYS: Dict[str, tuple] = {
-    "slot": (int,),
-    "kind": (str,),
-    "time": _NUMBER,
-    "detail": (str,),
-}
 
 
 def trace_sample_from_env() -> Optional[float]:
@@ -160,202 +114,6 @@ def block_sampled(master_seed: int, block_key: str, sample_rate: float) -> bool:
     if sample_rate <= 0.0:
         return False
     return derive_unit(derive_seed(master_seed, "tracing"), block_key) < sample_rate
-
-
-def trace_stream_filename(scenario: str, backend: str, seed: int) -> str:
-    """The deterministic trace-stream file name for one run."""
-    safe = _UNSAFE_NAME.sub("-", scenario) or "scenario"
-    return f"trace-{safe}-{backend}-seed{seed}.jsonl"
-
-
-def is_trace_stream(path: Union[str, Path]) -> bool:
-    """Whether a stream file carries the v2 trace schema (by name)."""
-    name = Path(path).name
-    return name.startswith("trace-") and name.endswith(".jsonl")
-
-
-def _canonical_line(record: Dict[str, Any]) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
-
-
-def span_stream_digest(records: Iterable[Dict[str, Any]]) -> str:
-    """Hex SHA-256 over the canonical lines of every non-terminal record.
-
-    The witness ``trace-end.digest`` carries; determinism tests pin it
-    per backend and CI diffs it across tracing-on/off runs.
-    """
-    lines = [
-        _canonical_line(record)
-        for record in records
-        if record.get("event") != TRACE_END
-    ]
-    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
-
-
-# -- validation ----------------------------------------------------------------
-
-def _check_fields(
-    record: Dict[str, Any],
-    spec: Dict[str, tuple],
-    what: str,
-    where: str,
-    extra_ok: Iterable[str] = (),
-) -> None:
-    for name, types in spec.items():
-        if name not in record:
-            raise TelemetryError(f"{where}{what} lacks field {name!r}")
-        value = record[name]
-        bad_bool = isinstance(value, bool) and bool not in types
-        if not isinstance(value, types) or bad_bool:
-            raise TelemetryError(
-                f"{where}{what} field {name!r} has type "
-                f"{type(value).__name__}, expected "
-                f"{'/'.join(t.__name__ for t in types)}"
-            )
-    unknown = set(record) - set(spec) - set(extra_ok)
-    if unknown:
-        raise TelemetryError(
-            f"{where}{what} carries unknown field(s): "
-            f"{', '.join(sorted(unknown))}"
-        )
-
-
-def _check_detail(detail: Any, what: str, where: str) -> None:
-    if not isinstance(detail, dict):
-        raise TelemetryError(f"{where}{what} detail must be an object")
-    for key, value in detail.items():
-        if isinstance(value, list):
-            if all(isinstance(item, str) for item in value):
-                continue
-            raise TelemetryError(
-                f"{where}{what} detail[{key!r}] list items must be strings"
-            )
-        if not isinstance(value, (str, int, float, bool)):
-            raise TelemetryError(
-                f"{where}{what} detail[{key!r}] has unsupported type "
-                f"{type(value).__name__}"
-            )
-
-
-def validate_trace_record(record: Any, line: int = 0) -> None:
-    """Raise :class:`TelemetryError` unless ``record`` fits schema v2."""
-    where = f"line {line}: " if line else ""
-    if not isinstance(record, dict):
-        raise TelemetryError(f"{where}record must be a JSON object")
-    version = record.get("v")
-    if version != SPAN_SCHEMA_VERSION:
-        raise TelemetryError(
-            f"{where}trace schema version {version!r} is not the pinned "
-            f"{SPAN_SCHEMA_VERSION}"
-        )
-    kind = record.get("event")
-    if kind not in _TRACE_FIELDS:
-        raise TelemetryError(
-            f"{where}unknown trace record kind {kind!r}; known: "
-            f"{', '.join(TRACE_RECORD_KINDS)}"
-        )
-    _check_fields(
-        record, _TRACE_FIELDS[kind], f"{kind} record", where,
-        extra_ok=("v", "event"),
-    )
-    if kind == TRACE_FAULT:
-        for node in record["nodes"]:
-            if not isinstance(node, int) or isinstance(node, bool):
-                raise TelemetryError(
-                    f"{where}fault record nodes must be integers"
-                )
-    if kind == BLOCK_TRACE:
-        for index, span in enumerate(record["spans"]):
-            what = f"span[{index}]"
-            if not isinstance(span, dict):
-                raise TelemetryError(f"{where}{what} must be an object")
-            _check_fields(span, _SPAN_KEYS, what, where, extra_ok=("detail",))
-            if "detail" in span:
-                _check_detail(span["detail"], what, where)
-            if span["end"] < span["start"]:
-                raise TelemetryError(
-                    f"{where}{what} ends before it starts "
-                    f"({span['end']!r} < {span['start']!r})"
-                )
-        for index, note in enumerate(record["faults"]):
-            what = f"fault-note[{index}]"
-            if not isinstance(note, dict):
-                raise TelemetryError(f"{where}{what} must be an object")
-            _check_fields(note, _FAULT_NOTE_KEYS, what, where)
-
-
-def parse_trace_stream(
-    text: str, source: str = "<stream>"
-) -> List[Dict[str, Any]]:
-    """Parse + validate one trace stream; raises on the first defect.
-
-    Beyond per-record schema checks this verifies the stream's own
-    terminal checksum: ``trace-end`` must carry the block/span counts
-    and the :func:`span_stream_digest` of everything before it.
-    """
-    records: List[Dict[str, Any]] = []
-    for line_number, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except ValueError as error:
-            raise TelemetryError(
-                f"{source}: line {line_number}: not valid JSON ({error})"
-            )
-        try:
-            validate_trace_record(record, line=line_number)
-        except TelemetryError as error:
-            raise TelemetryError(f"{source}: {error}")
-        records.append(record)
-    if records and records[-1].get("event") == TRACE_END:
-        end = records[-1]
-        body = records[:-1]
-        blocks = sum(1 for r in body if r.get("event") == BLOCK_TRACE)
-        spans = sum(
-            len(r.get("spans", ())) for r in body
-            if r.get("event") == BLOCK_TRACE
-        )
-        digest = span_stream_digest(body)
-        if (end["blocks"], end["spans"]) != (blocks, spans):
-            raise TelemetryError(
-                f"{source}: trace-end counts ({end['blocks']} blocks, "
-                f"{end['spans']} spans) disagree with the stream "
-                f"({blocks} blocks, {spans} spans)"
-            )
-        if end["digest"] != digest:
-            raise TelemetryError(
-                f"{source}: trace-end digest {end['digest']} disagrees "
-                f"with the recomputed stream digest {digest}"
-            )
-    return records
-
-
-def validate_trace_stream(text: str, source: str = "<stream>") -> List[str]:
-    """Every schema violation in ``text`` as messages (empty = clean)."""
-    errors: List[str] = []
-    for line_number, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except ValueError as error:
-            errors.append(
-                f"{source}: line {line_number}: not valid JSON ({error})"
-            )
-            continue
-        try:
-            validate_trace_record(record, line=line_number)
-        except TelemetryError as error:
-            errors.append(f"{source}: {error}")
-    if not errors:
-        try:
-            parse_trace_stream(text, source=source)
-        except TelemetryError as error:
-            errors.append(str(error))
-    return errors
 
 
 # -- collection ----------------------------------------------------------------
@@ -508,7 +266,6 @@ class SpanCollector:
                     }
                 spans.append(span)
             out.append({
-                "v": SPAN_SCHEMA_VERSION,
                 "event": BLOCK_TRACE,
                 "block": trace.key,
                 "origin": trace.origin,
@@ -720,72 +477,41 @@ class IotaSpanCollector(SpanCollector):
 
 # -- recording -----------------------------------------------------------------
 
-class SpanRecorder:
+class SpanRecorder(StreamWriter):
     """Write one run's trace stream under a telemetry directory.
 
     The runner-facing twin of
     :class:`~repro.telemetry.events.TelemetryRecorder`: the
     :class:`~repro.scenario.runner.ScenarioRunner` calls
-    ``run_started`` / ``fault_applied`` / ``run_finished`` and the
-    recorder validates + appends JSONL records.  ``run_started``
-    truncates any previous stream of the same run name so re-runs are
-    byte-deterministic.
+    ``run_started`` / ``fault_applied`` / ``run_finished``; the
+    recorder builds the records and keeps the canonical lines of the
+    stream's body, which the terminal ``trace-end`` digest certifies.
     """
+
+    version = SPAN_SCHEMA_VERSION
 
     def __init__(
         self,
-        directory: Union[str, Path],
+        directory: PathLike,
         sample: float = DEFAULT_TRACE_SAMPLE,
     ) -> None:
-        self.directory = Path(directory)
+        super().__init__(directory)
         self.sample = float(sample)
-        self.path: Optional[Path] = None
-        self.records_written = 0
         self.blocks_traced = 0
-        self._body: List[Dict[str, Any]] = []
-
-    def _write(self, record: Dict[str, Any]) -> None:
-        validate_trace_record(record)
-        if self.path is None:
-            raise TelemetryError(
-                "trace stream not opened; run_started() must come first"
-            )
-        self.directory.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(_canonical_line(record) + "\n")
-        if record["event"] != TRACE_END:
-            self._body.append(record)
-        self.records_written += 1
+        self._body: List[str] = []
 
     # -- the runner-facing hooks -------------------------------------------
     def run_started(self, spec) -> None:
         """Open the stream and emit the ``trace-start`` record."""
-        self.path = self.directory / trace_stream_filename(
-            spec.name, spec.backend, spec.seed
+        header = self._open(spec)
+        self._body = self._write(
+            {"event": TRACE_START, **header, "sample": self.sample}
         )
-        self.directory.mkdir(parents=True, exist_ok=True)
-        try:
-            self.path.unlink()
-        except OSError:
-            pass
-        self._body = []
-        self.records_written = 0
-        self._write({
-            "v": SPAN_SCHEMA_VERSION,
-            "event": TRACE_START,
-            "scenario": spec.name,
-            "backend": spec.backend,
-            "nodes": spec.node_count,
-            "slots": spec.workload.slots,
-            "seed": spec.seed,
-            "sample": self.sample,
-        })
 
     def fault_applied(self, event, slot: int, time: float) -> None:
         """Emit one stream-level ``fault`` record (structured nodes)."""
-        self._write({
-            "v": SPAN_SCHEMA_VERSION,
-            "event": TRACE_FAULT,
+        self._body += self._write({
+            "event": FAULT,
             "slot": int(slot),
             "kind": event.kind,
             "time": float(time),
@@ -796,30 +522,14 @@ class SpanRecorder:
     def run_finished(self, block_traces: List[Dict[str, Any]]) -> None:
         """Emit every ``block-trace`` and the terminal ``trace-end``.
 
-        Batched into one append (hundreds of traces land at once), with
-        every record still schema-validated before it is written.
+        Hundreds of traces land at once, so the body goes out in one
+        append; the terminal's digest is taken over the lines written.
         """
-        if self.path is None:
-            raise TelemetryError(
-                "trace stream not opened; run_started() must come first"
-            )
-        spans = 0
-        lines: List[str] = []
-        for record in block_traces:
-            validate_trace_record(record)
-            lines.append(_canonical_line(record))
-            self._body.append(record)
-            spans += len(record["spans"])
+        self._body += self._write(*block_traces)
         self.blocks_traced = len(block_traces)
-        terminal = {
-            "v": SPAN_SCHEMA_VERSION,
+        self._write({
             "event": TRACE_END,
             "blocks": len(block_traces),
-            "spans": spans,
-            "digest": span_stream_digest(self._body),
-        }
-        validate_trace_record(terminal)
-        lines.append(_canonical_line(terminal))
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write("\n".join(lines) + "\n")
-        self.records_written += len(lines)
+            "spans": sum(len(record["spans"]) for record in block_traces),
+            "digest": sha256_lines(self._body),
+        })

@@ -1,7 +1,7 @@
 """Turn telemetry event streams into summaries and metric expositions.
 
 The recorder (:mod:`repro.telemetry.events`) writes raw per-slot JSONL;
-this module is the read side: :func:`summarize_streams` condenses each
+this module is the read side (over :func:`repro.telemetry.stream.read_streams`): :func:`summarize_streams` condenses each
 stream into per-run headline numbers (rendered as a text table by
 ``python -m repro telemetry summarize``), and :func:`registry_from_records`
 projects the same streams onto the process-local
@@ -35,28 +35,8 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, List, Sequence, Tuple, Union
 
 from repro.metrics.reporting import format_table
-from repro.telemetry import events as ev
 from repro.telemetry.metrics import MetricsRegistry
-
-
-def read_streams(
-    paths: Iterable[Union[str, Path]],
-) -> List[Tuple[Path, List[Dict[str, Any]]]]:
-    """Parse+validate every stream under ``paths`` (dirs are globbed).
-
-    Block-trace streams (the v2 schema of :mod:`repro.telemetry.spans`)
-    share the directory and the ``.jsonl`` suffix but not the schema;
-    they are skipped here and read by :mod:`repro.telemetry.tracepath`.
-    """
-    from repro.telemetry.spans import is_trace_stream
-
-    out: List[Tuple[Path, List[Dict[str, Any]]]] = []
-    for path in ev.discover_streams(paths):
-        if is_trace_stream(path):
-            continue
-        records = ev.parse_stream(path.read_text(), source=str(path))
-        out.append((path, records))
-    return out
+from repro.telemetry.stream import FAULT, RUN_END, RUN_START, SLOT, read_streams
 
 
 def summarize_records(records: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
@@ -85,19 +65,19 @@ def summarize_records(records: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
     fault_kinds: Dict[str, int] = {}
     for record in records:
         kind = record["event"]
-        if kind == ev.RUN_START:
+        if kind == RUN_START:
             summary["scenario"] = record["scenario"]
             summary["backend"] = record["backend"]
             summary["seed"] = record["seed"]
             summary["slots"] = record["slots"]
-        elif kind == ev.SLOT:
+        elif kind == SLOT:
             summary["slot_records"] += 1
             summary["final_series"] = dict(record["series"])
             summary["final_counters"] = dict(record["counters"])
-        elif kind == ev.FAULT:
+        elif kind == FAULT:
             summary["faults"] += 1
             fault_kinds[record["kind"]] = fault_kinds.get(record["kind"], 0) + 1
-        elif kind == ev.RUN_END:
+        elif kind == RUN_END:
             summary["sim_seconds"] = record["sim_now"]
             summary["blocks"] = record["blocks"]
             summary["validations"] = record["validations"]
@@ -113,7 +93,7 @@ def summarize_streams(
 ) -> List[Dict[str, Any]]:
     """One :func:`summarize_records` dict per stream, plus its path."""
     summaries = []
-    for path, records in read_streams(paths):
+    for path, records in read_streams(paths, 1):
         summary = summarize_records(records)
         summary["path"] = str(path)
         summaries.append(summary)
@@ -224,4 +204,4 @@ def registry_from_records(
 
 def export_prometheus(paths: Iterable[Union[str, Path]]) -> str:
     """The Prometheus text exposition over every stream under ``paths``."""
-    return registry_from_records(read_streams(paths)).render_prometheus()
+    return registry_from_records(read_streams(paths, 1)).render_prometheus()

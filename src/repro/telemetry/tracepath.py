@@ -1,11 +1,11 @@
 """Critical-path analysis over block-lifecycle trace streams.
 
-The read side of :mod:`repro.telemetry.spans`: load recorded trace
-streams, attribute each confirmed block's confirmation latency to
-lifecycle phases along its critical path, aggregate per-phase latency
-distributions (p50/p99), and render per-block waterfalls — as ASCII
-for the ``telemetry trace`` CLI and as inline SVG for the campaign
-dashboard.
+The analysis side of :mod:`repro.telemetry.spans`: over trace streams
+parsed by ``repro.telemetry.stream.read_streams(paths, 2)``, attribute
+each confirmed block's confirmation latency to lifecycle phases along
+its critical path, aggregate per-phase latency distributions
+(p50/p99), and render per-block waterfalls — as ASCII for the
+``telemetry trace`` CLI and as inline SVG for the campaign dashboard.
 
 Everything here is pure data → data: no simulation imports, no clocks,
 no randomness — the same stream always renders the same report.
@@ -15,32 +15,11 @@ from __future__ import annotations
 
 import html
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.metrics.reporting import format_table
-from repro.telemetry.events import TelemetryError, discover_streams
-from repro.telemetry.spans import (
-    BLOCK_TRACE,
-    PHASE_ORDER,
-    TRACE_START,
-    is_trace_stream,
-    parse_trace_stream,
-)
-
-
-def read_trace_streams(
-    paths: Iterable[Union[str, Path]]
-) -> List[Tuple[Path, List[Dict[str, Any]]]]:
-    """Every parsed trace stream under ``paths`` (dirs globbed)."""
-    out: List[Tuple[Path, List[Dict[str, Any]]]] = []
-    for path in discover_streams(paths):
-        if not is_trace_stream(path):
-            continue
-        records = parse_trace_stream(
-            path.read_text(encoding="utf-8"), source=str(path)
-        )
-        out.append((path, records))
-    return out
+from repro.telemetry.spans import PHASE_ORDER
+from repro.telemetry.stream import BLOCK_TRACE, TelemetryError, stream_start
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -102,9 +81,7 @@ def trace_report(
     by_backend: Dict[str, Dict[str, List[float]]] = {}
     confirm_by_backend: Dict[str, List[float]] = {}
     for path, records in streams:
-        start = next(
-            (r for r in records if r.get("event") == TRACE_START), None
-        )
+        start = stream_start(records)
         if start is None:
             raise TelemetryError(f"{path}: stream carries no trace-start")
         backend = start["backend"]
@@ -356,7 +333,7 @@ def waterfall_figure(
     :func:`first_waterfall_trace`; returns ``None`` for streams with
     no block traces (nothing sampled) or no ``trace-start`` header.
     """
-    start = next((r for r in records if r.get("event") == TRACE_START), None)
+    start = stream_start(records)
     trace = first_waterfall_trace(records)
     if start is None or trace is None:
         return None

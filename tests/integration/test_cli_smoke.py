@@ -223,6 +223,18 @@ class TestTelemetryCLI:
         assert code == 1
         assert "INVALID" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["[]", "{}"])
+    def test_validate_survives_an_unhashable_event(self, capsys, tmp_path, kind):
+        (tmp_path / "run-bad.jsonl").write_text(
+            '{"v": 1, "event": "fault", "slot": 1, "kind": "k", "detail": "d"}\n'
+            f'{{"v": 1, "event": {kind}}}\n'
+        )
+        assert main(["telemetry", "validate", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "run-bad.jsonl: line 2: unknown event kind" in err
+        assert "INVALID: 1 schema violation(s)" in err
+        assert "Traceback" not in err
+
     def test_missing_paths_without_env_exit(self, monkeypatch):
         monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
         with pytest.raises(SystemExit, match="REPRO_TELEMETRY"):

@@ -6,6 +6,8 @@ and without fault timelines, and the streams themselves must fit the
 pinned schema with slot-time (never wall-clock) timestamps.
 """
 
+import hashlib
+
 import pytest
 
 from repro.faults import build_fault_preset
@@ -20,6 +22,20 @@ from repro.scenario import (
 from repro.telemetry import TelemetryRecorder, parse_stream
 
 BACKENDS = ("2ldag", "pbft", "iota")
+
+#: SHA-256 of the whole v1 ``run-*.jsonl`` file of the tiny workload
+#: below, per (backend, stress faults on).  What makes "same bytes"
+#: checked rather than assumed when the writer or the canonical line
+#: changes; a change here means the v1 schema or an emission site moved
+#: — update deliberately, with the SCHEMA_VERSION bump if shapes moved.
+PINNED_STREAM_SHA256 = {
+    ("2ldag", False): "82dbc591a5baca4616848416055b1651970d810b8f68d73ad4fbd1cc1d71e56c",
+    ("2ldag", True): "bb60bc35ada43996055c375f2acb41991776a5461adba326acbcb2d9fe9a4e22",
+    ("pbft", False): "6832424163ed99fc36c26f492010cef8813c60b246a66f0e7d693f0ff2e7720d",
+    ("pbft", True): "eb8ba63a7630272b761d129ba5bc617a5d47f466ed742c80673b673d65b5a8ef",
+    ("iota", False): "fae3fc0e9b978c03b67fdd308a2ad6833b3e51cdf392d1a30d1dc4cd8ff78a9c",
+    ("iota", True): "90ad00ccb10b3aebda6f6ebba6eff41e94c8a76a589b17e324b72dc27b95d95d",
+}
 
 
 def tiny_spec(backend="2ldag", with_faults=False, **overrides):
@@ -58,6 +74,16 @@ class TestNoOpContract:
             tiny_spec(backend, with_faults=True), telemetry=recorder
         )
         assert bare.trace_sha256 == observed.trace_sha256
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("with_faults", (False, True))
+    def test_stream_bytes_are_pinned(self, backend, with_faults, tmp_path):
+        recorder = TelemetryRecorder(tmp_path)
+        run_scenario(
+            tiny_spec(backend, with_faults=with_faults), telemetry=recorder
+        )
+        digest = hashlib.sha256(recorder.path.read_bytes()).hexdigest()
+        assert digest == PINNED_STREAM_SHA256[(backend, with_faults)]
 
     def test_repeat_recording_is_byte_identical(self, tmp_path):
         first = TelemetryRecorder(tmp_path / "a")

@@ -136,7 +136,7 @@ class TestRecorder:
         recorder.run_finished(8, 8.0, 20, 0, 1.0, 100, "cafe")
 
         assert recorder.path == tmp_path / stream_filename(
-            spec.name, spec.backend, spec.seed
+            SCHEMA_VERSION, spec.name, spec.backend, spec.seed
         )
         records = parse_stream(recorder.path.read_text())
         assert [r["event"] for r in records] == [
@@ -162,8 +162,8 @@ class TestRecorder:
 
 class TestDiscovery:
     def test_filenames_are_sanitised(self):
-        assert stream_filename("a b/c", "pbft", 3) == "run-a-b-c-pbft-seed3.jsonl"
-        assert stream_filename("", "iota", 0) == "run-scenario-iota-seed0.jsonl"
+        assert stream_filename(1, "a b/c", "pbft", 3) == "run-a-b-c-pbft-seed3.jsonl"
+        assert stream_filename(1, "", "iota", 0) == "run-scenario-iota-seed0.jsonl"
 
     def test_directories_glob_and_files_pass_through(self, tmp_path):
         (tmp_path / "b.jsonl").write_text("")

@@ -8,7 +8,7 @@ self-certify via the terminal ``trace-end`` digest, and fit the pinned
 v2 schema.
 """
 
-import dataclasses
+import json
 
 import pytest
 
@@ -20,18 +20,20 @@ from repro.scenario import (
     WorkloadSpec,
     run_scenario,
 )
-from repro.telemetry import TelemetryError
+from repro.telemetry import (
+    TelemetryError,
+    parse_stream,
+    stream_filename,
+    stream_version,
+    validate_stream,
+)
 from repro.telemetry.spans import (
     DEFAULT_TRACE_SAMPLE,
     SPAN_SCHEMA_VERSION,
     TRACE_SAMPLE_ENV_VAR,
     SpanRecorder,
     block_sampled,
-    is_trace_stream,
-    parse_trace_stream,
     trace_sample_from_env,
-    trace_stream_filename,
-    validate_trace_stream,
 )
 
 BACKENDS = ("2ldag", "pbft", "iota")
@@ -86,7 +88,7 @@ class TestNoOpContract:
         assert bare.trace_sha256 == traced.trace_sha256
         assert bare.total_blocks == traced.total_blocks
 
-        records = parse_trace_stream(
+        records = parse_stream(
             spans.path.read_text(), source=str(spans.path)
         )
         assert records[-1]["event"] == "trace-end"
@@ -108,8 +110,8 @@ class TestStreamSchema:
     def test_stream_validates_and_orders_records(self, tmp_path):
         spans, _ = record_trace(tmp_path, "2ldag", with_faults=True)
         text = spans.path.read_text()
-        assert validate_trace_stream(text, source=str(spans.path)) == []
-        records = parse_trace_stream(text, source=str(spans.path))
+        assert validate_stream(text, source=str(spans.path)) == []
+        records = parse_stream(text, source=str(spans.path))
         kinds = [r["event"] for r in records]
         assert kinds[0] == "trace-start"
         assert kinds[-1] == "trace-end"
@@ -121,7 +123,7 @@ class TestStreamSchema:
 
     def test_spans_carry_slot_tags_not_wall_clock(self, tmp_path):
         spans, _ = record_trace(tmp_path, "2ldag")
-        records = parse_trace_stream(spans.path.read_text())
+        records = parse_stream(spans.path.read_text())
         for trace in records:
             if trace["event"] != "block-trace":
                 continue
@@ -138,7 +140,27 @@ class TestStreamSchema:
         assert tampered != lines[victim], "tamper target not found"
         lines[victim] = tampered
         with pytest.raises(TelemetryError, match="digest"):
-            parse_trace_stream("\n".join(lines) + "\n")
+            parse_stream("\n".join(lines) + "\n")
+
+    def test_record_after_terminal_cannot_switch_off_the_digest(self, tmp_path):
+        # The tamper of the test above plus one valid trailing line: the
+        # terminal is no longer last, which used to skip certification.
+        spans, _ = record_trace(tmp_path, "2ldag")
+        lines = spans.path.read_text().splitlines()
+        victim = next(i for i, l in enumerate(lines) if "block-trace" in l)
+        lines[victim] = lines[victim].replace('"confirmed":true',
+                                              '"confirmed":false')
+        trailing_fault = json.dumps({
+            "v": SPAN_SCHEMA_VERSION, "event": "fault", "slot": 1,
+            "kind": "k", "time": 1.0, "nodes": [], "detail": "d",
+        })
+        for extra in (trailing_fault, lines[-1]):  # or a second terminal
+            text = "\n".join(lines + [extra]) + "\n"
+            with pytest.raises(TelemetryError, match="after the terminal"):
+                parse_stream(text)
+            assert any(
+                "after the terminal" in e for e in validate_stream(text)
+            )
 
     def test_dropped_trace_fails_terminal_counts(self, tmp_path):
         spans, _ = record_trace(tmp_path, "2ldag")
@@ -146,7 +168,7 @@ class TestStreamSchema:
         victim = next(i for i, l in enumerate(lines) if "block-trace" in l)
         del lines[victim]
         with pytest.raises(TelemetryError, match="counts"):
-            parse_trace_stream("\n".join(lines) + "\n")
+            parse_stream("\n".join(lines) + "\n")
 
     def test_stream_without_terminal_record_parses_leniently(self, tmp_path):
         # A stream that is still being recorded has no trace-end yet;
@@ -155,14 +177,14 @@ class TestStreamSchema:
         spans, _ = record_trace(tmp_path, "2ldag")
         lines = spans.path.read_text().splitlines()
         assert "trace-end" in lines[-1]
-        records = parse_trace_stream("\n".join(lines[:-1]) + "\n")
+        records = parse_stream("\n".join(lines[:-1]) + "\n")
         assert all(r["event"] != "trace-end" for r in records)
 
     def test_filename_partition(self, tmp_path):
         spans, _ = record_trace(tmp_path, "pbft")
-        assert is_trace_stream(spans.path)
-        assert spans.path.name == trace_stream_filename("span-tiny", "pbft", 4)
-        assert not is_trace_stream(tmp_path / "run-span-tiny-pbft-seed4.jsonl")
+        assert stream_version(spans.path) == 2
+        assert spans.path.name == stream_filename(2, "span-tiny", "pbft", 4)
+        assert stream_version(tmp_path / "run-span-tiny-pbft-seed4.jsonl") == 1
 
 
 class TestSampling:
@@ -181,7 +203,7 @@ class TestSampling:
         half, _ = record_trace(tmp_path / "half", "2ldag", sample=0.5)
 
         def keys(recorder):
-            records = parse_trace_stream(recorder.path.read_text())
+            records = parse_stream(recorder.path.read_text())
             return {r["block"] for r in records if r["event"] == "block-trace"}
 
         assert keys(half) < keys(full)

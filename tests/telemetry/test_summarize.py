@@ -74,7 +74,7 @@ class TestStreams:
         write_stream(tmp_path / "good.jsonl", full_stream_records())
         (tmp_path / "bad.jsonl").write_text('{"v": 1, "event": "nope"}\n')
         with pytest.raises(TelemetryError, match="unknown event kind"):
-            read_streams([tmp_path])
+            read_streams([tmp_path], SCHEMA_VERSION)
 
     def test_summarize_streams_and_table(self, tmp_path):
         write_stream(tmp_path / "run.jsonl", full_stream_records())
@@ -90,7 +90,7 @@ class TestStreams:
 class TestRegistryProjection:
     def test_catalogue_families_projected(self, tmp_path):
         write_stream(tmp_path / "run.jsonl", full_stream_records())
-        registry = registry_from_records(read_streams([tmp_path]))
+        registry = registry_from_records(read_streams([tmp_path], SCHEMA_VERSION))
         labels = dict(scenario="demo", backend="2ldag", seed="7")
         assert registry.get("repro_run_blocks_total").value(**labels) == 108
         assert registry.get("repro_run_slots").value(**labels) == 12

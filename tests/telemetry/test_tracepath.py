@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+from repro.telemetry import read_streams
 from repro.telemetry.spans import PHASE_ORDER, SpanRecorder
 from repro.telemetry.tracepath import (
     block_waterfall,
@@ -16,7 +17,6 @@ from repro.telemetry.tracepath import (
     first_waterfall_trace,
     format_trace_report,
     percentile,
-    read_trace_streams,
     trace_report,
     waterfall_figure,
     waterfall_svg,
@@ -38,7 +38,7 @@ def traced_dir(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def streams(traced_dir):
-    return read_trace_streams([traced_dir])
+    return read_streams([traced_dir], 2)
 
 
 def crafted_trace():
