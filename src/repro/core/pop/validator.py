@@ -29,7 +29,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional, Set, Tuple
+from itertools import chain
+from typing import Callable, Dict, Generator, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.core.block import BlockHeader, BlockId, DataBlock
 from repro.core.config import ProtocolConfig
@@ -42,9 +43,10 @@ from repro.core.pop.messages import (
     RpyChild,
 )
 from repro.core.pop.tps import trust_path_selection
-from repro.core.pop.wps import closed_neighborhood_weight, weighted_path_selection
+from repro.core.pop.wps import closed_neighborhood_weight, weighted_path_selection, wps_order
 from repro.crypto.keys import KeyRegistry
 from repro.crypto.puzzle import NoncePuzzle
+from repro.net.messages import Message
 from repro.net.topology import Topology
 from repro.net.transport import NodeInterface
 
@@ -98,6 +100,221 @@ class PopOutcome:
     def message_total(self) -> int:
         """Messages the validator emitted and received (Prop. 4/6 metric)."""
         return self.requests_sent + self.replies_received
+
+def _uniform_order(candidates: List[int], rng: Optional[random.Random]) -> Iterator[int]:
+    """The ``use_wps=False`` ablation: uniform random picks with removal."""
+    pool = sorted(candidates)
+    while pool:
+        chosen = rng.choice(pool) if rng is not None else pool[0]
+        yield chosen
+        pool.remove(chosen)
+
+
+def _completed() -> None:
+    """The kernel event that marks a finished run (``sim.events`` is in every digest)."""
+
+
+class _PopRun:
+    """One run of Algorithm 3 as a continuation, and the caller's handle on it.
+
+    The run is a state machine moved only by its own request callbacks:
+    :meth:`_start` asks the verifier for the target block,
+    :meth:`_on_block` checks it and walks the path as far as ``H_i`` and
+    the run's memo allow, and every ``REQ_CHILD`` answer or timeout
+    re-enters the walk through :meth:`_on_child`.  ``triggered`` turns
+    true and ``value`` becomes the :class:`PopOutcome` the moment the
+    run ends; ``ok`` is always true — a failing check raises out of
+    :meth:`~repro.sim.kernel.Simulator.run` at the event that hit it.
+
+    Monotone per-run state guaranteeing termination:
+
+    * ``dead_ends`` — blocks rolled back past; never re-adopted (the
+      paper's V' removal, but scoped to *blocks*: Algorithm 3 resets
+      V' = V at every outer iteration (line 14), so a node that
+      dead-ended at its chain tip stays usable at its earlier, mid-DAG
+      blocks);
+    * ``reply_memo`` — (responder, digest) pairs already asked this
+      run; responders answer deterministically (the oldest child,
+      Eq. 11), so re-asking after a rollback would waste the round trip
+      the memo now saves.
+    """
+
+    __slots__ = (
+        "validator", "verifier", "block_id", "fetch_body", "on_done", "outcome",
+        "triggered", "value", "path", "consensus_set", "dead_ends", "reply_memo",
+        "fetched", "verifying", "verifying_digest", "order", "responder",
+    )
+    ok = True
+
+    def __init__(
+        self,
+        validator: "PopValidator",
+        verifier: int,
+        block_id: Optional[BlockId],
+        fetch_body: bool,
+        on_done: Optional[Callable[[PopOutcome], None]] = None,
+    ) -> None:
+        self.validator = validator
+        self.verifier = verifier
+        self.block_id = block_id
+        self.fetch_body = fetch_body
+        #: Called with the outcome in the frame that ends the run; a run
+        #: without one marks its end with a kernel event instead.
+        self.on_done = on_done
+        self.triggered = False
+        self.value: Optional[PopOutcome] = None
+        # P_i, and R_i kept in step with it: every adopted header adds
+        # its origin; only a rollback re-derives the set.
+        self.path: List[BlockHeader] = []
+        self.consensus_set: Set[int] = set()
+        self.dead_ends: Set[BlockId] = set()
+        self.reply_memo: Dict[Tuple[int, bytes], Optional[BlockHeader]] = {}
+        # The path's headers that arrived over the network, in path
+        # order — the rest came out of H_i and need no re-insertion.
+        self.fetched: List[BlockHeader] = []
+        # The extension in progress: responders of ``verifying`` still to
+        # ask, best first, and the one whose answer is awaited.
+        self.order: Iterator[int] = iter(())
+
+    # -- initialization: retrieve the block and check its root (lines 2-6) -----
+    def _start(self) -> None:
+        validator = self.validator
+        self.outcome = PopOutcome(started_at=validator.interface.network.sim.now)
+        validator.interface.request(
+            self.verifier,
+            KIND_BLOCK_FETCH,
+            BlockFetch(block_id=self.block_id, header_only=not self.fetch_body),
+            size_bits=BLOCK_FETCH_BITS,
+            timeout=validator.config.reply_timeout,
+            on_reply=self._on_block,
+        )
+        self.outcome.requests_sent += 1
+
+    def _on_block(self, reply: Optional[Message]) -> None:
+        """The verifier's answer: Merkle-root check (line 3) when a body came."""
+        outcome = self.outcome
+        if reply is None:
+            outcome.timeouts += 1
+            return self._finish("verifier-timeout")
+        outcome.replies_received += 1
+        payload = reply.payload
+        if self.fetch_body:
+            if not isinstance(payload, DataBlock):
+                outcome.invalid_replies += 1
+                return self._finish("verifier-bad-payload")
+            if not payload.verify_body_root():
+                return self._finish("merkle-root-mismatch")
+            header = payload.header
+        elif isinstance(payload, BlockHeader):
+            header = payload
+        else:
+            outcome.invalid_replies += 1
+            return self._finish("verifier-bad-payload")
+        if not self.validator._header_authentic(header, expected_origin=self.verifier):
+            return self._finish("verifier-header-invalid")
+        self._walk(header)
+
+    # -- construct path (lines 8-38) ----------------------------------------------
+    def _walk(self, accepted: Optional[BlockHeader]) -> None:
+        """Adopt ``accepted`` — or, without one, the next acceptable answer
+        of the extension in progress, rolling back when none is left — and
+        build the path onward until a request is in flight or the run ends.
+        """
+        validator, outcome = self.validator, self.outcome
+        path, dead_ends, reply_memo = self.path, self.dead_ends, self.reply_memo
+        while True:
+            if accepted is None:
+                digest = self.verifying_digest
+                for responder in self.order:
+                    memo_key = (responder, digest.value)
+                    if memo_key not in reply_memo:
+                        self.responder = responder
+                        validator.interface.request(
+                            responder,
+                            KIND_REQ_CHILD,
+                            ReqChild(digest=digest, verifying_origin=self.verifying.origin),
+                            size_bits=validator.config.hash_bits,
+                            timeout=validator.config.reply_timeout,
+                            on_reply=self._on_child,
+                        )
+                        outcome.requests_sent += 1
+                        return
+                    # Rollback re-exploration costs no repeat round trips.
+                    accepted = reply_memo[memo_key]
+                    if accepted is not None and accepted.block_id not in dead_ends:
+                        break
+                    accepted = None
+            if accepted is not None:
+                path.append(accepted)
+                self.fetched.append(accepted)
+                self.consensus_set.add(accepted.origin)
+                verifying = accepted
+            else:
+                # Rollback (lines 26-34): this verifying block is a dead end.
+                outcome.rollbacks += 1
+                dead_ends.add(self.verifying.block_id)
+                if path.pop() is self.fetched[-1]:
+                    self.fetched.pop()
+                if not path:
+                    return self._finish("exhausted")
+                verifying = path[-1]
+                self.consensus_set = {h.origin for h in path}
+
+            if validator.use_tps:
+                result = trust_path_selection(
+                    validator.cache, self.consensus_set, path, verifying,
+                    validator.config.hash_bits, skip_ids=dead_ends,
+                )
+                outcome.tps_steps += result.steps
+                verifying = result.verifying_header
+            if len(self.consensus_set) >= validator.config.consensus_quorum():
+                # Success: persist the path into H_i (line 39).
+                for header in self.fetched:
+                    validator.cache.add(header)
+                outcome.success = True
+                outcome.consensus_set = self.consensus_set
+                outcome.path = path
+                return self._finish(None)
+
+            # Lines 13-25: query neighbours of the verifying node, best first.
+            self.verifying = verifying
+            self.verifying_digest = verifying.digest(validator.config.hash_bits)
+            self.order = validator._responder_order(verifying.origin, self.consensus_set)
+            accepted = None
+
+    def _on_child(self, reply: Optional[Message]) -> None:
+        """One REQ_CHILD answer (or its timeout): judge it, then walk on."""
+        outcome, responder = self.outcome, self.responder
+        memo_key = (responder, self.verifying_digest.value)
+        header = None
+        if reply is None:
+            outcome.timeouts += 1
+            if self.validator.on_no_reply is not None:
+                self.validator.on_no_reply(responder)
+        else:
+            outcome.replies_received += 1
+            header = self.validator._validate_reply(
+                reply.payload, responder, self.verifying, self.verifying_digest
+            )
+            if header is None:
+                outcome.invalid_replies += 1
+        self.reply_memo[memo_key] = header
+        if header is not None and header.block_id in self.dead_ends:
+            outcome.invalid_replies += 1
+            header = None
+        self._walk(header)
+
+    def _finish(self, error: Optional[str]) -> None:
+        outcome = self.outcome
+        outcome.error = error
+        sim = self.validator.interface.network.sim
+        outcome.finished_at = sim.now
+        self.value = outcome
+        self.triggered = True
+        if self.on_done is not None:
+            self.on_done(outcome)
+        else:
+            sim.call_in(0.0, _completed)
 
 
 class PopValidator:
@@ -188,6 +405,57 @@ class PopValidator:
         return weighted_path_selection(
             consensus_set, candidates, self.topology, self.rng
         )
+
+    def _responder_order(self, verifying_origin: int, consensus_set: Set[int]) -> Iterator[int]:
+        """Lines 13-25's responders for one extension, in asking order.
+
+        ``R_i`` is fixed while an extension lasts, so the whole order is
+        ranked once; it is lazy, and draws from ``rng`` pick by pick.
+        """
+        me = self.interface.node_id
+        # The validator can serve from its own store for free: if it is a
+        # neighbour of the verifying node, its own headers are already in
+        # the cache (TPS handled them), so exclude self from candidates.
+        blacklist = self.blacklist
+        candidates = [
+            n for n in self.topology.neighbors(verifying_origin)
+            if n != me and n not in blacklist
+        ]
+        order: Iterable[int]
+        if not self.use_wps:
+            order = _uniform_order(candidates, self.rng)
+        elif self.hop_aware:
+            routing = self.interface.network.routing
+            order = sorted(
+                candidates,
+                key=lambda c: (
+                    closed_neighborhood_weight(c, consensus_set, self.topology),
+                    routing.hop_count(me, c),
+                    c,
+                ),
+            )
+        else:
+            order = wps_order(consensus_set, candidates, self.topology, self.rng)
+        if verifying_origin == me:
+            return iter(order)
+        # The verifying node itself is kept as a *last-resort* candidate:
+        # its next own block is always a child (the chain edge
+        # b_{v,t-1} -> b_{v,t} of the logical DAG), which lets the walk
+        # traverse micro-loops even when digest races left no neighbour
+        # with a child of this particular block.  It contributes no new
+        # origin to R_i, so it is only asked once the others failed.
+        return chain(order, (verifying_origin,))
+
+    def start(
+        self,
+        verifier: int,
+        block_id: Optional[BlockId] = None,
+        fetch_body: bool = True,
+    ) -> _PopRun:
+        """Transitional name of the continuation entry point."""
+        run = _PopRun(self, verifier, block_id, fetch_body)
+        self.interface.network.sim.call_in(0.0, run._start)
+        return run
 
     # -- public entry point ---------------------------------------------------
     def run(

@@ -25,7 +25,7 @@ randomised consensus sets.
 from __future__ import annotations
 
 import random
-from typing import AbstractSet, Iterable, List, Optional, Sequence
+from typing import AbstractSet, Iterable, Iterator, List, Optional, Sequence
 
 from repro.net.topology import Topology
 
@@ -38,58 +38,72 @@ def closed_neighborhood_weight(
     return len(closed & consensus_set) / len(closed)
 
 
+def wps_order(
+    consensus_set: AbstractSet[int],
+    candidates: Iterable[int],
+    topology: Topology,
+    rng: Optional[random.Random] = None,
+) -> Iterator[int]:
+    """Algorithm 1 run to exhaustion: every candidate, best first.
+
+    Yields what repeated picks with removal would — within one path
+    extension ``R_i`` is fixed, so Eq. (7) is evaluated once per
+    candidate, not once per candidate per pick.  Lazy: a tie is broken
+    (and ``rng`` drawn from) only when that pick is asked for, so a
+    caller that stops early leaves ``rng`` where single picks would.
+
+    Parameters
+    ----------
+    consensus_set:
+        ``R_i`` — physical nodes already on the path; must not change
+        while the iterator is in use.
+    candidates:
+        ``N'`` — neighbours of the verifying node still to ask.
+    topology:
+        Shared knowledge ``G(V, E)`` (every node knows it, §III-A).
+    rng:
+        Tie-break randomness; deterministic (smallest id) when omitted.
+    """
+    # The weight expression is inlined — this runs for every live
+    # path-extension of every PoP run.  Sorted pairs put equal weights
+    # side by side, ids ascending within a weight.
+    closed_table = topology.closed_neighborhoods
+    ranked = sorted([
+        (len(closed_table[c] & consensus_set) / len(closed_table[c]), c)
+        for c in set(candidates)
+    ])
+    start, count = 0, len(ranked)
+    while start < count:
+        weight = ranked[start][0]
+        end = start + 1
+        while end < count and ranked[end][0] == weight:
+            end += 1
+        tied = [c for _, c in ranked[start:end]]
+        while len(tied) > 1:
+            # Lines 8-13: prefer candidates outside R_i when the tie is mixed.
+            outside = [c for c in tied if c not in consensus_set]
+            pool = outside if outside and len(outside) != len(tied) else tied
+            chosen = pool[0] if rng is None else rng.choice(pool)
+            yield chosen
+            tied.remove(chosen)
+        yield tied[0]
+        start = end
+
+
 def weighted_path_selection(
     consensus_set: AbstractSet[int],
     candidates: Iterable[int],
     topology: Topology,
     rng: Optional[random.Random] = None,
 ) -> int:
-    """Algorithm 1: pick the next responder from ``candidates``.
+    """Algorithm 1: the next responder, the first of :func:`wps_order`.
 
-    Parameters
-    ----------
-    consensus_set:
-        ``R_i`` — physical nodes already on the path.
-    candidates:
-        ``N'`` — remaining neighbours of the verifying node.
-    topology:
-        Shared knowledge ``G(V, E)`` (every node knows it, §III-A).
-    rng:
-        Tie-break randomness; deterministic (smallest id) when omitted.
-
-    Returns the chosen node id.  Raises ``ValueError`` on an empty
-    candidate set — Algorithm 3 never calls WPS with one.
+    Raises ``ValueError`` on an empty candidate set — Algorithm 3 never
+    calls WPS with one.
     """
-    pool: List[int] = sorted(set(candidates))
-    if not pool:
-        raise ValueError("WPS called with no candidates")
-
-    # One pass over the sorted pool: track the running minimum and the
-    # candidates tied on it, in pool order (the order the dict-based
-    # formulation produced).  The weight expression is inlined — this
-    # loop runs for every live path-extension of every PoP run.
-    closed_table = topology.closed_neighborhoods
-    minimum = 2.0  # Eq. (7) weights live in [0, 1]
-    tied: List[int] = []
-    for candidate in pool:
-        closed = closed_table[candidate]
-        weight = len(closed & consensus_set) / len(closed)
-        if weight < minimum:
-            minimum = weight
-            tied = [candidate]
-        elif weight == minimum:
-            tied.append(candidate)
-
-    if len(tied) == 1:
-        return tied[0]
-
-    # Lines 8-13: prefer candidates outside R_i when the tie is mixed.
-    outside = [c for c in tied if c not in consensus_set]
-    if outside and len(outside) != len(tied):
-        tied = outside
-    if rng is None:
-        return tied[0]
-    return rng.choice(tied)
+    for chosen in wps_order(consensus_set, candidates, topology, rng):
+        return chosen
+    raise ValueError("WPS called with no candidates")
 
 
 def rank_candidates(

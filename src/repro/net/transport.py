@@ -27,6 +27,7 @@ from repro.metrics.collector import TrafficLedger
 from repro.net.messages import Message
 from repro.net.routing import RoutingTable
 from repro.net.topology import Topology
+from repro.sim.errors import SchedulingError
 from repro.sim.kernel import Event, Simulator
 from repro.sim.tracing import Tracer
 
@@ -57,7 +58,7 @@ class NodeInterface:
         self.network = network
         self.node_id = node_id
         self._handlers: Dict[str, Callable[[Message], None]] = {}
-        self._pending: Dict[int, Event] = {}
+        self._pending: Dict[int, Any] = {}
         self._default_handler: Optional[Callable[[Message], None]] = None
 
     # -- registration ---------------------------------------------------
@@ -98,27 +99,35 @@ class NodeInterface:
         )
 
     def request(
-        self, recipient: int, kind: str, payload: Any, size_bits: int, timeout: float
-    ) -> Event:
-        """Unicast and return an event for the reply (``None`` on timeout).
+        self, recipient: int, kind: str, payload: Any, size_bits: int, timeout: float,
+        on_reply: Optional[Callable[[Optional[Message]], None]] = None,
+    ) -> Optional[Event]:
+        """Unicast; the reply goes to ``on_reply`` (``None`` on timeout).
 
-        This is the validator's REQ_CHILD/RPY_CHILD pattern
-        (Algorithm 3, lines 17-19): the returned event succeeds with the
-        reply :class:`Message`, or with ``None`` once ``timeout`` sim
-        time elapses with no answer — silent malicious responders are
-        thus survivable.
+        Transitional: without ``on_reply`` an event is returned instead.
         """
         sim = self.network.sim
+        if timeout < 0:
+            raise SchedulingError(f"negative timeout: {timeout}")
         msg_id = self.send(recipient, kind, payload, size_bits).msg_id
-        waiter = self._pending[msg_id] = sim.event()
+        waiter = None
+        if on_reply is None:
+            waiter = self._pending[msg_id] = sim.event()
+        else:
+            self._pending[msg_id] = on_reply
         # Only the id rides to the timeout, so an answered request is freed.
         sim.call_in(timeout, self._expire, msg_id)
         return waiter
 
     def _expire(self, msg_id: int) -> None:
         waiter = self._pending.pop(msg_id, None)
-        if waiter is not None and not waiter.triggered:
-            waiter.succeed(None)
+        if waiter is None:
+            return
+        if isinstance(waiter, Event):
+            if not waiter.triggered:
+                waiter.succeed(None)
+        else:
+            self.network.sim.call_in(0.0, waiter, None)
 
 
 class Network:
@@ -253,7 +262,9 @@ class Network:
         if message.in_reply_to is not None:
             waiter = interface._pending.pop(message.in_reply_to, None)
             if waiter is not None:
-                if not waiter.triggered:
+                if not isinstance(waiter, Event):
+                    self.sim.call_in(0.0, waiter, message)
+                elif not waiter.triggered:
                     waiter.succeed(message)
                 return
         handler = interface._handlers.get(message.kind, interface._default_handler)
