@@ -12,7 +12,7 @@ from repro.net.topology import sequential_geometric_topology
 from repro.sim.rng import RandomStreams
 
 
-def _run(hop_aware: bool, seed: int = 51):
+def _run(finished, hop_aware: bool, seed: int = 51):
     streams = RandomStreams(seed)
     topology = sequential_geometric_topology(node_count=25, streams=streams)
     config = ProtocolConfig(body_bits=80_000, gamma=7, reply_timeout=0.05)
@@ -26,23 +26,22 @@ def _run(hop_aware: bool, seed: int = 51):
     ][:10]
     outcomes = []
     for target in targets:
-        process = deployment.sim.process(
+        outcomes.append(finished(
+            deployment.sim,
             validator_node.validator(hop_aware=hop_aware, use_tps=False).run(
                 target.origin, target, fetch_body=False
-            )
-        )
-        deployment.sim.run()
-        outcomes.append(process.value)
+            ),
+        ))
     pop_bits = deployment.traffic.tx_bits(0, ["pop"]) + sum(
         deployment.traffic.tx_bits(n, ["pop"]) for n in deployment.node_ids if n != 0
     )
     return outcomes, pop_bits
 
 
-def test_ablation_hop_aware(benchmark):
+def test_ablation_hop_aware(benchmark, finished):
     def run_both():
-        baseline, baseline_bits = _run(hop_aware=False)
-        aware, aware_bits = _run(hop_aware=True)
+        baseline, baseline_bits = _run(finished, hop_aware=False)
+        aware, aware_bits = _run(finished, hop_aware=True)
         return baseline, baseline_bits, aware, aware_bits
 
     baseline, baseline_bits, aware, aware_bits = benchmark.pedantic(

@@ -26,7 +26,7 @@ def build_system(seed, node_count=20, slots=30, gamma=6):
     return deployment, workload
 
 
-def run_validations(deployment, workload, validator_id, use_tps, use_wps, count=10):
+def run_validations(finished, deployment, workload, validator_id, use_tps, use_wps, count=10):
     """Run `count` verifications of distinct old blocks; return outcomes."""
     targets = [
         b for s in range(0, 5) for b in workload.blocks_by_slot[s]
@@ -35,24 +35,23 @@ def run_validations(deployment, workload, validator_id, use_tps, use_wps, count=
     outcomes = []
     node = deployment.node(validator_id)
     for target in targets:
-        process = deployment.sim.process(
+        outcomes.append(finished(
+            deployment.sim,
             node.validator(use_tps=use_tps, use_wps=use_wps).run(
                 target.origin, target, fetch_body=False
-            )
-        )
-        deployment.sim.run()
-        outcomes.append(process.value)
+            ),
+        ))
     return outcomes
 
 
-def test_ablation_wps_vs_random(benchmark):
+def test_ablation_wps_vs_random(benchmark, finished):
     """WPS should not retrieve more headers than random selection."""
 
     def run_both():
         d1, w1 = build_system(seed=31)
-        wps = run_validations(d1, w1, validator_id=0, use_tps=False, use_wps=True)
+        wps = run_validations(finished, d1, w1, validator_id=0, use_tps=False, use_wps=True)
         d2, w2 = build_system(seed=31)
-        rnd = run_validations(d2, w2, validator_id=0, use_tps=False, use_wps=False)
+        rnd = run_validations(finished, d2, w2, validator_id=0, use_tps=False, use_wps=False)
         return wps, rnd
 
     wps, rnd = benchmark.pedantic(run_both, rounds=1, iterations=1)
@@ -63,14 +62,14 @@ def test_ablation_wps_vs_random(benchmark):
     assert wps_headers <= rnd_headers * 1.5  # WPS is at least competitive
 
 
-def test_ablation_tps_cache(benchmark):
+def test_ablation_tps_cache(benchmark, finished):
     """With TPS, repeat verifications cost almost no messages."""
 
     def run_both():
         d1, w1 = build_system(seed=32)
-        with_tps = run_validations(d1, w1, validator_id=0, use_tps=True, use_wps=True)
+        with_tps = run_validations(finished, d1, w1, validator_id=0, use_tps=True, use_wps=True)
         d2, w2 = build_system(seed=32)
-        without = run_validations(d2, w2, validator_id=0, use_tps=False, use_wps=True)
+        without = run_validations(finished, d2, w2, validator_id=0, use_tps=False, use_wps=True)
         return with_tps, without
 
     with_tps, without = benchmark.pedantic(run_both, rounds=1, iterations=1)
@@ -82,7 +81,7 @@ def test_ablation_tps_cache(benchmark):
     assert with_tps[0].message_total >= 2 * (6 + 1)
 
 
-def test_ablation_micro_loop_paths(benchmark):
+def test_ablation_micro_loop_paths(benchmark, finished):
     """Heterogeneous rates create micro-loops; path lengths must stay
     bounded (Prop. 5) and verifications must still succeed."""
 
@@ -94,7 +93,7 @@ def test_ablation_micro_loop_paths(benchmark):
         periods = {n: (1 if n % 3 else 4) for n in deployment.node_ids}
         workload = SlotSimulation(deployment, generation_period=periods)
         workload.run(24)
-        return run_validations(deployment, workload, validator_id=0,
+        return run_validations(finished, deployment, workload, validator_id=0,
                                use_tps=True, use_wps=True, count=8)
 
     outcomes = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -297,16 +297,13 @@ class IoTNode:
         block_id: Optional[BlockId] = None,
         fetch_body: bool = True,
     ):
-        """Start an asynchronous PoP run; returns the simulation process.
+        """Start an asynchronous PoP run; returns its handle at once.
 
-        The process's ``value`` is a
-        :class:`~repro.core.pop.validator.PopOutcome` once the simulator
-        has driven it to completion.
+        The handle's ``triggered`` turns true, and its ``value`` becomes
+        a :class:`~repro.core.pop.validator.PopOutcome`, once the
+        simulator has driven the run to completion (``ok`` always holds).
         """
-        process = self.network.sim.process(
-            self.validator().run(verifier, block_id, fetch_body=fetch_body)
-        )
-        return process
+        return self.validator().run(verifier, block_id, fetch_body=fetch_body)
 
     # -- churn (§VII future work) ----------------------------------------------
     def go_offline(self) -> None:

@@ -10,10 +10,10 @@ TPS-ablation benchmarks also use.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Generator, List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.block import BlockId
-from repro.core.pop.validator import PopOutcome, PopValidator
+from repro.core.pop.validator import PopOutcome, PopValidator, _completed, _PopRun
 
 
 @dataclass
@@ -57,22 +57,52 @@ class BatchReport:
         return [b for b, o in self.outcomes if not o.success]
 
 
+class _BatchRun:
+    """A batch in progress and the caller's handle on it.
+
+    Each run is started in the frame that ended the one before, so the
+    whole batch costs one start and one completion kernel event.
+    """
+
+    ok = True
+
+    def __init__(
+        self, validator: PopValidator, targets: Sequence[Tuple[int, BlockId]], fetch_body: bool
+    ) -> None:
+        self.triggered = False
+        self.value: Optional[BatchReport] = None
+        self._validator = validator
+        self._targets = targets
+        self._fetch_body = fetch_body
+        self._report = BatchReport()
+        validator.interface.network.sim.call_in(0.0, self._next)
+
+    def _next(self, outcome: Optional[PopOutcome] = None) -> None:
+        """Record the run that just ended (none at the start), begin the next."""
+        outcomes, targets = self._report.outcomes, self._targets
+        if outcome is not None:
+            outcomes.append((targets[len(outcomes)][1], outcome))
+        if len(outcomes) < len(targets):
+            verifier, block_id = targets[len(outcomes)]
+            _PopRun(self._validator, verifier, block_id, self._fetch_body, self._next)._start()
+        else:
+            self.value = self._report
+            self.triggered = True
+            self._validator.interface.network.sim.call_in(0.0, _completed)
+
+
 def verify_batch(
     validator: PopValidator,
     targets: Sequence[Tuple[int, BlockId]],
     fetch_body: bool = False,
-) -> Generator:
+) -> _BatchRun:
     """Verify ``(verifier, block_id)`` targets sequentially.
 
-    A generator for :meth:`repro.sim.Simulator.process`; its return
-    value is a :class:`BatchReport`.  Usage::
+    Returns at once with a handle like :meth:`PopValidator.run`'s; its
+    ``value`` is the :class:`BatchReport` once ``triggered``.  Usage::
 
-        report_process = sim.process(verify_batch(node.validator(), targets))
+        batch = verify_batch(node.validator(), targets)
         sim.run()
-        report = report_process.value
+        report = batch.value
     """
-    report = BatchReport()
-    for verifier, block_id in targets:
-        outcome = yield from validator.run(verifier, block_id, fetch_body=fetch_body)
-        report.outcomes.append((block_id, outcome))
-    return report
+    return _BatchRun(validator, targets, fetch_body)

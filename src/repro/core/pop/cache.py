@@ -25,7 +25,7 @@ class HeaderCache:
     def __init__(self, hash_bits: int = 256) -> None:
         self.hash_bits = hash_bits
         self._headers: Dict[BlockId, BlockHeader] = {}
-        self._children_of_digest: Dict[bytes, List[BlockId]] = {}
+        self._children_of_digest: Dict[bytes, List[BlockHeader]] = {}
 
     def add(self, header: BlockHeader) -> bool:
         """Insert a header; returns ``False`` if it was already cached."""
@@ -34,7 +34,7 @@ class HeaderCache:
             return False
         self._headers[block_id] = header
         for parent_digest in header.digests.values():
-            self._children_of_digest.setdefault(parent_digest.value, []).append(block_id)
+            self._children_of_digest.setdefault(parent_digest.value, []).append(header)
         return True
 
     def __contains__(self, block_id: BlockId) -> bool:
@@ -64,26 +64,22 @@ class HeaderCache:
         free extensions always enlarge ``R_i`` instead of wandering
         down the validator's own chain.
         """
-        child_ids = self._children_of_digest.get(digest.value)
-        if not child_ids:
+        children = self._children_of_digest.get(digest.value)
+        if not children:
             return None
         # Single pass: filter and track the (time, id) minimum without
         # materialising the eligible list — TPS calls this once per free
-        # path step, often with most children filtered out.
+        # path step, often with most children filtered out.  The index
+        # holds the headers themselves: no ``BlockId`` is hashed here.
         best = None
-        best_key = None
-        for block_id in child_ids:
-            if skip_ids and block_id in skip_ids:
+        for child in children:
+            if skip_ids and child.block_id in skip_ids:
                 continue
-            if exclude_origins and block_id.origin in exclude_origins:
+            if exclude_origins and child.origin in exclude_origins:
                 continue
-            key = (self._headers[block_id].time, block_id)
-            if best_key is None or key < best_key:
-                best = block_id
-                best_key = key
-        if best is None:
-            return None
-        return self._headers[best]
+            if best is None or (child.time, child.block_id) < (best.time, best.block_id):
+                best = child
+        return best
 
     def size_bits(self, config: ProtocolConfig) -> int:
         """Storage occupied by the cache (bounded by Proposition 2)."""

@@ -30,7 +30,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Callable, Dict, Generator, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.core.block import BlockHeader, BlockId, DataBlock
 from repro.core.config import ProtocolConfig
@@ -43,7 +43,8 @@ from repro.core.pop.messages import (
     RpyChild,
 )
 from repro.core.pop.tps import trust_path_selection
-from repro.core.pop.wps import closed_neighborhood_weight, weighted_path_selection, wps_order
+from repro.core.pop.wps import closed_neighborhood_weight, wps_order
+from repro.crypto.hashing import Digest
 from repro.crypto.keys import KeyRegistry
 from repro.crypto.puzzle import NoncePuzzle
 from repro.net.messages import Message
@@ -101,6 +102,7 @@ class PopOutcome:
         """Messages the validator emitted and received (Prop. 4/6 metric)."""
         return self.requests_sent + self.replies_received
 
+
 def _uniform_order(candidates: List[int], rng: Optional[random.Random]) -> Iterator[int]:
     """The ``use_wps=False`` ablation: uniform random picks with removal."""
     pool = sorted(candidates)
@@ -142,7 +144,7 @@ class _PopRun:
     __slots__ = (
         "validator", "verifier", "block_id", "fetch_body", "on_done", "outcome",
         "triggered", "value", "path", "consensus_set", "dead_ends", "reply_memo",
-        "fetched", "verifying", "verifying_digest", "order", "responder",
+        "fetched", "verifying", "ask", "order", "responder",
     )
     ok = True
 
@@ -172,8 +174,9 @@ class _PopRun:
         # The path's headers that arrived over the network, in path
         # order — the rest came out of H_i and need no re-insertion.
         self.fetched: List[BlockHeader] = []
-        # The extension in progress: responders of ``verifying`` still to
-        # ask, best first, and the one whose answer is awaited.
+        # The extension in progress — ``verifying``, the one ``ask`` every
+        # responder gets, the ``responder`` whose answer is awaited — and
+        # the responders still to ask, best first.
         self.order: Iterator[int] = iter(())
 
     # -- initialization: retrieve the block and check its root (lines 2-6) -----
@@ -198,18 +201,14 @@ class _PopRun:
             return self._finish("verifier-timeout")
         outcome.replies_received += 1
         payload = reply.payload
+        if not isinstance(payload, DataBlock if self.fetch_body else BlockHeader):
+            outcome.invalid_replies += 1
+            return self._finish("verifier-bad-payload")
+        header = payload
         if self.fetch_body:
-            if not isinstance(payload, DataBlock):
-                outcome.invalid_replies += 1
-                return self._finish("verifier-bad-payload")
             if not payload.verify_body_root():
                 return self._finish("merkle-root-mismatch")
             header = payload.header
-        elif isinstance(payload, BlockHeader):
-            header = payload
-        else:
-            outcome.invalid_replies += 1
-            return self._finish("verifier-bad-payload")
         if not self.validator._header_authentic(header, expected_origin=self.verifier):
             return self._finish("verifier-header-invalid")
         self._walk(header)
@@ -220,22 +219,18 @@ class _PopRun:
         of the extension in progress, rolling back when none is left — and
         build the path onward until a request is in flight or the run ends.
         """
-        validator, outcome = self.validator, self.outcome
-        path, dead_ends, reply_memo = self.path, self.dead_ends, self.reply_memo
+        validator, outcome, path = self.validator, self.outcome, self.path
+        config, dead_ends, reply_memo = validator.config, self.dead_ends, self.reply_memo
         while True:
             if accepted is None:
-                digest = self.verifying_digest
+                ask = self.ask
                 for responder in self.order:
-                    memo_key = (responder, digest.value)
+                    memo_key = (responder, ask.digest.value)
                     if memo_key not in reply_memo:
                         self.responder = responder
                         validator.interface.request(
-                            responder,
-                            KIND_REQ_CHILD,
-                            ReqChild(digest=digest, verifying_origin=self.verifying.origin),
-                            size_bits=validator.config.hash_bits,
-                            timeout=validator.config.reply_timeout,
-                            on_reply=self._on_child,
+                            responder, KIND_REQ_CHILD, ask, size_bits=config.hash_bits,
+                            timeout=config.reply_timeout, on_reply=self._on_child,
                         )
                         outcome.requests_sent += 1
                         return
@@ -263,11 +258,11 @@ class _PopRun:
             if validator.use_tps:
                 result = trust_path_selection(
                     validator.cache, self.consensus_set, path, verifying,
-                    validator.config.hash_bits, skip_ids=dead_ends,
+                    config.hash_bits, skip_ids=dead_ends,
                 )
                 outcome.tps_steps += result.steps
                 verifying = result.verifying_header
-            if len(self.consensus_set) >= validator.config.consensus_quorum():
+            if len(self.consensus_set) >= config.consensus_quorum():
                 # Success: persist the path into H_i (line 39).
                 for header in self.fetched:
                     validator.cache.add(header)
@@ -278,15 +273,16 @@ class _PopRun:
 
             # Lines 13-25: query neighbours of the verifying node, best first.
             self.verifying = verifying
-            self.verifying_digest = verifying.digest(validator.config.hash_bits)
+            self.ask = ReqChild(
+                digest=verifying.digest(config.hash_bits), verifying_origin=verifying.origin
+            )
             self.order = validator._responder_order(verifying.origin, self.consensus_set)
             accepted = None
 
     def _on_child(self, reply: Optional[Message]) -> None:
         """One REQ_CHILD answer (or its timeout): judge it, then walk on."""
         outcome, responder = self.outcome, self.responder
-        memo_key = (responder, self.verifying_digest.value)
-        header = None
+        header: Optional[BlockHeader] = None
         if reply is None:
             outcome.timeouts += 1
             if self.validator.on_no_reply is not None:
@@ -294,12 +290,13 @@ class _PopRun:
         else:
             outcome.replies_received += 1
             header = self.validator._validate_reply(
-                reply.payload, responder, self.verifying, self.verifying_digest
+                reply.payload, responder, self.verifying, self.ask.digest
             )
             if header is None:
                 outcome.invalid_replies += 1
-        self.reply_memo[memo_key] = header
-        if header is not None and header.block_id in self.dead_ends:
+        self.reply_memo[responder, self.ask.digest.value] = header
+        # Rollbacks are rare, and an empty set would still hash the id.
+        if header is not None and self.dead_ends and header.block_id in self.dead_ends:
             outcome.invalid_replies += 1
             header = None
         self._walk(header)
@@ -311,21 +308,24 @@ class _PopRun:
         outcome.finished_at = sim.now
         self.value = outcome
         self.triggered = True
-        if self.on_done is not None:
-            self.on_done(outcome)
+        on_done = self.on_done
+        # Callers keep the handle for ``value``; the walk's state ends here.
+        del self.validator, self.on_done, self.reply_memo, self.dead_ends, self.fetched, self.order
+        if on_done is not None:
+            on_done(outcome)
         else:
             sim.call_in(0.0, _completed)
 
 
 class PopValidator:
-    """One verification run of Algorithm 3, as a simulation process.
+    """Algorithm 3 for one validator node; each :meth:`run` is one verification.
 
     Usage::
 
         validator = PopValidator(iface, cache, topology, registry, config)
-        process = sim.process(validator.run(verifier_id, block_id))
+        run = validator.run(verifier_id, block_id)
         sim.run()
-        outcome = process.value
+        outcome = run.value
 
     Parameters
     ----------
@@ -370,7 +370,7 @@ class PopValidator:
         use_wps: bool = True,
         hop_aware: bool = False,
         blacklist: Optional[Set[int]] = None,
-        on_no_reply=None,
+        on_no_reply: Optional[Callable[[int], None]] = None,
     ) -> None:
         self.interface = interface
         self.cache = cache
@@ -384,27 +384,6 @@ class PopValidator:
         self.blacklist = blacklist if blacklist is not None else set()
         self.on_no_reply = on_no_reply
         self._puzzle = NoncePuzzle(config.puzzle_difficulty_bits, config.hash_bits)
-
-    def _choose_candidate(self, consensus_set: Set[int], candidates: Set[int]) -> int:
-        """Next responder: WPS, optionally hop-distance tie-broken."""
-        if not self.use_wps:
-            if self.rng is not None:
-                return self.rng.choice(sorted(candidates))
-            return sorted(candidates)[0]
-        if self.hop_aware:
-            routing = self.interface.network.routing
-            me = self.interface.node_id
-            return min(
-                sorted(candidates),
-                key=lambda c: (
-                    closed_neighborhood_weight(c, consensus_set, self.topology),
-                    routing.hop_count(me, c),
-                    c,
-                ),
-            )
-        return weighted_path_selection(
-            consensus_set, candidates, self.topology, self.rng
-        )
 
     def _responder_order(self, verifying_origin: int, consensus_set: Set[int]) -> Iterator[int]:
         """Lines 13-25's responders for one extension, in asking order.
@@ -446,24 +425,13 @@ class PopValidator:
         # origin to R_i, so it is only asked once the others failed.
         return chain(order, (verifying_origin,))
 
-    def start(
-        self,
-        verifier: int,
-        block_id: Optional[BlockId] = None,
-        fetch_body: bool = True,
-    ) -> _PopRun:
-        """Transitional name of the continuation entry point."""
-        run = _PopRun(self, verifier, block_id, fetch_body)
-        self.interface.network.sim.call_in(0.0, run._start)
-        return run
-
     # -- public entry point ---------------------------------------------------
     def run(
         self,
         verifier: int,
         block_id: Optional[BlockId] = None,
         fetch_body: bool = True,
-    ) -> Generator:
+    ) -> _PopRun:
         """Verify ``block_id`` stored at ``verifier`` (its latest if None).
 
         With ``fetch_body=False`` only the header travels and the
@@ -472,231 +440,21 @@ class PopValidator:
         integrity is still covered: any body tamper changes the Root
         field and thus the header digest the path vouches for).
 
-        A generator to be driven by :meth:`repro.sim.Simulator.process`;
-        its return value is a :class:`PopOutcome`.
+        Returns at once; the run starts on the next kernel step, so the
+        order of starts within a time instant does not matter.  The
+        handle's ``value`` is the :class:`PopOutcome` once ``triggered``.
         """
-        sim = self.interface.network.sim
-        outcome = PopOutcome(started_at=sim.now)
+        run = _PopRun(self, verifier, block_id, fetch_body)
+        self.interface.network.sim.call_in(0.0, run._start)
+        return run
 
-        # --- Initialization: retrieve the block and check its root (lines 2-6).
-        header = yield from self._fetch_block(verifier, block_id, fetch_body, outcome)
-        if header is None:
-            outcome.finished_at = sim.now
-            return outcome
-        if not self._header_authentic(header, expected_origin=verifier):
-            outcome.error = "verifier-header-invalid"
-            outcome.finished_at = sim.now
-            return outcome
-
-        path: List[BlockHeader] = [header]
-        verifying = header
-        # Monotone per-run state guaranteeing termination:
-        # * dead_ends — blocks rolled back past; never re-adopted (the
-        #   paper's V' removal, but scoped to *blocks*: Algorithm 3
-        #   resets V' = V at every outer iteration (line 14), so a node
-        #   that dead-ended at its chain tip stays usable at its
-        #   earlier, mid-DAG blocks);
-        # * reply_memo — (responder, digest) pairs already asked this
-        #   run; responders answer deterministically (the oldest child,
-        #   Eq. 11), so re-asking after a rollback would waste the
-        #   round trip the memo now saves.
-        dead_ends: Set[BlockId] = set()
-        reply_memo: Dict[Tuple[int, bytes], Optional[BlockHeader]] = {}
-        quorum = self.config.consensus_quorum()
-        # R_i, kept in step with the path: TPS and live extensions add
-        # the origin they append; only a rollback re-derives it.
-        consensus_set = {header.origin}
-        # The path's headers that arrived over the network, in path
-        # order — the rest came out of H_i and need no re-insertion.
-        fetched: List[BlockHeader] = [header]
-
-        # --- Construct path (lines 8-38).
-        while True:
-            if self.use_tps:
-                result = trust_path_selection(
-                    self.cache, consensus_set, path, verifying,
-                    self.config.hash_bits, skip_ids=dead_ends,
-                )
-                outcome.tps_steps += result.steps
-                verifying = result.verifying_header
-            if len(consensus_set) >= quorum:
-                break
-
-            accepted = yield from self._extend_live(
-                verifying, consensus_set, dead_ends, reply_memo, outcome
-            )
-            if accepted is not None:
-                path.append(accepted)
-                fetched.append(accepted)
-                consensus_set.add(accepted.origin)
-                verifying = accepted
-                continue
-
-            # Rollback (lines 26-34): this verifying block is a dead end.
-            outcome.rollbacks += 1
-            dead_ends.add(verifying.block_id)
-            if path.pop() is fetched[-1]:
-                fetched.pop()
-            if not path:
-                outcome.error = "exhausted"
-                outcome.consensus_set = set()
-                outcome.finished_at = sim.now
-                return outcome
-            verifying = path[-1]
-            consensus_set = {h.origin for h in path}
-
-        # --- Success: persist the path into H_i (line 39).
-        for header in fetched:
-            self.cache.add(header)
-        outcome.success = True
-        outcome.consensus_set = consensus_set
-        outcome.path = path
-        outcome.finished_at = sim.now
-        return outcome
-
-    # -- steps ------------------------------------------------------------------
-    def _fetch_block(
-        self,
-        verifier: int,
-        block_id: Optional[BlockId],
-        fetch_body: bool,
-        outcome: PopOutcome,
-    ) -> Generator:
-        """Request the target block (or header) from the verifier.
-
-        Returns the verified-ready header, applying the Merkle-root
-        check (Algorithm 3 line 3) when the body was retrieved.
-        """
-        waiter = self.interface.request(
-            verifier,
-            KIND_BLOCK_FETCH,
-            BlockFetch(block_id=block_id, header_only=not fetch_body),
-            size_bits=BLOCK_FETCH_BITS,
-            timeout=self.config.reply_timeout,
-        )
-        outcome.requests_sent += 1
-        reply = yield waiter
-        if reply is None:
-            outcome.timeouts += 1
-            outcome.error = "verifier-timeout"
-            return None
-        outcome.replies_received += 1
-        payload = reply.payload
-        if fetch_body:
-            if not isinstance(payload, DataBlock):
-                outcome.invalid_replies += 1
-                outcome.error = "verifier-bad-payload"
-                return None
-            if not payload.verify_body_root():
-                outcome.error = "merkle-root-mismatch"
-                return None
-            return payload.header
-        if not isinstance(payload, BlockHeader):
-            outcome.invalid_replies += 1
-            outcome.error = "verifier-bad-payload"
-            return None
-        return payload
-
-    def _extend_live(
-        self,
-        verifying: BlockHeader,
-        consensus_set: Set[int],
-        dead_ends: Set[BlockId],
-        reply_memo: Dict[Tuple[int, bytes], Optional[BlockHeader]],
-        outcome: PopOutcome,
-    ) -> Generator:
-        """Lines 13-25: query neighbours of the verifying node via WPS.
-
-        Returns the accepted child header, or ``None`` when every
-        candidate neighbour failed (triggering rollback).
-        """
-        verifying_digest = verifying.digest(self.config.hash_bits)
-        candidates = {
-            n for n in self.topology.neighbors(verifying.origin)
-            if n != self.interface.node_id and n not in self.blacklist
-        }
-        # The validator can serve from its own store for free: if it is a
-        # neighbour of the verifying node, its own headers are already in
-        # the cache (TPS handled them), so exclude self from candidates.
-        #
-        # The verifying node itself is kept as a *last-resort* candidate:
-        # its next own block is always a child (the chain edge
-        # b_{v,t-1} -> b_{v,t} of the logical DAG), which lets the walk
-        # traverse micro-loops even when digest races left no neighbour
-        # with a child of this particular block.  It contributes no new
-        # origin to R_i, so it is only asked once WPS's candidates fail.
-        self_candidate = (
-            verifying.origin if verifying.origin != self.interface.node_id else None
-        )
-        while candidates or self_candidate is not None:
-            if not candidates:
-                chosen = self_candidate
-                self_candidate = None
-            else:
-                chosen = self._choose_candidate(consensus_set, candidates)
-                candidates.discard(chosen)
-            header = yield from self._ask_for_child(
-                chosen, verifying, verifying_digest, dead_ends, reply_memo, outcome
-            )
-            if header is not None:
-                return header
-        return None
-
-    def _ask_for_child(
-        self,
-        responder: int,
-        verifying: BlockHeader,
-        verifying_digest,
-        dead_ends: Set[BlockId],
-        reply_memo: Dict[Tuple[int, bytes], Optional[BlockHeader]],
-        outcome: PopOutcome,
-    ) -> Generator:
-        """One REQ_CHILD/RPY_CHILD exchange; returns the accepted header.
-
-        Responders answer deterministically (oldest child, Eq. 11), so
-        the reply for a (responder, digest) pair is memoised within the
-        run: rollback re-exploration costs no repeat round trips.
-        """
-        memo_key = (responder, verifying_digest.value)
-        if memo_key in reply_memo:
-            header = reply_memo[memo_key]
-            if header is None or header.block_id in dead_ends:
-                return None
-            return header
-
-        waiter = self.interface.request(
-            responder,
-            KIND_REQ_CHILD,
-            ReqChild(digest=verifying_digest, verifying_origin=verifying.origin),
-            size_bits=self.config.hash_bits,
-            timeout=self.config.reply_timeout,
-        )
-        outcome.requests_sent += 1
-        reply = yield waiter
-        if reply is None:
-            outcome.timeouts += 1
-            reply_memo[memo_key] = None
-            if self.on_no_reply is not None:
-                self.on_no_reply(responder)
-            return None
-        outcome.replies_received += 1
-        header = self._validate_reply(reply.payload, responder, verifying, verifying_digest)
-        if header is None:
-            outcome.invalid_replies += 1
-            reply_memo[memo_key] = None
-            return None
-        reply_memo[memo_key] = header
-        if header.block_id in dead_ends:
-            outcome.invalid_replies += 1
-            return None
-        return header
-
+    # -- checks -------------------------------------------------------------------
     def _validate_reply(
         self,
-        payload,
+        payload: object,
         responder: int,
         verifying: BlockHeader,
-        verifying_digest,
+        verifying_digest: Digest,
     ) -> Optional[BlockHeader]:
         """Line 21 plus authenticity checks; ``None`` rejects the reply."""
         if not isinstance(payload, RpyChild) or payload.header is None:

@@ -18,8 +18,12 @@ so no candidate's neighbourhood set is ever rebuilt — scoring is one
 C-level intersection count against the frozen table entry.  The weight
 values are exactly the same integer-ratio floats as the definitional
 formula, so selections (including tie-breaks) are bit-identical;
-``tests/pop/test_wps.py`` holds the two implementations equal on
-randomised consensus sets.
+``tests/pop/test_wps_equivalence.py`` holds the two implementations
+equal on randomised consensus sets.  Within one path extension ``R_i``
+does not change, so :func:`wps_order` scores every candidate once and
+serves all of the extension's picks from that one ranking;
+``tests/pop/test_wps.py`` holds it equal to repeated single picks, the
+state of ``rng`` after a partial walk included.
 """
 
 from __future__ import annotations
@@ -65,29 +69,23 @@ def wps_order(
         Tie-break randomness; deterministic (smallest id) when omitted.
     """
     # The weight expression is inlined — this runs for every live
-    # path-extension of every PoP run.  Sorted pairs put equal weights
-    # side by side, ids ascending within a weight.
+    # path-extension of every PoP run.  What a pick then costs is three
+    # C-level scans of a short float list.
     closed_table = topology.closed_neighborhoods
-    ranked = sorted([
-        (len(closed_table[c] & consensus_set) / len(closed_table[c]), c)
-        for c in set(candidates)
-    ])
-    start, count = 0, len(ranked)
-    while start < count:
-        weight = ranked[start][0]
-        end = start + 1
-        while end < count and ranked[end][0] == weight:
-            end += 1
-        tied = [c for _, c in ranked[start:end]]
-        while len(tied) > 1:
+    pool = sorted(set(candidates))
+    weights = [len((closed := closed_table[c]) & consensus_set) / len(closed) for c in pool]
+    while pool:
+        minimum = min(weights)
+        index = weights.index(minimum)
+        if weights.count(minimum) > 1:
+            tied = [c for c, weight in zip(pool, weights) if weight == minimum]
             # Lines 8-13: prefer candidates outside R_i when the tie is mixed.
             outside = [c for c in tied if c not in consensus_set]
-            pool = outside if outside and len(outside) != len(tied) else tied
-            chosen = pool[0] if rng is None else rng.choice(pool)
-            yield chosen
-            tied.remove(chosen)
-        yield tied[0]
-        start = end
+            if outside and len(outside) != len(tied):
+                tied = outside
+            index = pool.index(tied[0] if rng is None else rng.choice(tied))
+        yield pool[index]
+        del pool[index], weights[index]
 
 
 def weighted_path_selection(
@@ -110,11 +108,4 @@ def rank_candidates(
     consensus_set: AbstractSet[int], candidates: Sequence[int], topology: Topology
 ) -> List[int]:
     """All candidates ordered as WPS would prefer them (diagnostics)."""
-    return sorted(
-        set(candidates),
-        key=lambda c: (
-            closed_neighborhood_weight(c, consensus_set, topology),
-            c in consensus_set,
-            c,
-        ),
-    )
+    return list(wps_order(consensus_set, candidates, topology))

@@ -18,7 +18,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.core.block import BlockId
 from repro.core.config import ProtocolConfig
@@ -30,7 +30,6 @@ from repro.metrics.collector import StorageLedger, TrafficLedger
 from repro.net.topology import Topology, sequential_geometric_topology
 from repro.net.transport import Network
 from repro.sim.kernel import Simulator
-from repro.sim.process import Process
 from repro.sim.rng import RandomStreams
 from repro.sim.tracing import Tracer
 
@@ -245,7 +244,8 @@ class SlotSimulation:
         self.blocks_by_slot: Dict[int, List[BlockId]] = {}
         self.slot_reports: List[SlotReport] = []
         self.validations: List[ValidationRecord] = []
-        self._pending: List[Tuple[ValidationRecord, Process]] = []
+        #: Validations in flight, each with its ``verify_block`` handle.
+        self._pending: List[Tuple[ValidationRecord, Any]] = []
         self.current_slot = -1
         # Validation-target pool: blocks of fully simulated slots, kept
         # sorted incrementally.  Re-sorting every eligible block on every
@@ -301,10 +301,10 @@ class SlotSimulation:
                         slot_started=slot,
                         outcome=None,  # filled on completion
                     )
-                    process = node.verify_block(
+                    run = node.verify_block(
                         target.origin, target, fetch_body=self.fetch_body
                     )
-                    self._pending.append((record, process))
+                    self._pending.append((record, run))
                     report.validations_started += 1
                     tracer = self.deployment.tracer
                     if tracer.enabled:
@@ -380,10 +380,10 @@ class SlotSimulation:
 
     def _harvest_completed(self) -> None:
         tracer = self.deployment.tracer
-        still_pending: List[Tuple[ValidationRecord, Process]] = []
-        for record, process in self._pending:
-            if process.triggered and process.ok:
-                record.outcome = process.value
+        still_pending: List[Tuple[ValidationRecord, Any]] = []
+        for record, run in self._pending:
+            if run.triggered:
+                record.outcome = run.value
                 self.validations.append(record)
                 if tracer.enabled:
                     # Emitted at the validation's own finish time (the
@@ -395,10 +395,8 @@ class SlotSimulation:
                         success=record.outcome.success,
                         started=record.outcome.started_at,
                     )
-            elif process.triggered:
-                raise process.value
             else:
-                still_pending.append((record, process))
+                still_pending.append((record, run))
         self._pending = still_pending
 
     # -- results ----------------------------------------------------------------

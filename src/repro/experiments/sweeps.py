@@ -55,11 +55,9 @@ def _run_cold_validations(deployment, workload, count: int, rng) -> List:
         target = targets[i % len(targets)]
         validator_id = rng.choice([n for n in validators if n != target.origin])
         node = deployment.node(validator_id)
-        process = deployment.sim.process(
-            node.validator(use_tps=False).run(target.origin, target, fetch_body=False)
-        )
+        run = node.validator(use_tps=False).run(target.origin, target, fetch_body=False)
         deployment.sim.run()
-        outcomes.append(process.value)
+        outcomes.append(run.value)
     return outcomes
 
 

@@ -28,7 +28,7 @@ from repro.net.messages import Message
 from repro.net.routing import RoutingTable
 from repro.net.topology import Topology
 from repro.sim.errors import SchedulingError
-from repro.sim.kernel import Event, Simulator
+from repro.sim.kernel import Simulator
 from repro.sim.tracing import Tracer
 
 #: A drop rule decides, per message and hop, whether the link eats it.
@@ -58,7 +58,8 @@ class NodeInterface:
         self.network = network
         self.node_id = node_id
         self._handlers: Dict[str, Callable[[Message], None]] = {}
-        self._pending: Dict[int, Any] = {}
+        #: Request id -> its ``on_reply``, until answered or expired.
+        self._pending: Dict[int, Callable[[Optional[Message]], None]] = {}
         self._default_handler: Optional[Callable[[Message], None]] = None
 
     # -- registration ---------------------------------------------------
@@ -100,34 +101,27 @@ class NodeInterface:
 
     def request(
         self, recipient: int, kind: str, payload: Any, size_bits: int, timeout: float,
-        on_reply: Optional[Callable[[Optional[Message]], None]] = None,
-    ) -> Optional[Event]:
-        """Unicast; the reply goes to ``on_reply`` (``None`` on timeout).
+        on_reply: Callable[[Optional[Message]], None],
+    ) -> None:
+        """Unicast; ``on_reply`` gets the reply, or ``None`` on timeout.
 
-        Transitional: without ``on_reply`` an event is returned instead.
+        This is the validator's REQ_CHILD/RPY_CHILD pattern
+        (Algorithm 3, lines 17-19): ``on_reply`` is called once, as a
+        kernel event of its own, with the reply :class:`Message` — or
+        with ``None`` once ``timeout`` sim time elapses with no answer,
+        so silent malicious responders are survivable.
         """
-        sim = self.network.sim
         if timeout < 0:
             raise SchedulingError(f"negative timeout: {timeout}")
         msg_id = self.send(recipient, kind, payload, size_bits).msg_id
-        waiter = None
-        if on_reply is None:
-            waiter = self._pending[msg_id] = sim.event()
-        else:
-            self._pending[msg_id] = on_reply
+        self._pending[msg_id] = on_reply
         # Only the id rides to the timeout, so an answered request is freed.
-        sim.call_in(timeout, self._expire, msg_id)
-        return waiter
+        self.network.sim.call_in(timeout, self._expire, msg_id)
 
     def _expire(self, msg_id: int) -> None:
-        waiter = self._pending.pop(msg_id, None)
-        if waiter is None:
-            return
-        if isinstance(waiter, Event):
-            if not waiter.triggered:
-                waiter.succeed(None)
-        else:
-            self.network.sim.call_in(0.0, waiter, None)
+        on_reply = self._pending.pop(msg_id, None)
+        if on_reply is not None:
+            self.network.sim.call_in(0.0, on_reply, None)
 
 
 class Network:
@@ -254,18 +248,15 @@ class Network:
             self.sim.call_in_each(delay, self._deliver, group)
 
     def _deliver(self, message: Message) -> None:
-        """Hand an arrived message to its reply waiter or its kind handler."""
+        """Hand an arrived message to its request's callback or its kind handler."""
         # The interface is resolved now, not at send time.
         interface = self._interfaces.get(message.recipient)
         if interface is None:
             return
         if message.in_reply_to is not None:
-            waiter = interface._pending.pop(message.in_reply_to, None)
-            if waiter is not None:
-                if not isinstance(waiter, Event):
-                    self.sim.call_in(0.0, waiter, message)
-                elif not waiter.triggered:
-                    waiter.succeed(message)
+            on_reply = interface._pending.pop(message.in_reply_to, None)
+            if on_reply is not None:
+                self.sim.call_in(0.0, on_reply, message)
                 return
         handler = interface._handlers.get(message.kind, interface._default_handler)
         if handler is not None:

@@ -2,8 +2,7 @@
 
 This package provides the simulation substrate used by every protocol in
 the reproduction: an event heap with deterministic tie-breaking
-(:mod:`repro.sim.kernel`), generator-based processes
-(:mod:`repro.sim.process`), named deterministic random streams
+(:mod:`repro.sim.kernel`), named deterministic random streams
 (:mod:`repro.sim.rng`) and structured event tracing
 (:mod:`repro.sim.tracing`).
 
@@ -22,21 +21,16 @@ Example
 [3.0]
 """
 
-from repro.sim.errors import SimulationError, StopProcess
-from repro.sim.kernel import Event, ScheduledCall, Simulator, Timeout
-from repro.sim.process import Process
+from repro.sim.errors import SimulationError
+from repro.sim.kernel import ScheduledCall, Simulator
 from repro.sim.rng import RandomStreams
 from repro.sim.tracing import TraceRecord, Tracer
 
 __all__ = [
-    "Event",
-    "Process",
     "RandomStreams",
     "ScheduledCall",
     "SimulationError",
     "Simulator",
-    "StopProcess",
-    "Timeout",
     "TraceRecord",
     "Tracer",
 ]

@@ -5,8 +5,8 @@ class SimulationError(Exception):
     """Base class for all kernel-level failures.
 
     Raised for misuse of the kernel itself (scheduling into the past,
-    re-triggering an already-triggered event, running a stopped
-    simulator).  Protocol-level failures never use this type.
+    cancelling a call that already ran, re-entering ``run()``).
+    Protocol-level failures never use this type.
     """
 
 
@@ -15,12 +15,4 @@ class SchedulingError(SimulationError):
 
 
 class EventStateError(SimulationError):
-    """An event was triggered or cancelled in an incompatible state."""
-
-
-class StopProcess(Exception):
-    """Thrown into a process generator to terminate it early.
-
-    Processes may catch this to run clean-up code, but must re-raise or
-    return afterwards.
-    """
+    """A scheduled call was cancelled in an incompatible state."""

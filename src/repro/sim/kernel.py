@@ -1,25 +1,18 @@
 """Event heap and simulator core.
 
 The kernel is a classic discrete-event loop: a priority queue of
-:class:`Event` objects ordered by ``(time, priority, sequence)``.  The
+scheduled calls ordered by ``(time, priority, sequence)``.  The
 sequence number makes the order of same-time, same-priority events equal
 to their scheduling order, which keeps whole simulations reproducible
 from a single seed.
 
-Two scheduling styles are supported:
-
-* callback style — :meth:`Simulator.call_at` / :meth:`Simulator.call_in`
-  run ``fn(*args)`` at a simulated time (scheduled as a lightweight
-  :class:`ScheduledCall`, the kernel's allocation-lean fast path);
-  :meth:`Simulator.call_in_each` queues a whole fan-out, one event per
-  item, as a single :class:`ScheduledBatch`;
-* process style — :class:`repro.sim.process.Process` wraps a generator
-  that ``yield``\\ s events (usually :class:`Timeout`) and is resumed when
-  they trigger.
-
-Both styles are used by the protocol implementations: slot-driven block
-generation uses callbacks, while the PoP validator (which waits on
-replies with timeouts) is a process.
+There is one scheduling style, the callback: :meth:`Simulator.call_at` /
+:meth:`Simulator.call_in` run ``fn(*args)`` at a simulated time (one
+lightweight :class:`ScheduledCall` each), and
+:meth:`Simulator.call_in_each` queues a whole fan-out, one event per
+item, as a single :class:`ScheduledBatch`.  Anything that waits — the
+PoP validator on a reply or its timeout — keeps its own state and is
+re-entered by the call it scheduled.
 """
 
 from __future__ import annotations
@@ -27,12 +20,9 @@ from __future__ import annotations
 import heapq
 import itertools
 from operator import length_hint
-from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from repro.sim.errors import EventStateError, SchedulingError, SimulationError
-
-if TYPE_CHECKING:
-    from repro.sim.process import Process
 
 #: Priority given to ordinary events.
 PRIORITY_NORMAL = 10
@@ -45,132 +35,17 @@ PRIORITY_LOW = 20
 _BEFORE_ALL = float("-inf")
 
 
-class Event:
-    """A schedulable occurrence with callbacks.
-
-    An event moves through three states: *pending* (created, not yet
-    triggered), *triggered* (given a time and queued) and *processed*
-    (callbacks executed).  A callback receives the event itself and can
-    inspect :attr:`value`.
-
-    Events are also usable as one-shot futures: a process may ``yield``
-    an event and is resumed with :attr:`value` when it is processed.
-    """
-
-    __slots__ = ("sim", "callbacks", "_value", "_ok", "_triggered", "_processed", "_cancelled")
-
-    def __init__(self, sim: "Simulator") -> None:
-        self.sim = sim
-        self.callbacks: List[Callable[["Event"], None]] = []
-        self._value: Any = None
-        self._ok: bool = True
-        self._triggered = False
-        self._processed = False
-        self._cancelled = False
-
-    # -- state inspection -------------------------------------------------
-    @property
-    def triggered(self) -> bool:
-        """Whether the event has been placed on the event heap."""
-        return self._triggered
-
-    @property
-    def processed(self) -> bool:
-        """Whether callbacks have already run."""
-        return self._processed
-
-    @property
-    def cancelled(self) -> bool:
-        """Whether the event was cancelled before processing."""
-        return self._cancelled
-
-    @property
-    def ok(self) -> bool:
-        """``False`` when the event carries a failure (see :meth:`fail`)."""
-        return self._ok
-
-    @property
-    def value(self) -> Any:
-        """Payload delivered to waiters; an exception instance if failed."""
-        return self._value
-
-    # -- state transitions -------------------------------------------------
-    def succeed(self, value: Any = None, delay: float = 0.0) -> "Event":
-        """Trigger the event successfully after ``delay`` sim-time units."""
-        if self._triggered:
-            raise EventStateError("event already triggered")
-        if delay < 0:
-            raise SchedulingError(f"negative delay: {delay}")
-        self._value = value
-        self._ok = True
-        self.sim._enqueue(self.sim.now + delay, PRIORITY_NORMAL, self)
-        self._triggered = True
-        return self
-
-    def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":
-        """Trigger the event as a failure carrying ``exception``.
-
-        A process waiting on the event will have the exception thrown
-        into it; callback listeners receive the event with ``ok`` False.
-        """
-        if self._triggered:
-            raise EventStateError("event already triggered")
-        if not isinstance(exception, BaseException):
-            raise TypeError("fail() requires an exception instance")
-        if delay < 0:
-            raise SchedulingError(f"negative delay: {delay}")
-        self._value = exception
-        self._ok = False
-        self.sim._enqueue(self.sim.now + delay, PRIORITY_NORMAL, self)
-        self._triggered = True
-        return self
-
-    def cancel(self) -> None:
-        """Prevent a triggered-but-unprocessed event from running.
-
-        Cancelling an already-processed event is an error; cancelling a
-        never-triggered event simply marks it so it can't be triggered.
-        """
-        if self._processed:
-            raise EventStateError("cannot cancel a processed event")
-        self._cancelled = True
-
-    # -- kernel hooks -------------------------------------------------------
-    def _process(self) -> None:
-        if self._cancelled:
-            return
-        self._processed = True
-        callbacks, self.callbacks = self.callbacks, []
-        for callback in callbacks:
-            callback(self)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = (
-            "cancelled" if self._cancelled
-            else "processed" if self._processed
-            else "triggered" if self._triggered
-            else "pending"
-        )
-        return f"<{type(self).__name__} {state} value={self._value!r}>"
-
-
 class ScheduledCall:
-    """The ``call_at``/``call_in`` fast path: a one-shot callback entry.
+    """The ``call_at``/``call_in`` entry: a one-shot callback.
 
     Callback scheduling is the kernel's hottest operation (every digest
-    push, transport delivery and slot tick goes through it), and a full
-    :class:`Event` costs a callbacks list, a value slot and a wrapping
-    closure per call.  A ``ScheduledCall`` carries only the callable
-    and its positional arguments (so callers need no ``partial`` or
-    closure); it shares the heap with full events and obeys the same
-    ``(time, priority, sequence)`` ordering, so interleavings — and
-    therefore whole-simulation determinism — are unchanged.
+    push, transport delivery, reply hand-over and slot tick goes through
+    it), so a ``ScheduledCall`` carries only the callable and its
+    positional arguments — callers need no ``partial`` or closure.
 
-    The handle supports the same lifecycle queries and lazy
-    cancellation contract as :class:`Event` (``cancel`` before
-    processing works; cancelling after processing raises), but it is
-    not awaitable and takes no extra callbacks — use
-    :meth:`Simulator.event` when a future is needed.
+    The handle answers ``processed``/``cancelled`` and cancels lazily:
+    ``cancel`` before processing works (the heap entry lingers until it
+    surfaces); cancelling after processing raises.
     """
 
     __slots__ = ("fn", "args", "_processed", "_cancelled")
@@ -232,22 +107,6 @@ class ScheduledBatch:
         self.members = iter(items)
 
 
-class Timeout(Event):
-    """An event that triggers itself ``delay`` units after creation."""
-
-    __slots__ = ("delay",)
-
-    def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise SchedulingError(f"negative timeout delay: {delay}")
-        super().__init__(sim)
-        self.delay = delay
-        self._value = value
-        self._ok = True
-        sim._enqueue(sim.now + delay, PRIORITY_NORMAL, self)
-        self._triggered = True
-
-
 class Simulator:
     """The discrete-event loop.
 
@@ -266,8 +125,8 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
-        # Heap entries hold a full Event or a ScheduledCall (both expose
-        # ._cancelled and ._process(), all _drain() needs) or a ScheduledBatch.
+        # Heap entries hold a ScheduledCall or a ScheduledBatch; both
+        # expose ._cancelled, all _drain() asks before dispatching.
         self._heap: List[Tuple[float, int, int, Any]] = []
         self._sequence = itertools.count()
         # Batch members not yet started, beyond one per batch heap entry.
@@ -298,14 +157,6 @@ class Simulator:
         return self._cancelled_count
 
     # -- event creation -------------------------------------------------------
-    def event(self) -> Event:
-        """Create an untriggered :class:`Event` bound to this simulator."""
-        return Event(self)
-
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """Create a :class:`Timeout` triggering ``delay`` from now."""
-        return Timeout(self, delay, value)
-
     def call_at(
         self, time: float, fn: Callable[..., None], *args: Any, priority: int = PRIORITY_NORMAL
     ) -> "ScheduledCall":
@@ -348,16 +199,7 @@ class Simulator:
             heapq.heappush(self._heap, (self._now + delay, priority, next(self._sequence), entry))
             self._batched += len(members) - 1
 
-    def process(self, generator: Generator["Event", Any, Any]) -> "Process":
-        """Start a generator as a :class:`repro.sim.process.Process`."""
-        from repro.sim.process import Process
-
-        return Process(self, generator)
-
     # -- execution ---------------------------------------------------------
-    def _enqueue(self, time: float, priority: int, event: Event) -> None:
-        heapq.heappush(self._heap, (time, priority, next(self._sequence), event))
-
     def _drain(self, until: Optional[float], limit: Optional[int]) -> int:
         """The one event loop behind :meth:`peek`, :meth:`step` and :meth:`run`.
 

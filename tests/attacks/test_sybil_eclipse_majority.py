@@ -28,36 +28,31 @@ class TestSybil:
         # what the validator's _header_authentic check requires.
         assert not small_deployment.registry.is_registered(forged.origin)
 
-    def test_duplicate_identities_cannot_inflate_consensus_set(self, small_deployment):
+    def test_duplicate_identities_cannot_inflate_consensus_set(self, small_deployment, finished):
         """R_i is a set of unique nodes: replaying one node's blocks
         adds nothing (the Sybil defence the paper relies on)."""
         workload = SlotSimulation(small_deployment, validate=False)
         workload.run(10)
         target = workload.blocks_by_slot[0][0]
         node = small_deployment.node(8)
-        process = small_deployment.sim.process(
-            node.validator().run(target.origin, target)
-        )
-        small_deployment.sim.run()
-        outcome = process.value
+        outcome = finished(small_deployment.sim, node.validator().run(target.origin, target))
         assert outcome.success
         origins = [h.origin for h in outcome.path]
         assert len(outcome.consensus_set) == len(set(origins))
 
 
 class TestEclipse:
-    def test_eclipsed_validator_cannot_verify(self, small_config, grid9):
+    def test_eclipsed_validator_cannot_verify(self, small_config, grid9, finished):
         deployment = TwoLayerDagNetwork(config=small_config, topology=grid9, seed=2)
         workload = SlotSimulation(deployment, validate=False)
         workload.run(10)
         deployment.network.add_drop_rule(eclipse_victim(8))
         target = workload.blocks_by_slot[0][0]
-        process = deployment.sim.process(
-            deployment.node(8).validator().run(target.origin, target)
+        outcome = finished(
+            deployment.sim, deployment.node(8).validator().run(target.origin, target)
         )
-        deployment.sim.run()
-        assert not process.value.success
-        assert process.value.error == "verifier-timeout"
+        assert not outcome.success
+        assert outcome.error == "verifier-timeout"
 
     def test_digest_gossip_survives_partial_eclipse(self, small_config, grid9):
         """The default eclipse filters PoP kinds only: the victim still
@@ -69,18 +64,17 @@ class TestEclipse:
         victim = deployment.node(8)
         assert len(victim.neighbor_digests) == len(grid9.neighbors(8))
 
-    def test_other_validators_unaffected(self, small_config, grid9):
+    def test_other_validators_unaffected(self, small_config, grid9, finished):
         deployment = TwoLayerDagNetwork(config=small_config, topology=grid9, seed=2)
         workload = SlotSimulation(deployment, validate=False)
         workload.run(10)
         deployment.network.add_drop_rule(eclipse_victim(8))
         target = workload.blocks_by_slot[0][0]
         validator_id = 0 if target.origin != 0 else 1
-        process = deployment.sim.process(
-            deployment.node(validator_id).validator().run(target.origin, target)
+        outcome = finished(
+            deployment.sim, deployment.node(validator_id).validator().run(target.origin, target)
         )
-        deployment.sim.run()
-        assert process.value.success
+        assert outcome.success
 
 
 class TestCoalition:
@@ -95,7 +89,7 @@ class TestCoalition:
         with pytest.raises(ValueError):
             make_coalition(grid9, 9, streams, protect=[0])
 
-    def test_consensus_despite_gamma_malicious(self):
+    def test_consensus_despite_gamma_malicious(self, finished):
         """The majority-attack claim at small scale: γ silent nodes
         cannot stop a validator that tolerates γ."""
         from repro.net.topology import grid_topology
@@ -112,8 +106,7 @@ class TestCoalition:
         target = next(
             b for b in workload.blocks_by_slot[0] if b.origin == 0
         )
-        process = deployment.sim.process(
-            deployment.node(15).validator().run(target.origin, target)
+        outcome = finished(
+            deployment.sim, deployment.node(15).validator().run(target.origin, target)
         )
-        deployment.sim.run()
-        assert process.value.success
+        assert outcome.success

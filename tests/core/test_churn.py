@@ -74,7 +74,7 @@ class TestChurn:
 
 
 class TestHopAwareValidator:
-    def test_hop_aware_succeeds_and_spends_fewer_bytes(self, small_deployment):
+    def test_hop_aware_succeeds_and_spends_fewer_bytes(self, small_deployment, finished):
         from repro.core.protocol import SlotSimulation
 
         workload = SlotSimulation(small_deployment, generation_period=1)
@@ -83,11 +83,10 @@ class TestHopAwareValidator:
         validator = 8 if target.origin != 8 else 7
         node = small_deployment.node(validator)
 
-        process = small_deployment.sim.process(
-            node.validator(hop_aware=True).run(target.origin, target)
+        outcome = finished(
+            small_deployment.sim, node.validator(hop_aware=True).run(target.origin, target)
         )
-        small_deployment.sim.run()
-        assert process.value.success
-        assert len(process.value.consensus_set) >= (
+        assert outcome.success
+        assert len(outcome.consensus_set) >= (
             small_deployment.config.consensus_quorum()
         )

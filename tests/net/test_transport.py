@@ -9,6 +9,7 @@ import pytest
 from repro.metrics.collector import TrafficLedger
 from repro.net.linkmodels import LinkDegradation
 from repro.net.transport import Network
+from repro.sim.errors import SchedulingError
 from repro.sim.kernel import Simulator
 
 
@@ -185,16 +186,34 @@ class TestRequestReply:
     def test_reply_resolves_request(self, network):
         responder = network.attach(3)
         responder.on("ask", lambda m: responder.reply(m, "answer", m.payload * 2, 50))
-        waiter = network.attach(0).request(3, "ask", 21, 10, timeout=1.0)
+        replies = []
+        network.attach(0).request(3, "ask", 21, 10, timeout=1.0, on_reply=replies.append)
         network.sim.run()
-        assert waiter.value.payload == 42
+        assert [m.payload for m in replies] == [42]  # once, and not again at expiry
+
+    def test_reply_reaches_the_callback_in_an_event_of_its_own(self, network):
+        # _drain -> ScheduledCall._process -> on_reply, one step after the
+        # delivery: a validator's continuation never runs inside _deliver.
+        responder = network.attach(3)
+        responder.on("ask", lambda m: responder.reply(m, "answer", None, 10))
+        stacks = []
+        network.attach(0).request(
+            3, "ask", None, 10, timeout=1.0, on_reply=lambda m: stacks.append(_frames_above(2))
+        )
+        sim = network.sim
+        assert sim.step() and sim.step()  # request delivery, reply delivery
+        assert stacks == [] and sim.processed_count == 2
+        assert sim.step() and sim.now == pytest.approx(0.06)
+        assert stacks == [["_process", "_drain"]] and sim.processed_count == 3
 
     def test_timeout_yields_none(self, network):
         network.attach(3)  # no handler: silent
-        waiter = network.attach(0).request(3, "ask", None, 10, timeout=0.5)
+        replies = []
+        network.attach(0).request(3, "ask", None, 10, timeout=0.5, on_reply=replies.append)
         network.sim.run()
-        assert waiter.processed
-        assert waiter.value is None
+        assert replies == [None]
+        # request delivery, the expiry, the callback's own event
+        assert network.sim.now == 0.5 and network.sim.processed_count == 3
 
     def test_late_reply_after_timeout_is_ignored(self, network):
         responder = network.attach(3)
@@ -203,55 +222,71 @@ class TestRequestReply:
             network.sim.call_in(2.0, lambda: responder.reply(message, "late", None, 10))
 
         responder.on("ask", slow_answer)
-        waiter = network.attach(0).request(3, "ask", None, 10, timeout=0.5)
+        replies = []
+        network.attach(0).request(3, "ask", None, 10, timeout=0.5, on_reply=replies.append)
         network.sim.run()
-        assert waiter.value is None  # timeout won; late reply dropped
-
+        assert replies == [None]  # timeout won; late reply dropped
 
     def test_late_reply_does_not_resurrect_the_waiter(self, network):
         responder, requester = network.attach(3), network.attach(0)
-        strays = []
+        strays, replies = [], []
         requester.on("late", strays.append)
         responder.on("ask", lambda m: network.sim.call_in(2.0, responder.reply, m, "late", "x", 10))
-        waiter = requester.request(3, "ask", None, 10, timeout=0.5)
+        requester.request(3, "ask", None, 10, timeout=0.5, on_reply=replies.append)
         network.sim.run(until=1.0)
-        assert waiter.processed and waiter.value is None
+        assert replies == [None]
         assert requester._pending == {}
         network.sim.run()
-        # The reply found no waiter: it went to the kind handler like any
-        # unsolicited message, and the timed-out event stayed as it was.
+        # The reply found no request waiting: it went to the kind handler
+        # like any unsolicited message, and the callback was not called again.
         assert requester._pending == {}
-        assert waiter.value is None
+        assert replies == [None]
         assert [m.payload for m in strays] == ["x"]
 
     def test_answered_request_is_released_before_its_timeout(self, network):
         class Payload:
             pass
 
+        class Callback:
+            def __call__(self, message):
+                kinds.append(message.kind)
+
         responder = network.attach(3)
         responder.on("ask", lambda m: responder.reply(m, "answer", None, 10))
-        payload = Payload()
-        alive = weakref.ref(payload)
-        waiter = network.attach(0).request(3, "ask", payload, 10, timeout=5.0)
-        del payload
+        kinds = []
+        payload, callback = Payload(), Callback()
+        alive = [weakref.ref(payload), weakref.ref(callback)]
+        network.attach(0).request(3, "ask", payload, 10, timeout=5.0, on_reply=callback)
+        del payload, callback
         network.sim.run(until=1.0)  # round trip is 0.06; the timeout is still queued
-        assert waiter.processed and waiter.value.kind == "answer"
+        assert kinds == ["answer"]
         assert network.sim.pending_count == 1
         gc.collect()
-        assert alive() is None
+        assert [ref() for ref in alive] == [None, None]
 
     def test_expiry_after_a_reply_is_still_one_event(self, network):
         responder = network.attach(3)
         responder.on("ask", lambda m: responder.reply(m, "answer", None, 10))
-        waiter = network.attach(0).request(3, "ask", None, 10, timeout=5.0)
+        replies = []
+        network.attach(0).request(3, "ask", None, 10, timeout=5.0, on_reply=replies.append)
         network.sim.run(until=1.0)
-        # request delivery, reply delivery, the waiter's own event
+        # request delivery, reply delivery, the callback's own event
         assert network.sim.processed_count == 3
         network.sim.run()
         assert network.sim.now == 5.0
         assert network.sim.processed_count == 4  # the no-op expiry is counted
         assert network.sim.cancelled_count == 0
-        assert waiter.value.kind == "answer"
+        assert [m.kind for m in replies] == ["answer"]
+
+    def test_negative_timeout_is_refused_before_anything_is_sent(self, network):
+        network.attach(3)
+        requester = network.attach(0)
+        with pytest.raises(SchedulingError):
+            requester.request(3, "ask", None, 10, timeout=-0.5, on_reply=lambda m: None)
+        # No message on the medium, no pending entry that nothing would expire.
+        assert requester._pending == {}
+        assert network.sim.pending_count == 0
+        assert network.ledger.message_counts() == {}
 
 
 class TestDropRules:

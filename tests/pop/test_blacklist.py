@@ -59,20 +59,18 @@ class TestBlacklistWiring:
         # The strongest check: zero new timeouts attributable to node 5.
         assert all(o.timeouts == 0 for o in outcomes) or 5 in validator.blacklist
 
-    def test_blacklist_opt_out(self, attacked_deployment):
+    def test_blacklist_opt_out(self, attacked_deployment, finished):
         deployment, workload = attacked_deployment
         validator = deployment.node(15)
         validator.blacklist.add(5)
         target = workload.blocks_by_slot[0][0]
         if target.origin == 15:
             target = workload.blocks_by_slot[0][1]
-        process = deployment.sim.process(
-            validator.validator(use_blacklist=False).run(
-                target.origin, target, fetch_body=False
-            )
+        outcome = finished(
+            deployment.sim,
+            validator.validator(use_blacklist=False).run(target.origin, target, fetch_body=False),
         )
-        deployment.sim.run()
-        assert process.value.success  # ignoring the blacklist still works
+        assert outcome.success  # ignoring the blacklist still works
 
     def test_forgiveness_restores_queries(self, attacked_deployment):
         deployment, workload = attacked_deployment

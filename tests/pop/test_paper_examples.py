@@ -82,7 +82,7 @@ class TestFig6MicroLoop:
         config = ProtocolConfig(body_bits=800, gamma=2, reply_timeout=0.2)
         return TwoLayerDagNetwork(config=config, topology=topology, seed=0)
 
-    def test_micro_loop_path_repeats_origins(self, fig6_deployment):
+    def test_micro_loop_path_repeats_origins(self, fig6_deployment, finished):
         deployment = fig6_deployment
         sim = deployment.sim
         node_a, node_b, node_c = (deployment.node(i) for i in (0, 1, 2))
@@ -103,9 +103,7 @@ class TestFig6MicroLoop:
         # Verify B's genesis block from A; quorum needs A, B and C, so
         # the path must run the A/B micro-loop until it reaches C's block.
         target = node_b.store.by_index(0).block_id
-        process = sim.process(node_a.validator().run(1, target))
-        sim.run()
-        outcome = process.value
+        outcome = finished(sim, node_a.validator().run(1, target))
         assert outcome.success
         origins = [h.origin for h in outcome.path]
         assert set(origins) == {0, 1, 2}
@@ -113,7 +111,7 @@ class TestFig6MicroLoop:
         first_c = origins.index(2)
         assert len(origins[:first_c]) > len(set(origins[:first_c]))
 
-    def test_proposition5_bounds_loop_length(self, fig6_deployment):
+    def test_proposition5_bounds_loop_length(self, fig6_deployment, finished):
         from repro.analysis.bounds import prop5_micro_loop_block_bound
 
         deployment = fig6_deployment
@@ -130,9 +128,7 @@ class TestFig6MicroLoop:
         sim.run()
 
         target = node_b.store.by_index(0).block_id
-        process = sim.process(node_a.validator().run(1, target))
-        sim.run()
-        outcome = process.value
+        outcome = finished(sim, node_a.validator().run(1, target))
         assert outcome.success
 
         # Rates: A and B at 1 block/slot, C at 1/5. M = {A, B}.

@@ -1,20 +1,31 @@
 """Unit tests for the PoP validator (Algorithm 3)."""
 
+import random
+import sys
+from functools import partial
+from itertools import islice
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.attacks.behaviors import CorruptResponder, EquivocatingResponder, SilentResponder
 from repro.core.config import ProtocolConfig
+from repro.core.node import IoTNode
+from repro.core.pop.wps import closed_neighborhood_weight
 from repro.core.protocol import SlotSimulation, TwoLayerDagNetwork
 from repro.net.topology import grid_topology
 
 
-def run_validation(deployment, validator_id, verifier_id, block_id=None, **kwargs):
+@pytest.fixture
+def run_validation(finished):
     """Drive one PoP run to completion and return the outcome."""
-    node = deployment.node(validator_id)
-    process = deployment.sim.process(
-        node.validator().run(verifier_id, block_id, **kwargs)
-    )
-    deployment.sim.run()
-    return process.value
+
+    def run_validation(deployment, validator_id, verifier_id, block_id=None, **kwargs):
+        node = deployment.node(validator_id)
+        return finished(deployment.sim, node.validator().run(verifier_id, block_id, **kwargs))
+
+    return run_validation
 
 
 def grow_dag(deployment, slots, jitter=0.0):
@@ -26,7 +37,7 @@ def grow_dag(deployment, slots, jitter=0.0):
 
 
 class TestSuccess:
-    def test_reaches_consensus_on_old_block(self, small_config, grid9):
+    def test_reaches_consensus_on_old_block(self, small_config, grid9, run_validation):
         deployment = TwoLayerDagNetwork(config=small_config, topology=grid9, seed=1)
         workload = grow_dag(deployment, 10)
         target = workload.blocks_by_slot[0][0]
@@ -35,7 +46,7 @@ class TestSuccess:
         assert len(outcome.consensus_set) >= small_config.consensus_quorum()
         assert outcome.path[0].block_id == target
 
-    def test_path_is_connected_chain_of_children(self, small_config, grid9):
+    def test_path_is_connected_chain_of_children(self, small_config, grid9, run_validation):
         deployment = TwoLayerDagNetwork(config=small_config, topology=grid9, seed=1)
         workload = grow_dag(deployment, 10)
         target = workload.blocks_by_slot[0][0]
@@ -44,7 +55,7 @@ class TestSuccess:
         for parent, child in zip(outcome.path, outcome.path[1:]):
             assert child.references(parent.digest(hash_bits))
 
-    def test_verify_latest_block_without_id(self, small_config, grid9):
+    def test_verify_latest_block_without_id(self, small_config, grid9, run_validation):
         deployment = TwoLayerDagNetwork(config=small_config, topology=grid9, seed=1)
         grow_dag(deployment, 10)
         # The latest block has no descendants yet; consensus on it can
@@ -53,7 +64,7 @@ class TestSuccess:
         outcome = run_validation(deployment, 8, 0, None)
         assert outcome.error in (None, "exhausted")
 
-    def test_cold_cache_meets_prop4_lower_bound(self, grid9):
+    def test_cold_cache_meets_prop4_lower_bound(self, grid9, run_validation):
         config = ProtocolConfig(body_bits=8_000, gamma=2)
         deployment = TwoLayerDagNetwork(config=config, topology=grid9, seed=3)
         workload = grow_dag(deployment, 8)
@@ -66,7 +77,7 @@ class TestSuccess:
         # Proposition 4: ≥ 2(γ+1) messages when H_i is empty.
         assert outcome.message_total >= 2 * (config.gamma + 1)
 
-    def test_successful_path_populates_cache(self, small_config, grid9):
+    def test_successful_path_populates_cache(self, small_config, grid9, run_validation):
         deployment = TwoLayerDagNetwork(config=small_config, topology=grid9, seed=1)
         workload = grow_dag(deployment, 10)
         target = workload.blocks_by_slot[0][0]
@@ -78,7 +89,7 @@ class TestSuccess:
         for header in outcome.path:
             assert validator_node.cache.get(header.block_id) is not None
 
-    def test_second_validation_uses_tps(self, small_config, grid9):
+    def test_second_validation_uses_tps(self, small_config, grid9, run_validation):
         deployment = TwoLayerDagNetwork(config=small_config, topology=grid9, seed=1)
         workload = grow_dag(deployment, 10)
         target = workload.blocks_by_slot[0][0]
@@ -90,7 +101,7 @@ class TestSuccess:
 
 
 class TestFailureModes:
-    def test_silent_verifier_times_out(self, small_config, grid9):
+    def test_silent_verifier_times_out(self, small_config, grid9, run_validation):
         behaviors = {0: SilentResponder()}
         deployment = TwoLayerDagNetwork(
             config=small_config, topology=grid9, seed=1, behaviors=behaviors
@@ -100,7 +111,7 @@ class TestFailureModes:
         assert not outcome.success
         assert outcome.error == "verifier-timeout"
 
-    def test_young_block_cannot_reach_consensus(self, small_config, grid9):
+    def test_young_block_cannot_reach_consensus(self, small_config, grid9, run_validation):
         deployment = TwoLayerDagNetwork(config=small_config, topology=grid9, seed=1)
         workload = grow_dag(deployment, 3)
         # Verify the newest block: no descendants exist yet.
@@ -109,7 +120,7 @@ class TestFailureModes:
         assert not outcome.success
         assert outcome.error == "exhausted"
 
-    def test_unknown_block_id_fails(self, small_config, grid9):
+    def test_unknown_block_id_fails(self, small_config, grid9, run_validation):
         from repro.core.block import BlockId
 
         deployment = TwoLayerDagNetwork(config=small_config, topology=grid9, seed=1)
@@ -120,7 +131,7 @@ class TestFailureModes:
 
 
 class TestAdversaries:
-    def test_routes_around_silent_responders(self):
+    def test_routes_around_silent_responders(self, run_validation):
         """Fig. 5's scenario: the walk detours around silent nodes."""
         config = ProtocolConfig(body_bits=8_000, gamma=3, reply_timeout=0.1)
         grid = grid_topology(4, 4)
@@ -140,7 +151,7 @@ class TestAdversaries:
             h.origin not in behaviors for h in outcome.path
         )
 
-    def test_corrupt_replies_rejected_but_consensus_survives(self):
+    def test_corrupt_replies_rejected_but_consensus_survives(self, run_validation):
         config = ProtocolConfig(body_bits=8_000, gamma=3, reply_timeout=0.1)
         grid = grid_topology(4, 4)
         behaviors = {5: CorruptResponder()}
@@ -158,7 +169,7 @@ class TestAdversaries:
             public = deployment.registry.public_key(header.origin)
             assert header.verify_signature(public)
 
-    def test_equivocating_replies_rejected(self):
+    def test_equivocating_replies_rejected(self, run_validation):
         config = ProtocolConfig(body_bits=8_000, gamma=3, reply_timeout=0.1)
         grid = grid_topology(4, 4)
         behaviors = {5: EquivocatingResponder()}
@@ -177,32 +188,162 @@ class TestAdversaries:
 
 
 class TestAblations:
-    def test_wps_disabled_still_correct(self, small_config, grid9):
+    def test_wps_disabled_still_correct(self, small_config, grid9, finished):
         deployment = TwoLayerDagNetwork(config=small_config, topology=grid9, seed=4)
         workload = grow_dag(deployment, 10)
         target = workload.blocks_by_slot[0][0]
         node = deployment.node(8)
-        process = deployment.sim.process(
-            node.validator(use_wps=False).run(target.origin, target)
+        outcome = finished(
+            deployment.sim, node.validator(use_wps=False).run(target.origin, target)
         )
-        deployment.sim.run()
-        assert process.value.success
+        assert outcome.success
 
-    def test_tps_disabled_costs_more_messages(self, small_config, grid9):
+    def test_tps_disabled_costs_more_messages(self, small_config, grid9, finished):
         deployment = TwoLayerDagNetwork(config=small_config, topology=grid9, seed=4)
         workload = grow_dag(deployment, 10)
         target = workload.blocks_by_slot[0][0]
         node = deployment.node(8)
 
-        with_tps = deployment.sim.process(
-            node.validator(use_tps=True).run(target.origin, target)
+        with_tps = finished(
+            deployment.sim, node.validator(use_tps=True).run(target.origin, target)
         )
-        deployment.sim.run()
-        without_tps = deployment.sim.process(
-            node.validator(use_tps=False).run(target.origin, target)
+        without_tps = finished(
+            deployment.sim, node.validator(use_tps=False).run(target.origin, target)
         )
-        deployment.sim.run()
-        assert with_tps.value.success and without_tps.value.success
+        assert with_tps.success and without_tps.success
         # The second run would be nearly free with TPS; without it, the
         # validator must re-fetch headers over the network.
-        assert without_tps.value.requests_sent > 0
+        assert without_tps.requests_sent > 0
+
+
+def choose_candidate(validator, consensus_set, candidates):
+    """One responder pick as it was before the per-extension order."""
+    if not validator.use_wps:
+        if validator.rng is not None:
+            return validator.rng.choice(sorted(candidates))
+        return sorted(candidates)[0]
+    routing = validator.interface.network.routing
+    me = validator.interface.node_id
+    return min(
+        sorted(candidates),
+        key=lambda c: (
+            closed_neighborhood_weight(c, consensus_set, validator.topology),
+            routing.hop_count(me, c),
+            c,
+        ),
+    )
+
+
+class TestResponderOrder:
+    """The ablation orders ≡ repeated single picks with removal."""
+
+    @given(
+        st.sampled_from([{"use_wps": False}, {"hop_aware": True}]),
+        st.one_of(st.none(), st.integers(0, 2**32)),
+        st.integers(0, 15),
+        st.sets(st.integers(0, 15)),
+        st.sets(st.integers(0, 15)),
+        st.integers(0, 6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_prefix_equals_picks_with_removal(
+        self, switches, seed, verifying, consensus_set, blacklist, picks
+    ):
+        deployment = TwoLayerDagNetwork(
+            config=ProtocolConfig(body_bits=8_000, gamma=3), topology=grid_topology(4, 4), seed=1
+        )
+        me, topology = 5, deployment.topology
+        validators = [deployment.node(me).validator(**switches) for _ in range(2)]
+        for validator in validators:
+            validator.rng = None if seed is None else random.Random(seed)
+            validator.blacklist = blacklist
+        got = list(islice(validators[0]._responder_order(verifying, consensus_set), picks))
+
+        remaining = {
+            n for n in topology.neighbors(verifying) if n != me and n not in blacklist
+        }
+        want = []
+        while remaining and len(want) < picks:
+            want.append(choose_candidate(validators[1], consensus_set, remaining))
+            remaining.discard(want[-1])
+        # The verifying node itself is the last resort, unless it is the validator.
+        if not remaining and len(want) < picks and verifying != me:
+            want.append(verifying)
+        assert got == want
+        if seed is not None:
+            assert validators[0].rng.getstate() == validators[1].rng.getstate()
+
+
+class TestContinuation:
+    def test_reply_reaches_on_child_two_frames_under_the_drain(self, small_config, grid9):
+        # _drain -> ScheduledCall._process -> run._on_child(reply): no
+        # process, waiter or generator frame between the kernel and the walk.
+        deployment = TwoLayerDagNetwork(config=small_config, topology=grid9, seed=1)
+        workload = grow_dag(deployment, 10)
+        target = workload.blocks_by_slot[0][0]
+        validator = deployment.node(8).validator(use_tps=False)
+        check, stacks = validator._validate_reply, []
+
+        def spy(*args):
+            frames, frame = [], sys._getframe(1)
+            while frame is not None and len(frames) < 3:
+                frames.append(frame.f_code.co_name)
+                frame = frame.f_back
+            stacks.append(frames)
+            return check(*args)
+
+        validator._validate_reply = spy
+        run = validator.run(target.origin, target)
+        deployment.sim.run()
+        assert run.value.success
+        assert stacks and all(s == ["_on_child", "_process", "_drain"] for s in stacks)
+
+    def test_handle_returned_at_once_resolves_when_the_run_ends(self, small_config, grid9):
+        deployment = TwoLayerDagNetwork(config=small_config, topology=grid9, seed=1)
+        workload = grow_dag(deployment, 10)
+        target = workload.blocks_by_slot[0][0]
+        sim = deployment.sim
+        before = sim.processed_count
+        run = deployment.node(8).verify_block(target.origin, target)
+        # Nothing has happened yet: the run starts on the next kernel step.
+        assert (run.triggered, run.ok, run.value) == (False, True, None)
+        assert deployment.traffic.message_count("block_fetch") == 0
+        assert sim.step() and sim.processed_count == before + 1
+        assert deployment.traffic.message_count("block_fetch") == 1
+        while not run.triggered:
+            assert sim.step()
+        assert run.ok and run.value.success and run.value.finished_at == sim.now
+        # The run's end is a kernel event of its own, and the last one.
+        assert sim.pending_count > 0
+        sim.run()
+        outcome = run.value
+        events = sim.processed_count - before
+        # start + completion, and per request: its delivery, the reply's
+        # delivery, the hand-over to the run, and the expiry (a no-op).
+        assert outcome.timeouts == 0
+        assert events == 2 + 4 * outcome.requests_sent
+
+    def test_exception_in_a_reply_callback_leaves_run_at_once(self, small_config, grid9):
+        deployment = TwoLayerDagNetwork(config=small_config, topology=grid9, seed=1)
+        workload = SlotSimulation(deployment, validate=True, validation_min_age_slots=2)
+        workload.run(4)
+        failures = []
+
+        def broken(header, expected_origin):
+            failures.append(deployment.sim.now)
+            raise RuntimeError("broken check")
+
+        def validator_with_broken_check(node):
+            validator = IoTNode.validator(node)
+            validator._header_authentic = broken
+            return validator
+
+        for node in deployment.nodes.values():
+            node.validator = partial(validator_with_broken_check, node)
+        with pytest.raises(RuntimeError, match="broken check"):
+            workload.run(1, start_slot=4)
+        # Raised where it happened — inside slot 4, at the first reply —
+        # not parked until the slot boundary's harvest.
+        assert len(failures) == 1
+        assert deployment.sim.now == failures[0] < 5.0
+        assert workload.current_slot == 3

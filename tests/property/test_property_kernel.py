@@ -49,7 +49,7 @@ _ACTIONS = st.one_of(
     st.tuples(st.just("spawn"), st.sampled_from([0.0, 0.5, 1.5])),
 )
 _ENTRIES = st.lists(
-    st.tuples(_TIMES, _PRIORITIES, st.booleans(), st.booleans(), _ACTIONS),
+    st.tuples(_TIMES, _PRIORITIES, st.booleans(), _ACTIONS),
     min_size=0, max_size=25,
 )
 
@@ -76,13 +76,8 @@ def _build(entries, carry_args=True):
         elif action[0] == "spawn":
             call(sim.call_in, action[1], PRIORITY_NORMAL, act, f"child-of-{tag}", ("noop",))
 
-    for tag, (time, priority, as_event, precancelled, action) in enumerate(entries):
-        if as_event:  # a full Event and a ScheduledCall share the heap
-            handle = sim.event()
-            handle.callbacks.append(lambda _e, t=tag, a=action: act(t, a))
-            sim._enqueue(time, priority, handle)
-        else:
-            handle = call(sim.call_at, time, priority, act, tag, action)
+    for tag, (time, priority, precancelled, action) in enumerate(entries):
+        handle = call(sim.call_at, time, priority, act, tag, action)
         handles.append(handle)
         if precancelled:
             handle.cancel()

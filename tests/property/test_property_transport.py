@@ -129,9 +129,9 @@ def _drive(network_class, edges, steps):
         elif what == "loopback":
             network.interface(source).send(source, "data.blob", None, size)
         elif what == "request":
-            waiter = network.interface(source).request(target, "ctl.ask", size, 128, timeout=0.25)
-            waiter.callbacks.append(
-                lambda ev: answers.append((sim.now, source, None if ev.value is None else ev.value.payload))
+            network.interface(source).request(
+                target, "ctl.ask", size, 128, timeout=0.25,
+                on_reply=lambda m: answers.append((sim.now, source, None if m is None else m.payload)),
             )
         elif what == "push":
             network.interface(source).broadcast_neighbors("data.blob", None, size)

@@ -112,51 +112,3 @@ class TestValidatorInvariants:
         )
         deployment.sim.run()
         assert process.value.success
-
-
-class TestContinuationEqualsGenerator:
-    """Differential, this commit only: the callback state machine against
-    the generator it replaces, on twin deployments of one random spec."""
-
-    @given(
-        scenario(),
-        st.booleans(),
-        st.sampled_from(["wps", "uniform", "hop-aware", "no-tps"]),
-        st.integers(min_value=1, max_value=4),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_same_outcomes_events_and_rng(self, params, fetch_body, mode, audits):
-        switches = {
-            "wps": {},
-            "uniform": {"use_wps": False},
-            "hop-aware": {"hop_aware": True},
-            "no-tps": {"use_tps": False},
-        }[mode]
-        results = []
-        for style in ("generator", "continuation"):
-            deployment, workload, _ = build_attacked_system(**params)
-            sim = deployment.sim
-            targets = [b for s in range(3) for b in workload.blocks_by_slot[s]][:audits]
-            handles = []
-            for index, target in enumerate(targets):
-                ids = [n for n in deployment.node_ids if n != target.origin]
-                node = deployment.node(ids[index % len(ids)])
-                validator = node.validator(**switches)
-                if style == "generator":
-                    handles.append(sim.process(
-                        validator.run(target.origin, target, fetch_body=fetch_body)
-                    ))
-                else:
-                    handles.append(validator.start(target.origin, target, fetch_body))
-                if index % 2:
-                    sim.run()  # some audits overlap, some follow one another
-            sim.run()
-            assert all(h.triggered and h.ok for h in handles)
-            results.append((
-                [vars(h.value) for h in handles],
-                sim.processed_count,
-                sim.now,
-                [deployment.node(n).rng.getstate() for n in deployment.node_ids],
-                sum(deployment.traffic.message_counts().values()),
-            ))
-        assert results[0] == results[1]

@@ -101,32 +101,6 @@ class TestRun:
 
 
 class TestEvents:
-    def test_succeed_delivers_value_to_callback(self, sim):
-        event = sim.event()
-        seen = []
-        event.callbacks.append(lambda ev: seen.append(ev.value))
-        event.succeed("payload")
-        sim.run()
-        assert seen == ["payload"]
-
-    def test_double_trigger_raises(self, sim):
-        event = sim.event()
-        event.succeed(1)
-        with pytest.raises(EventStateError):
-            event.succeed(2)
-
-    def test_fail_requires_exception(self, sim):
-        event = sim.event()
-        with pytest.raises(TypeError):
-            event.fail("not an exception")
-
-    def test_fail_marks_not_ok(self, sim):
-        event = sim.event()
-        event.fail(RuntimeError("boom"))
-        sim.run()
-        assert not event.ok
-        assert isinstance(event.value, RuntimeError)
-
     def test_cancelled_event_does_not_run(self, sim):
         hits = []
         event = sim.call_at(1.0, lambda: hits.append(1))
@@ -139,32 +113,6 @@ class TestEvents:
         sim.run()
         with pytest.raises(EventStateError):
             event.cancel()
-
-    def test_timeout_carries_value(self, sim):
-        timeout = sim.timeout(2.0, value="done")
-        sim.run()
-        assert timeout.processed
-        assert timeout.value == "done"
-
-    def test_negative_timeout_raises(self, sim):
-        with pytest.raises(SchedulingError):
-            sim.timeout(-1.0)
-
-    @pytest.mark.parametrize("trigger", [
-        lambda event: event.succeed("late", delay=-0.5),
-        lambda event: event.fail(RuntimeError("late"), delay=-0.5),
-    ])
-    def test_negative_trigger_delay_raises_at_the_call_site(self, sim, trigger):
-        sim.call_at(1.0, lambda: None)
-        sim.run()
-        event = sim.event()
-        with pytest.raises(SchedulingError):
-            trigger(event)
-        # Nothing was queued into the past; the event can still be triggered.
-        assert not event.triggered and sim.pending_count == 0
-        event.succeed("on time")
-        sim.run()
-        assert event.processed and event.value == "on time" and sim.now == 1.0
 
 
 class TestDeterminism:
