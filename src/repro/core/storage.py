@@ -1,8 +1,9 @@
-"""Per-node block storage ``S_i`` with a child-reference index.
+"""Per-node block storage ``S_i`` with an oldest-child index.
 
 A node stores only blocks it generated itself (§III-A).  The index
-``digest -> [own blocks referencing it]`` makes Algorithm 4's child
-search O(1) per request instead of scanning the whole store.
+``digest -> oldest own block referencing it`` — the one child Eq. (11)
+replies with, so no list of all of them is kept — makes Algorithm 4's
+child search O(1) per request instead of scanning the whole store.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ class BlockStore:
         self.owner = owner
         self.hash_bits = hash_bits
         self._blocks: List[DataBlock] = []
-        self._children_of_digest: Dict[bytes, List[int]] = {}
         # digest -> position of the Eq. (11) reply block, maintained
         # incrementally so the responder's hot path is one dict lookup
         # instead of a min() over all referencing blocks.
@@ -43,7 +43,6 @@ class BlockStore:
         time = block.header.time
         for parent_digest in block.header.digests.values():
             key = parent_digest.value
-            self._children_of_digest.setdefault(key, []).append(position)
             oldest = self._oldest_child_of_digest.get(key)
             if oldest is None or (time, position) < (
                 self._blocks[oldest].header.time, oldest

@@ -1,16 +1,17 @@
 """Per-node traffic and storage ledgers.
 
 :class:`TrafficLedger` is written by the network transport on every
-physical transmission/reception; :class:`StorageLedger` snapshots what
-each node currently persists.  Both break quantities down by *category*
-(e.g. ``"digest"``, ``"pop"``, ``"pbft"``) so experiments can reproduce
-Fig. 8's separation of DAG-construction traffic from consensus traffic.
+physical transmission/reception (a planned fan-out in one call);
+:class:`StorageLedger` snapshots what each node currently persists.
+Both break quantities down by *category* (e.g. ``"digest"``, ``"pop"``,
+``"pbft"``) so experiments can reproduce Fig. 8's separation of
+DAG-construction traffic from consensus traffic.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterable, List, Mapping, Optional
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 
 class TrafficLedger:
@@ -33,6 +34,23 @@ class TrafficLedger:
     def record_message(self, kind: str) -> None:
         """Count one end-to-end message of the given kind."""
         self._messages[kind] += 1
+
+    def record_fanout(
+        self, kind: str, category: str, bits: int, count: int,
+        tx: Iterable[Tuple[int, int]], rx: Iterable[Tuple[int, int]],
+    ) -> None:
+        """Account a whole fan-out: ``count`` messages of ``bits`` each.
+
+        ``tx`` / ``rx`` hold ``(node, times)``: how often the node sends
+        or receives a copy over all the routes together.  Equal to the
+        ``record_message`` / ``record_tx`` / ``record_rx`` calls of the
+        hop walks it stands for when the pairs are in their order.
+        """
+        self._messages[kind] += count
+        for node, times in tx:
+            self._tx[node][category] += times * bits
+        for node, times in rx:
+            self._rx[node][category] += times * bits
 
     # -- queries -------------------------------------------------------------
     def tx_bits(self, node: int, categories: Optional[Iterable[str]] = None) -> float:
@@ -67,7 +85,7 @@ class TrafficLedger:
 
     def categories(self) -> List[str]:
         """All categories seen so far, sorted."""
-        seen = set()
+        seen: Set[str] = set()
         for per_cat in self._tx.values():
             seen.update(per_cat)
         for per_cat in self._rx.values():

@@ -10,7 +10,7 @@ phases (DAG construction vs consensus — Fig. 8(b) vs 8(c)).
 from __future__ import annotations
 
 import itertools
-from typing import Any, NamedTuple, Optional
+from typing import Any, NamedTuple, Optional, Tuple, Union
 
 _next_message_id = itertools.count(1).__next__
 _new_tuple = tuple.__new__
@@ -18,7 +18,7 @@ _new_tuple = tuple.__new__
 
 class _Envelope(NamedTuple):
     sender: int
-    recipient: int
+    recipient: Union[int, Tuple[int, ...]]
     kind: str
     payload: Any
     size_bits: int
@@ -32,7 +32,8 @@ class Message(_Envelope):
     Attributes
     ----------
     sender / recipient:
-        Node ids; the transport routes between them.
+        Node ids; the transport routes between them.  A fan-out is one
+        envelope whose ``recipient`` is the addressees in send order.
     kind:
         Protocol message tag, e.g. ``"digest"``, ``"req_child"``,
         ``"rpy_child"``, ``"pbft.prepare"``, ``"iota.tx"``.
@@ -50,8 +51,8 @@ class Message(_Envelope):
     __slots__ = ()
 
     def __new__(
-        cls, sender: int, recipient: int, kind: str, payload: Any, size_bits: int,
-        msg_id: Optional[int] = None, in_reply_to: Optional[int] = None,
+        cls, sender: int, recipient: Union[int, Tuple[int, ...]], kind: str, payload: Any,
+        size_bits: int, msg_id: Optional[int] = None, in_reply_to: Optional[int] = None,
     ) -> "Message":
         if size_bits < 0:
             raise ValueError(f"message size must be non-negative, got {size_bits}")
@@ -64,6 +65,6 @@ class Message(_Envelope):
         """Size in bytes."""
         return self.size_bits / 8.0
 
-    def reply(self, kind: str, payload: Any, size_bits: int) -> "Message":
-        """Construct the reverse-direction message for request/reply flows."""
-        return Message(self.recipient, self.sender, kind, payload, size_bits, None, self.msg_id)
+    def reply(self, replier: int, kind: str, payload: Any, size_bits: int) -> "Message":
+        """The message ``replier`` answers this one with, back to its sender."""
+        return Message(replier, self.sender, kind, payload, size_bits, None, self.msg_id)

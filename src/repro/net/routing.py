@@ -14,13 +14,18 @@ option).
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from typing import Dict, List, Optional, Tuple
 
 from repro.net.topology import Topology
 
 #: Hop count reported for unreachable destinations.
 UNREACHABLE = -1
+
+#: ``(node, times)`` pairs, in the order a hop walk first meets each node.
+_Multiplicities = Tuple[Tuple[int, int], ...]
+#: Transmitters, receivers and ``(hop count, destinations)`` pairs of a fan-out.
+_FanoutPlan = Tuple[_Multiplicities, _Multiplicities, Tuple[Tuple[int, Tuple[int, ...]], ...]]
 
 
 class RoutingTable:
@@ -52,6 +57,7 @@ class RoutingTable:
                     route.append(self._next_hop[route[-1]][destination])
                 routes[destination] = tuple(route)
                 hops[destination] = tuple(zip(route, route[1:]))
+        self._plans: Dict[int, Dict[Tuple[int, ...], _FanoutPlan]] = {n: {} for n in self.hops}
 
     def _compute_from(self, source: int) -> None:
         distance: Dict[int, int] = {source: 0}
@@ -97,6 +103,32 @@ class RoutingTable:
         if route is None:
             raise ValueError(f"no route from {source} to {destination}")
         return list(route)
+
+    def fanout_plan(self, source: int, destinations: Tuple[int, ...]) -> Optional[_FanoutPlan]:
+        """What walking ``hops`` to each destination in turn adds up to.
+
+        ``(tx, rx, arrivals)``: how many times each node transmits and
+        receives over the whole fan-out, as ``(node, times)`` pairs in
+        the order the walk first meets them, and the destinations that
+        share each hop count, in the order given.  ``None`` if any
+        destination is unreachable.  Memoised per distinct fan-out — a
+        run repeats a few (each node to its sorted neighbours, each
+        replica to its peers) and routes never change.
+        """
+        plans = self._plans[source]
+        plan = plans.get(destinations)
+        if plan is None and self.hops[source].keys() >= set(destinations):
+            routes = [self.hops[source][destination] for destination in destinations]
+            tx = Counter(hop_from for hops in routes for hop_from, _ in hops)
+            rx = Counter(hop_to for hops in routes for _, hop_to in hops)
+            arrivals: Dict[int, List[int]] = {}
+            for destination, hops in zip(destinations, routes):
+                arrivals.setdefault(len(hops), []).append(destination)
+            plan = plans[destinations] = (
+                tuple(tx.items()), tuple(rx.items()),
+                tuple((count, tuple(group)) for count, group in arrivals.items()),
+            )
+        return plan
 
     def eccentricity(self, node: int) -> int:
         """Largest hop count from ``node`` to any reachable node."""

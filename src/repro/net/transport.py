@@ -14,14 +14,26 @@
 Messages are delivered after ``hops × per_hop_latency`` simulated time
 (or the installed per-link model summed over the route).  Per-node drop
 rules model malicious silence, DoS filtering and eclipse partitions
-(§IV-D).  A fan-out — :meth:`NodeInterface.multicast` — is accounted
-message by message like so many unicasts, and its deliveries share one
-kernel entry per arrival time.
+(§IV-D).
+
+A fan-out — :meth:`NodeInterface.multicast` — is one transmission: one
+shared :class:`Message` addressed to all its recipients, one event per
+recipient, one kernel entry per arrival instant.  How it is accounted is
+read from the transport's state at each send:
+
+* **planned** — no drop rule, no link model, every recipient routable:
+  the ledger takes the whole fan-out in one call from the plan
+  :meth:`~repro.net.routing.RoutingTable.fanout_plan` memoises, which
+  holds exactly what the hop walks would have added up to;
+* **walked** — otherwise each recipient goes through ``_transmit``, the
+  hop walk a unicast takes, so a drop still charges the prefix it spent
+  and losses are traced in send order.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.metrics.collector import TrafficLedger
 from repro.net.messages import Message
@@ -80,23 +92,20 @@ class NodeInterface:
 
     def reply(self, request: Message, kind: str, payload: Any, size_bits: int) -> Message:
         """Answer a request; the reply is matched to a waiting :meth:`request`."""
-        message = request.reply(kind, payload, size_bits)
+        message = request.reply(self.node_id, kind, payload, size_bits)
         self.network.unicast(message)
         return message
 
     def multicast(
         self, recipients: Iterable[int], kind: str, payload: Any, size_bits: int
-    ) -> List[Message]:
-        """One :meth:`send` per recipient, in order, as a single fan-out."""
-        sender = self.node_id
-        messages = [Message(sender, recipient, kind, payload, size_bits) for recipient in recipients]
-        self.network.multicast(messages)
-        return messages
+    ) -> Message:
+        """One :meth:`send` per recipient, in order, sharing one envelope."""
+        return self.network.multicast(self.node_id, recipients, kind, payload, size_bits)
 
-    def broadcast_neighbors(self, kind: str, payload: Any, size_bits: int) -> List[Message]:
+    def broadcast_neighbors(self, kind: str, payload: Any, size_bits: int) -> Message:
         """Send ``payload`` to every physical neighbour (digest push)."""
-        return self.multicast(
-            self.network.topology.sorted_neighbors[self.node_id], kind, payload, size_bits
+        return self.network.multicast(
+            self.node_id, self.network.topology.sorted_neighbors[self.node_id], kind, payload, size_bits
         )
 
     def request(
@@ -185,8 +194,8 @@ class Network:
         self._drop_rules.clear()
 
     # -- delivery -------------------------------------------------------------
-    def _transmit(self, message: Message) -> Optional[float]:
-        """Account ``message`` hop by hop; its delivery delay, ``None`` if lost.
+    def _transmit(self, message: Message, recipient: int) -> Optional[float]:
+        """Account ``message`` hop by hop to ``recipient``; its delay, ``None`` if lost.
 
         If the destination is unreachable (e.g. after node removal) or a
         drop rule fires mid-route, traffic up to the failure point is
@@ -197,10 +206,10 @@ class Network:
         category = self.category_fn(kind)
         self.ledger.record_message(kind)
         # Loopback has no hops: it costs nothing on the medium and no time.
-        hops = self.routing.hops[message.sender].get(message.recipient)
+        hops = self.routing.hops[message.sender].get(recipient)
         if hops is None:
             self.tracer.emit(self.sim.now, "net.unroutable", message.sender,
-                             recipient=message.recipient, kind=kind)
+                             recipient=recipient, kind=kind)
             return None
         record_tx, record_rx = self.ledger.record_tx, self.ledger.record_rx
         rules, bits = self._drop_rules, message.size_bits
@@ -212,8 +221,7 @@ class Network:
                                      hop_to=hop_to, kind=kind)
                     return None
             record_rx(hop_to, category, bits)
-        # The one place a delay is computed, read per send: link faults
-        # change the constant mid-run.
+        # Read per send: link faults change the constant mid-run.
         link_latency = self.link_latency
         if link_latency is None:
             return self.per_hop_latency * len(hops)
@@ -221,36 +229,55 @@ class Network:
 
     def unicast(self, message: Message) -> None:
         """Route ``message`` over its shortest path and schedule its delivery."""
-        delay = self._transmit(message)
+        recipient = message.recipient
+        if isinstance(recipient, tuple):
+            raise TypeError("an envelope addressed to a tuple is multicast()'s to send")
+        delay = self._transmit(message, recipient)
         if delay is not None:
-            self.sim.call_in(delay, self._deliver, message)
+            self.sim.call_in(delay, self._deliver_to, message, recipient)
 
-    def multicast(self, messages: Iterable[Message]) -> None:
-        """:meth:`unicast` each message in order; one kernel entry per arrival time.
+    def multicast(
+        self, sender: int, recipients: Iterable[int], kind: str, payload: Any, size_bits: int
+    ) -> Message:
+        """Send one envelope to ``recipients`` in order; one event per arrival.
 
-        Accounting, drop rules and trace records are those of the
-        unicasts.  Survivors that arrive together keep their send order
-        inside one :meth:`~repro.sim.kernel.Simulator.call_in_each`.
+        Accounting, losses and trace records are those of so many
+        unicasts (see the module docstring for how).  Recipients that
+        arrive together keep their send order inside one
+        :meth:`~repro.sim.kernel.Simulator.call_in_each`.
         """
-        now = self.sim.now
-        arrivals: Dict[float, Tuple[float, List[Message]]] = {}
-        for message in messages:
-            delay = self._transmit(message)
+        members = tuple(recipients)
+        message = Message(sender, members, kind, payload, size_bits)
+        sim, deliver = self.sim, partial(self._deliver_to, message)
+        now = sim.now
+        plannable = members and not self._drop_rules and self.link_latency is None
+        plan = self.routing.fanout_plan(sender, members) if plannable else None
+        delays: Sequence[Optional[float]]
+        if plan is None:
+            delays = [self._transmit(message, recipient) for recipient in members]
+        else:
+            tx, rx, arrivals = plan
+            self.ledger.record_fanout(kind, self.category_fn(kind), size_bits, len(members), tx, rx)
+            latency = self.per_hop_latency
+            # One batch per hop count, unless the latency is 0 or rounds away.
+            if len({now + latency * hops for hops, _ in arrivals}) == len(arrivals):
+                for hops, group in arrivals:
+                    sim.call_in_each(latency * hops, deliver, group)
+                return message
+            delays = [latency * self.hop_count(sender, recipient) for recipient in members]
+        # Keyed by arrival time: two delays can round to one instant.
+        batches: Dict[float, Tuple[float, List[int]]] = {}
+        for recipient, delay in zip(members, delays):
             if delay is not None:
-                # Keyed by arrival time: two delays can round to one instant.
-                when = now + delay
-                arrival = arrivals.get(when)
-                if arrival is None:
-                    arrivals[when] = (delay, [message])
-                else:
-                    arrival[1].append(message)
-        for delay, group in arrivals.values():
-            self.sim.call_in_each(delay, self._deliver, group)
+                batches.setdefault(now + delay, (delay, []))[1].append(recipient)
+        for delay, batch in batches.values():
+            sim.call_in_each(delay, deliver, batch)
+        return message
 
-    def _deliver(self, message: Message) -> None:
-        """Hand an arrived message to its request's callback or its kind handler."""
+    def _deliver_to(self, message: Message, recipient: int) -> None:
+        """Hand an arrived message to a request's callback or the kind handler."""
         # The interface is resolved now, not at send time.
-        interface = self._interfaces.get(message.recipient)
+        interface = self._interfaces.get(recipient)
         if interface is None:
             return
         if message.in_reply_to is not None:

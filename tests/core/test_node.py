@@ -70,10 +70,13 @@ class TestDigestHandling:
         assert not hasattr(node.neighbors, "add")  # nothing a caller can mutate
 
     def test_digest_push_goes_out_in_ascending_neighbor_order(self, deployment):
-        sent = [m.recipient for m in deployment.node(1).interface.broadcast_neighbors(
-            "digest", (1, None), 256
-        )]
-        assert sent == [0, 2, 3]
+        arrived = []
+        for node in (0, 2, 3):
+            deployment.network.interface(node).on("probe", lambda m, n=node: arrived.append(n))
+        sent = deployment.node(1).interface.broadcast_neighbors("probe", (1, None), 256)
+        assert sent.recipient == (0, 2, 3)
+        deployment.sim.run()
+        assert arrived == [0, 2, 3]
 
     def test_non_neighbor_digest_ignored(self, deployment):
         """A digest claiming to come over a non-existent edge is dropped."""

@@ -20,7 +20,7 @@ class TestMessage:
 
     def test_reply_swaps_endpoints(self):
         request = Message(3, 7, "ask", "q", 10)
-        reply = request.reply("answer", "a", 20)
+        reply = request.reply(7, "answer", "a", 20)
         assert reply.sender == 7
         assert reply.recipient == 3
         assert reply.in_reply_to == request.msg_id
@@ -41,7 +41,7 @@ class TestMessage:
     def test_ids_increase_monotonically(self):
         ids = [Message(0, 1, "k", None, 10).msg_id for _ in range(5)]
         assert ids == sorted(set(ids))
-        assert Message(0, 1, "k", None, 10).reply("r", None, 1).msg_id > ids[-1]
+        assert Message(0, 1, "k", None, 10).reply(1, "r", None, 1).msg_id > ids[-1]
 
     @pytest.mark.parametrize("name", ["sender", "payload", "msg_id", "size_bits", "extra"])
     def test_attribute_assignment_rejected(self, name):
@@ -50,9 +50,14 @@ class TestMessage:
             setattr(message, name, 3)
 
     def test_reply_carries_kind_payload_and_size(self):
-        reply = Message(3, 7, "ask", "q", 10).reply("answer", "a", 20)
+        reply = Message(3, 7, "ask", "q", 10).reply(7, "answer", "a", 20)
         assert (reply.kind, reply.payload, reply.size_bits) == ("answer", "a", 20)
 
     def test_negative_size_rejected_on_reply_too(self):
         with pytest.raises(ValueError):
-            Message(3, 7, "ask", "q", 10).reply("answer", "a", -20)
+            Message(3, 7, "ask", "q", 10).reply(7, "answer", "a", -20)
+
+    def test_reply_to_a_fan_out_comes_from_the_replier_not_the_addressee_tuple(self):
+        fan_out = Message(3, (5, 7, 9), "ask", "q", 10)
+        reply = fan_out.reply(7, "answer", "a", 20)
+        assert (reply.sender, reply.recipient, reply.in_reply_to) == (7, 3, fan_out.msg_id)

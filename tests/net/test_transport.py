@@ -71,25 +71,26 @@ class TestDelivery:
 
 
     def test_handler_runs_two_frames_under_the_drain_loop(self, network):
-        # _drain -> ScheduledCall._process -> Network._deliver -> handler:
+        # _drain -> ScheduledCall._process -> Network._deliver_to -> handler:
         # a wrapper frame put back on the message path fails here.
         stacks = []
         network.attach(3).on("ping", lambda message: stacks.append(_frames_above(3)))
         network.attach(0).send(3, "ping", None, 10)
         network.sim.run()
-        assert stacks == [["_deliver", "_process", "_drain"]]
+        assert stacks == [["_deliver_to", "_process", "_drain"]]
 
     def test_fanned_out_handler_runs_one_frame_under_the_drain_loop(self, network):
-        # _drain -> Network._deliver -> handler: the batch entry has no
-        # frame of its own, and every recipient is still one event.
+        # _drain -> Network._deliver_to -> handler: neither the batch entry
+        # nor the partial that binds the envelope has a frame of its own,
+        # and every recipient is still one event.
         stacks = []
         for node in (0, 2):
             network.attach(node).on("ping", lambda message: stacks.append(_frames_above(2)))
         sent = network.attach(1).broadcast_neighbors("ping", None, 10)
-        assert [m.recipient for m in sent] == [0, 2]
+        assert sent.recipient == (0, 2)
         assert network.sim.pending_count == 2
         network.sim.run()
-        assert stacks == [["_deliver", "_drain"]] * 2
+        assert stacks == [["_deliver_to", "_drain"]] * 2
         assert network.sim.processed_count == 2
 
     def test_multicast_is_one_send_per_recipient_in_order(self, network):
@@ -97,13 +98,70 @@ class TestDelivery:
         for node in range(4):
             network.attach(node).on("ping", lambda m, n=node: arrivals.append((network.sim.now, n)))
         sent = network.interface(0).multicast([3, 0, 1, 2], "ping", "x", 10)
-        assert [m.msg_id - sent[0].msg_id for m in sent] == [0, 1, 2, 3]
+        assert (sent.sender, sent.recipient, sent.payload) == (0, (3, 0, 1, 2), "x")
+        assert network.sim.pending_count == 4
         network.sim.run()
         assert arrivals == [
             (0.0, 0), (pytest.approx(0.01), 1), (pytest.approx(0.02), 2), (pytest.approx(0.03), 3)
         ]
+        assert network.sim.processed_count == 4
         assert network.ledger.message_counts() == {"ping": 4}
         assert network.ledger.tx_bits(0) == 30 and network.ledger.tx_bits(1) == 20
+
+    def test_recipients_that_arrive_together_run_in_send_order(self, network):
+        # With no latency the hop counts 3, 0, 1, 2 share one instant: one
+        # batch, in the order the sender listed them.
+        network.per_hop_latency = 0.0
+        arrivals = []
+        for node in range(4):
+            network.attach(node).on("ping", lambda m, n=node: arrivals.append((network.sim.now, n)))
+        for _ in range(2):  # the second send finds the plan memoised
+            network.interface(0).multicast([3, 0, 1, 2], "ping", "x", 10)
+        assert len(network.sim._heap) == 2
+        network.sim.run()
+        assert arrivals == [(0.0, 3), (0.0, 0), (0.0, 1), (0.0, 2)] * 2
+
+    def test_every_handler_of_a_fan_out_gets_the_same_envelope(self, network):
+        received = []
+        for node in range(4):
+            network.attach(node).on("ping", received.append)
+        sent = network.interface(1).multicast([0, 1, 2, 3], "ping", "x", 10)
+        network.sim.run()
+        assert len(received) == 4 and all(message is sent for message in received)
+
+    def test_a_recipient_listed_twice_is_sent_to_twice(self, network):
+        received = []
+        network.attach(2).on("ping", lambda m: received.append(network.sim.now))
+        network.attach(0).multicast([2, 1, 2], "ping", None, 10)
+        network.sim.run()
+        assert received == [pytest.approx(0.02)] * 2
+        assert network.ledger.message_counts() == {"ping": 3}
+        assert network.ledger.tx_bits(0) == 30 and network.ledger.rx_bits(2) == 20
+
+    def test_unicast_refuses_a_fan_out_envelope(self, network):
+        sent = network.attach(0).multicast([1, 2], "ping", None, 10)
+        with pytest.raises(TypeError):
+            network.unicast(sent)
+        assert network.ledger.message_counts() == {"ping": 2}
+
+    def test_empty_fan_out_counts_nothing_and_schedules_nothing(self, network):
+        network.attach(0).multicast([], "ping", None, 10)
+        network.add_drop_rule(lambda m, a, b: False)
+        network.interface(0).multicast(iter(()), "ping", None, 10)
+        assert network.sim.pending_count == 0
+        assert network.ledger.message_counts() == {} and network.ledger.categories() == []
+
+    def test_negative_size_is_refused_before_anything_is_accounted(self, network):
+        source = network.attach(0)
+        for rules in ([], [lambda m, a, b: False]):
+            for rule in rules:
+                network.add_drop_rule(rule)
+            with pytest.raises(ValueError):
+                source.multicast([1, 2], "ping", None, -1)
+            with pytest.raises(ValueError):
+                source.send(1, "ping", None, -1)
+        assert network.sim.pending_count == 0
+        assert network.ledger.message_counts() == {} and network.ledger.categories() == []
 
     def test_latency_is_read_at_send_time(self, network):
         # A degradation installed and revoked mid-run moves only the
@@ -205,6 +263,27 @@ class TestRequestReply:
         assert stacks == [] and sim.processed_count == 2
         assert sim.step() and sim.now == pytest.approx(0.06)
         assert stacks == [["_process", "_drain"]] and sim.processed_count == 3
+
+    def test_each_recipient_of_a_fan_out_replies_as_itself(self, network):
+        # The fan-out's envelope is addressed to a tuple; a reply is sent
+        # by the node that answers, routed and charged as its own unicast.
+        answers = []
+        for node in (1, 3):
+            interface = network.attach(node)
+            interface.on("ask", lambda m, i=interface: answers.append(i.reply(m, "answer", i.node_id, 50)))
+        heard = []
+        asker = network.attach(0)
+        asker.on("answer", lambda m: heard.append((network.sim.now, m.sender, m.payload)))
+        asked = asker.multicast([1, 3], "ask", None, 10)
+        network.sim.run()
+        assert [(m.sender, m.recipient, m.in_reply_to) for m in answers] == [
+            (1, 0, asked.msg_id), (3, 0, asked.msg_id)
+        ]
+        assert heard == [(pytest.approx(0.02), 1, 1), (pytest.approx(0.06), 3, 3)]
+        assert network.ledger.message_counts() == {"answer": 2, "ask": 2}
+        # 3's answer crosses 2 and 1; 1's answer is one hop.
+        assert [network.ledger.tx_bits(n, ["answer"]) for n in range(4)] == [0, 100, 50, 50]
+        assert network.ledger.rx_bits(0, ["answer"]) == 100
 
     def test_timeout_yields_none(self, network):
         network.attach(3)  # no handler: silent
