@@ -10,16 +10,14 @@ communication cost Fig. 8 charges IOTA.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from repro.baselines.iota.tangle import Tangle, Transaction
 from repro.baselines.iota.tip_selection import select_tips_mcmc, select_tips_uniform
-from repro.metrics.collector import StorageLedger, TrafficLedger
+from repro.net.deployment import Submission, WiredDeployment
 from repro.net.messages import Message
-from repro.net.topology import Topology, sequential_geometric_topology
+from repro.net.topology import Topology
 from repro.net.transport import Network, NodeInterface
-from repro.sim.kernel import Simulator
-from repro.sim.rng import RandomStreams
 
 KIND_TX = "iota.tx"
 
@@ -109,7 +107,7 @@ class IotaNode:
         return self.tangle.size_bits()
 
 
-class IotaNetwork:
+class IotaNetwork(WiredDeployment):
     """All IOTA nodes plus the slot-driven issuance workload."""
 
     def __init__(
@@ -121,22 +119,8 @@ class IotaNetwork:
         mcmc_alpha: float = 0.01,
         per_hop_latency: float = 0.001,
     ) -> None:
-        self.streams = RandomStreams(seed)
-        self.topology = (
-            topology
-            if topology is not None
-            else sequential_geometric_topology(streams=self.streams)
-        )
+        super().__init__(topology, seed, per_hop_latency, lambda kind: "iota")
         self.payload_bits = payload_bits
-        self.sim = Simulator()
-        self.traffic = TrafficLedger()
-        self.network = Network(
-            self.sim,
-            self.topology,
-            ledger=self.traffic,
-            per_hop_latency=per_hop_latency,
-            category_fn=lambda kind: "iota",
-        )
         self.nodes: Dict[int, IotaNode] = {
             node_id: IotaNode(
                 node_id,
@@ -147,43 +131,22 @@ class IotaNetwork:
             )
             for node_id in self.topology.node_ids
         }
-        self.current_slot = -1
 
     def run_slots(self, slots: int, settle_time: float = 2.0) -> None:
-        """Every node issues one transaction per slot; gossip settles."""
-        for _ in range(slots):
-            self.current_slot += 1
-            slot = self.current_slot
-            # Never schedule behind the clock after a previous settle.
-            slot_time = max(float(slot), self.sim.now)
-            for node in self.nodes.values():
-                if not node.online:
-                    continue
-                self.sim.call_at(
-                    slot_time, lambda n=node: n.issue(self.payload_bits)
-                )
-            self.sim.run(until=slot_time + 1)
-        self.sim.run(until=self.sim.now + settle_time)
+        """Every online node issues one transaction per slot; gossip settles."""
+        self._run_slots(slots, settle_time)
+
+    def _submissions(self, slot: int) -> Iterator[Submission]:
+        for node in self.nodes.values():
+            if node.online:
+                yield node.issue, self.payload_bits
 
     # -- measurement --------------------------------------------------------
-    @property
-    def node_ids(self) -> List[int]:
-        """All node ids."""
-        return self.topology.node_ids
-
     def tangles_consistent(self) -> bool:
         """Whether every node converged to the same transaction set."""
         sizes = {len(n.tangle) for n in self.nodes.values()}
         return len(sizes) == 1
 
-    def storage_snapshot(self) -> StorageLedger:
-        """Per-node tangle storage."""
-        ledger = StorageLedger()
-        for node_id, node in self.nodes.items():
-            ledger.set_bits(node_id, "tangle", node.storage_bits())
-        return ledger
-
-    def mean_storage_bits(self) -> float:
-        """Average per-node stored bits."""
-        total = sum(n.storage_bits() for n in self.nodes.values())
-        return total / len(self.nodes)
+    def storage_bits(self) -> List[int]:
+        """Per-node full-tangle storage."""
+        return [node.storage_bits() for node in self.nodes.values()]

@@ -8,18 +8,15 @@ for 2LDAG, so storage/communication figures are directly comparable.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, Iterator, List, Optional, Set
 
 from repro.baselines.pbft.messages import Request
 from repro.baselines.pbft.replica import PbftReplica
-from repro.metrics.collector import StorageLedger, TrafficLedger
-from repro.net.topology import Topology, sequential_geometric_topology
-from repro.net.transport import Network
-from repro.sim.kernel import Simulator
-from repro.sim.rng import RandomStreams
+from repro.net.deployment import Submission, WiredDeployment
+from repro.net.topology import Topology
 
 
-class PbftCluster:
+class PbftCluster(WiredDeployment):
     """All replicas plus the slot-driven client workload."""
 
     def __init__(
@@ -31,22 +28,8 @@ class PbftCluster:
         view_change_timeout: float = 5.0,
         per_hop_latency: float = 0.001,
     ) -> None:
-        self.streams = RandomStreams(seed)
-        self.topology = (
-            topology
-            if topology is not None
-            else sequential_geometric_topology(streams=self.streams)
-        )
+        super().__init__(topology, seed, per_hop_latency, lambda kind: "pbft")
         self.payload_bits = payload_bits
-        self.sim = Simulator()
-        self.traffic = TrafficLedger()
-        self.network = Network(
-            self.sim,
-            self.topology,
-            ledger=self.traffic,
-            per_hop_latency=per_hop_latency,
-            category_fn=lambda kind: "pbft",
-        )
         crashed = crashed or set()
         ids = self.topology.node_ids
         self.replicas: Dict[int, PbftReplica] = {
@@ -59,31 +42,24 @@ class PbftCluster:
             )
             for node_id in ids
         }
-        self.current_slot = -1
 
     # -- workload ---------------------------------------------------------
     def run_slots(self, slots: int, settle_time: float = 3.0) -> None:
-        """Each live replica submits one C-bit request per slot."""
-        for _ in range(slots):
-            self.current_slot += 1
-            slot = self.current_slot
-            # Settle time from a previous call may have advanced the
-            # clock past the nominal slot boundary; never schedule in
-            # the past.
-            slot_time = max(float(slot), self.sim.now)
-            for node_id, replica in self.replicas.items():
-                if replica.crashed:
-                    continue
-                request = Request(
+        """Each live replica submits one C-bit request per slot.
+
+        The three phases then drain for the final slot's requests.
+        """
+        self._run_slots(slots, settle_time)
+
+    def _submissions(self, slot: int) -> Iterator[Submission]:
+        for node_id, replica in self.replicas.items():
+            if not replica.crashed:
+                yield replica.submit, Request(
                     client=node_id,
                     payload_seed=f"blk:{node_id}:{slot}".encode(),
                     payload_bits=self.payload_bits,
                     timestamp=float(slot),
                 )
-                self.sim.call_at(slot_time, lambda r=replica, q=request: r.submit(q))
-            self.sim.run(until=slot_time + 1)
-        # Let the three phases drain for the final slot's requests.
-        self.sim.run(until=self.sim.now + settle_time)
 
     # -- fault injection ----------------------------------------------------
     def crash(self, node_ids) -> None:
@@ -108,11 +84,6 @@ class PbftCluster:
             self.replicas[node_id].crashed = False
 
     # -- measurement --------------------------------------------------------
-    @property
-    def node_ids(self) -> List[int]:
-        """All replica ids."""
-        return self.topology.node_ids
-
     def live_replicas(self) -> List[PbftReplica]:
         """Replicas that are not crashed."""
         return [r for r in self.replicas.values() if not r.crashed]
@@ -131,14 +102,6 @@ class PbftCluster:
         """Lowest committed height among live replicas."""
         return min(r.chain.height for r in self.live_replicas())
 
-    def storage_snapshot(self) -> StorageLedger:
-        """Per-node chain storage."""
-        ledger = StorageLedger()
-        for node_id, replica in self.replicas.items():
-            ledger.set_bits(node_id, "chain", replica.storage_bits())
-        return ledger
-
-    def mean_storage_bits(self) -> float:
-        """Average per-replica stored bits."""
-        total = sum(r.storage_bits() for r in self.replicas.values())
-        return total / len(self.replicas)
+    def storage_bits(self) -> List[int]:
+        """Per-replica chain storage."""
+        return [r.storage_bits() for r in self.replicas.values()]

@@ -18,7 +18,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Any, Callable, Dict, List, Mapping, Optional, Set, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.core.block import BlockId
 from repro.core.config import ProtocolConfig
@@ -26,11 +26,8 @@ from repro.core.dag import LogicalDag
 from repro.core.node import IoTNode, NodeBehavior
 from repro.core.pop.validator import PopOutcome
 from repro.crypto.keys import KeyRegistry
-from repro.metrics.collector import StorageLedger, TrafficLedger
-from repro.net.topology import Topology, sequential_geometric_topology
-from repro.net.transport import Network
-from repro.sim.kernel import Simulator
-from repro.sim.rng import RandomStreams
+from repro.net.deployment import WiredDeployment
+from repro.net.topology import Topology
 from repro.sim.tracing import Tracer
 
 #: Traffic categories used by the Fig. 8 breakdown.
@@ -44,7 +41,7 @@ def _pop_category(kind: str) -> str:
     return CATEGORY_POP
 
 
-class TwoLayerDagNetwork:
+class TwoLayerDagNetwork(WiredDeployment):
     """A fully wired 2LDAG deployment inside one simulator.
 
     Parameters
@@ -71,24 +68,8 @@ class TwoLayerDagNetwork:
         tracer: Optional[Tracer] = None,
         per_hop_latency: float = 0.001,
     ) -> None:
+        super().__init__(topology, seed, per_hop_latency, _pop_category, tracer)
         self.config = config if config is not None else ProtocolConfig.paper_defaults()
-        self.streams = RandomStreams(seed)
-        self.topology = (
-            topology
-            if topology is not None
-            else sequential_geometric_topology(streams=self.streams)
-        )
-        self.sim = Simulator()
-        self.tracer = tracer if tracer is not None else Tracer()
-        self.traffic = TrafficLedger()
-        self.network = Network(
-            self.sim,
-            self.topology,
-            ledger=self.traffic,
-            per_hop_latency=per_hop_latency,
-            category_fn=_pop_category,
-            tracer=self.tracer,
-        )
         self.registry = KeyRegistry()
         self.dag = LogicalDag(self.config.hash_bits)
 
@@ -113,28 +94,13 @@ class TwoLayerDagNetwork:
         return self.nodes[node_id]
 
     @property
-    def node_ids(self) -> List[int]:
-        """All node ids, sorted."""
-        return self.topology.node_ids
-
-    @property
     def honest_ids(self) -> List[int]:
         """Nodes running the default behaviour."""
         return [n for n in self.node_ids if n not in self.behavior_overrides]
 
-    # -- measurement --------------------------------------------------------
-    def storage_snapshot(self) -> StorageLedger:
-        """Current per-node storage (``S_i`` + ``H_i``), Fig. 7's metric."""
-        ledger = StorageLedger()
-        for node_id, node in self.nodes.items():
-            ledger.set_bits(node_id, "blocks", node.store.size_bits(self.config))
-            ledger.set_bits(node_id, "headers", node.cache.size_bits(self.config))
-        return ledger
-
-    def mean_storage_bits(self) -> float:
-        """Average per-node stored bits."""
-        total = sum(node.storage_bits() for node in self.nodes.values())
-        return total / len(self.nodes)
+    def storage_bits(self) -> List[int]:
+        """Per-node storage (``S_i`` + ``H_i``), Fig. 7's metric."""
+        return [node.storage_bits() for node in self.nodes.values()]
 
 
 _ORIGIN = attrgetter("origin")
@@ -272,48 +238,46 @@ class SlotSimulation:
                 else 0.0
             )
             deployment.sim.call_at(
-                slot_base + jitter, self._make_generator(node_id, slot, report)
+                slot_base + jitter, self._generate, node_id, slot, report
             )
         return report
 
-    def _make_generator(self, node_id: int, slot: int, report: SlotReport) -> Callable[[], None]:
-        def generate() -> None:
-            node = self.deployment.node(node_id)
-            if not node.online:
-                return
-            block = node.generate_block()
-            self.blocks_by_slot.setdefault(slot, []).append(block.block_id)
-            merged = self._eligible_merged_slot
-            if merged is not None and slot <= merged:
-                # Late generator (possible when intra_slot_jitter >= 1
-                # pushes a slot-s event past slot s's run window): its
-                # slot was already folded into the pool, so fold the
-                # block in directly to keep the pool an exact snapshot.
-                insort(self._eligible_sorted, block.block_id)
-            report.blocks_generated.append(block.block_id)
-            if self.validate:
-                target = self._pick_validation_target(slot, exclude_origin=node_id)
-                if target is not None:
-                    record = ValidationRecord(
-                        validator=node_id,
-                        verifier=target.origin,
-                        block_id=target,
-                        slot_started=slot,
-                        outcome=None,  # filled on completion
+    def _generate(self, node_id: int, slot: int, report: SlotReport) -> None:
+        """One node's slot work: build a block, maybe audit an old one."""
+        node = self.deployment.node(node_id)
+        if not node.online:
+            return
+        block = node.generate_block()
+        self.blocks_by_slot.setdefault(slot, []).append(block.block_id)
+        merged = self._eligible_merged_slot
+        if merged is not None and slot <= merged:
+            # Late generator (possible when intra_slot_jitter >= 1
+            # pushes a slot-s event past slot s's run window): its
+            # slot was already folded into the pool, so fold the
+            # block in directly to keep the pool an exact snapshot.
+            insort(self._eligible_sorted, block.block_id)
+        report.blocks_generated.append(block.block_id)
+        if self.validate:
+            target = self._pick_validation_target(slot, exclude_origin=node_id)
+            if target is not None:
+                record = ValidationRecord(
+                    validator=node_id,
+                    verifier=target.origin,
+                    block_id=target,
+                    slot_started=slot,
+                    outcome=None,  # filled on completion
+                )
+                run = node.verify_block(
+                    target.origin, target, fetch_body=self.fetch_body
+                )
+                self._pending.append((record, run))
+                report.validations_started += 1
+                tracer = self.deployment.tracer
+                if tracer.enabled:
+                    tracer.emit(
+                        self.deployment.sim.now, "pop.started", node_id,
+                        block=str(target), verifier=target.origin,
                     )
-                    run = node.verify_block(
-                        target.origin, target, fetch_body=self.fetch_body
-                    )
-                    self._pending.append((record, run))
-                    report.validations_started += 1
-                    tracer = self.deployment.tracer
-                    if tracer.enabled:
-                        tracer.emit(
-                            self.deployment.sim.now, "pop.started", node_id,
-                            block=str(target), verifier=target.origin,
-                        )
-
-        return generate
 
     def _merge_eligible_through(self, boundary: int) -> None:
         """Fold blocks of fully simulated slots ≤ ``boundary`` into the pool.

@@ -9,13 +9,12 @@ empirical CDFs (:mod:`repro.metrics.cdf`), unit helpers
 """
 
 from repro.metrics.cdf import EmpiricalCDF
-from repro.metrics.collector import StorageLedger, TrafficLedger
+from repro.metrics.collector import TrafficLedger
 from repro.metrics.reporting import format_series_table, render_cdf_rows
 from repro.metrics.units import bits_to_mb, bits_to_mbit, mb_to_bits
 
 __all__ = [
     "EmpiricalCDF",
-    "StorageLedger",
     "TrafficLedger",
     "bits_to_mb",
     "bits_to_mbit",

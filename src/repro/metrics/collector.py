@@ -1,11 +1,12 @@
-"""Per-node traffic and storage ledgers.
+"""The per-node traffic ledger.
 
 :class:`TrafficLedger` is written by the network transport on every
-physical transmission/reception (a planned fan-out in one call);
-:class:`StorageLedger` snapshots what each node currently persists.
-Both break quantities down by *category* (e.g. ``"digest"``, ``"pop"``,
+physical transmission/reception (a planned fan-out in one call).  It
+breaks quantities down by *category* (e.g. ``"dag"``, ``"pop"``,
 ``"pbft"``) so experiments can reproduce Fig. 8's separation of
-DAG-construction traffic from consensus traffic.
+DAG-construction traffic from consensus traffic.  Storage is a level,
+not a flow: it is read off the nodes themselves
+(:meth:`repro.net.deployment.WiredDeployment.storage_bits`).
 """
 
 from __future__ import annotations
@@ -103,42 +104,3 @@ class TrafficLedger:
     def snapshot_tx(self) -> Mapping[int, float]:
         """Total transmitted bits per node (a copy)."""
         return {node: sum(per_cat.values()) for node, per_cat in self._tx.items()}
-
-
-class StorageLedger:
-    """Per-node persistent storage in bits, by category.
-
-    Categories used by the reproduction: ``"blocks"`` (a node's own
-    blocks ``S_i``), ``"headers"`` (the trusted header cache ``H_i``),
-    ``"chain"``/``"tangle"`` for the baselines.
-    """
-
-    def __init__(self) -> None:
-        self._bits: Dict[int, Dict[str, float]] = defaultdict(lambda: defaultdict(float))
-
-    def set_bits(self, node: int, category: str, bits: float) -> None:
-        """Overwrite the current figure (storage is a level, not a flow)."""
-        self._bits[node][category] = bits
-
-    def add_bits(self, node: int, category: str, bits: float) -> None:
-        """Increase the current figure by ``bits``."""
-        self._bits[node][category] += bits
-
-    def bits(self, node: int, categories: Optional[Iterable[str]] = None) -> float:
-        """Stored bits for ``node`` (optionally restricted by category)."""
-        per_cat = self._bits.get(node, {})
-        if categories is None:
-            return sum(per_cat.values())
-        return sum(per_cat.get(c, 0.0) for c in categories)
-
-    def mean_bits(self, nodes: Iterable[int], categories: Optional[Iterable[str]] = None) -> float:
-        """Average stored bits across ``nodes`` — Fig. 7's y-axis."""
-        cats = list(categories) if categories is not None else None
-        node_list = list(nodes)
-        if not node_list:
-            return 0.0
-        return sum(self.bits(n, cats) for n in node_list) / len(node_list)
-
-    def per_node_bits(self, nodes: Iterable[int]) -> List[float]:
-        """Stored bits for each node in order — feeds the Fig. 7(d) CDF."""
-        return [self.bits(n) for n in nodes]

@@ -1,33 +1,43 @@
 """Pluggable ledger backends: one scenario, three ledgers.
 
 A :class:`LedgerBackend` is what a :class:`~repro.scenario.runner.
-ScenarioRunner` drives: it builds a deployment from a
-:class:`~repro.scenario.spec.ScenarioSpec`, advances it slot by slot,
-drains it, snapshots the storage/traffic series and reports a
-canonical trace digest.  The runner owns the *schedule* (sample slots,
-fault boundaries, result assembly); the backend owns the *ledger* and
-declares which fault event kinds it honours (``fault_capabilities``)
-via the hooks the :class:`~repro.faults.engine.FaultEngine` dispatches
-through — crash/rejoin are ledger-specific, while partition/heal and
-link degradation come for free from the shared wireless substrate
-(:meth:`LedgerBackend._fault_network`).
+ScenarioRunner` drives.  The runner owns the *schedule* (sample slots,
+fault boundaries, result assembly); the backend owns the *ledger*.
 
-Three backends are registered:
+The contract has two halves.  A concrete backend supplies what only
+its ledger knows:
 
-* ``2ldag`` — the paper's two-layer DAG.  This class is a verbatim
-  move of the runner's original wiring: construction order, stream
-  names and the slot-driving calls are unchanged, so all seeded
-  traces (the golden determinism digest included) stay byte-identical.
-* ``pbft`` — the :class:`~repro.baselines.pbft.cluster.PbftCluster`
-  baseline driven by the same slot workload (every live node submits
-  one ``C``-bit request per slot).
-* ``iota`` — the :class:`~repro.baselines.iota.node.IotaNetwork`
-  gossip-flooded tangle under the same issuance workload.
+* :meth:`~LedgerBackend.build` — construct the ledger's
+  :class:`~repro.net.deployment.WiredDeployment` from the spec and
+  name it :attr:`~LedgerBackend.wired`;
+* :meth:`~LedgerBackend.advance_slots` (and
+  :meth:`~LedgerBackend.finalize` if work stays in flight after the
+  last slot) — drive the slot workload;
+* :meth:`~LedgerBackend.crash_nodes` /
+  :meth:`~LedgerBackend.rejoin_nodes` — the two ledger-specific fault
+  kinds, declared in ``fault_capabilities``;
+* :meth:`~LedgerBackend.total_blocks`,
+  :meth:`~LedgerBackend.trace_lines` and
+  :meth:`~LedgerBackend.ledger_counters` — what the ledger committed,
+  as a count, as canonical text and as telemetry counters;
+* ``dag_categories`` / ``pop_categories`` — which traffic-ledger
+  categories Fig. 8 charges to DAG construction and to consensus.
 
-All three reseed deterministically from the scenario's named random
-streams, so one master seed yields the identical topology across
-backends — the property that makes three-ledger scoreboards
-apples-to-apples.  Registering a new backend::
+Everything the shared wireless substrate can answer is implemented
+once, here, by reading ``wired``: the clock, the event count, the
+storage / traffic series (:meth:`~LedgerBackend.sample`), the per-node
+finals (:meth:`~LedgerBackend.collect`), the trace digest, and the
+partition / heal / link-degrade faults, which act on ``wired.network``.
+
+Three backends are registered — ``2ldag`` (the paper's two-layer DAG),
+``pbft`` (:class:`~repro.baselines.pbft.cluster.PbftCluster`) and
+``iota`` (:class:`~repro.baselines.iota.node.IotaNetwork`) — all under
+the same slot workload: every live node submits one ``C``-bit block per
+slot.  Each draws its topology from the scenario's named random
+streams, so one master seed yields the identical physical graph on all
+three — the property that makes three-ledger scoreboards
+apples-to-apples.  Registering a new backend (docs/scenarios.md walks
+through a complete one)::
 
     @register_backend
     class MyLedgerBackend(LedgerBackend):
@@ -57,6 +67,7 @@ from repro.faults.spec import (
     FaultEvent,
 )
 from repro.metrics.units import bits_to_mb, bits_to_mbit
+from repro.net.deployment import WiredDeployment
 from repro.net.linkmodels import LinkDegradation, partition_drop_rule
 from repro.net.topology import (
     Topology,
@@ -135,6 +146,11 @@ class LedgerBackend(ABC):
     :meth:`trace_digest` describe the finished run.  :meth:`sample` may
     be called at any slot boundary, and :meth:`apply_fault` at any
     boundary between driven ranges (the fault engine's dispatch point).
+
+    Every measurement below is a *pure read* of :attr:`wired` — no lazy
+    materialization, no RNG draws, no event scheduling — which is what
+    keeps telemetry-enabled runs byte-identical to disabled ones (the
+    determinism no-op contract, CI-gated).
     """
 
     #: Registry name; also the value of ``ScenarioSpec.backend``.
@@ -146,12 +162,41 @@ class LedgerBackend(ABC):
     #: schedule swap cannot smuggle an unsupported event through.
     fault_capabilities: ClassVar[Tuple[str, ...]] = ()
 
+    #: Traffic-ledger categories behind Fig. 8's two series: bits spent
+    #: building the DAG and bits spent on consensus.
+    dag_categories: ClassVar[Tuple[str, ...]] = ()
+    pop_categories: ClassVar[Tuple[str, ...]] = ()
+
     def __init__(self, spec: ScenarioSpec) -> None:
         self.spec = spec
+        #: The scenario's own streams (topology, coalitions, ``faults``);
+        #: the deployment draws from a second object of the same seed.
         self.streams: Optional[RandomStreams] = None
+        #: The built ledger — the one object every read below goes to.
+        self.wired: Optional[WiredDeployment] = None
         self._partition_rule = None
         self._degradation: Optional[LinkDegradation] = None
-        self._span_collector = None
+
+    def _scenario_topology(self) -> Topology:
+        """Seed the scenario streams and draw the spec's topology from them."""
+        self.streams = RandomStreams(self.spec.seed)
+        return build_topology(self.spec.topology, self.streams)
+
+    # -- lifecycle -----------------------------------------------------------
+    @abstractmethod
+    def build(self) -> None:
+        """Construct the deployment and workload driver; set :attr:`wired`."""
+
+    @abstractmethod
+    def advance_slots(self, start_slot: int, count: int) -> None:
+        """Simulate ``count`` slots beginning at ``start_slot``."""
+
+    def finalize(self) -> None:
+        """Drain in-flight work after the last slot was driven.
+
+        A no-op by default: a workload that settles per driven chunk
+        leaves nothing in flight.
+        """
 
     # -- fault hooks --------------------------------------------------------
     def apply_fault(self, event: FaultEvent) -> None:
@@ -160,6 +205,11 @@ class LedgerBackend(ABC):
             raise FaultCapabilityError(
                 backend=self.name, kind=event.kind,
                 capabilities=self.fault_capabilities,
+            )
+        if self.wired is None:
+            raise FaultError(
+                f"the {self.name} backend has no wired deployment to apply "
+                f"{event.kind!r} to: build() must set it first"
             )
         if event.kind == NODE_CRASH:
             self.crash_nodes(event.nodes)
@@ -191,28 +241,15 @@ class LedgerBackend(ABC):
             f"but implements no rejoin_nodes()"
         )
 
-    def _fault_network(self):
-        """The :class:`~repro.net.transport.Network` link faults act on.
-
-        Backends whose deployment rides the shared wireless substrate
-        return it here and inherit working partition/heal/link-degrade
-        hooks for free.
-        """
-        raise FaultError(
-            f"the {self.name} backend declares link-level fault "
-            f"capabilities but implements no _fault_network()"
-        )
-
     def set_partition(self, groups) -> None:
         """Split the network along ``groups`` (cross-group hops drop)."""
-        network = self._fault_network()
         self._partition_rule = partition_drop_rule(groups)
-        network.add_drop_rule(self._partition_rule)
+        self.wired.network.add_drop_rule(self._partition_rule)
 
     def heal_partition(self) -> None:
         """Remove the active partition (schedule validation ensures one)."""
         if self._partition_rule is not None:
-            self._fault_network().remove_drop_rule(self._partition_rule)
+            self.wired.network.remove_drop_rule(self._partition_rule)
             self._partition_rule = None
 
     def degrade_links(self, loss: float, extra_latency: float) -> None:
@@ -227,93 +264,71 @@ class LedgerBackend(ABC):
             self._degradation = None
         if loss > 0 or extra_latency > 0:
             self._degradation = LinkDegradation(
-                self._fault_network(), loss, extra_latency,
+                self.wired.network, loss, extra_latency,
                 rng=self.streams.get("faults"),
             )
 
+    # -- what only the ledger knows -----------------------------------------
     @abstractmethod
-    def build(self) -> None:
-        """Construct the deployment (topology, nodes, workload driver)."""
-
-    @abstractmethod
-    def advance_slots(self, start_slot: int, count: int) -> None:
-        """Simulate ``count`` slots beginning at ``start_slot``."""
+    def total_blocks(self) -> int:
+        """Blocks (requests, transactions) the ledger committed so far."""
 
     @abstractmethod
-    def finalize(self) -> None:
-        """Drain in-flight work after the last slot was driven."""
+    def trace_lines(self) -> List[str]:
+        """Canonical text lines of everything observable about the run."""
 
-    @abstractmethod
-    def sample(self) -> Dict[str, float]:
-        """One point of the storage/traffic series at the current slot."""
-
-    @abstractmethod
-    def collect(self) -> BackendMetrics:
-        """Totals and per-node finals of the finished run."""
-
-    @abstractmethod
-    def trace_digest(self) -> str:
-        """Hex SHA-256 over everything observable about the run."""
-
-    # -- telemetry (pure observation) ---------------------------------------
-    def telemetry_counters(self) -> Dict[str, float]:
-        """Backend-specific monotonic counters for telemetry records.
-
-        Implementations must be *pure reads* of existing state — no
-        lazy materialization, no RNG draws, no event scheduling — which
-        is what keeps telemetry-enabled runs byte-identical to disabled
-        ones (the determinism no-op contract, CI-gated).
-        """
+    def ledger_counters(self) -> Dict[str, float]:
+        """The ledger's own monotonic counters for telemetry records."""
         return {}
 
+    def _clock_lines(self) -> List[str]:
+        """The kernel's share of a trace: events processed, final clock."""
+        sim = self.wired.sim
+        return [f"events {sim.processed_count}", f"now {sim.now!r}"]
+
+    # -- what the substrate answers -----------------------------------------
+    def sample(self) -> Dict[str, float]:
+        """One point of the storage/traffic series at the current slot."""
+        wired = self.wired
+        nodes, traffic = wired.node_ids, wired.traffic
+        return {
+            "storage_mb": bits_to_mb(wired.mean_storage_bits()),
+            "traffic_mbit": bits_to_mbit(traffic.mean_tx_bits(nodes)),
+            "traffic_dag_mbit": bits_to_mbit(
+                traffic.mean_tx_bits(nodes, self.dag_categories)
+            ),
+            "traffic_pop_mbit": bits_to_mbit(
+                traffic.mean_tx_bits(nodes, self.pop_categories)
+            ),
+        }
+
+    def collect(self) -> BackendMetrics:
+        """Totals and per-node finals of the finished run."""
+        wired = self.wired
+        return BackendMetrics(
+            total_blocks=self.total_blocks(),
+            per_node_storage_mb=[bits_to_mb(b) for b in wired.storage_bits()],
+            per_node_traffic_mb=[
+                bits_to_mb(wired.traffic.total_bits(n)) for n in wired.node_ids
+            ],
+            events=wired.sim.processed_count,
+            sim_now=wired.sim.now,
+        )
+
+    def telemetry_counters(self) -> Dict[str, float]:
+        """:meth:`ledger_counters` plus the kernel's event count."""
+        return {
+            **self.ledger_counters(),
+            "events": float(self.wired.sim.processed_count),
+        }
+
     def current_time(self) -> float:
-        """The backend's simulated clock right now (pure read)."""
-        return 0.0
+        """The kernel's simulated clock right now."""
+        return float(self.wired.sim.now)
 
-    # -- block-lifecycle tracing (pure observation) -------------------------
-    def enable_block_tracing(self, sample_rate: float) -> None:
-        """Attach a span collector to the deployment's tracer.
-
-        Must be called after :meth:`build` and before any slots are
-        driven.  Like :meth:`telemetry_counters` this is strictly
-        read-side: collectors subscribe to emissions the deployment
-        already makes, never draw from existing random streams, and
-        never schedule events — so seeded trace digests stay
-        byte-identical with tracing on or off (the determinism no-op
-        contract, pinned per backend).  Idempotent.
-        """
-        if self._span_collector is not None:
-            return
-        collector = self._make_span_collector(sample_rate)
-        collector.attach(self._trace_tracer())
-        self._span_collector = collector
-
-    def _make_span_collector(self, sample_rate: float):
-        """The backend-specific :class:`~repro.telemetry.spans.SpanCollector`."""
-        raise NotImplementedError(
-            f"the {self.name} backend does not support block tracing"
-        )
-
-    def _trace_tracer(self):
-        """The deployment :class:`~repro.sim.tracing.Tracer` to subscribe to."""
-        raise NotImplementedError(
-            f"the {self.name} backend does not support block tracing"
-        )
-
-    def trace_block_events(self) -> List[Dict[str, object]]:
-        """Every sampled block's finished span tree (pure drain).
-
-        Empty when tracing was never enabled, so callers need no
-        enabled-state branching.
-        """
-        if self._span_collector is None:
-            return []
-        return self._span_collector.block_traces()
-
-    def trace_fault(self, event: FaultEvent, slot: int) -> None:
-        """Annotate open traces with an applied fault (observer hook)."""
-        if self._span_collector is not None:
-            self._span_collector.fault_applied(event, slot, self.current_time())
+    def trace_digest(self) -> str:
+        """Hex SHA-256 over :meth:`trace_lines`."""
+        return sha256_lines(self.trace_lines())
 
 
 #: name -> backend class.
@@ -363,6 +378,8 @@ class TwoLayerDagBackend(LedgerBackend):
 
     name = DEFAULT_BACKEND
     fault_capabilities = FAULT_KINDS
+    dag_categories = ("dag",)   # digest pushes
+    pop_categories = ("pop",)   # REQ_CHILD / RPY_CHILD / block fetch
 
     def __init__(self, spec: ScenarioSpec) -> None:
         super().__init__(spec)
@@ -391,8 +408,7 @@ class TwoLayerDagBackend(LedgerBackend):
         }
 
         spec = self.spec
-        self.streams = RandomStreams(spec.seed)
-        topology = build_topology(spec.topology, self.streams)
+        topology = self._scenario_topology()
 
         behaviors: Dict[int, object] = {}
         drop_rules = []
@@ -415,7 +431,7 @@ class TwoLayerDagBackend(LedgerBackend):
                 )
         self.behaviors = behaviors
 
-        self.deployment = TwoLayerDagNetwork(
+        self.wired = self.deployment = TwoLayerDagNetwork(
             config=build_config(spec),
             topology=topology,
             seed=spec.seed,
@@ -444,76 +460,32 @@ class TwoLayerDagBackend(LedgerBackend):
                 max_extra_time=self.spec.workload.quiet_time
             )
 
-    def sample(self) -> Dict[str, float]:
-        from repro.core.protocol import CATEGORY_DAG, CATEGORY_POP
-
-        deployment = self.deployment
-        nodes = deployment.node_ids
-        ledger = deployment.traffic
-        return {
-            "storage_mb": bits_to_mb(deployment.mean_storage_bits()),
-            "traffic_mbit": bits_to_mbit(ledger.mean_tx_bits(nodes)),
-            "traffic_dag_mbit": bits_to_mbit(
-                ledger.mean_tx_bits(nodes, [CATEGORY_DAG])
-            ),
-            "traffic_pop_mbit": bits_to_mbit(
-                ledger.mean_tx_bits(nodes, [CATEGORY_POP])
-            ),
-        }
-
     def collect(self) -> BackendMetrics:
-        deployment, workload = self.deployment, self.workload
-        return BackendMetrics(
-            total_blocks=workload.total_blocks(),
-            validations=len(workload.validations),
-            success_rate=workload.success_rate(),
-            per_node_storage_mb=[
-                bits_to_mb(node.storage_bits())
-                for node in deployment.nodes.values()
-            ],
-            per_node_traffic_mb=[
-                bits_to_mb(deployment.traffic.total_bits(n))
-                for n in deployment.node_ids
-            ],
-            events=deployment.sim.processed_count,
-            sim_now=deployment.sim.now,
-        )
+        metrics = super().collect()
+        metrics.validations = len(self.workload.validations)
+        metrics.success_rate = self.workload.success_rate()
+        return metrics
 
-    def trace_digest(self) -> str:
-        from repro.bench.trace import slot_simulation_trace_digest
+    def total_blocks(self) -> int:
+        return self.workload.total_blocks()
 
-        return slot_simulation_trace_digest(self.workload)
+    def trace_lines(self) -> List[str]:
+        from repro.bench.trace import slot_simulation_trace_lines
 
-    def telemetry_counters(self) -> Dict[str, float]:
+        return slot_simulation_trace_lines(self.workload)
+
+    def ledger_counters(self) -> Dict[str, float]:
         from repro.core.pop.messages import KIND_REQ_CHILD, KIND_RPY_CHILD
 
-        workload, deployment = self.workload, self.deployment
+        traffic = self.deployment.traffic
         return {
-            "blocks": float(workload.total_blocks()),
-            "validations": float(len(workload.validations)),
-            "pop_batches": float(
-                deployment.traffic.message_count(KIND_REQ_CHILD)
-            ),
-            "pop_replies": float(
-                deployment.traffic.message_count(KIND_RPY_CHILD)
-            ),
-            "events": float(deployment.sim.processed_count),
+            "blocks": float(self.total_blocks()),
+            "validations": float(len(self.workload.validations)),
+            "pop_batches": float(traffic.message_count(KIND_REQ_CHILD)),
+            "pop_replies": float(traffic.message_count(KIND_RPY_CHILD)),
         }
 
-    def current_time(self) -> float:
-        return float(self.deployment.sim.now)
-
-    def _make_span_collector(self, sample_rate: float):
-        from repro.telemetry.spans import DagSpanCollector
-
-        return DagSpanCollector(self.spec.seed, sample_rate)
-
-    def _trace_tracer(self):
-        return self.deployment.tracer
-
     # -- faults ------------------------------------------------------------
-    # (the crash/rejoin bodies are the original churn hooks verbatim,
-    # which is what keeps compiled ChurnSpec traces byte-identical)
     def crash_nodes(self, node_ids: Iterable[int]) -> None:
         for node_id in node_ids:
             self.deployment.node(node_id).go_offline()
@@ -525,9 +497,6 @@ class TwoLayerDagBackend(LedgerBackend):
                 for other in self.deployment.node_ids:
                     self.deployment.node(other).record_cooperation(node_id)
 
-    def _fault_network(self):
-        return self.deployment.network
-
 
 # -- baselines -----------------------------------------------------------------
 
@@ -535,8 +504,6 @@ class TwoLayerDagBackend(LedgerBackend):
 class PbftBackend(LedgerBackend):
     """The PBFT cluster baseline driven by the scenario workload.
 
-    The topology is rebuilt from the scenario's named streams — one
-    master seed gives the identical physical graph the 2LDAG run saw.
     ``workload.validate``/``fetch_body`` have no PBFT equivalent and
     are ignored; every committed request already replicates its block
     to all replicas.  All traffic is consensus traffic, so the DAG
@@ -545,6 +512,7 @@ class PbftBackend(LedgerBackend):
 
     name = "pbft"
     fault_capabilities = FAULT_KINDS
+    pop_categories = ("pbft",)
 
     def __init__(self, spec: ScenarioSpec) -> None:
         super().__init__(spec)
@@ -554,10 +522,8 @@ class PbftBackend(LedgerBackend):
         from repro.baselines.pbft.cluster import PbftCluster
 
         spec = self.spec
-        self.streams = RandomStreams(spec.seed)
-        topology = build_topology(spec.topology, self.streams)
-        self.cluster = PbftCluster(
-            topology=topology,
+        self.wired = self.cluster = PbftCluster(
+            topology=self._scenario_topology(),
             payload_bits=spec.protocol.body_bits,
             seed=spec.seed,
             view_change_timeout=spec.pbft.view_change_timeout,
@@ -569,9 +535,6 @@ class PbftBackend(LedgerBackend):
         # a sample taken at the boundary sees committed state.
         self.cluster.run_slots(count, settle_time=self.spec.pbft.settle_time)
 
-    def finalize(self) -> None:
-        pass  # every driven chunk already settled
-
     # -- faults ------------------------------------------------------------
     def crash_nodes(self, node_ids: Iterable[int]) -> None:
         self.cluster.crash(node_ids)
@@ -580,97 +543,46 @@ class PbftBackend(LedgerBackend):
         # PBFT keeps no cooperation blacklist; ``forgive`` is meaningless.
         self.cluster.recover(node_ids)
 
-    def _fault_network(self):
-        return self.cluster.network
-
-    def sample(self) -> Dict[str, float]:
-        cluster = self.cluster
-        total = bits_to_mbit(cluster.traffic.mean_tx_bits(cluster.node_ids))
-        return {
-            "storage_mb": bits_to_mb(cluster.mean_storage_bits()),
-            "traffic_mbit": total,
-            "traffic_dag_mbit": 0.0,
-            "traffic_pop_mbit": total,
-        }
-
     def _reference_replicas(self):
         """Live replicas, or all of them when the whole cluster is down
         (a schedule may legitimately end mid-crash)."""
         return self.cluster.live_replicas() or list(self.cluster.replicas.values())
 
-    def collect(self) -> BackendMetrics:
-        cluster = self.cluster
-        return BackendMetrics(
-            total_blocks=max(r.chain.height for r in self._reference_replicas()),
-            per_node_storage_mb=[
-                bits_to_mb(cluster.replicas[n].storage_bits())
-                for n in cluster.node_ids
-            ],
-            per_node_traffic_mb=[
-                bits_to_mb(cluster.traffic.total_bits(n))
-                for n in cluster.node_ids
-            ],
-            events=cluster.sim.processed_count,
-            sim_now=cluster.sim.now,
-        )
+    def total_blocks(self) -> int:
+        return max(r.chain.height for r in self._reference_replicas())
 
-    def trace_digest(self) -> str:
+    def trace_lines(self) -> List[str]:
         cluster = self.cluster
-        lines: List[str] = []
         longest = max(
             (r.chain for r in self._reference_replicas()), key=lambda c: c.height
         )
-        for sequence in range(longest.height):
-            lines.append(
-                f"commit {sequence}: {longest.block_at(sequence).digest().hex()}"
-            )
-        for node_id in cluster.node_ids:
-            replica = cluster.replicas[node_id]
+        lines = [
+            f"commit {sequence}: {longest.block_at(sequence).digest().hex()}"
+            for sequence in range(longest.height)
+        ]
+        for node_id, replica in cluster.replicas.items():
             lines.append(
                 f"replica {node_id} height {replica.chain.height} "
                 f"crashed={replica.crashed}"
             )
-        lines.append(f"events {cluster.sim.processed_count}")
-        lines.append(f"now {cluster.sim.now!r}")
-        return sha256_lines(lines)
+        return lines + self._clock_lines()
 
-    def telemetry_counters(self) -> Dict[str, float]:
-        cluster = self.cluster
-        return {
-            "consensus_rounds": float(
-                max(r.chain.height for r in self._reference_replicas())
-            ),
-            "events": float(cluster.sim.processed_count),
-        }
-
-    def current_time(self) -> float:
-        return float(self.cluster.sim.now)
-
-    def _make_span_collector(self, sample_rate: float):
-        from repro.telemetry.spans import PbftSpanCollector
-
-        # Confirmation = the (2f+1)-th replica executing the request;
-        # by then a client would hold f+1 matching replies.
-        any_replica = next(iter(self.cluster.replicas.values()))
-        return PbftSpanCollector(
-            self.spec.seed, sample_rate, quorum=2 * any_replica.f + 1
-        )
-
-    def _trace_tracer(self):
-        return self.cluster.network.tracer
+    def ledger_counters(self) -> Dict[str, float]:
+        return {"consensus_rounds": float(self.total_blocks())}
 
 
 @register_backend
 class IotaBackend(LedgerBackend):
     """The IOTA tangle baseline driven by the scenario workload.
 
-    Same named-stream topology rebuild as the other backends; each node
-    issues one ``C``-bit transaction per slot and gossip-floods it.
-    All traffic is DAG-construction traffic, so the PoP series is zero.
+    Each node issues one ``C``-bit transaction per slot and
+    gossip-floods it.  All traffic is DAG-construction traffic, so the
+    PoP series is zero.
     """
 
     name = "iota"
     fault_capabilities = FAULT_KINDS
+    dag_categories = ("iota",)
 
     def __init__(self, spec: ScenarioSpec) -> None:
         super().__init__(spec)
@@ -680,10 +592,8 @@ class IotaBackend(LedgerBackend):
         from repro.baselines.iota.node import IotaNetwork
 
         spec = self.spec
-        self.streams = RandomStreams(spec.seed)
-        topology = build_topology(spec.topology, self.streams)
-        self.network = IotaNetwork(
-            topology=topology,
+        self.wired = self.network = IotaNetwork(
+            topology=self._scenario_topology(),
             payload_bits=spec.protocol.body_bits,
             seed=spec.seed,
             tip_strategy=spec.iota.tip_strategy,
@@ -693,9 +603,6 @@ class IotaBackend(LedgerBackend):
 
     def advance_slots(self, start_slot: int, count: int) -> None:
         self.network.run_slots(count, settle_time=self.spec.iota.settle_time)
-
-    def finalize(self) -> None:
-        pass  # every driven chunk already settled
 
     # -- faults ------------------------------------------------------------
     def crash_nodes(self, node_ids: Iterable[int]) -> None:
@@ -711,69 +618,23 @@ class IotaBackend(LedgerBackend):
         for node_id in node_ids:
             self.network.nodes[node_id].online = True
 
-    def _fault_network(self):
-        return self.network.network
+    def total_blocks(self) -> int:
+        return max(len(node.tangle) for node in self.network.nodes.values())
 
-    def sample(self) -> Dict[str, float]:
-        network = self.network
-        total = bits_to_mbit(network.traffic.mean_tx_bits(network.node_ids))
-        return {
-            "storage_mb": bits_to_mb(network.mean_storage_bits()),
-            "traffic_mbit": total,
-            "traffic_dag_mbit": total,
-            "traffic_pop_mbit": 0.0,
-        }
-
-    def collect(self) -> BackendMetrics:
-        network = self.network
-        return BackendMetrics(
-            total_blocks=max(len(n.tangle) for n in network.nodes.values()),
-            per_node_storage_mb=[
-                bits_to_mb(network.nodes[n].storage_bits())
-                for n in network.node_ids
-            ],
-            per_node_traffic_mb=[
-                bits_to_mb(network.traffic.total_bits(n))
-                for n in network.node_ids
-            ],
-            events=network.sim.processed_count,
-            sim_now=network.sim.now,
-        )
-
-    def trace_digest(self) -> str:
-        network = self.network
-        reference = max(
-            (node.tangle for node in network.nodes.values()), key=len
-        )
-        lines: List[str] = []
-        for digest_hex in sorted(
-            transaction.digest().hex() for transaction in reference.transactions()
-        ):
-            lines.append(f"tx {digest_hex}")
-        for node_id in network.node_ids:
-            node = network.nodes[node_id]
+    def trace_lines(self) -> List[str]:
+        nodes = self.network.nodes
+        reference = max((node.tangle for node in nodes.values()), key=len)
+        lines = [
+            f"tx {digest_hex}"
+            for digest_hex in sorted(
+                transaction.digest().hex()
+                for transaction in reference.transactions()
+            )
+        ]
+        for node_id, node in nodes.items():
             lines.append(f"node {node_id} tangle {len(node.tangle)}")
         lines.append(f"tips {len(reference.tips())}")
-        lines.append(f"events {network.sim.processed_count}")
-        lines.append(f"now {network.sim.now!r}")
-        return sha256_lines(lines)
+        return lines + self._clock_lines()
 
-    def telemetry_counters(self) -> Dict[str, float]:
-        network = self.network
-        return {
-            "tangle_size": float(
-                max(len(node.tangle) for node in network.nodes.values())
-            ),
-            "events": float(network.sim.processed_count),
-        }
-
-    def current_time(self) -> float:
-        return float(self.network.sim.now)
-
-    def _make_span_collector(self, sample_rate: float):
-        from repro.telemetry.spans import IotaSpanCollector
-
-        return IotaSpanCollector(self.spec.seed, sample_rate)
-
-    def _trace_tracer(self):
-        return self.network.network.tracer
+    def ledger_counters(self) -> Dict[str, float]:
+        return {"tangle_size": float(self.total_blocks())}

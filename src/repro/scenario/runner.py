@@ -206,31 +206,25 @@ class ScenarioRunner:
         self.workload = getattr(backend, "workload", None)
         self.behaviors = getattr(backend, "behaviors", {})
         self.sybil_identities = getattr(backend, "sybil_identities", [])
+        # The span recorder goes first: a backend it cannot trace is
+        # refused before either recorder has opened a stream file.
         if self.spans is not None:
-            backend.enable_block_tracing(self.spans.sample)
-        schedule = self.spec.workload.fault_schedule()
-        if schedule is not None:
-            observers = []
-            if self.telemetry is not None:
-                observers.append(self.telemetry.fault_applied)
-            if self.spans is not None:
-                observers.append(self._spans_fault_applied)
-            observer = None
-            if observers:
-                def observer(event, slot, _observers=tuple(observers)):
-                    for callback in _observers:
-                        callback(event, slot)
-            self.fault_engine = FaultEngine(schedule, backend, observer=observer)
+            self.spans.run_started(self.spec, backend.wired.tracer)
         if self.telemetry is not None:
             self.telemetry.run_started(self.spec)
-        if self.spans is not None:
-            self.spans.run_started(self.spec)
+        schedule = self.spec.workload.fault_schedule()
+        if schedule is not None:
+            self.fault_engine = FaultEngine(
+                schedule, backend, observer=self._fault_applied
+            )
         return self
 
-    def _spans_fault_applied(self, event, slot: int) -> None:
-        """Fault observer leg for span tracing: annotate + record."""
-        self.backend.trace_fault(event, slot)
-        self.spans.fault_applied(event, slot, self.backend.current_time())
+    def _fault_applied(self, event, slot: int) -> None:
+        """The fault engine's observer: hand the event to each recorder."""
+        if self.telemetry is not None:
+            self.telemetry.fault_applied(event, slot)
+        if self.spans is not None:
+            self.spans.fault_applied(event, slot, self.backend.current_time())
 
     # -- driving -----------------------------------------------------------
     def _boundaries_until(self, target: int) -> List[int]:
@@ -336,7 +330,7 @@ class ScenarioRunner:
                 trace_sha256=result.trace_sha256,
             )
         if self.spans is not None:
-            self.spans.run_finished(self.backend.trace_block_events())
+            self.spans.run_finished()
         return result
 
     def run(self) -> ScenarioResult:

@@ -10,19 +10,22 @@ never the wall clock.
 The moving parts:
 
 * :class:`SpanCollector` subclasses (one per registered ledger
-  backend) subscribe to the deployment's existing
-  :class:`~repro.sim.tracing.Tracer` and fold lifecycle emissions into
-  per-block traces.  Collection is pure observation: no RNG draws from
-  existing streams, no event scheduling, no state written back into
-  the simulation — which is what keeps a tracing-enabled run
-  byte-identical to a disabled one (the determinism no-op contract,
-  pinned per backend in tests and diffed in CI).
+  backend, rostered in :data:`SPAN_COLLECTORS`) subscribe to the
+  deployment's existing :class:`~repro.sim.tracing.Tracer` and fold
+  lifecycle emissions into per-block traces.  Collection is pure
+  observation: no RNG draws from existing streams, no event
+  scheduling, no state written back into the simulation — which is
+  what keeps a tracing-enabled run byte-identical to a disabled one
+  (the determinism no-op contract, pinned per backend in tests and
+  diffed in CI).
 * Block sampling is seeded from a named ``tracing`` stream:
   :func:`block_sampled` is a pure function of the scenario's master
   seed and the block key, so the sampled set is identical across
   processes, replays and backends that share a key.
-* :class:`SpanRecorder` writes one run's trace stream as JSONL under
-  the telemetry directory, through the
+* :class:`SpanRecorder` owns the run's collector — it picks it from
+  the roster by ``spec.backend``, attaches it to the tracer it is
+  handed and drains it at the end — and writes the trace stream as
+  JSONL under the telemetry directory, through the
   :class:`~repro.telemetry.stream.StreamWriter` it shares with the v1
   recorder (every record validated against the pinned v2 table in
   :data:`repro.telemetry.stream.SCHEMAS` before it is written).
@@ -46,7 +49,7 @@ witness the determinism tests pin per backend.
 from __future__ import annotations
 
 import os
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple, Type
 
 from repro.canonical import sha256_lines
 from repro.sim.rng import derive_seed, derive_unit
@@ -149,8 +152,8 @@ class SpanCollector:
     backend = ""
     categories: Tuple[str, ...] = ()
 
-    def __init__(self, master_seed: int, sample_rate: float) -> None:
-        self.master_seed = int(master_seed)
+    def __init__(self, spec, sample_rate: float) -> None:
+        self.master_seed = int(spec.seed)
         self.sample_rate = float(sample_rate)
         self._traces: Dict[str, _BlockTrace] = {}
         self._sampled: Dict[str, bool] = {}
@@ -288,8 +291,8 @@ class DagSpanCollector(SpanCollector):
     backend = "2ldag"
     categories = ("block.", "pop.")
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
+    def __init__(self, spec, sample_rate: float) -> None:
+        super().__init__(spec, sample_rate)
         #: raw digest bytes -> block key, for *sampled* blocks only.
         #: Registered with the tracer as the ``block.digest_received``
         #: interest filter, so the per-neighbour receipt flood (the
@@ -351,16 +354,17 @@ class PbftSpanCollector(SpanCollector):
     """PBFT lifecycle: request → pre-prepare → prepare → commit → reply.
 
     A request is confirmed when its ``quorum``-th replica executes it
-    (the client would by then hold ``f+1`` matching replies).  View
-    changes annotate every in-flight request as ``view-change`` spans.
+    — the (2f+1)-th, ``f = ⌊(n − 1) / 3⌋`` of the spec's ``n`` nodes, by
+    when a client would hold ``f+1`` matching replies.  View changes
+    annotate every in-flight request as ``view-change`` spans.
     """
 
     backend = "pbft"
     categories = ("pbft.",)
 
-    def __init__(self, *args, quorum: int = 1, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.quorum = int(quorum)
+    def __init__(self, spec, sample_rate: float) -> None:
+        super().__init__(spec, sample_rate)
+        self.quorum = 2 * ((spec.node_count - 1) // 3) + 1
         self._executions: Dict[str, int] = {}
 
     def _annotate_open(self, phase: str, record) -> None:
@@ -411,18 +415,15 @@ class IotaSpanCollector(SpanCollector):
 
     The collector mirrors the attach-event parent graph and confirms a
     transaction when its cumulative approval weight (number of direct
-    and indirect approvers) reaches ``confirm_weight`` — the read-side
-    analogue of the tangle's confirmation rule.
+    and indirect approvers) reaches :data:`IOTA_CONFIRM_WEIGHT` — the
+    read-side analogue of the tangle's confirmation rule.
     """
 
     backend = "iota"
     categories = ("iota.",)
 
-    def __init__(
-        self, *args, confirm_weight: int = IOTA_CONFIRM_WEIGHT, **kwargs
-    ) -> None:
-        super().__init__(*args, **kwargs)
-        self.confirm_weight = int(confirm_weight)
+    def __init__(self, spec, sample_rate: float) -> None:
+        super().__init__(spec, sample_rate)
         #: raw digest bytes -> key / parent digests / cumulative weight.
         #: The emission site hands over the Transaction itself; its
         #: memoised digest keeps the per-receive cost to a dict lookup.
@@ -462,7 +463,7 @@ class IotaSpanCollector(SpanCollector):
                 weight = self._weights.get(ancestor, 0) + 1
                 self._weights[ancestor] = weight
                 frontier.extend(self._parents[ancestor])
-                if weight == self.confirm_weight:
+                if weight == IOTA_CONFIRM_WEIGHT:
                     ancestor_key = self._digest_to_key.get(ancestor)
                     if ancestor_key is not None:
                         self._confirm(
@@ -475,10 +476,18 @@ class IotaSpanCollector(SpanCollector):
                 self._record(key, "received", record.node, record.time)
 
 
+#: Backend name -> its collector, the roster of backends that can be
+#: traced (beside :data:`PHASE_ORDER`, which is keyed the same way).
+SPAN_COLLECTORS: Dict[str, Type[SpanCollector]] = {
+    collector.backend: collector
+    for collector in (DagSpanCollector, PbftSpanCollector, IotaSpanCollector)
+}
+
+
 # -- recording -----------------------------------------------------------------
 
 class SpanRecorder(StreamWriter):
-    """Write one run's trace stream under a telemetry directory.
+    """Trace one run: own its collector, write its stream.
 
     The runner-facing twin of
     :class:`~repro.telemetry.events.TelemetryRecorder`: the
@@ -499,17 +508,32 @@ class SpanRecorder(StreamWriter):
         self.sample = float(sample)
         self.blocks_traced = 0
         self._body: List[str] = []
+        self._collector: Optional[SpanCollector] = None
 
     # -- the runner-facing hooks -------------------------------------------
-    def run_started(self, spec) -> None:
-        """Open the stream and emit the ``trace-start`` record."""
+    def run_started(self, spec, tracer) -> None:
+        """Attach the backend's collector, open the stream, emit ``trace-start``.
+
+        ``tracer`` is the built deployment's; no slot may have been
+        driven yet.  A backend outside the roster is refused before a
+        file is touched.
+        """
+        collector = SPAN_COLLECTORS.get(spec.backend)
+        if collector is None:
+            raise TelemetryError(
+                f"the {spec.backend} backend has no span collector; block "
+                f"tracing covers: {', '.join(sorted(SPAN_COLLECTORS))}"
+            )
+        self._collector = collector(spec, self.sample)
+        self._collector.attach(tracer)
         header = self._open(spec)
         self._body = self._write(
             {"event": TRACE_START, **header, "sample": self.sample}
         )
 
     def fault_applied(self, event, slot: int, time: float) -> None:
-        """Emit one stream-level ``fault`` record (structured nodes)."""
+        """Emit one stream-level ``fault`` record (structured nodes) and
+        annotate every open trace with the fault."""
         self._body += self._write({
             "event": FAULT,
             "slot": int(slot),
@@ -518,13 +542,16 @@ class SpanRecorder(StreamWriter):
             "nodes": sorted(int(n) for n in event.nodes),
             "detail": event.describe(),
         })
+        self._collector.fault_applied(event, slot, time)
 
-    def run_finished(self, block_traces: List[Dict[str, Any]]) -> None:
-        """Emit every ``block-trace`` and the terminal ``trace-end``.
+    def run_finished(self) -> None:
+        """Drain the collector: every ``block-trace``, then ``trace-end``.
 
         Hundreds of traces land at once, so the body goes out in one
         append; the terminal's digest is taken over the lines written.
         """
+        # Never started: nothing to drain, and ``_write`` says so.
+        block_traces = self._collector.block_traces() if self._collector else []
         self._body += self._write(*block_traces)
         self.blocks_traced = len(block_traces)
         self._write({

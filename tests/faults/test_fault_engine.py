@@ -111,10 +111,8 @@ class TestCapabilities:
 
             def build(self): ...
             def advance_slots(self, start_slot, count): ...
-            def finalize(self): ...
-            def sample(self): return {}
-            def collect(self): return None
-            def trace_digest(self): return ""
+            def total_blocks(self): return 0
+            def trace_lines(self): return []
 
         backend = NoFaultsBackend(grid_spec())
         with pytest.raises(FaultCapabilityError, match="its capabilities: none"):
@@ -130,14 +128,12 @@ class TestCapabilities:
 
             def build(self): ...
             def advance_slots(self, start_slot, count): ...
-            def finalize(self): ...
-            def sample(self): return {}
-            def collect(self): return None
-            def trace_digest(self): return ""
+            def total_blocks(self): return 0
+            def trace_lines(self): return []
 
         backend = NetlessBackend(grid_spec())
         backend.streams = object()  # degrade_links only reads it on loss > 0
-        with pytest.raises(FaultError, match="implements no _fault_network"):
+        with pytest.raises(FaultError, match="netless backend has no wired deployment"):
             backend.apply_fault(
                 FaultEvent(kind="link-degrade", slot=1, extra_latency=0.01)
             )

@@ -1,6 +1,6 @@
-"""Traffic/storage ledger edge cases the figure suites never hit."""
+"""Traffic ledger edge cases the figure suites never hit."""
 
-from repro.metrics.collector import StorageLedger, TrafficLedger
+from repro.metrics.collector import TrafficLedger
 
 
 class TestTrafficUnknowns:
@@ -40,12 +40,6 @@ class TestZeroBitRecords:
         assert ledger.categories() == ["ack"]
         assert ledger.snapshot_tx() == {3: 0.0}
 
-    def test_zero_bit_storage_set(self):
-        ledger = StorageLedger()
-        ledger.set_bits(1, "blocks", 0.0)
-        assert ledger.bits(1) == 0.0
-        assert ledger.per_node_bits([0, 1]) == [0.0, 0.0]
-
 
 class TestMessageAggregation:
     def test_record_message_aggregates_by_kind(self):
@@ -67,33 +61,3 @@ class TestMessageAggregation:
         counts["new"] = 1
         assert ledger.message_count("a") == 1
         assert ledger.message_counts() == {"a": 1, "z": 1}
-
-
-class TestStorageSnapshotSemantics:
-    def test_set_bits_overwrites_a_level(self):
-        ledger = StorageLedger()
-        ledger.set_bits(0, "blocks", 800.0)
-        ledger.set_bits(0, "blocks", 500.0)  # snapshots replace, not add
-        assert ledger.bits(0) == 500.0
-
-    def test_add_bits_accumulates_then_set_resets(self):
-        ledger = StorageLedger()
-        ledger.add_bits(0, "headers", 100.0)
-        ledger.add_bits(0, "headers", 50.0)
-        assert ledger.bits(0, ["headers"]) == 150.0
-        ledger.set_bits(0, "headers", 10.0)
-        assert ledger.bits(0, ["headers"]) == 10.0
-
-    def test_categories_stay_independent(self):
-        ledger = StorageLedger()
-        ledger.set_bits(0, "blocks", 100.0)
-        ledger.set_bits(0, "headers", 20.0)
-        ledger.set_bits(0, "blocks", 70.0)
-        assert ledger.bits(0) == 90.0
-        assert ledger.bits(0, ["headers"]) == 20.0
-
-    def test_mean_bits_over_unknown_nodes(self):
-        ledger = StorageLedger()
-        ledger.set_bits(0, "blocks", 100.0)
-        assert ledger.mean_bits([0, 1]) == 50.0
-        assert ledger.mean_bits([]) == 0.0

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.metrics.cdf import EmpiricalCDF
-from repro.metrics.collector import StorageLedger, TrafficLedger
+from repro.metrics.collector import TrafficLedger
 from repro.metrics.reporting import format_ratio, format_series_table, render_cdf_rows
 from repro.metrics.units import bits_to_kb, bits_to_mb, bits_to_mbit, mb_to_bits
 
@@ -50,27 +50,6 @@ class TestTrafficLedger:
         ledger.record_message("ping")
         assert ledger.message_count("ping") == 2
         assert ledger.message_count("other") == 0
-
-
-class TestStorageLedger:
-    def test_set_overwrites(self):
-        ledger = StorageLedger()
-        ledger.set_bits(1, "blocks", 100)
-        ledger.set_bits(1, "blocks", 70)
-        assert ledger.bits(1) == 70
-
-    def test_add_accumulates(self):
-        ledger = StorageLedger()
-        ledger.add_bits(1, "blocks", 100)
-        ledger.add_bits(1, "blocks", 50)
-        assert ledger.bits(1, ["blocks"]) == 150
-
-    def test_mean_and_per_node(self):
-        ledger = StorageLedger()
-        ledger.set_bits(1, "x", 100)
-        ledger.set_bits(2, "x", 300)
-        assert ledger.mean_bits([1, 2]) == 200
-        assert ledger.per_node_bits([1, 2]) == [100, 300]
 
 
 class TestCdf:

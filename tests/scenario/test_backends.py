@@ -2,10 +2,15 @@
 determinism, and spec round-trip of the backend parameter blocks."""
 
 import dataclasses
+from pathlib import Path
 
 import pytest
 
 from repro.campaign.spec import expand_grid
+from repro.canonical import sha256_lines
+from repro.faults import FaultEvent, FaultScheduleSpec
+from repro.metrics.units import bits_to_mb
+from repro.net.deployment import WiredDeployment
 from repro.scenario import (
     DEFAULT_BACKEND,
     AdversarySpec,
@@ -24,8 +29,18 @@ from repro.scenario import (
     ledger_bench_scenario,
     run_scenario,
 )
+from repro.scenario.runner import SERIES_KEYS
+from repro.telemetry import (
+    SpanRecorder,
+    TelemetryError,
+    TelemetryRecorder,
+    read_streams,
+    validate_streams,
+)
 
 ALL_BACKENDS = ("2ldag", "pbft", "iota")
+
+SCENARIOS_DOC = Path(__file__).resolve().parents[2] / "docs" / "scenarios.md"
 
 
 def small_spec(**overrides) -> ScenarioSpec:
@@ -95,17 +110,11 @@ class TestValidation:
             def advance_slots(self, start_slot, count):  # pragma: no cover
                 pass
 
-            def finalize(self):  # pragma: no cover
-                pass
+            def total_blocks(self):  # pragma: no cover
+                return 0
 
-            def sample(self):  # pragma: no cover
-                return {}
-
-            def collect(self):  # pragma: no cover
-                return None
-
-            def trace_digest(self):  # pragma: no cover
-                return ""
+            def trace_lines(self):  # pragma: no cover
+                return []
 
         register_backend(CrashOnlyBackend)
         try:
@@ -260,6 +269,181 @@ class TestDispatch:
         node = next(iter(runner.backend.network.nodes.values()))
         assert node.tip_strategy == "mcmc"
         assert node.mcmc_alpha == 0.25
+
+
+#: crash + partition + heal + degrade (+ rejoin, restore) on the 3x3 grid.
+MIXED_FAULTS = FaultScheduleSpec(events=(
+    FaultEvent(kind="node-crash", slot=2, nodes=(4,)),
+    FaultEvent(kind="partition", slot=3, groups=((0, 3, 6),)),
+    FaultEvent(kind="heal", slot=5),
+    FaultEvent(kind="link-degrade", slot=5, loss=0.2, extra_latency=0.002),
+    FaultEvent(kind="node-rejoin", slot=6, nodes=(4,)),
+    FaultEvent(kind="link-degrade", slot=7),
+))
+
+
+def faulted_spec(backend: str) -> ScenarioSpec:
+    return small_spec(
+        backend=backend,
+        workload=WorkloadSpec(slots=8, sample_slots=(4, 8), faults=MIXED_FAULTS),
+    )
+
+
+@pytest.mark.parametrize("name", backend_names())
+class TestBackendContract:
+    """What :class:`LedgerBackend` answers from the wired deployment,
+    held against direct reads of that deployment, on every backend."""
+
+    #: The attribute each backend has always exposed its ledger under.
+    LEDGER_ATTRIBUTE = {"2ldag": "deployment", "pbft": "cluster", "iota": "network"}
+
+    @pytest.fixture()
+    def backend(self, name):
+        runner = ScenarioRunner(faulted_spec(name))
+        runner.advance_to(7)  # node 4 was down for slots 2-5: nodes now differ
+        return runner.backend
+
+    def test_deployment_is_the_shared_base_type(self, backend, name):
+        assert isinstance(backend.wired, WiredDeployment)
+        # One more reference to the same object, not a second object.
+        assert backend.wired is getattr(backend, self.LEDGER_ATTRIBUTE[name])
+
+    def test_sample_has_exactly_the_series_keys(self, backend, name):
+        sample = backend.sample()
+        assert sorted(sample) == sorted(SERIES_KEYS)
+        split = sample["traffic_dag_mbit"] + sample["traffic_pop_mbit"]
+        assert sample["traffic_mbit"] > 0
+        if name == DEFAULT_BACKEND:
+            assert split == pytest.approx(sample["traffic_mbit"])
+        else:  # a single category: the split is the total, bit for bit
+            assert split == sample["traffic_mbit"]
+
+    def test_collect_lists_follow_node_ids(self, backend, name):
+        wired, metrics = backend.wired, backend.collect()
+        members = getattr(wired, "replicas", None) or wired.nodes
+        assert wired.node_ids == list(range(backend.spec.node_count))
+        assert metrics.per_node_storage_mb == [
+            bits_to_mb(members[n].storage_bits()) for n in wired.node_ids
+        ]
+        assert metrics.per_node_traffic_mb == [
+            bits_to_mb(wired.traffic.total_bits(n)) for n in wired.node_ids
+        ]
+        assert len(set(metrics.per_node_storage_mb)) > 1  # order is observable
+        assert metrics.total_blocks == backend.total_blocks() > 0
+        assert (metrics.events, metrics.sim_now) == (
+            wired.sim.processed_count, wired.sim.now
+        )
+
+    def test_clock_and_counters_are_the_kernels(self, backend, name):
+        sim = backend.wired.sim
+        assert sim.now > 0
+        assert backend.current_time() == sim.now
+        counters = backend.telemetry_counters()
+        assert counters["events"] == sim.processed_count
+        assert {**backend.ledger_counters(), "events": counters["events"]} == counters
+
+    def test_digest_is_the_hash_of_the_trace_lines(self, backend, name):
+        lines = backend.trace_lines()
+        assert f"events {backend.wired.sim.processed_count}" in lines
+        assert f"now {backend.wired.sim.now!r}" in lines
+        assert backend.trace_digest() == sha256_lines(lines)
+
+
+@pytest.fixture()
+def documented_backend():
+    """The "Adding a backend" example of docs/scenarios.md, executed.
+
+    The doc's code block *is* this test's backend, so the two cannot
+    drift apart.  Executing it registers the backend and its span
+    collector row; both are removed again afterwards.
+    """
+    from repro.scenario.backends import _BACKENDS
+    from repro.telemetry.spans import SPAN_COLLECTORS
+
+    text = SCENARIOS_DOC.read_text(encoding="utf-8")
+    section = text[text.index("**Adding a backend.**"):]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    try:
+        exec(compile(code, str(SCENARIOS_DOC), "exec"), namespace)
+        yield namespace["MiniTangleBackend"]
+    finally:
+        _BACKENDS.pop("mini-tangle", None)
+        SPAN_COLLECTORS.pop("mini-tangle", None)
+
+
+class TestMinimalBackend:
+    """A fourth backend written against only the reduced surface."""
+
+    def test_defines_nothing_the_base_answers(self, documented_backend):
+        own = {k for k, v in vars(documented_backend).items() if callable(v)}
+        assert own == {
+            "build", "advance_slots", "crash_nodes", "rejoin_nodes",
+            "total_blocks", "trace_lines", "ledger_counters",
+        }
+
+    def test_runs_end_to_end_under_faults_and_both_recorders(
+        self, documented_backend, tmp_path
+    ):
+        spec = faulted_spec("mini-tangle")
+        runner = ScenarioRunner(
+            spec,
+            telemetry=TelemetryRecorder(tmp_path),
+            spans=SpanRecorder(tmp_path, sample=1.0),
+        )
+        # Stop where the runner pauses anyway (fault and sample slots),
+        # so the chunking is the one-shot run's, and note the kernel's
+        # clock at each boundary.
+        clock = {}
+        for stop in (2, 3, 4, 5, 6, 7, 8):
+            runner.advance_to(stop)
+            clock[stop] = runner.backend.wired.sim.now
+        observed = runner.finish()
+        assert len(runner.fault_engine.applied) == len(MIXED_FAULTS.events)
+
+        streams, _, defects = validate_streams([tmp_path])
+        assert defects == []
+        assert len(streams) == 2
+        # Recording is a no-op for the simulation.
+        assert observed.trace_sha256 == run_scenario(spec).trace_sha256
+
+        # The substrate's clock, not a forgotten default of 0.0, stamps
+        # every slot record, fault record and fault note.
+        assert all(time > 0 for time in clock.values())
+        ((_, slot_records),) = read_streams([tmp_path], 1)
+        slots = [r for r in slot_records if r["event"] == "slot"]
+        assert [r["slot"] for r in slots] == sorted(clock)
+        assert [r["sim_now"] for r in slots] == [clock[r["slot"]] for r in slots]
+        ((_, trace_records),) = read_streams([tmp_path], 2)
+        faults = [r for r in trace_records if r["event"] == "fault"]
+        assert [(r["slot"], r["kind"]) for r in faults] == [
+            (e.slot, e.kind) for e in MIXED_FAULTS.events
+        ]
+        notes = [
+            note for r in trace_records if r["event"] == "block-trace"
+            for note in r["faults"]
+        ]
+        assert notes, "open traces were annotated"
+        for stamped in faults + notes:
+            assert stamped["time"] == clock[stamped["slot"]]
+
+    def test_tracing_a_backend_without_a_collector_is_refused(
+        self, documented_backend, tmp_path
+    ):
+        from repro.telemetry.spans import SPAN_COLLECTORS
+
+        del SPAN_COLLECTORS["mini-tangle"]
+        runner = ScenarioRunner(
+            small_spec(backend="mini-tangle"),
+            telemetry=TelemetryRecorder(tmp_path),
+            spans=SpanRecorder(tmp_path),
+        )
+        with pytest.raises(
+            TelemetryError,
+            match="mini-tangle backend has no span collector.*2ldag, iota, pbft",
+        ):
+            runner.build()
+        assert list(tmp_path.iterdir()) == []  # no stream file was opened
 
 
 class TestGridExpansion:
