@@ -1,30 +1,31 @@
 """Benchmark configuration.
 
 Every benchmark regenerates one paper table/figure and prints the rows
-the paper plots.  By default a reduced-but-same-shape scale is used so
-the whole suite finishes in minutes; set ``REPRO_FULL=1`` for the
-paper's full 50-node / 200-slot configuration.
+the paper plots.  By default the reduced-but-same-shape
+``repro.scenario.QUICK_SCALE`` sizes the runs so the whole suite
+finishes in minutes; set ``REPRO_FULL=1`` for ``PAPER_SCALE``, the
+paper's full 50-node / 200-slot configuration.  This fixture is the
+only reader of that variable — it is a test-harness setting, the
+library takes its size as an argument.
 """
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
-from repro.experiments.common import ExperimentScale
+from repro.experiments.fig9_consensus import PAPER_PROBES
+from repro.scenario import PAPER_SCALE, QUICK_SCALE, ScenarioSpec
 
 
 @pytest.fixture(scope="session")
-def scale() -> ExperimentScale:
-    """Experiment scale: quick by default, paper with REPRO_FULL=1."""
-    return ExperimentScale.from_env()
+def scale() -> ScenarioSpec:
+    """The base spec sizing every figure run: quick, or paper with REPRO_FULL=1."""
+    return PAPER_SCALE if os.environ.get("REPRO_FULL") == "1" else QUICK_SCALE
 
 
-def scaled_gamma(paper_gamma: int, node_count: int) -> int:
-    """Scale a paper γ (defined for 50 nodes) to the bench node count."""
-    return max(2, round(paper_gamma * node_count / 50))
-
-
-def scaled_counts(paper_counts, node_count: int):
-    """Scale the malicious sweep to the bench node count (deduplicated)."""
-    scaled = sorted({round(m * node_count / 50) for m in paper_counts})
-    return scaled
+@pytest.fixture(scope="session")
+def probes(scale) -> int:
+    """Fig. 9 probes per sampled slot: the paper's, halved at quick size."""
+    return PAPER_PROBES if scale is PAPER_SCALE else PAPER_PROBES // 2

@@ -9,28 +9,24 @@ slots-to-consensus grow with γ and explode only near the 49% limit.
 
 import pytest
 
-from benchmarks.conftest import scaled_counts, scaled_gamma
-from repro.experiments.fig9_consensus import PAPER_PANELS, run_fig9
+from repro.experiments.fig9_consensus import PAPER_PANELS, paper_panel, run_fig9
 
 
 @pytest.mark.parametrize("panel", ["a", "b", "c", "d"])
-def test_fig9_panel(benchmark, scale, panel):
-    spec = PAPER_PANELS[panel]
-    gamma = scaled_gamma(spec["gamma"], scale.node_count)
-    malicious = scaled_counts(spec["malicious_counts"], scale.node_count)
-    # Keep malicious ≤ γ (the paper's tolerable bound).
-    malicious = [m for m in malicious if m <= gamma]
+def test_fig9_panel(benchmark, scale, probes, panel):
+    gamma, malicious = paper_panel(panel, scale.node_count)
 
     result = benchmark.pedantic(
         run_fig9,
-        args=(gamma, malicious),
-        kwargs={"scale": scale},
+        args=(gamma, malicious, scale),
+        kwargs={"probes": probes},
         rounds=1,
         iterations=1,
     )
     print(
         f"\n=== Fig. 9({panel})  gamma={gamma} "
-        f"(scaled from {spec['gamma']}/50 nodes)  failure probability ==="
+        f"(scaled from {PAPER_PANELS[panel]['gamma']}/50 nodes)  "
+        f"failure probability ==="
     )
     print(result.to_table())
     for m in malicious:
@@ -45,12 +41,14 @@ def test_fig9_panel(benchmark, scale, panel):
     assert result.consensus_slot(malicious[0]) is not None
 
 
-def test_fig9_gamma_scaling(benchmark, scale):
-    """Cross-panel claim: larger γ never speeds consensus up."""
+def test_fig9_gamma_scaling(benchmark, scale, probes):
+    """Cross-panel claim: larger γ (panel c vs a) never speeds consensus up."""
 
     def run_pair():
-        small = run_fig9(scaled_gamma(10, scale.node_count), [0], scale=scale)
-        large = run_fig9(scaled_gamma(20, scale.node_count), [0], scale=scale)
+        small_gamma, _ = paper_panel("a", scale.node_count)
+        large_gamma, _ = paper_panel("c", scale.node_count)
+        small = run_fig9(small_gamma, [0], scale, probes=probes)
+        large = run_fig9(large_gamma, [0], scale, probes=probes)
         return small, large
 
     small, large = benchmark.pedantic(run_pair, rounds=1, iterations=1)

@@ -237,10 +237,6 @@ class CampaignResult:
         """Whether every cell finished with a usable payload."""
         return self.quarantined_count == 0
 
-    def quarantined_cells(self) -> List[CellResult]:
-        """The cells left behind by a ``keep_going`` run, campaign order."""
-        return [cell for cell in self.cells if cell.quarantined]
-
     def payloads(self) -> List[Dict[str, Any]]:
         """The raw cell payloads, in campaign order (``{}`` if quarantined)."""
         return [cell.payload for cell in self.cells]

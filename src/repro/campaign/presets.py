@@ -16,7 +16,12 @@ from __future__ import annotations
 from typing import Callable, Dict, List
 
 from repro.campaign.spec import CampaignSpec, CellSpec, expand_grid, replicate_seeds
-from repro.scenario.registry import bench_scenario, fig7_scenario, get_scenario
+from repro.scenario.registry import (
+    QUICK_SCALE,
+    bench_scenario,
+    fig7_scenario,
+    get_scenario,
+)
 
 _CAMPAIGNS: Dict[str, Callable[[], CampaignSpec]] = {}
 
@@ -120,16 +125,13 @@ def _fault_grid() -> CampaignSpec:
 @register_campaign("fig7-quick")
 def _fig7_quick() -> CampaignSpec:
     """The three Fig. 7 body sizes at quick scale as one fleet."""
-    from repro.experiments.common import ExperimentScale
-
-    scale = ExperimentScale.quick()
     return CampaignSpec(
         name="fig7-quick",
         description=(
             "Fig. 7 storage runs for C in {0.1, 0.5, 1.0} MB at quick scale"
         ),
         cells=tuple(
-            CellSpec(scenario=fig7_scenario(body_mb, scale))
+            CellSpec(scenario=fig7_scenario(body_mb, QUICK_SCALE))
             for body_mb in (0.1, 0.5, 1.0)
         ),
     )

@@ -60,7 +60,6 @@ import os
 import sys
 from typing import List, Optional
 
-from repro.experiments.common import ExperimentScale
 from repro.faults import (
     FaultError,
     FaultScheduleSpec,
@@ -78,6 +77,7 @@ from repro.scenario import (
     WorkloadSpec,
     backend_names,
     get_scenario,
+    registry,
     scenario_names,
 )
 
@@ -183,13 +183,17 @@ def _executor_from_args(args, use_cache: Optional[bool] = None):
     return CampaignExecutor(workers=workers, cache_dir=cache_dir, use_cache=use_cache)
 
 
-def _spec_scale(spec: ScenarioSpec) -> ExperimentScale:
-    """The experiment scale a scenario implies (for figure commands).
+def _figure_base(args, spec: Optional[ScenarioSpec] = None) -> ScenarioSpec:
+    """The spec sizing a figure command: ``--scenario`` > ``--quick`` > paper.
 
     Figure commands rebuild their canonical workloads (own γ sweeps,
     cost models, probes), so only the scenario's *scale* can be
     honoured — warn when the spec declares sections that cannot be.
     """
+    if spec is None and args.scenario:
+        spec = _load_scenario(args.scenario)
+    if spec is None:
+        return registry.QUICK_SCALE if args.quick else registry.PAPER_SCALE
     ignored = []
     if spec.topology.kind != "sequential-geometric":
         ignored.append(f"topology kind {spec.topology.kind!r}")
@@ -204,29 +208,16 @@ def _spec_scale(spec: ScenarioSpec) -> ExperimentScale:
             f"(use 'simulate --scenario' to run the spec as declared)",
             file=sys.stderr,
         )
-    if spec.scale is not None:
-        return spec.scale
-    return ExperimentScale(
-        node_count=spec.node_count,
-        slots=spec.workload.slots,
-        sample_slots=(
-            list(spec.workload.sample_slots)
-            if spec.workload.sample_slots
-            else [spec.workload.slots]
-        ),
-        validation=spec.workload.validate,
-        seed=spec.seed,
-    )
+    return spec
 
 
-def _scale_from_args(args, spec: Optional[ScenarioSpec] = None) -> ExperimentScale:
-    if spec is None and getattr(args, "scenario", None):
-        spec = _load_scenario(args.scenario)
-    if spec is not None:
-        return _spec_scale(spec)
-    if args.quick:
-        return ExperimentScale.quick()
-    return ExperimentScale.paper()
+def _fig9_probes(args) -> int:
+    """Fig. 9 probes per sampled slot: a bare ``--quick`` halves them."""
+    from repro.experiments.fig9_consensus import PAPER_PROBES
+
+    if args.quick and not args.scenario:
+        return PAPER_PROBES // 2
+    return PAPER_PROBES
 
 
 def _telemetry_dir(args) -> Optional[str]:
@@ -588,7 +579,7 @@ def cmd_fig7(args) -> int:
 
     spec = _load_scenario(args.scenario) if args.scenario else None
     body_mb = spec.protocol.body_mb if spec is not None else args.body_mb
-    result = run_fig7(body_mb, _scale_from_args(args, spec),
+    result = run_fig7(body_mb, _figure_base(args, spec),
                       executor=_executor_from_args(args))
     print(f"Fig. 7 storage overhead, C = {body_mb} MB (per-node MB)\n")
     print(result.to_table())
@@ -602,7 +593,7 @@ def cmd_fig8(args) -> int:
     """Regenerate the Fig. 8 communication panels."""
     from repro.experiments.fig8_comm import run_fig8
 
-    result = run_fig8(_scale_from_args(args), executor=_executor_from_args(args))
+    result = run_fig8(_figure_base(args), executor=_executor_from_args(args))
     for panel, title in (("a", "overall"), ("b", "DAG construction"),
                          ("c", "consensus")):
         print(f"\nFig. 8({panel}) {title} (per-node Mbit)")
@@ -615,17 +606,13 @@ def cmd_fig8(args) -> int:
 
 def cmd_fig9(args) -> int:
     """Regenerate one Fig. 9 consensus-time panel."""
-    from repro.experiments.fig9_consensus import PAPER_PANELS, run_fig9
+    from repro.experiments.fig9_consensus import paper_panel, run_fig9
 
-    spec = PAPER_PANELS[args.panel]
-    scale = _scale_from_args(args)
-    gamma = max(2, round(spec["gamma"] * scale.node_count / 50))
-    malicious = sorted({
-        round(m * scale.node_count / 50) for m in spec["malicious_counts"]
-    })
-    malicious = [m for m in malicious if m <= gamma]
-    result = run_fig9(gamma, malicious, scale=scale,
-                      executor=_executor_from_args(args))
+    base = _figure_base(args)
+    gamma, malicious = paper_panel(args.panel, base.node_count)
+    result = run_fig9(gamma, malicious, base,
+                      executor=_executor_from_args(args),
+                      probes=_fig9_probes(args))
     print(f"Fig. 9({args.panel}) consensus failure probability, gamma={gamma}\n")
     print(result.to_table())
     for m in malicious:
@@ -637,7 +624,7 @@ def cmd_headline(args) -> int:
     """Print the measured headline ratios."""
     from repro.experiments.headline import run_headline
 
-    result = run_headline(_scale_from_args(args),
+    result = run_headline(_figure_base(args),
                           executor=_executor_from_args(args))
     print(result.summary())
     return 0
@@ -846,10 +833,11 @@ def cmd_report(args) -> int:
     from repro.experiments.report import generate_report
 
     report = generate_report(
-        _scale_from_args(args),
+        _figure_base(args),
         fig7_bodies=[0.5] if args.quick else None,
         fig9_panels=["a", "d"] if args.quick else None,
         executor=_executor_from_args(args),
+        probes=_fig9_probes(args),
     )
     markdown = report.to_markdown()
     if args.output:

@@ -17,57 +17,13 @@ prints the rows the paper plots.  The benchmark harness under
 * :mod:`repro.experiments.fault_resilience` — every ledger backend
   under escalating fault timelines (the ``fault-grid`` campaign).
 
-Multi-run experiments accept an ``executor=`` (a
+Figure runs are sized by a base :class:`~repro.scenario.ScenarioSpec`
+(``repro.scenario.PAPER_SCALE`` / ``QUICK_SCALE`` or any spec of the
+caller's).  Multi-run experiments accept an ``executor=`` (a
 :class:`~repro.campaign.executor.CampaignExecutor`) to fan their cells
 out across worker processes and memoise results — see
 ``docs/campaigns.md``.
+
+Import the runners from their modules: this package imports nothing,
+because :mod:`repro.campaign.cache` loads it on every campaign launch.
 """
-
-from repro.experiments.common import ExperimentScale
-
-#: Lazy exports (PEP 562): the figure modules build their scenarios
-#: through :mod:`repro.scenario`, which itself imports
-#: :class:`ExperimentScale` from this package — importing them eagerly
-#: here would close that loop into a cycle.
-_LAZY = {
-    "Fig7Result": "repro.experiments.fig7_storage",
-    "run_fig7": "repro.experiments.fig7_storage",
-    "run_fig7_panels": "repro.experiments.fig7_storage",
-    "Fig8Result": "repro.experiments.fig8_comm",
-    "run_fig8": "repro.experiments.fig8_comm",
-    "Fig9Result": "repro.experiments.fig9_consensus",
-    "run_fig9": "repro.experiments.fig9_consensus",
-    "HeadlineResult": "repro.experiments.headline",
-    "run_headline": "repro.experiments.headline",
-    "AttackAuditPoint": "repro.experiments.attack_compare",
-    "run_attack_comparison": "repro.experiments.attack_compare",
-    "FaultGridResult": "repro.experiments.fault_resilience",
-    "run_fault_resilience": "repro.experiments.fault_resilience",
-}
-
-
-def __getattr__(name):
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module_name), name)
-
-
-__all__ = [
-    "AttackAuditPoint",
-    "ExperimentScale",
-    "FaultGridResult",
-    "Fig7Result",
-    "Fig8Result",
-    "Fig9Result",
-    "HeadlineResult",
-    "run_attack_comparison",
-    "run_fault_resilience",
-    "run_fig7",
-    "run_fig7_panels",
-    "run_fig8",
-    "run_fig9",
-    "run_headline",
-]

@@ -23,17 +23,16 @@ worker-side deployment exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 # Closed-form cost models only — live cluster/tangle objects are
 # reached through repro.scenario.create_backend.
 from repro.baselines.iota.costmodel import IotaCostModel  # repro: allow[backend-bypass]
 from repro.baselines.pbft.costmodel import PbftCostModel  # repro: allow[backend-bypass]
 from repro.campaign.cells import run_scenario_cells
-from repro.experiments.common import ExperimentScale
 from repro.metrics.cdf import EmpiricalCDF
 from repro.metrics.reporting import format_series_table
-from repro.scenario import build_topology, fig7_scenario
+from repro.scenario import ScenarioSpec, build_topology, fig7_scenario
 from repro.sim.rng import RandomStreams
 
 
@@ -45,7 +44,6 @@ class Fig7Result:
     sample_slots: List[int]
     series_mb: Dict[str, List[float]]
     per_node_mb_final: List[float] = field(default_factory=list)
-    scale: Optional[ExperimentScale] = None
 
     def cdf(self) -> EmpiricalCDF:
         """The Fig. 7(d) CDF over final per-node storage."""
@@ -58,19 +56,18 @@ class Fig7Result:
 
 def run_fig7_panels(
     bodies: Sequence[float],
-    scale: Optional[ExperimentScale] = None,
+    base: ScenarioSpec,
     executor=None,
 ) -> Dict[float, Fig7Result]:
     """Produce one Fig. 7 panel per body size, as one campaign.
 
+    ``base`` sizes the runs (see :func:`repro.scenario.fig7_scenario`).
     Every node generates one block per slot (``C/r_i = 1``, the
     caption's workload); 2LDAG nodes additionally validate one old
-    block per generation when ``scale.validation`` is set, which grows
-    their header caches — the realistic storage figure.
+    block per generation when ``base.workload.validate`` is set, which
+    grows their header caches — the realistic storage figure.
     """
-    if scale is None:
-        scale = ExperimentScale.from_env()
-    specs = [fig7_scenario(body_mb, scale) for body_mb in bodies]
+    specs = [fig7_scenario(body_mb, base) for body_mb in bodies]
     measured_results = run_scenario_cells(specs, executor, name="fig7")
 
     panels: Dict[float, Fig7Result] = {}
@@ -80,33 +77,20 @@ def run_fig7_panels(
         topology = build_topology(spec.topology, RandomStreams(spec.seed))
         pbft = PbftCostModel(topology, spec.protocol.body_bits)
         iota = IotaCostModel(topology, spec.protocol.body_bits)
+        sample_slots = list(spec.workload.sample_slots)
         panels[body_mb] = Fig7Result(
             body_mb=body_mb,
-            sample_slots=list(scale.sample_slots),
+            sample_slots=sample_slots,
             series_mb={
-                "PBFT": pbft.storage_series_mb(scale.sample_slots),
-                "IOTA": iota.storage_series_mb(scale.sample_slots),
+                "PBFT": pbft.storage_series_mb(sample_slots),
+                "IOTA": iota.storage_series_mb(sample_slots),
                 "2LDAG": list(measured.storage_mb),
             },
             per_node_mb_final=list(measured.per_node_storage_mb),
-            scale=scale,
         )
     return panels
 
 
-def run_fig7(
-    body_mb: float,
-    scale: Optional[ExperimentScale] = None,
-    executor=None,
-) -> Fig7Result:
+def run_fig7(body_mb: float, base: ScenarioSpec, executor=None) -> Fig7Result:
     """Produce one Fig. 7 panel for body size ``body_mb``."""
-    return run_fig7_panels([body_mb], scale, executor)[body_mb]
-
-
-def run_fig7_all_panels(
-    scale: Optional[ExperimentScale] = None,
-    executor=None,
-) -> Dict[str, Fig7Result]:
-    """Panels (a)-(c): C = 0.1, 0.5, 1 MB; (d) reuses the 0.5 MB run."""
-    panels = run_fig7_panels([0.1, 0.5, 1.0], scale, executor)
-    return {"a": panels[0.1], "b": panels[0.5], "c": panels[1.0]}
+    return run_fig7_panels([body_mb], base, executor)[body_mb]

@@ -15,19 +15,17 @@ malicious" select the tolerance γ — consensus paths of ⌈0.33|V|⌉+1 and
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 # Closed-form cost models only — live cluster/tangle objects are
 # reached through repro.scenario.create_backend.
 from repro.baselines.iota.costmodel import IotaCostModel  # repro: allow[backend-bypass]
 from repro.baselines.pbft.costmodel import PbftCostModel  # repro: allow[backend-bypass]
 from repro.campaign.cells import run_scenario_cells
-from repro.experiments.common import ExperimentScale
 from repro.metrics.cdf import EmpiricalCDF
 from repro.metrics.reporting import format_series_table
-from repro.scenario import build_topology, fig8_scenario
+from repro.scenario import ScenarioSpec, build_topology, fig8_scenario
 from repro.sim.rng import RandomStreams
 
 
@@ -40,7 +38,6 @@ class Fig8Result:
     dag_mbit: Dict[str, List[float]]           # panel (b)
     consensus_mbit: Dict[str, List[float]]     # panel (c)
     per_node_total_mb_final: Dict[str, List[float]] = field(default_factory=dict)
-    scale: Optional[ExperimentScale] = None
 
     def cdf(self, label: str) -> EmpiricalCDF:
         """Panel (d): CDF over final per-node communication (MB)."""
@@ -52,29 +49,18 @@ class Fig8Result:
         return format_series_table("slots", self.sample_slots, series)
 
 
-def gamma_for_fraction(node_count: int, fraction: float) -> int:
-    """The γ giving a consensus path of ⌈fraction·|V|⌉ + 1 nodes."""
-    return max(1, math.ceil(node_count * fraction))
-
-
-def run_fig8(
-    scale: Optional[ExperimentScale] = None,
-    executor=None,
-) -> Fig8Result:
-    """Produce all Fig. 8 series.
+def run_fig8(base: ScenarioSpec, executor=None) -> Fig8Result:
+    """Produce all Fig. 8 series at the size ``base`` declares.
 
     The 33% and 49% tolerance runs are two campaign cells — they
     execute concurrently when ``executor`` has workers, serially
     in-process otherwise.
     """
-    if scale is None:
-        scale = ExperimentScale.from_env()
-
     label_33 = "2LDAG-33%"
     label_49 = "2LDAG-49%"
-    spec_33 = fig8_scenario(0.33, scale)
+    spec_33 = fig8_scenario(0.33, base)
     run33, run49 = run_scenario_cells(
-        [spec_33, fig8_scenario(0.49, scale)], executor, name="fig8"
+        [spec_33, fig8_scenario(0.49, base)], executor, name="fig8"
     )
 
     # Same named-stream rebuild the runner performs in the worker.
@@ -82,12 +68,13 @@ def run_fig8(
     body_bits = spec_33.protocol.body_bits
     pbft = PbftCostModel(topology, body_bits)
     iota = IotaCostModel(topology, body_bits)
+    sample_slots = list(spec_33.workload.sample_slots)
 
     return Fig8Result(
-        sample_slots=list(scale.sample_slots),
+        sample_slots=sample_slots,
         overall_mbit={
-            "PBFT": pbft.comm_series_mbit(scale.sample_slots),
-            "IOTA": iota.comm_series_mbit(scale.sample_slots),
+            "PBFT": pbft.comm_series_mbit(sample_slots),
+            "IOTA": iota.comm_series_mbit(sample_slots),
             label_33: list(run33.traffic_mbit),
             label_49: list(run49.traffic_mbit),
         },
@@ -103,5 +90,4 @@ def run_fig8(
             label_33: list(run33.per_node_traffic_mb),
             label_49: list(run49.per_node_traffic_mb),
         },
-        scale=scale,
     )

@@ -30,9 +30,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.campaign.cells import register_cell_kind
 from repro.campaign.spec import CampaignSpec, CellSpec
 from repro.core.protocol import SlotSimulation, TwoLayerDagNetwork
-from repro.experiments.common import ExperimentScale
 from repro.metrics.reporting import format_series_table
-from repro.scenario import ScenarioRunner, fig9_scenario
+from repro.scenario import ScenarioRunner, ScenarioSpec, fig9_scenario
 
 
 @dataclass
@@ -43,7 +42,6 @@ class Fig9Result:
     malicious_counts: List[int]
     sample_slots: List[int]
     failure_probability: Dict[int, List[float]]  # malicious count -> series
-    scale: Optional[ExperimentScale] = None
 
     def consensus_slot(self, malicious: int) -> Optional[int]:
         """First sampled slot with zero failures, or ``None``."""
@@ -121,24 +119,29 @@ def run_fig9_series_cell(cell: CellSpec) -> Dict[str, Any]:
     }
 
 
+#: Verification probes per sampled slot at paper size.
+PAPER_PROBES = 8
+
+
 def fig9_cells(
     gamma: int,
     malicious_counts: Sequence[int],
     sample_slots: Sequence[int],
-    scale: ExperimentScale,
+    base: ScenarioSpec,
+    probes: int,
 ) -> Tuple[CellSpec, ...]:
     """One ``fig9-series`` cell per malicious count."""
     sample_slots = sorted(int(slot) for slot in sample_slots)
     return tuple(
         CellSpec(
             scenario=fig9_scenario(
-                gamma=gamma, malicious=malicious, slots=sample_slots[-1], scale=scale
+                gamma=gamma, malicious=malicious, slots=sample_slots[-1], base=base
             ),
             kind="fig9-series",
             params={
                 "gamma": gamma,
                 "malicious": malicious,
-                "probes": scale.probes_per_sample,
+                "probes": probes,
                 "sample_slots": list(sample_slots),
             },
         )
@@ -149,9 +152,10 @@ def fig9_cells(
 def run_fig9(
     gamma: int,
     malicious_counts: List[int],
+    base: ScenarioSpec,
     sample_slots: Optional[List[int]] = None,
-    scale: Optional[ExperimentScale] = None,
     executor=None,
+    probes: int = PAPER_PROBES,
 ) -> Fig9Result:
     """Produce one Fig. 9 panel.
 
@@ -161,17 +165,20 @@ def run_fig9(
         Malicious tolerance; quorum is γ+1 distinct path nodes.
     malicious_counts:
         Numbers of PoP-silent nodes to sweep (paper: up to γ).
+    base:
+        Sizes the runs: its node count and seed are read (see
+        :func:`repro.scenario.fig9_scenario`).
     sample_slots:
         Slots at which failure probability is measured; defaults to a
         range bracketing the expected consensus time (γ .. ~5γ).
     executor:
         Optional campaign executor; the malicious-count series run
         concurrently (and cache) through it.
+    probes:
+        Verification probes launched at each sampled slot.
     """
     from repro.campaign.executor import run_campaign
 
-    if scale is None:
-        scale = ExperimentScale.from_env()
     if sample_slots is None:
         step = max(2, gamma // 2)
         sample_slots = sorted({gamma + k * step for k in range(0, 9)})
@@ -179,7 +186,7 @@ def run_fig9(
 
     campaign = CampaignSpec(
         name=f"fig9-g{gamma}",
-        cells=fig9_cells(gamma, malicious_counts, sample_slots, scale),
+        cells=fig9_cells(gamma, malicious_counts, sample_slots, base, probes),
     )
     failure: Dict[int, List[float]] = {}
     for payload in run_campaign(campaign, executor).payloads():
@@ -192,7 +199,6 @@ def run_fig9(
         malicious_counts=list(malicious_counts),
         sample_slots=sample_slots,
         failure_probability=failure,
-        scale=scale,
     )
 
 
@@ -203,3 +209,15 @@ PAPER_PANELS: Dict[str, Dict] = {
     "c": {"gamma": 20, "malicious_counts": [0, 5, 18, 20]},
     "d": {"gamma": 24, "malicious_counts": [0, 5, 10, 20, 22, 24]},
 }
+
+
+def paper_panel(panel: str, node_count: int) -> Tuple[int, List[int]]:
+    """``(γ, malicious sweep)`` of a paper panel on ``node_count`` nodes.
+
+    The paper's values are defined for 50 nodes and scale linearly; the
+    sweep is deduplicated and capped at γ (the tolerable bound).
+    """
+    paper = PAPER_PANELS[panel]
+    gamma = max(2, round(paper["gamma"] * node_count / 50))
+    counts = {round(m * node_count / 50) for m in paper["malicious_counts"]}
+    return gamma, sorted(m for m in counts if m <= gamma)

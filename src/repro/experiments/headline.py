@@ -25,16 +25,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List
 
 # Closed-form cost models only — live cluster/tangle objects are
 # reached through repro.scenario.create_backend.
 from repro.baselines.iota.costmodel import IotaCostModel  # repro: allow[backend-bypass]
 from repro.baselines.pbft.costmodel import PbftCostModel  # repro: allow[backend-bypass]
 from repro.campaign.cells import run_scenario_cells
-from repro.experiments.common import ExperimentScale
-from repro.experiments.fig7_storage import run_fig7
-from repro.experiments.fig8_comm import run_fig8
+from repro.experiments.fig7_storage import Fig7Result, run_fig7
+from repro.experiments.fig8_comm import Fig8Result, run_fig8
 from repro.metrics.units import bits_to_mb
 from repro.scenario import ScenarioSpec, build_topology, get_scenario
 from repro.sim.rng import RandomStreams
@@ -154,7 +153,6 @@ class HeadlineResult:
     storage_ratio_iota: float
     comm_ratio_pbft: float
     comm_ratio_iota: float
-    scale: ExperimentScale
     agreements: List[BaselineAgreement] = field(default_factory=list)
 
     @property
@@ -166,11 +164,6 @@ class HeadlineResult:
     def comm_orders_pbft(self) -> float:
         """log10 of the PBFT/2LDAG communication ratio (paper claims ~3)."""
         return math.log10(self.comm_ratio_pbft)
-
-    @property
-    def agreement_by_backend(self) -> Dict[str, BaselineAgreement]:
-        """The gate outcomes keyed by backend name."""
-        return {a.backend: a for a in self.agreements}
 
     def summary(self) -> str:
         """Human-readable report."""
@@ -192,10 +185,25 @@ class HeadlineResult:
         return "\n".join(lines)
 
 
-def run_headline(
-    scale: Optional[ExperimentScale] = None,
-    executor=None,
+def headline_ratios(
+    fig7_half_mb: Fig7Result,
+    fig8: Fig8Result,
+    agreements: List[BaselineAgreement],
 ) -> HeadlineResult:
+    """The headline ratios of finished C = 0.5 MB Fig. 7 and Fig. 8 runs."""
+    final = -1
+    ldag_storage = fig7_half_mb.series_mb["2LDAG"][final]
+    ldag_comm = fig8.overall_mbit["2LDAG-33%"][final]
+    return HeadlineResult(
+        storage_ratio_pbft=fig7_half_mb.series_mb["PBFT"][final] / ldag_storage,
+        storage_ratio_iota=fig7_half_mb.series_mb["IOTA"][final] / ldag_storage,
+        comm_ratio_pbft=fig8.overall_mbit["PBFT"][final] / ldag_comm,
+        comm_ratio_iota=fig8.overall_mbit["IOTA"][final] / ldag_comm,
+        agreements=agreements,
+    )
+
+
+def run_headline(base: ScenarioSpec, executor=None) -> HeadlineResult:
     """Derive the headline ratios from the Fig. 7/8 runs (C = 0.5 MB).
 
     The analytic baseline series are admitted only after the measured
@@ -203,20 +211,7 @@ def run_headline(
     drift raises :class:`HeadlineDriftError` instead of reporting
     ratios built on a stale model.
     """
-    if scale is None:
-        scale = ExperimentScale.from_env()
     agreements = check_model_agreement(executor)
-    fig7 = run_fig7(0.5, scale, executor=executor)
-    fig8 = run_fig8(scale, executor=executor)
-
-    final = -1
-    ldag_storage = fig7.series_mb["2LDAG"][final]
-    ldag_comm = fig8.overall_mbit["2LDAG-33%"][final]
-    return HeadlineResult(
-        storage_ratio_pbft=fig7.series_mb["PBFT"][final] / ldag_storage,
-        storage_ratio_iota=fig7.series_mb["IOTA"][final] / ldag_storage,
-        comm_ratio_pbft=fig8.overall_mbit["PBFT"][final] / ldag_comm,
-        comm_ratio_iota=fig8.overall_mbit["IOTA"][final] / ldag_comm,
-        scale=scale,
-        agreements=agreements,
+    return headline_ratios(
+        run_fig7(0.5, base, executor), run_fig8(base, executor), agreements
     )

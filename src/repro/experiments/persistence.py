@@ -1,11 +1,4 @@
-"""JSON persistence of experiment results.
-
-Reproduction results need to be diffable across commits: CI stores the
-series from each run and compares against a committed baseline, so a
-regression in protocol cost or consensus behaviour shows up as a
-numeric diff, not a silent drift.  Dataclass results are serialized to
-a stable JSON layout; loading restores plain dictionaries (not the
-dataclasses), which is what comparison needs.
+"""Atomic persistence of result artefacts.
 
 All writes go through :func:`atomic_write_text` (same-directory temp
 file + ``os.replace``) so a killed process — a campaign worker, an
@@ -15,15 +8,10 @@ file behind: readers observe either the old content or the new one.
 
 from __future__ import annotations
 
-import json
 import os
 import tempfile
-from dataclasses import asdict, is_dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Union
-
-#: Format marker so future layout changes can be migrated.
-FORMAT_VERSION = 1
+from typing import Union
 
 
 def atomic_write_text(path: Union[str, Path], text: str) -> None:
@@ -62,62 +50,3 @@ def atomic_write_text(path: Union[str, Path], text: str) -> None:
         except OSError:
             pass
         raise
-
-
-def _jsonable(value: Any) -> Any:
-    if is_dataclass(value) and not isinstance(value, type):
-        return _jsonable(asdict(value))
-    if isinstance(value, Mapping):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    raise TypeError(f"cannot serialize {type(value).__name__} into a result file")
-
-
-def save_results(path: Union[str, Path], name: str, results: Any) -> None:
-    """Write experiment ``results`` (dataclass/dict/list tree) to JSON."""
-    payload = {
-        "format_version": FORMAT_VERSION,
-        "name": name,
-        "results": _jsonable(results),
-    }
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True))
-
-
-def load_results(path: Union[str, Path]) -> Dict[str, Any]:
-    """Read a result file; raises ``ValueError`` on unknown formats."""
-    payload = json.loads(Path(path).read_text())
-    version = payload.get("format_version")
-    if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported result format {version!r}")
-    return payload
-
-
-def compare_series(
-    baseline: List[float],
-    measured: List[float],
-    rel_tolerance: float = 0.25,
-) -> Optional[str]:
-    """Compare two series pointwise; ``None`` means within tolerance.
-
-    Returns a human-readable description of the first deviation
-    otherwise.  Tolerances are generous by default: simulation series
-    vary with seeds; CI baselines catch order-of-magnitude drift, not
-    noise.
-    """
-    if len(baseline) != len(measured):
-        return f"length changed: {len(baseline)} -> {len(measured)}"
-    for i, (expected, actual) in enumerate(zip(baseline, measured)):
-        if expected == 0:
-            if abs(actual) > rel_tolerance:
-                return f"point {i}: expected 0, measured {actual}"
-            continue
-        drift = abs(actual - expected) / abs(expected)
-        if drift > rel_tolerance:
-            return (
-                f"point {i}: {expected} -> {actual} "
-                f"({drift * 100:.0f}% drift > {rel_tolerance * 100:.0f}%)"
-            )
-    return None

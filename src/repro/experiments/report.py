@@ -1,8 +1,9 @@
 """One-shot reproduction report.
 
-Gathers every experiment (Figs. 7-9, headline ratios) at a chosen
-scale and renders a single markdown document with text tables and
-ASCII charts — the artifact a reviewer reads next to EXPERIMENTS.md.
+Gathers every experiment (Figs. 7-9, headline ratios) at the size a
+base scenario declares and renders a single markdown document with
+text tables and ASCII charts — the artifact a reviewer reads next to
+EXPERIMENTS.md.
 """
 
 from __future__ import annotations
@@ -10,19 +11,29 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.experiments.common import ExperimentScale
 from repro.experiments.fig7_storage import Fig7Result, run_fig7_panels
 from repro.experiments.fig8_comm import Fig8Result, run_fig8
-from repro.experiments.fig9_consensus import PAPER_PANELS, Fig9Result, run_fig9
-from repro.experiments.headline import HeadlineResult, run_headline
+from repro.experiments.fig9_consensus import (
+    PAPER_PANELS,
+    PAPER_PROBES,
+    Fig9Result,
+    paper_panel,
+    run_fig9,
+)
+from repro.experiments.headline import (
+    HeadlineResult,
+    check_model_agreement,
+    headline_ratios,
+)
 from repro.metrics.charts import render_chart
+from repro.scenario import ScenarioSpec
 
 
 @dataclass
 class ReproductionReport:
-    """All experiment results at one scale."""
+    """All experiment results at the size ``base`` declares."""
 
-    scale: ExperimentScale
+    base: ScenarioSpec
     fig7: Dict[float, Fig7Result]
     fig8: Fig8Result
     fig9: Dict[str, Fig9Result]
@@ -33,8 +44,8 @@ class ReproductionReport:
         sections: List[str] = [
             "# 2LDAG reproduction report",
             "",
-            f"Scale: {self.scale.node_count} nodes, {self.scale.slots} slots, "
-            f"seed {self.scale.seed}.",
+            f"Scale: {self.base.node_count} nodes, "
+            f"{self.base.workload.slots} slots, seed {self.base.seed}.",
             "",
             "## Headline claims",
             "",
@@ -87,37 +98,40 @@ class ReproductionReport:
 
 
 def generate_report(
-    scale: Optional[ExperimentScale] = None,
+    base: ScenarioSpec,
     fig7_bodies: Optional[List[float]] = None,
     fig9_panels: Optional[List[str]] = None,
     executor=None,
+    probes: int = PAPER_PROBES,
 ) -> ReproductionReport:
-    """Run every experiment and assemble the report.
+    """Run every experiment at ``base``'s size and assemble the report.
 
     ``fig7_bodies`` / ``fig9_panels`` trim the sweep for faster runs
     (defaults: all three C values, all four γ panels).  ``executor``
     (a :class:`~repro.campaign.executor.CampaignExecutor`) parallelizes
-    each experiment's cells.
+    each experiment's cells.  The headline ratios come from the panels
+    the report shows anyway; the C = 0.5 MB run they need is added to
+    the Fig. 7 campaign when ``fig7_bodies`` leaves it out.
     """
-    if scale is None:
-        scale = ExperimentScale.from_env()
     if fig7_bodies is None:
         fig7_bodies = [0.1, 0.5, 1.0]
     if fig9_panels is None:
         fig9_panels = list(PAPER_PANELS)
 
-    fig7 = run_fig7_panels(fig7_bodies, scale, executor)
-    fig8 = run_fig8(scale, executor)
+    agreements = check_model_agreement(executor)
+    bodies = fig7_bodies if 0.5 in fig7_bodies else [*fig7_bodies, 0.5]
+    panels = run_fig7_panels(bodies, base, executor)
+    fig8 = run_fig8(base, executor)
     fig9: Dict[str, Fig9Result] = {}
     for panel in fig9_panels:
-        spec = PAPER_PANELS[panel]
-        gamma = max(2, round(spec["gamma"] * scale.node_count / 50))
-        malicious = sorted({
-            round(m * scale.node_count / 50) for m in spec["malicious_counts"]
-        })
-        malicious = [m for m in malicious if m <= gamma]
-        fig9[panel] = run_fig9(gamma, malicious, scale=scale, executor=executor)
-    headline = run_headline(scale)
+        gamma, malicious = paper_panel(panel, base.node_count)
+        fig9[panel] = run_fig9(
+            gamma, malicious, base, executor=executor, probes=probes
+        )
     return ReproductionReport(
-        scale=scale, fig7=fig7, fig8=fig8, fig9=fig9, headline=headline
+        base=base,
+        fig7={body_mb: panels[body_mb] for body_mb in fig7_bodies},
+        fig8=fig8,
+        fig9=fig9,
+        headline=headline_ratios(panels[0.5], fig8, agreements),
     )

@@ -25,11 +25,14 @@ from repro.scenario.backends import (
     register_backend,
 )
 from repro.scenario.registry import (
+    PAPER_SCALE,
+    QUICK_SCALE,
     bench_scenario,
     fault_bench_scenario,
     fig7_scenario,
     fig8_scenario,
     fig9_scenario,
+    figure_base,
     get_scenario,
     ledger_bench_scenario,
     register_scenario,
@@ -61,6 +64,8 @@ __all__ = [
     "ADVERSARY_KINDS",
     "COALITION_KINDS",
     "DEFAULT_BACKEND",
+    "PAPER_SCALE",
+    "QUICK_SCALE",
     "RANDOM_1_2",
     "TOPOLOGY_KINDS",
     "AdversarySpec",
@@ -83,6 +88,7 @@ __all__ = [
     "fig7_scenario",
     "fig8_scenario",
     "fig9_scenario",
+    "figure_base",
     "get_scenario",
     "ledger_bench_scenario",
     "register_backend",

@@ -12,16 +12,18 @@ may freely derive variants with :func:`dataclasses.replace`.
 The parameterized builders (:func:`fig7_scenario`,
 :func:`fig8_scenario`, :func:`fig9_scenario`, :func:`bench_scenario`)
 are what the experiment and bench layers call; the presets are those
-builders evaluated at their canonical parameters.
+builders evaluated at their canonical parameters.  A figure builder is
+sized by a base :class:`ScenarioSpec` — :data:`PAPER_SCALE`,
+:data:`QUICK_SCALE`, or any spec of the caller's — from which it reads
+the node count, slots, sample slots, ``validate`` and seed.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Sequence, Tuple
 
-from repro.experiments.common import ExperimentScale
 from repro.faults.presets import build_fault_preset
 from repro.metrics.units import mb_to_bits
 from repro.scenario.spec import (
@@ -64,36 +66,71 @@ def get_scenario(name: str) -> ScenarioSpec:
 
 # -- parameterized builders (experiment/bench backbone) -----------------------
 
-def fig7_scenario(
-    body_mb: float, scale: Optional[ExperimentScale] = None
+def figure_base(
+    node_count: int,
+    slots: int,
+    sample_slots: Sequence[int] = (),
+    validate: bool = True,
+    seed: int = 0,
 ) -> ScenarioSpec:
-    """The Fig. 7 storage run: 1 block/slot/node, γ = ⌈|V|/3⌉."""
-    if scale is None:
-        scale = ExperimentScale.from_env()
-    gamma = max(1, round(scale.node_count / 3))
+    """A spec carrying just the five values the figure builders read.
+
+    γ = 1 fits any topology of two or more nodes; each builder sets its
+    own.
+    """
+    return ScenarioSpec(
+        name="figure-base",
+        protocol=ProtocolSpec(gamma=1),
+        topology=TopologySpec(node_count=node_count),
+        workload=WorkloadSpec(
+            slots=slots, validate=validate, sample_slots=tuple(sample_slots)
+        ),
+        seed=seed,
+    )
+
+
+#: The §VI size: 50 nodes × 200 slots, sampled every 25.
+PAPER_SCALE = figure_base(50, 200, range(25, 201, 25))
+
+#: A fast size with the same qualitative shape (CI-friendly).
+QUICK_SCALE = figure_base(30, 80, (10, 20, 40, 60, 80))
+
+
+def _sample_slots(base: ScenarioSpec) -> Tuple[int, ...]:
+    """``base``'s sample slots; a spec declaring none samples its last slot."""
+    return base.workload.sample_slots or (base.workload.slots,)
+
+
+def fig7_scenario(body_mb: float, base: ScenarioSpec) -> ScenarioSpec:
+    """The Fig. 7 storage run: 1 block/slot/node, γ = ⌈|V|/3⌉.
+
+    Like every figure builder this reads ``base`` for its node count,
+    slots, sample slots, ``validate`` and seed — nothing else.
+    """
+    gamma = max(1, round(base.node_count / 3))
     return ScenarioSpec(
         name=f"fig7-C{body_mb}",
         description=f"Fig. 7 storage workload, C = {body_mb} MB",
         protocol=ProtocolSpec.paper(gamma=gamma, body_mb=body_mb),
-        topology=TopologySpec(node_count=scale.node_count),
+        topology=TopologySpec(node_count=base.node_count),
         workload=WorkloadSpec(
-            slots=scale.slots,
+            slots=base.workload.slots,
             generation_period=1,
-            validate=scale.validation,
-            sample_slots=tuple(scale.sample_slots),
+            validate=base.workload.validate,
+            sample_slots=_sample_slots(base),
         ),
-        seed=scale.seed,
-        scale=scale,
+        seed=base.seed,
     )
 
 
-def fig8_scenario(
-    tolerance_fraction: float, scale: Optional[ExperimentScale] = None
-) -> ScenarioSpec:
+def fig8_gamma(node_count: int, tolerance_fraction: float) -> int:
+    """The γ giving a consensus path of ⌈fraction·|V|⌉ + 1 nodes."""
+    return max(1, math.ceil(node_count * tolerance_fraction))
+
+
+def fig8_scenario(tolerance_fraction: float, base: ScenarioSpec) -> ScenarioSpec:
     """One Fig. 8 communication run at a malicious-tolerance fraction."""
-    if scale is None:
-        scale = ExperimentScale.from_env()
-    gamma = max(1, math.ceil(scale.node_count * tolerance_fraction))
+    gamma = fig8_gamma(base.node_count, tolerance_fraction)
     return ScenarioSpec(
         name=f"fig8-{round(tolerance_fraction * 100)}pct",
         description=(
@@ -101,23 +138,19 @@ def fig8_scenario(
             f"{round(tolerance_fraction * 100)}% malicious tolerance"
         ),
         protocol=ProtocolSpec.paper(gamma=gamma, body_mb=0.5),
-        topology=TopologySpec(node_count=scale.node_count),
+        topology=TopologySpec(node_count=base.node_count),
         workload=WorkloadSpec(
-            slots=scale.slots,
+            slots=base.workload.slots,
             generation_period=1,
             validate=True,
-            sample_slots=tuple(scale.sample_slots),
+            sample_slots=_sample_slots(base),
         ),
-        seed=scale.seed,
-        scale=scale,
+        seed=base.seed,
     )
 
 
 def fig9_scenario(
-    gamma: int,
-    malicious: int,
-    slots: int,
-    scale: Optional[ExperimentScale] = None,
+    gamma: int, malicious: int, slots: int, base: ScenarioSpec
 ) -> ScenarioSpec:
     """One Fig. 9 consensus-time run: a silent coalition of ``malicious``.
 
@@ -125,8 +158,6 @@ def fig9_scenario(
     two slots; the short reply timeout and fast links keep each probe's
     sim-time well under a slot even with many silent responders.
     """
-    if scale is None:
-        scale = ExperimentScale.from_env()
     adversaries = ()
     if malicious > 0:
         adversaries = (AdversarySpec(kind="silent", count=malicious),)
@@ -139,14 +170,13 @@ def fig9_scenario(
         protocol=ProtocolSpec(
             body_bits=mb_to_bits(0.5), gamma=gamma, reply_timeout=0.02
         ),
-        topology=TopologySpec(node_count=scale.node_count),
+        topology=TopologySpec(node_count=base.node_count),
         workload=WorkloadSpec(
             slots=slots, generation_period=RANDOM_1_2, validate=False
         ),
         adversaries=adversaries,
-        seed=scale.seed + malicious,
+        seed=base.seed + malicious,
         per_hop_latency=0.0001,
-        scale=scale,
     )
 
 
@@ -229,67 +259,43 @@ def _quickstart() -> ScenarioSpec:
 
 @register_scenario
 def _headline() -> ScenarioSpec:
-    scale = ExperimentScale.paper()
-    spec = fig8_scenario(0.33, scale)
-    return ScenarioSpec(
+    return dataclasses.replace(
+        fig8_scenario(0.33, PAPER_SCALE),
         name="headline",
         description=(
             "the abstract's headline workload: paper-scale C=0.5 MB run at "
             "33% tolerance (the storage/communication ratio denominators)"
         ),
-        protocol=spec.protocol,
-        topology=spec.topology,
-        workload=spec.workload,
-        seed=spec.seed,
-        scale=scale,
     )
 
 
 @register_scenario
 def _paper_fig7() -> ScenarioSpec:
-    spec = fig7_scenario(0.5, ExperimentScale.paper())
-    return ScenarioSpec(
+    return dataclasses.replace(
+        fig7_scenario(0.5, PAPER_SCALE),
         name="paper-fig7",
         description="Fig. 7(b) storage run at paper scale (C = 0.5 MB)",
-        protocol=spec.protocol,
-        topology=spec.topology,
-        workload=spec.workload,
-        seed=spec.seed,
-        scale=spec.scale,
     )
 
 
 @register_scenario
 def _paper_fig8() -> ScenarioSpec:
-    spec = fig8_scenario(0.33, ExperimentScale.paper())
-    return ScenarioSpec(
+    return dataclasses.replace(
+        fig8_scenario(0.33, PAPER_SCALE),
         name="paper-fig8",
         description="Fig. 8 communication run at paper scale (33% tolerance)",
-        protocol=spec.protocol,
-        topology=spec.topology,
-        workload=spec.workload,
-        seed=spec.seed,
-        scale=spec.scale,
     )
 
 
 @register_scenario
 def _paper_fig9() -> ScenarioSpec:
-    scale = ExperimentScale.paper()
-    spec = fig9_scenario(gamma=10, malicious=5, slots=50, scale=scale)
-    return ScenarioSpec(
+    return dataclasses.replace(
+        fig9_scenario(gamma=10, malicious=5, slots=50, base=PAPER_SCALE),
         name="paper-fig9",
         description=(
             "Fig. 9(a) consensus run at paper scale "
             "(gamma=10, 5 PoP-silent nodes)"
         ),
-        protocol=spec.protocol,
-        topology=spec.topology,
-        workload=spec.workload,
-        adversaries=spec.adversaries,
-        seed=spec.seed,
-        per_hop_latency=spec.per_hop_latency,
-        scale=scale,
     )
 
 

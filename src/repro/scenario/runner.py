@@ -64,9 +64,8 @@ SERIES_KEYS = (
 class ScenarioResult:
     """Everything measurable about one finished scenario — pure data.
 
-    Serializes directly through
-    :func:`repro.experiments.persistence.save_results` (every leaf is a
-    JSON primitive) and renders through
+    Serializes through :meth:`to_dict` (every leaf is a JSON primitive)
+    and renders through
     :func:`repro.metrics.reporting.format_series_table` via
     :meth:`to_table`.
     """

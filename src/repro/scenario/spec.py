@@ -23,7 +23,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple, Union
 
-from repro.experiments.common import ExperimentScale
 from repro.faults.spec import FaultError, FaultScheduleSpec
 from repro.metrics.units import bits_to_mb, mb_to_bits
 
@@ -52,6 +51,62 @@ RANDOM_1_2 = "random-1-2"
 
 class ScenarioError(ValueError):
     """A spec that cannot describe a runnable scenario."""
+
+
+_NUMBER = (int, float)
+
+#: Field annotation -> the JSON value types :meth:`ScenarioSpec.from_dict`
+#: admits for it.  ``bool`` leaves and nested sections go unlisted: any
+#: value has always passed for the former, the latter are read section
+#: by section.
+_LEAF_TYPES: Dict[str, Tuple[type, ...]] = {
+    "int": _NUMBER,
+    "float": _NUMBER,
+    "str": (str,),
+    "Optional[int]": _NUMBER + (type(None),),
+    "Union[int, str]": _NUMBER + (str,),
+    "Tuple[int, ...]": (list, tuple),
+    "Tuple[AdversarySpec, ...]": (list, tuple),
+}
+
+
+def _section(cls_: type, where: str, raw: Any) -> Dict[str, Any]:
+    """The JSON object ``raw`` as keyword arguments for dataclass ``cls_``.
+
+    Lists become tuples.  Raises :class:`ScenarioError` naming ``where``
+    (and the field) for a non-object, an unknown or missing field, or a
+    wrongly typed leaf.
+    """
+    if not isinstance(raw, dict):
+        raise ScenarioError(f"{where} must be a JSON object, got {raw!r}")
+    fields = {f.name: f for f in dataclasses.fields(cls_)}
+    unknown = set(raw) - set(fields)
+    if unknown:
+        raise ScenarioError(f"unknown {where} field(s): {', '.join(sorted(unknown))}")
+    kwargs: Dict[str, Any] = {}
+    for name, f in fields.items():
+        if name not in raw:
+            if f.default is f.default_factory is dataclasses.MISSING:
+                raise ScenarioError(f"{where} needs a {name!r} field")
+            continue
+        value, allowed = raw[name], _LEAF_TYPES.get(f.type)
+        well_typed = allowed is None or isinstance(value, allowed)
+        if well_typed and f.type == "Tuple[int, ...]":
+            well_typed = all(isinstance(item, _NUMBER) for item in value)
+        if not well_typed:
+            raise ScenarioError(f"{where}.{name} must be {f.type}, got {value!r}")
+        kwargs[name] = tuple(value) if isinstance(value, list) else value
+    return kwargs
+
+
+def _build(cls_: type, where: str, raw: Any) -> Any:
+    """Dataclass ``cls_`` built from the JSON object ``raw``."""
+    return cls_(**_section(cls_, where, raw))
+
+
+def _reject_constant(token: str) -> Any:
+    """``json.loads(parse_constant=...)`` hook: no NaN / Infinity in a spec."""
+    raise ScenarioError(f"non-finite number {token} in a scenario document")
 
 
 def known_backend_names() -> Tuple[str, ...]:
@@ -400,11 +455,6 @@ class ScenarioSpec:
     ``"pbft"`` and ``"iota"`` run the comparison baselines on the same
     topology, workload and seed); ``pbft``/``iota`` carry the
     backend-specific knobs and are ignored by the other backends.
-    ``scale`` optionally records the
-    :class:`~repro.experiments.common.ExperimentScale` a paper-figure
-    spec was derived from (``probes_per_sample`` and friends); the
-    authoritative topology/slot/seed values are always the explicit
-    fields.
     """
 
     name: str = "custom"
@@ -418,7 +468,6 @@ class ScenarioSpec:
     iota: IotaParams = field(default_factory=IotaParams)
     seed: int = 0
     per_hop_latency: float = 0.001
-    scale: Optional[ExperimentScale] = None
 
     def __post_init__(self) -> None:
         registered = known_backend_names()
@@ -522,8 +571,6 @@ class ScenarioSpec:
 
         payload: Dict[str, Any] = listify(dataclasses.asdict(self))
         payload["format_version"] = SPEC_FORMAT_VERSION
-        if self.scale is None:
-            payload.pop("scale")
         if self.workload.churn is None:
             payload["workload"].pop("churn")
         # Fault timelines serialize through their own canonical form
@@ -550,73 +597,50 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "ScenarioSpec":
-        """Rebuild a spec from :meth:`to_dict` output; validates fully."""
-        data = dict(payload)
-        version = data.pop("format_version", SPEC_FORMAT_VERSION)
-        if version != SPEC_FORMAT_VERSION:
-            raise ScenarioError(f"unsupported scenario format {version!r}")
-        known_top = {f.name for f in dataclasses.fields(cls)}
-        unknown_top = set(data) - known_top
-        if unknown_top:
-            raise ScenarioError(
-                f"unknown scenario field(s): {', '.join(sorted(unknown_top))}"
-            )
+        """Rebuild a spec from :meth:`to_dict` output; validates fully.
 
-        def build(cls_: type, section: Dict[str, Any], **extra: Any) -> Any:
-            known = {f.name for f in dataclasses.fields(cls_)}
-            unknown = set(section) - known
-            if unknown:
-                raise ScenarioError(
-                    f"unknown {cls_.__name__} field(s): {', '.join(sorted(unknown))}"
-                )
-            merged = {**section, **extra}
-            for name, value in merged.items():
-                if isinstance(value, list):
-                    merged[name] = tuple(value)
-            return cls_(**merged)
-
-        for text_field in ("name", "description", "backend"):
-            if text_field in data and not isinstance(data[text_field], str):
-                raise ScenarioError(
-                    f"{text_field} must be a string, got {data[text_field]!r}"
-                )
-        workload_data = dict(data.get("workload", {}))
-        churn_data = workload_data.pop("churn", None)
-        churn = build(ChurnSpec, churn_data) if churn_data is not None else None
-        faults_data = workload_data.pop("faults", None)
-        faults = None
-        if faults_data is not None:
+        Whatever :meth:`to_dict` could not have written — a non-object
+        document or section, an unknown field, a wrongly typed leaf — is
+        a :class:`ScenarioError` naming the section and the field.
+        """
+        if isinstance(payload, dict):
+            payload = dict(payload)
+            version = payload.pop("format_version", SPEC_FORMAT_VERSION)
+            if version != SPEC_FORMAT_VERSION:
+                raise ScenarioError(f"unsupported scenario format {version!r}")
+        data = _section(cls, "scenario", payload)
+        workload = _section(WorkloadSpec, "workload", data.get("workload", {}))
+        if workload.get("churn") is not None:
+            workload["churn"] = _build(ChurnSpec, "workload.churn", workload["churn"])
+        if workload.get("faults") is not None:
             try:
-                faults = FaultScheduleSpec.from_dict(faults_data)
+                workload["faults"] = FaultScheduleSpec.from_dict(workload["faults"])
             except FaultError as error:
                 raise ScenarioError(f"invalid fault schedule: {error}")
-        scale_data = data.pop("scale", None)
-        scale = None
-        if scale_data is not None:
-            scale = ExperimentScale(
-                **{**scale_data, "sample_slots": list(scale_data["sample_slots"])}
-            )
-        return cls(
-            name=data.get("name", "custom"),
-            description=data.get("description", ""),
-            backend=data.get("backend", DEFAULT_BACKEND),
-            protocol=build(ProtocolSpec, data.get("protocol", {})),
-            topology=build(TopologySpec, data.get("topology", {})),
-            workload=build(WorkloadSpec, workload_data, churn=churn, faults=faults),
-            adversaries=tuple(
-                build(AdversarySpec, adv) for adv in data.get("adversaries", [])
-            ),
-            pbft=build(PbftParams, data.get("pbft", {})),
-            iota=build(IotaParams, data.get("iota", {})),
-            seed=int(data.get("seed", 0)),
-            per_hop_latency=float(data.get("per_hop_latency", 0.001)),
-            scale=scale,
+        data["workload"] = WorkloadSpec(**workload)
+        for name, cls_ in (
+            ("protocol", ProtocolSpec),
+            ("topology", TopologySpec),
+            ("pbft", PbftParams),
+            ("iota", IotaParams),
+        ):
+            if name in data:
+                data[name] = _build(cls_, name, data[name])
+        data["adversaries"] = tuple(
+            _build(AdversarySpec, f"adversaries[{index}]", entry)
+            for index, entry in enumerate(data.get("adversaries", ()))
         )
+        if "seed" in data:
+            data["seed"] = int(data["seed"])
+        if "per_hop_latency" in data:
+            data["per_hop_latency"] = float(data["per_hop_latency"])
+        return cls(**data)
 
     @classmethod
     def from_file(cls, path: Union[str, Path]) -> "ScenarioSpec":
         """Load a spec from a JSON file written by :meth:`to_json`."""
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        text = Path(path).read_text()
+        return cls.from_dict(json.loads(text, parse_constant=_reject_constant))
 
     def save(self, path: Union[str, Path]) -> None:
         """Write the canonical JSON of this spec to ``path`` atomically."""

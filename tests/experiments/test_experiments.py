@@ -7,20 +7,14 @@ baselines, and consensus time grows with γ.
 
 import pytest
 
-from repro.experiments.common import ExperimentScale
 from repro.experiments.fig7_storage import run_fig7
-from repro.experiments.fig8_comm import gamma_for_fraction, run_fig8
-from repro.experiments.fig9_consensus import PAPER_PANELS, run_fig9
+from repro.experiments.fig8_comm import run_fig8
+from repro.experiments.fig9_consensus import PAPER_PANELS, paper_panel, run_fig9
 from repro.experiments.headline import run_headline
+from repro.scenario import figure_base
+from repro.scenario.registry import fig8_gamma
 
-TINY = ExperimentScale(
-    node_count=16,
-    slots=40,
-    sample_slots=[10, 20, 30, 40],
-    validation=True,
-    probes_per_sample=4,
-    seed=3,
-)
+TINY = figure_base(16, 40, sample_slots=(10, 20, 30, 40), seed=3)
 
 
 @pytest.fixture(scope="module")
@@ -36,7 +30,7 @@ def fig8_result():
 class TestFig7:
     def test_series_lengths(self, fig7_result):
         for series in fig7_result.series_mb.values():
-            assert len(series) == len(TINY.sample_slots)
+            assert len(series) == len(TINY.workload.sample_slots)
 
     def test_2ldag_storage_far_below_baselines(self, fig7_result):
         final = -1
@@ -65,8 +59,8 @@ class TestFig7:
 
 class TestFig8:
     def test_gamma_mapping(self):
-        assert gamma_for_fraction(50, 0.33) == 17
-        assert gamma_for_fraction(50, 0.49) == 25
+        assert fig8_gamma(50, 0.33) == 17
+        assert fig8_gamma(50, 0.49) == 25
 
     def test_2ldag_comm_far_below_baselines(self, fig8_result):
         final = -1
@@ -104,7 +98,8 @@ class TestFig8:
 class TestFig9:
     def test_failure_decreases_with_dag_age(self):
         result = run_fig9(
-            gamma=4, malicious_counts=[0], sample_slots=[5, 8, 12, 20], scale=TINY
+            gamma=4, malicious_counts=[0], base=TINY,
+            sample_slots=[5, 8, 12, 20], probes=4,
         )
         series = result.failure_probability[0]
         assert series[-1] <= series[0]
@@ -112,7 +107,8 @@ class TestFig9:
 
     def test_more_malicious_not_faster(self):
         result = run_fig9(
-            gamma=5, malicious_counts=[0, 4], sample_slots=[6, 10, 16, 24], scale=TINY
+            gamma=5, malicious_counts=[0, 4], base=TINY,
+            sample_slots=[6, 10, 16, 24], probes=4,
         )
         slot_honest = result.consensus_slot(0)
         slot_attacked = result.consensus_slot(4)
@@ -124,6 +120,22 @@ class TestFig9:
         assert set(PAPER_PANELS) == {"a", "b", "c", "d"}
         assert PAPER_PANELS["d"]["gamma"] == 24
         assert 24 in PAPER_PANELS["d"]["malicious_counts"]
+
+    def test_paper_panel_is_the_paper_at_50_nodes(self):
+        for panel, paper in PAPER_PANELS.items():
+            assert paper_panel(panel, 50) == (
+                paper["gamma"], paper["malicious_counts"]
+            )
+
+    def test_paper_panel_scales_dedups_and_caps_at_gamma(self):
+        # 30 nodes, panel (a): gamma 10 -> 6; the sweep 0, 5, 8, 10
+        # scales to 0, 3, 5, 6 — all within gamma.
+        assert paper_panel("a", 30) == (6, [0, 3, 5, 6])
+        # 9 nodes: gamma floors at 2, 5 and 8 both round to 1 or 2 and
+        # collapse; nothing above gamma survives.
+        gamma, sweep = paper_panel("a", 9)
+        assert gamma == 2
+        assert sweep == sorted(set(sweep)) and sweep[-1] <= gamma
 
 
 class TestHeadline:

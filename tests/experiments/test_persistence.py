@@ -1,16 +1,10 @@
-"""Tests for experiment-result persistence and comparison."""
+"""Tests for atomic artefact writes."""
 
 import os
 
 import pytest
 
-from repro.experiments.persistence import (
-    FORMAT_VERSION,
-    atomic_write_text,
-    compare_series,
-    load_results,
-    save_results,
-)
+from repro.experiments.persistence import atomic_write_text
 
 
 class TestAtomicWrite:
@@ -50,63 +44,3 @@ class TestAtomicWrite:
         atomic_write_text(path, "y")
         with open(path) as handle:
             assert handle.read() == "y"
-
-
-class TestSaveLoad:
-    def test_roundtrip_dict(self, tmp_path):
-        path = tmp_path / "r.json"
-        save_results(path, "fig7", {"slots": [1, 2], "2LDAG": [0.5, 1.0]})
-        loaded = load_results(path)
-        assert loaded["name"] == "fig7"
-        assert loaded["results"]["2LDAG"] == [0.5, 1.0]
-        assert loaded["format_version"] == FORMAT_VERSION
-
-    def test_roundtrip_dataclass(self, tmp_path):
-        from repro.experiments.fig9_consensus import Fig9Result
-
-        result = Fig9Result(
-            gamma=4, malicious_counts=[0], sample_slots=[5, 10],
-            failure_probability={0: [1.0, 0.0]}, scale=None,
-        )
-        path = tmp_path / "fig9.json"
-        save_results(path, "fig9a", result)
-        loaded = load_results(path)
-        assert loaded["results"]["gamma"] == 4
-        assert loaded["results"]["failure_probability"]["0"] == [1.0, 0.0]
-
-    def test_unserializable_rejected(self, tmp_path):
-        with pytest.raises(TypeError):
-            save_results(tmp_path / "bad.json", "x", {"fn": lambda: None})
-
-    def test_unknown_format_rejected(self, tmp_path):
-        path = tmp_path / "old.json"
-        path.write_text('{"format_version": 99, "name": "x", "results": {}}')
-        with pytest.raises(ValueError):
-            load_results(path)
-
-    def test_deterministic_output(self, tmp_path):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        data = {"z": 1, "a": 2}
-        save_results(a, "n", data)
-        save_results(b, "n", data)
-        assert a.read_text() == b.read_text()
-
-
-class TestCompareSeries:
-    def test_identical_within_tolerance(self):
-        assert compare_series([1.0, 2.0], [1.0, 2.0]) is None
-
-    def test_small_drift_tolerated(self):
-        assert compare_series([100.0], [110.0], rel_tolerance=0.25) is None
-
-    def test_large_drift_reported(self):
-        message = compare_series([100.0], [200.0], rel_tolerance=0.25)
-        assert message is not None
-        assert "100" in message
-
-    def test_length_change_reported(self):
-        assert "length changed" in compare_series([1.0], [1.0, 2.0])
-
-    def test_zero_baseline_handling(self):
-        assert compare_series([0.0], [0.1]) is None
-        assert compare_series([0.0], [5.0]) is not None

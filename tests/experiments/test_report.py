@@ -2,22 +2,15 @@
 
 import pytest
 
-from repro.experiments.common import ExperimentScale
 from repro.experiments.report import generate_report
+from repro.scenario import figure_base, registry
 
-MICRO = ExperimentScale(
-    node_count=12,
-    slots=26,
-    sample_slots=[13, 26],
-    validation=True,
-    probes_per_sample=3,
-    seed=5,
-)
+MICRO = figure_base(12, 26, sample_slots=(13, 26), seed=5)
 
 
 @pytest.fixture(scope="module")
 def report():
-    return generate_report(MICRO, fig7_bodies=[0.5], fig9_panels=["a"])
+    return generate_report(MICRO, fig7_bodies=[0.5], fig9_panels=["a"], probes=3)
 
 
 class TestReport:
@@ -43,16 +36,42 @@ class TestReport:
         assert "Consensus slots:" in report.to_markdown()
 
     def test_scale_recorded(self, report):
-        assert report.scale is MICRO
+        assert report.base is MICRO
         assert f"{MICRO.node_count} nodes" in report.to_markdown()
+
+    def test_no_cell_is_submitted_twice(self, monkeypatch):
+        # The headline is derived from the Fig. 7 / Fig. 8 panels the
+        # report already ran (and through the executor it was given),
+        # not from a second, executor-less run of the same cells.
+        from repro.campaign.executor import CampaignExecutor
+
+        submitted = []
+        run = CampaignExecutor.run
+
+        def recording_run(self, campaign, **kwargs):
+            submitted.extend(cell.digest() for cell in campaign.cells)
+            return run(self, campaign, **kwargs)
+
+        monkeypatch.setattr(CampaignExecutor, "run", recording_run)
+        generate_report(MICRO, fig7_bodies=[0.1], fig9_panels=["a"], probes=3)
+        assert len(submitted) == len(set(submitted))
+        # gate (2) + fig7 C = 0.1 and the headline's 0.5 (2) + fig8 (2)
+        # + the panel's malicious sweep.
+        assert len(submitted) > 6
+
+    def test_headline_panel_is_run_but_not_shown_unless_asked(self):
+        report = generate_report(
+            MICRO, fig7_bodies=[0.1], fig9_panels=[], probes=3
+        )
+        assert list(report.fig7) == [0.1]
+        assert report.headline.storage_ratio_pbft > 1
 
     def test_cli_report_command(self, tmp_path, monkeypatch):
         from repro.cli import main
-        from repro.experiments.common import ExperimentScale
 
         # Substitute a micro scale for the CLI's --quick so the test
         # exercises the full command path in seconds.
-        monkeypatch.setattr(ExperimentScale, "quick", classmethod(lambda cls: MICRO))
+        monkeypatch.setattr(registry, "QUICK_SCALE", MICRO)
         out = tmp_path / "report.md"
         code = main(["report", "--quick", "--output", str(out)])
         assert code == 0

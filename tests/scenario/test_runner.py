@@ -1,9 +1,10 @@
 """ScenarioRunner: construction, determinism, churn, adversaries, results."""
 
+import json
+
 import pytest
 
 from repro.attacks.behaviors import SilentResponder
-from repro.experiments.persistence import save_results
 from repro.scenario import (
     AdversarySpec,
     ChurnSpec,
@@ -130,10 +131,9 @@ class TestRunner:
         assert result.validations > 0
         assert result.success_rate == 1.0
 
-    def test_result_serializes_through_persistence(self, tmp_path):
+    def test_result_serializes_through_persistence(self):
         result = run_scenario(tiny_spec())
-        save_results(tmp_path / "r.json", "tiny", result)
-        assert (tmp_path / "r.json").read_text().count("trace_sha256") == 1
+        assert json.dumps(result.to_dict()).count("trace_sha256") == 1
 
     def test_result_table_renders(self):
         result = run_scenario(tiny_spec())

@@ -190,3 +190,112 @@ class TestDerived:
 
     def test_body_mb(self):
         assert ProtocolSpec.paper(gamma=3, body_mb=0.5).body_mb == 0.5
+
+
+#: Hostile documents -> what the located error must name.  The first
+#: six left ``from_dict`` as a bare ``TypeError`` (a CLI traceback); the
+#: two ``scale`` documents are the deleted second size block, which
+#: used to be the one unvalidated part of the reader.
+HOSTILE_DOCUMENTS = [
+    ([1, 2], "scenario must be a JSON object"),
+    ({"protocol": 5}, "protocol must be a JSON object"),
+    ({"workload": {"churn": 5}}, "workload.churn must be a JSON object"),
+    ({"adversaries": 3}, "scenario.adversaries"),
+    ({"workload": {"slots": "a"}}, "workload.slots must be int"),
+    ({"topology": {"node_count": "9"}}, "topology.node_count must be int"),
+    ({"scale": {}}, r"unknown scenario field\(s\): scale"),
+    (
+        {"scale": {"node_count": 3, "sample_slots": [999]}, "name": "x"},
+        r"unknown scenario field\(s\): scale",
+    ),
+    # Same family, found while fixing the six.
+    ({"workload": 5}, "workload must be a JSON object"),
+    ({"seed": [1]}, "scenario.seed must be int"),
+    ({"per_hop_latency": "x"}, "scenario.per_hop_latency must be float"),
+    ({"adversaries": [3]}, r"adversaries\[0\] must be a JSON object"),
+    ({"adversaries": [{"count": 2}]}, r"adversaries\[0\] needs a 'kind' field"),
+    ({"workload": {"sample_slots": ["a"]}}, "workload.sample_slots"),
+    ({"workload": {"sample_slots": 5}}, "workload.sample_slots"),
+    ({"workload": {"churn": {"offline_nodes": [1], "offline_slot": "x"}}},
+     "workload.churn.offline_slot"),
+    ({"workload": {"faults": 5}}, "invalid fault schedule"),
+    ({"iota": {"mcmc_alpha": None}}, "iota.mcmc_alpha must be float"),
+]
+
+
+class TestHostileDocuments:
+    @pytest.mark.parametrize("document, located", HOSTILE_DOCUMENTS)
+    def test_from_dict_raises_a_located_scenario_error(self, document, located):
+        with pytest.raises(ScenarioError, match=located):
+            ScenarioSpec.from_dict(document)
+
+    @pytest.mark.parametrize("document, located", HOSTILE_DOCUMENTS)
+    def test_scenarios_validate_prints_invalid_and_exits_2(
+        self, document, located, tmp_path, capsys
+    ):
+        import re
+
+        from repro.cli import main
+
+        path = tmp_path / "hostile.json"
+        path.write_text(json.dumps(document))
+        assert main(["scenarios", "validate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"INVALID {path}: ")
+        assert re.search(located, captured.err)
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    def test_simulate_refuses_a_hostile_file_without_a_traceback(self, tmp_path):
+        from repro.cli import main
+
+        path = tmp_path / "hostile.json"
+        path.write_text(json.dumps({"workload": {"slots": "a"}}))
+        with pytest.raises(SystemExit, match="invalid scenario file .*slots"):
+            main(["simulate", "--scenario", str(path)])
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_from_file_rejects_non_finite_numbers(self, constant, tmp_path):
+        # Python's json reads these three tokens although JSON has no
+        # such numbers; `"slots": NaN` used to validate (NaN <= 0 is
+        # false) and `"seed": Infinity` was an OverflowError.
+        path = tmp_path / "nan.json"
+        path.write_text('{"workload": {"slots": %s}}' % constant)
+        with pytest.raises(ScenarioError, match=f"non-finite number {constant}"):
+            ScenarioSpec.from_file(path)
+
+    def test_accepted_documents_stay_accepted(self):
+        # JSON-natural spellings a hand-written spec may use: an int
+        # where a float is declared, null for an optional section, any
+        # truthy value for a flag.
+        spec = ScenarioSpec.from_dict({
+            "topology": {"node_count": 9, "comm_range": 50},
+            "protocol": {"gamma": 2, "reply_timeout": 1},
+            "workload": {"slots": 5, "churn": None, "faults": None,
+                         "validate": 1, "validation_min_age_slots": None},
+            "adversaries": [],
+            "seed": 3.0,
+            "per_hop_latency": 0,
+        })
+        assert (spec.node_count, spec.seed, spec.per_hop_latency) == (9, 3, 0.0)
+        assert isinstance(spec.seed, int)
+        assert isinstance(spec.per_hop_latency, float)
+
+    def test_every_leaf_annotation_is_typed_or_deliberately_open(self):
+        # A new field with an annotation the table does not know would
+        # silently go unchecked; make that a decision, not an accident.
+        import dataclasses
+
+        from repro.scenario import IotaParams, PbftParams
+        from repro.scenario.spec import _LEAF_TYPES
+
+        open_annotations = {
+            "bool", "ProtocolSpec", "TopologySpec", "WorkloadSpec",
+            "PbftParams", "IotaParams", "Optional[ChurnSpec]",
+            "Optional[FaultScheduleSpec]",
+        }
+        for cls in (ScenarioSpec, ProtocolSpec, TopologySpec, WorkloadSpec,
+                    ChurnSpec, AdversarySpec, PbftParams, IotaParams):
+            for field in dataclasses.fields(cls):
+                assert field.type in _LEAF_TYPES or field.type in open_annotations, (
+                    f"{cls.__name__}.{field.name}: {field.type}"
+                )
