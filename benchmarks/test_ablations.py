@@ -1,4 +1,5 @@
-"""Ablation benchmarks for the design choices DESIGN.md calls out.
+"""Ablation benchmarks for the design choices docs/performance.md
+("Substitution record") calls out.
 
 * WPS vs random next-responder choice — headers retrieved per
   verification (WPS should need no more, usually fewer).

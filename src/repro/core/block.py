@@ -15,7 +15,9 @@ generate at irregular times.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from hashlib import sha256
+from operator import attrgetter
 from typing import List, Mapping, Optional
 
 from repro.core import codec
@@ -64,7 +66,7 @@ class BlockBody:
         """
         chunk_count = max(1, min(8, self.size_bits // (BODY_CHUNK_BYTES * 8)))
         return [
-            hash_bytes(self.content_seed + i.to_bytes(4, "big")).value
+            sha256(self.content_seed + i.to_bytes(4, "big")).digest()
             for i in range(chunk_count)
         ]
 
@@ -75,19 +77,31 @@ class BlockBody:
         the seed, so the root is computed at most once per width —
         ``verify_body_root`` on a fetched block reuses the value.
         """
-        by_bits = self.__dict__.get("_body_root_by_bits")
-        if by_bits is None:
-            by_bits = {}
-            object.__setattr__(self, "_body_root_by_bits", by_bits)
+        by_bits = self.__dict__.setdefault("_body_root_by_bits", {})
         root = by_bits.get(bits)
         if root is None:
-            root = merkle_root(self.chunks(), bits)
-            by_bits[bits] = root
+            root = by_bits[bits] = merkle_root(self.chunks(), bits)
         return root
 
 
-def _encode_digests(digests: Mapping[int, Digest]) -> bytes:
-    return codec.encode_digest_map({node: d.value for node, d in digests.items()})
+#: How :func:`codec.encode_digest_map` reads Δ's entries.
+_digest_value = attrgetter("value")
+
+
+def _signing_payload(version: int, time: float, root: Digest, delta: bytes, nonce: int) -> bytes:
+    """The Eq. (6) pre-image, for the signer and for every verifier.
+
+    ``delta`` is Δ's canonical encoding, which the puzzle hashes too.
+    """
+    return codec.encode_fields(
+        [
+            ("version", codec.encode_u32(version)),
+            ("time", codec.encode_time(time)),
+            ("root", root.value),
+            ("digests", delta),
+            ("nonce", codec.encode_u64(nonce)),
+        ]
+    )
 
 
 @dataclass(frozen=True)
@@ -149,7 +163,7 @@ class BlockHeader:
         """Canonical bytes of Δ, shared by the puzzle and the signature."""
         encoded = self.__dict__.get("_hdr_digests_encoded")
         if encoded is None:
-            encoded = _encode_digests(self.digests)
+            encoded = codec.encode_digest_map(self.digests, _digest_value)
             object.__setattr__(self, "_hdr_digests_encoded", encoded)
         return encoded
 
@@ -161,14 +175,8 @@ class BlockHeader:
         """Canonical bytes covered by the signature (Eq. 6); memoised."""
         payload = self.__dict__.get("_hdr_signing_payload")
         if payload is None:
-            payload = codec.encode_fields(
-                [
-                    ("version", codec.encode_u32(self.version)),
-                    ("time", codec.encode_time(self.time)),
-                    ("root", self.root.value),
-                    ("digests", self._encoded_digests()),
-                    ("nonce", codec.encode_u64(self.nonce)),
-                ]
+            payload = _signing_payload(
+                self.version, self.time, self.root, self._encoded_digests(), self.nonce
             )
             object.__setattr__(self, "_hdr_signing_payload", payload)
         return payload
@@ -196,14 +204,10 @@ class BlockHeader:
         round trip of every PoP run), always through the same shared
         header object, so after the first call this is a dict lookup.
         """
-        by_bits = self.__dict__.get("_hdr_digest_by_bits")
-        if by_bits is None:
-            by_bits = {}
-            object.__setattr__(self, "_hdr_digest_by_bits", by_bits)
+        by_bits = self.__dict__.setdefault("_hdr_digest_by_bits", {})
         digest = by_bits.get(bits)
         if digest is None:
-            digest = hash_bytes(self.encode(), bits)
-            by_bits[bits] = digest
+            digest = by_bits[bits] = hash_bytes(self.encode(), bits)
         return digest
 
     # -- queries used by PoP ----------------------------------------------------
@@ -295,23 +299,21 @@ def build_block(
         puzzle = NoncePuzzle(config.puzzle_difficulty_bits, config.hash_bits)
     root = body.root(config.hash_bits)
     digest_map = dict(digests)
-    encoded_digests = _encode_digests(digest_map)
-    solution = puzzle.solve([root.value, encoded_digests])
-    unsigned = BlockHeader(
+    encoded_digests = codec.encode_digest_map(digest_map, _digest_value)
+    nonce = puzzle.solve([root.value, encoded_digests]).nonce
+    payload = _signing_payload(config.protocol_version, time, root, encoded_digests, nonce)
+    header = BlockHeader(
         origin=origin,
         index=index,
         version=config.protocol_version,
         time=time,
         root=root,
         digests=digest_map,
-        nonce=solution.nonce,
-        signature=b"",
+        nonce=nonce,
+        signature=sign(payload, keypair),
     )
-    object.__setattr__(unsigned, "_hdr_digests_encoded", encoded_digests)
-    payload = unsigned.signing_payload()
-    header = replace(unsigned, signature=sign(payload, keypair))
-    # The signature enters neither Δ's encoding nor its own payload, so
-    # both are byte-identical on the signed header — warm its caches.
+    # Both were computed from the very fields the header holds, so they
+    # are what a cold header would recompute — warm its caches.
     object.__setattr__(header, "_hdr_digests_encoded", encoded_digests)
     object.__setattr__(header, "_hdr_signing_payload", payload)
     return DataBlock(header=header, body=body)

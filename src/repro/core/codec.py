@@ -8,7 +8,11 @@ a general serialization library — only what the protocol needs.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Mapping, Tuple
+import struct
+from typing import Any, Callable, Iterable, List, Mapping, Tuple
+
+#: A digest-map entry's node id and digest length, range-checked by ``pack``.
+_pack_u32_pair = struct.Struct(">II").pack
 
 
 def encode_u32(value: int) -> bytes:
@@ -43,17 +47,30 @@ def encode_time(value: float) -> bytes:
     return encode_u64(scaled)
 
 
-def encode_digest_map(digests: Mapping[int, bytes]) -> bytes:
-    """Encode a node-id -> digest-bytes map in ascending node order.
+def encode_digest_map(digests: Mapping[int, Any], raw: Callable[[Any], bytes] = bytes) -> bytes:
+    """Encode a node-id -> digest map in ascending node order.
 
     Ascending order makes the encoding canonical regardless of the
-    insertion order of ``A_i`` updates.
+    insertion order of ``A_i`` updates.  ``raw`` reads an entry's bytes,
+    so a map of digest objects is encoded without an unwrapped copy.
     """
     parts: List[bytes] = [encode_u32(len(digests))]
-    for node_id in sorted(digests):
-        parts.append(encode_u32(node_id))
-        parts.append(encode_bytes(digests[node_id]))
+    try:
+        for node_id in sorted(digests):
+            value = raw(digests[node_id])
+            parts.append(_pack_u32_pair(node_id, len(value)))
+            parts.append(value)
+    except struct.error:
+        raise ValueError(f"u32 out of range among nodes {sorted(digests)}") from None
     return b"".join(parts)
+
+
+#: Frames of the header field names (Fig. 2 plus the identity fields),
+#: built at import; :func:`encode_fields` frames any other name as met.
+_NAME_FRAMES = {
+    name: encode_bytes(name.encode("ascii"))
+    for name in "version time root digests nonce origin index body signature".split()
+}
 
 
 def encode_fields(fields: Iterable[Tuple[str, bytes]]) -> bytes:
@@ -65,8 +82,6 @@ def encode_fields(fields: Iterable[Tuple[str, bytes]]) -> bytes:
     """
     parts: List[bytes] = []
     for name, data in fields:
-        name_bytes = name.encode("ascii")
-        parts.append(encode_u32(len(name_bytes)))
-        parts.append(name_bytes)
-        parts.append(encode_bytes(data))
+        frame = _NAME_FRAMES.get(name) or encode_bytes(name.encode("ascii"))
+        parts += (frame, encode_u32(len(data)), data)
     return b"".join(parts)

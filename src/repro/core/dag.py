@@ -52,22 +52,20 @@ class LogicalDag:
         digest = header.digest(self.hash_bits)
         self._headers[block_id] = header
         self._by_digest[digest.value] = block_id
-        self._children.setdefault(block_id, [])
-        self._parents.setdefault(block_id, [])
+        children = self._children.setdefault(block_id, [])
+        parents = self._parents.setdefault(block_id, [])
         # Link to parents already present; queue references to absent ones.
         for parent_digest in header.digests.values():
             parent_id = self._by_digest.get(parent_digest.value)
             if parent_id is not None:
-                self._link(parent_id, block_id)
+                self._children[parent_id].append(block_id)
+                parents.append(parent_id)
             else:
                 self._wanted.setdefault(parent_digest.value, []).append(block_id)
         # Link to children inserted before us that were waiting for our digest.
-        for child_id in self._wanted.pop(digest.value, []):
-            self._link(block_id, child_id)
-
-    def _link(self, parent: BlockId, child: BlockId) -> None:
-        self._children[parent].append(child)
-        self._parents[child].append(parent)
+        for child_id in self._wanted.pop(digest.value, ()):
+            children.append(child_id)
+            self._parents[child_id].append(block_id)
 
     # -- queries -----------------------------------------------------------
     def __contains__(self, block_id: BlockId) -> bool:

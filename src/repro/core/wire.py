@@ -62,6 +62,15 @@ class _Reader:
     def blob(self) -> bytes:
         return self.take(self.u32())
 
+    def digest(self, bits: int, field: str) -> Digest:
+        """A length-prefixed digest that must be exactly ``bits`` wide."""
+        offset = self._offset
+        value = self.blob()
+        try:
+            return Digest(value, bits)
+        except ValueError as exc:
+            raise WireError(f"{field} at offset {offset}: {exc}") from None
+
     def expect_end(self) -> None:
         if self._offset != len(self._data):
             raise WireError(
@@ -141,7 +150,7 @@ def _read_header(reader: _Reader, hash_bits: int) -> BlockHeader:
     index = reader.u32()
     time = reader.u64() / 1_000_000.0
     proto_version = reader.u32()
-    root = Digest(reader.blob(), hash_bits)
+    root = reader.digest(hash_bits, "root")
     digest_count = reader.u32()
     if digest_count > 10_000:
         raise WireError(f"implausible digest count {digest_count}")
@@ -150,7 +159,7 @@ def _read_header(reader: _Reader, hash_bits: int) -> BlockHeader:
         node = reader.u32()
         if node in digests:
             raise WireError(f"duplicate digest entry for node {node}")
-        digests[node] = Digest(reader.blob(), hash_bits)
+        digests[node] = reader.digest(hash_bits, f"digest of node {node}")
     nonce = reader.u64()
     signature = reader.blob()
     return BlockHeader(

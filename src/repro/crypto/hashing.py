@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, List, Union
 
 #: The paper's digest width f_H (bits).
 DIGEST_BITS_DEFAULT = 256
@@ -41,11 +41,6 @@ class Digest:
                 f"digest value has {len(self.value)} bytes, expected {self.bits // 8}"
             )
 
-    @property
-    def size_bits(self) -> int:
-        """Width in bits (alias used by size accounting)."""
-        return self.bits
-
     def hex(self) -> str:
         """Lower-case hex rendering of the digest."""
         return self.value.hex()
@@ -56,16 +51,7 @@ class Digest:
 
     def leading_zero_bits(self) -> int:
         """Number of leading zero bits — used by the nonce puzzle."""
-        count = 0
-        for byte in self.value:
-            if byte == 0:
-                count += 8
-                continue
-            for shift in range(7, -1, -1):
-                if byte >> shift & 1:
-                    return count
-                count += 1
-        return count
+        return self.bits - int.from_bytes(self.value, "big").bit_length()
 
     def __int__(self) -> int:
         return int.from_bytes(self.value, "big")
@@ -74,22 +60,49 @@ class Digest:
         return f"Digest({self.short()}…/{self.bits}b)"
 
 
+def frame_fields(fields: Iterable[BytesLike]) -> bytes:
+    """Concatenate ``fields``, each behind its 4-byte big-endian length.
+
+    The one length-prefixed framing under every multi-field hash: the
+    prefixes keep e.g. ``(b"ab", b"c")`` and ``(b"a", b"bc")`` apart.
+    Framing is concatenative — ``frame_fields(a + b)`` equals
+    ``frame_fields(a) + frame_fields(b)`` — so a caller hashing many
+    tuples with a common head frames the head once.
+    """
+    parts: List[BytesLike] = []
+    for field in fields:
+        size = len(field) if type(field) is bytes else memoryview(field).nbytes
+        parts.append(size.to_bytes(4, "big"))
+        parts.append(field)
+    return b"".join(parts)
+
+
+def _sha256_digest(data: BytesLike, bits: int) -> Digest:
+    """SHA-256 of ``data`` as a ``bits``-wide :class:`Digest`.
+
+    The only place a digest is built around the constructor: the slice
+    of a fresh 32-byte output has the right length by construction, so
+    the length check is not re-run.  The width check is — by comparison,
+    and a bad width goes to the constructor for its ``ValueError``.
+    """
+    raw = hashlib.sha256(data).digest()
+    if bits <= 0 or bits % 8 or bits > 256:
+        return Digest(raw[: bits // 8], bits)
+    digest = object.__new__(Digest)
+    object.__setattr__(digest, "value", raw[: bits // 8])
+    object.__setattr__(digest, "bits", bits)
+    return digest
+
+
 def hash_bytes(data: BytesLike, bits: int = DIGEST_BITS_DEFAULT) -> Digest:
     """SHA-256 of ``data`` truncated to ``bits`` bits."""
-    raw = hashlib.sha256(bytes(data)).digest()
-    return Digest(raw[: bits // 8], bits)
+    return _sha256_digest(data, bits)
 
 
 def hash_fields(fields: Iterable[BytesLike], bits: int = DIGEST_BITS_DEFAULT) -> Digest:
-    """Hash a sequence of byte fields with length-prefixed framing.
+    """Hash a sequence of byte fields behind :func:`frame_fields` framing.
 
-    Length prefixes prevent ambiguity between e.g. ``(b"ab", b"c")`` and
-    ``(b"a", b"bc")`` — important because header digests (Eq. 5/6) hash
-    several variable-length fields together.
+    Header digests (Eq. 5/6) hash several variable-length fields
+    together, so the pre-image must be unambiguous.
     """
-    hasher = hashlib.sha256()
-    for field in fields:
-        chunk = bytes(field)
-        hasher.update(len(chunk).to_bytes(4, "big"))
-        hasher.update(chunk)
-    return Digest(hasher.digest()[: bits // 8], bits)
+    return _sha256_digest(frame_fields(fields), bits)

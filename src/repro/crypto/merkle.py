@@ -9,22 +9,37 @@ enabling the partial-body verification extension discussed in tests.
 
 from __future__ import annotations
 
+from hashlib import sha256
 from typing import List, Sequence, Tuple
 
-from repro.crypto.hashing import DIGEST_BITS_DEFAULT, Digest, hash_bytes, hash_fields
+from repro.crypto.hashing import DIGEST_BITS_DEFAULT, Digest, frame_fields
 
 #: Domain-separation tags so a leaf can never be confused with an
 #: interior node (defends against second-preimage tree attacks).
 _LEAF_TAG = b"\x00"
-_NODE_TAG = b"\x01"
+_NODE_FRAME = frame_fields((b"\x01",))
 
 
-def _hash_leaf(chunk: bytes, bits: int) -> Digest:
-    return hash_bytes(_LEAF_TAG + chunk, bits)
+def _leaves(chunks: Sequence[bytes], width: int) -> List[bytes]:
+    """Leaf level: the tagged hash of each chunk, cut to ``width`` bytes."""
+    return [sha256(_LEAF_TAG + chunk).digest()[:width] for chunk in chunks or (b"",)]
 
 
-def _hash_children(left: Digest, right: Digest, bits: int) -> Digest:
-    return hash_fields([_NODE_TAG, left.value, right.value], bits)
+def _parents(level: List[bytes], width: int) -> List[bytes]:
+    """The level above ``level``; an odd level's last hash is duplicated.
+
+    A parent hashes ``(tag, left, right)`` framed.  Framing is
+    concatenative and a level's hashes are equally long, so the level is
+    framed once and each pair's frame is a slice of it.
+    """
+    if len(level) % 2:
+        level = level + level[-1:]
+    framed = frame_fields(level)
+    pair = 2 * len(framed) // len(level)
+    return [
+        sha256(_NODE_FRAME + framed[start:start + pair]).digest()[:width]
+        for start in range(0, len(framed), pair)
+    ]
 
 
 class MerkleTree:
@@ -37,26 +52,19 @@ class MerkleTree:
         every tree has a root.
     bits:
         Digest width (``f_H``).
+
+    Levels are held as raw hash bytes; :attr:`root` and
+    :meth:`audit_path` hand out :class:`Digest` objects.
     """
 
     def __init__(self, chunks: Sequence[bytes], bits: int = DIGEST_BITS_DEFAULT) -> None:
-        if not chunks:
-            chunks = [b""]
         self.bits = bits
-        self.leaf_count = len(chunks)
-        self._levels: List[List[Digest]] = [[_hash_leaf(c, bits) for c in chunks]]
+        self._levels = [_leaves(chunks, bits // 8)]
         while len(self._levels[-1]) > 1:
-            level = self._levels[-1]
-            if len(level) % 2 == 1:
-                level = level + [level[-1]]
-            self._levels.append(
-                [_hash_children(level[i], level[i + 1], bits) for i in range(0, len(level), 2)]
-            )
-
-    @property
-    def root(self) -> Digest:
-        """The tree root — the header's ``Root`` field."""
-        return self._levels[-1][0]
+            self._levels.append(_parents(self._levels[-1], bits // 8))
+        self.leaf_count = len(self._levels[0])
+        #: The tree root — the header's ``Root`` field.
+        self.root = Digest(self._levels[-1][0], bits)
 
     @property
     def height(self) -> int:
@@ -74,18 +82,19 @@ class MerkleTree:
         path: List[Tuple[bool, Digest]] = []
         position = index
         for level in self._levels[:-1]:
-            padded = level if len(level) % 2 == 0 else level + [level[-1]]
-            if position % 2 == 0:
-                path.append((True, padded[position + 1]))
-            else:
-                path.append((False, padded[position - 1]))
+            # The unpaired last hash of an odd level is its own sibling.
+            sibling = level[min(position ^ 1, len(level) - 1)]
+            path.append((position % 2 == 0, Digest(sibling, self.bits)))
             position //= 2
         return path
 
 
 def merkle_root(chunks: Sequence[bytes], bits: int = DIGEST_BITS_DEFAULT) -> Digest:
-    """Convenience: the root of :class:`MerkleTree` over ``chunks``."""
-    return MerkleTree(chunks, bits).root
+    """The root of :class:`MerkleTree` over ``chunks``, keeping no levels."""
+    level = _leaves(chunks, bits // 8)
+    while len(level) > 1:
+        level = _parents(level, bits // 8)
+    return Digest(level[0], bits)
 
 
 def verify_audit_path(
@@ -95,10 +104,8 @@ def verify_audit_path(
     bits: int = DIGEST_BITS_DEFAULT,
 ) -> bool:
     """Check that ``chunk`` is a leaf of the tree with the given ``root``."""
-    current = _hash_leaf(chunk, bits)
+    [current] = _leaves([chunk], bits // 8)
     for sibling_is_right, sibling in path:
-        if sibling_is_right:
-            current = _hash_children(current, sibling, bits)
-        else:
-            current = _hash_children(sibling, current, bits)
-    return current == root
+        pair = [current, sibling.value] if sibling_is_right else [sibling.value, current]
+        [current] = _parents(pair, bits // 8)
+    return Digest(current, bits) == root

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from repro.crypto.hashing import DIGEST_BITS_DEFAULT, Digest, hash_fields
+from repro.crypto.hashing import DIGEST_BITS_DEFAULT, Digest, frame_fields, hash_bytes
 
 
 @dataclass(frozen=True)
@@ -55,8 +55,9 @@ class NoncePuzzle:
         self.bits = bits
         self.max_attempts = max_attempts
 
-    def _digest(self, fields: Iterable[bytes], nonce: int) -> Digest:
-        return hash_fields(list(fields) + [nonce.to_bytes(8, "big")], self.bits)
+    def _digest(self, framed: bytes, nonce: int) -> Digest:
+        """Eq. (5)'s hash of already framed fields and one nonce."""
+        return hash_bytes(framed + frame_fields((nonce.to_bytes(8, "big"),)), self.bits)
 
     def meets_difficulty(self, digest: Digest) -> bool:
         """Whether a digest satisfies the threshold (H ≤ ρ)."""
@@ -64,15 +65,11 @@ class NoncePuzzle:
 
     def solve(self, fields: Iterable[bytes], start_nonce: int = 0) -> PuzzleSolution:
         """Search nonces from ``start_nonce`` until Eq. (5) is satisfied."""
-        materialized = [bytes(f) for f in fields]
-        nonce = start_nonce
-        attempts = 0
-        while attempts < self.max_attempts:
-            digest = self._digest(materialized, nonce)
-            attempts += 1
+        framed = frame_fields(fields)
+        for attempts, nonce in enumerate(range(start_nonce, start_nonce + self.max_attempts), 1):
+            digest = self._digest(framed, nonce)
             if self.meets_difficulty(digest):
                 return PuzzleSolution(nonce=nonce, digest=digest, attempts=attempts)
-            nonce += 1
         raise RuntimeError(
             f"no nonce found within {self.max_attempts} attempts at "
             f"difficulty {self.difficulty_bits}"
@@ -80,7 +77,7 @@ class NoncePuzzle:
 
     def check(self, fields: Iterable[bytes], nonce: int) -> bool:
         """Verify a claimed nonce — what a receiving neighbour does."""
-        return self.meets_difficulty(self._digest([bytes(f) for f in fields], nonce))
+        return self.meets_difficulty(self._digest(frame_fields(fields), nonce))
 
     def expected_attempts(self) -> float:
         """Expected number of hash attempts (2^difficulty)."""

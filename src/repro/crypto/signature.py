@@ -16,7 +16,7 @@ hold here — verification looks the private key up through a trusted
 public-key math, which is sound inside a closed simulation where the
 registry is ground truth.
 
-See DESIGN.md §2 for the substitution record.
+See docs/performance.md, "Substitution record", for the record.
 """
 
 from __future__ import annotations

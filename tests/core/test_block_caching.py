@@ -16,6 +16,8 @@ from repro.core.block import BlockHeader, BlockId, build_block, make_body
 from repro.core.config import ProtocolConfig
 from repro.crypto.hashing import hash_bytes
 from repro.crypto.keys import KeyPair
+from repro.crypto.puzzle import NoncePuzzle
+from repro.crypto.signature import sign
 
 CACHE_ATTRS = (
     "_hdr_signing_payload",
@@ -195,3 +197,57 @@ class TestWireRoundTripWithWarmCaches:
         # A fresh body object recomputes to the same value.
         fresh = make_body(1, 0, config)
         assert fresh.root(config.hash_bits) == root
+
+
+def two_step_build(origin, index, time, body, digests, keypair, config):
+    """The reference construction: an unsigned header supplies the Eq. (6)
+    payload, ``dataclasses.replace`` adds the signature over it."""
+    puzzle = NoncePuzzle(config.puzzle_difficulty_bits, config.hash_bits)
+    root = body.root(config.hash_bits)
+    digest_map = dict(digests)
+    encoded_digests = codec.encode_digest_map(
+        {node: digest.value for node, digest in digest_map.items()}
+    )
+    solution = puzzle.solve([root.value, encoded_digests])
+    unsigned = BlockHeader(
+        origin=origin, index=index, version=config.protocol_version, time=time,
+        root=root, digests=digest_map, nonce=solution.nonce, signature=b"",
+    )
+    return dataclasses.replace(
+        unsigned, signature=sign(unsigned.signing_payload(), keypair)
+    )
+
+
+class TestOneConstructionEqualsTwo:
+    """``build_block`` makes its header once; what it returns — fields,
+    digest and both pre-warmed caches — is what signing an unsigned
+    header and copying it with the signature gives."""
+
+    @pytest.mark.parametrize("difficulty, hash_bits, parents", [
+        (0, 256, 4), (0, 256, 0), (5, 256, 3), (0, 128, 6), (4, 64, 2),
+    ])
+    def test_equal_header_digest_and_caches(self, keypair, difficulty, hash_bits, parents):
+        config = ProtocolConfig(
+            body_bits=8_000, gamma=2, hash_bits=hash_bits,
+            puzzle_difficulty_bits=difficulty,
+        )
+        digests = {
+            j: hash_bytes(f"parent-{j}".encode(), hash_bits) for j in range(parents, 0, -1)
+        }
+        arguments = (3, 5, 2.5, make_body(3, 5, config), digests, keypair, config)
+        reference = two_step_build(*arguments)
+        built = build_block(*arguments).header
+
+        assert built == reference
+        assert built.digest(hash_bits) == reference.digest(hash_bits)
+        assert built.encode() == reference.encode()
+        assert built.verify_signature(keypair.public)
+        assert built.digests is not digests  # a private copy of Δ
+
+        warm_payload = built.__dict__["_hdr_signing_payload"]
+        warm_digests = built.__dict__["_hdr_digests_encoded"]
+        cold = dataclasses.replace(built)
+        assert not set(CACHE_ATTRS) & set(cold.__dict__)
+        assert cold.signing_payload() == warm_payload == reference.signing_payload()
+        assert cold.puzzle_fields() == [built.root.value, warm_digests]
+        assert cold.digest(hash_bits) == built.digest(hash_bits)

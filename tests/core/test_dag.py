@@ -1,10 +1,13 @@
 """Unit tests for the logical DAG."""
 
+import random
+
 import pytest
 
 from repro.core.block import build_block, make_body
 from repro.core.config import ProtocolConfig
 from repro.core.dag import LogicalDag
+from repro.crypto.hashing import hash_bytes
 from repro.crypto.keys import KeyPair
 
 
@@ -125,3 +128,65 @@ class TestConsensusOracle:
         origins = [1 + (i % 2) for i in range(2000)]
         dag, blocks = make_chain(config, origins)
         assert dag.max_distinct_origins_on_path(blocks[0].block_id) == 2
+
+
+class TestEdgeOrder:
+    """``find_path`` / ``descendants`` walk the raw child lists, so the
+    order edges are appended in is behaviour.  The reference links one
+    edge at a time through both indexes, as ``add_header`` once did."""
+
+    @staticmethod
+    def reference_edges(headers, hash_bits):
+        by_digest, children, parents, wanted = {}, {}, {}, {}
+
+        def link(parent, child):
+            children[parent].append(child)
+            parents[child].append(parent)
+
+        for header in headers:
+            block_id = header.block_id
+            digest = header.digest(hash_bits).value
+            by_digest[digest] = block_id
+            children.setdefault(block_id, [])
+            parents.setdefault(block_id, [])
+            for parent_digest in header.digests.values():
+                parent_id = by_digest.get(parent_digest.value)
+                if parent_id is not None:
+                    link(parent_id, block_id)
+                else:
+                    wanted.setdefault(parent_digest.value, []).append(block_id)
+            for child_id in wanted.pop(digest, []):
+                link(block_id, child_id)
+        return children, parents
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_any_insertion_order_links_like_the_reference(self, config, seed):
+        rng = random.Random(seed)
+        headers, latest = [], {}
+        for slot in range(6):
+            for origin in rng.sample(range(5), 5):
+                # Reference up to three other nodes' latest blocks, newest
+                # map order shuffled, plus one digest that never resolves.
+                known = [o for o in latest if o != origin]
+                digests = {o: latest[o] for o in rng.sample(known, min(3, len(known)))}
+                if origin in latest:
+                    digests[origin] = latest[origin]
+                if rng.random() < 0.2:
+                    digests[99] = hash_bytes(b"never inserted %d" % len(headers))
+                block = build_block(
+                    origin=origin, index=slot, time=float(slot),
+                    body=make_body(origin, slot, config), digests=digests,
+                    keypair=KeyPair.generate(origin), config=config,
+                )
+                latest[origin] = block.digest(config.hash_bits)
+                headers.append(block.header)
+        rng.shuffle(headers)
+
+        dag = LogicalDag(config.hash_bits)
+        for header in headers:
+            dag.add_header(header)
+        children, parents = self.reference_edges(headers, config.hash_bits)
+        assert dag._children == children
+        assert dag._parents == parents
+        assert dag.edge_count() == sum(len(c) for c in children.values()) > 0
+        assert dag.is_acyclic()

@@ -110,3 +110,71 @@ class TestStrictParsing:
                 decode_block(encoded[:cut])
             except WireError:
                 pass  # the only acceptable failure mode
+
+
+class TestDigestWidth:
+    """A wrong-width digest is a located ``WireError``, never a bare
+    ``ValueError`` from the ``Digest`` constructor."""
+
+    # Header layout: magic(2) version(1) origin(4) index(4) time(8)
+    # proto(4) | root blob at 23 | count(4) at 59 | first entry: node(4)
+    # at 63, digest blob at 67.
+    ROOT_AT = 23
+    FIRST_DIGEST_AT = 67
+
+    @staticmethod
+    def _with_blob(encoded: bytes, offset: int, value: bytes) -> bytes:
+        old_length = int.from_bytes(encoded[offset:offset + 4], "big")
+        return (
+            encoded[:offset] + len(value).to_bytes(4, "big") + value
+            + encoded[offset + 4 + old_length:]
+        )
+
+    @staticmethod
+    def _as_block(header_bytes: bytes, block) -> bytes:
+        body_bytes = encode_body(block.body)
+        return b"".join([
+            b"2K\x01",
+            len(header_bytes).to_bytes(4, "big"), header_bytes,
+            len(body_bytes).to_bytes(4, "big"), body_bytes,
+        ])
+
+    def _assert_located(self, header_bytes, block, match, **kwargs):
+        for decode, data in (
+            (decode_header, header_bytes),
+            (decode_block, self._as_block(header_bytes, block)),
+        ):
+            with pytest.raises(WireError, match=match):
+                decode(data, **kwargs)
+
+    def test_layout_offsets_hold(self, block):
+        encoded = encode_header(block.header)
+        assert self._with_blob(encoded, self.ROOT_AT, block.header.root.value) == encoded
+        first = block.header.digests[min(block.header.digests)]
+        assert self._with_blob(encoded, self.FIRST_DIGEST_AT, first.value) == encoded
+
+    @pytest.mark.parametrize("length", [0, 5, 31, 33])
+    def test_wrong_width_root(self, block, length):
+        bad = self._with_blob(encode_header(block.header), self.ROOT_AT, b"\x07" * length)
+        self._assert_located(bad, block, rf"root at offset 23: .*{length} bytes")
+
+    @pytest.mark.parametrize("length", [0, 31, 64])
+    def test_wrong_width_digest_entry(self, block, length):
+        bad = self._with_blob(
+            encode_header(block.header), self.FIRST_DIGEST_AT, b"\x07" * length
+        )
+        self._assert_located(bad, block, rf"digest of node 2 at offset 67: .*{length} bytes")
+
+    @pytest.mark.parametrize("hash_bits", [12, 0, -8, 128, 512])
+    def test_bad_hash_bits_argument(self, block, hash_bits):
+        self._assert_located(
+            encode_header(block.header), block, "root at offset 23", hash_bits=hash_bits
+        )
+
+    def test_matching_narrow_width_still_decodes(self, config):
+        narrow = ProtocolConfig(body_bits=8_000, gamma=2, hash_bits=128)
+        block = build_block(
+            origin=1, index=0, time=0.0, body=make_body(1, 0, narrow),
+            digests={4: hash_bytes(b"d4", 128)}, keypair=KeyPair.generate(1), config=narrow,
+        )
+        assert decode_block(encode_block(block), hash_bits=128) == block

@@ -33,8 +33,8 @@ class TestConstruction:
         """A single chunk equal to an interior encoding must not
         produce the parent's hash (second-preimage defence)."""
         two = MerkleTree([b"a", b"b"])
-        left = two._levels[0][0]
-        right = two._levels[0][1]
+        [(_, left)] = two.audit_path(1)
+        [(_, right)] = two.audit_path(0)
         fake_leaf = b"\x01" + left.value + right.value
         assert merkle_root([fake_leaf]) != two.root
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.crypto.hashing import frame_fields
 from repro.crypto.puzzle import NoncePuzzle
 
 
@@ -29,7 +30,7 @@ class TestPuzzle:
         puzzle = NoncePuzzle(difficulty_bits=6)
         solution = puzzle.solve([b"fields-A"])
         # Solving different fields from the same start gives a different digest.
-        assert puzzle._digest([b"fields-B"], solution.nonce) != solution.digest
+        assert puzzle._digest(frame_fields([b"fields-B"]), solution.nonce) != solution.digest
 
     def test_difficulty_increases_attempts_statistically(self):
         easy_attempts = NoncePuzzle(difficulty_bits=1).solve([b"x"]).attempts
