@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from hashlib import sha256
-from operator import attrgetter
 from typing import List, Mapping, Optional
 
 from repro.core import codec
@@ -77,15 +76,15 @@ class BlockBody:
         the seed, so the root is computed at most once per width —
         ``verify_body_root`` on a fetched block reuses the value.
         """
-        by_bits = self.__dict__.setdefault("_body_root_by_bits", {})
+        by_bits = self.__dict__.get("_body_root_by_bits")
+        if by_bits is None:
+            by_bits = {}
+            object.__setattr__(self, "_body_root_by_bits", by_bits)
         root = by_bits.get(bits)
         if root is None:
-            root = by_bits[bits] = merkle_root(self.chunks(), bits)
+            root = merkle_root(self.chunks(), bits)
+            by_bits[bits] = root
         return root
-
-
-#: How :func:`codec.encode_digest_map` reads Δ's entries.
-_digest_value = attrgetter("value")
 
 
 def _signing_payload(version: int, time: float, root: Digest, delta: bytes, nonce: int) -> bytes:
@@ -163,7 +162,7 @@ class BlockHeader:
         """Canonical bytes of Δ, shared by the puzzle and the signature."""
         encoded = self.__dict__.get("_hdr_digests_encoded")
         if encoded is None:
-            encoded = codec.encode_digest_map(self.digests, _digest_value)
+            encoded = codec.encode_digest_map(self.digests)
             object.__setattr__(self, "_hdr_digests_encoded", encoded)
         return encoded
 
@@ -204,10 +203,14 @@ class BlockHeader:
         round trip of every PoP run), always through the same shared
         header object, so after the first call this is a dict lookup.
         """
-        by_bits = self.__dict__.setdefault("_hdr_digest_by_bits", {})
+        by_bits = self.__dict__.get("_hdr_digest_by_bits")
+        if by_bits is None:
+            by_bits = {}
+            object.__setattr__(self, "_hdr_digest_by_bits", by_bits)
         digest = by_bits.get(bits)
         if digest is None:
-            digest = by_bits[bits] = hash_bytes(self.encode(), bits)
+            digest = hash_bytes(self.encode(), bits)
+            by_bits[bits] = digest
         return digest
 
     # -- queries used by PoP ----------------------------------------------------
@@ -299,7 +302,7 @@ def build_block(
         puzzle = NoncePuzzle(config.puzzle_difficulty_bits, config.hash_bits)
     root = body.root(config.hash_bits)
     digest_map = dict(digests)
-    encoded_digests = codec.encode_digest_map(digest_map, _digest_value)
+    encoded_digests = codec.encode_digest_map(digest_map)
     nonce = puzzle.solve([root.value, encoded_digests]).nonce
     payload = _signing_payload(config.protocol_version, time, root, encoded_digests, nonce)
     header = BlockHeader(

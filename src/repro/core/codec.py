@@ -9,7 +9,9 @@ a general serialization library — only what the protocol needs.
 from __future__ import annotations
 
 import struct
-from typing import Any, Callable, Iterable, List, Mapping, Tuple
+from typing import Iterable, List, Mapping, Tuple
+
+from repro.crypto.hashing import Digest
 
 #: A digest-map entry's node id and digest length, range-checked by ``pack``.
 _pack_u32_pair = struct.Struct(">II").pack
@@ -47,21 +49,21 @@ def encode_time(value: float) -> bytes:
     return encode_u64(scaled)
 
 
-def encode_digest_map(digests: Mapping[int, Any], raw: Callable[[Any], bytes] = bytes) -> bytes:
+def encode_digest_map(digests: Mapping[int, Digest]) -> bytes:
     """Encode a node-id -> digest map in ascending node order.
 
     Ascending order makes the encoding canonical regardless of the
-    insertion order of ``A_i`` updates.  ``raw`` reads an entry's bytes,
-    so a map of digest objects is encoded without an unwrapped copy.
+    insertion order of ``A_i`` updates.
     """
     parts: List[bytes] = [encode_u32(len(digests))]
-    try:
-        for node_id in sorted(digests):
-            value = raw(digests[node_id])
-            parts.append(_pack_u32_pair(node_id, len(value)))
-            parts.append(value)
-    except struct.error:
-        raise ValueError(f"u32 out of range among nodes {sorted(digests)}") from None
+    for node_id in sorted(digests):
+        value = digests[node_id].value
+        try:
+            head = _pack_u32_pair(node_id, len(value))
+        except struct.error:
+            # Out of range: let ``encode_u32`` name the offending value.
+            head = encode_u32(node_id) + encode_u32(len(value))
+        parts += (head, value)
     return b"".join(parts)
 
 

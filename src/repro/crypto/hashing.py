@@ -41,6 +41,11 @@ class Digest:
                 f"digest value has {len(self.value)} bytes, expected {self.bits // 8}"
             )
 
+    @property
+    def size_bits(self) -> int:
+        """Width in bits (alias used by size accounting)."""
+        return self.bits
+
     def hex(self) -> str:
         """Lower-case hex rendering of the digest."""
         return self.value.hex()
@@ -77,8 +82,8 @@ def frame_fields(fields: Iterable[BytesLike]) -> bytes:
     return b"".join(parts)
 
 
-def _sha256_digest(data: BytesLike, bits: int) -> Digest:
-    """SHA-256 of ``data`` as a ``bits``-wide :class:`Digest`.
+def hash_bytes(data: BytesLike, bits: int = DIGEST_BITS_DEFAULT) -> Digest:
+    """SHA-256 of ``data`` truncated to ``bits`` bits.
 
     The only place a digest is built around the constructor: the slice
     of a fresh 32-byte output has the right length by construction, so
@@ -94,15 +99,10 @@ def _sha256_digest(data: BytesLike, bits: int) -> Digest:
     return digest
 
 
-def hash_bytes(data: BytesLike, bits: int = DIGEST_BITS_DEFAULT) -> Digest:
-    """SHA-256 of ``data`` truncated to ``bits`` bits."""
-    return _sha256_digest(data, bits)
-
-
 def hash_fields(fields: Iterable[BytesLike], bits: int = DIGEST_BITS_DEFAULT) -> Digest:
     """Hash a sequence of byte fields behind :func:`frame_fields` framing.
 
     Header digests (Eq. 5/6) hash several variable-length fields
     together, so the pre-image must be unambiguous.
     """
-    return _sha256_digest(frame_fields(fields), bits)
+    return hash_bytes(frame_fields(fields), bits)

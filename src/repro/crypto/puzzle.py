@@ -66,10 +66,14 @@ class NoncePuzzle:
     def solve(self, fields: Iterable[bytes], start_nonce: int = 0) -> PuzzleSolution:
         """Search nonces from ``start_nonce`` until Eq. (5) is satisfied."""
         framed = frame_fields(fields)
-        for attempts, nonce in enumerate(range(start_nonce, start_nonce + self.max_attempts), 1):
+        nonce = start_nonce
+        attempts = 0
+        while attempts < self.max_attempts:
             digest = self._digest(framed, nonce)
+            attempts += 1
             if self.meets_difficulty(digest):
                 return PuzzleSolution(nonce=nonce, digest=digest, attempts=attempts)
+            nonce += 1
         raise RuntimeError(
             f"no nonce found within {self.max_attempts} attempts at "
             f"difficulty {self.difficulty_bits}"

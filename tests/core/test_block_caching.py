@@ -50,6 +50,16 @@ def header(config, keypair):
     return block.header
 
 
+def reference_encode_digests(digests):
+    """Δ's canonical bytes from the scalar codec, one entry at a time:
+    count, then node id and length-prefixed digest in ascending order."""
+    parts = [codec.encode_u32(len(digests))]
+    for node in sorted(digests):
+        parts.append(codec.encode_u32(node))
+        parts.append(codec.encode_bytes(digests[node].value))
+    return b"".join(parts)
+
+
 def clear_caches(header: BlockHeader) -> None:
     for attr in CACHE_ATTRS:
         header.__dict__.pop(attr, None)
@@ -105,9 +115,7 @@ class TestIdentitySlots:
         warm = header.__dict__["_hdr_digests_encoded"]  # build_block's copy
         assert header.puzzle_fields() == [header.root.value, warm]
         assert header.puzzle_fields()[1] is warm
-        assert warm == codec.encode_digest_map(
-            {node: digest.value for node, digest in header.digests.items()}
-        )
+        assert warm == reference_encode_digests(header.digests)
         clear_caches(header)
         assert header.puzzle_fields()[1] == warm
         assert warm in header.signing_payload()
@@ -205,9 +213,7 @@ def two_step_build(origin, index, time, body, digests, keypair, config):
     puzzle = NoncePuzzle(config.puzzle_difficulty_bits, config.hash_bits)
     root = body.root(config.hash_bits)
     digest_map = dict(digests)
-    encoded_digests = codec.encode_digest_map(
-        {node: digest.value for node, digest in digest_map.items()}
-    )
+    encoded_digests = reference_encode_digests(digest_map)
     solution = puzzle.solve([root.value, encoded_digests])
     unsigned = BlockHeader(
         origin=origin, index=index, version=config.protocol_version, time=time,

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import codec
+from repro.crypto.hashing import Digest
 
 
 class TestScalars:
@@ -30,18 +31,39 @@ class TestScalars:
         assert codec.encode_bytes(b"ab") == b"\x00\x00\x00\x02ab"
 
 
+def digest_map(*entries):
+    """A node-id -> one-byte :class:`Digest` map, in the given order."""
+    return {node: Digest(value, 8) for node, value in entries}
+
+
 class TestDigestMap:
     def test_order_independent(self):
         """Encoding must be canonical regardless of insertion order."""
-        a = codec.encode_digest_map({1: b"x", 2: b"y"})
-        b = codec.encode_digest_map(dict([(2, b"y"), (1, b"x")]))
+        a = codec.encode_digest_map(digest_map((1, b"x"), (2, b"y")))
+        b = codec.encode_digest_map(digest_map((2, b"y"), (1, b"x")))
         assert a == b
 
     def test_distinguishes_owners(self):
-        assert codec.encode_digest_map({1: b"x"}) != codec.encode_digest_map({2: b"x"})
+        assert codec.encode_digest_map(digest_map((1, b"x"))) != codec.encode_digest_map(
+            digest_map((2, b"x"))
+        )
 
     def test_empty_map(self):
         assert codec.encode_digest_map({}) == codec.encode_u32(0)
+
+    def test_known_bytes(self):
+        """Count, then per entry node id, digest length, digest."""
+        encoded = codec.encode_digest_map(digest_map((2 ** 32 - 1, b"y"), (0, b"x")))
+        assert encoded == (
+            b"\x00\x00\x00\x02"
+            b"\x00\x00\x00\x00" b"\x00\x00\x00\x01" b"x"
+            b"\xff\xff\xff\xff" b"\x00\x00\x00\x01" b"y"
+        )
+
+    @pytest.mark.parametrize("node", [-1, 2 ** 32])
+    def test_node_id_out_of_range_names_the_value(self, node):
+        with pytest.raises(ValueError, match=f"u32 out of range: {node}$"):
+            codec.encode_digest_map(digest_map((1, b"x"), (node, b"y"), (3, b"z")))
 
 
 class TestFields:
