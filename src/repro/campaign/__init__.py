@@ -19,8 +19,8 @@ byte-identical results — see :mod:`repro.campaign.chaos`.
 
 Entry points: ``python -m repro campaign run/status/clean`` and the
 ``executor=`` parameter every multi-run experiment
-(``fig7``/``fig8``/``fig9``, the sweeps, the attack comparison, the
-bench macro) now accepts.  See ``docs/campaigns.md``.
+(``fig7``/``fig8``/``fig9``, the sweeps, the attack comparison) now
+accepts.  See ``docs/campaigns.md``.
 """
 
 from repro.campaign.cache import (

@@ -121,7 +121,7 @@ def run_scenario_cells(
 ) -> List[ScenarioResult]:
     """Run plain scenario cells through an executor; results in order.
 
-    The shared submission path for consumers (Fig. 7/8, bench) whose
+    The shared submission path for consumers (Fig. 7/8, the headline) whose
     cells are whole scenario runs: with ``executor=None`` an ephemeral
     serial, cache-free executor preserves the exact single-process
     behaviour (and golden digests); passing a configured

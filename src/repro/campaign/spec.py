@@ -34,6 +34,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Mapping, Sequence, Tuple, Union
 
 from repro.canonical import canonical_json, sha256_lines
+from repro.faults.spec import read_leaf
 from repro.scenario.registry import get_scenario, scenario_names
 from repro.scenario.spec import ScenarioError, ScenarioSpec
 
@@ -135,22 +136,23 @@ def apply_override(spec: ScenarioSpec, path: str, value: Any) -> ScenarioSpec:
 
     ``path`` addresses nested spec sections (``"protocol.gamma"``,
     ``"workload.slots"``, ``"topology.node_count"``, plain ``"seed"``);
-    JSON lists become tuples for tuple-typed fields.  Validation re-runs
-    on the rebuilt spec, so an override can never produce a spec the
-    scenario layer would reject at run time.
+    the value is read as the field's annotated type, exactly as the
+    scenario reader reads it from a spec file (JSON lists become
+    tuples).  Validation re-runs on the rebuilt spec, so an override can
+    never produce a spec the scenario layer would reject at run time.
     """
     parts = path.split(".")
 
     def descend(obj: Any, remaining: List[str], trail: List[str]) -> Any:
         name = remaining[0]
-        known = {f.name for f in dataclasses.fields(obj)}
+        known = {f.name: f for f in dataclasses.fields(obj)}
         if name not in known:
             raise CampaignError(
                 f"unknown override field {'.'.join(trail + [name])!r}; "
                 f"{type(obj).__name__} has: {', '.join(sorted(known))}"
             )
         if len(remaining) == 1:
-            leaf = tuple(value) if isinstance(value, list) else value
+            leaf = read_leaf(known[name], f"override {path}", value, CampaignError)
             return replace(obj, **{name: leaf})
         child = getattr(obj, name)
         if not dataclasses.is_dataclass(child) or child is None:
@@ -248,6 +250,8 @@ def _cells_from_entry(entry: Any, index: int) -> Tuple[CellSpec, ...]:
         )
     if not isinstance(grid, Mapping):
         raise CampaignError(f"cell entry {index}: 'grid' must be an object")
+    if not isinstance(params, Mapping):
+        raise CampaignError(f"cell entry {index}: 'params' must be an object")
     try:
         base = _resolve_base_scenario(preset, scenario_data)
     except CampaignError as error:
@@ -258,9 +262,9 @@ def _cells_from_entry(entry: Any, index: int) -> Tuple[CellSpec, ...]:
             raise CampaignError(
                 f"cell entry {index}: give either 'seeds' or a 'seed' grid axis, not both"
             )
-        axes["seed"] = list(seeds)
+        axes["seed"] = seeds
     try:
-        return expand_grid(base, axes, kind=kind, params=dict(params or {}))
+        return expand_grid(base, axes, kind=kind, params=params)
     except CampaignError as error:
         raise CampaignError(f"cell entry {index}: {error}")
 

@@ -102,7 +102,7 @@ class WallClockInSimRule(Rule):
         "Simulated time comes from the event kernel; reading the host clock "
         "in sim/core/baselines/scenario code makes results depend on machine "
         "speed, breaking byte-identical replay.  Wall timing belongs to "
-        "infrastructure (bench, campaign executor)."
+        "the campaign executor."
     )
 
     WALL_CLOCKS = frozenset(
@@ -150,8 +150,7 @@ class WallClockInTelemetryRule(Rule):
         "byte-for-byte in tests and CI; a host-clock timestamp anywhere in "
         "repro/telemetry/ would make recorded streams machine-dependent.  "
         "All times in streams are slot/kernel times handed in by the "
-        "runner; wall timing belongs to infrastructure (bench, campaign "
-        "executor)."
+        "runner; wall timing belongs to the campaign executor."
     )
 
     #: Same host-clock catalogue as ``wall-clock-in-sim``.

@@ -15,9 +15,6 @@ Run as ``python -m repro <command>``:
   table (and ASCII chart);
 * ``headline``  — print the abstract's measured ratios;
 * ``report``    — the full markdown reproduction report;
-* ``bench``     — run the performance benchmark harness and write
-  ``BENCH_<rev>.json`` (see ``docs/performance.md``); ``bench
-  history`` renders the trend across every accumulated document;
 * ``telemetry`` — ``summarize``/``export``/``validate`` the
   structured per-slot event streams that ``--telemetry DIR`` (or
   ``$REPRO_TELEMETRY``) records (see ``docs/observability.md``).
@@ -50,7 +47,6 @@ golden digests.  Examples::
     python -m repro simulate --scenario fault-demo --telemetry .telemetry
     python -m repro telemetry summarize .telemetry
     python -m repro telemetry export .telemetry --out metrics.prom
-    python -m repro bench history
 """
 
 from __future__ import annotations
@@ -164,18 +160,16 @@ def _scenario_spec(args, validate: bool = False, run_until_quiet: bool = False) 
     return spec
 
 
-def _executor_from_args(args, use_cache: Optional[bool] = None):
+def _executor_from_args(args):
     """The campaign executor the global flags describe, or ``None``.
 
     ``None`` (no ``--workers``, no ``--cache-dir``) keeps multi-run
     commands on their historical serial in-process path.  An explicit
-    ``--cache-dir`` opts the command into the result cache; callers may
-    force ``use_cache`` off (the bench gate must always measure).
+    ``--cache-dir`` opts the command into the result cache.
     """
     workers = getattr(args, "workers", 0) or 0
     cache_dir = getattr(args, "cache_dir", None)
-    if use_cache is None:
-        use_cache = cache_dir is not None
+    use_cache = cache_dir is not None
     if workers <= 1 and not use_cache:
         return None
     from repro.campaign import CampaignExecutor
@@ -630,82 +624,6 @@ def cmd_headline(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    """Run the benchmark harness; write and check BENCH_<rev>.json."""
-    import json
-
-    from repro.bench import runner as bench_runner
-
-    unknown = sorted(set(args.only) - set(bench_runner.TRACKED_OPS))
-    if unknown:
-        print(f"unknown benchmark op(s): {', '.join(unknown)}; "
-              f"known: {', '.join(bench_runner.TRACKED_OPS)}", file=sys.stderr)
-        return 2
-
-    fast = args.fast or os.environ.get("REPRO_BENCH_FAST") == "1"
-    slot_sim_spec = _load_scenario(args.scenario) if args.scenario else None
-    # Explicit flags only (no env fallback), matching --telemetry: an
-    # ambient sample rate must never skew bench timings.
-    trace_sample = getattr(args, "trace_sample", None)
-    if trace_sample is not None and trace_sample <= 0:
-        trace_sample = None
-    if trace_sample is not None:
-        trace_sample = min(float(trace_sample), 1.0)
-        if getattr(args, "telemetry", None) is None:
-            print("--trace-sample needs --telemetry DIR", file=sys.stderr)
-            return 2
-    results = bench_runner.run_benchmarks(
-        fast=fast, only=args.only or None, log=print,
-        slot_sim_spec=slot_sim_spec,
-        executor=_executor_from_args(args, use_cache=False),
-        telemetry_dir=getattr(args, "telemetry", None),
-        trace_sample=trace_sample,
-    )
-    document = bench_runner.results_to_json(results, fast=fast)
-    out_path = args.out or bench_runner.default_output_name(document["rev"])
-    from repro.experiments.persistence import atomic_write_text
-
-    atomic_write_text(out_path, json.dumps(document, indent=2, sort_keys=True) + "\n")
-    print(f"\nresults written to {out_path}")
-
-    if args.no_check:
-        return 0
-    baseline_path = args.baseline or bench_runner.BASELINE_RELPATH
-    baseline = bench_runner.load_baseline(baseline_path)
-    if baseline is None:
-        print(f"no baseline at {baseline_path}; skipping regression check")
-        return 0
-    if bool(baseline.get("fast")) != fast:
-        print(f"baseline {baseline_path} was recorded with "
-              f"fast={baseline.get('fast')}; skipping regression check")
-        return 0
-    rows = bench_runner.compare_to_baseline(document, baseline)
-    regressed = False
-    print(f"\nvs. baseline {baseline_path} "
-          f"(rev {baseline.get('rev', '?')}, fail at "
-          f">{bench_runner.REGRESSION_FACTOR:.1f}x):")
-    for name, ratio, is_regression in rows:
-        marker = "REGRESSION" if is_regression else "ok"
-        print(f"  {name:<26} {ratio:6.2f}x  {marker}")
-        regressed = regressed or is_regression
-    return 3 if regressed else 0
-
-
-def cmd_bench_history(args) -> int:
-    """Render the perf trend across accumulated BENCH_*.json documents."""
-    from repro.bench.history import render_history
-
-    try:
-        body, warnings = render_history(args.root, args.paths)
-    except FileNotFoundError as error:
-        print(str(error), file=sys.stderr)
-        return 2
-    for warning in warnings:
-        print(f"warning: {warning}", file=sys.stderr)
-    print(body)
-    return 0
-
-
 def _telemetry_paths(args) -> List[str]:
     """The stream paths a telemetry subcommand should read."""
     if args.paths:
@@ -1052,42 +970,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verbose", action="store_true",
                    help="append each offending rule's rationale")
     p.set_defaults(fn=cmd_lint)
-
-    p = sub.add_parser("bench", help="run the performance benchmark harness")
-    scenario_arg(p)
-    p.add_argument("--fast", action="store_true",
-                   help="smoke scale (also via REPRO_BENCH_FAST=1)")
-    p.add_argument("--out", default=None,
-                   help="output JSON path (default BENCH_<rev>.json)")
-    p.add_argument("--baseline", default=None,
-                   help="baseline JSON to compare against "
-                        "(default benchmarks/baselines/BENCH_baseline.json)")
-    p.add_argument("--no-check", action="store_true",
-                   help="skip the regression check against the baseline")
-    p.add_argument("--only", action="append", default=[],
-                   help="run only the named op (repeatable)")
-    p.add_argument("--telemetry", default=None, metavar="DIR",
-                   help="record per-slot telemetry streams for the macro "
-                        "ops under DIR (explicit flag only — the env var "
-                        "is ignored here so ambient telemetry can never "
-                        "skew bench timings)")
-    p.add_argument("--trace-sample", type=float, default=None, metavar="RATE",
-                   help="also record block-lifecycle trace streams for the "
-                        "macro ops at this sample rate (requires "
-                        "--telemetry; explicit flag only, for the same "
-                        "reason)")
-    p.set_defaults(fn=cmd_bench)
-    bench_sub = p.add_subparsers(dest="bench_action", required=False)
-    p_hist = bench_sub.add_parser(
-        "history",
-        help="trend table across every accumulated BENCH_<rev>.json "
-             "(committed baselines plus ad-hoc runs)",
-    )
-    p_hist.add_argument("--root", default=".",
-                        help="repository root to scan (default: .)")
-    p_hist.add_argument("paths", nargs="*", metavar="BENCH_JSON",
-                        help="extra bench documents to include explicitly")
-    p_hist.set_defaults(fn=cmd_bench_history)
 
     p = sub.add_parser(
         "telemetry",

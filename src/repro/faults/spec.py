@@ -35,15 +35,30 @@ Event kinds
 This module deliberately imports nothing from :mod:`repro.scenario`
 (the scenario spec imports *us*); schedule validation is therefore
 shape-only — the scenario layer checks node ids against its topology
-and slots against its workload.
+and slots against its workload.  For the same reason the one typed
+reader of spec JSON (:data:`LEAF_READERS`, :func:`read_leaf`,
+:func:`read_section`) lives here, below both of its other users, the
+scenario spec and the campaign grid.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Tuple,
+    Type,
+    Union,
+)
 
 #: The typed fault event kinds, in documentation order.
 NODE_CRASH = "node-crash"
@@ -57,6 +72,101 @@ FAULT_KINDS = (NODE_CRASH, NODE_REJOIN, PARTITION, HEAL, LINK_DEGRADE)
 
 class FaultError(ValueError):
     """A fault event or schedule that cannot describe a runnable timeline."""
+
+
+# -- typed leaves --------------------------------------------------------------
+
+def _int(value: Any) -> int:
+    """A JSON number without a fractional part, never a JSON boolean."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError
+    return value
+
+
+def _float(value: Any) -> float:
+    """A JSON number, never a JSON boolean."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError
+    return float(value)
+
+
+def _bool(value: Any) -> bool:
+    """A JSON boolean, or its ``0`` / ``1`` spelling."""
+    if type(value) not in (bool, int) or value not in (0, 1):
+        raise TypeError
+    return bool(value)
+
+
+def _str(value: Any) -> str:
+    if not isinstance(value, str):
+        raise TypeError
+    return value
+
+
+def _tuple_of(item: Callable[[Any], Any]) -> Callable[[Any], tuple]:
+    """Reader of a JSON array (a tuple, from in-process callers) of ``item``."""
+
+    def read(value: Any) -> tuple:
+        if not isinstance(value, (list, tuple)):
+            raise TypeError
+        return tuple(item(entry) for entry in value)
+
+    return read
+
+
+#: Field annotation -> reader of the one JSON value shape a spec leaf of
+#: that annotation admits; the reader returns the value as the annotated
+#: type or raises ``TypeError``.  Nested sections go unlisted (they are
+#: read section by section) and pass through unchanged.
+LEAF_READERS: Dict[str, Callable[[Any], Any]] = {
+    "int": _int,
+    "float": _float,
+    "bool": _bool,
+    "str": _str,
+    "Optional[int]": lambda value: None if value is None else _int(value),
+    "Union[int, str]": lambda value: value if isinstance(value, str) else _int(value),
+    "Tuple[int, ...]": _tuple_of(_int),
+    "Tuple[Tuple[int, ...], ...]": _tuple_of(_tuple_of(_int)),
+    "Tuple[AdversarySpec, ...]": _tuple_of(lambda entry: entry),
+}
+
+
+def read_leaf(
+    field: dataclasses.Field, where: str, value: Any, error: Type[ValueError]
+) -> Any:
+    """``value`` as ``field``'s annotated type, or ``error`` naming ``where``."""
+    reader = LEAF_READERS.get(field.type)
+    if reader is None:
+        return value
+    try:
+        return reader(value)
+    except (TypeError, OverflowError):
+        raise error(f"{where} must be {field.type}, got {value!r}") from None
+
+
+def read_section(
+    cls_: type, where: str, raw: Any, error: Type[ValueError]
+) -> Dict[str, Any]:
+    """The JSON object ``raw`` as keyword arguments for dataclass ``cls_``.
+
+    Raises ``error`` naming ``where`` (and the field) for a non-object,
+    an unknown or missing field, or a wrongly typed leaf.
+    """
+    if not isinstance(raw, dict):
+        raise error(f"{where} must be a JSON object, got {raw!r}")
+    fields = {f.name: f for f in dataclasses.fields(cls_)}
+    unknown = set(raw) - set(fields)
+    if unknown:
+        raise error(f"unknown {where} field(s): {', '.join(sorted(unknown))}")
+    kwargs: Dict[str, Any] = {}
+    for name, f in fields.items():
+        if name in raw:
+            kwargs[name] = read_leaf(f, f"{where}.{name}", raw[name], error)
+        elif f.default is f.default_factory is dataclasses.MISSING:
+            raise error(f"{where} needs a {name!r} field")
+    return kwargs
 
 
 @dataclass(frozen=True)
@@ -159,25 +269,11 @@ class FaultEvent:
         return payload
 
     @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "FaultEvent":
-        """Rebuild one event; unknown fields are rejected."""
-        if not isinstance(payload, dict):
-            raise FaultError(f"fault event must be an object, got {payload!r}")
-        data = dict(payload)
-        known = {"kind", "slot", "nodes", "groups", "loss", "extra_latency", "forgive"}
-        unknown = set(data) - known
-        if unknown:
-            raise FaultError(
-                f"unknown fault event field(s): {', '.join(sorted(unknown))}"
-            )
-        if isinstance(data.get("nodes"), list):
-            data["nodes"] = tuple(data["nodes"])
-        if isinstance(data.get("groups"), list):
-            data["groups"] = tuple(tuple(group) for group in data["groups"])
-        try:
-            return cls(**data)
-        except TypeError as error:
-            raise FaultError(f"invalid fault event: {error}")
+    def from_dict(
+        cls, payload: Dict[str, Any], where: str = "fault event"
+    ) -> "FaultEvent":
+        """Rebuild one event; unknown fields and mistyped leaves are rejected."""
+        return cls(**read_section(cls, where, payload, FaultError))
 
 
 @dataclass(frozen=True)
@@ -312,7 +408,12 @@ class FaultScheduleSpec:
             )
         if not isinstance(entries, list) or not entries:
             raise FaultError("fault schedule needs a non-empty 'events' list")
-        return cls(events=tuple(FaultEvent.from_dict(entry) for entry in entries))
+        return cls(
+            events=tuple(
+                FaultEvent.from_dict(entry, f"events[{index}]")
+                for index, entry in enumerate(entries)
+            )
+        )
 
     @classmethod
     def from_file(cls, path: Union[str, Path]) -> "FaultScheduleSpec":

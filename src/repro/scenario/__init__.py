@@ -8,7 +8,7 @@ a structured :class:`ScenarioResult`.  Named presets (``quickstart``,
 ``paper-fig7`` … ``attack-*``, ``bench-*``) live in the registry.
 
 Every entry point in the repository — the CLI, the paper experiments,
-the examples, the attack demos and the bench harness — constructs its
+the examples, the attack demos and the repo benchmark — constructs its
 deployment through this package, so new scenarios are data, not code.
 
 Specs name a *ledger backend* (``backend="2ldag"|"pbft"|"iota"``): the
@@ -28,13 +28,11 @@ from repro.scenario.registry import (
     PAPER_SCALE,
     QUICK_SCALE,
     bench_scenario,
-    fault_bench_scenario,
     fig7_scenario,
     fig8_scenario,
     fig9_scenario,
     figure_base,
     get_scenario,
-    ledger_bench_scenario,
     register_scenario,
     scenario_names,
 )
@@ -84,13 +82,11 @@ __all__ = [
     "bench_scenario",
     "build_topology",
     "create_backend",
-    "fault_bench_scenario",
     "fig7_scenario",
     "fig8_scenario",
     "fig9_scenario",
     "figure_base",
     "get_scenario",
-    "ledger_bench_scenario",
     "register_backend",
     "register_scenario",
     "run_scenario",

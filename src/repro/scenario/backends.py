@@ -470,9 +470,29 @@ class TwoLayerDagBackend(LedgerBackend):
         return self.workload.total_blocks()
 
     def trace_lines(self) -> List[str]:
-        from repro.bench.trace import slot_simulation_trace_lines
-
-        return slot_simulation_trace_lines(self.workload)
+        # Which blocks each slot generated, then every PoP outcome in
+        # start order.  A plain line-oriented text format, stable across
+        # Python versions: no dict iteration order dependence, and the
+        # only ``repr`` is of the clock value the kernel itself quantises.
+        workload = self.workload
+        lines: List[str] = []
+        for slot in sorted(workload.blocks_by_slot):
+            blocks = ",".join(str(b) for b in sorted(workload.blocks_by_slot[slot]))
+            lines.append(f"slot {slot}: {blocks}")
+        for record in workload.validations:
+            outcome = record.outcome
+            consensus = ",".join(str(n) for n in sorted(outcome.consensus_set))
+            path = ",".join(str(h.block_id) for h in outcome.path)
+            lines.append(
+                f"pop validator={record.validator} verifier={record.verifier} "
+                f"target={record.block_id} slot={record.slot_started} "
+                f"success={outcome.success} error={outcome.error} "
+                f"consensus=[{consensus}] path=[{path}] "
+                f"req={outcome.requests_sent} rpy={outcome.replies_received} "
+                f"timeouts={outcome.timeouts} invalid={outcome.invalid_replies} "
+                f"tps={outcome.tps_steps} rollbacks={outcome.rollbacks}"
+            )
+        return lines + self._clock_lines() + [f"blocks {workload.total_blocks()}"]
 
     def ledger_counters(self) -> Dict[str, float]:
         from repro.core.pop.messages import KIND_REQ_CHILD, KIND_RPY_CHILD

@@ -2,7 +2,7 @@
 
 The registry maps stable names to :class:`ScenarioSpec` factories so
 canonical runs — the paper figures, the README quickstart, the attack
-demos, the bench macro workload — are discoverable (``python -m repro
+demos, the ``bench-*`` macro workloads — are discoverable (``python -m repro
 scenarios list``), exportable (``scenarios show NAME > spec.json``) and
 replayable (``simulate --scenario NAME``) without touching code.
 
@@ -11,7 +11,7 @@ may freely derive variants with :func:`dataclasses.replace`.
 
 The parameterized builders (:func:`fig7_scenario`,
 :func:`fig8_scenario`, :func:`fig9_scenario`, :func:`bench_scenario`)
-are what the experiment and bench layers call; the presets are those
+are what the experiment and campaign layers call; the presets are those
 builders evaluated at their canonical parameters.  A figure builder is
 sized by a base :class:`ScenarioSpec` — :data:`PAPER_SCALE`,
 :data:`QUICK_SCALE`, or any spec of the caller's — from which it reads
@@ -64,7 +64,7 @@ def get_scenario(name: str) -> ScenarioSpec:
     return factory()
 
 
-# -- parameterized builders (experiment/bench backbone) -----------------------
+# -- parameterized builders (experiment/campaign backbone) --------------------
 
 def figure_base(
     node_count: int,
@@ -181,7 +181,11 @@ def fig9_scenario(
 
 
 def bench_scenario(fast: bool) -> ScenarioSpec:
-    """The bench harness's macro slot-simulation workload."""
+    """The ``bench-fast`` / ``bench-full`` macro slot-simulation workload.
+
+    ``bench-full`` is the ``bench-grid`` campaign's cell; both digests
+    are goldens of ``tests/integration/test_determinism_regression.py``.
+    """
     return ScenarioSpec(
         name="bench-fast" if fast else "bench-full",
         description=(
@@ -196,49 +200,6 @@ def bench_scenario(fast: bool) -> ScenarioSpec:
             validate=True,
             run_until_quiet=True,
         ),
-        seed=7,
-    )
-
-
-def fault_bench_scenario(fast: bool) -> ScenarioSpec:
-    """The bench macro workload under a mid-run crash + rejoin.
-
-    The ``slot_sim_faults`` bench row: identical to
-    :func:`bench_scenario` except a quarter of the nodes crash a third
-    of the way in and rejoin at two thirds, so the row tracks the cost
-    of fault-engine boundaries plus degraded-then-recovering workloads
-    over time.
-    """
-    base = bench_scenario(fast)
-    return dataclasses.replace(
-        base,
-        name=f"{base.name}-faults",
-        description=base.description + " under mid-run crash + rejoin",
-        workload=dataclasses.replace(
-            base.workload,
-            faults=build_fault_preset(
-                "mid-crash", base.topology.size, base.workload.slots
-            ),
-        ),
-    )
-
-
-def ledger_bench_scenario(backend: str, fast: bool) -> ScenarioSpec:
-    """The bench harness's baseline macro workloads (PBFT/IOTA rows).
-
-    Deliberately smaller than the 2LDAG macro: a fully simulated PBFT
-    slot costs O(|V|²) routed control messages, so the row stays a
-    sub-second wall-clock probe rather than a stress test.
-    """
-    suffix = "-fast" if fast else ""
-    return ScenarioSpec(
-        name=f"bench-{backend}{suffix}",
-        description=f"benchmark {backend} macro workload"
-        + (" (smoke scale)" if fast else " (full scale)"),
-        backend=backend,
-        protocol=ProtocolSpec.paper(gamma=3, body_mb=0.1),
-        topology=TopologySpec(node_count=10 if fast else 12),
-        workload=WorkloadSpec(slots=6 if fast else 15, generation_period=1),
         seed=7,
     )
 

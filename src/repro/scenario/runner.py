@@ -2,7 +2,7 @@
 
 :class:`ScenarioRunner` is the only place in the codebase that wires a
 deployment from declarative input — every entry point (CLI, paper
-experiments, examples, attack demos, the bench harness) goes through
+experiments, examples, attack demos, the repo benchmark) goes through
 it, so scenario construction is defined exactly once and seeded traces
 stay byte-identical across callers.
 

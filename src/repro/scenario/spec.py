@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple, Union
 
-from repro.faults.spec import FaultError, FaultScheduleSpec
+from repro.faults.spec import FaultError, FaultScheduleSpec, read_section
 from repro.metrics.units import bits_to_mb, mb_to_bits
 
 #: Format marker for serialized specs, bumped on breaking layout changes.
@@ -53,55 +53,9 @@ class ScenarioError(ValueError):
     """A spec that cannot describe a runnable scenario."""
 
 
-_NUMBER = (int, float)
-
-#: Field annotation -> the JSON value types :meth:`ScenarioSpec.from_dict`
-#: admits for it.  ``bool`` leaves and nested sections go unlisted: any
-#: value has always passed for the former, the latter are read section
-#: by section.
-_LEAF_TYPES: Dict[str, Tuple[type, ...]] = {
-    "int": _NUMBER,
-    "float": _NUMBER,
-    "str": (str,),
-    "Optional[int]": _NUMBER + (type(None),),
-    "Union[int, str]": _NUMBER + (str,),
-    "Tuple[int, ...]": (list, tuple),
-    "Tuple[AdversarySpec, ...]": (list, tuple),
-}
-
-
-def _section(cls_: type, where: str, raw: Any) -> Dict[str, Any]:
-    """The JSON object ``raw`` as keyword arguments for dataclass ``cls_``.
-
-    Lists become tuples.  Raises :class:`ScenarioError` naming ``where``
-    (and the field) for a non-object, an unknown or missing field, or a
-    wrongly typed leaf.
-    """
-    if not isinstance(raw, dict):
-        raise ScenarioError(f"{where} must be a JSON object, got {raw!r}")
-    fields = {f.name: f for f in dataclasses.fields(cls_)}
-    unknown = set(raw) - set(fields)
-    if unknown:
-        raise ScenarioError(f"unknown {where} field(s): {', '.join(sorted(unknown))}")
-    kwargs: Dict[str, Any] = {}
-    for name, f in fields.items():
-        if name not in raw:
-            if f.default is f.default_factory is dataclasses.MISSING:
-                raise ScenarioError(f"{where} needs a {name!r} field")
-            continue
-        value, allowed = raw[name], _LEAF_TYPES.get(f.type)
-        well_typed = allowed is None or isinstance(value, allowed)
-        if well_typed and f.type == "Tuple[int, ...]":
-            well_typed = all(isinstance(item, _NUMBER) for item in value)
-        if not well_typed:
-            raise ScenarioError(f"{where}.{name} must be {f.type}, got {value!r}")
-        kwargs[name] = tuple(value) if isinstance(value, list) else value
-    return kwargs
-
-
 def _build(cls_: type, where: str, raw: Any) -> Any:
     """Dataclass ``cls_`` built from the JSON object ``raw``."""
-    return cls_(**_section(cls_, where, raw))
+    return cls_(**read_section(cls_, where, raw, ScenarioError))
 
 
 def _reject_constant(token: str) -> Any:
@@ -608,8 +562,10 @@ class ScenarioSpec:
             version = payload.pop("format_version", SPEC_FORMAT_VERSION)
             if version != SPEC_FORMAT_VERSION:
                 raise ScenarioError(f"unsupported scenario format {version!r}")
-        data = _section(cls, "scenario", payload)
-        workload = _section(WorkloadSpec, "workload", data.get("workload", {}))
+        data = read_section(cls, "scenario", payload, ScenarioError)
+        workload = read_section(
+            WorkloadSpec, "workload", data.get("workload", {}), ScenarioError
+        )
         if workload.get("churn") is not None:
             workload["churn"] = _build(ChurnSpec, "workload.churn", workload["churn"])
         if workload.get("faults") is not None:
@@ -630,10 +586,6 @@ class ScenarioSpec:
             _build(AdversarySpec, f"adversaries[{index}]", entry)
             for index, entry in enumerate(data.get("adversaries", ()))
         )
-        if "seed" in data:
-            data["seed"] = int(data["seed"])
-        if "per_hop_latency" in data:
-            data["per_hop_latency"] = float(data["per_hop_latency"])
         return cls(**data)
 
     @classmethod

@@ -1,11 +1,14 @@
 """CLI contract of ``python -m repro lint``: exit codes, formats, gates."""
 
+import ast
 import json
 from pathlib import Path
 
 import pytest
 
+from repro.checks.engine import ModuleUnderCheck
 from repro.checks.report import REPORT_FORMAT_VERSION
+from repro.checks.rules import WallClockInSimRule
 from repro.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -47,6 +50,24 @@ class TestGateOnRealTree:
         out = capsys.readouterr().out
         assert exit_code == 0, out
         assert "0 error(s), 0 warning(s)" in out
+
+    def test_only_the_campaign_executor_reads_the_host_clock(self):
+        # ROADMAP: "host-time measurement belongs to benchmarks/perf/
+        # and the campaign executor only".  The wall-clock rules are
+        # zoned (sim paths, telemetry); this is their catalogue over the
+        # whole package with no zone filter.
+        package = REPO_ROOT / "src" / "repro"
+        readers = set()
+        for path in sorted(package.rglob("*.py")):
+            source = path.read_text()
+            module = ModuleUnderCheck(str(path), source, ast.parse(source))
+            if any(
+                isinstance(node, ast.Call)
+                and module.resolve(node.func) in WallClockInSimRule.WALL_CLOCKS
+                for node in ast.walk(module.tree)
+            ):
+                readers.add(path.relative_to(package).as_posix())
+        assert readers == {"campaign/executor.py"}
 
 
 class TestSeededViolations:

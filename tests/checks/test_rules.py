@@ -67,7 +67,7 @@ class TestWallClockInSim:
         assert (
             rules_fired(
                 "import time\nstart = time.perf_counter()\n",
-                path="src/repro/bench/runner.py",
+                path="src/repro/campaign/executor.py",
             )
             == []
         )
@@ -327,7 +327,7 @@ class TestWallClockInTelemetry:
         # covered (or deliberately not) by wall-clock-in-sim.
         assert "wall-clock-in-telemetry" not in rules_fired(
             "import time\nt = time.time()\n",
-            path="src/repro/bench/runner.py",
+            path="src/repro/campaign/executor.py",
         )
 
     def test_slot_time_bookkeeping_is_fine(self):

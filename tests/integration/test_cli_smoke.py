@@ -276,45 +276,27 @@ class TestCampaignObservability:
         assert "fault-grid" in page and "<script" not in page
 
 
-class TestBenchHistory:
-    def test_history_renders_trend_over_committed_baselines(self, capsys):
-        code = main(["bench", "history"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "trend" in out
-        assert "slot_sim" in out
-        assert "document(s), oldest first" in out
+class TestRetiredBenchCommand:
+    """The in-package bench harness is gone; speed is ``benchmarks/perf/``'s."""
 
-    def test_history_warns_about_strays(self, capsys, tmp_path, monkeypatch):
-        stray = tmp_path / "BENCH_stray.json"
-        stray.write_text(json.dumps({
-            "rev": "stray", "fast": True,
-            "results": {"kernel_callbacks": {"ns_per_op": 5.0}},
-        }))
-        code = main(["bench", "history", "--root", str(tmp_path)])
-        captured = capsys.readouterr()
-        assert code == 0
-        assert "stray bench document" in captured.err
-        assert "[stray]" in captured.out
+    @pytest.mark.parametrize("argv", [["bench"], ["bench", "history"]])
+    def test_bench_is_an_invalid_choice(self, argv, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main(argv)
+        assert raised.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
 
-    def test_history_missing_explicit_path_exits_2(self, capsys, tmp_path):
-        code = main(["bench", "history", str(tmp_path / "BENCH_no.json")])
-        assert code == 2
-        assert "no such bench document" in capsys.readouterr().err
+    def test_the_subcommand_list_is_pinned(self):
+        from repro.cli import build_parser
 
-
-class TestBench:
-    def test_bench_single_op(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        code = main(["bench", "--fast", "--only", "kernel_callbacks",
-                     "--no-check", "--out", str(tmp_path / "b.json")])
-        assert code == 0
-        document = json.loads((tmp_path / "b.json").read_text())
-        assert "kernel_callbacks" in document["results"]
-
-    def test_bench_unknown_op_exits_2(self, capsys):
-        code = main(["bench", "--fast", "--only", "warp_drive"])
-        assert code == 2
+        (subparsers,) = [
+            action for action in build_parser()._actions
+            if action.dest == "command"
+        ]
+        assert list(subparsers.choices) == [
+            "simulate", "verify", "scenarios", "campaign", "lint",
+            "telemetry", "fig7", "fig8", "fig9", "headline", "report",
+        ]
 
 
 class TestTracingCLI:
@@ -394,12 +376,6 @@ class TestTracingCLI:
         summaries = json.loads(capsys.readouterr().out)
         assert len(summaries) == 1  # the v1 stream only
         assert summaries[0]["backend"] == "2ldag"
-
-    def test_bench_trace_sample_requires_telemetry(self, capsys):
-        code = main(["bench", "--fast", "--only", "kernel_callbacks",
-                     "--no-check", "--trace-sample", "0.5"])
-        assert code == 2
-        assert "--telemetry" in capsys.readouterr().err
 
 
 class TestMonitorsCLI:

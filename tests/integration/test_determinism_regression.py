@@ -6,21 +6,26 @@ does — only how fast it does it.  Two locks:
 
 * repeat-identity — the same seed twice gives byte-identical canonical
   traces;
-* a golden trace digest recorded on the pre-optimisation seed tree
-  (commit ``aab4203``) for the bench harness's fast workload, proving
-  the optimised code replays the original behaviour exactly.
+* two golden trace digests recorded on the pre-optimisation seed tree
+  (commit ``aab4203``) for the ``bench-fast`` and ``bench-full``
+  presets, proving the optimised code replays the original behaviour
+  exactly.
+
+The trace lines are :meth:`TwoLayerDagBackend.trace_lines`; a run is
+driven the way every entry point drives one, through
+:class:`~repro.scenario.ScenarioRunner`.
 """
 
-from repro.bench.trace import (
-    slot_simulation_trace_digest,
-    slot_simulation_trace_lines,
-)
-from repro.core.config import ProtocolConfig
-from repro.core.protocol import SlotSimulation, TwoLayerDagNetwork
-from repro.net.topology import sequential_geometric_topology
-from repro.sim.rng import RandomStreams
+import dataclasses
 
-#: Trace digest of the bench fast workload, computed on the seed tree
+from repro.scenario import (
+    ProtocolSpec,
+    ScenarioRunner,
+    TopologySpec,
+    bench_scenario,
+)
+
+#: Trace digest of the ``bench-fast`` preset, computed on the seed tree
 #: *before* any hot-path optimisation existed.  If this changes, an
 #: optimisation altered observable behaviour — fix the code, never the
 #: constant (unless a PR deliberately changes protocol behaviour and
@@ -32,43 +37,56 @@ GOLDEN_FAST_EVENTS = 4746
 GOLDEN_FAST_BLOCKS = 300
 GOLDEN_FAST_VALIDATIONS = 156
 
+#: The same for ``bench-full`` (20 nodes x 100 slots, gamma 4): the
+#: digest every perf PR since the seed tree has cited as unchanged.
+GOLDEN_FULL_TRACE = (
+    "1332029e3bca55f0d0b98ed604d240ee78901fbfe57569c2bb06af33486ef0cd"
+)
+GOLDEN_FULL_VALIDATIONS = 1600
+
 
 def run_fast_workload(seed: int = 7, nodes: int = 12, slots: int = 25, gamma: int = 3):
-    streams = RandomStreams(seed)
-    topology = sequential_geometric_topology(node_count=nodes, streams=streams)
-    config = ProtocolConfig.paper_defaults(gamma=gamma, body_mb=0.1)
-    deployment = TwoLayerDagNetwork(config=config, topology=topology, seed=seed)
-    workload = SlotSimulation(deployment, generation_period=1, validate=True)
-    workload.run(slots)
-    workload.run_until_quiet()
-    return deployment, workload
+    """The finished 2LDAG backend of a ``bench-fast``-shaped run."""
+    spec = dataclasses.replace(
+        bench_scenario(fast=True),
+        protocol=ProtocolSpec.paper(gamma=gamma, body_mb=0.1),
+        topology=TopologySpec(node_count=nodes),
+        seed=seed,
+    ).with_workload(slots=slots)
+    runner = ScenarioRunner(spec)
+    runner.run()
+    return runner.backend
 
 
 class TestGoldenTrace:
     def test_matches_pre_optimisation_seed_code(self):
-        deployment, workload = run_fast_workload()
-        assert workload.total_blocks() == GOLDEN_FAST_BLOCKS
-        assert len(workload.validations) == GOLDEN_FAST_VALIDATIONS
-        assert deployment.sim.processed_count == GOLDEN_FAST_EVENTS
-        assert slot_simulation_trace_digest(workload) == GOLDEN_FAST_TRACE
+        backend = run_fast_workload()
+        assert backend.spec == bench_scenario(fast=True)
+        assert backend.total_blocks() == GOLDEN_FAST_BLOCKS
+        assert len(backend.workload.validations) == GOLDEN_FAST_VALIDATIONS
+        assert backend.wired.sim.processed_count == GOLDEN_FAST_EVENTS
+        assert backend.trace_digest() == GOLDEN_FAST_TRACE
+
+    def test_full_scale_matches_pre_optimisation_seed_code(self):
+        result = ScenarioRunner(bench_scenario(fast=False)).run()
+        assert result.validations == GOLDEN_FULL_VALIDATIONS
+        assert result.trace_sha256 == GOLDEN_FULL_TRACE
 
 
 class TestRepeatIdentity:
     def test_same_seed_same_trace(self):
-        _, first = run_fast_workload(seed=13, nodes=10, slots=20, gamma=3)
-        _, second = run_fast_workload(seed=13, nodes=10, slots=20, gamma=3)
-        assert slot_simulation_trace_lines(first) == slot_simulation_trace_lines(second)
+        first = run_fast_workload(seed=13, nodes=10, slots=20, gamma=3)
+        second = run_fast_workload(seed=13, nodes=10, slots=20, gamma=3)
+        assert first.trace_lines() == second.trace_lines()
 
     def test_different_seed_different_trace(self):
-        _, first = run_fast_workload(seed=1, nodes=10, slots=20, gamma=3)
-        _, second = run_fast_workload(seed=2, nodes=10, slots=20, gamma=3)
-        assert slot_simulation_trace_digest(first) != slot_simulation_trace_digest(
-            second
-        )
+        first = run_fast_workload(seed=1, nodes=10, slots=20, gamma=3)
+        second = run_fast_workload(seed=2, nodes=10, slots=20, gamma=3)
+        assert first.trace_digest() != second.trace_digest()
 
     def test_trace_covers_pop_outcomes(self):
-        _, workload = run_fast_workload(seed=13, nodes=10, slots=20, gamma=3)
-        lines = slot_simulation_trace_lines(workload)
+        backend = run_fast_workload(seed=13, nodes=10, slots=20, gamma=3)
+        lines = backend.trace_lines()
         pop_lines = [line for line in lines if line.startswith("pop ")]
-        assert len(pop_lines) == len(workload.validations)
+        assert len(pop_lines) == len(backend.workload.validations)
         assert any("consensus=[" in line for line in pop_lines)

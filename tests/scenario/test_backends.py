@@ -26,7 +26,6 @@ from repro.scenario import (
     backend_names,
     create_backend,
     get_scenario,
-    ledger_bench_scenario,
     run_scenario,
 )
 from repro.scenario.runner import SERIES_KEYS
@@ -455,9 +454,3 @@ class TestGridExpansion:
         assert len(cells) == 6
         assert {c.scenario.backend for c in cells} == set(ALL_BACKENDS)
         assert len({c.digest() for c in cells}) == 6
-
-    def test_ledger_bench_scenarios_validate(self):
-        for backend in ("pbft", "iota"):
-            for fast in (True, False):
-                spec = ledger_bench_scenario(backend, fast=fast)
-                assert spec.backend == backend

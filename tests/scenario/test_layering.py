@@ -39,3 +39,35 @@ def test_the_experiments_package_imports_nothing():
 
     tree = ast.parse((SRC / "repro/experiments/__init__.py").read_text())
     assert [type(node).__name__ for node in tree.body] == ["Expr"]
+
+
+def test_the_bench_package_is_gone():
+    # One speed harness: benchmarks/perf/ (outside src/).  The package it
+    # replaced must not come back as a stub or an alias.  (Sources, not
+    # the directory: a stale __pycache__ may outlive a checkout.)
+    assert not list((SRC / "repro/bench").rglob("*.py"))
+
+
+def test_what_the_scenario_package_imports():
+    # Every `repro.*` import of src/repro/scenario/*.py, function-level
+    # ones included: the layers below it, itself, and the one recorded
+    # upward reach (ScenarioSpec.save -> atomic_write_text).
+    import ast
+
+    below = {"scenario", "faults", "net", "sim", "core", "baselines",
+             "attacks", "metrics", "canonical"}
+    upward = set()
+    for path in sorted((SRC / "repro/scenario").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                assert node.level == 0, f"{path.name}: relative import"
+                names = [node.module]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            for name in names:
+                parts = name.split(".")
+                if parts[0] == "repro" and parts[1] not in below:
+                    upward.add((path.name, name))
+    assert upward == {("spec.py", "repro.experiments.persistence")}

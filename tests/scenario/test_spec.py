@@ -220,6 +220,21 @@ HOSTILE_DOCUMENTS = [
      "workload.churn.offline_slot"),
     ({"workload": {"faults": 5}}, "invalid fault schedule"),
     ({"iota": {"mcmc_alpha": None}}, "iota.mcmc_alpha must be float"),
+    # A leaf has the type its annotation says.  The first four loaded and
+    # meant something else ("no" ran with validation on, 1.9 and true
+    # became seed 1, gamma 2.5 ran with no validations); the last three
+    # loaded and died in run() on range(10.5).
+    ({"workload": {"validate": "no"}}, "workload.validate must be bool"),
+    ({"seed": 1.9}, "scenario.seed must be int, got 1.9"),
+    ({"seed": True}, "scenario.seed must be int, got True"),
+    ({"protocol": {"gamma": 2.5}}, "protocol.gamma must be int"),
+    ({"workload": {"slots": 10.5}}, "workload.slots must be int"),
+    ({"workload": {"sample_slots": [1.5]}}, "workload.sample_slots must be Tuple"),
+    ({"topology": {"kind": "ring", "node_count": 9.5}},
+     "topology.node_count must be int"),
+    ({"per_hop_latency": True}, "scenario.per_hop_latency must be float"),
+    ({"workload": {"faults": {"events": [{"kind": "heal", "slot": 1.5}]}}},
+     r"invalid fault schedule: events\[0\].slot must be int"),
 ]
 
 
@@ -253,6 +268,16 @@ class TestHostileDocuments:
         with pytest.raises(SystemExit, match="invalid scenario file .*slots"):
             main(["simulate", "--scenario", str(path)])
 
+    @pytest.mark.parametrize("document, located", HOSTILE_DOCUMENTS)
+    def test_simulate_refuses_every_hostile_file(self, document, located, tmp_path):
+        from repro.cli import main
+
+        path = tmp_path / "hostile.json"
+        path.write_text(json.dumps(document))
+        with pytest.raises(SystemExit, match=located) as raised:
+            main(["simulate", "--scenario", str(path)])
+        assert str(raised.value).startswith(f"invalid scenario file {path}: ")
+
     @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
     def test_from_file_rejects_non_finite_numbers(self, constant, tmp_path):
         # Python's json reads these three tokens although JSON has no
@@ -265,8 +290,8 @@ class TestHostileDocuments:
 
     def test_accepted_documents_stay_accepted(self):
         # JSON-natural spellings a hand-written spec may use: an int
-        # where a float is declared, null for an optional section, any
-        # truthy value for a flag.
+        # where a float is declared, an integral float where an int is,
+        # null for an optional section, 0 / 1 for a flag.
         spec = ScenarioSpec.from_dict({
             "topology": {"node_count": 9, "comm_range": 50},
             "protocol": {"gamma": 2, "reply_timeout": 1},
@@ -279,23 +304,25 @@ class TestHostileDocuments:
         assert (spec.node_count, spec.seed, spec.per_hop_latency) == (9, 3, 0.0)
         assert isinstance(spec.seed, int)
         assert isinstance(spec.per_hop_latency, float)
+        assert spec.workload.validate is True
 
     def test_every_leaf_annotation_is_typed_or_deliberately_open(self):
         # A new field with an annotation the table does not know would
         # silently go unchecked; make that a decision, not an accident.
         import dataclasses
 
+        from repro.faults import FaultEvent
+        from repro.faults.spec import LEAF_READERS
         from repro.scenario import IotaParams, PbftParams
-        from repro.scenario.spec import _LEAF_TYPES
 
         open_annotations = {
-            "bool", "ProtocolSpec", "TopologySpec", "WorkloadSpec",
+            "ProtocolSpec", "TopologySpec", "WorkloadSpec",
             "PbftParams", "IotaParams", "Optional[ChurnSpec]",
             "Optional[FaultScheduleSpec]",
         }
         for cls in (ScenarioSpec, ProtocolSpec, TopologySpec, WorkloadSpec,
-                    ChurnSpec, AdversarySpec, PbftParams, IotaParams):
+                    ChurnSpec, AdversarySpec, PbftParams, IotaParams, FaultEvent):
             for field in dataclasses.fields(cls):
-                assert field.type in _LEAF_TYPES or field.type in open_annotations, (
+                assert field.type in LEAF_READERS or field.type in open_annotations, (
                     f"{cls.__name__}.{field.name}: {field.type}"
                 )
