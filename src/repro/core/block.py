@@ -87,7 +87,7 @@ class BlockBody:
         return root
 
 
-def _signing_payload(version: int, time: float, root: Digest, delta: bytes, nonce: int) -> bytes:
+def _signing_payload(version: int, time: float, root: bytes, delta: bytes, nonce: int) -> bytes:
     """The Eq. (6) pre-image, for the signer and for every verifier.
 
     ``delta`` is Δ's canonical encoding, which the puzzle hashes too.
@@ -96,11 +96,18 @@ def _signing_payload(version: int, time: float, root: Digest, delta: bytes, nonc
         [
             ("version", codec.encode_u32(version)),
             ("time", codec.encode_time(time)),
-            ("root", root.value),
+            ("root", root),
             ("digests", delta),
             ("nonce", codec.encode_u64(nonce)),
         ]
     )
+
+
+#: Where Δ lies in a payload, read off the layout above: it ends this
+#: many bytes (the nonce field) before the payload does, and starts
+#: after as many bytes as an empty payload's other fields plus the root.
+_AFTER_DELTA = len(codec.encode_fields([("nonce", codec.encode_u64(0))]))
+_BEFORE_DELTA = len(_signing_payload(0, 0.0, b"", b"", 0)) - _AFTER_DELTA
 
 
 @dataclass(frozen=True)
@@ -138,7 +145,8 @@ class BlockHeader:
 
     # Identity caching (see docs/performance.md).  Headers are frozen and
     # every field that feeds the canonical encodings is immutable once the
-    # header is built, so the encodings and their hashes are memoised on
+    # header is built, so one canonical byte string (the Eq. 6 payload,
+    # which holds Δ's encoding) and the header's hashes are memoised on
     # the instance.  The cache slots are plain ``__dict__`` entries written
     # via ``object.__setattr__`` (allowed on frozen dataclasses) and are
     # deliberately *not* dataclass fields: they never participate in
@@ -158,42 +166,34 @@ class BlockHeader:
         return block_id
 
     # -- canonical encodings ------------------------------------------------
-    def _encoded_digests(self) -> bytes:
-        """Canonical bytes of Δ, shared by the puzzle and the signature."""
-        encoded = self.__dict__.get("_hdr_digests_encoded")
-        if encoded is None:
-            encoded = codec.encode_digest_map(self.digests)
-            object.__setattr__(self, "_hdr_digests_encoded", encoded)
-        return encoded
-
     def puzzle_fields(self) -> List[bytes]:
-        """The fields hashed by the Eq. (5) nonce puzzle: root and Δ."""
-        return [self.root.value, self._encoded_digests()]
+        """The fields hashed by the Eq. (5) nonce puzzle: root and Δ.
+
+        Δ's canonical bytes are the payload's own — a slice, not a copy
+        kept beside it.
+        """
+        root = self.root.value
+        return [root, self.signing_payload()[_BEFORE_DELTA + len(root):-_AFTER_DELTA]]
 
     def signing_payload(self) -> bytes:
         """Canonical bytes covered by the signature (Eq. 6); memoised."""
         payload = self.__dict__.get("_hdr_signing_payload")
         if payload is None:
-            payload = _signing_payload(
-                self.version, self.time, self.root, self._encoded_digests(), self.nonce
-            )
+            delta = codec.encode_digest_map(self.digests)
+            payload = _signing_payload(self.version, self.time, self.root.value, delta, self.nonce)
             object.__setattr__(self, "_hdr_signing_payload", payload)
         return payload
 
     def encode(self) -> bytes:
-        """Canonical bytes of the full header (digest pre-image); memoised."""
-        encoded = self.__dict__.get("_hdr_encoded")
-        if encoded is None:
-            encoded = codec.encode_fields(
-                [
-                    ("origin", codec.encode_u32(self.origin)),
-                    ("index", codec.encode_u32(self.index)),
-                    ("body", self.signing_payload()),
-                    ("signature", self.signature),
-                ]
-            )
-            object.__setattr__(self, "_hdr_encoded", encoded)
-        return encoded
+        """Canonical bytes of the full header: the pre-image of :meth:`digest`."""
+        return codec.encode_fields(
+            [
+                ("origin", codec.encode_u32(self.origin)),
+                ("index", codec.encode_u32(self.index)),
+                ("body", self.signing_payload()),
+                ("signature", self.signature),
+            ]
+        )
 
     def digest(self, bits: int = 256) -> Digest:
         """``H(b^h)`` — the block digest pushed to neighbours.
@@ -304,7 +304,7 @@ def build_block(
     digest_map = dict(digests)
     encoded_digests = codec.encode_digest_map(digest_map)
     nonce = puzzle.solve([root.value, encoded_digests]).nonce
-    payload = _signing_payload(config.protocol_version, time, root, encoded_digests, nonce)
+    payload = _signing_payload(config.protocol_version, time, root.value, encoded_digests, nonce)
     header = BlockHeader(
         origin=origin,
         index=index,
@@ -315,9 +315,8 @@ def build_block(
         nonce=nonce,
         signature=sign(payload, keypair),
     )
-    # Both were computed from the very fields the header holds, so they
-    # are what a cold header would recompute — warm its caches.
-    object.__setattr__(header, "_hdr_digests_encoded", encoded_digests)
+    # Computed from the very fields the header holds, so it is what a
+    # cold header would recompute — warm its cache.
     object.__setattr__(header, "_hdr_signing_payload", payload)
     return DataBlock(header=header, body=body)
 

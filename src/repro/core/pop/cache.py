@@ -12,7 +12,7 @@ headers) so TPS lookups are O(1) per step rather than scanning ``H_i``.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from typing import AbstractSet, Dict, Iterator, Optional, Tuple, Union
 
 from repro.core.block import BlockHeader, BlockId
 from repro.core.config import ProtocolConfig
@@ -25,7 +25,12 @@ class HeaderCache:
     def __init__(self, hash_bits: int = 256) -> None:
         self.hash_bits = hash_bits
         self._headers: Dict[BlockId, BlockHeader] = {}
-        self._children_of_digest: Dict[bytes, List[BlockHeader]] = {}
+        # A digest's cached children in insertion order: the child itself
+        # while there is one, a tuple from the second on.  No key owns a
+        # container before it needs one: a third of them never do (two
+        # thirds with validation off), and a run's caches hold ten to
+        # thirty keys per block built (docs/performance.md, "PR 24").
+        self._children_of_digest: Dict[bytes, Union[BlockHeader, Tuple[BlockHeader, ...]]] = {}
 
     def add(self, header: BlockHeader) -> bool:
         """Insert a header; returns ``False`` if it was already cached."""
@@ -33,8 +38,14 @@ class HeaderCache:
         if block_id in self._headers:
             return False
         self._headers[block_id] = header
+        index = self._children_of_digest
         for parent_digest in header.digests.values():
-            self._children_of_digest.setdefault(parent_digest.value, []).append(header)
+            key = parent_digest.value
+            known = index.get(key)
+            if known is None:
+                index[key] = header
+            else:
+                index[key] = known + (header,) if type(known) is tuple else (known, header)
         return True
 
     def __contains__(self, block_id: BlockId) -> bool:
@@ -51,7 +62,10 @@ class HeaderCache:
         return self._headers.get(block_id)
 
     def find_child(
-        self, digest: Digest, skip_ids=None, exclude_origins=None
+        self,
+        digest: Digest,
+        skip_ids: Optional[AbstractSet[BlockId]] = None,
+        exclude_origins: Optional[AbstractSet[int]] = None,
     ) -> Optional[BlockHeader]:
         """A cached header whose Δ contains ``digest`` (Eq. 9).
 
@@ -65,8 +79,10 @@ class HeaderCache:
         down the validator's own chain.
         """
         children = self._children_of_digest.get(digest.value)
-        if not children:
+        if children is None:
             return None
+        if type(children) is not tuple:
+            children = (children,)
         # Single pass: filter and track the (time, id) minimum without
         # materialising the eligible list — TPS calls this once per free
         # path step, often with most children filtered out.  The index

@@ -105,16 +105,7 @@ def _blob(data: bytes) -> bytes:
 # -- headers ---------------------------------------------------------------
 
 def encode_header(header: BlockHeader) -> bytes:
-    """Serialize a block header to wire bytes.
-
-    Memoised on the (frozen) header object alongside its canonical
-    encoding and digest — persistence and replay paths serialise the
-    same headers repeatedly, and the wire bytes are as immutable as the
-    header itself.
-    """
-    cached = header.__dict__.get("_hdr_wire")
-    if cached is not None:
-        return cached
+    """Serialize a block header to wire bytes."""
     parts = [
         _HEADER_MAGIC,
         bytes([_WIRE_VERSION]),
@@ -131,9 +122,7 @@ def encode_header(header: BlockHeader) -> bytes:
         parts.append(_blob(digest.value))
     parts.append(_u64(header.nonce))
     parts.append(_blob(header.signature))
-    data = b"".join(parts)
-    object.__setattr__(header, "_hdr_wire", data)
-    return data
+    return b"".join(parts)
 
 
 def decode_header(data: bytes, hash_bits: int = 256) -> BlockHeader:

@@ -8,7 +8,7 @@ exact for the paper's unit-cost wireless graph.
 
 The paper's §VII names "construct the shortest path from a validator to
 a verifier in the physical layer" as future work; this module is also
-the substrate for that extension (see the validator's ``route_aware``
+the substrate for that extension (see the validator's ``hop_aware``
 option).
 """
 

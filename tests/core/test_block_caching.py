@@ -1,15 +1,18 @@
 """Header/body identity caching (docs/performance.md).
 
-Headers are frozen, so their canonical encodings and digests are
-memoised on the instance.  These tests pin the cache's contract:
-cached values equal fresh recomputations, entries are keyed by digest
-width, the frozen-dataclass guarantee holds, and wire round-trips are
-unaffected by warm caches.
+Headers are frozen, so one canonical byte string (the Eq. 6 payload,
+of which Δ's encoding is a slice) and their digests are memoised on the
+instance.  These tests pin the cache's contract: cached values equal
+fresh recomputations, entries are keyed by digest width, the
+frozen-dataclass guarantee holds, and wire round-trips are unaffected
+by warm caches.
 """
 
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import codec, wire
 from repro.core.block import BlockHeader, BlockId, build_block, make_body
@@ -21,12 +24,9 @@ from repro.crypto.signature import sign
 
 CACHE_ATTRS = (
     "_hdr_signing_payload",
-    "_hdr_encoded",
     "_hdr_digest_by_bits",
     "_hdr_ref_values",
-    "_hdr_wire",
     "_hdr_block_id",
-    "_hdr_digests_encoded",
 )
 
 
@@ -88,7 +88,6 @@ class TestDigestCache:
 
     def test_encode_cached_and_stable(self, header):
         first = header.encode()
-        assert header.encode() is first
         clear_caches(header)
         assert header.encode() == first
 
@@ -112,13 +111,58 @@ class TestIdentitySlots:
         assert header.block_id is header.block_id
 
     def test_encoded_digests_prewarmed_and_shared(self, header):
-        warm = header.__dict__["_hdr_digests_encoded"]  # build_block's copy
+        warm = header.puzzle_fields()[1]  # a slice of build_block's payload
         assert header.puzzle_fields() == [header.root.value, warm]
-        assert header.puzzle_fields()[1] is warm
         assert warm == reference_encode_digests(header.digests)
         clear_caches(header)
         assert header.puzzle_fields()[1] == warm
         assert warm in header.signing_payload()
+
+    def test_a_used_header_holds_one_byte_string(self, header, keypair):
+        header.digest()
+        assert header.verify_signature(keypair.public)
+        assert header.verify_nonce(NoncePuzzle(0, 256))
+        header.encode()
+        wire.encode_header(header)
+        kept = [
+            value for value in vars(header).values()
+            if isinstance(value, bytes) and len(value) > len(header.signature)
+        ]
+        assert kept == [header.signing_payload()]
+
+    @given(
+        st.sampled_from([64, 128, 256]),
+        st.dictionaries(st.integers(0, 2**32 - 1), st.binary(max_size=8), max_size=25),
+        st.sampled_from([0, 4, 8]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_delta_slice_is_the_reference_encoding(self, hash_bits, parents, mined_bits):
+        """Δ is cut out of the payload, never encoded beside it: a cut
+        that is off by a byte must show, and at difficulty 0 — where
+        every hash meets Eq. (5) — it shows only here."""
+        config = ProtocolConfig(
+            body_bits=8_000, gamma=2, hash_bits=hash_bits, puzzle_difficulty_bits=mined_bits
+        )
+        digests = {node: hash_bytes(seed, hash_bits) for node, seed in parents.items()}
+        built = build_block(
+            origin=3, index=5, time=2.5, body=make_body(3, 5, config),
+            digests=digests, keypair=KeyPair.generate(3), config=config,
+        ).header
+        headers = [
+            built,
+            dataclasses.replace(built),
+            wire.decode_header(wire.encode_header(built), hash_bits),
+            dataclasses.replace(built, nonce=built.nonce + 1),
+        ]
+        delta = reference_encode_digests(digests)
+        for header in headers:
+            assert header.puzzle_fields() == [built.root.value, delta]
+            for difficulty in (0, 4, 8):
+                puzzle = NoncePuzzle(difficulty, hash_bits)
+                expected = puzzle.check([built.root.value, delta], header.nonce)
+                assert header.verify_nonce(puzzle) is expected
+                # The mined nonce meets every difficulty up to the one mined at.
+                assert expected or difficulty > mined_bits or header is headers[-1]
 
     @pytest.mark.parametrize("field, changes_payload", [
         ("root", True), ("digests", True), ("origin", False), ("index", False),
@@ -188,7 +232,6 @@ class TestWireRoundTripWithWarmCaches:
         header.encode()
         header.references(hash_bytes(b"warmup"))
         data = wire.encode_header(header)
-        assert wire.encode_header(header) is data  # wire bytes memoised
         decoded = wire.decode_header(data)
         assert decoded == header
         assert decoded.digest() == header.digest()
@@ -226,7 +269,7 @@ def two_step_build(origin, index, time, body, digests, keypair, config):
 
 class TestOneConstructionEqualsTwo:
     """``build_block`` makes its header once; what it returns — fields,
-    digest and both pre-warmed caches — is what signing an unsigned
+    digest and the pre-warmed payload — is what signing an unsigned
     header and copying it with the signature gives."""
 
     @pytest.mark.parametrize("difficulty, hash_bits, parents", [
@@ -251,9 +294,9 @@ class TestOneConstructionEqualsTwo:
         assert built.digests is not digests  # a private copy of Δ
 
         warm_payload = built.__dict__["_hdr_signing_payload"]
-        warm_digests = built.__dict__["_hdr_digests_encoded"]
         cold = dataclasses.replace(built)
         assert not set(CACHE_ATTRS) & set(cold.__dict__)
         assert cold.signing_payload() == warm_payload == reference.signing_payload()
-        assert cold.puzzle_fields() == [built.root.value, warm_digests]
+        assert cold.puzzle_fields() == built.puzzle_fields() == reference.puzzle_fields()
+        assert cold.puzzle_fields() == [built.root.value, reference_encode_digests(digests)]
         assert cold.digest(hash_bits) == built.digest(hash_bits)

@@ -1,11 +1,14 @@
 """Unit tests for the header cache (H_i) and TPS (Algorithm 2)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.block import build_block, make_body
+from repro.core.block import BlockHeader, BlockId, build_block, make_body
 from repro.core.config import ProtocolConfig
 from repro.core.pop.cache import HeaderCache
 from repro.core.pop.tps import trust_path_selection
+from repro.crypto.hashing import hash_bytes
 from repro.crypto.keys import KeyPair
 
 
@@ -89,6 +92,60 @@ class TestCache:
         assert cache.size_bits(config) == sum(
             b.header.size_bits(config) for b in blocks
         )
+
+
+class ListIndexCache:
+    """The reference ``H_i``: a list of children per digest, as the index
+    was kept before it held the child itself or a tuple."""
+
+    def __init__(self):
+        self.headers, self.children = {}, {}
+
+    def add(self, header):
+        if header.block_id in self.headers:
+            return False
+        self.headers[header.block_id] = header
+        for parent_digest in header.digests.values():
+            self.children.setdefault(parent_digest.value, []).append(header)
+        return True
+
+    def find_child(self, digest, skip_ids=None, exclude_origins=None):
+        eligible = [
+            child for child in self.children.get(digest.value, [])
+            if not (skip_ids and child.block_id in skip_ids)
+            and not (exclude_origins and child.origin in exclude_origins)
+        ]
+        return min(eligible, key=lambda child: (child.time, child.block_id), default=None)
+
+
+PARENT_DIGESTS = [hash_bytes(bytes([i])) for i in range(5)]
+ORIGINS = st.integers(0, 3)
+BLOCK_IDS = st.builds(BlockId, ORIGINS, st.integers(0, 3))
+ADDS = st.builds(
+    BlockHeader,
+    origin=ORIGINS, index=st.integers(0, 3), version=st.just(1),
+    time=st.sampled_from([0.0, 1.0, 1.5]), root=st.just(PARENT_DIGESTS[0]),
+    digests=st.dictionaries(st.integers(0, 6), st.sampled_from(PARENT_DIGESTS), max_size=4),
+    nonce=st.just(0), signature=st.just(b""),
+)
+FINDS = st.tuples(
+    st.sampled_from(PARENT_DIGESTS),
+    st.one_of(st.none(), st.frozensets(BLOCK_IDS, max_size=6)),
+    st.one_of(st.none(), st.frozensets(ORIGINS)),
+)
+
+
+class TestIndexEqualsReference:
+    @given(st.lists(st.one_of(ADDS, FINDS), max_size=60))
+    @settings(max_examples=300, deadline=None)
+    def test_same_header_object_from_both(self, operations):
+        cache, reference = HeaderCache(), ListIndexCache()
+        for operation in operations:
+            if isinstance(operation, BlockHeader):
+                assert cache.add(operation) is reference.add(operation)
+            else:
+                assert cache.find_child(*operation) is reference.find_child(*operation)
+        assert list(cache) == list(reference.headers.values())
 
 
 class TestTps:

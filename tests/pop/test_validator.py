@@ -2,6 +2,7 @@
 
 import random
 import sys
+from dataclasses import replace
 from functools import partial
 from itertools import islice
 
@@ -10,10 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.attacks.behaviors import CorruptResponder, EquivocatingResponder, SilentResponder
+from repro.core.block import DataBlock
 from repro.core.config import ProtocolConfig
-from repro.core.node import IoTNode
+from repro.core.node import IoTNode, NodeBehavior
+from repro.core.pop.messages import RpyChild
 from repro.core.pop.wps import closed_neighborhood_weight
 from repro.core.protocol import SlotSimulation, TwoLayerDagNetwork
+from repro.crypto.puzzle import NoncePuzzle
+from repro.crypto.signature import sign
 from repro.net.topology import grid_topology
 
 
@@ -185,6 +190,81 @@ class TestAdversaries:
         hash_bits = config.hash_bits
         for parent, child in zip(outcome.path, outcome.path[1:]):
             assert child.references(parent.digest(hash_bits))
+
+
+class UnminedResponder(NodeBehavior):
+    """Answers with its real child header under a nonce that fails
+    Eq. (5), signed afresh so that Eq. (6) holds over the new nonce."""
+
+    def __init__(self, puzzle):
+        self.puzzle = puzzle
+        self.sent = []
+
+    def answer_req_child(self, node, request):
+        honest = super().answer_req_child(node, request)
+        if honest is None or honest.header is None:
+            return honest
+        header = honest.header
+        nonce = next(
+            n for n in range(header.nonce + 1, header.nonce + 1000)
+            if not self.puzzle.check(header.puzzle_fields(), n)
+        )
+        unsigned = replace(header, nonce=nonce)
+        forged = replace(unsigned, signature=sign(unsigned.signing_payload(), node.keypair))
+        self.sent.append(forged)
+        return RpyChild(header=forged)
+
+
+class BodySwappingVerifier(NodeBehavior):
+    """Serves its genuine header over a body that is not the one it hashed."""
+
+    def answer_block_fetch(self, node, request):
+        block = super().answer_block_fetch(node, request)
+        swapped = replace(block.body, content_seed=block.body.content_seed + b"!")
+        return DataBlock(header=block.header, body=swapped)
+
+
+class TestPaperChecks:
+    """Eq. (5) on every reply header and Algorithm 3 line 3, at a
+    difficulty where a hash can fail the puzzle."""
+
+    CONFIG = ProtocolConfig(
+        body_bits=8_000, gamma=3, reply_timeout=0.1, puzzle_difficulty_bits=6
+    )
+
+    def test_reply_with_an_unmined_nonce_is_invalid(self, run_validation):
+        # γ = 1: one accepted reply from a second origin would be consensus.
+        # Everyone but the verifier (4) and the validator (15) cheats, so
+        # whoever WPS asks first, the first child offered is a forged one.
+        config = replace(self.CONFIG, gamma=1)
+        puzzle = NoncePuzzle(config.puzzle_difficulty_bits, config.hash_bits)
+        cheats = {n: UnminedResponder(puzzle) for n in range(16) if n not in (4, 15)}
+        deployment = TwoLayerDagNetwork(
+            config=config, topology=grid_topology(4, 4), seed=2, behaviors=cheats
+        )
+        workload = grow_dag(deployment, 12)
+        target = next(b for b in workload.blocks_by_slot[0] if b.origin == 4)
+        outcome = run_validation(deployment, 15, target.origin, target)
+        sent = [h for cheat in cheats.values() for h in cheat.sent]
+        assert sent
+        for header in sent:
+            assert header.verify_signature(deployment.registry.public_key(header.origin))
+            assert not header.verify_nonce(puzzle)
+        assert outcome.invalid_replies >= len(sent)
+        assert not outcome.success and outcome.error == "exhausted"
+        assert outcome.path == []
+
+    def test_body_that_does_not_hash_to_root_ends_the_run(self, run_validation):
+        deployment = TwoLayerDagNetwork(
+            config=self.CONFIG, topology=grid_topology(4, 4), seed=2,
+            behaviors={4: BodySwappingVerifier()},
+        )
+        workload = grow_dag(deployment, 12)
+        target = next(b for b in workload.blocks_by_slot[0] if b.origin == 4)
+        outcome = run_validation(deployment, 15, target.origin, target)
+        assert not outcome.success
+        assert outcome.error == "merkle-root-mismatch"
+        assert outcome.path == [] and outcome.requests_sent == 1
 
 
 class TestAblations:
