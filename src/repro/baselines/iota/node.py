@@ -144,8 +144,11 @@ class IotaNetwork(WiredDeployment):
     # -- measurement --------------------------------------------------------
     def tangles_consistent(self) -> bool:
         """Whether every node converged to the same transaction set."""
-        sizes = {len(n.tangle) for n in self.nodes.values()}
-        return len(sizes) == 1
+        digest_sets = {
+            frozenset(t.digest().value for t in n.tangle.transactions())
+            for n in self.nodes.values()
+        }
+        return len(digest_sets) == 1
 
     def storage_bits(self) -> List[int]:
         """Per-node full-tangle storage."""

@@ -64,10 +64,9 @@ class Tangle:
     """
 
     def __init__(self) -> None:
-        self._transactions: Dict[bytes, Transaction] = {}
+        self._transactions: Dict[bytes, Transaction] = {}  # insertion order, oldest first
         self._approvers: Dict[bytes, List[bytes]] = {}
-        self._tips: Set[bytes] = set()
-        self._order: List[bytes] = []  # insertion order, oldest first
+        self._tips: Dict[bytes, None] = {}  # insertion order, see ``tips``
 
     # -- construction ------------------------------------------------------
     def add(self, transaction: Transaction) -> bool:
@@ -80,18 +79,14 @@ class Tangle:
         if digest in self._transactions:
             return False
         self._transactions[digest] = transaction
-        self._order.append(digest)
         self._approvers.setdefault(digest, [])
-        is_tip = True
         for parent in transaction.parents:
             self._approvers.setdefault(parent, []).append(digest)
-            self._tips.discard(parent)
+            self._tips.pop(parent, None)
         # A new transaction is a tip until something approves it; handle
         # the out-of-order case where an approver arrived first.
-        if self._approvers[digest]:
-            is_tip = False
-        if is_tip:
-            self._tips.add(digest)
+        if not self._approvers[digest]:
+            self._tips[digest] = None
         return True
 
     # -- queries -------------------------------------------------------------
@@ -107,12 +102,17 @@ class Tangle:
 
     def transactions(self) -> List[Transaction]:
         """All transactions, in insertion order."""
-        return [self._transactions[digest] for digest in self._order]
+        return list(self._transactions.values())
 
     def tips(self) -> List[bytes]:
-        """Digests of unapproved transactions, in insertion order."""
-        order_index = {d: i for i, d in enumerate(self._order)}
-        return sorted(self._tips, key=lambda d: order_index[d])
+        """Digests of unapproved transactions, in insertion order.
+
+        The tips are kept in an insertion-ordered dict.  A transaction
+        enters it only when it is itself inserted, and once an approver
+        removes it it never returns, so the dict's order is the
+        transactions' insertion order without sorting anything.
+        """
+        return list(self._tips)
 
     def approvers(self, digest: bytes) -> List[bytes]:
         """Direct approvers of a transaction."""

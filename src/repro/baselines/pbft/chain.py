@@ -49,10 +49,17 @@ class ChainBlock:
 
 
 class Blockchain:
-    """An append-only hash-linked chain."""
+    """An append-only hash-linked chain.
+
+    The head's digest is kept: each block is hashed once, when it is
+    appended, and a block is frozen, so the kept value is what hashing
+    the head again would return.  ``append`` still compares every new
+    block's ``previous`` against it.
+    """
 
     def __init__(self) -> None:
         self._blocks: List[ChainBlock] = []
+        self._head_digest: Optional[Digest] = None
 
     def append(self, block: ChainBlock) -> None:
         """Append after validating sequence and hash linkage."""
@@ -60,10 +67,10 @@ class Blockchain:
             raise ValueError(
                 f"sequence gap: got {block.sequence}, expected {len(self._blocks)}"
             )
-        expected_previous = self._blocks[-1].digest() if self._blocks else None
-        if block.previous != expected_previous:
+        if block.previous != self._head_digest:
             raise ValueError(f"previous-hash mismatch at sequence {block.sequence}")
         self._blocks.append(block)
+        self._head_digest = block.digest()
 
     @property
     def height(self) -> int:
@@ -84,6 +91,5 @@ class Blockchain:
         return sum(b.size_bits for b in self._blocks)
 
     def tip_digest(self) -> Optional[Digest]:
-        """Digest of the head block (``None`` for an empty chain)."""
-        head = self.head
-        return head.digest() if head is not None else None
+        """Digest of the head block (``None`` for an empty chain), as kept."""
+        return self._head_digest

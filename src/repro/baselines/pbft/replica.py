@@ -94,7 +94,7 @@ class PbftReplica:
         self._executed_digests: Set[bytes] = set()
         self._pending_requests: Dict[bytes, Request] = {}
         self._view_change_votes: Dict[int, Set[int]] = {}
-        self._deferred: Dict[int, ChainBlock] = {}  # committed out of order
+        self._deferred: Dict[int, Request] = {}  # committed out of order
 
         self.interface: NodeInterface = network.attach(replica_id)
         self.interface.on(KIND_REQUEST, self._on_request)
@@ -268,24 +268,17 @@ class PbftReplica:
             )
         self._executed_digests.add(pre_prepare.digest.value)
         self._pending_requests.pop(pre_prepare.digest.value, None)
-        block = ChainBlock(
-            sequence=pre_prepare.sequence,
-            proposer=request.client,
-            payload_seed=request.payload_seed,
-            payload_bits=request.payload_bits,
-            previous=None,  # fixed up at append time below
-        )
-        self._deferred[pre_prepare.sequence] = block
+        self._deferred[pre_prepare.sequence] = request
         self._drain_deferred()
 
     def _drain_deferred(self) -> None:
         while self.chain.height in self._deferred:
-            pending = self._deferred.pop(self.chain.height)
+            request = self._deferred.pop(self.chain.height)
             block = ChainBlock(
-                sequence=pending.sequence,
-                proposer=pending.proposer,
-                payload_seed=pending.payload_seed,
-                payload_bits=pending.payload_bits,
+                sequence=self.chain.height,
+                proposer=request.client,
+                payload_seed=request.payload_seed,
+                payload_bits=request.payload_bits,
                 previous=self.chain.tip_digest(),
             )
             self.chain.append(block)
@@ -354,7 +347,12 @@ class PbftReplica:
 
     # -- plumbing ---------------------------------------------------------
     def _slot(self, view: int, sequence: int) -> _SlotState:
-        return self._slots.setdefault((view, sequence), _SlotState())
+        # Looked up before it is built: ``setdefault``'s default would be
+        # built, and dropped, on every vote for a known slot.
+        state = self._slots.get((view, sequence))
+        if state is None:
+            state = self._slots[view, sequence] = _SlotState()
+        return state
 
     def _broadcast(self, kind: str, payload, size_bits: int) -> None:
         """Point-to-point multicast to every other replica."""

@@ -31,6 +31,7 @@ class HeaderCache:
         # thirds with validation off), and a run's caches hold ten to
         # thirty keys per block built (docs/performance.md, "PR 24").
         self._children_of_digest: Dict[bytes, Union[BlockHeader, Tuple[BlockHeader, ...]]] = {}
+        self._delta_total = 0  # Σ|Δ| over the cached headers, for size_bits
 
     def add(self, header: BlockHeader) -> bool:
         """Insert a header; returns ``False`` if it was already cached."""
@@ -38,6 +39,7 @@ class HeaderCache:
         if block_id in self._headers:
             return False
         self._headers[block_id] = header
+        self._delta_total += len(header.digests)
         index = self._children_of_digest
         for parent_digest in header.digests.values():
             key = parent_digest.value
@@ -98,5 +100,11 @@ class HeaderCache:
         return best
 
     def size_bits(self, config: ProtocolConfig) -> int:
-        """Storage occupied by the cache (bounded by Proposition 2)."""
-        return sum(h.size_bits(config) for h in self._headers.values())
+        """Storage occupied by the cache (bounded by Proposition 2).
+
+        A header is ``f_c + f_H·|Δ|`` bits, so the sum is
+        ``count·f_c + f_H·Σ|Δ|``.  Σ|Δ| is kept as a running total by
+        ``add`` (a duplicate adds nothing); headers are frozen and never
+        evicted, so it is exact under any ``config``.
+        """
+        return len(self._headers) * config.constant_header_bits + config.hash_bits * self._delta_total

@@ -26,6 +26,7 @@ class BlockStore:
         # incrementally so the responder's hot path is one dict lookup
         # instead of a min() over all referencing blocks.
         self._oldest_child_of_digest: Dict[bytes, int] = {}
+        self._delta_total = 0  # Σ|Δ| over the stored blocks, for size_bits
 
     def add(self, block: DataBlock) -> None:
         """Append a newly generated block and index its references."""
@@ -40,6 +41,7 @@ class BlockStore:
             )
         position = len(self._blocks)
         self._blocks.append(block)
+        self._delta_total += len(block.header.digests)
         time = block.header.time
         for parent_digest in block.header.digests.values():
             key = parent_digest.value
@@ -84,5 +86,12 @@ class BlockStore:
         return self._blocks[position]
 
     def size_bits(self, config: ProtocolConfig) -> int:
-        """Total stored bits of ``S_i`` (Eq. 2 summed over blocks)."""
-        return sum(block.size_bits(config) for block in self._blocks)
+        """Total stored bits of ``S_i`` (Eq. 2 summed over blocks).
+
+        Eq. (2) is ``f_c + f_H·|Δ| + C`` per block, so the sum is
+        ``count·(f_c + C) + f_H·Σ|Δ|``.  Only Σ|Δ| depends on the blocks,
+        and it is kept as a running total by ``add``; blocks are frozen
+        and never removed, so it is exact under any ``config``.
+        """
+        per_block = config.constant_header_bits + config.body_bits
+        return len(self._blocks) * per_block + config.hash_bits * self._delta_total

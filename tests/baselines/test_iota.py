@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines.iota.node import IotaNetwork
 from repro.baselines.iota.tangle import Tangle, Transaction
@@ -19,6 +21,69 @@ def tx(issuer, index, parents=(), payload_bits=100):
         payload_bits=payload_bits,
         timestamp=float(index),
     )
+
+
+class SortedTipsTangle:
+    """The reference: tips as a set, sorted by an insertion-order index per call."""
+
+    def __init__(self):
+        self._transactions = {}
+        self._approvers = {}
+        self._tips = set()
+        self._order = []
+
+    def add(self, transaction):
+        digest = transaction.digest().value
+        if digest in self._transactions:
+            return False
+        self._transactions[digest] = transaction
+        self._order.append(digest)
+        self._approvers.setdefault(digest, [])
+        for parent in transaction.parents:
+            self._approvers.setdefault(parent, []).append(digest)
+            self._tips.discard(parent)
+        if not self._approvers[digest]:
+            self._tips.add(digest)
+        return True
+
+    def tips(self):
+        order_index = {d: i for i, d in enumerate(self._order)}
+        return sorted(self._tips, key=lambda d: order_index[d])
+
+
+@st.composite
+def insertion_orders(draw):
+    """Transactions of a random DAG, inserted shuffled and with repeats.
+
+    Parents are drawn from earlier transactions (a repeated parent is
+    allowed, as uniform selection with replacement produces), so a
+    shuffle makes approvers arrive before their parents.
+    """
+    count = draw(st.integers(min_value=1, max_value=30))
+    transactions = []
+    for index in range(count):
+        earlier = [t.digest().value for t in transactions]
+        parents = draw(st.lists(st.sampled_from(earlier), max_size=2)) if earlier else []
+        transactions.append(tx(index % 4, index, parents))
+    order = draw(st.permutations(transactions))
+    repeats = draw(st.lists(st.sampled_from(transactions), max_size=8))
+    for transaction in repeats:
+        order.insert(draw(st.integers(min_value=0, max_value=len(order))), transaction)
+    return order
+
+
+class TestTipsEqualReference:
+    @settings(max_examples=200, deadline=None)
+    @given(order=insertion_orders(), seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_tips_and_uniform_draws_equal_sorted_reference(self, order, seed):
+        tangle, reference = Tangle(), SortedTipsTangle()
+        for transaction in order:
+            assert tangle.add(transaction) == reference.add(transaction)
+            assert tangle.tips() == reference.tips()
+            assert select_tips_uniform(tangle, random.Random(seed)) == select_tips_uniform(
+                reference, random.Random(seed)
+            )
+        assert [t.digest().value for t in tangle.transactions()] == reference._order
 
 
 class TestTangle:
@@ -132,6 +197,20 @@ class TestGossip:
         assert network.tangles_consistent()
         reference = list(network.nodes.values())[0].tangle
         assert len(reference) == 4 * 9
+
+    def test_equal_sizes_with_different_transactions_are_not_consistent(self):
+        network = IotaNetwork(topology=grid_topology(2, 2), payload_bits=800, seed=1)
+        network.run_slots(3)
+        assert network.tangles_consistent()
+        node = network.nodes[3]
+        swapped = Tangle()
+        *kept, dropped = node.tangle.transactions()
+        for transaction in kept:
+            swapped.add(transaction)
+        swapped.add(tx(99, 0, dropped.parents))
+        node.tangle = swapped
+        assert len(swapped) == len(network.nodes[0].tangle)
+        assert not network.tangles_consistent()
 
     def test_every_node_stores_full_tangle(self):
         network = IotaNetwork(topology=grid_topology(2, 3), payload_bits=800, seed=1)

@@ -1,10 +1,92 @@
 """Unit tests for the PBFT baseline: chain, replica protocol, cluster."""
 
+import sys
+
 import pytest
 
+from repro.baselines.pbft import replica as replica_module
 from repro.baselines.pbft.chain import Blockchain, ChainBlock
 from repro.baselines.pbft.cluster import PbftCluster
 from repro.net.topology import grid_topology
+
+
+class DigestCounter:
+    """Counts Python calls of ``ChainBlock.digest`` with ``sys.setprofile``."""
+
+    def __enter__(self):
+        self.count = 0
+        self._previous = sys.getprofile()
+        sys.setprofile(self._on_event)
+        return self
+
+    def __exit__(self, *exc_info):
+        sys.setprofile(self._previous)
+
+    def _on_event(self, frame, event, arg):
+        if event == "call" and frame.f_code is ChainBlock.digest.__code__:
+            self.count += 1
+
+
+class TestKeptState:
+    """What a replica and its chain keep instead of rebuilding per message."""
+
+    def test_one_digest_per_append(self):
+        chain = Blockchain()
+        with DigestCounter() as counter:
+            for sequence in range(6):
+                chain.append(
+                    ChainBlock(sequence, 1, b"p%d" % sequence, 100, previous=chain.tip_digest())
+                )
+        assert counter.count == 6
+        # Reference: the head's digest, recomputed from the block itself.
+        assert chain.tip_digest() == chain.head.digest()
+
+    def test_one_digest_per_append_on_a_cluster(self):
+        cluster = PbftCluster(topology=grid_topology(2, 2), payload_bits=4000, seed=4)
+        with DigestCounter() as counter:
+            cluster.run_slots(3)
+        appended = sum(r.chain.height for r in cluster.replicas.values())
+        assert appended == 4 * 12
+        assert counter.count == appended
+        assert cluster.chains_consistent()
+
+    @pytest.mark.parametrize("previous", [None, b"other", b"p1"])
+    def test_wrong_previous_raises_mismatch(self, previous):
+        chain = Blockchain()
+        first = ChainBlock(0, 1, b"p0", 100, previous=None)
+        chain.append(first)
+        chain.append(ChainBlock(1, 1, b"p1", 100, previous=first.digest()))
+        wrong = previous if previous is None else ChainBlock(0, 1, previous, 100, None).digest()
+        with pytest.raises(ValueError, match="previous-hash mismatch at sequence 2"):
+            chain.append(ChainBlock(2, 1, b"p2", 100, previous=wrong))
+        assert chain.height == 2
+
+    def test_first_block_must_have_no_previous(self):
+        chain = Blockchain()
+        stray = ChainBlock(0, 1, b"p0", 100, previous=None).digest()
+        with pytest.raises(ValueError, match="previous-hash mismatch at sequence 0"):
+            chain.append(ChainBlock(0, 1, b"p0", 100, previous=stray))
+        assert chain.tip_digest() is None
+
+    def test_one_slot_state_per_view_and_sequence(self, monkeypatch):
+        built = []
+
+        class CountedSlotState(replica_module._SlotState):
+            def __init__(self):
+                super().__init__()
+                built.append(self)
+
+        monkeypatch.setattr(replica_module, "_SlotState", CountedSlotState)
+        cluster = PbftCluster(topology=grid_topology(2, 2), payload_bits=4000, seed=5)
+        cluster.run_slots(3)
+        kept = [s for r in cluster.replicas.values() for s in r._slots.values()]
+        # Every construction is a kept record: one per (view, sequence)
+        # per replica, none built and thrown away.
+        assert len(kept) == 4 * 12
+        assert len(built) == len(kept)
+        assert {id(s) for s in built} == {id(s) for s in kept}
+        for replica in cluster.replicas.values():
+            assert sorted(replica._slots) == [(0, sequence) for sequence in range(12)]
 
 
 class TestChain:
