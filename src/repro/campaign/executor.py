@@ -315,13 +315,6 @@ class CampaignExecutor:
         A :class:`~repro.campaign.chaos.ChaosSpec` of harness faults
         to inject (self-test/CI instrumentation).  Defaults to the
         ``$REPRO_CHAOS`` schedule, or no chaos.
-    telemetry:
-        An optional
-        :class:`~repro.telemetry.campaign.CampaignTelemetry` updated
-        at the same points the journal is written (cache hits,
-        completions, failed attempts, retries, quarantines, pool
-        respawns).  Write-only observation — the executor never reads
-        it back, so cell payloads and digests are unaffected.
     """
 
     def __init__(
@@ -333,7 +326,6 @@ class CampaignExecutor:
         cell_timeout: Optional[float] = None,
         backoff_s: float = 0.05,
         chaos: Optional[ChaosSpec] = None,
-        telemetry=None,
     ) -> None:
         self.workers = max(0, int(workers or 0))
         self.cache: Optional[ResultCache] = (
@@ -343,7 +335,6 @@ class CampaignExecutor:
         self.cell_timeout = float(cell_timeout) if cell_timeout else None
         self.backoff_s = max(0.0, float(backoff_s))
         self.chaos = chaos if chaos is not None else chaos_from_env()
-        self.telemetry = telemetry
 
     # -- execution ---------------------------------------------------------
     def run(
@@ -391,8 +382,6 @@ class CampaignExecutor:
                     elapsed_s=float(document.get("elapsed_s") or 0.0),
                 )
                 emit(f"[{index + 1}/{total}] {cell.label}: cached ({digest[:12]})")
-                if self.telemetry is not None:
-                    self.telemetry.cell_cached(campaign.name)
                 continue
             if document is not None:
                 # force-recompute: the overwritten payload seeds the
@@ -573,8 +562,6 @@ class CampaignExecutor:
                         "respawn": respawns,
                         "lost": sorted(crash_lost),
                     })
-                    if self.telemetry is not None:
-                        self.telemetry.pool_respawned(state.campaign.name)
                     state.emit(
                         f"worker process died; respawning pool and resubmitting "
                         f"{len(crash_lost)} lost cell(s)"
@@ -613,8 +600,6 @@ class CampaignExecutor:
                     "timed_out": sorted(overdue.values()),
                     "requeued": requeued,
                 })
-                if self.telemetry is not None:
-                    self.telemetry.pool_respawned(state.campaign.name)
                 _terminate_pool(pool)
                 pool = ProcessPoolExecutor(max_workers=max_workers)
                 for index in sorted(overdue.values()):
@@ -675,8 +660,6 @@ class CampaignExecutor:
                 f"digest {fresh_digest[:12]} != earlier successful attempt "
                 f"{earlier[:12]}"
             )
-            if self.telemetry is not None:
-                self.telemetry.cell_flaky(state.campaign.name)
         if self.cache is not None:
             self.cache.store(digest, cell, payload, elapsed)
             record = {
@@ -705,8 +688,6 @@ class CampaignExecutor:
             f"[{index + 1}/{state.total}] {cell.label}: "
             f"computed in {elapsed:.2f}s ({digest[:12]}{suffix})"
         )
-        if self.telemetry is not None:
-            self.telemetry.cell_computed(state.campaign.name, elapsed)
 
     def _fail_attempt(
         self,
@@ -742,8 +723,6 @@ class CampaignExecutor:
             f"[{index + 1}/{state.total}] {cell.label}: attempt {attempt + 1} "
             f"failed ({kind}: {error})"
         )
-        if self.telemetry is not None:
-            self.telemetry.attempt_failed(state.campaign.name, kind)
         next_attempt = state.attempts[index]
         if next_attempt <= self.retries:
             delay = seeded_backoff(self.backoff_s, digest, next_attempt)
@@ -754,8 +733,6 @@ class CampaignExecutor:
                 "attempt": next_attempt,
                 "backoff_s": round(delay, 6),
             })
-            if self.telemetry is not None:
-                self.telemetry.retry_scheduled(state.campaign.name)
             return delay
         if state.keep_going:
             self._quarantine(state, index)
@@ -809,8 +786,6 @@ class CampaignExecutor:
             f"[{index + 1}/{state.total}] {cell.label}: QUARANTINED after "
             f"{state.attempts.get(index, 0)} attempt(s) ({last})"
         )
-        if self.telemetry is not None:
-            self.telemetry.cell_quarantined(state.campaign.name)
 
     # -- inspection / maintenance -----------------------------------------
     def status(self, campaign: CampaignSpec) -> List[Tuple[CellSpec, str, bool]]:

@@ -469,7 +469,7 @@ class PrintInLibraryRule(Rule):
     rationale = (
         "stdout belongs to the CLI: a print() buried in a runner, backend "
         "or experiment module corrupts machine-read output (campaign "
-        "digest greps, --json reports, Prometheus expositions) and is "
+        "digest greps, --json reports) and is "
         "invisible to campaign workers.  Library code returns data, takes "
         "a log callback, or emits telemetry events "
         "(repro.telemetry) — only the CLI front-ends (repro/cli.py, "

@@ -15,8 +15,8 @@ Run as ``python -m repro <command>``:
   table (and ASCII chart);
 * ``headline``  — print the abstract's measured ratios;
 * ``report``    — the full markdown reproduction report;
-* ``telemetry`` — ``summarize``/``export``/``validate`` the
-  structured per-slot event streams that ``--telemetry DIR`` (or
+* ``telemetry`` — ``summarize``/``trace``/``validate`` the
+  structured event streams that ``--telemetry DIR`` (or
   ``$REPRO_TELEMETRY``) records (see ``docs/observability.md``).
 
 Every workload-running subcommand accepts ``--scenario NAME`` (a
@@ -46,7 +46,6 @@ golden digests.  Examples::
     python -m repro campaign dashboard fault-grid --out fault-grid.html
     python -m repro simulate --scenario fault-demo --telemetry .telemetry
     python -m repro telemetry summarize .telemetry
-    python -m repro telemetry export .telemetry --out metrics.prom
 """
 
 from __future__ import annotations
@@ -379,15 +378,15 @@ def cmd_campaign(args) -> int:
         if args.action in ("run", "dashboard", "status")
         else None
     )
-    campaign_telemetry = None
     if telemetry_dir and args.action == "run":
         from repro.telemetry import TELEMETRY_ENV_VAR
-        from repro.telemetry.campaign import CampaignTelemetry
 
-        campaign_telemetry = CampaignTelemetry()
         # Worker processes pick telemetry up from the environment, so a
-        # --telemetry flag must land there too for cells to stream.
+        # --telemetry flag must land there too for cells to stream.  The
+        # directory exists even when every cell is cached, so --monitors
+        # can always write its document.
         os.environ[TELEMETRY_ENV_VAR] = telemetry_dir
+        os.makedirs(telemetry_dir, exist_ok=True)
     if args.action == "run":
         from repro.telemetry.spans import TRACE_SAMPLE_ENV_VAR
 
@@ -413,7 +412,6 @@ def cmd_campaign(args) -> int:
             use_cache=not getattr(args, "no_cache", False),
             retries=getattr(args, "retries", 2),
             cell_timeout=getattr(args, "cell_timeout", None),
-            telemetry=campaign_telemetry,
         )
     except ChaosError as error:
         raise SystemExit(f"bad chaos spec: {error}")
@@ -519,15 +517,6 @@ def cmd_campaign(args) -> int:
         trace = cell.trace_sha256[:16] or "-"
         print(f"  {cell.cell.label:<40} {source} trace {trace}")
     print(result.summary())
-    if campaign_telemetry is not None:
-        from repro.experiments.persistence import atomic_write_text
-
-        prom_path = os.path.join(
-            telemetry_dir, f"campaign-{campaign.name}.prom"
-        )
-        os.makedirs(telemetry_dir, exist_ok=True)
-        atomic_write_text(prom_path, campaign_telemetry.render())
-        print(f"campaign metrics exposition: {prom_path}")
     exit_code = 0
     if monitors_mode != "off":
         import json
@@ -638,10 +627,9 @@ def _telemetry_paths(args) -> List[str]:
 
 
 def cmd_telemetry(args) -> int:
-    """Summarize, export, or validate per-slot telemetry event streams."""
+    """Summarize, trace, or validate telemetry event streams."""
     from repro.telemetry import (
         TelemetryError,
-        export_prometheus,
         format_summary_table,
         read_streams,
         stream_start,
@@ -718,32 +706,22 @@ def cmd_telemetry(args) -> int:
                 print("no traced blocks to chart", file=sys.stderr)
                 return 1
         return 0
+    # summarize
     try:
-        if args.action == "export":
-            exposition = export_prometheus(paths)
-            if args.out:
-                from repro.experiments.persistence import atomic_write_text
-
-                atomic_write_text(args.out, exposition)
-                print(f"exposition written to {args.out}")
-            else:
-                sys.stdout.write(exposition)
-            return 0
-        # summarize
         summaries = summarize_streams(paths)
-        if not summaries:
-            print("no telemetry streams found", file=sys.stderr)
-            return 1
-        if getattr(args, "json", False):
-            import json
-
-            print(json.dumps(summaries, indent=2, sort_keys=True))
-        else:
-            print(format_summary_table(summaries))
-        return 0
     except TelemetryError as error:
         print(str(error), file=sys.stderr)
         return 2
+    if not summaries:
+        print("no telemetry streams found", file=sys.stderr)
+        return 1
+    if getattr(args, "json", False):
+        import json
+
+        print(json.dumps(summaries, indent=2, sort_keys=True))
+    else:
+        print(format_summary_table(summaries))
+    return 0
 
 
 def cmd_report(args) -> int:
@@ -973,7 +951,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "telemetry",
-        help="summarize, export or validate recorded telemetry streams",
+        help="summarize, trace or validate recorded telemetry streams",
     )
     telemetry_sub = p.add_subparsers(dest="action", required=True)
     p_tsum = telemetry_sub.add_parser(
@@ -1003,15 +981,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="also write an inline-SVG waterfall of the "
                               "most informative traced block to FILE")
     p_trace.set_defaults(fn=cmd_telemetry, action="trace")
-    p_texp = telemetry_sub.add_parser(
-        "export", help="render streams as Prometheus text exposition"
-    )
-    p_texp.add_argument("paths", nargs="*", metavar="PATH",
-                        help="stream files or directories "
-                             "(default: $REPRO_TELEMETRY)")
-    p_texp.add_argument("--out", default=None, metavar="FILE",
-                        help="write the exposition to FILE instead of stdout")
-    p_texp.set_defaults(fn=cmd_telemetry, action="export")
     p_tval = telemetry_sub.add_parser(
         "validate", help="check every record against the pinned schema"
     )

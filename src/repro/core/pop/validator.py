@@ -460,8 +460,6 @@ class PopValidator:
         if not isinstance(payload, RpyChild) or payload.header is None:
             return None
         header = payload.header
-        if header.origin != responder:
-            return None
         # GetDigest(b^h_{j',t*}, v): the digest the child stored for node v.
         recorded = header.digest_from(verifying.origin)
         if recorded is None or recorded != verifying_digest:

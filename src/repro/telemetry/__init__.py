@@ -1,17 +1,14 @@
-"""Opt-in observability: metrics registry + structured event streams.
+"""Opt-in observability: structured event streams, traces and monitors.
 
-Two halves, both dependency-free and deterministic:
+Dependency-free and deterministic:
 
-* :mod:`repro.telemetry.metrics` — a process-local
-  :class:`MetricsRegistry` of Counter/Gauge/Histogram families with
-  labels and byte-stable Prometheus text exposition.
 * :mod:`repro.telemetry.stream` — the on-disk format of both stream
   families (v1 per-slot, v2 block-trace): one schema table, one
   validator, one reader, one writer.
 * :mod:`repro.telemetry.events` — the :class:`TelemetryRecorder`
   emitting each run's pinned-schema per-slot JSONL stream;
-  :mod:`repro.telemetry.summarize` is the read side (tables +
-  exposition for ``python -m repro telemetry ...``).
+  :mod:`repro.telemetry.summarize` is the read side (per-run tables
+  and JSON for ``python -m repro telemetry summarize``).
 
 On top, block-lifecycle tracing and invariant monitoring:
 
@@ -25,6 +22,10 @@ On top, block-lifecycle tracing and invariant monitoring:
   fault-consistency probes producing a pinned-schema verdict document
   (``campaign run --monitors``).
 
+A campaign's harness history (cell outcomes, failed attempts, retries,
+pool respawns, per-cell wall clock) is its journal, read by ``campaign
+status`` and the dashboard (:mod:`repro.campaign`).
+
 Telemetry is strictly write-only observation: enabling it never feeds
 back into simulation decisions, so seeded trace digests and campaign
 cell digests are byte-identical with telemetry (and tracing) on or
@@ -36,15 +37,6 @@ from repro.telemetry.events import (
     TELEMETRY_ENV_VAR,
     TelemetryRecorder,
     telemetry_dir_from_env,
-)
-from repro.telemetry.metrics import (
-    COUNTER,
-    DEFAULT_BUCKETS,
-    GAUGE,
-    HISTOGRAM,
-    Metric,
-    MetricsError,
-    MetricsRegistry,
 )
 from repro.telemetry.monitors import (
     MONITOR_IDS,
@@ -80,9 +72,7 @@ from repro.telemetry.stream import (
     validate_streams,
 )
 from repro.telemetry.summarize import (
-    export_prometheus,
     format_summary_table,
-    registry_from_records,
     summarize_records,
     summarize_streams,
 )
@@ -96,16 +86,9 @@ from repro.telemetry.tracepath import (
 )
 
 __all__ = [
-    "COUNTER",
-    "DEFAULT_BUCKETS",
     "FAULT",
-    "GAUGE",
-    "HISTOGRAM",
     "MONITOR_IDS",
     "MONITOR_SCHEMA_VERSION",
-    "Metric",
-    "MetricsError",
-    "MetricsRegistry",
     "RUN_END",
     "RUN_START",
     "SCHEMAS",
@@ -123,14 +106,12 @@ __all__ = [
     "critical_path",
     "discover_streams",
     "evaluate_monitors",
-    "export_prometheus",
     "format_monitor_table",
     "format_summary_table",
     "format_trace_report",
     "load_monitor_document",
     "parse_stream",
     "read_streams",
-    "registry_from_records",
     "stream_filename",
     "stream_start",
     "stream_version",

@@ -11,12 +11,14 @@ journal.
 import os
 import signal
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from repro.campaign.cache import ResultCache
 from repro.campaign.cells import register_cell_kind
+from repro.campaign.chaos import ChaosSpec
 from repro.campaign.executor import CampaignExecutor
 from repro.campaign.spec import CampaignError, CampaignSpec, CellSpec, replicate_seeds
 from repro.scenario import get_scenario
@@ -298,6 +300,87 @@ class TestFlakyDetection:
         forced = executor.run(campaign, force=True)
         assert not forced.cells[0].flaky
         assert forced.flaky_count == 0
+
+
+def journal_figures(events):
+    """Every harness figure of one run, read from its journal alone."""
+    start, end = events[0], events[-1]
+    assert (start["event"], end["event"]) == ("start", "end")
+    kinds = Counter(event["event"] for event in events)
+    assert kinds["cell"] == end["computed"]
+    assert kinds["cell-quarantined"] == end.get("quarantined", 0)
+    return {
+        "computed": end["computed"],
+        "cached": start["cells"] - start["pending"],
+        "quarantined": end.get("quarantined", 0),
+        "failed": Counter(
+            event["kind"] for event in events if event["event"] == "cell-failed"
+        ),
+        "retries": kinds["cell-retry"],
+        "respawns": kinds["pool-respawn"],
+        "flaky": kinds["cell-flaky"],
+        "elapsed_s": {
+            event["index"]: event["elapsed_s"]
+            for event in events if event["event"] == "cell"
+        },
+    }
+
+
+class TestJournalIsTheRecord:
+    def test_journal_alone_gives_every_harness_figure(self, tmp_path):
+        """A parallel run under one chaos exception, kill and hang: the
+        journal yields every count the campaign's harness reports.  The
+        pinned numbers are the ones the retired metrics exposition
+        recorded for this very run."""
+        light = tiny_spec()
+        cells = replicate_seeds(light, (0, 1, 2)) + replicate_seeds(
+            light.with_workload(slots=24), (3,)
+        )
+        chaos = ChaosSpec(seed=0, exceptions=1, kills=1, hangs=1, hang_s=30.0)
+        plan = chaos.plan(cell.digest() for cell in cells)
+        afflicted = {plan[cell.digest()]: cell for cell in cells if cell.digest() in plan}
+        (clean,) = [cell for cell in cells if cell.digest() not in plan]
+        # The slow clean cell shares the first window with the kill, so
+        # it is surely in flight (and charged a worker-crash) when the
+        # worker dies; the hang and the exception run after the respawn.
+        assert clean.scenario.workload.slots == 24
+        warm = replicate_seeds(light, (4,))
+        campaign = CampaignSpec(
+            name="journal-only",
+            cells=(afflicted["kill"], clean, afflicted["hang"], afflicted["exception"])
+            + warm,
+        )
+        CampaignExecutor(cache_dir=tmp_path).run(CampaignSpec(name="warm", cells=warm))
+        executor = CampaignExecutor(
+            workers=2, cache_dir=tmp_path, chaos=chaos, cell_timeout=2.0, backoff_s=0.01
+        )
+        result = executor.run(campaign)
+        assert result.ok
+
+        figures = journal_figures(ResultCache(tmp_path).read_journal(campaign.digest()))
+        assert {k: v for k, v in figures.items() if k != "elapsed_s"} == {
+            "computed": 4,
+            "cached": 1,
+            "quarantined": 0,
+            "failed": {"worker-crash": 2, "timeout": 1, "chaos": 1},
+            "retries": 4,
+            "respawns": 2,
+            "flaky": 0,
+        }
+        assert figures["computed"] == result.computed_count
+        assert figures["cached"] == result.cached_count
+        assert figures["failed"] == Counter(
+            failure.kind for cell in result.cells for failure in cell.failures
+        )
+        computed = [cell for cell in result.cells if not cell.cached]
+        assert figures["elapsed_s"] == {
+            cell.index: round(cell.elapsed_s, 6) for cell in computed
+        }
+        assert all(seconds > 0 for seconds in figures["elapsed_s"].values())
+
+        status = executor.status_document(campaign)
+        assert status["counts"]["done"] == 5
+        assert sum(cell["failed_attempts"] for cell in status["cells"]) == 4
 
 
 class TestTerminalJournalRecords:

@@ -207,10 +207,6 @@ class TestTelemetryCLI:
         table = capsys.readouterr().out
         assert "quickstart" in table and "2ldag" in table
 
-        assert main(["telemetry", "export", str(telemetry_dir)]) == 0
-        exposition = capsys.readouterr().out
-        assert "# TYPE repro_run_blocks_total counter" in exposition
-
     def test_env_var_enables_telemetry(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_TELEMETRY", str(tmp_path / "tel"))
         assert main(["simulate", "--scenario", "quickstart"]) == 0
@@ -239,16 +235,6 @@ class TestTelemetryCLI:
         monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
         with pytest.raises(SystemExit, match="REPRO_TELEMETRY"):
             main(["telemetry", "summarize"])
-
-    def test_export_to_file(self, capsys, tmp_path):
-        telemetry_dir = tmp_path / "tel"
-        assert main(["simulate", "--scenario", "quickstart",
-                     "--telemetry", str(telemetry_dir)]) == 0
-        capsys.readouterr()
-        out_path = tmp_path / "metrics.prom"
-        assert main(["telemetry", "export", str(telemetry_dir),
-                     "--out", str(out_path)]) == 0
-        assert "repro_run_slots" in out_path.read_text()
 
 
 class TestCampaignObservability:
@@ -296,6 +282,69 @@ class TestRetiredBenchCommand:
         assert list(subparsers.choices) == [
             "simulate", "verify", "scenarios", "campaign", "lint",
             "telemetry", "fig7", "fig8", "fig9", "headline", "report",
+        ]
+
+
+class TestRetiredExportCommand:
+    """A run's stream and a campaign's journal are its only records."""
+
+    #: SHA-256 of what ``campaign run smoke --telemetry tel --monitors
+    #: report`` writes, run from the directory holding ``tel``; equal to
+    #: the bytes written while the metrics exposition still existed.
+    SMOKE_FILES = {
+        "monitors-smoke.json":
+            "d3c2287ded6f38bbc927064036ee12d2dd5e288118c75724c4676232f698fe3f",
+        "run-ledger-comparison-seed-0--2ldag-seed0.jsonl":
+            "52cab7595607b56ebfe55d568bb1dacf853567056a249f2a836fdda7485770bc",
+        "run-ledger-comparison-seed-1--2ldag-seed1.jsonl":
+            "2bbdcdd9b2a818de3cef5ad5337312723f395fa4ae06a105133ca5f6ac474a2e",
+        "run-ledger-comparison-seed-2--2ldag-seed2.jsonl":
+            "85faf14669822902b25644c03fbbbfc0b8daeb45c343411bbd08e5de44f79e85",
+        "run-ledger-comparison-seed-3--2ldag-seed3.jsonl":
+            "703e320fa7502ad00c24fb6d83953372b7a146e19ddb40e0061baa0d07f9c563",
+    }
+
+    def test_export_is_an_invalid_choice(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as raised:
+            main(["telemetry", "export", str(tmp_path)])
+        assert raised.value.code == 2
+        assert "invalid choice: 'export'" in capsys.readouterr().err
+
+    def test_the_telemetry_actions_are_pinned(self):
+        from repro.cli import build_parser
+
+        (subparsers,) = [
+            action for action in build_parser()._actions
+            if action.dest == "command"
+        ]
+        (actions,) = [
+            action for action in subparsers.choices["telemetry"]._actions
+            if action.dest == "action"
+        ]
+        assert sorted(actions.choices) == ["summarize", "trace", "validate"]
+
+    def test_campaign_run_writes_streams_and_verdicts_only(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        import hashlib
+
+        monkeypatch.chdir(tmp_path)
+        # the command exports --telemetry for its workers; undo that
+        monkeypatch.setenv("REPRO_TELEMETRY", "tel")
+        code = main(["campaign", "run", "smoke", "--cache-dir", "cache",
+                     "--telemetry", "tel", "--monitors", "report"])
+        assert code == 0
+        written = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in (tmp_path / "tel").iterdir()
+        }
+        assert written == self.SMOKE_FILES
+
+        # all cached: nothing streams, the verdicts still land in a new dir
+        assert main(["campaign", "run", "smoke", "--cache-dir", "cache",
+                     "--telemetry", "warm", "--monitors", "report"]) == 0
+        assert [p.name for p in (tmp_path / "warm").iterdir()] == [
+            "monitors-smoke.json"
         ]
 
 

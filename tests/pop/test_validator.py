@@ -15,6 +15,7 @@ from repro.core.block import DataBlock
 from repro.core.config import ProtocolConfig
 from repro.core.node import IoTNode, NodeBehavior
 from repro.core.pop.messages import RpyChild
+from repro.core.pop.responder import serve_req_child
 from repro.core.pop.wps import closed_neighborhood_weight
 from repro.core.protocol import SlotSimulation, TwoLayerDagNetwork
 from repro.crypto.puzzle import NoncePuzzle
@@ -215,6 +216,26 @@ class UnminedResponder(NodeBehavior):
         return RpyChild(header=forged)
 
 
+class ChildThief(NodeBehavior):
+    """Answers with another node's genuine child header: it references
+    the asked digest and carries its author's valid signature and
+    nonce, but the responder is not its author."""
+
+    def __init__(self):
+        self.deployment = None
+        self.sent = []
+
+    def answer_req_child(self, node, request):
+        for other in self.deployment.node_ids:
+            if other == node.node_id:
+                continue
+            header = serve_req_child(self.deployment.node(other).store, request).header
+            if header is not None:
+                self.sent.append((node.node_id, header))
+                return RpyChild(header=header)
+        return RpyChild(header=None)
+
+
 class BodySwappingVerifier(NodeBehavior):
     """Serves its genuine header over a body that is not the one it hashed."""
 
@@ -225,8 +246,8 @@ class BodySwappingVerifier(NodeBehavior):
 
 
 class TestPaperChecks:
-    """Eq. (5) on every reply header and Algorithm 3 line 3, at a
-    difficulty where a hash can fail the puzzle."""
+    """Eq. (5) and authorship on every reply header and Algorithm 3
+    line 3, at a difficulty where a hash can fail the puzzle."""
 
     CONFIG = ProtocolConfig(
         body_bits=8_000, gamma=3, reply_timeout=0.1, puzzle_difficulty_bits=6
@@ -253,6 +274,32 @@ class TestPaperChecks:
         assert outcome.invalid_replies >= len(sent)
         assert not outcome.success and outcome.error == "exhausted"
         assert outcome.path == []
+
+    def test_reply_with_another_nodes_child_is_invalid(self, run_validation):
+        # Same cast as above, but every cheat forwards a child that some
+        # other node authored: Eq. (5), Eq. (6) and line 21 all hold, so
+        # only the responder-is-origin check can reject it.
+        config = replace(self.CONFIG, gamma=1)
+        puzzle = NoncePuzzle(config.puzzle_difficulty_bits, config.hash_bits)
+        thieves = {n: ChildThief() for n in range(16) if n not in (4, 15)}
+        deployment = TwoLayerDagNetwork(
+            config=config, topology=grid_topology(4, 4), seed=2, behaviors=thieves
+        )
+        for thief in thieves.values():
+            thief.deployment = deployment
+        workload = grow_dag(deployment, 12)
+        target = next(b for b in workload.blocks_by_slot[0] if b.origin == 4)
+        outcome = run_validation(deployment, 15, target.origin, target)
+        sent = [pair for thief in thieves.values() for pair in thief.sent]
+        assert sent
+        for responder, header in sent:
+            assert header.origin != responder
+            assert header.verify_signature(deployment.registry.public_key(header.origin))
+            assert header.verify_nonce(puzzle)
+        assert outcome.invalid_replies >= len(sent)
+        stolen = {header.block_id for _responder, header in sent}
+        assert not stolen & {header.block_id for header in outcome.path}
+        assert not outcome.success and outcome.error == "exhausted"
 
     def test_body_that_does_not_hash_to_root_ends_the_run(self, run_validation):
         deployment = TwoLayerDagNetwork(

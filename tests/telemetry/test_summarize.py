@@ -1,4 +1,4 @@
-"""Stream read side: summaries, metric projection, exposition."""
+"""Stream read side: per-run summaries and the summary table."""
 
 import json
 
@@ -7,10 +7,8 @@ import pytest
 from repro.telemetry import (
     SCHEMA_VERSION,
     TelemetryError,
-    export_prometheus,
     format_summary_table,
     read_streams,
-    registry_from_records,
     summarize_records,
     summarize_streams,
 )
@@ -53,9 +51,13 @@ class TestSummarizeRecords:
         assert summary["faults"] == 2
         assert summary["fault_kinds"] == {"node-crash": 2}
         assert summary["blocks"] == 108
+        assert summary["validations"] == 4
         assert summary["success_rate"] == 0.75
+        assert summary["sim_seconds"] == 12.0
+        assert summary["events"] == 900
         assert summary["trace_sha256"] == "ab12"
-        assert summary["final_series"]["storage_mb"] == 2.5
+        assert summary["final_series"] == SERIES
+        assert summary["final_counters"] == {"blocks": 54.0}
 
     def test_partial_stream_has_none_totals(self):
         summary = summarize_records(full_stream_records()[:2])
@@ -86,28 +88,3 @@ class TestStreams:
         partial = summarize_records(full_stream_records()[:2])
         assert "-" in format_summary_table([partial])
 
-
-class TestRegistryProjection:
-    def test_catalogue_families_projected(self, tmp_path):
-        write_stream(tmp_path / "run.jsonl", full_stream_records())
-        registry = registry_from_records(read_streams([tmp_path], SCHEMA_VERSION))
-        labels = dict(scenario="demo", backend="2ldag", seed="7")
-        assert registry.get("repro_run_blocks_total").value(**labels) == 108
-        assert registry.get("repro_run_slots").value(**labels) == 12
-        assert registry.get("repro_run_faults_total").value(
-            kind="node-crash", **labels
-        ) == 2
-        assert registry.get("repro_series_value").value(
-            series="storage_mb", **labels
-        ) == 2.5
-        assert registry.get("repro_backend_counter").value(
-            name="blocks", **labels
-        ) == 54.0
-        assert registry.get("repro_slot_records_total").value(**labels) == 1
-
-    def test_export_prometheus_is_deterministic(self, tmp_path):
-        write_stream(tmp_path / "run.jsonl", full_stream_records())
-        first = export_prometheus([tmp_path])
-        assert first == export_prometheus([tmp_path])
-        assert "# TYPE repro_run_blocks_total counter" in first
-        assert 'repro_run_faults_total{scenario="demo"' in first
