@@ -70,6 +70,24 @@ class TestSummarizeRecords:
         assert summary["scenario"] is None
         assert summary["faults"] == 0
 
+    def test_last_slot_wins_and_fault_kinds_sort(self):
+        records = full_stream_records()
+        later = dict(records[1], slot=12, sim_now=12.0,
+                     series={**SERIES, "storage_mb": 5.0},
+                     counters={"blocks": 108.0})
+        partition = {"v": SCHEMA_VERSION, "event": "fault", "slot": 10,
+                     "kind": "partition", "detail": "slot 10: partition"}
+        summary = summarize_records(
+            [records[0], records[1], partition, records[2], later] + records[3:]
+        )
+        assert summary["slot_records"] == 2
+        assert summary["final_series"]["storage_mb"] == 5.0
+        assert summary["final_counters"] == {"blocks": 108.0}
+        assert summary["faults"] == 3
+        assert list(summary["fault_kinds"].items()) == [
+            ("node-crash", 2), ("partition", 1),
+        ]
+
 
 class TestStreams:
     def test_read_streams_validates(self, tmp_path):
@@ -87,4 +105,14 @@ class TestStreams:
         assert "0.750" in table  # success rate formatting
         partial = summarize_records(full_stream_records()[:2])
         assert "-" in format_summary_table([partial])
+
+    def test_one_summary_per_v1_stream_in_path_order(self, tmp_path):
+        write_stream(tmp_path / "b.jsonl", full_stream_records())
+        write_stream(tmp_path / "a.jsonl", full_stream_records()[:2])
+        (tmp_path / "trace-a.jsonl").write_text("not a v1 stream\n")
+        summaries = summarize_streams([tmp_path])
+        assert [s["path"] for s in summaries] == [
+            str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl"),
+        ]
+        assert [s["blocks"] for s in summaries] == [None, 108]
 
