@@ -171,21 +171,3 @@ def test_bench_kernel_callbacks(benchmark):
         return fired[0], sim.processed_count
 
     assert benchmark(schedule_and_drain) == (KERNEL_EVENTS, KERNEL_EVENTS)
-
-
-def test_bench_kernel_cancel_churn(benchmark):
-    def cancel_every_other():
-        sim = Simulator()
-        fired = [0]
-
-        def tick():
-            fired[0] += 1
-
-        handles = [sim.call_at(1.0, tick) for _ in range(KERNEL_EVENTS)]
-        for handle in handles[::2]:
-            handle.cancel()
-        sim.run()
-        return fired[0], sim.cancelled_count
-
-    # Lazy cancellation: half the handles are popped and never fire.
-    assert benchmark(cancel_every_other) == (KERNEL_EVENTS // 2, KERNEL_EVENTS // 2)

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
@@ -86,10 +87,13 @@ def _int(value: Any) -> int:
 
 
 def _float(value: Any) -> float:
-    """A JSON number, never a JSON boolean."""
+    """A finite JSON number, never a JSON boolean (no spec leaf takes ±inf)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError
-    return float(value)
+    value = float(value)
+    if not math.isfinite(value):
+        raise TypeError
+    return value
 
 
 def _bool(value: Any) -> bool:
@@ -218,7 +222,7 @@ class FaultEvent:
         if self.kind == LINK_DEGRADE:
             if not 0.0 <= self.loss <= 1.0:
                 raise FaultError(f"loss must be in [0, 1], got {self.loss}")
-            if self.extra_latency < 0:
+            if not self.extra_latency >= 0:  # also refuses NaN
                 raise FaultError(
                     f"extra_latency must be non-negative, got {self.extra_latency}"
                 )

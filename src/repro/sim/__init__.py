@@ -22,13 +22,12 @@ Example
 """
 
 from repro.sim.errors import SimulationError
-from repro.sim.kernel import ScheduledCall, Simulator
+from repro.sim.kernel import Simulator
 from repro.sim.rng import RandomStreams
 from repro.sim.tracing import TraceRecord, Tracer
 
 __all__ = [
     "RandomStreams",
-    "ScheduledCall",
     "SimulationError",
     "Simulator",
     "TraceRecord",

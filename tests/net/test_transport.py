@@ -70,14 +70,15 @@ class TestDelivery:
         network.sim.run()  # must not raise
 
 
-    def test_handler_runs_two_frames_under_the_drain_loop(self, network):
-        # _drain -> ScheduledCall._process -> Network._deliver_to -> handler:
-        # a wrapper frame put back on the message path fails here.
+    def test_handler_runs_one_frame_under_the_drain_loop(self, network):
+        # _drain -> Network._deliver_to -> handler: a wrapper frame put
+        # back on the message path, or a heap entry with a frame of its
+        # own, fails here.
         stacks = []
-        network.attach(3).on("ping", lambda message: stacks.append(_frames_above(3)))
+        network.attach(3).on("ping", lambda message: stacks.append(_frames_above(2)))
         network.attach(0).send(3, "ping", None, 10)
         network.sim.run()
-        assert stacks == [["_deliver_to", "_process", "_drain"]]
+        assert stacks == [["_deliver_to", "_drain"]]
 
     def test_fanned_out_handler_runs_one_frame_under_the_drain_loop(self, network):
         # _drain -> Network._deliver_to -> handler: neither the batch entry
@@ -250,19 +251,19 @@ class TestRequestReply:
         assert [m.payload for m in replies] == [42]  # once, and not again at expiry
 
     def test_reply_reaches_the_callback_in_an_event_of_its_own(self, network):
-        # _drain -> ScheduledCall._process -> on_reply, one step after the
-        # delivery: a validator's continuation never runs inside _deliver.
+        # _drain -> on_reply, one step after the delivery: a validator's
+        # continuation never runs inside _deliver.
         responder = network.attach(3)
         responder.on("ask", lambda m: responder.reply(m, "answer", None, 10))
         stacks = []
         network.attach(0).request(
-            3, "ask", None, 10, timeout=1.0, on_reply=lambda m: stacks.append(_frames_above(2))
+            3, "ask", None, 10, timeout=1.0, on_reply=lambda m: stacks.append(_frames_above(1))
         )
         sim = network.sim
         assert sim.step() and sim.step()  # request delivery, reply delivery
         assert stacks == [] and sim.processed_count == 2
         assert sim.step() and sim.now == pytest.approx(0.06)
-        assert stacks == [["_process", "_drain"]] and sim.processed_count == 3
+        assert stacks == [["_drain"]] and sim.processed_count == 3
 
     def test_each_recipient_of_a_fan_out_replies_as_itself(self, network):
         # The fan-out's envelope is addressed to a tuple; a reply is sent

@@ -402,9 +402,9 @@ class TestResponderOrder:
 
 
 class TestContinuation:
-    def test_reply_reaches_on_child_two_frames_under_the_drain(self, small_config, grid9):
-        # _drain -> ScheduledCall._process -> run._on_child(reply): no
-        # process, waiter or generator frame between the kernel and the walk.
+    def test_reply_reaches_on_child_one_frame_under_the_drain(self, small_config, grid9):
+        # _drain -> run._on_child(reply): no process, waiter, generator
+        # or heap-entry frame between the kernel and the walk.
         deployment = TwoLayerDagNetwork(config=small_config, topology=grid9, seed=1)
         workload = grow_dag(deployment, 10)
         target = workload.blocks_by_slot[0][0]
@@ -413,7 +413,7 @@ class TestContinuation:
 
         def spy(*args):
             frames, frame = [], sys._getframe(1)
-            while frame is not None and len(frames) < 3:
+            while frame is not None and len(frames) < 2:
                 frames.append(frame.f_code.co_name)
                 frame = frame.f_back
             stacks.append(frames)
@@ -423,7 +423,7 @@ class TestContinuation:
         run = validator.run(target.origin, target)
         deployment.sim.run()
         assert run.value.success
-        assert stacks and all(s == ["_on_child", "_process", "_drain"] for s in stacks)
+        assert stacks and all(s == ["_on_child", "_drain"] for s in stacks)
 
     def test_handle_returned_at_once_resolves_when_the_run_ends(self, small_config, grid9):
         deployment = TwoLayerDagNetwork(config=small_config, topology=grid9, seed=1)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.metrics.cdf import EmpiricalCDF
 from repro.sim.errors import SchedulingError, SimulationError
-from repro.sim.kernel import PRIORITY_HIGH, PRIORITY_LOW, PRIORITY_NORMAL, Simulator
+from repro.sim.kernel import Simulator
 
 
 class TestKernelProperties:
@@ -39,19 +39,14 @@ class TestKernelProperties:
         assert observed == sorted(observed)
 
 
-#: Few distinct times and priorities, so ties on both are the common case.
+#: Few distinct times, so same-time ties are the common case.
 _TIMES = st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.0, 2.5, 4.0])
-_PRIORITIES = st.sampled_from([PRIORITY_HIGH, PRIORITY_NORMAL, PRIORITY_LOW])
-#: What an entry does when it runs: nothing, cancel entry k, or schedule a child.
+#: What an entry does when it runs: nothing, or schedule a child.
 _ACTIONS = st.one_of(
     st.just(("noop",)),
-    st.tuples(st.just("cancel"), st.integers(0, 30)),
     st.tuples(st.just("spawn"), st.sampled_from([0.0, 0.5, 1.5])),
 )
-_ENTRIES = st.lists(
-    st.tuples(_TIMES, _PRIORITIES, st.booleans(), _ACTIONS),
-    min_size=0, max_size=25,
-)
+_ENTRIES = st.lists(st.tuples(_TIMES, _ACTIONS), min_size=0, max_size=25)
 
 
 def _build(entries, carry_args=True):
@@ -60,27 +55,21 @@ def _build(entries, carry_args=True):
     Calls are scheduled as ``call_*(t, fn, *args)``, or — the form that
     replaced — as ``call_*(t, partial(fn, *args))``.
     """
-    sim, log, handles = Simulator(), [], []
+    sim, log = Simulator(), []
 
-    def call(scheduler, when, priority, fn, *args):
+    def call(scheduler, when, fn, *args):
         if carry_args:
-            return scheduler(when, fn, *args, priority=priority)
-        return scheduler(when, partial(fn, *args), priority=priority)
+            scheduler(when, fn, *args)
+        else:
+            scheduler(when, partial(fn, *args))
 
     def act(tag, action):
-        log.append((tag, sim.now))
-        if action[0] == "cancel":
-            victim = handles[action[1] % len(handles)]
-            if not victim.processed:
-                victim.cancel()
-        elif action[0] == "spawn":
-            call(sim.call_in, action[1], PRIORITY_NORMAL, act, f"child-of-{tag}", ("noop",))
+        log.append((tag, sim.now, sim.processed_count, sim.pending_count))
+        if action[0] == "spawn":
+            call(sim.call_in, action[1], act, f"child-of-{tag}", ("noop",))
 
-    for tag, (time, priority, precancelled, action) in enumerate(entries):
-        handle = call(sim.call_at, time, priority, act, tag, action)
-        handles.append(handle)
-        if precancelled:
-            handle.cancel()
+    for tag, (time, action) in enumerate(entries):
+        call(sim.call_at, time, act, tag, action)
     return sim, log
 
 
@@ -118,7 +107,6 @@ class TestRunIsRepeatedStep:
         assert _reference_run(stepped, until, max_events) == verdict
         assert ran_log == stepped_log
         assert ran.processed_count == stepped.processed_count
-        assert ran.cancelled_count == stepped.cancelled_count
         assert ran.pending_count == stepped.pending_count
         if verdict == "done" and until is not None:
             # run() parks the clock on ``until``; step() cannot.
@@ -135,9 +123,7 @@ class TestRunIsRepeatedStep:
         while stepped.step():
             pass
         assert ran_log == stepped_log
-        assert (ran.now, ran.processed_count, ran.cancelled_count) == (
-            stepped.now, stepped.processed_count, stepped.cancelled_count
-        )
+        assert (ran.now, ran.processed_count) == (stepped.now, stepped.processed_count)
         assert stepped.peek() is None and stepped.pending_count == 0
 
 
@@ -152,25 +138,23 @@ class TestArgumentCarryingCalls:
         carried.run(until=until)
         wrapped.run(until=until)
         assert carried_log == wrapped_log
-        assert (carried.now, carried.processed_count, carried.cancelled_count, carried.pending_count) == (
-            wrapped.now, wrapped.processed_count, wrapped.cancelled_count, wrapped.pending_count
+        assert (carried.now, carried.processed_count, carried.pending_count) == (
+            wrapped.now, wrapped.processed_count, wrapped.pending_count
         )
 
 
-#: What a fan-out member does: nothing, cancel single call k, schedule a
-#: child (same-time ones sort before or after the members still to run),
-#: or fan out again.
+#: What a fan-out member does: nothing, schedule a child (a same-time
+#: one among them), or fan out again.
 _MEMBER_ACTIONS = st.one_of(
     st.just(("noop",)),
-    st.tuples(st.just("cancel"), st.integers(0, 30)),
-    st.tuples(st.just("spawn"), st.sampled_from([0.0, 0.0, 0.5]), _PRIORITIES),
+    st.tuples(st.just("spawn"), st.sampled_from([0.0, 0.0, 0.5])),
     st.tuples(st.just("fan"), st.sampled_from([0.0, 0.5]), st.integers(1, 3)),
 )
-#: One step of a schedule: a single call, or a run of same-key calls.
+#: One step of a schedule: a single call, or a run of same-time calls.
 _SCHEDULE = st.lists(
     st.one_of(
-        st.tuples(st.just("call"), _TIMES, _PRIORITIES, st.booleans(), _MEMBER_ACTIONS),
-        st.tuples(st.just("run"), _TIMES, _PRIORITIES, st.lists(_MEMBER_ACTIONS, max_size=6)),
+        st.tuples(st.just("call"), _TIMES, _MEMBER_ACTIONS),
+        st.tuples(st.just("run"), _TIMES, st.lists(_MEMBER_ACTIONS, max_size=6)),
     ),
     min_size=0, max_size=12,
 )
@@ -178,41 +162,35 @@ _SCHEDULE = st.lists(
 
 def _build_fanouts(schedule, batched):
     """``schedule`` loaded with every run as one ``call_in_each`` or as N ``call_in``."""
-    sim, log, singles = Simulator(), [], []
+    sim, log = Simulator(), []
 
-    def fan_out(delay, priority, members):
+    def fan_out(delay, members):
         if batched:
-            sim.call_in_each(delay, act, members, priority=priority)
+            sim.call_in_each(delay, act, members)
         else:
             for member in members:
-                sim.call_in(delay, act, member, priority=priority)
+                sim.call_in(delay, act, member)
 
     def act(member):
         tag, action = member
-        log.append((tag, sim.now, sim.processed_count, sim.cancelled_count, sim.pending_count))
-        if action[0] == "cancel" and singles:
-            victim = singles[action[1] % len(singles)]
-            if not victim.processed:
-                victim.cancel()
-        elif action[0] == "spawn":
-            sim.call_in(action[1], act, (f"child-of-{tag}", ("noop",)), priority=action[2])
+        log.append((tag, sim.now, sim.processed_count, sim.pending_count))
+        if action[0] == "spawn":
+            sim.call_in(action[1], act, (f"child-of-{tag}", ("noop",)))
         elif action[0] == "fan":
-            fan_out(action[1], PRIORITY_NORMAL, [(f"fan-{i}-of-{tag}", ("noop",)) for i in range(action[2])])
+            fan_out(action[1], [(f"fan-{i}-of-{tag}", ("noop",)) for i in range(action[2])])
 
     for position, step in enumerate(schedule):
         if step[0] == "call":
-            _, time, priority, precancelled, action = step
-            singles.append(sim.call_at(time, act, (position, action), priority=priority))
-            if precancelled:
-                singles[-1].cancel()
+            _, time, action = step
+            sim.call_at(time, act, (position, action))
         else:
-            _, time, priority, actions = step
-            fan_out(time, priority, [((position, i), action) for i, action in enumerate(actions)])
+            _, time, actions = step
+            fan_out(time, [((position, i), action) for i, action in enumerate(actions)])
     return sim, log
 
 
 def _state(sim):
-    return sim.now, sim.processed_count, sim.cancelled_count, sim.pending_count
+    return sim.now, sim.processed_count, sim.pending_count
 
 
 class TestBatchIsConsecutiveCalls:
@@ -273,13 +251,12 @@ class TestBatchIsConsecutiveCalls:
             logs.append(log)
         assert logs[0] == logs[1]
 
-    def test_same_time_children_sort_around_the_remaining_members(self):
+    def test_same_time_children_run_after_the_remaining_members(self):
         sim, order = Simulator(), []
 
         def member(name):
             order.append(name)
             if name == "a":
-                sim.call_in(0.0, order.append, "urgent", priority=PRIORITY_HIGH)
                 sim.call_in(0.0, order.append, "after")
                 sim.call_in(1.0, order.append, "later")
 
@@ -287,8 +264,8 @@ class TestBatchIsConsecutiveCalls:
         sim.call_in(2.0, order.append, "next")
         assert sim.pending_count == 4
         sim.run()
-        assert order == ["a", "urgent", "b", "c", "next", "after", "later"]
-        assert (sim.now, sim.processed_count, sim.pending_count) == (3.0, 7, 0)
+        assert order == ["a", "b", "c", "next", "after", "later"]
+        assert (sim.now, sim.processed_count, sim.pending_count) == (3.0, 6, 0)
 
     def test_budget_lands_mid_batch_and_the_rest_stays_queued(self):
         sim, order = Simulator(), []
@@ -315,6 +292,14 @@ class TestBatchIsConsecutiveCalls:
         assert (order, sim.processed_count, sim.pending_count) == ([0], 1, 2)
         sim.run()
         assert (order, sim.processed_count, sim.pending_count) == ([0, 2, 3], 3, 0)
+
+    def test_a_raising_call_is_not_counted(self):
+        sim = Simulator()
+        sim.call_in(0.5, int, "not a number")
+        sim.call_in(0.5, print)
+        with pytest.raises(ValueError):
+            sim.run()
+        assert (sim.now, sim.processed_count, sim.pending_count) == (0.5, 0, 1)
 
     def test_empty_fan_out_schedules_nothing_and_negative_delay_is_refused(self):
         sim = Simulator()

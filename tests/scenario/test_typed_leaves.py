@@ -223,6 +223,49 @@ class TestCampaignGridReader:
         assert isinstance(first.protocol.reply_timeout, float)
 
 
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+class TestNonFiniteFloats:
+    """A float leaf is finite: NaN used to load, and then ran silently."""
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=repr)
+    @pytest.mark.parametrize(
+        "where, name", [(w, n) for w, n, a in SCENARIO_LEAVES if a == "float"]
+    )
+    def test_scenario_and_override_readers(self, where, name, value):
+        with pytest.raises(ScenarioError, match=rf"^{where}\.{name} must be float, got {value!r}"):
+            ScenarioSpec.from_dict(SECTIONS[where].document({name: value}))
+        prefix = SECTIONS[where].grid_prefix
+        if prefix is not None:
+            with pytest.raises(CampaignError, match=rf"^override {prefix}{name} must be float"):
+                apply_override(get_scenario("churn"), prefix + name, value)
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=repr)
+    @pytest.mark.parametrize("name", ["loss", "extra_latency"])
+    def test_fault_event_reader(self, name, value):
+        with pytest.raises(FaultError, match=rf"^fault event\.{name} must be float"):
+            FaultEvent.from_dict({"kind": "link-degrade", "slot": 1, name: value})
+
+    def test_a_constructed_event_refuses_a_nan_latency(self):
+        with pytest.raises(FaultError, match="extra_latency must be non-negative, got nan"):
+            FaultEvent(kind="link-degrade", slot=1, extra_latency=float("nan"))
+
+    def test_simulate_exits_1_naming_the_leaf(self, tmp_path, capsys):
+        path = tmp_path / "faults.json"
+        path.write_text(json.dumps({"events": [
+            {"kind": "link-degrade", "slot": 2, "loss": 0.1, "extra_latency": float("nan")}
+        ]}))
+        assert "NaN" in path.read_text()
+        with pytest.raises(SystemExit) as raised:
+            main(["simulate", "--scenario", "quickstart", "--faults", str(path)])
+        # A string exit code: the interpreter prints it and exits with 1.
+        assert raised.value.code == (
+            f"invalid fault schedule file {path}: events[0].extra_latency must be float, got nan"
+        )
+        assert capsys.readouterr().out == ""
+
+
 class TestEverythingTheTreeWritesStillLoads:
     @pytest.mark.parametrize("name", scenario_names())
     def test_scenario_presets(self, name):

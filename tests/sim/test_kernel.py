@@ -1,9 +1,12 @@
 """Unit tests for the discrete-event kernel."""
 
+import doctest
+
 import pytest
 
-from repro.sim.errors import EventStateError, SchedulingError, SimulationError
-from repro.sim.kernel import PRIORITY_HIGH, PRIORITY_LOW, Simulator
+import repro.sim
+from repro.sim.errors import SchedulingError, SimulationError
+from repro.sim.kernel import Simulator
 
 
 class TestScheduling:
@@ -39,12 +42,10 @@ class TestScheduling:
         sim.run()
         assert order == [0, 1, 2, 3, 4]
 
-    def test_priority_overrides_schedule_order(self, sim):
-        order = []
-        sim.call_at(1.0, lambda: order.append("low"), priority=PRIORITY_LOW)
-        sim.call_at(1.0, lambda: order.append("high"), priority=PRIORITY_HIGH)
-        sim.run()
-        assert order == ["high", "low"]
+    def test_call_at_and_call_in_return_nothing(self, sim):
+        assert sim.call_at(1.0, print) is None
+        assert sim.call_in(1.0, print) is None
+        assert sim.call_in_each(1.0, print, [1]) is None
 
     def test_events_run_in_time_order_regardless_of_insert_order(self, sim):
         order = []
@@ -100,19 +101,25 @@ class TestRun:
         assert sim.peek() is None
 
 
-class TestEvents:
-    def test_cancelled_event_does_not_run(self, sim):
-        hits = []
-        event = sim.call_at(1.0, lambda: hits.append(1))
-        event.cancel()
-        sim.run()
-        assert hits == []
+class TestNonFiniteTimes:
+    """NaN compares false both ways, so the guards are written to refuse it."""
 
-    def test_cancel_after_processing_raises(self, sim):
-        event = sim.call_at(1.0, lambda: None)
-        sim.run()
-        with pytest.raises(EventStateError):
-            event.cancel()
+    def test_nan_delay_and_nan_time_are_refused(self, sim):
+        nan = float("nan")
+        for schedule in (
+            lambda: sim.call_in(nan, print),
+            lambda: sim.call_at(nan, print),
+            lambda: sim.call_in_each(nan, print, [1]),
+        ):
+            with pytest.raises(SchedulingError, match="nan"):
+                schedule()
+        assert sim.pending_count == 0 and sim.now == 0.0
+
+    def test_nan_is_refused_after_the_clock_moved(self, sim):
+        sim.run(until=2.0)
+        with pytest.raises(SchedulingError):
+            sim.call_at(float("nan"), print)
+        assert sim.now == 2.0
 
 
 class TestDeterminism:
@@ -126,3 +133,8 @@ class TestDeterminism:
             return order
 
         assert run_once() == run_once()
+
+
+def test_package_doctest_runs_as_written():
+    # call_at returns nothing, so the example prints nothing where it schedules.
+    assert doctest.testmod(repro.sim).failed == 0

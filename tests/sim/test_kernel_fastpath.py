@@ -1,42 +1,28 @@
-"""ScheduledCall fast path and unified lazy cancellation."""
+"""The kernel's one entry shape: a plain ``(time, sequence, fn, args)`` tuple."""
 
-import pytest
+import sys
 
-from repro.sim.errors import EventStateError
-from repro.sim.kernel import PRIORITY_HIGH, ScheduledCall, Simulator
+from repro.sim.kernel import Simulator
 
 
-class TestScheduledCall:
-    def test_call_at_returns_scheduled_call(self, sim):
-        handle = sim.call_at(1.0, lambda: None)
-        assert isinstance(handle, ScheduledCall)
-        assert not handle.processed
-        assert not handle.cancelled
+class TestEntryShape:
+    def test_a_call_is_queued_as_a_bare_tuple(self, sim):
+        sim.call_at(2.0, print, "a", 1)
+        sim.call_in(1.0, print)
+        assert sorted(sim._heap) == [(1.0, 1, print, ()), (2.0, 0, print, ("a", 1))]
 
-    def test_processed_after_run(self, sim):
-        handle = sim.call_at(1.0, lambda: None)
+    def test_a_fan_out_is_one_tuple_with_a_members_iterator(self, sim):
+        sim.call_in_each(1.0, print, [1, 2, 3])
+        ((time, sequence, fn, members),) = sim._heap
+        assert (time, sequence, fn) == (1.0, 0, print)
+        assert list(members) == [1, 2, 3]
+
+    def test_the_callback_runs_directly_under_the_drain_loop(self, sim):
+        frames = []
+        sim.call_in(1.0, lambda: frames.append(sys._getframe(1).f_code.co_name))
+        sim.call_in_each(1.0, lambda _: frames.append(sys._getframe(1).f_code.co_name), [0, 1])
         sim.run()
-        assert handle.processed
-
-    def test_cancel_prevents_run(self, sim):
-        hits = []
-        handle = sim.call_in(1.0, lambda: hits.append(1))
-        handle.cancel()
-        sim.run()
-        assert hits == []
-        assert handle.cancelled
-        assert not handle.processed
-
-    def test_cancel_after_processing_raises(self, sim):
-        handle = sim.call_at(1.0, lambda: None)
-        sim.run()
-        with pytest.raises(EventStateError):
-            handle.cancel()
-
-    def test_cancel_drops_closure(self, sim):
-        handle = sim.call_at(1.0, lambda: None)
-        handle.cancel()
-        assert handle.fn is None
+        assert frames == ["_drain"] * 3
 
     def test_positional_arguments_reach_the_callable(self, sim):
         got = []
@@ -46,40 +32,21 @@ class TestScheduledCall:
         sim.run()
         assert got == [(1.0, ("b",)), (2.0, ("a", 1)), (3.0, ())]
 
-    def test_priority_is_keyword_only(self, sim):
-        # A third positional value is an argument of ``fn``, never the priority.
-        order = []
-        sim.call_at(1.0, order.append, "normal")
-        sim.call_at(1.0, order.append, PRIORITY_HIGH)
-        sim.call_at(1.0, order.append, "high", priority=PRIORITY_HIGH)
+    def test_a_run_drops_every_entry(self, sim):
+        sim.call_at(1.0, print, object())
+        sim.call_in_each(1.0, len, [(), ()])
         sim.run()
-        assert order == ["high", "normal", PRIORITY_HIGH]
-
-    def test_cancel_and_run_both_drop_the_arguments(self, sim):
-        payload = object()
-        cancelled = sim.call_in(1.0, lambda _p: None, payload)
-        ran = sim.call_in(1.0, lambda _p: None, payload)
-        assert cancelled.args == ran.args == (payload,)
-        cancelled.cancel()
-        sim.run()
-        assert cancelled.args == () and cancelled.fn is None
-        assert ran.args == () and ran.fn is None and ran.processed
+        assert sim._heap == [] and sim.pending_count == 0
+        assert sim.cancelled_count == 0
 
 
-class TestOrderingWithFullEvents:
-    def test_priority_still_beats_schedule_order(self, sim):
-        order = []
-        sim.call_at(1.0, lambda: order.append("normal"))
-        sim.call_at(1.0, lambda: order.append("high"), priority=PRIORITY_HIGH)
-        sim.run()
-        assert order == ["high", "normal"]
-
+class TestOrdering:
     def test_determinism_across_runs(self):
         def run_once():
             sim = Simulator()
             order = []
             for tag in range(30):
-                if tag % 3 == 0:  # the heap's other entry kind, a batch
+                if tag % 3 == 0:  # a fan-out, the other use of the entry shape
                     sim.call_in_each(float(tag % 5), order.append, [tag, -tag])
                 else:
                     sim.call_at(float(tag % 5), lambda t=tag: order.append(t))
@@ -87,28 +54,3 @@ class TestOrderingWithFullEvents:
             return order
 
         assert run_once() == run_once()
-
-
-class TestCancelledCount:
-    def test_counts_cancelled_pops(self, sim):
-        handles = [sim.call_at(1.0, lambda: None) for _ in range(5)]
-        for handle in handles[:3]:
-            handle.cancel()
-        sim.run()
-        assert sim.cancelled_count == 3
-        assert sim.processed_count == 2
-
-    def test_peek_and_step_count_each_discard_once(self, sim):
-        first = sim.call_at(1.0, lambda: None)
-        sim.call_at(2.0, lambda: None)
-        first.cancel()
-        assert sim.peek() == 2.0          # discards the cancelled head
-        assert sim.cancelled_count == 1
-        assert sim.step() is True          # must not double-count
-        assert sim.cancelled_count == 1
-        assert sim.processed_count == 1
-
-    def test_zero_when_nothing_cancelled(self, sim):
-        sim.call_at(1.0, lambda: None)
-        sim.run()
-        assert sim.cancelled_count == 0
