@@ -6,9 +6,9 @@ exercises the implementation through the ``churn`` scenario preset: a
 third of the sensors go offline mid-run (battery swap, duty cycling),
 the network keeps operating, and their historical data remains
 verifiable throughout — descendants at other nodes keep vouching for
-it.  The offline/rejoin choreography (including §IV-D-6 blacklist
-forgiveness) is declared in the spec's churn section; the runner
-applies it at the right slots.
+it.  The offline/rejoin choreography is the spec's fault timeline: a
+``node-crash`` event and a ``node-rejoin`` event (with §IV-D-6
+blacklist forgiveness); the runner applies each before its slot.
 
 Run:  python examples/network_churn.py
 (REPRO_EXAMPLE_QUICK=1 trims the workload for smoke tests.)
@@ -17,6 +17,7 @@ Run:  python examples/network_churn.py
 import os
 from dataclasses import replace
 
+from repro.faults import FaultScheduleSpec
 from repro.scenario import ScenarioRunner, get_scenario
 
 
@@ -35,23 +36,23 @@ def verify_batch(deployment, workload, validator_id, targets):
 def main() -> None:
     spec = get_scenario("churn")
     if os.environ.get("REPRO_EXAMPLE_QUICK") == "1":
-        spec = spec.with_workload(
-            slots=26,
-            churn=replace(spec.workload.churn, offline_slot=12, rejoin_slot=19),
-        )
-    churn = spec.workload.churn
-    sleepers = list(churn.offline_nodes)
+        crash, rejoin = spec.workload.faults.events
+        spec = spec.with_workload(slots=26, faults=FaultScheduleSpec(events=(
+            replace(crash, slot=12), replace(rejoin, slot=19),
+        )))
+    crash, rejoin = spec.workload.faults.events
+    sleepers = list(crash.nodes)
     runner = ScenarioRunner(spec).build()
     deployment, workload = runner.deployment, runner.workload
 
-    # Phase 1: everyone online until the churn point.
-    runner.advance_to(churn.offline_slot)
+    # Phase 1: everyone online until the crash event.
+    runner.advance_to(crash.slot)
     print(f"phase 1: {workload.total_blocks()} blocks "
           f"from {spec.node_count} sensors")
 
-    # Phase 2: the spec's churn takes the sleepers offline (duty
+    # Phase 2: the crash event takes the sleepers offline (duty
     # cycling); the rest keep generating.
-    runner.advance_to(churn.rejoin_slot)
+    runner.advance_to(rejoin.slot)
     print(f"phase 2: sensors {sleepers} offline; "
           f"total blocks now {workload.total_blocks()}")
 
@@ -65,13 +66,13 @@ def main() -> None:
     print(f"verified {ok}/{len(awake_authors)} slot-2 blocks during the outage")
 
     # Phase 3: the sleepers rejoin (the runner also applies the
-    # §IV-D-6 forgiveness the spec declares); their chains resume.
+    # §IV-D-6 forgiveness the rejoin event declares); their chains resume.
     runner.finish()
     resumed = deployment.node(sleepers[0])
-    expected_chain = churn.offline_slot + (spec.workload.slots - churn.rejoin_slot)
+    expected_chain = crash.slot + (spec.workload.slots - rejoin.slot)
     print(f"phase 3: sensor {sleepers[0]} resumed; chain length "
-          f"{len(resumed.store)} ({churn.offline_slot} pre-outage + "
-          f"{spec.workload.slots - churn.rejoin_slot} post-rejoin)")
+          f"{len(resumed.store)} ({crash.slot} pre-outage + "
+          f"{spec.workload.slots - rejoin.slot} post-rejoin)")
 
     # And the sleepers' pre-outage blocks are verifiable again.
     sleeper_blocks = [

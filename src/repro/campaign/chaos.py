@@ -212,11 +212,12 @@ def perform_chaos(directive: Mapping[str, Any]) -> None:
     """Inflict one chaos directive inside a worker, *before* the cell runs.
 
     ``exception`` raises :class:`ChaosInjectedError`; ``kill`` SIGKILLs
-    the worker process (simulated as an injected exception on the
-    serial path, where the "worker" is the main process); ``hang``
-    sleeps ``hang_s`` and then lets the cell execute normally — under a
-    cell timeout the attempt is killed mid-sleep, without one it merely
-    finishes late.  None of these paths can alter a cell's payload.
+    the worker process (simulated as an injected exception in process,
+    where the "worker" is the main process); ``hang`` sleeps ``hang_s``
+    and then lets the cell execute normally — under a cell timeout a
+    pool attempt is killed mid-sleep and an in-process one is judged
+    over budget when it returns; without one it merely finishes late.
+    None of these paths can alter a cell's payload.
     """
     kind = directive.get("kind")
     if kind == CHAOS_HANG:
@@ -224,7 +225,7 @@ def perform_chaos(directive: Mapping[str, Any]) -> None:
     elif kind == CHAOS_KILL:
         if directive.get("simulate_kill"):
             raise ChaosInjectedError(
-                "chaos: worker kill (simulated on the serial path)"
+                "chaos: worker kill (simulated in process)"
             )
         os.kill(os.getpid(), signal.SIGKILL)
     elif kind == CHAOS_EXCEPTION:

@@ -9,8 +9,8 @@ many campaigns) with four independent capabilities:
   master seed, and all randomness flows through
   :class:`~repro.sim.rng.RandomStreams`), so results — trace digests
   included — are byte-identical to a serial run; only wall-clock
-  changes.  The default ``workers=0`` runs cells in-process, in order,
-  preserving the exact historical behaviour.
+  changes.  The default ``workers=0`` runs cells in-process, one at a
+  time, under the same supervision loop.
 * **caching** — with ``use_cache=True`` each finished cell's payload
   is persisted to the content-addressed :class:`ResultCache`; a later
   run of any campaign containing that cell (same digest) is served
@@ -39,15 +39,16 @@ Failure semantics
 An attempt can fail four ways, all journalled as ``cell-failed``
 events: its own exception (``exception``, or ``chaos`` when injected),
 a wall-clock overrun (``timeout``), or its worker dying
-(``worker-crash``).  Timeouts are enforced pre-emptively on the
-parallel path (the pool is killed — ``Future.cancel`` cannot stop a
-running cell — and respawned) and post-hoc on the serial path (the
-over-budget payload is discarded, but its digest seeds the flaky
-cross-check).  When a worker dies, *every* in-flight cell is charged
-one ``worker-crash`` attempt — the culprit cannot be identified, and
-charging all of them bounds crash loops — whereas cells killed as
-collateral of a *timeout* are requeued free of charge (the overdue
-cell is known).  A cell that exhausts ``retries`` either aborts the
+(``worker-crash``).  One timeout rule holds in process and in a
+pool: a result whose elapsed time is over ``cell_timeout`` fails as a
+timeout (the payload is discarded, but its digest seeds the flaky
+cross-check).  A pool cell still running past its deadline is stopped
+too: the pool is killed — ``Future.cancel`` cannot stop a running
+cell — and respawned.  When a worker dies, *every* in-flight cell is
+charged one ``worker-crash`` attempt — the culprit cannot be
+identified, and charging all of them bounds crash loops — whereas
+cells killed as collateral of a *timeout* are requeued free of charge
+(the overdue cell is known).  A cell that exhausts ``retries`` either aborts the
 run (default: ``CampaignError`` after an ``abort`` journal event, with
 queued cells cancelled and in-flight workers killed) or, under
 ``keep_going``, is quarantined and reported in the
@@ -55,7 +56,7 @@ queued cells cancelled and in-flight workers killed) or, under
 
 Every computed payload is cross-checked against any earlier successful
 attempt of the same cell (a pre-``force`` cache envelope, or a
-discarded over-budget serial payload): a digest mismatch flags the
+discarded over-budget payload): a digest mismatch flags the
 cell *flaky* — nondeterministic — via ``cell-flaky`` journal events
 and :attr:`CellResult.flaky`, rather than passing silently.
 """
@@ -101,19 +102,39 @@ def _cell_worker(
     ``chaos`` is an optional directive from the seeded
     :class:`~repro.campaign.chaos.ChaosSpec` plan, inflicted *before*
     the cell executes (raise / SIGKILL / sleep) so an afflicted attempt
-    can fail or stall but never alter a payload.  The serial path calls
-    this same function, which is what guarantees parallel and serial
-    runs compute byte-identical payloads.
+    can fail or stall but never alter a payload.  The clock starts
+    before the chaos, so a hang counts against the cell timeout.  An
+    in-process run calls this same function, which is what guarantees
+    parallel and serial runs compute byte-identical payloads.
     """
+    start = time.perf_counter()
     if chaos is not None:
         perform_chaos(chaos)
-    cell = CellSpec.from_dict(cell_payload)
-    start = time.perf_counter()
-    payload = execute_cell(cell)
+    payload = execute_cell(CellSpec.from_dict(cell_payload))
     return payload, time.perf_counter() - start
 
 
-def _terminate_pool(pool: ProcessPoolExecutor) -> None:
+class _InProcess:
+    """The serial stand-in for a pool: ``submit`` runs the cell here.
+
+    It returns an already-finished future, so the supervision loop
+    sweeps an in-process result exactly like a pool result.  Nothing
+    runs in the background, so :meth:`shutdown` has nothing to stop.
+    """
+
+    def submit(self, fn: Callable[..., Any], *args: Any) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as error:
+            future.set_exception(error)
+        return future
+
+    def shutdown(self, wait: bool = True, cancel_futures: bool = False) -> None:
+        pass
+
+
+def _terminate_pool(pool: Union[ProcessPoolExecutor, _InProcess]) -> None:
     """Hard-stop a pool: cancel queued cells, SIGKILL running workers.
 
     ``Future.cancel`` is a no-op once a cell is running, so the only
@@ -286,9 +307,9 @@ class CampaignExecutor:
     Parameters
     ----------
     workers:
-        Process count for pending cells; ``0``/``1`` run serially
-        in-process (the default — current behaviour and golden digests
-        are preserved).
+        Process count for pending cells; ``0``/``1`` run them one at
+        a time in this process (the default; payloads and golden
+        digests are the same either way).
     cache_dir:
         Result-cache root; defaults to ``$REPRO_CACHE_DIR`` or
         ``./.repro_cache``.
@@ -302,14 +323,13 @@ class CampaignExecutor:
         aborts — or, under ``keep_going``, the cell is quarantined.
         Each retry waits a deterministic seeded backoff
         (:func:`~repro.campaign.chaos.seeded_backoff` over
-        ``backoff_s``).
+        ``backoff_s``) while other cells run.
     cell_timeout:
-        Wall-clock budget per cell attempt, in seconds.  On the
-        parallel path an overdue cell's worker is killed (the pool
-        respawns; innocent in-flight cells are requeued without being
-        charged an attempt); on the serial path the budget is enforced
-        post-hoc — a cell cannot be pre-empted in-process, so the
-        over-budget payload is discarded and the cell retried.
+        Wall-clock budget per cell attempt, in seconds.  A result
+        that took longer is discarded and the cell retried.  In a pool
+        an overdue cell's worker is also killed (the pool respawns;
+        innocent in-flight cells are requeued without being charged an
+        attempt); a cell running in process cannot be pre-empted.
         ``None`` (default) disables the budget.
     chaos:
         A :class:`~repro.campaign.chaos.ChaosSpec` of harness faults
@@ -407,10 +427,8 @@ class CampaignExecutor:
             self._journal(state, record)
 
         try:
-            if pending and self.workers >= 2:
-                self._run_parallel(state, pending)
-            elif pending:
-                self._run_serial(state, pending)
+            if pending:
+                self._supervise(state, pending)
         except _Abort as stop:
             self._journal(state, {
                 "event": "abort",
@@ -449,68 +467,43 @@ class CampaignExecutor:
             cells=[state.results[index] for index in range(total)],
         )
 
-    # -- execution paths ---------------------------------------------------
-    def _run_serial(self, state: _RunState, pending: List[int]) -> None:
-        """In-process execution with retries and post-hoc timeouts."""
-        ready: Deque[int] = deque(pending)
-        while ready:
-            index = ready.popleft()
-            cell = state.campaign.cells[index]
-            try:
-                payload, elapsed = _cell_worker(
-                    cell.to_dict(), self._chaos_directive(state, index, serial=True)
-                )
-            except Exception as error:
-                delay = self._fail_attempt(
-                    state, index, _classify(error), str(error), cause=error
-                )
-                if delay is not None:
-                    time.sleep(delay)
-                    ready.appendleft(index)
-                continue
-            if self.cell_timeout is not None and elapsed > self.cell_timeout:
-                # Serial cells cannot be pre-empted; enforce post-hoc.
-                # The discarded payload seeds the flaky cross-check.
-                state.prior_payload.setdefault(index, payload_digest(payload))
-                delay = self._fail_attempt(
-                    state, index, FAIL_TIMEOUT,
-                    f"cell took {elapsed:.2f}s, over the {self.cell_timeout:g}s "
-                    "budget (serial enforcement is post-hoc)",
-                )
-                if delay is not None:
-                    time.sleep(delay)
-                    ready.appendleft(index)
-                continue
-            self._complete(state, index, payload, elapsed)
+    # -- the supervision loop ----------------------------------------------
+    def _supervise(self, state: _RunState, pending: List[int]) -> None:
+        """Run every pending cell: timeouts, crash recovery, retries.
 
-    def _run_parallel(self, state: _RunState, pending: List[int]) -> None:
-        """Supervised pool execution: timeouts, crash recovery, retries.
-
-        Cells are submitted in a window of at most ``workers`` at a
-        time, so every outstanding future is genuinely running and its
-        deadline is meaningful.  The pool is killed and respawned to
-        stop overdue cells or recover from a dead worker; queued cells
-        are cancelled via ``shutdown(cancel_futures=True)`` and
-        in-flight workers killed on abort (cancelling a running future
-        is a no-op — see :func:`_terminate_pool`).
+        With ``workers >= 2`` cells go to a process pool in a window of
+        at most ``workers`` at a time, so every outstanding future is
+        genuinely running and its deadline is meaningful; otherwise
+        :class:`_InProcess` runs each one here as it is submitted.  A
+        failed cell waits out its backoff on the heap while other cells
+        run.  The pool is killed and respawned to stop overdue cells or
+        recover from a dead worker; queued cells are cancelled via
+        ``shutdown(cancel_futures=True)`` and in-flight workers killed
+        on abort (cancelling a running future is a no-op — see
+        :func:`_terminate_pool`).
         """
-        max_workers = min(self.workers, len(pending))
+        in_process = self.workers < 2
+        window = 1 if in_process else min(self.workers, len(pending))
+
+        def spawn() -> Union[ProcessPoolExecutor, _InProcess]:
+            return _InProcess() if in_process else ProcessPoolExecutor(window)
+
         ready: Deque[int] = deque(pending)
         retries_due: List[Tuple[float, int]] = []  # (monotonic due time, index)
         inflight: Dict[Future, Tuple[int, float]] = {}  # future -> (index, deadline)
-        pool = ProcessPoolExecutor(max_workers=max_workers)
+        pool = spawn()
         respawns = 0
         try:
             while ready or retries_due or inflight:
                 now = time.monotonic()
                 while retries_due and retries_due[0][0] <= now:
                     ready.append(heapq.heappop(retries_due)[1])
-                while ready and len(inflight) < max_workers:
+                while ready and len(inflight) < window:
                     index = ready.popleft()
                     future = pool.submit(
                         _cell_worker,
                         state.campaign.cells[index].to_dict(),
-                        self._chaos_directive(state, index, serial=False),
+                        self._chaos_directive(state, index, in_process),
                     )
                     deadline = (
                         now + self.cell_timeout if self.cell_timeout else float("inf")
@@ -542,12 +535,22 @@ class CampaignExecutor:
                         pool_broken = True
                         crash_lost.append(index)
                     except Exception as error:
-                        self._retry_later(
+                        self._fail_attempt(
                             state, retries_due, index,
                             _classify(error), str(error), cause=error,
                         )
                     else:
-                        self._complete(state, index, payload, elapsed)
+                        if self.cell_timeout is None or elapsed <= self.cell_timeout:
+                            self._complete(state, index, payload, elapsed)
+                            continue
+                        # Over budget: the payload is discarded, but its
+                        # digest seeds the flaky cross-check.
+                        state.prior_payload.setdefault(index, payload_digest(payload))
+                        self._fail_attempt(
+                            state, retries_due, index, FAIL_TIMEOUT,
+                            f"cell took {elapsed:.2f}s, over the "
+                            f"{self.cell_timeout:g}s budget (judged post-hoc)",
+                        )
 
                 if pool_broken or getattr(pool, "_broken", False):
                     # A worker died (SIGKILL, OOM, segfault).  Everything
@@ -567,16 +570,14 @@ class CampaignExecutor:
                         f"{len(crash_lost)} lost cell(s)"
                     )
                     _terminate_pool(pool)
-                    pool = ProcessPoolExecutor(max_workers=max_workers)
+                    pool = spawn()
                     for index in sorted(crash_lost):
-                        self._retry_later(
+                        self._fail_attempt(
                             state, retries_due, index, FAIL_WORKER_CRASH,
                             "worker process died mid-cell (killed or crashed)",
                         )
                     continue
 
-                if self.cell_timeout is None:
-                    continue
                 now = time.monotonic()
                 overdue = {
                     future: index
@@ -601,9 +602,9 @@ class CampaignExecutor:
                     "requeued": requeued,
                 })
                 _terminate_pool(pool)
-                pool = ProcessPoolExecutor(max_workers=max_workers)
+                pool = spawn()
                 for index in sorted(overdue.values()):
-                    self._retry_later(
+                    self._fail_attempt(
                         state, retries_due, index, FAIL_TIMEOUT,
                         f"exceeded the {self.cell_timeout:g}s cell timeout "
                         "(worker killed)",
@@ -618,7 +619,7 @@ class CampaignExecutor:
 
     # -- per-cell bookkeeping ----------------------------------------------
     def _chaos_directive(
-        self, state: _RunState, index: int, serial: bool
+        self, state: _RunState, index: int, in_process: bool
     ) -> Optional[Dict[str, Any]]:
         """The chaos to inflict on this attempt of this cell, if any."""
         if self.chaos is None or not state.chaos_plan:
@@ -629,7 +630,7 @@ class CampaignExecutor:
         directive: Dict[str, Any] = {"kind": kind}
         if kind == CHAOS_HANG:
             directive["hang_s"] = self.chaos.hang_s
-        elif kind == CHAOS_KILL and serial:
+        elif kind == CHAOS_KILL and in_process:
             directive["simulate_kill"] = True
         return directive
 
@@ -692,18 +693,20 @@ class CampaignExecutor:
     def _fail_attempt(
         self,
         state: _RunState,
+        retries_due: List[Tuple[float, int]],
         index: int,
         kind: str,
         error: str,
         cause: Optional[BaseException] = None,
-    ) -> Optional[float]:
+    ) -> None:
         """Record one failed attempt; decide what happens to the cell.
 
-        Returns the deterministic backoff delay (seconds) when the cell
-        should retry, or ``None`` when it was quarantined.  In
-        fail-fast mode (``keep_going=False``) an exhausted cell raises
-        :class:`_Abort` instead, which ``run()`` turns into a journal
-        ``abort`` event plus a :class:`CampaignError`.
+        A cell with retries left goes on the ``retries_due`` heap, due
+        after its deterministic seeded backoff; an exhausted one is
+        quarantined under ``keep_going``.  In fail-fast mode
+        (``keep_going=False``) an exhausted cell raises :class:`_Abort`
+        instead, which ``run()`` turns into a journal ``abort`` event
+        plus a :class:`CampaignError`.
         """
         attempt = state.attempts.get(index, 0)
         state.attempts[index] = attempt + 1
@@ -733,30 +736,17 @@ class CampaignExecutor:
                 "attempt": next_attempt,
                 "backoff_s": round(delay, 6),
             })
-            return delay
+            heapq.heappush(retries_due, (time.monotonic() + delay, index))
+            return
         if state.keep_going:
             self._quarantine(state, index)
-            return None
+            return
         raise _Abort(
             CampaignError(
                 f"cell {cell.label!r} failed after {next_attempt} attempt(s): {error}"
             ),
             cause=cause,
         )
-
-    def _retry_later(
-        self,
-        state: _RunState,
-        retries_due: List[Tuple[float, int]],
-        index: int,
-        kind: str,
-        error: str,
-        cause: Optional[BaseException] = None,
-    ) -> None:
-        """Parallel-path failure: schedule the retry on the backoff heap."""
-        delay = self._fail_attempt(state, index, kind, error, cause=cause)
-        if delay is not None:
-            heapq.heappush(retries_due, (time.monotonic() + delay, index))
 
     def _quarantine(self, state: _RunState, index: int) -> None:
         """Give up on one cell under ``keep_going``; the run continues."""

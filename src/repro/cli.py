@@ -53,7 +53,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.faults import (
     FaultError,
@@ -151,9 +151,8 @@ def _scenario_spec(args, validate: bool = False, run_until_quiet: bool = False) 
     if faults:
         schedule = _load_faults(faults, spec)
         try:
-            # --faults overrides whatever the spec declared (a legacy
-            # churn block included).
-            spec = spec.with_workload(faults=schedule, churn=None)
+            # --faults overrides whatever timeline the spec declared.
+            spec = spec.with_workload(faults=schedule)
         except (ScenarioError, FaultError) as error:
             raise SystemExit(f"cannot apply fault schedule: {error}")
     return spec
@@ -192,8 +191,8 @@ def _figure_base(args, spec: Optional[ScenarioSpec] = None) -> ScenarioSpec:
         ignored.append(f"topology kind {spec.topology.kind!r}")
     if spec.adversaries:
         ignored.append("adversaries")
-    if spec.workload.fault_schedule() is not None:
-        ignored.append("churn" if spec.workload.churn is not None else "faults")
+    if spec.workload.faults is not None:
+        ignored.append("faults")
     if ignored:
         print(
             f"note: figure commands use the scenario's scale only; "
@@ -220,35 +219,41 @@ def _telemetry_dir(args) -> Optional[str]:
     return getattr(args, "telemetry", None) or telemetry_dir_from_env()
 
 
-def _trace_sample(args) -> Optional[float]:
-    """The block-trace sample rate in effect: ``--trace-sample`` or env."""
-    from repro.telemetry.spans import trace_sample_from_env
+def _trace_sample(args, telemetry_dir: Optional[str]) -> Tuple[Optional[float], str]:
+    """``(rate, problem)``: the block-trace sample rate in effect
+    (``--trace-sample`` or the env), or why it cannot be used — a bad
+    rate, or a rate without a telemetry directory (an exit-2 message)."""
+    from repro.telemetry import (
+        TelemetryError,
+        trace_sample_from_env,
+        trace_sample_rate,
+    )
 
     rate = getattr(args, "trace_sample", None)
-    if rate is not None:
-        return min(float(rate), 1.0) if rate > 0 else None
-    return trace_sample_from_env()
+    try:
+        sample = (
+            trace_sample_from_env() if rate is None
+            else trace_sample_rate(rate, "--trace-sample")
+        )
+    except TelemetryError as error:
+        return None, str(error)
+    if sample is not None and not telemetry_dir:
+        return None, ("--trace-sample needs a telemetry directory "
+                      "(--telemetry or $REPRO_TELEMETRY)")
+    return sample, ""
 
 
 def cmd_simulate(args) -> int:
     """Run a scenario's slot workload; print its summary and trace digest."""
+    from repro.telemetry import run_recorders
+
     spec = _scenario_spec(args, validate=args.validate, run_until_quiet=True)
-    telemetry = None
     telemetry_dir = _telemetry_dir(args)
-    if telemetry_dir:
-        from repro.telemetry import TelemetryRecorder
-
-        telemetry = TelemetryRecorder(telemetry_dir)
-    spans = None
-    sample = _trace_sample(args)
-    if sample is not None:
-        if not telemetry_dir:
-            print("--trace-sample needs a telemetry directory "
-                  "(--telemetry or $REPRO_TELEMETRY)", file=sys.stderr)
-            return 2
-        from repro.telemetry.spans import SpanRecorder
-
-        spans = SpanRecorder(telemetry_dir, sample=sample)
+    sample, problem = _trace_sample(args, telemetry_dir)
+    if problem:
+        print(problem, file=sys.stderr)
+        return 2
+    telemetry, spans = run_recorders(telemetry_dir, sample)
     runner = ScenarioRunner(spec, telemetry=telemetry, spans=spans)
     result = runner.run()
     print(result.summary())
@@ -316,13 +321,10 @@ def cmd_scenarios(args) -> int:
               f"({spec.backend} backend, {spec.node_count} nodes, "
               f"{spec.workload.slots} slots, "
               f"gamma {spec.protocol.gamma}, seed {spec.seed})")
-        schedule = spec.workload.fault_schedule()
+        schedule = spec.workload.faults
         if schedule is not None:
-            source = (
-                "compiled from churn" if spec.workload.faults is None
-                else "declared timeline"
-            )
-            print(f"fault schedule ({len(schedule.events)} event(s), {source}):")
+            print(f"fault schedule ({len(schedule.events)} event(s), "
+                  "declared timeline):")
             for line in schedule.describe():
                 print(f"  {line}")
         return 0
@@ -390,12 +392,11 @@ def cmd_campaign(args) -> int:
     if args.action == "run":
         from repro.telemetry.spans import TRACE_SAMPLE_ENV_VAR
 
-        trace_sample = _trace_sample(args)
+        trace_sample, problem = _trace_sample(args, telemetry_dir)
+        if problem:
+            print(problem, file=sys.stderr)
+            return 2
         if trace_sample is not None:
-            if not telemetry_dir:
-                print("--trace-sample needs a telemetry directory "
-                      "(--telemetry or $REPRO_TELEMETRY)", file=sys.stderr)
-                return 2
             os.environ[TRACE_SAMPLE_ENV_VAR] = f"{trace_sample:g}"
     monitors_mode = getattr(args, "monitors", "off")
     if monitors_mode != "off" and not telemetry_dir:
@@ -795,10 +796,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--trace-sample", type=float, default=None,
                        metavar="RATE",
                        help="record block-lifecycle trace streams for a "
-                            "deterministic RATE sample of blocks (0..1, "
-                            "also via $REPRO_TRACE_SAMPLE; needs a "
-                            "telemetry directory) — a pure observation "
-                            "like --telemetry")
+                            "deterministic RATE sample of blocks (0 is off, "
+                            "else a rate in (0, 1]; also via "
+                            "$REPRO_TRACE_SAMPLE; needs a telemetry "
+                            "directory) — a pure observation like "
+                            "--telemetry")
 
     def common(p):
         scenario_arg(p)
@@ -817,7 +819,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="inject a fault timeline: a schedule JSON file or "
                         f"a preset ({', '.join(fault_preset_names())}), "
                         "scaled to the scenario; overrides the spec's own "
-                        "faults/churn (see docs/faults.md)")
+                        "faults (see docs/faults.md)")
     telemetry_arg(p)
     trace_sample_arg(p)
     p.set_defaults(fn=cmd_simulate)
@@ -879,7 +881,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "aborts or quarantines it (default: 2)")
     p_run.add_argument("--cell-timeout", type=float, default=None, metavar="S",
                        help="wall-clock budget per cell attempt in seconds; "
-                            "a hung cell is killed and retried (default: none)")
+                            "an attempt over it is retried, and a hung pool "
+                            "worker is killed (default: none)")
     p_run.add_argument("--keep-going", action="store_true",
                        help="quarantine cells that exhaust their retries and "
                             "complete the rest instead of aborting (exit 1 "

@@ -10,11 +10,9 @@ dispatching through the fault hooks every
 schedule runs identically on the paper's two-layer DAG, the PBFT
 cluster (crashed replicas exercise view changes) and the IOTA tangle.
 
-The legacy :class:`~repro.scenario.spec.ChurnSpec` is sugar over this
-layer: it compiles to a two-event crash/rejoin schedule via
-:meth:`FaultScheduleSpec.from_churn`, preserving its serialized form
-(and therefore all existing spec JSON and campaign cell digests)
-byte for byte.
+A duty-cycled node (§VII dynamic membership) is a ``node-crash`` event
+followed by a ``node-rejoin``; the ``churn`` scenario preset declares
+exactly that pair.
 
 Named schedule builders parameterized on the scenario's shape live in
 :mod:`repro.faults.presets` (``mid-crash``, ``partition-heal``,

@@ -6,9 +6,7 @@
 calls :meth:`FaultEngine.apply_due`, which dispatches each due event
 through the backend's ``apply_fault`` hook (see
 :class:`~repro.scenario.backends.LedgerBackend`).  Events fire in
-timeline order exactly once, *before* their slot is scheduled — the
-same semantics the legacy churn path had, which is what makes
-ChurnSpec → schedule compilation trace-identical.
+timeline order exactly once, *before* their slot is scheduled.
 """
 
 from __future__ import annotations

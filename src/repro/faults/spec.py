@@ -53,9 +53,7 @@ from typing import (
     Callable,
     Dict,
     FrozenSet,
-    Iterable,
     List,
-    Optional,
     Tuple,
     Type,
     Union,
@@ -359,36 +357,6 @@ class FaultScheduleSpec:
     def describe(self) -> List[str]:
         """One compact line per event, in timeline order."""
         return [event.describe() for event in self.events]
-
-    # -- churn sugar -------------------------------------------------------
-    @classmethod
-    def from_churn(
-        cls,
-        offline_nodes: Iterable[int],
-        offline_slot: int,
-        rejoin_slot: Optional[int] = None,
-        forgive_on_rejoin: bool = True,
-    ) -> "FaultScheduleSpec":
-        """Compile the legacy ChurnSpec fields to a crash(+rejoin) timeline.
-
-        Duplicate node ids are collapsed (first occurrence wins): the
-        legacy churn hooks applied them idempotently, so a spec that
-        listed a node twice must keep loading and running.
-        """
-        nodes = tuple(dict.fromkeys(offline_nodes))
-        events: List[FaultEvent] = [
-            FaultEvent(kind=NODE_CRASH, slot=offline_slot, nodes=nodes)
-        ]
-        if rejoin_slot is not None:
-            events.append(
-                FaultEvent(
-                    kind=NODE_REJOIN,
-                    slot=rejoin_slot,
-                    nodes=nodes,
-                    forgive=forgive_on_rejoin,
-                )
-            )
-        return cls(events=tuple(events))
 
     # -- serialization -----------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:

@@ -1,7 +1,7 @@
 """The unified scenario pipeline: declarative spec → runner → result.
 
 One :class:`ScenarioSpec` declares a whole 2LDAG run — protocol knobs,
-topology, workload (slots, validation, churn), adversaries, and seeds
+topology, workload (slots, validation, fault timeline), adversaries, and seeds
 — with JSON round-trip for committing and replaying scenarios.  A
 :class:`ScenarioRunner` builds the deployment, drives it, and returns
 a structured :class:`ScenarioResult`.  Named presets (``quickstart``,
@@ -48,7 +48,6 @@ from repro.scenario.spec import (
     RANDOM_1_2,
     TOPOLOGY_KINDS,
     AdversarySpec,
-    ChurnSpec,
     IotaParams,
     PbftParams,
     ProtocolSpec,
@@ -67,7 +66,6 @@ __all__ = [
     "RANDOM_1_2",
     "TOPOLOGY_KINDS",
     "AdversarySpec",
-    "ChurnSpec",
     "IotaParams",
     "LedgerBackend",
     "PbftParams",

@@ -157,7 +157,7 @@ class LedgerBackend(ABC):
     name: ClassVar[str] = ""
 
     #: Fault event kinds this backend honours; spec validation checks a
-    #: scenario's schedule (or compiled churn) against this roster, and
+    #: scenario's schedule against this roster, and
     #: :meth:`apply_fault` re-checks at dispatch time so a mid-run
     #: schedule swap cannot smuggle an unsupported event through.
     fault_capabilities: ClassVar[Tuple[str, ...]] = ()

@@ -25,11 +25,11 @@ import math
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.faults.presets import build_fault_preset
+from repro.faults.spec import NODE_CRASH, NODE_REJOIN, FaultEvent, FaultScheduleSpec
 from repro.metrics.units import mb_to_bits
 from repro.scenario.spec import (
     RANDOM_1_2,
     AdversarySpec,
-    ChurnSpec,
     ProtocolSpec,
     ScenarioSpec,
     TopologySpec,
@@ -313,6 +313,7 @@ def _attack_sybil() -> ScenarioSpec:
 
 @register_scenario
 def _churn() -> ScenarioSpec:
+    duty_cycled = (3, 6, 9, 12, 15, 17)
     return ScenarioSpec(
         name="churn",
         description=(
@@ -324,11 +325,10 @@ def _churn() -> ScenarioSpec:
         workload=WorkloadSpec(
             slots=35,
             generation_period=1,
-            churn=ChurnSpec(
-                offline_nodes=(3, 6, 9, 12, 15, 17),
-                offline_slot=15,
-                rejoin_slot=25,
-            ),
+            faults=FaultScheduleSpec(events=(
+                FaultEvent(kind=NODE_CRASH, slot=15, nodes=duty_cycled),
+                FaultEvent(kind=NODE_REJOIN, slot=25, nodes=duty_cycled),
+            )),
         ),
         seed=77,
     )

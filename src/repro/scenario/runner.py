@@ -211,7 +211,7 @@ class ScenarioRunner:
             self.spans.run_started(self.spec, backend.wired.tracer)
         if self.telemetry is not None:
             self.telemetry.run_started(self.spec)
-        schedule = self.spec.workload.fault_schedule()
+        schedule = self.spec.workload.faults
         if schedule is not None:
             self.fault_engine = FaultEngine(
                 schedule, backend, observer=self._fault_applied

@@ -2,7 +2,8 @@
 
 A :class:`ScenarioSpec` is the single source of truth for one 2LDAG
 run: protocol knobs, a named+parameterized topology, the slot workload
-(including churn), an optional adversary roster and the master seed.
+(its fault timeline included), an optional adversary roster and the
+master seed.
 Specs are frozen, validated on construction, and round-trip through
 JSON (:meth:`ScenarioSpec.to_dict` / :meth:`ScenarioSpec.from_dict` /
 :meth:`ScenarioSpec.from_file`), so a scenario can be committed,
@@ -217,51 +218,6 @@ class ProtocolSpec:
 
 
 @dataclass(frozen=True)
-class ChurnSpec:
-    """Mid-run membership changes: nodes leave and optionally rejoin.
-
-    ``offline_nodes`` go offline just before slot ``offline_slot`` is
-    scheduled; when ``rejoin_slot`` is set they come back online before
-    that slot, and with ``forgive_on_rejoin`` every node records
-    renewed cooperation (§IV-D-6 blacklist forgiveness).
-
-    This is legacy sugar over the fault layer: at run time it compiles
-    to a two-event crash/rejoin
-    :class:`~repro.faults.spec.FaultScheduleSpec` (see
-    :meth:`compile` and :meth:`WorkloadSpec.fault_schedule`), while its
-    serialized form — and therefore every existing spec JSON and
-    campaign cell digest — stays byte-identical.
-    """
-
-    offline_nodes: Tuple[int, ...] = ()
-    offline_slot: int = 0
-    rejoin_slot: Optional[int] = None
-    forgive_on_rejoin: bool = True
-
-    def __post_init__(self) -> None:
-        if not self.offline_nodes:
-            raise ScenarioError("churn with no offline_nodes is meaningless")
-        if self.offline_slot < 0:
-            raise ScenarioError(
-                f"offline_slot must be non-negative, got {self.offline_slot}"
-            )
-        if self.rejoin_slot is not None and self.rejoin_slot <= self.offline_slot:
-            raise ScenarioError(
-                f"rejoin_slot {self.rejoin_slot} must come after "
-                f"offline_slot {self.offline_slot}"
-            )
-
-    def compile(self) -> FaultScheduleSpec:
-        """The equivalent crash(+rejoin) fault timeline."""
-        return FaultScheduleSpec.from_churn(
-            self.offline_nodes,
-            self.offline_slot,
-            rejoin_slot=self.rejoin_slot,
-            forgive_on_rejoin=self.forgive_on_rejoin,
-        )
-
-
-@dataclass(frozen=True)
 class WorkloadSpec:
     """The slot-driven workload (§VI) a scenario runs.
 
@@ -271,11 +227,10 @@ class WorkloadSpec:
     snapshots storage/traffic series, ``run_until_quiet`` drains
     in-flight validations after the last slot.
 
-    ``faults`` declares a full fault timeline
-    (:class:`~repro.faults.spec.FaultScheduleSpec`); ``churn`` is the
-    legacy crash/rejoin shorthand and compiles to one — declare one or
-    the other, not both (:meth:`fault_schedule` resolves whichever is
-    present).
+    ``faults`` declares the fault timeline
+    (:class:`~repro.faults.spec.FaultScheduleSpec`) — crashes and
+    rejoins (§VII dynamic membership) included — or is ``None`` for a
+    fault-free run.
     """
 
     slots: int = 40
@@ -287,7 +242,6 @@ class WorkloadSpec:
     run_until_quiet: bool = False
     quiet_time: float = 50.0
     sample_slots: Tuple[int, ...] = ()
-    churn: Optional[ChurnSpec] = None
     faults: Optional[FaultScheduleSpec] = None
 
     def __post_init__(self) -> None:
@@ -319,41 +273,11 @@ class WorkloadSpec:
                     f"sample slot {self.sample_slots[-1]} exceeds the "
                     f"{self.slots}-slot workload"
                 )
-        if self.churn is not None and self.faults is not None:
-            raise ScenarioError(
-                "declare either churn (legacy shorthand) or faults (a full "
-                "timeline), not both"
-            )
-        if self.churn is not None:
-            if self.churn.offline_slot >= self.slots:
-                raise ScenarioError(
-                    f"churn offline_slot {self.churn.offline_slot} is past the "
-                    f"{self.slots}-slot workload"
-                )
-            if self.churn.rejoin_slot is not None and self.churn.rejoin_slot >= self.slots:
-                raise ScenarioError(
-                    f"churn rejoin_slot {self.churn.rejoin_slot} is past the "
-                    f"{self.slots}-slot workload"
-                )
         if self.faults is not None and self.faults.max_slot >= self.slots:
             raise ScenarioError(
                 f"fault event at slot {self.faults.max_slot} is past the "
                 f"{self.slots}-slot workload"
             )
-
-    def fault_schedule(self) -> Optional[FaultScheduleSpec]:
-        """The effective fault timeline: ``faults``, compiled ``churn``,
-        or ``None`` for a fault-free run."""
-        if self.faults is not None:
-            return self.faults
-        if self.churn is not None:
-            try:
-                return self.churn.compile()
-            except FaultError as error:
-                raise ScenarioError(
-                    f"churn does not compile to a fault schedule: {error}"
-                )
-        return None
 
 
 @dataclass(frozen=True)
@@ -445,7 +369,7 @@ class ScenarioSpec:
                     f"generation_period=1, got "
                     f"{self.workload.generation_period!r}"
                 )
-        schedule = self.workload.fault_schedule()
+        schedule = self.workload.faults
         if schedule is not None:
             capabilities = known_fault_capabilities(self.backend)
             unsupported = sorted(schedule.kinds - set(capabilities))
@@ -525,8 +449,6 @@ class ScenarioSpec:
 
         payload: Dict[str, Any] = listify(dataclasses.asdict(self))
         payload["format_version"] = SPEC_FORMAT_VERSION
-        if self.workload.churn is None:
-            payload["workload"].pop("churn")
         # Fault timelines serialize through their own canonical form
         # (kind-relevant event fields only); fault-free workloads omit
         # the key entirely so pre-fault spec JSON — and every campaign
@@ -566,8 +488,6 @@ class ScenarioSpec:
         workload = read_section(
             WorkloadSpec, "workload", data.get("workload", {}), ScenarioError
         )
-        if workload.get("churn") is not None:
-            workload["churn"] = _build(ChurnSpec, "workload.churn", workload["churn"])
         if workload.get("faults") is not None:
             try:
                 workload["faults"] = FaultScheduleSpec.from_dict(workload["faults"])

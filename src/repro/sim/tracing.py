@@ -2,8 +2,8 @@
 
 Protocols emit :class:`TraceRecord`\\ s through a :class:`Tracer`; tests
 and experiment runners subscribe to categories to observe behaviour
-without instrumenting protocol code.  Tracing is off by default and
-costs one predicate check per emit when disabled.
+without instrumenting protocol code.  Tracing is off until the first
+subscriber and costs one predicate check per emit while off.
 """
 
 from __future__ import annotations
@@ -38,22 +38,16 @@ class TraceRecord(NamedTuple):
 
 
 class Tracer:
-    """Collects and dispatches :class:`TraceRecord` objects.
+    """Dispatches :class:`TraceRecord` objects to prefix subscribers.
 
-    Parameters
-    ----------
-    enabled:
-        When ``False`` (the default), :meth:`emit` is a no-op except for
-        registered live subscribers, and nothing is retained.
-    keep:
-        When ``True``, all emitted records are retained in
-        :attr:`records` for later inspection.
+    :attr:`enabled` stays ``False`` — every :meth:`emit` a no-op — until
+    the first :meth:`subscribe`; emission sites read it to skip building
+    a record's detail.  Nothing is retained: a subscriber that wants the
+    records keeps them (``tracer.subscribe("", records.append)``).
     """
 
-    def __init__(self, enabled: bool = False, keep: bool = False) -> None:
-        self.enabled = enabled
-        self.keep = keep
-        self.records: List[TraceRecord] = []
+    def __init__(self) -> None:
+        self.enabled = False
         self._subscribers: Dict[str, List[Callable[[TraceRecord], None]]] = {}
         #: Exact category -> matching callbacks, built lazily per
         #: category so the hot emit path is one dict lookup instead of
@@ -97,18 +91,8 @@ class Tracer:
                 for callback in registered
             )
             self._dispatch[category] = callbacks
-        if not callbacks and not self.keep:
+        if not callbacks:
             return
         record = TraceRecord(time, category, node, detail)
-        if self.keep:
-            self.records.append(record)
         for callback in callbacks:
             callback(record)
-
-    def by_category(self, category_prefix: str) -> List[TraceRecord]:
-        """All retained records whose category starts with the prefix."""
-        return [r for r in self.records if r.category.startswith(category_prefix)]
-
-    def clear(self) -> None:
-        """Drop all retained records."""
-        self.records.clear()

@@ -51,7 +51,9 @@ from repro.telemetry.spans import (
     TRACE_SAMPLE_ENV_VAR,
     SpanRecorder,
     block_sampled,
+    run_recorders,
     trace_sample_from_env,
+    trace_sample_rate,
 )
 from repro.telemetry.stream import (
     FAULT,
@@ -112,6 +114,7 @@ __all__ = [
     "load_monitor_document",
     "parse_stream",
     "read_streams",
+    "run_recorders",
     "stream_filename",
     "stream_start",
     "stream_version",
@@ -120,6 +123,7 @@ __all__ = [
     "telemetry_dir_from_env",
     "trace_report",
     "trace_sample_from_env",
+    "trace_sample_rate",
     "validate_monitor_document",
     "validate_record",
     "validate_stream",

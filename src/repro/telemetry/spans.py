@@ -48,11 +48,13 @@ witness the determinism tests pin per backend.
 
 from __future__ import annotations
 
+import math
 import os
 from typing import Any, Dict, List, Optional, Tuple, Type
 
 from repro.canonical import sha256_lines
 from repro.sim.rng import derive_seed, derive_unit
+from repro.telemetry.events import TelemetryRecorder
 from repro.telemetry.stream import (
     BLOCK_TRACE,
     FAULT,
@@ -88,21 +90,31 @@ PHASE_ORDER: Dict[str, Tuple[str, ...]] = {
 IOTA_CONFIRM_WEIGHT = 3
 
 
+def trace_sample_rate(value: Any, source: str) -> Optional[float]:
+    """``value`` read as a block-trace sample rate; ``None`` when it is 0.
+
+    Anything but 0 (tracing off) or a finite rate in (0, 1] — a
+    negative, NaN, infinite, over-one or non-numeric value — is a
+    :class:`TelemetryError` naming ``source`` and the value.
+    """
+    try:
+        rate = float(value)
+    except ValueError:
+        rate = math.nan
+    if rate == 0:
+        return None
+    if not 0 < rate <= 1:  # also refuses NaN
+        raise TelemetryError(
+            f"{source} must be 0 (off) or a sample rate in (0, 1], "
+            f"got {value!r}"
+        )
+    return rate
+
+
 def trace_sample_from_env() -> Optional[float]:
     """The ``$REPRO_TRACE_SAMPLE`` rate, or ``None`` when unset/zero."""
     raw = os.environ.get(TRACE_SAMPLE_ENV_VAR, "").strip()
-    if not raw:
-        return None
-    try:
-        rate = float(raw)
-    except ValueError:
-        raise TelemetryError(
-            f"${TRACE_SAMPLE_ENV_VAR} must be a sample rate in (0, 1], "
-            f"got {raw!r}"
-        )
-    if rate <= 0:
-        return None
-    return min(rate, 1.0)
+    return trace_sample_rate(raw, f"${TRACE_SAMPLE_ENV_VAR}") if raw else None
 
 
 def block_sampled(master_seed: int, block_key: str, sample_rate: float) -> bool:
@@ -560,3 +572,17 @@ class SpanRecorder(StreamWriter):
             "spans": sum(len(record["spans"]) for record in block_traces),
             "digest": sha256_lines(self._body),
         })
+
+
+def run_recorders(
+    directory: Optional[PathLike], sample: Optional[float]
+) -> Tuple[Optional[TelemetryRecorder], Optional[SpanRecorder]]:
+    """One run's recorders: ``(telemetry, spans)``.
+
+    Per-slot telemetry is recorded when ``directory`` is set, and block
+    traces as well when ``sample`` is; without a directory neither is.
+    """
+    if not directory:
+        return None, None
+    spans = SpanRecorder(directory, sample=sample) if sample is not None else None
+    return TelemetryRecorder(directory), spans

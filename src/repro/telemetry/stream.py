@@ -23,6 +23,7 @@ reader.  Recorders keep only their record construction.
 from __future__ import annotations
 
 import json
+import math
 import re
 from pathlib import Path
 from typing import (
@@ -136,10 +137,20 @@ class TelemetryError(ValueError):
 # -- validation ----------------------------------------------------------------
 
 def _has_type(value: Any, types: Tuple[type, ...]) -> bool:
-    """The one type rule: a bool passes only where ``bool`` is listed."""
+    """The one type rule: a bool passes only where ``bool`` is listed,
+    and a float only when it is finite (JSON has no NaN or Infinity)."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return False
     return isinstance(value, types) and (
         bool in types or not isinstance(value, bool)
     )
+
+
+def _type_name(value: Any) -> str:
+    """How a defect message names the type of ``value``."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return f"non-finite float {value!r}"
+    return type(value).__name__
 
 
 def _check_fields(
@@ -158,7 +169,7 @@ def _check_fields(
         if not _has_type(value, types):
             raise TelemetryError(
                 f"{where}{what} field {name!r} has type "
-                f"{type(value).__name__}, expected "
+                f"{_type_name(value)}, expected "
                 f"{'/'.join(t.__name__ for t in types)}"
             )
     unknown = set(record) - set(spec) - set(extra_ok)
@@ -181,7 +192,7 @@ def _check_slot(record: Record, where: str) -> None:
             if not _has_type(value, _NUMBER):
                 raise TelemetryError(
                     f"{where}slot {name}[{key!r}] must be numeric, "
-                    f"got {type(value).__name__}"
+                    f"got {_type_name(value)}"
                 )
     if sorted(record["counters"]) != sorted(record["counter_deltas"]):
         raise TelemetryError(

@@ -19,7 +19,7 @@ import pytest
 from repro.campaign.cache import ResultCache
 from repro.campaign.cells import register_cell_kind
 from repro.campaign.chaos import ChaosSpec
-from repro.campaign.executor import CampaignExecutor
+from repro.campaign.executor import CampaignExecutor, _cell_worker
 from repro.campaign.spec import CampaignError, CampaignSpec, CellSpec, replicate_seeds
 from repro.scenario import get_scenario
 from repro.scenario.runner import ScenarioRunner
@@ -79,6 +79,16 @@ def hang_kind(cell):
     return {"ok": True, "seed": cell.scenario.seed}
 
 
+def overrun_worker(cell_payload, chaos=None):
+    """The cell worker, but a first attempt reports a minute of wall clock.
+
+    Module-level so pool workers (forked after this module is imported)
+    can unpickle it; the counter kind's payload says which attempt ran.
+    """
+    payload, elapsed = _cell_worker(cell_payload, chaos)
+    return payload, 60.0 if payload["attempt"] == 0 else elapsed
+
+
 def one_cell(kind: str, **params) -> CampaignSpec:
     return CampaignSpec(
         name="resilience",
@@ -133,6 +143,27 @@ class TestRetries:
         executor = CampaignExecutor(use_cache=False, retries=0)
         with pytest.raises(CampaignError, match="after 1 attempt"):
             executor.run(campaign)
+
+
+class TestSerialBackoff:
+    def test_healthy_cells_run_while_a_failed_one_backs_off(self, tmp_path):
+        sick = CellSpec(
+            scenario=tiny_spec(), kind="test-transient-kind",
+            params={"marker_dir": str(tmp_path / "m"), "fail_times": 1},
+        )
+        campaign = CampaignSpec(
+            name="backoff", cells=(sick,) + replicate_seeds(tiny_spec(), (0,))
+        )
+        result = CampaignExecutor(cache_dir=tmp_path / "cache", backoff_s=0.01).run(
+            campaign
+        )
+        assert [cell.index for cell in result.cells] == [0, 1]
+        assert [cell.attempts for cell in result.cells] == [2, 1]
+        events = ResultCache(tmp_path / "cache").read_journal(campaign.digest())
+        assert [(e["event"], e.get("index")) for e in events] == [
+            ("start", None), ("cell-failed", 0), ("cell-retry", 0),
+            ("cell", 1), ("cell", 0), ("end", None),
+        ]
 
 
 class TestKeepGoing:
@@ -269,6 +300,46 @@ class TestCellTimeouts:
         # determinism cross-check; the retry produced {"attempt": 1}
         assert cell.payload == {"attempt": 1}
         assert cell.flaky
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_an_over_budget_result_fails_as_a_timeout(
+        self, workers, tmp_path, monkeypatch
+    ):
+        import repro.campaign.executor as executor_module
+
+        monkeypatch.setattr(executor_module, "_cell_worker", overrun_worker)
+        campaign = one_cell("test-counter-kind", marker_dir=str(tmp_path / "m"))
+        result = CampaignExecutor(
+            workers=workers, cache_dir=tmp_path / "cache",
+            cell_timeout=30.0, backoff_s=0.01,
+        ).run(campaign)
+        cell = result.cells[0]
+        assert cell.ok and cell.attempts == 2
+        assert [f.kind for f in cell.failures] == ["timeout"]
+        assert cell.failures[0].error == (
+            "cell took 60.00s, over the 30s budget (judged post-hoc)"
+        )
+        # the discarded {"attempt": 0} seeds the determinism cross-check
+        assert cell.payload == {"attempt": 1}
+        assert cell.flaky
+        events = ResultCache(tmp_path / "cache").read_journal(campaign.digest())
+        assert "pool-respawn" not in [e["event"] for e in events]
+
+    def test_serial_chaos_hang_is_journalled_as_a_timeout(self, tmp_path):
+        # The clock starts before the chaos directive, so an in-process
+        # hang counts against the budget like any slow cell.
+        campaign = CampaignSpec(name="hang", cells=replicate_seeds(tiny_spec(), (0,)))
+        executor = CampaignExecutor(
+            cache_dir=tmp_path / "cache", cell_timeout=0.5, backoff_s=0.01,
+            chaos=ChaosSpec(seed=0, hangs=1, hang_s=0.8),
+        )
+        result = executor.run(campaign)
+        cell = result.cells[0]
+        assert cell.ok and cell.attempts == 2 and not cell.flaky
+        assert cell.payload == CampaignExecutor(use_cache=False).run(campaign).payloads()[0]
+        events = ResultCache(tmp_path / "cache").read_journal(campaign.digest())
+        failed = [e for e in events if e["event"] == "cell-failed"]
+        assert [e["kind"] for e in failed] == ["timeout"]
 
 
 class TestFlakyDetection:

@@ -28,7 +28,7 @@ class TestGridConstruction:
     def test_intensity_none_is_fault_free(self):
         assert fault_schedule_for("none", 10, 10) is None
         spec = fault_grid_scenario("pbft", "none", 0)
-        assert spec.workload.fault_schedule() is None
+        assert spec.workload.faults is None
 
     def test_unknown_intensity_rejected(self):
         with pytest.raises(ValueError, match="unknown fault intensity"):
@@ -83,7 +83,7 @@ class TestCellKind:
         assert len(axes) == 1
         (axis,) = axes
         for spec in specs:
-            schedule = spec.workload.fault_schedule()
+            schedule = spec.workload.faults
             if schedule is not None:
                 assert set(schedule.boundary_slots) <= set(axis)
 

@@ -6,9 +6,9 @@ The contracts pinned here:
   boundary before their slot is scheduled;
 * every registered backend honours the same crash+rejoin schedule and
   yields the identical canonical trace for one (seed, schedule) pair;
-* the legacy ChurnSpec compiles to a schedule whose run is
-  byte-identical to the churn run (per backend) and to the pinned
-  churn block counts (the existing churn golden behaviour);
+* a crash+rejoin timeline runs byte-identically to the retired
+  ``workload.churn`` shorthand it replaced (pinned digests per backend,
+  and the pinned churn block counts);
 * fault-free specs serialize and replay exactly as before (spec JSON
   and campaign cell digests untouched);
 * unsupported event kinds fail with the backend's capability roster.
@@ -25,7 +25,6 @@ from repro.faults import (
     FaultScheduleSpec,
 )
 from repro.scenario import (
-    ChurnSpec,
     ProtocolSpec,
     ScenarioRunner,
     ScenarioSpec,
@@ -256,53 +255,31 @@ class TestDeterminismPerBackend:
         )
 
 
+#: Per backend, the trace digest and block count of ``grid_spec`` with
+#: nodes 0 and 1 crashed at slot 3 and rejoining at slot 6, recorded
+#: when that run was declared through the retired ``workload.churn``
+#: shorthand (``offline_nodes=(0, 1), offline_slot=3, rejoin_slot=6``).
+CHURN_GOLDENS = {
+    "2ldag": ("9a8ab5243d0ac11524eba4031a3bee48ef54dcb7b6efb797f76da606f89eaf5c", 66),
+    "pbft": ("4d5651aac507f51fa3cfcaf7cbd06b6c4f618f8ece17db273d122b37f473ff6d", 74),
+    "iota": ("ea923dc1f4c5895a22056b883bd78ebde750edfd7273d4ef1de6f602666454b2", 66),
+}
+
+
 class TestChurnEquivalence:
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_churn_run_equals_compiled_schedule_run(self, backend):
-        churn = ChurnSpec(offline_nodes=(0, 1), offline_slot=3, rejoin_slot=6)
-        via_churn = run_scenario(grid_spec(backend=backend, churn=churn))
-        via_faults = run_scenario(
-            grid_spec(backend=backend, faults=churn.compile())
-        )
-        assert via_churn.trace_sha256 == via_faults.trace_sha256
-        assert via_churn.series == via_faults.series
-        assert via_churn.total_blocks == via_faults.total_blocks
+    def test_crash_rejoin_timeline_matches_the_churn_golden(self, backend):
+        result = run_scenario(grid_spec(backend=backend, faults=crash_rejoin()))
+        assert (result.trace_sha256, result.total_blocks) == CHURN_GOLDENS[backend]
 
     def test_churn_golden_block_counts_unchanged(self):
         # The pre-fault-engine churn behaviour, pinned by the original
         # runner tests: 9 nodes x 5 slots, then 7 x 5 with no rejoin.
-        churn = ChurnSpec(offline_nodes=(0, 1), offline_slot=5)
-        result = run_scenario(grid_spec(slots=10, churn=churn))
+        crash = FaultEvent(kind="node-crash", slot=5, nodes=(0, 1))
+        result = run_scenario(
+            grid_spec(slots=10, faults=FaultScheduleSpec(events=(crash,)))
+        )
         assert result.total_blocks == 9 * 5 + 7 * 5
-
-    def test_churn_serialization_unchanged(self):
-        # Churn stays a churn block on the wire — compilation happens
-        # at run time only, so existing spec JSON and campaign cell
-        # digests are byte-identical.
-        churn = ChurnSpec(offline_nodes=(2,), offline_slot=3, rejoin_slot=6)
-        payload = grid_spec(churn=churn).to_dict()
-        assert "faults" not in payload["workload"]
-        assert payload["workload"]["churn"]["offline_nodes"] == [2]
-
-    def test_duplicate_churn_nodes_still_load(self):
-        # The legacy hooks applied duplicate ids idempotently, so a
-        # spec listing a node twice must keep loading and compiling.
-        churn = ChurnSpec(offline_nodes=(1, 1, 2), offline_slot=3, rejoin_slot=6)
-        spec = grid_spec(churn=churn)
-        schedule = spec.workload.fault_schedule()
-        assert schedule.events[0].nodes == (1, 2)
-        dedup = ChurnSpec(offline_nodes=(1, 2), offline_slot=3, rejoin_slot=6)
-        assert (run_scenario(spec).trace_sha256
-                == run_scenario(grid_spec(churn=dedup)).trace_sha256)
-
-    def test_churn_and_faults_together_rejected(self):
-        from repro.scenario import ScenarioError
-
-        with pytest.raises(ScenarioError, match="not both"):
-            grid_spec(
-                churn=ChurnSpec(offline_nodes=(1,), offline_slot=2),
-                faults=crash_rejoin(),
-            )
 
 
 class TestSpecIntegration:

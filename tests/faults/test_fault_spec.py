@@ -172,25 +172,6 @@ class TestRoundTrip:
             FaultScheduleSpec.from_file(path)
 
 
-class TestChurnSugar:
-    def test_from_churn_two_events(self):
-        schedule = FaultScheduleSpec.from_churn((3, 6), 5, rejoin_slot=9)
-        assert [e.kind for e in schedule.events] == ["node-crash", "node-rejoin"]
-        assert schedule.events[0].nodes == (3, 6)
-        assert schedule.events[1].slot == 9
-        assert schedule.events[1].forgive is True
-
-    def test_from_churn_without_rejoin(self):
-        schedule = FaultScheduleSpec.from_churn((1,), 2)
-        assert [e.kind for e in schedule.events] == ["node-crash"]
-
-    def test_from_churn_forgive_flag(self):
-        schedule = FaultScheduleSpec.from_churn(
-            (1,), 2, rejoin_slot=4, forgive_on_rejoin=False
-        )
-        assert schedule.events[1].forgive is False
-
-
 class TestPresets:
     def test_roster(self):
         assert fault_preset_names() == [

@@ -110,14 +110,17 @@ class TestFaultInjection:
         assert "declared timeline" in out
         assert "link-degrade" in out
 
-    def test_validate_reports_compiled_churn(self, capsys, tmp_path):
+    def test_validate_reports_churn_as_a_declared_timeline(self, capsys, tmp_path):
         assert main(["scenarios", "show", "churn"]) == 0
         path = tmp_path / "churn.json"
         path.write_text(capsys.readouterr().out)
         assert main(["scenarios", "validate", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "compiled from churn" in out
-        assert "node-rejoin" in out
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:] == [
+            "fault schedule (2 event(s), declared timeline):",
+            "  slot 15: node-crash (nodes=3,6,9,12,15,17)",
+            "  slot 25: node-rejoin (nodes=3,6,9,12,15,17)",
+        ]
 
 
 class TestVerify:
@@ -377,6 +380,29 @@ class TestTracingCLI:
                      "--trace-sample", "0.5"])
         assert code == 2
         assert "telemetry directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rate", ["nan", "-1", "inf", "1.5"])
+    def test_bad_trace_sample_exits_2_naming_it(self, rate, capsys, tmp_path):
+        code = main(["simulate", "--scenario", "quickstart",
+                     "--telemetry", str(tmp_path), "--trace-sample", rate])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("--trace-sample must be 0 (off) or a sample rate")
+        assert f"got {float(rate)!r}" in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--scenario", "quickstart"],
+        ["campaign", "run", "smoke", "--no-cache"],
+    ])
+    def test_bad_trace_sample_env_exits_2(self, command, capsys, monkeypatch,
+                                          tmp_path):
+        monkeypatch.setenv("REPRO_TRACE_SAMPLE", "nan")
+        monkeypatch.setenv("REPRO_TELEMETRY", str(tmp_path))
+        code = main(command)
+        assert code == 2
+        assert "$REPRO_TRACE_SAMPLE must be 0 (off)" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.jsonl"))
 
     def test_validate_partitions_trace_streams(self, capsys, traced_dir):
         assert main(["telemetry", "validate", str(traced_dir)]) == 0

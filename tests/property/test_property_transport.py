@@ -136,7 +136,8 @@ def _drive(network_class, edges, steps, per_hop_latency=0.01):
     topology = explicit_topology(edges)
     nodes = topology.node_ids
     sim = Simulator()
-    tracer = Tracer(enabled=True, keep=True)
+    tracer, records = Tracer(), []
+    tracer.subscribe("", records.append)
     network = network_class(
         sim, topology, ledger=TrafficLedger(), per_hop_latency=per_hop_latency,
         category_fn=lambda kind: kind.split(".")[0], tracer=tracer,
@@ -227,7 +228,7 @@ def _drive(network_class, edges, steps, per_hop_latency=0.01):
         "traffic": {n: (dict(ledger._tx.get(n, {})), dict(ledger._rx.get(n, {}))) for n in nodes},
         "ledger order": (list(ledger._tx), list(ledger._rx), list(ledger.snapshot_tx())),
         "messages": ledger.message_counts(),
-        "trace": [(r.time, r.category, r.node, r.detail) for r in tracer.records],
+        "trace": [(r.time, r.category, r.node, r.detail) for r in records],
         "clock": (sim.now, sim.processed_count, sim.cancelled_count),
         "latency": network.per_hop_latency,
     }

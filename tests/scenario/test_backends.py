@@ -14,7 +14,6 @@ from repro.net.deployment import WiredDeployment
 from repro.scenario import (
     DEFAULT_BACKEND,
     AdversarySpec,
-    ChurnSpec,
     IotaParams,
     PbftParams,
     ProtocolSpec,
@@ -84,16 +83,17 @@ class TestValidation:
                 )
 
     def test_baseline_backends_accept_churn(self):
-        # Churn compiles to a crash/rejoin fault schedule, which every
-        # registered backend declares in its capability roster.
+        # Churn is a crash/rejoin timeline, and every registered backend
+        # declares both kinds in its capability roster.
+        churn = FaultScheduleSpec(events=(
+            FaultEvent(kind="node-crash", slot=2, nodes=(1,)),
+            FaultEvent(kind="node-rejoin", slot=4, nodes=(1,)),
+        ))
         for name in ("pbft", "iota"):
             spec = small_spec(
-                backend=name,
-                workload=WorkloadSpec(
-                    slots=6, churn=ChurnSpec(offline_nodes=(1,), offline_slot=2)
-                ),
+                backend=name, workload=WorkloadSpec(slots=6, faults=churn)
             )
-            assert spec.workload.fault_schedule() is not None
+            assert run_scenario(spec).total_blocks > 0
 
     def test_unsupported_fault_kind_lists_capability_roster(self):
         from repro.faults import FaultEvent, FaultScheduleSpec

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.faults import NODE_CRASH, NODE_REJOIN
 from repro.scenario import (
     PAPER_SCALE,
     QUICK_SCALE,
@@ -14,8 +15,17 @@ from repro.scenario import (
     fig9_scenario,
     figure_base,
     get_scenario,
+    run_scenario,
     scenario_names,
 )
+
+#: The ``churn`` preset's trace digest and block count, recorded when it
+#: still declared its duty cycle through the retired ``workload.churn``
+#: shorthand; the two-event timeline that replaced it runs identically.
+CHURN_TRACE_SHA256 = (
+    "b4ed6d113ddb270e7ddaaf8b41d6de12d1429612f77255351aeba99027e5fbe7"
+)
+CHURN_BLOCKS = 570
 
 REQUIRED_PRESETS = {
     "quickstart", "headline", "paper-fig7", "paper-fig8", "paper-fig9",
@@ -143,3 +153,18 @@ class TestBuilders:
         assert fast.seed == 7
         full = bench_scenario(fast=False)
         assert (full.node_count, full.workload.slots, full.protocol.gamma) == (20, 100, 4)
+
+
+class TestChurnPreset:
+    def test_duty_cycle_is_a_crash_and_a_rejoin(self):
+        events = get_scenario("churn").workload.faults.events
+        nodes = (3, 6, 9, 12, 15, 17)
+        assert [(e.kind, e.slot, e.nodes) for e in events] == [
+            (NODE_CRASH, 15, nodes), (NODE_REJOIN, 25, nodes),
+        ]
+        assert events[1].forgive
+
+    def test_trace_digest_and_block_count_are_pinned(self):
+        result = run_scenario(get_scenario("churn"))
+        assert result.trace_sha256 == CHURN_TRACE_SHA256
+        assert result.total_blocks == CHURN_BLOCKS

@@ -5,9 +5,9 @@ import json
 import pytest
 
 from repro.attacks.behaviors import SilentResponder
+from repro.faults import NODE_CRASH, NODE_REJOIN, FaultEvent, FaultScheduleSpec
 from repro.scenario import (
     AdversarySpec,
-    ChurnSpec,
     ProtocolSpec,
     ScenarioRunner,
     ScenarioSpec,
@@ -141,12 +141,18 @@ class TestRunner:
         assert "storage_mb" in table and "slots" in table
 
 
+def timeline(*events) -> FaultScheduleSpec:
+    """A fault timeline of ``(kind, slot, nodes)`` events."""
+    return FaultScheduleSpec(events=tuple(
+        FaultEvent(kind=kind, slot=slot, nodes=nodes) for kind, slot, nodes in events
+    ))
+
+
 class TestChurn:
     def test_offline_nodes_stop_generating(self):
         spec = tiny_spec(
             workload=WorkloadSpec(
-                slots=10,
-                churn=ChurnSpec(offline_nodes=(0, 1), offline_slot=5),
+                slots=10, faults=timeline((NODE_CRASH, 5, (0, 1))),
             )
         )
         runner = ScenarioRunner(spec)
@@ -159,9 +165,7 @@ class TestChurn:
         spec = tiny_spec(
             workload=WorkloadSpec(
                 slots=12,
-                churn=ChurnSpec(
-                    offline_nodes=(2,), offline_slot=4, rejoin_slot=8
-                ),
+                faults=timeline((NODE_CRASH, 4, (2,)), (NODE_REJOIN, 8, (2,))),
             )
         )
         runner = ScenarioRunner(spec)

@@ -4,9 +4,9 @@ import json
 
 import pytest
 
+from repro.faults import NODE_CRASH, NODE_REJOIN, FaultEvent, FaultScheduleSpec
 from repro.scenario import (
     AdversarySpec,
-    ChurnSpec,
     ProtocolSpec,
     ScenarioError,
     ScenarioSpec,
@@ -93,16 +93,12 @@ class TestValidation:
                 adversaries=(AdversarySpec(kind="sybil", attacker=99, count=2),)
             )
 
-    def test_churn_rejoin_after_offline(self):
-        with pytest.raises(ScenarioError, match="rejoin_slot"):
-            ChurnSpec(offline_nodes=(1,), offline_slot=10, rejoin_slot=5)
-
-    def test_churn_must_fit_workload(self):
+    def test_crash_must_fit_workload(self):
+        crash = FaultEvent(kind=NODE_CRASH, slot=15, nodes=(1,))
         with pytest.raises(ScenarioError, match="past the"):
             small_spec(
                 workload=WorkloadSpec(
-                    slots=10,
-                    churn=ChurnSpec(offline_nodes=(1,), offline_slot=15),
+                    slots=10, faults=FaultScheduleSpec(events=(crash,))
                 )
             )
 
@@ -128,9 +124,10 @@ class TestRoundTrip:
                 generation_period="random-1-2",
                 validate=True,
                 sample_slots=(10, 20, 30),
-                churn=ChurnSpec(
-                    offline_nodes=(2, 4), offline_slot=10, rejoin_slot=20
-                ),
+                faults=FaultScheduleSpec(events=(
+                    FaultEvent(kind=NODE_CRASH, slot=10, nodes=(2, 4)),
+                    FaultEvent(kind=NODE_REJOIN, slot=20, nodes=(2, 4)),
+                )),
             ),
             adversaries=(
                 AdversarySpec(kind="silent", count=3, protect=(0, 1)),
@@ -141,7 +138,7 @@ class TestRoundTrip:
         )
         again = ScenarioSpec.from_dict(spec.to_dict())
         assert again == spec
-        assert again.workload.churn.offline_nodes == (2, 4)
+        assert again.workload.faults.events[1].nodes == (2, 4)
         assert again.adversaries[1].victim == 5
 
     def test_file_round_trip(self, tmp_path):
@@ -199,7 +196,9 @@ class TestDerived:
 HOSTILE_DOCUMENTS = [
     ([1, 2], "scenario must be a JSON object"),
     ({"protocol": 5}, "protocol must be a JSON object"),
-    ({"workload": {"churn": 5}}, "workload.churn must be a JSON object"),
+    # The deleted churn shorthand: its migration message is the typed
+    # unknown-field error (write a node-crash / node-rejoin timeline).
+    ({"workload": {"churn": 5}}, r"unknown workload field\(s\): churn"),
     ({"adversaries": 3}, "scenario.adversaries"),
     ({"workload": {"slots": "a"}}, "workload.slots must be int"),
     ({"topology": {"node_count": "9"}}, "topology.node_count must be int"),
@@ -216,8 +215,9 @@ HOSTILE_DOCUMENTS = [
     ({"adversaries": [{"count": 2}]}, r"adversaries\[0\] needs a 'kind' field"),
     ({"workload": {"sample_slots": ["a"]}}, "workload.sample_slots"),
     ({"workload": {"sample_slots": 5}}, "workload.sample_slots"),
-    ({"workload": {"churn": {"offline_nodes": [1], "offline_slot": "x"}}},
-     "workload.churn.offline_slot"),
+    ({"workload": {"faults": {"events": [
+        {"kind": "node-crash", "slot": 1, "nodes": ["x"]}]}}},
+     r"invalid fault schedule: events\[0\].nodes must be Tuple"),
     ({"workload": {"faults": 5}}, "invalid fault schedule"),
     ({"iota": {"mcmc_alpha": None}}, "iota.mcmc_alpha must be float"),
     # A leaf has the type its annotation says.  The first four loaded and
@@ -295,7 +295,7 @@ class TestHostileDocuments:
         spec = ScenarioSpec.from_dict({
             "topology": {"node_count": 9, "comm_range": 50},
             "protocol": {"gamma": 2, "reply_timeout": 1},
-            "workload": {"slots": 5, "churn": None, "faults": None,
+            "workload": {"slots": 5, "faults": None,
                          "validate": 1, "validation_min_age_slots": None},
             "adversaries": [],
             "seed": 3.0,
@@ -317,12 +317,46 @@ class TestHostileDocuments:
 
         open_annotations = {
             "ProtocolSpec", "TopologySpec", "WorkloadSpec",
-            "PbftParams", "IotaParams", "Optional[ChurnSpec]",
-            "Optional[FaultScheduleSpec]",
+            "PbftParams", "IotaParams", "Optional[FaultScheduleSpec]",
         }
         for cls in (ScenarioSpec, ProtocolSpec, TopologySpec, WorkloadSpec,
-                    ChurnSpec, AdversarySpec, PbftParams, IotaParams, FaultEvent):
+                    AdversarySpec, PbftParams, IotaParams, FaultEvent):
             for field in dataclasses.fields(cls):
                 assert field.type in LEAF_READERS or field.type in open_annotations, (
                     f"{cls.__name__}.{field.name}: {field.type}"
                 )
+
+
+class TestChurnShorthandRetired:
+    """``workload.churn`` is gone; a document that still carries it fails
+    with the typed unknown-field error, the one migration message."""
+
+    CHURN = {"offline_nodes": [3, 6], "offline_slot": 15, "rejoin_slot": 25}
+
+    def test_spec_document_names_the_field(self):
+        payload = small_spec().to_dict()
+        payload["workload"]["churn"] = self.CHURN
+        with pytest.raises(ScenarioError, match=r"unknown workload field\(s\): churn"):
+            ScenarioSpec.from_dict(payload)
+
+    def test_campaign_document_names_the_cell_and_the_field(self):
+        from repro.campaign import CampaignError, CampaignSpec
+
+        scenario = small_spec().to_dict()
+        scenario["workload"]["churn"] = self.CHURN
+        document = {"name": "old", "cells": [{"scenario": scenario}]}
+        with pytest.raises(
+            CampaignError,
+            match=r"cell entry 0: invalid inline scenario: "
+                  r"unknown workload field\(s\): churn",
+        ):
+            CampaignSpec.from_dict(document)
+
+    def test_campaign_grid_cannot_reach_it(self):
+        from repro.campaign import CampaignError, CampaignSpec
+
+        document = {"name": "old", "cells": [
+            {"preset": "churn", "grid": {"workload.churn.offline_slot": [5]}},
+        ]}
+        with pytest.raises(CampaignError, match="unknown override field 'workload.churn'"):
+            CampaignSpec.from_dict(document)

@@ -28,7 +28,6 @@ from repro.faults import (
 from repro.faults.spec import LEAF_READERS
 from repro.scenario import (
     AdversarySpec,
-    ChurnSpec,
     IotaParams,
     PbftParams,
     ProtocolSpec,
@@ -67,9 +66,6 @@ SECTIONS = {
     "protocol": Section(ProtocolSpec, lambda body: {"protocol": body}, "protocol."),
     "topology": Section(TopologySpec, lambda body: {"topology": body}, "topology."),
     "workload": Section(WorkloadSpec, lambda body: {"workload": body}, "workload."),
-    "workload.churn": Section(
-        ChurnSpec, lambda body: {"workload": {"churn": body}}, "workload.churn."
-    ),
     "adversaries[0]": Section(
         AdversarySpec,
         lambda body: {"adversaries": [{"kind": "silent", **body}]},
@@ -171,7 +167,7 @@ class TestCampaignGridReader:
 
     @pytest.mark.parametrize("path, annotation", GRID_LEAVES)
     def test_wrongly_typed_override(self, path, annotation):
-        base = get_scenario("churn")  # the one preset with every section set
+        base = get_scenario("churn")
         with pytest.raises(CampaignError) as raised:
             apply_override(base, path, WRONG[annotation])
         assert str(raised.value).startswith(f"override {path} must be {annotation}")

@@ -5,15 +5,17 @@ from repro.sim.tracing import Tracer
 
 class TestTracer:
     def test_disabled_tracer_keeps_nothing(self):
-        tracer = Tracer(enabled=False, keep=True)
+        tracer = Tracer()
         tracer.emit(1.0, "block.generated", node=3)
-        assert tracer.records == []
+        assert not tracer.enabled
+        assert not hasattr(tracer, "records")
 
-    def test_enabled_keep_retains_records(self):
-        tracer = Tracer(enabled=True, keep=True)
+    def test_subscriber_receives_the_whole_record(self):
+        tracer, records = Tracer(), []
+        tracer.subscribe("", records.append)
         tracer.emit(1.0, "block.generated", node=3, block="3#0")
-        assert len(tracer.records) == 1
-        record = tracer.records[0]
+        assert len(records) == 1
+        record = records[0]
         assert record.time == 1.0
         assert record.category == "block.generated"
         assert record.node == 3
@@ -28,32 +30,14 @@ class TestTracer:
         assert [r.category for r in seen] == ["pop.req_child"]
 
     def test_subscribe_enables_tracing(self):
-        tracer = Tracer(enabled=False)
+        tracer = Tracer()
         tracer.subscribe("x", lambda r: None)
         assert tracer.enabled
-
-    def test_by_category_filters(self):
-        tracer = Tracer(enabled=True, keep=True)
-        tracer.emit(1.0, "net.dropped")
-        tracer.emit(2.0, "net.unroutable")
-        tracer.emit(3.0, "pop.done")
-        assert len(tracer.by_category("net.")) == 2
-
-    def test_clear(self):
-        tracer = Tracer(enabled=True, keep=True)
-        tracer.emit(1.0, "a")
-        tracer.clear()
-        assert tracer.records == []
-
-    def test_keep_without_subscribers_still_retains(self):
-        tracer = Tracer(enabled=True, keep=True)
-        tracer.emit(1.0, "net.dropped", node=1)
-        assert [r.category for r in tracer.records] == ["net.dropped"]
 
     def test_late_subscriber_sees_categories_dispatched_earlier(self):
         # The exact-category dispatch cache must be invalidated when a
         # new subscriber arrives after a category was already emitted.
-        tracer = Tracer(enabled=True)
+        tracer = Tracer()
         first, second = [], []
         tracer.subscribe("block.", first.append)
         tracer.emit(1.0, "block.generated", node=1)

@@ -22,7 +22,9 @@ from repro.scenario import (
 )
 from repro.telemetry import (
     TelemetryError,
+    TelemetryRecorder,
     parse_stream,
+    run_recorders,
     stream_filename,
     stream_version,
     validate_stream,
@@ -34,6 +36,7 @@ from repro.telemetry.spans import (
     SpanRecorder,
     block_sampled,
     trace_sample_from_env,
+    trace_sample_rate,
 )
 
 BACKENDS = ("2ldag", "pbft", "iota")
@@ -215,11 +218,41 @@ class TestSampling:
         assert trace_sample_from_env() == 0.5
         monkeypatch.setenv(TRACE_SAMPLE_ENV_VAR, "0")
         assert trace_sample_from_env() is None
-        monkeypatch.setenv(TRACE_SAMPLE_ENV_VAR, "7")
+        monkeypatch.setenv(TRACE_SAMPLE_ENV_VAR, " 1 ")
         assert trace_sample_from_env() == 1.0
-        monkeypatch.setenv(TRACE_SAMPLE_ENV_VAR, "lots")
-        with pytest.raises(TelemetryError):
-            trace_sample_from_env()
+        for raw in ("7", "lots", "nan", "-1", "inf"):
+            monkeypatch.setenv(TRACE_SAMPLE_ENV_VAR, raw)
+            with pytest.raises(TelemetryError, match=f"REPRO_TRACE_SAMPLE .*got '{raw}'"):
+                trace_sample_from_env()
+
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), float("-inf"), -1.0, -0.5, 1.5, "x"],
+        ids=repr,
+    )
+    def test_a_rate_is_zero_or_finite_in_the_unit_interval(self, value):
+        with pytest.raises(TelemetryError, match=r"--trace-sample must be 0 \(off\)"):
+            trace_sample_rate(value, "--trace-sample")
+
+    def test_zero_is_off_and_the_unit_interval_passes(self):
+        assert trace_sample_rate(0.0, "rate") is None
+        assert trace_sample_rate("0", "rate") is None
+        assert [trace_sample_rate(v, "rate") for v in (1e-9, 0.25, 1)] == [1e-9, 0.25, 1.0]
+
+    def test_the_writer_refuses_a_non_finite_sample(self, tmp_path):
+        spans = SpanRecorder(tmp_path, sample=float("nan"))
+        from repro.scenario.runner import ScenarioRunner
+
+        with pytest.raises(TelemetryError, match="'sample' has type non-finite float nan"):
+            ScenarioRunner(tiny_spec(), spans=spans).build()
+        assert not spans.path.exists()  # validated before the first write
+
+    def test_run_recorders(self, tmp_path):
+        assert run_recorders(None, 0.5) == (None, None)
+        telemetry, spans = run_recorders(tmp_path, None)
+        assert isinstance(telemetry, TelemetryRecorder) and spans is None
+        telemetry, spans = run_recorders(tmp_path, 0.5)
+        assert telemetry.directory == spans.directory == tmp_path
+        assert spans.sample == 0.5
 
     def test_default_sample_is_a_quarter(self):
         assert DEFAULT_TRACE_SAMPLE == 0.25

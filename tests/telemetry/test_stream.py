@@ -88,6 +88,21 @@ class TestTableDrivenHostileRecords:
         with pytest.raises(TelemetryError, match=f"field '{field}' has type bool"):
             validate_record(record)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "version,kind,field",
+        [f for f in FIELDS if float in SCHEMAS[f[0]][f[1]][f[2]]],
+    )
+    def test_a_number_is_finite(self, version, kind, field, value):
+        # JSON has no NaN or Infinity: the writer must not emit them,
+        # and the reader must not accept a line that spells them.
+        record = exemplar(version, kind)
+        record[field] = value
+        with pytest.raises(
+            TelemetryError, match=f"field '{field}' has type non-finite float"
+        ):
+            validate_record(record)
+
     @pytest.mark.parametrize("version,kind", KINDS)
     def test_unknown_field(self, version, kind):
         record = exemplar(version, kind)
@@ -137,6 +152,18 @@ class TestScanLoop:
         assert parse_stream(text) == [fault(2)]
         with pytest.raises(TelemetryError, match="line 1: schema version 2"):
             parse_stream(text, version=1)
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_a_non_finite_token_is_reported_with_its_line(self, token):
+        start = json.dumps(exemplar(2, "trace-start")).replace(
+            '"sample": 1.5', f'"sample": {token}'
+        )
+        assert token in start
+        text = json.dumps(fault(2)) + "\n" + start + "\n"
+        (message,) = validate_stream(text, source="s")
+        assert message.startswith(
+            "s: line 2: trace-start record field 'sample' has type non-finite float"
+        )
 
     def test_nesting_past_the_recursion_limit_is_not_a_traceback(self):
         text = "[" * 100_000 + "\n"
