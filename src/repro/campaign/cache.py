@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import json
 import os
-import shutil
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
@@ -191,16 +190,6 @@ class ResultCache:
             return True
         except OSError:
             return False
-
-    def clear(self) -> int:
-        """Drop every cell entry and journal; returns entries removed."""
-        removed = 0
-        if self.cells_dir.is_dir():
-            removed = sum(1 for _ in self.cells_dir.glob("*/*.json"))
-            shutil.rmtree(self.cells_dir)
-        if self.journal_dir.is_dir():
-            shutil.rmtree(self.journal_dir)
-        return removed
 
     # -- journals ----------------------------------------------------------
     def journal_path(self, campaign_digest: str) -> Path:

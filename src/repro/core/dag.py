@@ -1,9 +1,9 @@
 """The logical layer ``Ḡ(B, L)`` (§III-C).
 
 No 2LDAG node ever materialises this graph — that is the point of the
-architecture — but the *simulation* maintains it as an omniscient
-oracle: tests assert PoP's behaviour against ground truth computed
-here, and experiment code uses it to pick verifiable target blocks.
+architecture.  The simulation builds it on demand, as a read-only view
+over every node's store (``TwoLayerDagNetwork.dag``), and tests assert
+PoP's behaviour against the ground truth computed here.
 
 Edges point parent -> child: ``(b_x, b_y) ∈ L`` iff the header of
 ``b_y`` contains the digest of ``b_x``'s header.  A *path* ``P_{x,y}``

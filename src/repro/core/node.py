@@ -16,7 +16,6 @@ from typing import Dict, FrozenSet, Optional, Set
 
 from repro.core.block import BlockId, DataBlock, build_block, make_body
 from repro.core.config import ProtocolConfig
-from repro.core.dag import LogicalDag
 from repro.core.pop.cache import HeaderCache
 from repro.core.pop.messages import (
     KIND_BLOCK_DATA,
@@ -68,6 +67,10 @@ class NodeBehavior:
 class IoTNode:
     """One 2LDAG participant.
 
+    A node writes only its own state and feeds no global ledger: the
+    logical DAG is a view built from the nodes' stores when it is read
+    (``TwoLayerDagNetwork.dag``).
+
     Parameters
     ----------
     node_id:
@@ -81,11 +84,6 @@ class IoTNode:
         Protocol constants.
     behavior:
         Behaviour strategy (honest by default).
-    dag_oracle:
-        Optional global :class:`~repro.core.dag.LogicalDag` the
-        simulation maintains for ground-truth analysis; nodes register
-        generated headers there but never read it (it models the
-        "logical layer" abstraction, not node knowledge).
     key_seed:
         Seed for deterministic key generation.
     """
@@ -97,7 +95,6 @@ class IoTNode:
         registry: KeyRegistry,
         config: ProtocolConfig,
         behavior: Optional[NodeBehavior] = None,
-        dag_oracle: Optional[LogicalDag] = None,
         key_seed: int = 0,
         rng: Optional[random.Random] = None,
     ) -> None:
@@ -107,8 +104,9 @@ class IoTNode:
         self.registry = registry
         self.config = config
         self.behavior = behavior if behavior is not None else NodeBehavior()
-        self.dag_oracle = dag_oracle
         self.rng = rng
+        #: ``N(i)``: the shared topology's own frozen set, never a copy.
+        self.neighbors: FrozenSet[int] = self.topology.neighbors(node_id)
 
         self.keypair = KeyPair.generate(node_id, key_seed)
         registry.register(self.keypair)
@@ -132,11 +130,6 @@ class IoTNode:
         self.interface.on(KIND_BLOCK_FETCH, self._on_block_fetch)
 
     # -- identity ----------------------------------------------------------
-    @property
-    def neighbors(self) -> FrozenSet[int]:
-        """``N(i)``: the shared topology's own frozen set, never a copy."""
-        return self.topology.neighbors(self.node_id)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<IoTNode {self.node_id} blocks={len(self.store)}>"
 
@@ -172,8 +165,6 @@ class IoTNode:
         # Our own headers are trivially trusted: seed H_i so TPS can
         # traverse through our blocks without a self-request.
         self.cache.add(block.header)
-        if self.dag_oracle is not None:
-            self.dag_oracle.add_header(block.header)
         tracer = self.network.tracer
         if tracer.enabled:
             # Lifecycle emission for span collectors; the detail stays
@@ -186,10 +177,11 @@ class IoTNode:
                 refs=tuple(digests.values()),
             )
         self.broadcast_digest(block)
-        self.network.tracer.emit(
-            self.network.sim.now, "block.generated", self.node_id,
-            block=str(block.block_id),
-        )
+        if tracer.enabled:
+            tracer.emit(
+                self.network.sim.now, "block.generated", self.node_id,
+                block=str(block.block_id),
+            )
         return block
 
     def broadcast_digest(self, block: DataBlock) -> None:

@@ -1,9 +1,10 @@
 """Network orchestration and the §VI slot-driven simulation.
 
 :class:`TwoLayerDagNetwork` assembles the full stack — simulator,
-topology, transport, key registry, logical-DAG oracle and one
+topology, transport, key registry and one
 :class:`~repro.core.node.IoTNode` per topology node (honest or
-malicious via behaviour injection).
+malicious via behaviour injection); the logical DAG is a view over the
+nodes' stores, built only when read.
 
 :class:`SlotSimulation` drives the paper's evaluation workload: time is
 divided into slots; each node generates at most one block per slot
@@ -71,7 +72,7 @@ class TwoLayerDagNetwork(WiredDeployment):
         super().__init__(topology, seed, per_hop_latency, _pop_category, tracer)
         self.config = config if config is not None else ProtocolConfig.paper_defaults()
         self.registry = KeyRegistry()
-        self.dag = LogicalDag(self.config.hash_bits)
+        self._dag: Optional[LogicalDag] = None
 
         behaviors = behaviors or {}
         self.nodes: Dict[int, IoTNode] = {}
@@ -82,7 +83,6 @@ class TwoLayerDagNetwork(WiredDeployment):
                 registry=self.registry,
                 config=self.config,
                 behavior=behaviors.get(node_id),
-                dag_oracle=self.dag,
                 key_seed=seed,
                 rng=self.streams.get(f"node:{node_id}"),
             )
@@ -92,6 +92,27 @@ class TwoLayerDagNetwork(WiredDeployment):
     def node(self, node_id: int) -> IoTNode:
         """The :class:`IoTNode` with the given id."""
         return self.nodes[node_id]
+
+    @property
+    def dag(self) -> LogicalDag:
+        """The logical layer ``Ḡ(B, L)`` over every node's stored headers.
+
+        Built on first read and memoised on the stores' total length:
+        stores are append-only, so an equal length is an equal view.
+        Headers go in oldest first, ``(time, block_id)``, the order
+        Eq. (11) breaks ties by.
+        """
+        stores = [node.store for node in self.nodes.values()]
+        dag = self._dag
+        if dag is None or len(dag) != sum(map(len, stores)):
+            headers = sorted(
+                (block.header for store in stores for block in store),
+                key=attrgetter("time", "block_id"),
+            )
+            dag = self._dag = LogicalDag(self.config.hash_bits)
+            for header in headers:
+                dag.add_header(header)
+        return dag
 
     @property
     def honest_ids(self) -> List[int]:

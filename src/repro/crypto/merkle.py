@@ -28,17 +28,18 @@ def _leaves(chunks: Sequence[bytes], width: int) -> List[bytes]:
 def _parents(level: List[bytes], width: int) -> List[bytes]:
     """The level above ``level``; an odd level's last hash is duplicated.
 
-    A parent hashes ``(tag, left, right)`` framed.  Framing is
-    concatenative and a level's hashes are equally long, so the level is
-    framed once and each pair's frame is a slice of it.
+    A parent hashes ``(tag, left, right)`` framed.  A level's hashes are
+    equally long, so every pair shares one length prefix.  It is read
+    off the level, not computed from ``width``, so a bad width still
+    fails where :class:`Digest` checks it.
     """
     if len(level) % 2:
         level = level + level[-1:]
-    framed = frame_fields(level)
-    pair = 2 * len(framed) // len(level)
+    size = len(level[0]).to_bytes(4, "big")
+    head = _NODE_FRAME + size
     return [
-        sha256(_NODE_FRAME + framed[start:start + pair]).digest()[:width]
-        for start in range(0, len(framed), pair)
+        sha256(head + left + size + right).digest()[:width]
+        for left, right in zip(level[::2], level[1::2])
     ]
 
 

@@ -10,6 +10,14 @@ from repro.baselines.iota.node import IotaNetwork
 from repro.baselines.iota.tangle import Tangle, Transaction
 from repro.baselines.iota.tip_selection import select_tips_mcmc, select_tips_uniform
 from repro.net.topology import grid_topology
+from repro.scenario import (
+    IotaParams,
+    ProtocolSpec,
+    ScenarioRunner,
+    ScenarioSpec,
+    TopologySpec,
+    WorkloadSpec,
+)
 
 
 def tx(issuer, index, parents=(), payload_bits=100):
@@ -170,6 +178,27 @@ class TestTipSelection:
         for tip in tips:
             assert tangle.approvers(tip) == []
 
+    def test_mcmc_alpha_zero_takes_the_uniform_walk(self):
+        tangle = Tangle()
+        genesis = tx(0, 0)
+        tangle.add(genesis)
+        layer = [genesis.digest().value]
+        for depth in range(1, 5):
+            approvers = [tx(issuer, depth, layer[issuer:issuer + 2] or layer) for issuer in range(3)]
+            for approver in approvers:
+                tangle.add(approver)
+            layer = [approver.digest().value for approver in approvers]
+        reference_rng = random.Random(4)
+        expected = []
+        for _ in range(8):
+            current = reference_rng.choice(tangle.genesis_digests())
+            while tangle.approvers(current):
+                current = reference_rng.choice(tangle.approvers(current))
+            expected.append(current)
+        tips = select_tips_mcmc(tangle, random.Random(4), count=8, alpha=0.0)
+        assert tips == expected
+        assert set(tips) <= set(tangle.tips())
+
     def test_mcmc_prefers_heavy_branch(self):
         """With a large alpha the walk must enter the heavy subtangle."""
         tangle = Tangle()
@@ -254,6 +283,20 @@ class TestGossip:
         )
         network.run_slots(3)
         assert network.tangles_consistent()
+
+    def test_mcmc_alpha_zero_run_is_deterministic(self):
+        spec = ScenarioSpec(
+            name="iota-alpha-zero",
+            protocol=ProtocolSpec(body_bits=8_000, gamma=2),
+            topology=TopologySpec(kind="grid", rows=3, cols=3),
+            workload=WorkloadSpec(slots=4),
+            backend="iota",
+            iota=IotaParams(tip_strategy="mcmc", mcmc_alpha=0.0),
+            seed=3,
+        )
+        first, second = ScenarioRunner(spec).run(), ScenarioRunner(spec).run()
+        assert first.total_blocks == 4 * 9
+        assert first.trace_sha256 == second.trace_sha256
 
     def test_unknown_strategy_rejected(self):
         from repro.baselines.iota.node import IotaNode

@@ -15,7 +15,7 @@ import json
 import pytest
 
 import repro.campaign.executor as executor_module
-from repro.campaign.cache import ResultCache
+from repro.campaign.cache import CACHE_FORMAT_VERSION, ResultCache
 from repro.campaign.executor import CampaignExecutor, run_campaign
 from repro.campaign.spec import (
     CampaignError,
@@ -128,6 +128,28 @@ class TestCaching:
         document["code_version"] = 999
         cache.cell_path(digest).write_text(json.dumps(document))
         assert cache.load(digest) is None
+
+    @pytest.mark.parametrize("tamper", [
+        lambda document: [document],
+        lambda document: {**document, "format_version": CACHE_FORMAT_VERSION + 1},
+        lambda document: {**document, "code_version": 999},
+        lambda document: {**document, "cell_digest": "0" * 64},
+        lambda document: {**document, "payload": [document["payload"]]},
+    ], ids=["non-object", "format-version", "code-version", "cell-digest", "payload"])
+    def test_rejected_entry_is_a_miss_and_is_overwritten(self, tmp_path, tamper):
+        single = CampaignSpec(name="one", cells=replicate_seeds(tiny_spec(), (0,)))
+        executor = CampaignExecutor(cache_dir=tmp_path)
+        first = executor.run(single)
+        cache = ResultCache(tmp_path)
+        digest = single.cells[0].digest()
+        path = cache.cell_path(digest)
+        stored = json.loads(path.read_text())
+        path.write_text(json.dumps(tamper(stored)))
+        assert cache.load(digest) is None
+        again = executor.run(single)
+        assert [cell.cached for cell in again.cells] == [False]
+        assert again.payloads() == first.payloads()
+        assert cache.load(digest)["payload"] == stored["payload"]
 
     def test_no_cache_executor_never_persists(self, campaign, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env-cache"))

@@ -3,9 +3,10 @@
 Measured with ``tools/heap_by_line.py`` — ``tracemalloc`` over one
 ``ScenarioRunner`` run, the runner still alive, ``gc.collect()`` first —
 on the 4 x 4, 32-slot lattice of the ``--quick`` perf workloads.  Each
-bound is 10% above the value read when it was set (docs/performance.md,
-"PR 24": 4.62 KB per block with validation off, 5.61 with it on; the
-tree before read 6.43 and 7.47).
+bound is 10% above the value read when it was set: 4.18 KB per block
+with validation off, 5.16 with it on, once the logical DAG became a
+view built on read (docs/performance.md; the tree before read 4.65 and
+5.64).
 """
 
 import importlib.util
@@ -26,7 +27,7 @@ def live_heap():
     return module.live_heap
 
 
-@pytest.mark.parametrize("validate, bound_kb", [(False, 5.09), (True, 6.17)])
+@pytest.mark.parametrize("validate, bound_kb", [(False, 4.60), (True, 5.68)])
 def test_live_kb_per_block(live_heap, validate, bound_kb):
     spec = ScenarioSpec(
         name="lattice",

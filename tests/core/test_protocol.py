@@ -3,7 +3,17 @@
 import pytest
 
 from repro.analysis.bounds import prop1_total_blocks
+from repro.core.dag import LogicalDag
 from repro.core.protocol import SlotSimulation, TwoLayerDagNetwork
+from repro.faults import NODE_CRASH, NODE_REJOIN, FaultEvent, FaultScheduleSpec
+from repro.scenario import (
+    AdversarySpec,
+    ProtocolSpec,
+    ScenarioRunner,
+    ScenarioSpec,
+    TopologySpec,
+    WorkloadSpec,
+)
 
 
 class TestSlotWorkload:
@@ -53,12 +63,62 @@ class TestSlotWorkload:
         # Slots 0..6 inclusive produce 7 generation instants.
         assert workload.total_blocks() == prop1_total_blocks(rates, 1.0, slots)
 
-    def test_dag_oracle_consistent_with_stores(self, small_deployment):
-        workload = SlotSimulation(small_deployment)
-        workload.run(5)
-        stored = sum(len(small_deployment.node(n).store) for n in small_deployment.node_ids)
-        assert len(small_deployment.dag) == stored
-        assert small_deployment.dag.is_acyclic()
+
+class TestDagView:
+    """``TwoLayerDagNetwork.dag`` is a view over the stores, built on read.
+
+    The reference is a ``LogicalDag`` fed every generated header in the
+    order the ``block.generated`` trace announced it.
+    """
+
+    def spec(self):
+        return ScenarioSpec(
+            name="dag-view",
+            protocol=ProtocolSpec.paper(gamma=3, body_mb=0.05, reply_timeout=0.05),
+            topology=TopologySpec(kind="grid", rows=4, cols=4, spacing=40.0, comm_range=90.0),
+            workload=WorkloadSpec(
+                slots=24,
+                validate=True,
+                validation_min_age_slots=4,
+                faults=FaultScheduleSpec(events=(
+                    FaultEvent(kind=NODE_CRASH, slot=8, nodes=(1, 6)),
+                    FaultEvent(kind=NODE_REJOIN, slot=14, nodes=(1, 6)),
+                )),
+            ),
+            adversaries=(AdversarySpec(kind="equivocating", count=3),),
+            seed=5,
+        )
+
+    def test_view_equals_the_dag_built_in_generation_order(self):
+        runner = ScenarioRunner(self.spec()).build()
+        deployment = runner.deployment
+        generated = []
+        deployment.tracer.subscribe(
+            "block.generated", lambda record: generated.append(record.detail["block"])
+        )
+        for slot in range(1, runner.spec.workload.slots + 1):
+            runner.advance_to(slot)
+            view = deployment.dag
+            assert deployment.dag is view  # no slot between: the memo
+            assert len(view) == runner.workload.total_blocks()
+        runner.finish()
+
+        headers = {
+            str(block.block_id): block.header
+            for node in deployment.nodes.values()
+            for block in node.store
+        }
+        assert sorted(generated) == sorted(headers)
+        reference = LogicalDag(deployment.config.hash_bits)
+        for block in generated:
+            reference.add_header(headers[block])
+        view = deployment.dag
+        assert view.block_ids() == reference.block_ids()
+        for block in reference.block_ids():
+            assert view.parents(block) == reference.parents(block)
+            assert view.children(block) == reference.children(block)
+        assert view.edge_count() == reference.edge_count() > 0
+        assert view.is_acyclic()
 
 
 class TestEligiblePool:

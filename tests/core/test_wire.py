@@ -1,5 +1,7 @@
 """Unit tests for the wire format."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.block import build_block, make_body
@@ -102,6 +104,27 @@ class TestStrictParsing:
         encoded[3:7] = (2 ** 20).to_bytes(4, "big")
         with pytest.raises(WireError):
             decode_block(bytes(encoded))
+
+    @pytest.mark.parametrize("field, value", [("origin", 2 ** 32), ("nonce", 2 ** 64)])
+    def test_out_of_range_integer_not_encoded(self, block, field, value):
+        header = dataclasses.replace(block.header, **{field: value})
+        with pytest.raises(WireError, match="out of range"):
+            encode_header(header)
+
+    def test_implausible_digest_count_rejected(self, block):
+        # Header layout: the digest count is the u32 at offset 59.
+        encoded = bytearray(encode_header(block.header))
+        encoded[59:63] = (10_001).to_bytes(4, "big")
+        with pytest.raises(WireError, match="implausible digest count 10001"):
+            decode_header(bytes(encoded))
+
+    def test_duplicate_digest_entry_rejected(self, block):
+        # Entries start at offset 63: node(4) digest_len(4) digest(32).
+        encoded = bytearray(encode_header(block.header))
+        assert encoded[63:67] == (2).to_bytes(4, "big")
+        encoded[103:107] = (2).to_bytes(4, "big")
+        with pytest.raises(WireError, match="duplicate digest entry for node 2"):
+            decode_header(bytes(encoded))
 
     def test_fuzzed_prefixes_never_crash_uncontrolled(self, block):
         encoded = encode_block(block)
