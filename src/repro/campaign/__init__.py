@@ -44,7 +44,6 @@ from repro.campaign.chaos import (
     chaos_from_env,
     seeded_backoff,
 )
-from repro.campaign.dashboard import render_dashboard, write_dashboard
 from repro.campaign.executor import (
     STATUS_SCHEMA_VERSION,
     CampaignExecutor,
@@ -99,11 +98,9 @@ __all__ = [
     "payload_digest",
     "register_campaign",
     "register_cell_kind",
-    "render_dashboard",
     "replicate_seeds",
     "run_campaign",
     "run_scenario_cells",
     "seeded_backoff",
     "summarize_cell_events",
-    "write_dashboard",
 ]

@@ -816,8 +816,8 @@ class CampaignExecutor:
     def status_document(self, campaign: CampaignSpec) -> Dict[str, Any]:
         """:meth:`status_report` as a pinned-schema JSON document.
 
-        The machine face of ``campaign status --json``: dashboards and
-        CI consume this instead of screen-scraping the text report.
+        The machine face of ``campaign status --json``: CI and
+        scripts consume this instead of screen-scraping the text report.
         Schema (version :data:`STATUS_SCHEMA_VERSION`; any key addition
         or semantic change bumps it)::
 

@@ -15,7 +15,7 @@ Run as ``python -m repro <command>``:
   table (and ASCII chart);
 * ``headline``  — print the abstract's measured ratios;
 * ``report``    — the full markdown reproduction report;
-* ``telemetry`` — ``summarize``/``trace``/``validate`` the
+* ``telemetry`` — ``summarize``/``trace``/``validate``/``diff`` the
   structured event streams that ``--telemetry DIR`` (or
   ``$REPRO_TELEMETRY``) records (see ``docs/observability.md``).
 
@@ -43,9 +43,9 @@ golden digests.  Examples::
     python -m repro campaign run fault-grid --keep-going --cell-timeout 120
     python -m repro campaign status bench-grid
     python -m repro campaign status fault-grid --json
-    python -m repro campaign dashboard fault-grid --out fault-grid.html
     python -m repro simulate --scenario fault-demo --telemetry .telemetry
     python -m repro telemetry summarize .telemetry
+    python -m repro telemetry diff .telemetry .telemetry-rerun
 """
 
 from __future__ import annotations
@@ -377,7 +377,7 @@ def cmd_campaign(args) -> int:
     campaign = _load_campaign(args.spec)
     telemetry_dir = (
         _telemetry_dir(args)
-        if args.action in ("run", "dashboard", "status")
+        if args.action in ("run", "status")
         else None
     )
     if telemetry_dir and args.action == "run":
@@ -416,32 +416,6 @@ def cmd_campaign(args) -> int:
         )
     except ChaosError as error:
         raise SystemExit(f"bad chaos spec: {error}")
-
-    if args.action == "dashboard":
-        from repro.campaign import write_dashboard
-
-        monitors_doc = None
-        waterfalls = None
-        if telemetry_dir and os.path.isdir(telemetry_dir):
-            from repro.telemetry import TelemetryError, read_streams, tracepath
-            from repro.telemetry.monitors import evaluate_monitors
-
-            try:
-                monitors_doc = evaluate_monitors([telemetry_dir])
-                if not monitors_doc["runs"]:
-                    monitors_doc = None
-                waterfalls = []
-                for path, records in read_streams([telemetry_dir], 2):
-                    figure = tracepath.waterfall_figure(path, records)
-                    if figure is not None:
-                        waterfalls.append(figure)
-            except TelemetryError as error:
-                print(f"skipping telemetry panels: {error}", file=sys.stderr)
-                monitors_doc, waterfalls = None, None
-        out = args.out or f"dashboard-{campaign.name}.html"
-        write_dashboard(campaign, executor, out, monitors_doc, waterfalls)
-        print(f"dashboard written to {out}")
-        return 0
 
     if args.action == "status" and getattr(args, "json", False):
         import json
@@ -628,12 +602,11 @@ def _telemetry_paths(args) -> List[str]:
 
 
 def cmd_telemetry(args) -> int:
-    """Summarize, trace, or validate telemetry event streams."""
+    """Summarize, trace, validate or diff telemetry event streams."""
     from repro.telemetry import (
         TelemetryError,
         format_summary_table,
         read_streams,
-        stream_start,
         stream_version,
         summarize_streams,
         validate_streams,
@@ -656,11 +629,25 @@ def cmd_telemetry(args) -> int:
         print(f"OK: {len(streams)} stream(s) ({traces} trace stream(s)), "
               f"{records} record(s), all fit the pinned schemas")
         return 0
+    if args.action == "diff":
+        from repro.telemetry.diff import diff_streams
+
+        try:
+            identical, report = diff_streams(*paths)
+        except TelemetryError as error:
+            print(str(error), file=sys.stderr)
+            return 2
+        print(report)
+        return 0 if identical else 1
     if args.action == "trace":
         from repro.telemetry import tracepath
 
         try:
             streams = read_streams(paths, 2)
+            starts = {
+                path: tracepath.trace_start(path, records)
+                for path, records in streams
+            }
         except TelemetryError as error:
             print(str(error), file=sys.stderr)
             return 2
@@ -670,7 +657,7 @@ def cmd_telemetry(args) -> int:
             return 1
         if args.block:
             found = [
-                (path, trace, records)
+                (path, trace)
                 for path, records in streams
                 for trace in records
                 if trace.get("event") == "block-trace"
@@ -680,10 +667,10 @@ def cmd_telemetry(args) -> int:
                 print(f"block {args.block!r} not traced in any stream",
                       file=sys.stderr)
                 return 1
-            for path, trace, records in found:
+            for path, trace in found:
                 print(f"# {path}")
                 print(tracepath.block_waterfall(
-                    trace, stream_start(records)["backend"]
+                    trace, starts[path]["backend"]
                 ))
             return 0
         report = tracepath.trace_report(streams)
@@ -693,19 +680,6 @@ def cmd_telemetry(args) -> int:
             print(json.dumps(report, indent=2, sort_keys=True))
         else:
             print(tracepath.format_trace_report(report))
-        if args.svg:
-            for path, records in streams:
-                figure = tracepath.waterfall_figure(path, records)
-                if figure is None:
-                    continue
-                from repro.experiments.persistence import atomic_write_text
-
-                atomic_write_text(args.svg, figure[1])
-                print(f"waterfall SVG ({figure[0]}) written to {args.svg}")
-                break
-            else:
-                print("no traced blocks to chart", file=sys.stderr)
-                return 1
         return 0
     # summarize
     try:
@@ -912,17 +886,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     campaign_common(p_clean)
     p_clean.set_defaults(fn=cmd_campaign, action="clean")
-    p_dash = campaign_sub.add_parser(
-        "dashboard",
-        help="write a self-contained static HTML dashboard of the "
-             "campaign's cells, harness events and per-slot series",
-    )
-    campaign_common(p_dash)
-    p_dash.add_argument("--out", default=None, metavar="FILE",
-                        help="output HTML path "
-                             "(default: dashboard-<campaign>.html)")
-    telemetry_arg(p_dash)
-    p_dash.set_defaults(fn=cmd_campaign, action="dashboard")
 
     p = sub.add_parser(
         "lint",
@@ -954,7 +917,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "telemetry",
-        help="summarize, trace or validate recorded telemetry streams",
+        help="summarize, trace, validate or diff recorded telemetry streams",
     )
     telemetry_sub = p.add_subparsers(dest="action", required=True)
     p_tsum = telemetry_sub.add_parser(
@@ -980,9 +943,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "block (e.g. '3#7', 'blk:2:5', 'iota:1:4')")
     p_trace.add_argument("--json", action="store_true",
                          help="emit the attribution report as JSON")
-    p_trace.add_argument("--svg", default=None, metavar="FILE",
-                         help="also write an inline-SVG waterfall of the "
-                              "most informative traced block to FILE")
     p_trace.set_defaults(fn=cmd_telemetry, action="trace")
     p_tval = telemetry_sub.add_parser(
         "validate", help="check every record against the pinned schema"
@@ -991,6 +951,15 @@ def build_parser() -> argparse.ArgumentParser:
                         help="stream files or directories "
                              "(default: $REPRO_TELEMETRY)")
     p_tval.set_defaults(fn=cmd_telemetry, action="validate")
+    p_tdiff = telemetry_sub.add_parser(
+        "diff",
+        help="name the first record where two runs' streams differ "
+             "(exit 0 identical, 1 divergent, 2 unreadable)",
+    )
+    p_tdiff.add_argument("paths", nargs=2, metavar="PATH",
+                         help="two stream files, or two telemetry "
+                              "directories paired by file name")
+    p_tdiff.set_defaults(fn=cmd_telemetry, action="diff")
 
     for name, fn in (("fig7", cmd_fig7), ("fig8", cmd_fig8),
                      ("fig9", cmd_fig9), ("headline", cmd_headline),

@@ -16,15 +16,17 @@ On top, block-lifecycle tracing and invariant monitoring:
   per-backend span collectors writing each run's v2 block-trace
   stream (a deterministic sample of blocks, one span tree per block);
 * :mod:`repro.telemetry.tracepath` — critical-path latency
-  attribution, waterfalls and SVG rendering over trace streams
+  attribution and ASCII waterfalls over trace streams
   (``python -m repro telemetry trace``);
+* :mod:`repro.telemetry.diff` — the first place two runs' streams
+  differ (``python -m repro telemetry diff A B``);
 * :mod:`repro.telemetry.monitors` — read-side liveness/safety/
   fault-consistency probes producing a pinned-schema verdict document
   (``campaign run --monitors``).
 
 A campaign's harness history (cell outcomes, failed attempts, retries,
 pool respawns, per-cell wall clock) is its journal, read by ``campaign
-status`` and the dashboard (:mod:`repro.campaign`).
+status`` (:mod:`repro.campaign`).
 
 Telemetry is strictly write-only observation: enabling it never feeds
 back into simulation decisions, so seeded trace digests and campaign
@@ -83,8 +85,6 @@ from repro.telemetry.tracepath import (
     critical_path,
     format_trace_report,
     trace_report,
-    waterfall_figure,
-    waterfall_svg,
 )
 
 __all__ = [
@@ -128,6 +128,4 @@ __all__ = [
     "validate_record",
     "validate_stream",
     "validate_streams",
-    "waterfall_figure",
-    "waterfall_svg",
 ]

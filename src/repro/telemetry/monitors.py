@@ -20,8 +20,8 @@ the paper's experiments rely on:
   ``created``/``gossiped`` span falls inside a node's crash window.
 
 Verdicts land in a pinned-schema ``monitors`` document
-(:data:`MONITOR_SCHEMA_VERSION`), consumed by ``campaign status``,
-the campaign dashboard, and the optional ``--monitors strict`` gate.
+(:data:`MONITOR_SCHEMA_VERSION`), consumed by ``campaign status``
+and the optional ``--monitors strict`` gate.
 """
 
 from __future__ import annotations

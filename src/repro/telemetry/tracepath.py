@@ -4,8 +4,8 @@ The analysis side of :mod:`repro.telemetry.spans`: over trace streams
 parsed by ``repro.telemetry.stream.read_streams(paths, 2)``, attribute
 each confirmed block's confirmation latency to lifecycle phases along
 its critical path, aggregate per-phase latency distributions
-(p50/p99), and render per-block waterfalls — as ASCII for the
-``telemetry trace`` CLI and as inline SVG for the campaign dashboard.
+(p50/p99), and render per-block ASCII waterfalls for the
+``telemetry trace`` CLI.
 
 Everything here is pure data → data: no simulation imports, no clocks,
 no randomness — the same stream always renders the same report.
@@ -13,7 +13,6 @@ no randomness — the same stream always renders the same report.
 
 from __future__ import annotations
 
-import html
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -67,6 +66,15 @@ def critical_path(
     return chosen
 
 
+def trace_start(path: Path, records: List[Dict[str, Any]]) -> Dict[str, Any]:
+    """The stream's ``trace-start``; a headerless fragment (which the
+    validator accepts) names no backend, so it is an error here."""
+    start = stream_start(records)
+    if start is None:
+        raise TelemetryError(f"{path}: stream carries no trace-start")
+    return start
+
+
 def trace_report(
     streams: Iterable[Tuple[Path, List[Dict[str, Any]]]]
 ) -> Dict[str, Any]:
@@ -81,9 +89,7 @@ def trace_report(
     by_backend: Dict[str, Dict[str, List[float]]] = {}
     confirm_by_backend: Dict[str, List[float]] = {}
     for path, records in streams:
-        start = stream_start(records)
-        if start is None:
-            raise TelemetryError(f"{path}: stream carries no trace-start")
+        start = trace_start(path, records)
         backend = start["backend"]
         traces = [r for r in records if r.get("event") == BLOCK_TRACE]
         confirmed = [t for t in traces if t["confirmed"]]
@@ -239,106 +245,3 @@ def block_waterfall(
             f"  fault @{note['time']:.3f} slot {note['slot']}: {note['detail']}"
         )
     return "\n".join(lines)
-
-
-#: Fill colours per canonical phase bucket for the SVG waterfall.
-_SVG_COLORS = {
-    "created": "#4c78a8",
-    "gossiped": "#72b7b2",
-    "received": "#72b7b2",
-    "referenced": "#eeca3b",
-    "validated": "#f58518",
-    "pre-prepare": "#72b7b2",
-    "prepare": "#eeca3b",
-    "commit": "#f58518",
-    "approved": "#f58518",
-    "confirmed": "#54a24b",
-    "view-change": "#e45756",
-}
-
-
-def waterfall_svg(
-    trace: Dict[str, Any],
-    backend: str,
-    width: int = 640,
-    row_height: int = 18,
-) -> str:
-    """One block's span tree as a standalone inline-SVG waterfall.
-
-    All interpolated strings are escaped, so hostile scenario or block
-    names cannot break out of the dashboard markup embedding this.
-    """
-    t0, t1, rows = _waterfall_rows(trace, backend)
-    title = (
-        f"block {trace.get('block', '?')} "
-        f"({'confirmed' if trace.get('confirmed') else 'unconfirmed'})"
-    )
-    header = 22
-    height = header + row_height * max(1, len(rows)) + 6
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}" '
-        f'role="img" aria-label="{html.escape(title, quote=True)}">',
-        f'<text x="4" y="14" font-size="12" font-family="monospace">'
-        f'{html.escape(title, quote=True)}</text>',
-    ]
-    if not rows:
-        parts.append(
-            f'<text x="4" y="{header + 12}" font-size="11" '
-            f'font-family="monospace">no spans</text>'
-        )
-    label_width = 170
-    span_time = max(t1 - t0, 1e-9)
-    usable = width - label_width - 8
-    for index, span in enumerate(rows):
-        y = header + index * row_height
-        x0 = label_width + (span["start"] - t0) / span_time * usable
-        x1 = label_width + (span["end"] - t0) / span_time * usable
-        color = _SVG_COLORS.get(span["phase"], "#9d9d9d")
-        label = f"{span['phase']} n{span['node']}"
-        tooltip = f"{label}: {span['start']:.3f}→{span['end']:.3f}"
-        parts.append(
-            f'<text x="4" y="{y + 12}" font-size="11" '
-            f'font-family="monospace">{html.escape(label, quote=True)}</text>'
-        )
-        parts.append(
-            f'<rect x="{x0:.1f}" y="{y + 3}" '
-            f'width="{max(x1 - x0, 2.0):.1f}" height="{row_height - 6}" '
-            f'fill="{color}"><title>{html.escape(tooltip, quote=True)}'
-            f"</title></rect>"
-        )
-    parts.append("</svg>")
-    return "".join(parts)
-
-
-def first_waterfall_trace(
-    records: List[Dict[str, Any]]
-) -> Optional[Dict[str, Any]]:
-    """The stream's most interesting block for a default waterfall:
-    the first confirmed trace (most spans), else the first trace."""
-    traces = [r for r in records if r.get("event") == BLOCK_TRACE]
-    if not traces:
-        return None
-    confirmed = [t for t in traces if t["confirmed"]]
-    pool = confirmed or traces
-    return max(pool, key=lambda t: (len(t["spans"]), t["block"]))
-
-
-def waterfall_figure(
-    path: Path, records: List[Dict[str, Any]]
-) -> Optional[Tuple[str, str]]:
-    """A (caption, svg) pair for one trace stream's showcase block.
-
-    Picks the stream's most informative trace via
-    :func:`first_waterfall_trace`; returns ``None`` for streams with
-    no block traces (nothing sampled) or no ``trace-start`` header.
-    """
-    start = stream_start(records)
-    trace = first_waterfall_trace(records)
-    if start is None or trace is None:
-        return None
-    caption = (
-        f"{start['scenario']} [{start['backend']}] seed {start['seed']} "
-        f"— block {trace['block']}"
-    )
-    return caption, waterfall_svg(trace, start["backend"])

@@ -253,17 +253,6 @@ class TestCampaignObservability:
             "done", "failing", "pending", "quarantined"
         }
 
-    def test_dashboard_writes_self_contained_html(self, capsys, tmp_path):
-        out_path = tmp_path / "dash.html"
-        code = main(["campaign", "dashboard", "fault-grid",
-                     "--cache-dir", str(tmp_path / "cache"),
-                     "--out", str(out_path)])
-        assert code == 0
-        assert "dashboard written to" in capsys.readouterr().out
-        page = out_path.read_text()
-        assert page.startswith("<!DOCTYPE html>")
-        assert "fault-grid" in page and "<script" not in page
-
 
 class TestRetiredBenchCommand:
     """The in-package bench harness is gone; speed is ``benchmarks/perf/``'s."""
@@ -324,7 +313,9 @@ class TestRetiredExportCommand:
             action for action in subparsers.choices["telemetry"]._actions
             if action.dest == "action"
         ]
-        assert sorted(actions.choices) == ["summarize", "trace", "validate"]
+        assert sorted(actions.choices) == [
+            "diff", "summarize", "trace", "validate"
+        ]
 
     def test_campaign_run_writes_streams_and_verdicts_only(
         self, capsys, tmp_path, monkeypatch
@@ -349,6 +340,22 @@ class TestRetiredExportCommand:
         assert [p.name for p in (tmp_path / "warm").iterdir()] == [
             "monitors-smoke.json"
         ]
+
+
+class TestRetiredViews:
+    """The HTML dashboard and the SVG waterfalls are gone, with no stub."""
+
+    def test_campaign_dashboard_is_an_invalid_choice(self, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main(["campaign", "dashboard", "smoke"])
+        assert raised.value.code == 2
+        assert "invalid choice: 'dashboard'" in capsys.readouterr().err
+
+    def test_trace_svg_is_an_unknown_option(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as raised:
+            main(["telemetry", "trace", str(tmp_path), "--svg", "w.svg"])
+        assert raised.value.code == 2
+        assert "unrecognized arguments: --svg" in capsys.readouterr().err
 
 
 class TestTracingCLI:
@@ -434,11 +441,22 @@ class TestTracingCLI:
         assert main(["telemetry", "trace", str(traced_dir),
                      "--block", "no-such-block"]) == 1
 
-    def test_trace_svg_export(self, capsys, traced_dir, tmp_path):
-        out_path = tmp_path / "waterfall.svg"
-        assert main(["telemetry", "trace", str(traced_dir),
-                     "--svg", str(out_path)]) == 0
-        assert out_path.read_text().startswith("<svg")
+    @pytest.mark.parametrize("block", [[], ["--block", "3#7"]])
+    def test_trace_without_trace_start_exits_2(self, block, capsys, tmp_path):
+        # a lone block-trace line validates (a headerless fragment) but
+        # names no backend to attribute its spans to
+        stream = tmp_path / "trace-frag-2ldag-seed0.jsonl"
+        stream.write_text(json.dumps({
+            "v": 2, "event": "block-trace", "block": "3#7", "origin": 3,
+            "confirmed": False, "faults": [],
+            "spans": [{"phase": "created", "node": 3, "slot": 7,
+                       "start": 7.0, "end": 7.0}],
+        }) + "\n")
+        assert main(["telemetry", "validate", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert main(["telemetry", "trace", str(tmp_path), *block]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"{stream}: stream carries no trace-start\n")
 
     def test_trace_on_empty_dir_exits_1(self, capsys, tmp_path):
         code = main(["telemetry", "trace", str(tmp_path)])
@@ -473,16 +491,6 @@ class TestMonitorsCLI:
                      "--cache-dir", str(tmp_path / "cache"),
                      "--telemetry", str(telemetry)]) == 0
         assert "invariant monitors: pass" in capsys.readouterr().out
-
-        # the dashboard embeds the monitor panel and a waterfall
-        out_path = tmp_path / "dash.html"
-        assert main(["campaign", "dashboard", "smoke",
-                     "--cache-dir", str(tmp_path / "cache"),
-                     "--telemetry", str(telemetry),
-                     "--out", str(out_path)]) == 0
-        page = out_path.read_text()
-        assert "Invariant monitors" in page
-        assert "<svg" in page
 
     def test_monitors_without_telemetry_dir_exits_2(self, capsys, tmp_path,
                                                     monkeypatch):

@@ -14,12 +14,9 @@ from repro.telemetry.spans import PHASE_ORDER, SpanRecorder
 from repro.telemetry.tracepath import (
     block_waterfall,
     critical_path,
-    first_waterfall_trace,
     format_trace_report,
     percentile,
     trace_report,
-    waterfall_figure,
-    waterfall_svg,
 )
 
 from test_spans import tiny_spec  # noqa: E402 - sibling test helper
@@ -135,30 +132,3 @@ class TestWaterfalls:
         assert "block 3#1" in art
         for phase in ("created", "gossiped", "received", "validated"):
             assert phase in art
-
-    def test_svg_is_well_formed_and_escaped(self):
-        trace = crafted_trace()
-        trace["block"] = '<script>"&alert"</script>#1'
-        svg = waterfall_svg(trace, "2ldag")
-        assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
-        assert "<script>" not in svg
-        assert "&lt;script&gt;" in svg
-
-    def test_figure_from_recorded_stream(self, streams):
-        path, records = streams[0]
-        figure = waterfall_figure(path, records)
-        assert figure is not None
-        caption, svg = figure
-        assert "span-tiny" in caption and "[2ldag]" in caption
-        assert svg.startswith("<svg")
-
-    def test_figure_is_none_without_traces(self, streams):
-        path, records = streams[0]
-        header_only = [r for r in records if r["event"] == "trace-start"]
-        assert waterfall_figure(path, header_only) is None
-
-    def test_first_waterfall_trace_prefers_confirmed(self, streams):
-        _, records = streams[0]
-        best = first_waterfall_trace(records)
-        assert best is not None
-        assert best["spans"]
