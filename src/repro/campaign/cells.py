@@ -85,9 +85,8 @@ def execute_cell(cell: CellSpec) -> Dict[str, Any]:
     return resolve_cell_kind(cell.kind)(cell)
 
 
-@register_cell_kind("scenario")
-def run_scenario_cell(cell: CellSpec) -> Dict[str, Any]:
-    """The default kind: run the whole slot workload, return the result.
+def observed_runner(spec: ScenarioSpec) -> ScenarioRunner:
+    """A runner for ``spec`` with the recorders the environment asks for.
 
     Telemetry is env-driven so it reaches worker processes without
     widening the cell payload: ``$REPRO_TELEMETRY`` opts into per-slot
@@ -95,7 +94,9 @@ def run_scenario_cell(cell: CellSpec) -> Dict[str, Any]:
     streams.  Both recorders are pure observers — the payload (and its
     trace digest, the campaign's byte-identity witness) is identical
     with them on or off — and both truncate their stream on
-    ``run_started``, so a chaos-retried cell rewrites cleanly.
+    ``run_started``, so a chaos-retried cell rewrites cleanly.  The two
+    kinds that run a whole scenario (``scenario`` and
+    ``fault-grid-point``) build their runner here.
     """
     from repro.telemetry import (
         run_recorders,
@@ -106,8 +107,13 @@ def run_scenario_cell(cell: CellSpec) -> Dict[str, Any]:
     telemetry, spans = run_recorders(
         telemetry_dir_from_env(), trace_sample_from_env()
     )
-    runner = ScenarioRunner(cell.scenario, telemetry=telemetry, spans=spans)
-    return runner.run().to_dict()
+    return ScenarioRunner(spec, telemetry=telemetry, spans=spans)
+
+
+@register_cell_kind("scenario")
+def run_scenario_cell(cell: CellSpec) -> Dict[str, Any]:
+    """The default kind: run the whole slot workload, return the result."""
+    return observed_runner(cell.scenario).run().to_dict()
 
 
 def run_scenario_cells(

@@ -16,22 +16,15 @@ probabilistically are machine-checked here deterministically:
 * spec dataclasses stay frozen (``unfrozen-spec-dataclass``) and no
   function shares a mutable default (``mutable-default-arg``).
 
-See ``docs/static-analysis.md`` for the full catalogue, the inline
-``# repro: allow[rule-id]`` suppression pragma and the baseline
-workflow.  The engine lives in :mod:`repro.checks.engine`, the concrete
-rules in :mod:`repro.checks.rules`.
+Every finding fails the gate; the one way to record a deliberate
+exception is the inline ``# repro: allow[rule-id]`` pragma.  See
+``docs/static-analysis.md`` for the full catalogue.  The engine lives in
+:mod:`repro.checks.engine`, the concrete rules in
+:mod:`repro.checks.rules`.
 """
 
-from repro.checks.baseline import (
-    baseline_document,
-    finding_key,
-    load_baseline,
-    write_baseline,
-)
 from repro.checks.cli import run_lint
 from repro.checks.engine import (
-    ERROR,
-    WARNING,
     CheckError,
     CheckReport,
     Finding,
@@ -40,34 +33,23 @@ from repro.checks.engine import (
     build_rules,
     check_paths,
     check_source,
-    get_rule,
     register_rule,
-    rule_ids,
 )
-from repro.checks.report import render_json, render_rule_list, render_text
+from repro.checks.report import render_rule_list, render_text
 from repro.checks.rules import rule_catalogue
 
 __all__ = [
-    "ERROR",
-    "WARNING",
     "CheckError",
     "CheckReport",
     "Finding",
     "ModuleUnderCheck",
     "Rule",
-    "baseline_document",
     "build_rules",
     "check_paths",
     "check_source",
-    "finding_key",
-    "get_rule",
-    "load_baseline",
     "register_rule",
-    "render_json",
     "render_rule_list",
     "render_text",
     "rule_catalogue",
-    "rule_ids",
     "run_lint",
-    "write_baseline",
 ]

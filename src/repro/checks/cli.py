@@ -2,98 +2,36 @@
 
 Exit codes follow the gate contract CI relies on:
 
-* ``0`` — no error-severity findings (warnings may exist);
-* ``1`` — at least one non-baselined, non-suppressed error finding;
-* ``2`` — the invocation itself is bad (unknown rule/severity, missing
-  path or baseline, malformed baseline file).
+* ``0`` — no findings (pragma-suppressed ones do not count);
+* ``1`` — at least one finding;
+* ``2`` — a path is missing or unreadable.
 
 Usage examples::
 
     python -m repro lint src
-    python -m repro lint --format json src tests
-    python -m repro lint --select unseeded-random,wall-clock-in-sim src
-    python -m repro lint --severity mutable-default-arg=warning src
-    python -m repro lint --write-baseline lint-baseline.json src
-    python -m repro lint --baseline lint-baseline.json src
     python -m repro lint --list
 """
 
 from __future__ import annotations
 
 import sys
-from typing import Dict, List, Optional, Set
 
-from repro.checks.baseline import (
-    BaselineKey,
-    load_baseline,
-    write_baseline,
-)
-from repro.checks.engine import (
-    CheckError,
-    build_rules,
-    check_paths,
-)
-from repro.checks.report import render_json, render_rule_list, render_text
+from repro.checks.engine import CheckError, check_paths
+from repro.checks.report import render_rule_list, render_text
 
 #: What ``repro lint`` checks when no path is given.
 DEFAULT_PATHS = ("src",)
 
 
-def _split_ids(values: Optional[List[str]]) -> Optional[List[str]]:
-    """Flatten repeatable, comma-separated id flags; None when unused."""
-    if not values:
-        return None
-    out: List[str] = []
-    for value in values:
-        out.extend(part.strip() for part in value.split(",") if part.strip())
-    return out
-
-
-def _severity_overrides(values: Optional[List[str]]) -> Dict[str, str]:
-    """Parse ``--severity rule=level`` pairs."""
-    overrides: Dict[str, str] = {}
-    for value in values or []:
-        rule_id, separator, level = value.partition("=")
-        if not separator or not rule_id or not level:
-            raise CheckError(
-                f"--severity takes RULE=LEVEL (e.g. mutable-default-arg="
-                f"warning), got {value!r}"
-            )
-        overrides[rule_id.strip()] = level.strip()
-    return overrides
-
-
 def run_lint(args: object) -> int:
     """Execute the lint subcommand parsed by :mod:`repro.cli`."""
+    if getattr(args, "list_rules", False):
+        print(render_rule_list())
+        return 0
     try:
-        if getattr(args, "list_rules", False):
-            print(render_rule_list())
-            return 0
-        rules = build_rules(
-            select=_split_ids(getattr(args, "select", None)),
-            ignore=_split_ids(getattr(args, "ignore", None)),
-            severities=_severity_overrides(getattr(args, "severity", None)),
-        )
-        baseline: Optional[Set[BaselineKey]] = None
-        baseline_path = getattr(args, "baseline", None)
-        if baseline_path:
-            baseline = load_baseline(baseline_path)
-        paths = list(getattr(args, "paths", None) or DEFAULT_PATHS)
-        report = check_paths(paths, rules=rules, baseline=baseline)
-        write_path = getattr(args, "write_baseline", None)
-        if write_path:
-            write_baseline(write_path, report.findings)
-            print(
-                f"baseline with {len(report.findings)} finding(s) "
-                f"written to {write_path}"
-            )
-            return 0
-        output_format = getattr(args, "format", "text")
-        if output_format == "json":
-            sys.stdout.write(render_json(report))
-        else:
-            print(render_text(report, verbose=getattr(args, "verbose", False)))
-        return 1 if report.error_count else 0
+        report = check_paths(list(getattr(args, "paths", None) or DEFAULT_PATHS))
     except CheckError as error:
         print(f"lint: {error}", file=sys.stderr)
         return 2
+    print(render_text(report))
+    return 1 if report.findings else 0

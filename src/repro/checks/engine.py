@@ -6,12 +6,12 @@ simulation paths, atomic JSON persistence — that the chaos harness can
 only probe probabilistically.  This engine checks them *statically*: a
 :class:`Rule` inspects one parsed module and yields :class:`Finding`
 records; the engine walks a file tree, applies every registered rule,
-honours inline ``# repro: allow[rule-id]`` suppressions and an optional
-committed baseline, and reports stable ``path:line`` findings.
+honours inline ``# repro: allow[rule-id]`` suppressions, and reports
+stable ``path:line`` findings.  Every finding fails the gate.
 
-Rules are registered with :func:`register_rule` and looked up by their
-stable string id (``unseeded-random``, ``non-atomic-json-write``, …);
-the concrete invariants live in :mod:`repro.checks.rules`.
+Rules are registered with :func:`register_rule` under a stable string
+id (``unseeded-random``, ``non-atomic-json-write``, …); the concrete
+invariants live in :mod:`repro.checks.rules`.
 """
 
 from __future__ import annotations
@@ -32,12 +32,6 @@ from typing import (
     Type,
 )
 
-#: Finding severities, mildest last.  Only ``error`` findings make the
-#: lint exit non-zero; ``warning`` findings are reported but advisory.
-ERROR = "error"
-WARNING = "warning"
-SEVERITIES = (ERROR, WARNING)
-
 #: The inline suppression pragma: ``# repro: allow[rule-id]`` (several
 #: ids comma-separated).  It silences matching findings on its own line
 #: or, when the pragma stands on a comment-only line, on the next line.
@@ -48,7 +42,7 @@ PARSE_ERROR_RULE = "parse-error"
 
 
 class CheckError(Exception):
-    """A lint invocation that cannot run (bad path, bad rule id, ...)."""
+    """A lint invocation that cannot run (missing or unreadable path)."""
 
 
 @dataclass(frozen=True, order=True)
@@ -56,34 +50,29 @@ class Finding:
     """One rule violation at a ``path:line:col`` location.
 
     Ordering is by location then rule id, which is the stable order
-    reports and baselines use.
+    reports use.
     """
 
     path: str
     line: int
     col: int
     rule: str
-    severity: str
     message: str
 
     def describe(self) -> str:
         """The canonical one-line text rendering."""
-        return (
-            f"{self.path}:{self.line}:{self.col}: "
-            f"{self.rule} [{self.severity}] {self.message}"
-        )
+        return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
 
 
 class Rule:
     """One statically checkable invariant.
 
-    Subclasses define the stable ``id``, a default ``severity``, a one-
-    line ``summary`` and a ``rationale`` (both surfaced by ``--list``
-    and the docs), and implement :meth:`check` over a parsed module.
+    Subclasses define the stable ``id``, a one-line ``summary`` and a
+    ``rationale`` (both surfaced by ``--list`` and the docs), and
+    implement :meth:`check` over a parsed module.
     """
 
     id: str = ""
-    severity: str = ERROR
     summary: str = ""
     rationale: str = ""
 
@@ -101,7 +90,6 @@ class Rule:
             line=getattr(node, "lineno", 1),
             col=getattr(node, "col_offset", 0) + 1,
             rule=self.id,
-            severity=self.severity,
             message=message,
         )
 
@@ -115,27 +103,8 @@ def register_rule(cls: Type[Rule]) -> Type[Rule]:
         raise ValueError(f"rule {cls.__name__} has no id")
     if cls.id in _REGISTRY:
         raise ValueError(f"duplicate rule id {cls.id!r}")
-    if cls.severity not in SEVERITIES:
-        raise ValueError(f"rule {cls.id!r} has unknown severity {cls.severity!r}")
     _REGISTRY[cls.id] = cls
     return cls
-
-
-def rule_ids() -> Tuple[str, ...]:
-    """All registered rule ids, sorted."""
-    _ensure_rules_loaded()
-    return tuple(sorted(_REGISTRY))
-
-
-def get_rule(rule_id: str) -> Type[Rule]:
-    """The registered rule class for ``rule_id``."""
-    _ensure_rules_loaded()
-    try:
-        return _REGISTRY[rule_id]
-    except KeyError:
-        raise CheckError(
-            f"unknown rule id {rule_id!r}; known: {', '.join(sorted(_REGISTRY))}"
-        )
 
 
 def _ensure_rules_loaded() -> None:
@@ -284,60 +253,19 @@ class CheckReport:
     findings: List[Finding] = field(default_factory=list)
     files_checked: int = 0
     suppressed: int = 0
-    baselined: int = 0
-
-    @property
-    def error_count(self) -> int:
-        """Findings that should fail the gate."""
-        return sum(1 for f in self.findings if f.severity == ERROR)
-
-    @property
-    def warning_count(self) -> int:
-        """Advisory findings."""
-        return sum(1 for f in self.findings if f.severity == WARNING)
 
     def summary(self) -> str:
         """The one-line run summary the CLI prints last."""
         return (
             f"{self.files_checked} file(s) checked: "
-            f"{self.error_count} error(s), {self.warning_count} warning(s), "
-            f"{self.suppressed} suppressed, {self.baselined} baselined"
+            f"{len(self.findings)} finding(s), {self.suppressed} suppressed"
         )
 
 
-def build_rules(
-    select: Optional[Sequence[str]] = None,
-    ignore: Optional[Sequence[str]] = None,
-    severities: Optional[Mapping[str, str]] = None,
-) -> List[Rule]:
-    """Instantiate the configured rule set.
-
-    ``select`` restricts to the named ids, ``ignore`` drops ids, and
-    ``severities`` overrides per-rule severity (``{"mutable-default-arg":
-    "warning"}``).  Unknown ids raise :class:`CheckError`.
-    """
+def build_rules() -> List[Rule]:
+    """One instance of every registered rule, in id order."""
     _ensure_rules_loaded()
-    chosen = list(select) if select else list(rule_ids())
-    for rule_id in list(chosen) + list(ignore or []):
-        get_rule(rule_id)  # validates
-    if ignore:
-        dropped = set(ignore)
-        chosen = [rule_id for rule_id in chosen if rule_id not in dropped]
-    rules: List[Rule] = []
-    for rule_id in chosen:
-        rule = get_rule(rule_id)()
-        override = (severities or {}).get(rule_id)
-        if override is not None:
-            if override not in SEVERITIES:
-                raise CheckError(
-                    f"unknown severity {override!r} for rule {rule_id!r}; "
-                    f"use one of: {', '.join(SEVERITIES)}"
-                )
-            rule.severity = override
-        rules.append(rule)
-    for rule_id in (severities or {}):
-        get_rule(rule_id)  # validates ids that named no selected rule
-    return rules
+    return [_REGISTRY[rule_id]() for rule_id in sorted(_REGISTRY)]
 
 
 def discover_files(paths: Sequence[str]) -> List[Path]:
@@ -372,7 +300,6 @@ def check_source(
             line=error.lineno or 1,
             col=(error.offset or 0) or 1,
             rule=PARSE_ERROR_RULE,
-            severity=ERROR,
             message=f"file does not parse: {error.msg}",
         )
         return [finding], 0
@@ -388,34 +315,20 @@ def check_source(
     return sorted(kept), suppressed
 
 
-def check_paths(
-    paths: Sequence[str],
-    rules: Optional[Sequence[Rule]] = None,
-    baseline: Optional[Set[Tuple[str, str, int]]] = None,
-) -> CheckReport:
-    """Lint ``paths`` with ``rules`` (default: all registered).
-
-    ``baseline`` holds grandfathered ``(rule, path, line)`` keys (see
-    :mod:`repro.checks.baseline`); matching findings are counted but not
-    reported, so legacy debt never blocks the gate while anything *new*
-    does.
-    """
-    active = list(rules) if rules is not None else build_rules()
+def check_paths(paths: Sequence[str]) -> CheckReport:
+    """Lint ``paths`` with every registered rule."""
+    rules = build_rules()
     report = CheckReport()
     for file_path in discover_files(paths):
         try:
             source = file_path.read_text(encoding="utf-8")
-        except OSError as error:
+        except (OSError, UnicodeDecodeError) as error:
             raise CheckError(f"cannot read {file_path}: {error}")
         findings, suppressed = check_source(
-            file_path.as_posix(), source, active
+            file_path.as_posix(), source, rules
         )
         report.files_checked += 1
         report.suppressed += suppressed
-        for finding in findings:
-            if baseline and (finding.rule, finding.path, finding.line) in baseline:
-                report.baselined += 1
-            else:
-                report.findings.append(finding)
+        report.findings.extend(findings)
     report.findings.sort()
     return report

@@ -1,73 +1,33 @@
-"""Rendering lint results: ``file:line`` text and a stable JSON schema.
-
-The JSON layout is consumed by CI annotations and tests
-(``tests/checks/test_cli_lint.py`` pins the schema), so keys are
-append-only: removing or renaming one is a breaking change.
-"""
+"""Rendering lint results: ``file:line`` text and the rule catalogue."""
 
 from __future__ import annotations
-
-import json
-from typing import Any, Dict
 
 from repro.checks.engine import CheckReport
 from repro.checks.rules import rule_catalogue
 
-#: Format marker for the ``--format json`` document.
-REPORT_FORMAT_VERSION = 1
 
-
-def render_text(report: CheckReport, verbose: bool = False) -> str:
-    """The human-facing report: one ``path:line:col`` line per finding.
-
-    ``verbose`` appends each offending rule's rationale once, after the
-    findings — the lint equivalent of a compiler's explain mode.
-    """
+def render_text(report: CheckReport) -> str:
+    """The report: one ``path:line:col`` line per finding, then each
+    offending rule's rationale once, then the summary line."""
     lines = [finding.describe() for finding in report.findings]
-    if verbose and report.findings:
+    if report.findings:
         catalogue = rule_catalogue()
         lines.append("")
         for rule_id in sorted({f.rule for f in report.findings}):
             if rule_id in catalogue:
-                _, summary, rationale = catalogue[rule_id]
+                summary, rationale = catalogue[rule_id]
                 lines.append(f"{rule_id}: {summary}")
                 lines.append(f"  {rationale}")
     lines.append(report.summary())
     return "\n".join(lines)
 
 
-def render_json(report: CheckReport) -> str:
-    """The machine-facing report (schema pinned by the test suite)."""
-    document: Dict[str, Any] = {
-        "format_version": REPORT_FORMAT_VERSION,
-        "findings": [
-            {
-                "path": finding.path,
-                "line": finding.line,
-                "col": finding.col,
-                "rule": finding.rule,
-                "severity": finding.severity,
-                "message": finding.message,
-            }
-            for finding in report.findings
-        ],
-        "summary": {
-            "files_checked": report.files_checked,
-            "errors": report.error_count,
-            "warnings": report.warning_count,
-            "suppressed": report.suppressed,
-            "baselined": report.baselined,
-        },
-    }
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
-
-
 def render_rule_list() -> str:
-    """The ``--list`` catalogue: id, severity, summary per rule."""
+    """The ``--list`` catalogue: id and summary per rule."""
     catalogue = rule_catalogue()
     width = max(len(rule_id) for rule_id in catalogue)
     lines = [
-        f"{rule_id:<{width}}  {severity:<7}  {summary}"
-        for rule_id, (severity, summary, _) in sorted(catalogue.items())
+        f"{rule_id:<{width}}  {summary}"
+        for rule_id, (summary, _) in sorted(catalogue.items())
     ]
     return "\n".join(lines)

@@ -2,8 +2,8 @@
 
 Each rule encodes one architecture invariant from ROADMAP.md /
 docs/static-analysis.md as an AST check.  Rule ids are stable API: they
-appear in findings, inline ``# repro: allow[...]`` pragmas, baselines
-and CI logs, so renaming one is a breaking change.
+appear in findings, inline ``# repro: allow[...]`` pragmas and CI logs,
+so renaming one is a breaking change.
 
 The determinism contract the first three rules protect: seeded trace
 digests and campaign cell digests must be byte-identical across
@@ -21,10 +21,10 @@ import ast
 from typing import Dict, Iterator, Optional, Tuple
 
 from repro.checks.engine import (
-    ERROR,
     Finding,
     ModuleUnderCheck,
     Rule,
+    build_rules,
     register_rule,
 )
 
@@ -51,7 +51,6 @@ class UnseededRandomRule(Rule):
     """All randomness must flow through ``repro.sim.rng`` named streams."""
 
     id = "unseeded-random"
-    severity = ERROR
     summary = "randomness outside repro.sim.rng named streams"
     rationale = (
         "Global random.* state, os.urandom and uuid4 are invisible to the "
@@ -96,7 +95,6 @@ class WallClockInSimRule(Rule):
     """Simulation paths must use simulated time, never the wall clock."""
 
     id = "wall-clock-in-sim"
-    severity = ERROR
     summary = "wall-clock read inside a simulation path"
     rationale = (
         "Simulated time comes from the event kernel; reading the host clock "
@@ -143,7 +141,6 @@ class WallClockInTelemetryRule(Rule):
     """Telemetry records only simulated/slot time, never the host clock."""
 
     id = "wall-clock-in-telemetry"
-    severity = ERROR
     summary = "wall-clock read inside the telemetry layer"
     rationale = (
         "Telemetry streams, trace spans and monitor verdicts are pinned "
@@ -179,7 +176,6 @@ class BuiltinHashRule(Rule):
     come from :mod:`repro.crypto.hashing`."""
 
     id = "builtin-hash-in-digest"
-    severity = ERROR
     summary = "PYTHONHASHSEED-dependent builtin hash()"
     rationale = (
         "hash() of a str/bytes changes across interpreter launches unless "
@@ -214,7 +210,6 @@ class NetworkOutsideScenarioRule(Rule):
     """Deployments are built only by the scenario pipeline."""
 
     id = "network-outside-scenario"
-    severity = ERROR
     summary = "TwoLayerDagNetwork constructed outside repro.scenario"
     rationale = (
         "Every entry point goes spec -> ScenarioRunner -> backend; a "
@@ -244,7 +239,6 @@ class BackendBypassRule(Rule):
     """Live baseline ledgers are reached only via the backend registry."""
 
     id = "backend-bypass"
-    severity = ERROR
     summary = "live baselines import outside the backend registry"
     rationale = (
         "PR 4 made pbft/iota registered LedgerBackends so every scenario is "
@@ -298,7 +292,6 @@ class NonAtomicWriteRule(Rule):
     """Result files are written atomically, never with a bare open()."""
 
     id = "non-atomic-json-write"
-    severity = ERROR
     summary = "truncating open() instead of atomic_write_text"
     rationale = (
         "open(path, 'w') truncates before writing: a campaign worker killed "
@@ -353,7 +346,6 @@ class UnfrozenSpecRule(Rule):
     """Spec dataclasses are frozen: digests hash their serialized form."""
 
     id = "unfrozen-spec-dataclass"
-    severity = ERROR
     summary = "spec dataclass without frozen=True"
     rationale = (
         "Scenario/campaign/fault/chaos specs are content-addressed: cell "
@@ -409,7 +401,6 @@ class MutableDefaultArgRule(Rule):
     """No mutable default arguments."""
 
     id = "mutable-default-arg"
-    severity = ERROR
     summary = "mutable default argument"
     rationale = (
         "A list/dict/set default is created once and shared by every call: "
@@ -464,7 +455,6 @@ class PrintInLibraryRule(Rule):
     """Library code returns data or emits telemetry; it never prints."""
 
     id = "print-in-library"
-    severity = ERROR
     summary = "bare print() in library code"
     rationale = (
         "stdout belongs to the CLI: a print() buried in a runner, backend "
@@ -522,12 +512,6 @@ class PrintInLibraryRule(Rule):
             )
 
 
-def rule_catalogue() -> Dict[str, Tuple[str, str, str]]:
-    """id -> (severity, summary, rationale) for docs and ``--list``."""
-    from repro.checks.engine import get_rule, rule_ids
-
-    catalogue: Dict[str, Tuple[str, str, str]] = {}
-    for rule_id in rule_ids():
-        cls = get_rule(rule_id)
-        catalogue[rule_id] = (cls.severity, cls.summary, cls.rationale)
-    return catalogue
+def rule_catalogue() -> Dict[str, Tuple[str, str]]:
+    """id -> (summary, rationale) for docs and ``--list``."""
+    return {rule.id: (rule.summary, rule.rationale) for rule in build_rules()}

@@ -894,25 +894,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("paths", nargs="*", metavar="PATH",
                    help="files or directories to check (default: src)")
-    p.add_argument("--format", choices=("text", "json"), default="text",
-                   help="report format (default: text)")
-    p.add_argument("--baseline", default=None, metavar="FILE",
-                   help="subtract grandfathered findings listed in FILE")
-    p.add_argument("--write-baseline", default=None, metavar="FILE",
-                   help="snapshot current findings to FILE and exit 0")
-    p.add_argument("--select", action="append", default=None, metavar="IDS",
-                   help="run only these rule ids (comma-separated, "
-                        "repeatable)")
-    p.add_argument("--ignore", action="append", default=None, metavar="IDS",
-                   help="skip these rule ids (comma-separated, repeatable)")
-    p.add_argument("--severity", action="append", default=None,
-                   metavar="RULE=LEVEL",
-                   help="override one rule's severity (error|warning; "
-                        "repeatable); only errors fail the gate")
     p.add_argument("--list", dest="list_rules", action="store_true",
                    help="print the rule catalogue and exit")
-    p.add_argument("--verbose", action="store_true",
-                   help="append each offending rule's rationale")
     p.set_defaults(fn=cmd_lint)
 
     p = sub.add_parser(

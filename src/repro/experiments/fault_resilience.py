@@ -28,14 +28,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.campaign.cells import register_cell_kind
+from repro.campaign.cells import observed_runner, register_cell_kind
 from repro.campaign.spec import CampaignSpec, CellSpec
 from repro.faults.presets import build_fault_preset
 from repro.faults.spec import FaultScheduleSpec
 from repro.metrics.reporting import format_table
 from repro.scenario import (
     ProtocolSpec,
-    ScenarioRunner,
     ScenarioSpec,
     TopologySpec,
     WorkloadSpec,
@@ -122,7 +121,7 @@ def fault_grid_scenario(backend: str, intensity: str, seed: int) -> ScenarioSpec
 def run_fault_grid_cell(cell: CellSpec) -> Dict[str, Any]:
     """Run one grid point and measure its degradation metrics."""
     spec = cell.scenario
-    runner = ScenarioRunner(spec)
+    runner = observed_runner(spec)
     result = runner.run()
     latency = None
     if runner.workload is not None and runner.workload.validations:

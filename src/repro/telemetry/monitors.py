@@ -378,7 +378,10 @@ def validate_monitor_document(document: Any) -> None:
 
 def load_monitor_document(path: Union[str, Path]) -> Dict[str, Any]:
     """Read + validate a monitors document written by the CLI."""
-    document = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        document = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        raise TelemetryError(f"{path}: {error}") from None
     validate_monitor_document(document)
     return document
 

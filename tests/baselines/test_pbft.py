@@ -7,7 +7,14 @@ import pytest
 from repro.baselines.pbft import replica as replica_module
 from repro.baselines.pbft.chain import Blockchain, ChainBlock
 from repro.baselines.pbft.cluster import PbftCluster
-from repro.net.topology import grid_topology
+from repro.baselines.pbft.messages import (
+    KIND_PRE_PREPARE,
+    KIND_PREPARE,
+    PrePrepare,
+    Request,
+)
+from repro.baselines.pbft.replica import request_digest
+from repro.net.topology import grid_topology, ring_topology
 
 
 class DigestCounter:
@@ -204,4 +211,44 @@ class TestFaults:
         assert all(r.view >= 1 for r in live)
         # The three live clients' requests eventually commit.
         assert cluster.min_height() == 3
+        assert cluster.chains_consistent()
+
+
+class TestByzantineGuards:
+    """A backup ignores a PRE-PREPARE the view's primary did not send, and
+    one whose digest is not its request's: it records no pre-prepare for
+    that (view, sequence) and multicasts no PREPARE for it."""
+
+    @pytest.mark.parametrize("n", [4, 7, 10])
+    @pytest.mark.parametrize("forged_by_primary", [False, True],
+                             ids=["non-primary-sender", "digest-mismatch"])
+    def test_forged_pre_prepare_is_ignored(self, n, forged_by_primary):
+        cluster = PbftCluster(topology=ring_topology(n), payload_bits=4000, seed=n)
+        cluster.run_slots(2)
+        heights = [r.chain.height for r in cluster.replicas.values()]
+        primary_id, target_id, other_id = sorted(cluster.replicas)[:3]
+        primary = cluster.replicas[primary_id]
+        request = Request(client=target_id, payload_seed=b"forged",
+                          payload_bits=4000, timestamp=9.0)
+        if forged_by_primary:
+            sender = primary_id
+            digest = request_digest(Request(client=target_id, payload_seed=b"other",
+                                            payload_bits=4000, timestamp=9.0))
+        else:
+            sender = other_id
+            digest = request_digest(request)
+        key = (primary.view, primary.next_sequence)
+        forged = PrePrepare(view=key[0], sequence=key[1], digest=digest,
+                            request=request)
+        prepares = cluster.traffic.message_count(KIND_PREPARE)
+
+        cluster.network.interface(sender).send(
+            target_id, KIND_PRE_PREPARE, forged, forged.size_bits
+        )
+        cluster.sim.run()
+
+        state = cluster.replicas[target_id]._slots.get(key)
+        assert state is None or state.pre_prepare is None
+        assert cluster.traffic.message_count(KIND_PREPARE) == prepares
+        assert [r.chain.height for r in cluster.replicas.values()] == heights
         assert cluster.chains_consistent()

@@ -1,42 +1,60 @@
 """Positive and negative cases for every shipped rule."""
 
 from repro.checks import build_rules, check_source
+from repro.checks.rules import (
+    BackendBypassRule,
+    BuiltinHashRule,
+    MutableDefaultArgRule,
+    NetworkOutsideScenarioRule,
+    NonAtomicWriteRule,
+    PrintInLibraryRule,
+    UnfrozenSpecRule,
+    UnseededRandomRule,
+    WallClockInSimRule,
+    WallClockInTelemetryRule,
+)
 
 
-def findings_for(source, path="src/repro/core/victim.py", select=None):
-    found, _ = check_source(path, source, build_rules(select=select))
-    return found
+class RuleCase:
+    """Runs the one rule under test (``RULE``) over a source snippet."""
+
+    RULE = None
+
+    def findings_for(self, source, path="src/repro/core/victim.py"):
+        found, _ = check_source(path, source, [self.RULE()])
+        return found
+
+    def rules_fired(self, source, path="src/repro/core/victim.py"):
+        return [f.rule for f in self.findings_for(source, path)]
 
 
-def rules_fired(source, path="src/repro/core/victim.py"):
-    return [f.rule for f in findings_for(source, path)]
+class TestUnseededRandom(RuleCase):
+    RULE = UnseededRandomRule
 
-
-class TestUnseededRandom:
     def test_global_state_draw_fires(self):
-        assert rules_fired("import random\nx = random.random()\n") == [
+        assert self.rules_fired("import random\nx = random.random()\n") == [
             "unseeded-random"
         ]
 
     def test_raw_random_construction_fires(self):
-        assert rules_fired("import random\nr = random.Random(7)\n") == [
+        assert self.rules_fired("import random\nr = random.Random(7)\n") == [
             "unseeded-random"
         ]
 
     def test_from_import_fires(self):
-        assert rules_fired("from random import randint\nx = randint(0, 9)\n") == [
+        assert self.rules_fired("from random import randint\nx = randint(0, 9)\n") == [
             "unseeded-random"
         ]
 
     def test_os_urandom_and_uuid4_fire(self):
-        fired = rules_fired(
+        fired = self.rules_fired(
             "import os\nimport uuid\nx = os.urandom(8)\ny = uuid.uuid4()\n"
         )
         assert fired == ["unseeded-random", "unseeded-random"]
 
     def test_rng_home_is_exempt(self):
         assert (
-            rules_fired(
+            self.rules_fired(
                 "import random\nstream = random.Random(42)\n",
                 path="src/repro/sim/rng.py",
             )
@@ -45,7 +63,7 @@ class TestUnseededRandom:
 
     def test_stream_method_calls_are_fine(self):
         assert (
-            rules_fired(
+            self.rules_fired(
                 "from repro.sim.rng import RandomStreams\n"
                 "rng = RandomStreams(0).get('topology')\n"
                 "x = rng.random()\n"
@@ -54,18 +72,20 @@ class TestUnseededRandom:
         )
 
 
-class TestWallClockInSim:
+class TestWallClockInSim(RuleCase):
+    RULE = WallClockInSimRule
+
     def test_time_time_in_core_fires(self):
-        assert rules_fired("import time\nt = time.time()\n") == ["wall-clock-in-sim"]
+        assert self.rules_fired("import time\nt = time.time()\n") == ["wall-clock-in-sim"]
 
     def test_datetime_now_via_from_import_fires(self):
-        assert rules_fired(
+        assert self.rules_fired(
             "from datetime import datetime\nt = datetime.now()\n"
         ) == ["wall-clock-in-sim"]
 
     def test_perf_counter_outside_sim_zone_is_fine(self):
         assert (
-            rules_fired(
+            self.rules_fired(
                 "import time\nstart = time.perf_counter()\n",
                 path="src/repro/campaign/executor.py",
             )
@@ -73,12 +93,14 @@ class TestWallClockInSim:
         )
 
     def test_sleep_is_not_a_clock_read(self):
-        assert rules_fired("import time\ntime.sleep(0)\n") == []
+        assert self.rules_fired("import time\ntime.sleep(0)\n") == []
 
 
-class TestBuiltinHash:
+class TestBuiltinHash(RuleCase):
+    RULE = BuiltinHashRule
+
     def test_hash_call_fires(self):
-        assert rules_fired("key = hash('block')\n") == ["builtin-hash-in-digest"]
+        assert self.rules_fired("key = hash('block')\n") == ["builtin-hash-in-digest"]
 
     def test_dunder_hash_delegation_is_exempt(self):
         source = (
@@ -86,16 +108,18 @@ class TestBuiltinHash:
             "    def __hash__(self):\n"
             "        return hash(self.value)\n"
         )
-        assert rules_fired(source) == []
+        assert self.rules_fired(source) == []
 
     def test_hashlib_is_fine(self):
         assert (
-            rules_fired("import hashlib\nd = hashlib.sha256(b'x').hexdigest()\n")
+            self.rules_fired("import hashlib\nd = hashlib.sha256(b'x').hexdigest()\n")
             == []
         )
 
 
-class TestNetworkOutsideScenario:
+class TestNetworkOutsideScenario(RuleCase):
+    RULE = NetworkOutsideScenarioRule
+
     SOURCE = (
         "from repro.core.protocol import TwoLayerDagNetwork\n"
         "net = TwoLayerDagNetwork(nodes=4)\n"
@@ -104,36 +128,38 @@ class TestNetworkOutsideScenario:
     def test_construction_outside_scenario_fires(self):
         fired = [
             f
-            for f in findings_for(self.SOURCE, path="src/repro/experiments/x.py")
+            for f in self.findings_for(self.SOURCE, path="src/repro/experiments/x.py")
             if f.rule == "network-outside-scenario"
         ]
         assert len(fired) == 1
         assert fired[0].line == 2
 
     def test_scenario_package_is_exempt(self):
-        fired = rules_fired(self.SOURCE, path="src/repro/scenario/backends.py")
+        fired = self.rules_fired(self.SOURCE, path="src/repro/scenario/backends.py")
         assert "network-outside-scenario" not in fired
 
     def test_import_alone_is_not_flagged(self):
         source = "from repro.core.protocol import TwoLayerDagNetwork\n"
-        assert rules_fired(source, path="src/repro/experiments/x.py") == []
+        assert self.rules_fired(source, path="src/repro/experiments/x.py") == []
 
 
-class TestBackendBypass:
+class TestBackendBypass(RuleCase):
+    RULE = BackendBypassRule
+
     def test_live_cluster_import_fires(self):
-        assert rules_fired(
+        assert self.rules_fired(
             "from repro.baselines.pbft.cluster import PbftCluster\n",
             path="src/repro/experiments/x.py",
         ) == ["backend-bypass"]
 
     def test_live_reexport_from_package_root_fires(self):
-        assert rules_fired(
+        assert self.rules_fired(
             "from repro.baselines import IotaNetwork\n",
             path="src/repro/experiments/x.py",
         ) == ["backend-bypass"]
 
     def test_plain_module_import_fires(self):
-        assert rules_fired(
+        assert self.rules_fired(
             "import repro.baselines.iota.node\n",
             path="src/repro/experiments/x.py",
         ) == ["backend-bypass"]
@@ -144,11 +170,11 @@ class TestBackendBypass:
             "from repro.baselines.pbft.costmodel import PbftCostModel\n"
             "from repro.baselines import PbftCostModel as Model\n"
         )
-        assert rules_fired(source, path="src/repro/experiments/x.py") == []
+        assert self.rules_fired(source, path="src/repro/experiments/x.py") == []
 
     def test_baselines_package_itself_is_exempt(self):
         assert (
-            rules_fired(
+            self.rules_fired(
                 "from repro.baselines.pbft.replica import PbftReplica\n",
                 path="src/repro/baselines/pbft/cluster.py",
             )
@@ -157,7 +183,7 @@ class TestBackendBypass:
 
     def test_backend_registry_module_is_exempt(self):
         assert (
-            rules_fired(
+            self.rules_fired(
                 "from repro.baselines.pbft.cluster import PbftCluster\n",
                 path="src/repro/scenario/backends.py",
             )
@@ -165,17 +191,19 @@ class TestBackendBypass:
         )
 
 
-class TestNonAtomicWrite:
+class TestNonAtomicWrite(RuleCase):
+    RULE = NonAtomicWriteRule
+
     def test_truncating_open_fires(self):
         source = (
             "import json\n"
             "with open('out.json', 'w') as fh:\n"
             "    json.dump({}, fh)\n"
         )
-        assert rules_fired(source) == ["non-atomic-json-write"]
+        assert self.rules_fired(source) == ["non-atomic-json-write"]
 
     def test_mode_keyword_and_x_mode_fire(self):
-        assert rules_fired("fh = open('f', mode='x')\n") == ["non-atomic-json-write"]
+        assert self.rules_fired("fh = open('f', mode='x')\n") == ["non-atomic-json-write"]
 
     def test_read_and_append_modes_are_fine(self):
         source = (
@@ -184,11 +212,11 @@ class TestNonAtomicWrite:
             "with open('journal.jsonl', 'a') as fh:\n"
             "    fh.write('line')\n"
         )
-        assert rules_fired(source) == []
+        assert self.rules_fired(source) == []
 
     def test_atomic_writer_home_is_exempt(self):
         assert (
-            rules_fired(
+            self.rules_fired(
                 "fh = open('f', 'w')\n",
                 path="src/repro/experiments/persistence.py",
             )
@@ -196,7 +224,9 @@ class TestNonAtomicWrite:
         )
 
 
-class TestUnfrozenSpecDataclass:
+class TestUnfrozenSpecDataclass(RuleCase):
+    RULE = UnfrozenSpecRule
+
     def test_spec_suffix_requires_frozen(self):
         source = (
             "from dataclasses import dataclass\n"
@@ -204,7 +234,7 @@ class TestUnfrozenSpecDataclass:
             "class RetrySpec:\n"
             "    tries: int = 3\n"
         )
-        assert rules_fired(source) == ["unfrozen-spec-dataclass"]
+        assert self.rules_fired(source) == ["unfrozen-spec-dataclass"]
 
     def test_spec_module_requires_frozen_for_any_name(self):
         source = (
@@ -213,7 +243,7 @@ class TestUnfrozenSpecDataclass:
             "class Limits:\n"
             "    cap: int = 1\n"
         )
-        assert rules_fired(source, path="src/repro/faults/spec.py") == [
+        assert self.rules_fired(source, path="src/repro/faults/spec.py") == [
             "unfrozen-spec-dataclass"
         ]
 
@@ -224,7 +254,7 @@ class TestUnfrozenSpecDataclass:
             "class RetrySpec:\n"
             "    tries: int = 3\n"
         )
-        assert rules_fired(source) == []
+        assert self.rules_fired(source) == []
 
     def test_non_dataclass_and_non_spec_are_ignored(self):
         source = (
@@ -235,45 +265,49 @@ class TestUnfrozenSpecDataclass:
             "class Accumulator:\n"
             "    total: int = 0\n"
         )
-        assert rules_fired(source) == []
+        assert self.rules_fired(source) == []
 
 
-class TestMutableDefaultArg:
+class TestMutableDefaultArg(RuleCase):
+    RULE = MutableDefaultArgRule
+
     def test_literal_defaults_fire(self):
-        fired = rules_fired(
+        fired = self.rules_fired(
             "def f(a=[], b={}, c=set()):\n    return a, b, c\n"
         )
         assert fired == ["mutable-default-arg"] * 3
 
     def test_keyword_only_default_fires(self):
-        assert rules_fired("def f(*, hooks=[]):\n    return hooks\n") == [
+        assert self.rules_fired("def f(*, hooks=[]):\n    return hooks\n") == [
             "mutable-default-arg"
         ]
 
     def test_immutable_defaults_pass(self):
         assert (
-            rules_fired("def f(a=(), b=None, c='x', d=0):\n    return a, b, c, d\n")
+            self.rules_fired("def f(a=(), b=None, c='x', d=0):\n    return a, b, c, d\n")
             == []
         )
 
 
-class TestPrintInLibrary:
+class TestPrintInLibrary(RuleCase):
+    RULE = PrintInLibraryRule
+
     def test_bare_print_fires(self):
-        assert rules_fired("print('debugging')\n") == ["print-in-library"]
+        assert self.rules_fired("print('debugging')\n") == ["print-in-library"]
 
     def test_print_in_function_fires(self):
         source = (
             "def run():\n"
             "    print('progress', 3)\n"
         )
-        assert rules_fired(source, path="src/repro/campaign/executor.py") == [
+        assert self.rules_fired(source, path="src/repro/campaign/executor.py") == [
             "print-in-library"
         ]
 
     def test_cli_homes_are_exempt(self):
-        assert rules_fired("print('usage')\n", path="src/repro/cli.py") == []
+        assert self.rules_fired("print('usage')\n", path="src/repro/cli.py") == []
         assert (
-            rules_fired("print('lint')\n", path="src/repro/checks/cli.py") == []
+            self.rules_fired("print('lint')\n", path="src/repro/checks/cli.py") == []
         )
 
     def test_log_callback_and_shadowed_print_pass(self):
@@ -283,7 +317,7 @@ class TestPrintInLibrary:
             "def other(print):\n"
             "    print('not the builtin')\n"
         )
-        assert rules_fired(source) == []
+        assert self.rules_fired(source) == []
 
     def test_pragma_suppresses(self):
         found, suppressed = check_source(
@@ -309,15 +343,17 @@ class TestRealTreeFixtures:
         assert suppressed == 1
 
 
-class TestWallClockInTelemetry:
+class TestWallClockInTelemetry(RuleCase):
+    RULE = WallClockInTelemetryRule
+
     def test_time_time_in_telemetry_fires(self):
-        assert rules_fired(
+        assert self.rules_fired(
             "import time\nt = time.time()\n",
             path="src/repro/telemetry/spans.py",
         ) == ["wall-clock-in-telemetry"]
 
     def test_datetime_now_fires(self):
-        assert rules_fired(
+        assert self.rules_fired(
             "from datetime import datetime\nstamp = datetime.now()\n",
             path="src/repro/telemetry/monitors.py",
         ) == ["wall-clock-in-telemetry"]
@@ -325,7 +361,7 @@ class TestWallClockInTelemetry:
     def test_outside_telemetry_zone_is_the_sim_rules_problem(self):
         # The telemetry rule is zoned: the same read elsewhere is
         # covered (or deliberately not) by wall-clock-in-sim.
-        assert "wall-clock-in-telemetry" not in rules_fired(
+        assert "wall-clock-in-telemetry" not in self.rules_fired(
             "import time\nt = time.time()\n",
             path="src/repro/campaign/executor.py",
         )
@@ -335,4 +371,4 @@ class TestWallClockInTelemetry:
             "def record(self, now, counters):\n"
             "    self.last_slot = int(now)\n"
         )
-        assert rules_fired(source, path="src/repro/telemetry/events.py") == []
+        assert self.rules_fired(source, path="src/repro/telemetry/events.py") == []

@@ -12,6 +12,9 @@ from repro.experiments.fault_resilience import (
     fault_schedule_for,
     run_fault_resilience,
 )
+from repro.telemetry import TELEMETRY_ENV_VAR, TRACE_SAMPLE_ENV_VAR
+from repro.telemetry.monitors import MONITOR_PASS, evaluate_monitors
+from repro.telemetry.stream import discover_streams, read_streams
 
 
 class TestGridConstruction:
@@ -86,6 +89,41 @@ class TestCellKind:
             schedule = spec.workload.faults
             if schedule is not None:
                 assert set(schedule.boundary_slots) <= set(axis)
+
+
+class TestCellTelemetry:
+    """A grid cell records the streams the environment asks for, and
+    recording changes nothing in its payload."""
+
+    @staticmethod
+    def crash_cell(backend):
+        return fault_grid_cells((backend,), ("crash",), (0,))[0]
+
+    @pytest.mark.parametrize("backend", DEFAULT_BACKENDS)
+    def test_cell_writes_its_stream_and_keeps_its_payload(
+        self, backend, tmp_path, monkeypatch
+    ):
+        monkeypatch.delenv(TELEMETRY_ENV_VAR, raising=False)
+        monkeypatch.delenv(TRACE_SAMPLE_ENV_VAR, raising=False)
+        plain = execute_cell(self.crash_cell(backend))
+        monkeypatch.setenv(TELEMETRY_ENV_VAR, str(tmp_path))
+        observed = execute_cell(self.crash_cell(backend))
+        assert observed == plain
+        assert len(discover_streams([tmp_path])) == 1
+        ((_, records),) = read_streams([tmp_path], 1)
+        assert records[-1]["event"] == "run-end"
+        assert records[-1]["trace_sha256"] == plain["trace_sha256"]
+
+    @pytest.mark.parametrize("backend", DEFAULT_BACKENDS)
+    def test_traced_cell_passes_the_monitors(self, backend, tmp_path, monkeypatch):
+        monkeypatch.setenv(TELEMETRY_ENV_VAR, str(tmp_path))
+        monkeypatch.setenv(TRACE_SAMPLE_ENV_VAR, "1.0")
+        execute_cell(self.crash_cell(backend))
+        document = evaluate_monitors([tmp_path])
+        (run,) = document["runs"]
+        assert len(run["streams"]) == 2
+        assert document["status"] == MONITOR_PASS
+        assert document["counts"] == {"pass": 4, "fail": 0, "skip": 0}
 
 
 class TestSweep:

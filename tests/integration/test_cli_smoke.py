@@ -492,6 +492,22 @@ class TestMonitorsCLI:
                      "--telemetry", str(telemetry)]) == 0
         assert "invariant monitors: pass" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("content", [b"", b"{", b"\xff\xfe{}"],
+                             ids=["empty", "torn", "not-utf8"])
+    def test_status_names_an_unreadable_monitors_document(self, content,
+                                                          capsys, tmp_path):
+        telemetry = tmp_path / "tel"
+        telemetry.mkdir()
+        document = telemetry / "monitors-smoke.json"
+        document.write_bytes(content)
+        code = main(["campaign", "status", "smoke",
+                     "--cache-dir", str(tmp_path / "cache"),
+                     "--telemetry", str(telemetry)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            f"monitors document invalid: {document}: "
+        )
+
     def test_monitors_without_telemetry_dir_exits_2(self, capsys, tmp_path,
                                                     monkeypatch):
         monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
