@@ -13,8 +13,8 @@ Run:  python examples/ledger_comparison.py
 
 # Closed-form cost models only — live cluster/tangle objects are
 # reached through repro.scenario.create_backend.
-from repro.baselines.iota.costmodel import IotaCostModel  # repro: allow[backend-bypass]
-from repro.baselines.pbft.costmodel import PbftCostModel  # repro: allow[backend-bypass]
+from repro.baselines.iota.costmodel import IotaCostModel
+from repro.baselines.pbft.costmodel import PbftCostModel
 from repro.scenario import ScenarioRunner, build_topology, get_scenario
 from repro.sim.rng import RandomStreams
 

@@ -1,79 +1,16 @@
 """2LDAG — a reproduction of "A Novel Two-Layer DAG-Based Reactive
 Protocol for IoT Data Reliability in Metaverse" (ICDCS 2023).
 
-Public API
-----------
-The most commonly used entry points are re-exported here:
-
-* :class:`~repro.core.config.ProtocolConfig` — protocol constants;
-* :class:`~repro.core.protocol.TwoLayerDagNetwork` — a wired deployment;
-* :class:`~repro.core.protocol.SlotSimulation` — the paper's workload;
-* :class:`~repro.core.node.IoTNode` — one participant;
-* :class:`~repro.core.pop.validator.PopValidator` /
-  :class:`~repro.core.pop.validator.PopOutcome` — on-demand
-  verification (Proof-of-Path);
-* :mod:`repro.scenario` — the declarative spec → runner → result
-  pipeline every entry point builds its deployment through;
-* :mod:`repro.baselines` — PBFT and IOTA comparison systems;
-* :mod:`repro.attacks` — adversarial behaviours;
-* :mod:`repro.experiments` — one runner per paper figure.
+Import each name from the module that defines it; :mod:`repro.scenario`,
+the declarative spec → runner → result pipeline, is the entry point.
 
 Quickstart
 ----------
->>> from repro import ScenarioRunner, get_scenario
+>>> from repro.scenario import ScenarioRunner, get_scenario
 >>> runner = ScenarioRunner(get_scenario("quickstart"))
 >>> result = runner.run()
 >>> result.total_blocks > 0
 True
 """
 
-from repro.core.audit import ChunkProof, make_chunk_proof, verify_chunk_proof
-from repro.core.block import BlockBody, BlockHeader, BlockId, DataBlock
-from repro.core.config import ProtocolConfig
-from repro.core.dag import LogicalDag
-from repro.core.node import IoTNode, NodeBehavior
-from repro.core.pop.batch import BatchReport, verify_batch
-from repro.core.pop.validator import PopOutcome, PopValidator
-from repro.core.protocol import SlotSimulation, TwoLayerDagNetwork
-from repro.core.wire import decode_block, decode_header, encode_block, encode_header
-from repro.scenario import (
-    ScenarioResult,
-    ScenarioRunner,
-    ScenarioSpec,
-    get_scenario,
-    run_scenario,
-    scenario_names,
-)
-
 __version__ = "1.0.0"
-
-__all__ = [
-    "BatchReport",
-    "BlockBody",
-    "BlockHeader",
-    "BlockId",
-    "ChunkProof",
-    "DataBlock",
-    "IoTNode",
-    "LogicalDag",
-    "NodeBehavior",
-    "PopOutcome",
-    "PopValidator",
-    "ProtocolConfig",
-    "ScenarioResult",
-    "ScenarioRunner",
-    "ScenarioSpec",
-    "SlotSimulation",
-    "TwoLayerDagNetwork",
-    "__version__",
-    "get_scenario",
-    "run_scenario",
-    "scenario_names",
-    "decode_block",
-    "decode_header",
-    "encode_block",
-    "encode_header",
-    "make_chunk_proof",
-    "verify_batch",
-    "verify_chunk_proof",
-]

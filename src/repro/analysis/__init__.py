@@ -4,21 +4,3 @@ Closed-form implementations of Propositions 1-6, used by the test
 suite to check the simulation against the paper's bounds and by
 experiment reports to annotate measured values.
 """
-
-from repro.analysis.bounds import (
-    prop1_total_blocks,
-    prop2_header_cache_bound_bits,
-    prop3_node_storage_bound_bits,
-    prop4_message_lower_bound,
-    prop5_micro_loop_block_bound,
-    prop6_message_upper_bound,
-)
-
-__all__ = [
-    "prop1_total_blocks",
-    "prop2_header_cache_bound_bits",
-    "prop3_node_storage_bound_bits",
-    "prop4_message_lower_bound",
-    "prop5_micro_loop_block_bound",
-    "prop6_message_upper_bound",
-]

@@ -19,29 +19,3 @@ Behaviour classes plug into :class:`repro.core.node.IoTNode` via the
 * :func:`make_coalition` — pick γ-sized malicious coalitions for the
   majority-attack experiments.
 """
-
-from repro.attacks.behaviors import (
-    CorruptResponder,
-    DosFlooder,
-    EquivocatingResponder,
-    SelfishNode,
-    SilentResponder,
-)
-from repro.attacks.defenses import DigestRateLimiter, RateLimitedBehavior
-from repro.attacks.eclipse import eclipse_victim
-from repro.attacks.majority import make_coalition
-from repro.attacks.sybil import SybilIdentity, sybil_identities
-
-__all__ = [
-    "CorruptResponder",
-    "DigestRateLimiter",
-    "DosFlooder",
-    "RateLimitedBehavior",
-    "EquivocatingResponder",
-    "SelfishNode",
-    "SilentResponder",
-    "SybilIdentity",
-    "eclipse_victim",
-    "make_coalition",
-    "sybil_identities",
-]

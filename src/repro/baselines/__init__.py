@@ -21,15 +21,3 @@ Each baseline ships two faces:
    The test suite cross-validates the cost models against the real
    protocols on small configurations.
 """
-
-from repro.baselines.iota.costmodel import IotaCostModel
-from repro.baselines.iota.node import IotaNetwork
-from repro.baselines.pbft.cluster import PbftCluster
-from repro.baselines.pbft.costmodel import PbftCostModel
-
-__all__ = [
-    "IotaCostModel",
-    "IotaNetwork",
-    "PbftCluster",
-    "PbftCostModel",
-]

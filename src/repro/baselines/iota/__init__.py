@@ -14,18 +14,3 @@ entire tangle** and every transaction is gossiped to the whole network.
 ``costmodel``
     Closed-form storage/traffic for the Fig. 7/8 sweeps.
 """
-
-from repro.baselines.iota.costmodel import IotaCostModel
-from repro.baselines.iota.node import IotaNetwork, IotaNode
-from repro.baselines.iota.tangle import Tangle, Transaction
-from repro.baselines.iota.tip_selection import select_tips_mcmc, select_tips_uniform
-
-__all__ = [
-    "IotaCostModel",
-    "IotaNetwork",
-    "IotaNode",
-    "Tangle",
-    "Transaction",
-    "select_tips_mcmc",
-    "select_tips_uniform",
-]

@@ -7,10 +7,3 @@ client request, and every replica stores the full replicated chain.
 That full replication is exactly what makes PBFT unsuitable for
 constrained devices, and what Figs. 7-8 quantify.
 """
-
-from repro.baselines.pbft.chain import Blockchain, ChainBlock
-from repro.baselines.pbft.cluster import PbftCluster
-from repro.baselines.pbft.costmodel import PbftCostModel
-from repro.baselines.pbft.replica import PbftReplica
-
-__all__ = ["Blockchain", "ChainBlock", "PbftCluster", "PbftCostModel", "PbftReplica"]

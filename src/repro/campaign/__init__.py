@@ -23,84 +23,18 @@ Entry points: ``python -m repro campaign run/status/clean`` and the
 accepts.  See ``docs/campaigns.md``.
 """
 
-from repro.campaign.cache import (
-    CACHE_ENV_VAR,
-    ResultCache,
-    default_cache_dir,
-    payload_digest,
-    summarize_cell_events,
-)
-from repro.campaign.cells import (
-    cell_kind_names,
-    execute_cell,
-    register_cell_kind,
-    run_scenario_cells,
-)
-from repro.campaign.chaos import (
-    CHAOS_ENV_VAR,
-    ChaosError,
-    ChaosInjectedError,
-    ChaosSpec,
-    chaos_from_env,
-    seeded_backoff,
-)
-from repro.campaign.executor import (
-    STATUS_SCHEMA_VERSION,
-    CampaignExecutor,
-    CampaignResult,
-    CellFailure,
-    CellResult,
-    CellStatus,
-    run_campaign,
-)
-from repro.campaign.presets import (
-    campaign_names,
-    get_campaign,
-    register_campaign,
-)
-from repro.campaign.spec import (
-    CAMPAIGN_CODE_VERSION,
-    CAMPAIGN_FORMAT_VERSION,
-    CampaignError,
-    CampaignSpec,
-    CellSpec,
-    apply_override,
-    expand_grid,
-    replicate_seeds,
-)
+from repro.campaign.chaos import ChaosError
+from repro.campaign.executor import STATUS_SCHEMA_VERSION, CampaignExecutor
+from repro.campaign.presets import campaign_names, get_campaign
+from repro.campaign.spec import CampaignError, CampaignSpec, replicate_seeds
 
 __all__ = [
     "STATUS_SCHEMA_VERSION",
-    "CACHE_ENV_VAR",
-    "CAMPAIGN_CODE_VERSION",
-    "CAMPAIGN_FORMAT_VERSION",
-    "CHAOS_ENV_VAR",
     "CampaignError",
     "CampaignExecutor",
-    "CampaignResult",
     "CampaignSpec",
-    "CellFailure",
-    "CellResult",
-    "CellSpec",
-    "CellStatus",
     "ChaosError",
-    "ChaosInjectedError",
-    "ChaosSpec",
-    "ResultCache",
-    "apply_override",
     "campaign_names",
-    "cell_kind_names",
-    "chaos_from_env",
-    "default_cache_dir",
-    "execute_cell",
-    "expand_grid",
     "get_campaign",
-    "payload_digest",
-    "register_campaign",
-    "register_cell_kind",
     "replicate_seeds",
-    "run_campaign",
-    "run_scenario_cells",
-    "seeded_backoff",
-    "summarize_cell_events",
 ]

@@ -26,30 +26,17 @@ exception is the inline ``# repro: allow[rule-id]`` pragma.  See
 from repro.checks.cli import run_lint
 from repro.checks.engine import (
     CheckError,
-    CheckReport,
-    Finding,
     ModuleUnderCheck,
-    Rule,
     build_rules,
     check_paths,
     check_source,
-    register_rule,
 )
-from repro.checks.report import render_rule_list, render_text
-from repro.checks.rules import rule_catalogue
 
 __all__ = [
     "CheckError",
-    "CheckReport",
-    "Finding",
     "ModuleUnderCheck",
-    "Rule",
     "build_rules",
     "check_paths",
     "check_source",
-    "register_rule",
-    "render_rule_list",
-    "render_text",
-    "rule_catalogue",
     "run_lint",
 ]

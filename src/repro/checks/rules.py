@@ -248,9 +248,6 @@ class BackendBypassRule(Rule):
         "the closed-form costmodels, which stay importable everywhere."
     )
 
-    #: Importable from anywhere: pure closed-form cost models.
-    ALLOWED_NAMES = frozenset({"PbftCostModel", "IotaCostModel"})
-
     def check(self, module: ModuleUnderCheck) -> Iterator[Finding]:
         if module.in_path("repro/baselines/", "repro/scenario/backends.py"):
             return
@@ -275,8 +272,6 @@ class BackendBypassRule(Rule):
                 if "costmodel" in node.module:
                     continue
                 for alias in node.names:
-                    if alias.name in self.ALLOWED_NAMES:
-                        continue
                     yield self.finding(
                         module,
                         node,

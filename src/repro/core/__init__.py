@@ -20,21 +20,3 @@ Layout
 ``protocol``
     Slot-driven network simulation per §VI.
 """
-
-from repro.core.block import BlockBody, BlockHeader, BlockId, DataBlock
-from repro.core.config import ProtocolConfig
-from repro.core.dag import LogicalDag
-from repro.core.node import IoTNode
-from repro.core.protocol import SlotSimulation, TwoLayerDagNetwork
-
-__all__ = [
-    "BlockBody",
-    "BlockHeader",
-    "BlockId",
-    "DataBlock",
-    "IoTNode",
-    "LogicalDag",
-    "ProtocolConfig",
-    "SlotSimulation",
-    "TwoLayerDagNetwork",
-]

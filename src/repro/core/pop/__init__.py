@@ -15,34 +15,3 @@ traversed γ+1 distinct physical nodes:
 * :mod:`repro.core.pop.responder` — the responder (Algorithm 4),
   answering ``REQ_CHILD`` with the oldest matching child header.
 """
-
-from repro.core.pop.cache import HeaderCache
-from repro.core.pop.messages import (
-    KIND_BLOCK_FETCH,
-    KIND_BLOCK_DATA,
-    KIND_REQ_CHILD,
-    KIND_RPY_CHILD,
-    ReqChild,
-    RpyChild,
-)
-from repro.core.pop.responder import find_oldest_child, serve_req_child
-from repro.core.pop.tps import trust_path_selection
-from repro.core.pop.validator import PopOutcome, PopValidator
-from repro.core.pop.wps import closed_neighborhood_weight, weighted_path_selection
-
-__all__ = [
-    "HeaderCache",
-    "KIND_BLOCK_DATA",
-    "KIND_BLOCK_FETCH",
-    "KIND_REQ_CHILD",
-    "KIND_RPY_CHILD",
-    "PopOutcome",
-    "PopValidator",
-    "ReqChild",
-    "RpyChild",
-    "closed_neighborhood_weight",
-    "find_oldest_child",
-    "serve_req_child",
-    "trust_path_selection",
-    "weighted_path_selection",
-]

@@ -20,24 +20,3 @@ Modules
 ``puzzle``
     The nonce difficulty puzzle of Eq. (5).
 """
-
-from repro.crypto.hashing import DIGEST_BITS_DEFAULT, Digest, hash_bytes, hash_fields
-from repro.crypto.keys import KeyPair, KeyRegistry
-from repro.crypto.merkle import MerkleTree, merkle_root
-from repro.crypto.puzzle import NoncePuzzle, PuzzleSolution
-from repro.crypto.signature import sign, verify
-
-__all__ = [
-    "DIGEST_BITS_DEFAULT",
-    "Digest",
-    "KeyPair",
-    "KeyRegistry",
-    "MerkleTree",
-    "NoncePuzzle",
-    "PuzzleSolution",
-    "hash_bytes",
-    "hash_fields",
-    "merkle_root",
-    "sign",
-    "verify",
-]

@@ -27,8 +27,8 @@ from typing import Dict, List, Sequence
 
 # Closed-form cost models only — live cluster/tangle objects are
 # reached through repro.scenario.create_backend.
-from repro.baselines.iota.costmodel import IotaCostModel  # repro: allow[backend-bypass]
-from repro.baselines.pbft.costmodel import PbftCostModel  # repro: allow[backend-bypass]
+from repro.baselines.iota.costmodel import IotaCostModel
+from repro.baselines.pbft.costmodel import PbftCostModel
 from repro.campaign.cells import run_scenario_cells
 from repro.metrics.cdf import EmpiricalCDF
 from repro.metrics.reporting import format_series_table

@@ -20,8 +20,8 @@ from typing import Dict, List
 
 # Closed-form cost models only — live cluster/tangle objects are
 # reached through repro.scenario.create_backend.
-from repro.baselines.iota.costmodel import IotaCostModel  # repro: allow[backend-bypass]
-from repro.baselines.pbft.costmodel import PbftCostModel  # repro: allow[backend-bypass]
+from repro.baselines.iota.costmodel import IotaCostModel
+from repro.baselines.pbft.costmodel import PbftCostModel
 from repro.campaign.cells import run_scenario_cells
 from repro.metrics.cdf import EmpiricalCDF
 from repro.metrics.reporting import format_series_table

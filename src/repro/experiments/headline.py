@@ -29,8 +29,8 @@ from typing import List
 
 # Closed-form cost models only — live cluster/tangle objects are
 # reached through repro.scenario.create_backend.
-from repro.baselines.iota.costmodel import IotaCostModel  # repro: allow[backend-bypass]
-from repro.baselines.pbft.costmodel import PbftCostModel  # repro: allow[backend-bypass]
+from repro.baselines.iota.costmodel import IotaCostModel
+from repro.baselines.pbft.costmodel import PbftCostModel
 from repro.campaign.cells import run_scenario_cells
 from repro.experiments.fig7_storage import Fig7Result, run_fig7
 from repro.experiments.fig8_comm import Fig8Result, run_fig8

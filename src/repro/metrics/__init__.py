@@ -7,18 +7,3 @@ empirical CDFs (:mod:`repro.metrics.cdf`), unit helpers
 (:mod:`repro.metrics.units`) and plain-text series/table rendering
 (:mod:`repro.metrics.reporting`) used by the experiment harness.
 """
-
-from repro.metrics.cdf import EmpiricalCDF
-from repro.metrics.collector import TrafficLedger
-from repro.metrics.reporting import format_series_table, render_cdf_rows
-from repro.metrics.units import bits_to_mb, bits_to_mbit, mb_to_bits
-
-__all__ = [
-    "EmpiricalCDF",
-    "TrafficLedger",
-    "bits_to_mb",
-    "bits_to_mbit",
-    "format_series_table",
-    "mb_to_bits",
-    "render_cdf_rows",
-]

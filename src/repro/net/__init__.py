@@ -13,17 +13,3 @@ links.  Provides:
   per-node transmit/receive byte counters (the quantities Figs. 7-8
   measure).
 """
-
-from repro.net.messages import Message
-from repro.net.routing import RoutingTable
-from repro.net.topology import Topology, sequential_geometric_topology
-from repro.net.transport import Network, NodeInterface
-
-__all__ = [
-    "Message",
-    "Network",
-    "NodeInterface",
-    "RoutingTable",
-    "Topology",
-    "sequential_geometric_topology",
-]

@@ -18,11 +18,9 @@ paper's two-layer DAG or on the PBFT/IOTA comparison baselines.
 """
 
 from repro.scenario.backends import (
-    LedgerBackend,
     backend_names,
     build_topology,
     create_backend,
-    register_backend,
 )
 from repro.scenario.registry import (
     PAPER_SCALE,
@@ -33,7 +31,6 @@ from repro.scenario.registry import (
     fig9_scenario,
     figure_base,
     get_scenario,
-    register_scenario,
     scenario_names,
 )
 from repro.scenario.runner import (
@@ -42,11 +39,7 @@ from repro.scenario.runner import (
     run_scenario,
 )
 from repro.scenario.spec import (
-    ADVERSARY_KINDS,
-    COALITION_KINDS,
     DEFAULT_BACKEND,
-    RANDOM_1_2,
-    TOPOLOGY_KINDS,
     AdversarySpec,
     IotaParams,
     PbftParams,
@@ -58,16 +51,11 @@ from repro.scenario.spec import (
 )
 
 __all__ = [
-    "ADVERSARY_KINDS",
-    "COALITION_KINDS",
     "DEFAULT_BACKEND",
     "PAPER_SCALE",
     "QUICK_SCALE",
-    "RANDOM_1_2",
-    "TOPOLOGY_KINDS",
     "AdversarySpec",
     "IotaParams",
-    "LedgerBackend",
     "PbftParams",
     "ProtocolSpec",
     "ScenarioError",
@@ -85,8 +73,6 @@ __all__ = [
     "fig9_scenario",
     "figure_base",
     "get_scenario",
-    "register_backend",
-    "register_scenario",
     "run_scenario",
     "scenario_names",
 ]

@@ -44,14 +44,7 @@ from typing import Dict, List, Optional
 
 from repro.faults.engine import FaultEngine
 from repro.metrics.reporting import format_series_table
-from repro.scenario.backends import (  # noqa: F401  (re-exported API)
-    LedgerBackend,
-    backend_names,
-    build_config,
-    build_topology,
-    create_backend,
-    register_backend,
-)
+from repro.scenario.backends import LedgerBackend, create_backend
 from repro.scenario.spec import ScenarioSpec
 
 #: The series every backend samples, in canonical order.

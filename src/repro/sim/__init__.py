@@ -21,15 +21,6 @@ Example
 [3.0]
 """
 
-from repro.sim.errors import SimulationError
 from repro.sim.kernel import Simulator
-from repro.sim.rng import RandomStreams
-from repro.sim.tracing import TraceRecord, Tracer
 
-__all__ = [
-    "RandomStreams",
-    "SimulationError",
-    "Simulator",
-    "TraceRecord",
-    "Tracer",
-]
+__all__ = ["Simulator"]

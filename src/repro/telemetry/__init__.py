@@ -40,36 +40,21 @@ from repro.telemetry.events import (
     TelemetryRecorder,
     telemetry_dir_from_env,
 )
-from repro.telemetry.monitors import (
-    MONITOR_IDS,
-    MONITOR_SCHEMA_VERSION,
-    evaluate_monitors,
-    format_monitor_table,
-    load_monitor_document,
-    validate_monitor_document,
-)
 from repro.telemetry.spans import (
-    SPAN_SCHEMA_VERSION,
     TRACE_SAMPLE_ENV_VAR,
     SpanRecorder,
-    block_sampled,
     run_recorders,
     trace_sample_from_env,
     trace_sample_rate,
 )
 from repro.telemetry.stream import (
-    FAULT,
-    RUN_END,
-    RUN_START,
     SCHEMAS,
-    SLOT,
     SLOT_SERIES_KEYS,
     TelemetryError,
     discover_streams,
     parse_stream,
     read_streams,
     stream_filename,
-    stream_start,
     stream_version,
     validate_record,
     validate_stream,
@@ -80,51 +65,28 @@ from repro.telemetry.summarize import (
     summarize_records,
     summarize_streams,
 )
-from repro.telemetry.tracepath import (
-    block_waterfall,
-    critical_path,
-    format_trace_report,
-    trace_report,
-)
 
 __all__ = [
-    "FAULT",
-    "MONITOR_IDS",
-    "MONITOR_SCHEMA_VERSION",
-    "RUN_END",
-    "RUN_START",
     "SCHEMAS",
     "SCHEMA_VERSION",
-    "SLOT",
     "SLOT_SERIES_KEYS",
-    "SPAN_SCHEMA_VERSION",
     "SpanRecorder",
     "TELEMETRY_ENV_VAR",
     "TRACE_SAMPLE_ENV_VAR",
     "TelemetryError",
     "TelemetryRecorder",
-    "block_sampled",
-    "block_waterfall",
-    "critical_path",
     "discover_streams",
-    "evaluate_monitors",
-    "format_monitor_table",
     "format_summary_table",
-    "format_trace_report",
-    "load_monitor_document",
     "parse_stream",
     "read_streams",
     "run_recorders",
     "stream_filename",
-    "stream_start",
     "stream_version",
     "summarize_records",
     "summarize_streams",
     "telemetry_dir_from_env",
-    "trace_report",
     "trace_sample_from_env",
     "trace_sample_rate",
-    "validate_monitor_document",
     "validate_record",
     "validate_stream",
     "validate_streams",

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.checks.engine import ModuleUnderCheck
+from repro.checks.engine import ModuleUnderCheck, build_rules, discover_files
 from repro.checks.rules import WallClockInSimRule
 from repro.cli import main
 
@@ -53,6 +53,27 @@ class TestGateOnRealTree:
         out = capsys.readouterr().out
         assert exit_code == 0, out
         assert "0 finding(s)" in out
+
+    def test_every_pragma_suppresses_a_finding(self):
+        # A pragma that silences nothing claims an exception the tree
+        # does not make.  Each (line, rule id) the engine's own parser
+        # reads must meet a finding of that rule there; a pragma on a
+        # comment-only line covers the line below it.  The docs' own
+        # `allow[rule-id]` placeholder names no rule.
+        rules = build_rules()
+        rule_ids = {rule.id for rule in rules}
+        idle = []
+        trees = [str(REPO_ROOT / "src"), str(REPO_ROOT / "examples")]
+        for path in discover_files(trees):
+            source = path.read_text()
+            module = ModuleUnderCheck(str(path), source, ast.parse(source))
+            fired = {(f.line, f.rule) for rule in rules for f in rule.check(module)}
+            for line, text in enumerate(module.lines, start=1):
+                covered = (line, line + 1) if text.strip().startswith("#") else (line,)
+                for rule_id in module.suppressed_ids(line) & rule_ids:
+                    if not any((at, rule_id) in fired for at in covered):
+                        idle.append(f"{path.relative_to(REPO_ROOT)}:{line} {rule_id}")
+        assert idle == []
 
     def test_only_the_campaign_executor_reads_the_host_clock(self):
         # ROADMAP: "host-time measurement belongs to benchmarks/perf/

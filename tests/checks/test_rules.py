@@ -168,7 +168,6 @@ class TestBackendBypass(RuleCase):
         source = (
             "from repro.baselines.iota.costmodel import IotaCostModel\n"
             "from repro.baselines.pbft.costmodel import PbftCostModel\n"
-            "from repro.baselines import PbftCostModel as Model\n"
         )
         assert self.rules_fired(source, path="src/repro/experiments/x.py") == []
 

@@ -2,41 +2,61 @@
 
 ``repro.scenario`` (spec, registry, runner) and the CLI module are what
 every entry point loads first; the figure experiments are built *on*
-them.  Checked in a fresh interpreter, because this test process has
-long since imported everything.
+them.  A package ``__init__`` loads only what its callers import through
+it, so importing one module does not drag in the protocol.  Checked in a
+fresh interpreter, because this test process has long since imported
+everything.
 """
 
+import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[2] / "src"
-
-PROBE = (
-    "import sys, repro.scenario, repro.cli; "
-    "print(sorted(m for m in sys.modules if m.startswith('repro.experiments')))"
-)
+REPO = Path(__file__).resolve().parents[2]
+SRC = REPO / "src"
 
 
-def test_scenario_and_cli_load_nothing_from_experiments():
+def loaded_after(statement, prefixes):
+    """The ``repro.*`` modules under ``prefixes`` a fresh ``statement`` loads."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
+    probe = (
+        f"import sys; {statement}; "
+        f"print(sorted(m for m in sys.modules if m.startswith({prefixes!r})))"
+    )
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE],
+        [sys.executable, "-c", probe],
         capture_output=True, text=True, timeout=120, env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_scenario_and_cli_load_nothing_from_experiments():
+    assert loaded_after(
+        "import repro.scenario, repro.cli", ("repro.experiments",)
+    ) == "[]"
+
+
+def test_the_root_package_loads_no_submodule():
+    assert loaded_after("import repro", ("repro.",)) == "[]"
+
+
+def test_the_lint_engine_loads_no_protocol():
+    assert loaded_after(
+        "import repro.checks.engine",
+        ("repro.core", "repro.scenario", "repro.baselines"),
+    ) == "[]"
 
 
 def test_the_experiments_package_imports_nothing():
     # campaign/cache.py imports repro.experiments.persistence, so every
     # campaign launch executes this __init__: it must stay free.
-    import ast
-
     tree = ast.parse((SRC / "repro/experiments/__init__.py").read_text())
     assert [type(node).__name__ for node in tree.body] == ["Expr"]
 
@@ -52,8 +72,6 @@ def test_what_the_scenario_package_imports():
     # Every `repro.*` import of src/repro/scenario/*.py, function-level
     # ones included: the layers below it, itself, and the one recorded
     # upward reach (ScenarioSpec.save -> atomic_write_text).
-    import ast
-
     below = {"scenario", "faults", "net", "sim", "core", "baselines",
              "attacks", "metrics", "canonical"}
     upward = set()
@@ -71,3 +89,49 @@ def test_what_the_scenario_package_imports():
                 if parts[0] == "repro" and parts[1] not in below:
                     upward.add((path.name, name))
     assert upward == {("spec.py", "repro.experiments.persistence")}
+
+
+#: The one re-export with no importer in code: the kernel package's own
+#: doctest imports it.  (``repro.__version__`` is defined, not imported.)
+FACADE_EXCEPTIONS = {("repro.sim", "Simulator")}
+
+
+def test_each_package_reexports_only_what_callers_import_through_it():
+    # One import path per name.  A name counts as used through package P
+    # when some module does `from P import name`, or when the dotted
+    # `P.name` is spelled in the code or in docs/*.md.  The lint rule
+    # fixtures are strings of code, not callers, so they do not count.
+    facades = {}
+    for init in sorted((SRC / "repro").rglob("__init__.py")):
+        package = ".".join(init.parent.relative_to(SRC).parts)
+        facades[package] = {
+            alias.asname or alias.name
+            for node in ast.parse(init.read_text()).body
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        }
+    sources = [REPO / "conftest.py"] + [
+        path
+        for tree in ("src", "tests", "benchmarks", "examples", "tools")
+        for path in sorted((REPO / tree).rglob("*.py"))
+    ]
+    fixtures = REPO / "tests/checks/test_rules.py"
+    used = {package: set() for package in facades}
+    for path in sources:
+        text = path.read_text()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ImportFrom) and node.module in facades:
+                used[node.module].update(alias.name for alias in node.names)
+    for path in sources + sorted((REPO / "docs").glob("*.md")):
+        if path == fixtures:
+            continue
+        for match in re.finditer(r"\brepro(?:\.\w+)+", path.read_text()):
+            parts = match.group(0).split(".")
+            for cut in range(1, len(parts)):
+                used.get(".".join(parts[:cut]), set()).add(parts[cut])
+    unused = {
+        (package, name)
+        for package, names in facades.items()
+        for name in names - used[package]
+    }
+    assert unused == FACADE_EXCEPTIONS

@@ -4,6 +4,7 @@ import doctest
 
 import pytest
 
+import repro
 import repro.sim
 from repro.sim.errors import SchedulingError, SimulationError
 from repro.sim.kernel import Simulator
@@ -138,3 +139,9 @@ class TestDeterminism:
 def test_package_doctest_runs_as_written():
     # call_at returns nothing, so the example prints nothing where it schedules.
     assert doctest.testmod(repro.sim).failed == 0
+
+
+def test_root_package_doctest_runs_as_written():
+    # The root Quickstart imports from repro.scenario, the entry point.
+    results = doctest.testmod(repro)
+    assert (results.attempted, results.failed) == (4, 0)
