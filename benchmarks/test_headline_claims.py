@@ -7,11 +7,15 @@ least an order of magnitude; at ``REPRO_FULL=1`` they approach the
 paper's figures.
 """
 
-from repro.experiments.headline import run_headline
+from repro.experiments.report import generate_report
 
 
 def test_headline_ratios(benchmark, scale):
-    result = benchmark.pedantic(run_headline, args=(scale,), rounds=1, iterations=1)
+    report = benchmark.pedantic(
+        generate_report, args=(scale,), kwargs={"sections": ("headline",)},
+        rounds=1, iterations=1,
+    )
+    result = report.headline
     print("\n=== Headline claims ===")
     print(result.summary())
     assert result.storage_orders_pbft >= 1.0

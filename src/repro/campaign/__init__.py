@@ -19,8 +19,7 @@ byte-identical results — see :mod:`repro.campaign.chaos`.
 
 Entry points: ``python -m repro campaign run/status/clean`` and the
 ``executor=`` parameter every multi-run experiment
-(``fig7``/``fig8``/``fig9``, the sweeps, the attack comparison) now
-accepts.  See ``docs/campaigns.md``.
+(Figs. 7-9, the sweeps, the attack comparison) now accepts.  See ``docs/campaigns.md``.
 """
 
 from repro.campaign.chaos import ChaosError

@@ -11,10 +11,9 @@ Run as ``python -m repro <command>``:
 * ``campaign``  — ``run``/``status``/``clean`` a fleet of scenario
   cells through the parallel, cached, resumable campaign engine
   (see ``docs/campaigns.md``);
-* ``fig7`` / ``fig8`` / ``fig9`` — regenerate a paper figure as a text
-  table (and ASCII chart);
-* ``headline``  — print the abstract's measured ratios;
-* ``report``    — the full markdown reproduction report;
+* ``report``    — the markdown reproduction report: the abstract's
+  measured ratios and Figs. 7-9 as text tables and ASCII charts, or
+  the sections ``--only`` names;
 * ``telemetry`` — ``summarize``/``trace``/``validate``/``diff`` the
   structured event streams that ``--telemetry DIR`` (or
   ``$REPRO_TELEMETRY``) records (see ``docs/observability.md``).
@@ -37,8 +36,8 @@ golden digests.  Examples::
     python -m repro scenarios validate s.json
     python -m repro simulate --scenario s.json
     python -m repro verify --nodes 16 --slots 20 --gamma 4 --target-slot 2
-    python -m repro fig7 --body-mb 0.5 --quick
-    python -m repro --workers 4 fig9 --panel d --quick
+    python -m repro report --only fig7 --body-mb 0.5 --quick
+    python -m repro --workers 4 report --only fig9 --panel d --quick
     python -m repro --workers 4 campaign run bench-grid
     python -m repro campaign run fault-grid --keep-going --cell-timeout 120
     python -m repro campaign status bench-grid
@@ -61,7 +60,6 @@ from repro.faults import (
     build_fault_preset,
     fault_preset_names,
 )
-from repro.metrics.charts import render_chart
 from repro.scenario import (
     DEFAULT_BACKEND,
     ProtocolSpec,
@@ -106,18 +104,21 @@ def _load_scenario(value: str) -> ScenarioSpec:
 
 def _inline_spec(args, validate: bool, run_until_quiet: bool) -> ScenarioSpec:
     """The ad-hoc spec described by ``--nodes/--slots/--gamma/--body-mb``."""
-    return ScenarioSpec(
-        name="cli",
-        protocol=ProtocolSpec.paper(gamma=args.gamma, body_mb=args.body_mb),
-        topology=TopologySpec(node_count=args.nodes),
-        workload=WorkloadSpec(
-            slots=args.slots,
-            generation_period=1,
-            validate=validate,
-            run_until_quiet=run_until_quiet,
-        ),
-        seed=args.seed,
-    )
+    try:
+        return ScenarioSpec(
+            name="cli",
+            protocol=ProtocolSpec.paper(gamma=args.gamma, body_mb=args.body_mb),
+            topology=TopologySpec(node_count=args.nodes),
+            workload=WorkloadSpec(
+                slots=args.slots,
+                generation_period=1,
+                validate=validate,
+                run_until_quiet=run_until_quiet,
+            ),
+            seed=args.seed,
+        )
+    except ScenarioError as error:
+        raise SystemExit(f"invalid scenario flags: {error}")
 
 
 def _load_faults(value: str, spec: ScenarioSpec) -> FaultScheduleSpec:
@@ -159,33 +160,27 @@ def _scenario_spec(args, validate: bool = False, run_until_quiet: bool = False) 
 
 
 def _executor_from_args(args):
-    """The campaign executor the global flags describe, or ``None``.
+    """The campaign executor the global flags describe.
 
-    ``None`` (no ``--workers``, no ``--cache-dir``) keeps multi-run
-    commands on their historical serial in-process path.  An explicit
+    Without ``--workers`` it runs serially in process; only an explicit
     ``--cache-dir`` opts the command into the result cache.
     """
-    workers = getattr(args, "workers", 0) or 0
-    cache_dir = getattr(args, "cache_dir", None)
-    use_cache = cache_dir is not None
-    if workers <= 1 and not use_cache:
-        return None
     from repro.campaign import CampaignExecutor
 
-    return CampaignExecutor(workers=workers, cache_dir=cache_dir, use_cache=use_cache)
+    return CampaignExecutor(workers=args.workers, cache_dir=args.cache_dir,
+                            use_cache=args.cache_dir is not None)
 
 
-def _figure_base(args, spec: Optional[ScenarioSpec] = None) -> ScenarioSpec:
-    """The spec sizing a figure command: ``--scenario`` > ``--quick`` > paper.
+def _figure_base(args) -> ScenarioSpec:
+    """The spec sizing ``report``: ``--scenario`` > ``--quick`` > paper.
 
-    Figure commands rebuild their canonical workloads (own γ sweeps,
-    cost models, probes), so only the scenario's *scale* can be
+    The figures rebuild their canonical workloads (own γ sweeps, body
+    sizes, cost models, probes), so only the scenario's *scale* can be
     honoured — warn when the spec declares sections that cannot be.
     """
-    if spec is None and args.scenario:
-        spec = _load_scenario(args.scenario)
-    if spec is None:
+    if not args.scenario:
         return registry.QUICK_SCALE if args.quick else registry.PAPER_SCALE
+    spec = _load_scenario(args.scenario)
     ignored = []
     if spec.topology.kind != "sequential-geometric":
         ignored.append(f"topology kind {spec.topology.kind!r}")
@@ -195,7 +190,7 @@ def _figure_base(args, spec: Optional[ScenarioSpec] = None) -> ScenarioSpec:
         ignored.append("faults")
     if ignored:
         print(
-            f"note: figure commands use the scenario's scale only; "
+            f"note: report uses the scenario's scale only; "
             f"ignoring its {', '.join(ignored)} "
             f"(use 'simulate --scenario' to run the spec as declared)",
             file=sys.stderr,
@@ -286,7 +281,11 @@ def cmd_verify(args) -> int:
         print(f"no blocks generated in slot {args.target_slot}", file=sys.stderr)
         return 1
     target = targets[0]
-    validator_id = next(n for n in deployment.node_ids if n != target.origin)
+    validator_id = next((n for n in deployment.node_ids if n != target.origin), None)
+    if validator_id is None:
+        print(f"no node but block {target}'s origin to verify it",
+              file=sys.stderr)
+        return 2
     process = deployment.node(validator_id).verify_block(target.origin, target)
     deployment.sim.run()
     outcome = process.value
@@ -353,6 +352,20 @@ def _load_campaign(value: str):
         )
 
 
+def _evaluate_monitors(telemetry_dir: str):
+    """The invariant monitors' verdicts over the streams in
+    ``telemetry_dir``, or ``None`` after printing why they cannot be
+    read."""
+    from repro.telemetry import TelemetryError
+    from repro.telemetry.monitors import evaluate_monitors
+
+    try:
+        return evaluate_monitors([telemetry_dir])
+    except TelemetryError as error:
+        print(f"monitor evaluation failed: {error}", file=sys.stderr)
+        return None
+
+
 def cmd_campaign(args) -> int:
     """Run, inspect, or clean a campaign of scenario cells."""
     from repro.campaign import (
@@ -375,34 +388,27 @@ def cmd_campaign(args) -> int:
         return 0
 
     campaign = _load_campaign(args.spec)
-    telemetry_dir = (
-        _telemetry_dir(args)
-        if args.action in ("run", "status")
-        else None
-    )
-    if telemetry_dir and args.action == "run":
-        from repro.telemetry import TELEMETRY_ENV_VAR
-
-        # Worker processes pick telemetry up from the environment, so a
-        # --telemetry flag must land there too for cells to stream.  The
-        # directory exists even when every cell is cached, so --monitors
-        # can always write its document.
-        os.environ[TELEMETRY_ENV_VAR] = telemetry_dir
-        os.makedirs(telemetry_dir, exist_ok=True)
+    telemetry_dir = _telemetry_dir(args)
     if args.action == "run":
+        from repro.telemetry import TELEMETRY_ENV_VAR
         from repro.telemetry.spans import TRACE_SAMPLE_ENV_VAR
 
         trace_sample, problem = _trace_sample(args, telemetry_dir)
+        if args.monitors and not telemetry_dir:
+            problem = ("--monitors needs a telemetry directory "
+                       "(--telemetry or $REPRO_TELEMETRY)")
         if problem:
             print(problem, file=sys.stderr)
             return 2
+        if telemetry_dir:
+            # Worker processes pick telemetry up from the environment, so
+            # a --telemetry flag must land there too for cells to stream.
+            # The directory exists even when every cell is cached, so
+            # --monitors can always read it.
+            os.environ[TELEMETRY_ENV_VAR] = telemetry_dir
+            os.makedirs(telemetry_dir, exist_ok=True)
         if trace_sample is not None:
             os.environ[TRACE_SAMPLE_ENV_VAR] = f"{trace_sample:g}"
-    monitors_mode = getattr(args, "monitors", "off")
-    if monitors_mode != "off" and not telemetry_dir:
-        print(f"--monitors {monitors_mode} needs a telemetry directory "
-              "(--telemetry or $REPRO_TELEMETRY)", file=sys.stderr)
-        return 2
     try:
         # status/clean parsers lack the resilience flags; getattr keeps
         # one construction path (and $REPRO_CHAOS is resolved here so a
@@ -446,23 +452,12 @@ def cmd_campaign(args) -> int:
             print(f"last journal event: {last.get('event')} "
                   f"({executor.cache.journal_path(campaign.digest())})")
         if telemetry_dir:
-            doc_path = os.path.join(
-                telemetry_dir, f"monitors-{campaign.name}.json"
-            )
-            if os.path.exists(doc_path):
-                from repro.telemetry import TelemetryError
-                from repro.telemetry.monitors import load_monitor_document
+            from repro.telemetry.monitors import monitor_summary
 
-                try:
-                    document = load_monitor_document(doc_path)
-                except TelemetryError as error:
-                    print(f"monitors document invalid: {error}",
-                          file=sys.stderr)
-                    return 1
-                counts = document["counts"]
-                print(f"invariant monitors: {document['status']} "
-                      f"({counts['pass']} pass, {counts['fail']} fail, "
-                      f"{counts['skip']} skip) [{doc_path}]")
+            document = _evaluate_monitors(telemetry_dir)
+            if document is None:
+                return 1
+            print(f"invariant {monitor_summary(document)}")
         return 0
 
     if args.action == "clean":
@@ -493,33 +488,16 @@ def cmd_campaign(args) -> int:
         print(f"  {cell.cell.label:<40} {source} trace {trace}")
     print(result.summary())
     exit_code = 0
-    if monitors_mode != "off":
-        import json
+    if args.monitors:
+        from repro.telemetry.monitors import format_monitor_table
 
-        from repro.experiments.persistence import atomic_write_text
-        from repro.telemetry import TelemetryError
-        from repro.telemetry.monitors import (
-            evaluate_monitors,
-            format_monitor_table,
-        )
-
-        try:
-            document = evaluate_monitors([telemetry_dir])
-        except TelemetryError as error:
-            print(f"monitor evaluation failed: {error}", file=sys.stderr)
+        document = _evaluate_monitors(telemetry_dir)
+        if document is None:
             return 1
-        doc_path = os.path.join(
-            telemetry_dir, f"monitors-{campaign.name}.json"
-        )
-        atomic_write_text(
-            doc_path, json.dumps(document, indent=2, sort_keys=True) + "\n"
-        )
         print()
         print(format_monitor_table(document))
-        print(f"monitors document: {doc_path}")
-        if monitors_mode == "strict" and document["status"] != "pass":
-            print("campaign gate: invariant monitors FAILED (strict mode)",
-                  file=sys.stderr)
+        if document["status"] != "pass":
+            print("campaign gate: invariant monitors FAILED", file=sys.stderr)
             exit_code = 1
     if result.quarantined_count:
         print(
@@ -529,63 +507,6 @@ def cmd_campaign(args) -> int:
         )
         return 1
     return exit_code
-
-
-def cmd_fig7(args) -> int:
-    """Regenerate a Fig. 7 storage panel."""
-    from repro.experiments.fig7_storage import run_fig7
-
-    spec = _load_scenario(args.scenario) if args.scenario else None
-    body_mb = spec.protocol.body_mb if spec is not None else args.body_mb
-    result = run_fig7(body_mb, _figure_base(args, spec),
-                      executor=_executor_from_args(args))
-    print(f"Fig. 7 storage overhead, C = {body_mb} MB (per-node MB)\n")
-    print(result.to_table())
-    print()
-    print(render_chart(result.sample_slots, result.series_mb,
-                       log_y=True, y_label="storage MB"))
-    return 0
-
-
-def cmd_fig8(args) -> int:
-    """Regenerate the Fig. 8 communication panels."""
-    from repro.experiments.fig8_comm import run_fig8
-
-    result = run_fig8(_figure_base(args), executor=_executor_from_args(args))
-    for panel, title in (("a", "overall"), ("b", "DAG construction"),
-                         ("c", "consensus")):
-        print(f"\nFig. 8({panel}) {title} (per-node Mbit)")
-        print(result.to_table(panel))
-    print()
-    print(render_chart(result.sample_slots, result.overall_mbit,
-                       log_y=True, y_label="communication Mbit"))
-    return 0
-
-
-def cmd_fig9(args) -> int:
-    """Regenerate one Fig. 9 consensus-time panel."""
-    from repro.experiments.fig9_consensus import paper_panel, run_fig9
-
-    base = _figure_base(args)
-    gamma, malicious = paper_panel(args.panel, base.node_count)
-    result = run_fig9(gamma, malicious, base,
-                      executor=_executor_from_args(args),
-                      probes=_fig9_probes(args))
-    print(f"Fig. 9({args.panel}) consensus failure probability, gamma={gamma}\n")
-    print(result.to_table())
-    for m in malicious:
-        print(f"consensus slot with {m} malicious: {result.consensus_slot(m)}")
-    return 0
-
-
-def cmd_headline(args) -> int:
-    """Print the measured headline ratios."""
-    from repro.experiments.headline import run_headline
-
-    result = run_headline(_figure_base(args),
-                          executor=_executor_from_args(args))
-    print(result.summary())
-    return 0
 
 
 def _telemetry_paths(args) -> List[str]:
@@ -700,16 +621,22 @@ def cmd_telemetry(args) -> int:
 
 
 def cmd_report(args) -> int:
-    """Generate the full markdown reproduction report."""
-    from repro.experiments.report import generate_report
+    """Generate the markdown reproduction report (or the --only sections)."""
+    from repro.experiments.report import SECTIONS, generate_report
 
-    report = generate_report(
-        _figure_base(args),
-        fig7_bodies=[0.5] if args.quick else None,
-        fig9_panels=["a", "d"] if args.quick else None,
-        executor=_executor_from_args(args),
-        probes=_fig9_probes(args),
-    )
+    bodies = [args.body_mb] if args.body_mb is not None else None
+    panels = [args.panel] if args.panel is not None else None
+    try:
+        report = generate_report(
+            _figure_base(args),
+            fig7_bodies=bodies or ([0.5] if args.quick else None),
+            fig9_panels=panels or (["a", "d"] if args.quick else None),
+            executor=_executor_from_args(args),
+            probes=_fig9_probes(args),
+            sections=args.only or SECTIONS,
+        )
+    except ScenarioError as error:
+        raise SystemExit(f"invalid figure scenario: {error}")
     markdown = report.to_markdown()
     if args.output:
         from repro.experiments.persistence import atomic_write_text
@@ -863,12 +790,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "when any cell was quarantined)")
     telemetry_arg(p_run)
     trace_sample_arg(p_run)
-    p_run.add_argument("--monitors", choices=("off", "report", "strict"),
-                       default="off",
+    p_run.add_argument("--monitors", action="store_true",
                        help="evaluate the invariant monitors over the "
-                            "run's telemetry streams after the campaign "
-                            "(report: print + persist verdicts; strict: "
-                            "also exit 1 on any failed monitor)")
+                            "run's telemetry streams after the campaign, "
+                            "print the verdicts and exit 1 on any failed "
+                            "monitor")
     p_run.set_defaults(fn=cmd_campaign, action="run")
     p_status = campaign_sub.add_parser(
         "status", help="per-cell done/failing/quarantined/pending report; "
@@ -944,21 +870,23 @@ def build_parser() -> argparse.ArgumentParser:
                               "directories paired by file name")
     p_tdiff.set_defaults(fn=cmd_telemetry, action="diff")
 
-    for name, fn in (("fig7", cmd_fig7), ("fig8", cmd_fig8),
-                     ("fig9", cmd_fig9), ("headline", cmd_headline),
-                     ("report", cmd_report)):
-        p = sub.add_parser(name, help=fn.__doc__)
-        scenario_arg(p)
-        p.add_argument("--quick", action="store_true",
-                       help="reduced scale (default is full paper scale)")
-        if name == "fig7":
-            p.add_argument("--body-mb", type=float, default=0.5)
-        if name == "fig9":
-            p.add_argument("--panel", choices="abcd", default="a")
-        if name == "report":
-            p.add_argument("--output", default=None,
-                           help="write the markdown to this file")
-        p.set_defaults(fn=fn)
+    p = sub.add_parser("report", help=cmd_report.__doc__)
+    scenario_arg(p)
+    p.add_argument("--quick", action="store_true",
+                   help="reduced scale (default is full paper scale)")
+    p.add_argument("--only", action="append",
+                   choices=("headline", "fig7", "fig8", "fig9"),
+                   help="render only this section (repeatable; default: "
+                        "all); only the cells it needs run")
+    p.add_argument("--body-mb", type=float, default=None, metavar="C",
+                   help="the one Fig. 7 body size in MB (default: 0.1, "
+                        "0.5 and 1.0, or 0.5 under --quick)")
+    p.add_argument("--panel", choices="abcd", default=None,
+                   help="the one Fig. 9 panel (default: all four, or a "
+                        "and d under --quick)")
+    p.add_argument("--output", default=None,
+                   help="write the markdown to this file")
+    p.set_defaults(fn=cmd_report)
 
     return parser
 

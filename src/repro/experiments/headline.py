@@ -15,7 +15,7 @@ Two evidence layers back the ratios:
   mean ~10^7 routed control messages.
 
 The measured runs double as a *sanity gate* on the analytic layer:
-:func:`run_headline` asserts the simulated PBFT/IOTA storage and
+:func:`check_model_agreement` asserts the simulated PBFT/IOTA storage and
 traffic agree with the cost models within
 :data:`MODEL_AGREEMENT_TOLERANCE`, so the two layers cannot silently
 drift apart (e.g. a protocol tweak that the models no longer describe).
@@ -32,8 +32,8 @@ from typing import List
 from repro.baselines.iota.costmodel import IotaCostModel
 from repro.baselines.pbft.costmodel import PbftCostModel
 from repro.campaign.cells import run_scenario_cells
-from repro.experiments.fig7_storage import Fig7Result, run_fig7
-from repro.experiments.fig8_comm import Fig8Result, run_fig8
+from repro.experiments.fig7_storage import Fig7Result
+from repro.experiments.fig8_comm import Fig8Result
 from repro.metrics.units import bits_to_mb
 from repro.scenario import ScenarioSpec, build_topology, get_scenario
 from repro.sim.rng import RandomStreams
@@ -202,16 +202,3 @@ def headline_ratios(
         agreements=agreements,
     )
 
-
-def run_headline(base: ScenarioSpec, executor=None) -> HeadlineResult:
-    """Derive the headline ratios from the Fig. 7/8 runs (C = 0.5 MB).
-
-    The analytic baseline series are admitted only after the measured
-    cross-backend gate passes (see :func:`check_model_agreement`); a
-    drift raises :class:`HeadlineDriftError` instead of reporting
-    ratios built on a stale model.
-    """
-    agreements = check_model_agreement(executor)
-    return headline_ratios(
-        run_fig7(0.5, base, executor), run_fig8(base, executor), agreements
-    )

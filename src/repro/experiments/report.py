@@ -1,15 +1,16 @@
 """One-shot reproduction report.
 
-Gathers every experiment (Figs. 7-9, headline ratios) at the size a
+Gathers the experiments (Figs. 7-9, headline ratios) at the size a
 base scenario declares and renders a single markdown document with
 text tables and ASCII charts — the artifact a reviewer reads next to
-EXPERIMENTS.md.
+EXPERIMENTS.md.  ``report --only SECTION`` renders a subset, and runs
+only the cells that subset needs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.experiments.fig7_storage import Fig7Result, run_fig7_panels
 from repro.experiments.fig8_comm import Fig8Result, run_fig8
@@ -28,31 +29,41 @@ from repro.experiments.headline import (
 from repro.metrics.charts import render_chart
 from repro.scenario import ScenarioSpec
 
+#: The report's sections, in the order they render.
+SECTIONS = ("headline", "fig7", "fig8", "fig9")
+
 
 @dataclass
 class ReproductionReport:
-    """All experiment results at the size ``base`` declares."""
+    """The requested experiment results at the size ``base`` declares.
+
+    A section that was not requested is ``None`` (headline, Fig. 8) or
+    empty (Fig. 7 bodies, Fig. 9 panels) and is not rendered.
+    """
 
     base: ScenarioSpec
     fig7: Dict[float, Fig7Result]
-    fig8: Fig8Result
+    fig8: Optional[Fig8Result]
     fig9: Dict[str, Fig9Result]
-    headline: HeadlineResult
+    headline: Optional[HeadlineResult]
 
     def to_markdown(self) -> str:
-        """Render the full report."""
+        """Render the requested sections."""
         sections: List[str] = [
             "# 2LDAG reproduction report",
             "",
             f"Scale: {self.base.node_count} nodes, "
             f"{self.base.workload.slots} slots, seed {self.base.seed}.",
-            "",
-            "## Headline claims",
-            "",
-            "```",
-            self.headline.summary(),
-            "```",
         ]
+        if self.headline is not None:
+            sections += [
+                "",
+                "## Headline claims",
+                "",
+                "```",
+                self.headline.summary(),
+                "```",
+            ]
         for body_mb, result in sorted(self.fig7.items()):
             sections += [
                 "",
@@ -67,19 +78,22 @@ class ReproductionReport:
                 ),
                 "```",
             ]
-        sections += [
-            "",
-            "## Fig. 8 — communication",
-            "",
-            "```",
-            self.fig8.to_table("a"),
-            "",
-            render_chart(
-                self.fig8.sample_slots, self.fig8.overall_mbit,
-                log_y=True, y_label="per-node traffic (Mbit)",
-            ),
-            "```",
-        ]
+        if self.fig8 is not None:
+            sections += ["", "## Fig. 8 — communication", "", "```"]
+            for panel, title in (("a", "overall"), ("b", "DAG construction"),
+                                 ("c", "consensus")):
+                sections += [
+                    f"Fig. 8({panel}) {title} (per-node Mbit)",
+                    self.fig8.to_table(panel),
+                    "",
+                ]
+            sections += [
+                render_chart(
+                    self.fig8.sample_slots, self.fig8.overall_mbit,
+                    log_y=True, y_label="per-node traffic (Mbit)",
+                ),
+                "```",
+            ]
         for panel, result in sorted(self.fig9.items()):
             consensus = {
                 m: result.consensus_slot(m) for m in result.malicious_counts
@@ -103,35 +117,40 @@ def generate_report(
     fig9_panels: Optional[List[str]] = None,
     executor=None,
     probes: int = PAPER_PROBES,
+    sections: Sequence[str] = SECTIONS,
 ) -> ReproductionReport:
-    """Run every experiment at ``base``'s size and assemble the report.
+    """Run the experiments ``sections`` need at ``base``'s size.
 
     ``fig7_bodies`` / ``fig9_panels`` trim the sweep for faster runs
     (defaults: all three C values, all four γ panels).  ``executor``
     (a :class:`~repro.campaign.executor.CampaignExecutor`) parallelizes
-    each experiment's cells.  The headline ratios come from the panels
-    the report shows anyway; the C = 0.5 MB run they need is added to
-    the Fig. 7 campaign when ``fig7_bodies`` leaves it out.
+    each experiment's cells.  The headline ratios need the model gate,
+    a C = 0.5 MB Fig. 7 panel and Fig. 8; they run whether or not those
+    figures are shown, and a shown figure's cells are not run twice.
     """
     if fig7_bodies is None:
         fig7_bodies = [0.1, 0.5, 1.0]
     if fig9_panels is None:
         fig9_panels = list(PAPER_PANELS)
+    headline = "headline" in sections
+    shown = fig7_bodies if "fig7" in sections else []
 
-    agreements = check_model_agreement(executor)
-    bodies = fig7_bodies if 0.5 in fig7_bodies else [*fig7_bodies, 0.5]
-    panels = run_fig7_panels(bodies, base, executor)
-    fig8 = run_fig8(base, executor)
+    agreements = check_model_agreement(executor) if headline else []
+    bodies = [*shown, 0.5] if headline and 0.5 not in shown else shown
+    panels = run_fig7_panels(bodies, base, executor) if bodies else {}
+    fig8 = run_fig8(base, executor) if headline or "fig8" in sections else None
     fig9: Dict[str, Fig9Result] = {}
-    for panel in fig9_panels:
+    for panel in fig9_panels if "fig9" in sections else []:
         gamma, malicious = paper_panel(panel, base.node_count)
         fig9[panel] = run_fig9(
             gamma, malicious, base, executor=executor, probes=probes
         )
     return ReproductionReport(
         base=base,
-        fig7={body_mb: panels[body_mb] for body_mb in fig7_bodies},
-        fig8=fig8,
+        fig7={body_mb: panels[body_mb] for body_mb in shown},
+        fig8=fig8 if "fig8" in sections else None,
         fig9=fig9,
-        headline=headline_ratios(panels[0.5], fig8, agreements),
+        headline=(
+            headline_ratios(panels[0.5], fig8, agreements) if headline else None
+        ),
     )

@@ -21,8 +21,9 @@ On top, block-lifecycle tracing and invariant monitoring:
 * :mod:`repro.telemetry.diff` — the first place two runs' streams
   differ (``python -m repro telemetry diff A B``);
 * :mod:`repro.telemetry.monitors` — read-side liveness/safety/
-  fault-consistency probes producing a pinned-schema verdict document
-  (``campaign run --monitors``).
+  fault-consistency probes whose verdicts are evaluated from the
+  streams when asked, never stored (``campaign run --monitors``,
+  ``campaign status --telemetry``).
 
 A campaign's harness history (cell outcomes, failed attempts, retries,
 pool respawns, per-cell wall clock) is its journal, read by ``campaign

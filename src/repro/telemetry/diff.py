@@ -32,6 +32,7 @@ from repro.telemetry.stream import (
     TelemetryError,
     discover_streams,
     parse_stream,
+    read_stream_text,
     stream_version,
 )
 
@@ -43,7 +44,7 @@ Side = Optional[Tuple[Path, List[Record]]]
 
 
 def _read(path: Path) -> Tuple[Path, List[Record]]:
-    text = path.read_text(encoding="utf-8")
+    text = read_stream_text(path)
     return path, parse_stream(text, str(path), stream_version(path))
 
 

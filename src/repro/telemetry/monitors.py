@@ -19,16 +19,15 @@ the paper's experiments rely on:
 * ``fault-consistency`` — no span progress on crashed nodes: no
   ``created``/``gossiped`` span falls inside a node's crash window.
 
-Verdicts land in a pinned-schema ``monitors`` document
-(:data:`MONITOR_SCHEMA_VERSION`), consumed by ``campaign status``
-and the optional ``--monitors strict`` gate.
+The verdicts are a pure function of the streams, so nothing keeps
+them: ``campaign run --monitors`` (the gate) and ``campaign status
+--telemetry DIR`` each evaluate the streams when asked.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.metrics.reporting import format_table
 from repro.telemetry.stream import (
@@ -37,26 +36,18 @@ from repro.telemetry.stream import (
     SLOT,
     PathLike,
     Record,
-    TelemetryError,
     read_streams,
     stream_start,
 )
 
-#: The pinned monitors-document schema version.
-MONITOR_SCHEMA_VERSION = 1
-
 MONITOR_PASS = "pass"
 MONITOR_FAIL = "fail"
 MONITOR_SKIP = "skip"
-MONITOR_STATUSES = (MONITOR_PASS, MONITOR_FAIL, MONITOR_SKIP)
 
 LIVENESS_PROGRESS = "liveness-progress"
 SAFETY_MONOTONE = "safety-monotone-growth"
 SAFETY_COMMITS = "safety-no-conflicting-commits"
 FAULT_CONSISTENCY = "fault-consistency"
-MONITOR_IDS = (
-    LIVENESS_PROGRESS, SAFETY_MONOTONE, SAFETY_COMMITS, FAULT_CONSISTENCY
-)
 
 #: Backend progress counters the liveness probe watches, in preference
 #: order (the first one present in the stream's counters is used).
@@ -265,7 +256,7 @@ def _runs_by_key(
 
 
 def evaluate_monitors(paths: Iterable[PathLike]) -> Dict[str, Any]:
-    """Probe every stream under ``paths``; returns the verdict document.
+    """Probe every stream under ``paths``; returns the verdicts.
 
     Streams pair up per run (scenario, backend, seed): the v1 per-slot
     stream feeds the liveness/monotone probes, the v2 trace stream
@@ -316,80 +307,26 @@ def evaluate_monitors(paths: Iterable[PathLike]) -> Dict[str, Any]:
             "monitors": verdicts,
         })
     return {
-        "v": MONITOR_SCHEMA_VERSION,
         "runs": runs,
         "counts": counts,
         "status": MONITOR_FAIL if counts[MONITOR_FAIL] else MONITOR_PASS,
     }
 
 
-def validate_monitor_document(document: Any) -> None:
-    """Raise :class:`TelemetryError` unless ``document`` fits the schema."""
-    if not isinstance(document, dict):
-        raise TelemetryError("monitors document must be a JSON object")
-    if document.get("v") != MONITOR_SCHEMA_VERSION:
-        raise TelemetryError(
-            f"monitors schema version {document.get('v')!r} is not the "
-            f"pinned {MONITOR_SCHEMA_VERSION}"
-        )
-    expected = {"v", "runs", "counts", "status"}
-    if set(document) != expected:
-        raise TelemetryError(
-            f"monitors document must carry exactly {sorted(expected)}, "
-            f"got {sorted(document)}"
-        )
-    if document["status"] not in (MONITOR_PASS, MONITOR_FAIL):
-        raise TelemetryError(
-            f"monitors status must be pass/fail, got {document['status']!r}"
-        )
-    counts = document["counts"]
-    if not isinstance(counts, dict) or set(counts) != set(MONITOR_STATUSES):
-        raise TelemetryError(
-            f"monitors counts must carry exactly {list(MONITOR_STATUSES)}"
-        )
-    if not isinstance(document["runs"], list):
-        raise TelemetryError("monitors runs must be a list")
-    for index, run in enumerate(document["runs"]):
-        what = f"runs[{index}]"
-        if not isinstance(run, dict):
-            raise TelemetryError(f"{what} must be an object")
-        for name, types in (
-            ("scenario", str), ("backend", str), ("seed", int),
-            ("streams", list), ("monitors", list),
-        ):
-            if not isinstance(run.get(name), types):
-                raise TelemetryError(f"{what} lacks a valid {name!r}")
-        for verdict in run["monitors"]:
-            if not isinstance(verdict, dict) or set(verdict) != {
-                "id", "status", "detail"
-            }:
-                raise TelemetryError(
-                    f"{what} verdicts must carry exactly id/status/detail"
-                )
-            if verdict["id"] not in MONITOR_IDS:
-                raise TelemetryError(
-                    f"{what} names unknown monitor {verdict['id']!r}"
-                )
-            if verdict["status"] not in MONITOR_STATUSES:
-                raise TelemetryError(
-                    f"{what} has unknown status {verdict['status']!r}"
-                )
+def monitor_summary(verdicts: Dict[str, Any]) -> str:
+    """One line: the overall status and the per-status verdict counts."""
+    counts = verdicts["counts"]
+    return (
+        f"monitors: {verdicts['status']} "
+        f"({counts[MONITOR_PASS]} pass, {counts[MONITOR_FAIL]} fail, "
+        f"{counts[MONITOR_SKIP]} skip)"
+    )
 
 
-def load_monitor_document(path: Union[str, Path]) -> Dict[str, Any]:
-    """Read + validate a monitors document written by the CLI."""
-    try:
-        document = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
-        raise TelemetryError(f"{path}: {error}") from None
-    validate_monitor_document(document)
-    return document
-
-
-def format_monitor_table(document: Dict[str, Any]) -> str:
-    """The verdict document as an aligned text table."""
+def format_monitor_table(verdicts: Dict[str, Any]) -> str:
+    """The verdicts as their summary line over an aligned text table."""
     rows = []
-    for run in document["runs"]:
+    for run in verdicts["runs"]:
         for verdict in run["monitors"]:
             rows.append([
                 run["scenario"],
@@ -399,12 +336,7 @@ def format_monitor_table(document: Dict[str, Any]) -> str:
                 verdict["status"],
                 verdict["detail"],
             ])
-    counts = document["counts"]
-    summary = (
-        f"monitors: {document['status']} "
-        f"({counts[MONITOR_PASS]} pass, {counts[MONITOR_FAIL]} fail, "
-        f"{counts[MONITOR_SKIP]} skip)"
-    )
+    summary = monitor_summary(verdicts)
     if not rows:
         return summary + "\n(no streams probed)"
     table = format_table(

@@ -448,6 +448,16 @@ def discover_streams(paths: Iterable[PathLike]) -> List[Path]:
     return list(dict.fromkeys(found))
 
 
+def read_stream_text(path: Path) -> str:
+    """A stream file's text; bytes that are not UTF-8 are a located error."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as error:
+        raise TelemetryError(
+            f"{path}: not UTF-8 text (byte {error.start})"
+        ) from None
+
+
 def read_streams(
     paths: Iterable[PathLike], version: int
 ) -> List[Tuple[Path, List[Record]]]:
@@ -457,7 +467,7 @@ def read_streams(
     other family's files are skipped.  Raises on the first defect.
     """
     return [
-        (path, parse_stream(path.read_text(encoding="utf-8"), str(path), version))
+        (path, parse_stream(read_stream_text(path), str(path), version))
         for path in discover_streams(paths)
         if stream_version(path) == version
     ]
@@ -472,7 +482,7 @@ def validate_streams(
     records = 0
     defects: List[str] = []
     for path in streams:
-        text = path.read_text(encoding="utf-8")
+        text = read_stream_text(path)
         records += sum(1 for line in text.splitlines() if line.strip())
         defects.extend(validate_stream(text, str(path), stream_version(path)))
     return streams, records, defects

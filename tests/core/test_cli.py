@@ -1,8 +1,15 @@
 """CLI tests: argument parsing and command execution."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 class TestParser:
@@ -16,18 +23,27 @@ class TestParser:
         assert args.gamma == 8
         assert not args.validate
 
-    def test_fig9_panel_choices(self):
-        args = build_parser().parse_args(["fig9", "--panel", "d"])
+    def test_report_panel_choices(self):
+        args = build_parser().parse_args(["report", "--panel", "d"])
         assert args.panel == "d"
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["fig9", "--panel", "z"])
+            build_parser().parse_args(["report", "--panel", "z"])
+
+    def test_report_only_choices(self):
+        args = build_parser().parse_args(
+            ["report", "--only", "fig7", "--only", "headline"]
+        )
+        assert args.only == ["fig7", "headline"]
+        assert build_parser().parse_args(["report"]).only is None
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["report", "--only", "fig6"])
 
     def test_global_workers_defaults_to_serial(self):
-        args = build_parser().parse_args(["fig7"])
+        args = build_parser().parse_args(["report"])
         assert args.workers == 0
 
     def test_global_workers_before_subcommand(self):
-        args = build_parser().parse_args(["--workers", "4", "fig7"])
+        args = build_parser().parse_args(["--workers", "4", "report"])
         assert args.workers == 4
 
     def test_campaign_run_workers_overrides_global(self):
@@ -290,7 +306,8 @@ class TestGlobalCacheDirOnExperiments:
             slots=6, sample_slots=(3, 6)
         ).save(spec_path)
         cache = tmp_path / "cache"
-        argv = ["--cache-dir", str(cache), "fig7", "--scenario", str(spec_path)]
+        argv = ["--cache-dir", str(cache), "report", "--only", "fig7",
+                "--body-mb", "0.5", "--scenario", str(spec_path)]
         assert main(argv) == 0
         first = capsys.readouterr().out
         assert list(cache.glob("cells/*/*.json"))  # cell persisted
@@ -305,7 +322,8 @@ class TestGlobalCacheDirOnExperiments:
         get_scenario("quickstart").with_workload(
             slots=6, sample_slots=(3, 6)
         ).save(spec_path)
-        assert main(["fig7", "--scenario", str(spec_path)]) == 0
+        assert main(["report", "--only", "fig7", "--body-mb", "0.5",
+                     "--scenario", str(spec_path)]) == 0
         capsys.readouterr()
         assert not (tmp_path / "env-cache").exists()
 
@@ -345,3 +363,38 @@ class TestCommands:
             "--gamma", "2", "--body-mb", "0.01", "--target-slot", "99",
         ])
         assert code == 1
+
+    def test_verify_on_a_single_node_says_why(self, capsys):
+        code = main(["verify", "--nodes", "1", "--slots", "3",
+                     "--gamma", "0"])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "no node but block 0#0's origin to verify it\n"
+
+
+class TestArgvSpecErrors:
+    """A flag that makes an invalid spec exits with one line, not a
+    traceback, wherever argv becomes a spec."""
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--nodes", "0"],
+        ["simulate", "--slots", "0"],
+        ["simulate", "--gamma", "-1"],
+        ["simulate", "--body-mb", "-1"],
+        ["verify", "--nodes", "0"],
+        ["report", "--quick", "--body-mb", "-1"],
+    ], ids=" ".join)
+    def test_exits_with_one_line(self, argv):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(SRC) + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert proc.returncode != 0
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert "must be" in proc.stderr

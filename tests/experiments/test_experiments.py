@@ -10,7 +10,7 @@ import pytest
 from repro.experiments.fig7_storage import run_fig7
 from repro.experiments.fig8_comm import run_fig8
 from repro.experiments.fig9_consensus import PAPER_PANELS, paper_panel, run_fig9
-from repro.experiments.headline import run_headline
+from repro.experiments.report import generate_report
 from repro.scenario import figure_base
 from repro.scenario.registry import fig8_gamma
 
@@ -140,7 +140,7 @@ class TestFig9:
 
 class TestHeadline:
     def test_orders_of_magnitude(self):
-        result = run_headline(TINY)
+        result = generate_report(TINY, sections=("headline",)).headline
         # At tiny scale the gap is smaller than the paper's 50-node one,
         # but both metrics must still separate by >= 1 order.
         assert result.storage_orders_pbft >= 1.0

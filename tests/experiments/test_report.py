@@ -77,3 +77,12 @@ class TestReport:
         assert code == 0
         content = out.read_text()
         assert "# 2LDAG reproduction report" in content
+
+    def test_sections_render_only_what_was_asked(self):
+        report = generate_report(MICRO, sections=("fig8",))
+        assert (report.headline, report.fig7, report.fig9) == (None, {}, {})
+        markdown = report.to_markdown()
+        assert "## Fig. 8 — communication" in markdown
+        for panel in "abc":
+            assert f"Fig. 8({panel})" in markdown
+        assert "## Headline claims" not in markdown

@@ -1,6 +1,6 @@
 """CLI smoke tests: every ``python -m repro`` subcommand in quick mode.
 
-Each figure/report command runs at a deliberately tiny scenario scale
+Each ``report`` section runs at a deliberately tiny scenario scale
 (via ``--scenario`` with a generated spec file) so the whole module
 stays CI-friendly; the point is that no subcommand can silently rot,
 not numeric fidelity (the experiments suites cover that).
@@ -159,28 +159,38 @@ class TestScenarios:
 
 class TestFigures:
     def test_fig7(self, capsys, tiny_scenario_file):
-        code = main(["fig7", "--scenario", tiny_scenario_file])
+        code = main(["report", "--only", "fig7", "--body-mb", "0.001",
+                     "--scenario", tiny_scenario_file])
         out = capsys.readouterr().out
         assert code == 0
+        assert "## Fig. 7 — storage, C = 0.001 MB" in out
         assert "2LDAG" in out and "PBFT" in out
+        assert "## Headline claims" not in out
 
     def test_fig8(self, capsys, tiny_scenario_file):
-        code = main(["fig8", "--scenario", tiny_scenario_file])
+        code = main(["report", "--only", "fig8",
+                     "--scenario", tiny_scenario_file])
         out = capsys.readouterr().out
         assert code == 0
-        assert "Fig. 8(a)" in out and "2LDAG-33%" in out
+        for panel in "abc":
+            assert f"Fig. 8({panel})" in out
+        assert "2LDAG-33%" in out
 
     def test_fig9(self, capsys, tiny_scenario_file):
-        code = main(["fig9", "--panel", "a", "--scenario", tiny_scenario_file])
+        code = main(["report", "--only", "fig9", "--panel", "a",
+                     "--scenario", tiny_scenario_file])
         out = capsys.readouterr().out
         assert code == 0
-        assert "consensus failure probability" in out
+        assert "## Fig. 9(a) — consensus time" in out
+        assert "## Fig. 9(d)" not in out
 
     def test_headline(self, capsys, tiny_scenario_file):
-        code = main(["headline", "--scenario", tiny_scenario_file])
+        code = main(["report", "--only", "headline",
+                     "--scenario", tiny_scenario_file])
         out = capsys.readouterr().out
         assert code == 0
         assert "storage: PBFT/2LDAG" in out
+        assert "## Fig." not in out
 
     def test_report(self, capsys, tiny_scenario_file, tmp_path):
         out_path = tmp_path / "report.md"
@@ -190,6 +200,120 @@ class TestFigures:
         text = out_path.read_text()
         assert "# 2LDAG reproduction report" in text
         assert "## Headline claims" in text
+
+
+def submitted_cells(monkeypatch):
+    """Record the digest of every cell any campaign executor is handed."""
+    from repro.campaign.executor import CampaignExecutor
+
+    submitted = []
+    run = CampaignExecutor.run
+
+    def recording_run(self, campaign, **kwargs):
+        submitted.extend(cell.digest() for cell in campaign.cells)
+        return run(self, campaign, **kwargs)
+
+    monkeypatch.setattr(CampaignExecutor, "run", recording_run)
+    return submitted
+
+
+class TestReportOnlyFold:
+    """``report --only`` runs what ``fig7``/``fig8``/``fig9``/``headline``
+    ran: the same cells, in the same order, printing the same rows.
+
+    The digests were recorded on the tiny spec from the retired
+    commands; ``ROWS_SHA256`` hashes the lines of their stdout that
+    carry a ``|`` (every table row and chart row, no titles).
+    """
+
+    FOLD = {
+        "fig7": (
+            ["--only", "fig7", "--body-mb", "0.001"],
+            ["a581c4d6ece9d9a6d4a55fde29ebff16b903a842542f7f55138324cfb78cffd6"],
+            "037a84e820d3e1ad8beb8d0576fff32fcf0e38d409ed6bf01cc63bd4fee172c2",
+        ),
+        "fig8": (
+            ["--only", "fig8"],
+            ["a1a03ded432008c7598b0357917147d0c8026e693fa748d1e173728021bc7b58",
+             "493e527a7fca0fee7d7ff98a217802f60fe340e2df82738ed20318dd4362b4fe"],
+            "a7cc5ac766182060a70eb1d941fdd02def64ecdc7f73a4ad84e35a09b864c395",
+        ),
+        "fig9": (
+            ["--only", "fig9", "--panel", "a"],
+            ["65442ef68e7dcc532cca15695950d2c08f7f35d2bd1a55d65b537d44bf0b2069",
+             "69b840ce396c5ffe5864cc2ccc58a29314675976d3eb1fde03d7da014b61cb33",
+             "4a8b05d77066cbe3a736adb236296d579f58118c1f477cd6437ced07481ec572"],
+            "733a0753cad85925d369bce0b04ec7d5cb1b59e416226106c112dbd19e98b481",
+        ),
+        "headline": (
+            ["--only", "headline"],
+            # the model gate's PBFT and IOTA cells, C = 0.5 MB, Fig. 8
+            ["e672b145e9d9e098ca95e9f12b8fddc7c16d36f9c6cb87ce8f9b550bd42f6d10",
+             "fab4bbad4d70f2e1fce02287b2b65c07c833bd8c36b33a525950dc0d530db647",
+             "881be02ea936034062099f65b1badc20cecbb4fed3d80e113edc033100893476",
+             "a1a03ded432008c7598b0357917147d0c8026e693fa748d1e173728021bc7b58",
+             "493e527a7fca0fee7d7ff98a217802f60fe340e2df82738ed20318dd4362b4fe"],
+            # sha256 of no lines: the headline summary has no table
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        ),
+    }
+
+    HEADLINE = [
+        "storage: PBFT/2LDAG = 9x (1.0 orders), IOTA/2LDAG = 9x",
+        "communication: PBFT/2LDAG = 11736x (4.1 orders), IOTA/2LDAG = 58520x",
+        "model gate [pbft]: storage 0.0%, traffic 0.0% from the cost model "
+        "(tolerance 5%)",
+        "model gate [iota]: storage 0.0%, traffic 0.0% from the cost model "
+        "(tolerance 5%)",
+    ]
+
+    @pytest.mark.parametrize("retired", sorted(FOLD))
+    def test_same_cells_and_rows_as_the_retired_command(
+        self, retired, capsys, monkeypatch, tiny_scenario_file
+    ):
+        import hashlib
+
+        argv, cells, rows_sha256 = self.FOLD[retired]
+        submitted = submitted_cells(monkeypatch)
+        assert main(["report", *argv, "--scenario", tiny_scenario_file]) == 0
+        out = capsys.readouterr().out
+        assert submitted == cells
+        rows = "\n".join(line for line in out.splitlines() if "|" in line)
+        assert hashlib.sha256(rows.encode()).hexdigest() == rows_sha256
+        if retired == "headline":
+            lines = out.splitlines()
+            start = lines.index(self.HEADLINE[0])
+            assert lines[start:start + 4] == self.HEADLINE
+
+    def test_one_fig9_panel_submits_nothing_else(
+        self, capsys, monkeypatch, tiny_scenario_file
+    ):
+        submitted = submitted_cells(monkeypatch)
+        assert main(["report", "--only", "fig9", "--panel", "a",
+                     "--scenario", tiny_scenario_file]) == 0
+        capsys.readouterr()
+        _, fig9_cells, _ = self.FOLD["fig9"]
+        assert submitted == fig9_cells
+        others = {c for name in ("fig7", "fig8", "headline")
+                  for c in self.FOLD[name][1]}
+        assert not others & set(submitted)
+
+
+class TestRetiredFigureCommands:
+    """``report --only`` is the one figure command, with no alias."""
+
+    @pytest.mark.parametrize("command", ["fig7", "fig8", "fig9", "headline"])
+    def test_is_an_invalid_choice(self, command, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main([command, "--quick"])
+        assert raised.value.code == 2
+        assert f"invalid choice: '{command}'" in capsys.readouterr().err
+
+    def test_monitors_takes_no_mode(self, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main(["campaign", "run", "smoke", "--monitors", "strict"])
+        assert raised.value.code == 2
+        assert "unrecognized arguments: strict" in capsys.readouterr().err
 
 
 class TestTelemetryCLI:
@@ -273,19 +397,17 @@ class TestRetiredBenchCommand:
         ]
         assert list(subparsers.choices) == [
             "simulate", "verify", "scenarios", "campaign", "lint",
-            "telemetry", "fig7", "fig8", "fig9", "headline", "report",
+            "telemetry", "report",
         ]
 
 
 class TestRetiredExportCommand:
     """A run's stream and a campaign's journal are its only records."""
 
-    #: SHA-256 of what ``campaign run smoke --telemetry tel --monitors
-    #: report`` writes, run from the directory holding ``tel``; equal to
-    #: the bytes written while the metrics exposition still existed.
+    #: SHA-256 of what ``campaign run smoke --telemetry tel --monitors``
+    #: writes, run from the directory holding ``tel``; equal to the
+    #: bytes written while the metrics exposition still existed.
     SMOKE_FILES = {
-        "monitors-smoke.json":
-            "d3c2287ded6f38bbc927064036ee12d2dd5e288118c75724c4676232f698fe3f",
         "run-ledger-comparison-seed-0--2ldag-seed0.jsonl":
             "52cab7595607b56ebfe55d568bb1dacf853567056a249f2a836fdda7485770bc",
         "run-ledger-comparison-seed-1--2ldag-seed1.jsonl":
@@ -326,7 +448,7 @@ class TestRetiredExportCommand:
         # the command exports --telemetry for its workers; undo that
         monkeypatch.setenv("REPRO_TELEMETRY", "tel")
         code = main(["campaign", "run", "smoke", "--cache-dir", "cache",
-                     "--telemetry", "tel", "--monitors", "report"])
+                     "--telemetry", "tel", "--monitors"])
         assert code == 0
         written = {
             path.name: hashlib.sha256(path.read_bytes()).hexdigest()
@@ -334,12 +456,10 @@ class TestRetiredExportCommand:
         }
         assert written == self.SMOKE_FILES
 
-        # all cached: nothing streams, the verdicts still land in a new dir
+        # all cached: nothing streams, and the verdicts are not kept
         assert main(["campaign", "run", "smoke", "--cache-dir", "cache",
-                     "--telemetry", "warm", "--monitors", "report"]) == 0
-        assert [p.name for p in (tmp_path / "warm").iterdir()] == [
-            "monitors-smoke.json"
-        ]
+                     "--telemetry", "warm", "--monitors"]) == 0
+        assert list((tmp_path / "warm").iterdir()) == []
 
 
 class TestRetiredViews:
@@ -479,40 +599,42 @@ class TestMonitorsCLI:
                      "--cache-dir", str(tmp_path / "cache"),
                      "--telemetry", str(telemetry),
                      "--trace-sample", "1.0",
-                     "--monitors", "strict"])
+                     "--monitors"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "monitors: pass" in out
-        document = json.loads((telemetry / "monitors-smoke.json").read_text())
-        assert document["status"] == "pass"
+        assert "monitors: pass (12 pass, 0 fail, 4 skip)" in out
+        assert not list(telemetry.glob("monitors-*"))
 
-        # status surfaces the persisted verdicts
+        # status reads the verdicts from the streams themselves
         assert main(["campaign", "status", "smoke",
                      "--cache-dir", str(tmp_path / "cache"),
                      "--telemetry", str(telemetry)]) == 0
-        assert "invariant monitors: pass" in capsys.readouterr().out
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "invariant monitors: pass (12 pass, 0 fail, 4 skip)"
+        )
 
-    @pytest.mark.parametrize("content", [b"", b"{", b"\xff\xfe{}"],
-                             ids=["empty", "torn", "not-utf8"])
-    def test_status_names_an_unreadable_monitors_document(self, content,
-                                                          capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "content", [b"{", b'{"v": 1, "event": "sl', b"\xff\xfe{}"],
+        ids=["torn", "half-record", "not-utf8"],
+    )
+    def test_status_names_a_torn_stream(self, content, capsys, tmp_path):
         telemetry = tmp_path / "tel"
         telemetry.mkdir()
-        document = telemetry / "monitors-smoke.json"
-        document.write_bytes(content)
+        stream = telemetry / "run-smoke-2ldag-seed0.jsonl"
+        stream.write_bytes(content)
         code = main(["campaign", "status", "smoke",
                      "--cache-dir", str(tmp_path / "cache"),
                      "--telemetry", str(telemetry)])
         assert code == 1
-        assert capsys.readouterr().err.startswith(
-            f"monitors document invalid: {document}: "
-        )
+        err = capsys.readouterr().err
+        assert err.startswith(f"monitor evaluation failed: {stream}: ")
+        assert "Traceback" not in err
 
     def test_monitors_without_telemetry_dir_exits_2(self, capsys, tmp_path,
                                                     monkeypatch):
         monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
         code = main(["campaign", "run", "smoke",
                      "--cache-dir", str(tmp_path / "cache"),
-                     "--monitors", "report"])
+                     "--monitors"])
         assert code == 2
         assert "telemetry" in capsys.readouterr().err

@@ -121,7 +121,8 @@ class TestBuilders:
         ids=["paper", "quick", "nine-nodes"],
     )
     def test_fig7_and_fig8_builders_are_idempotent(self, base):
-        # What makes `fig7 --scenario paper-fig7` the same run as `fig7`.
+        # What makes `report --only fig7 --scenario paper-fig7` the same
+        # run as `report --only fig7`.
         for body_mb in (0.1, 0.5, 1.0):
             once = fig7_scenario(body_mb, base)
             assert fig7_scenario(body_mb, once) == once

@@ -172,6 +172,18 @@ class TestScanLoop:
 
 
 class TestReader:
+    @pytest.mark.parametrize("read", [
+        lambda paths: read_streams(paths, 1),
+        validate_streams,
+    ], ids=["read_streams", "validate_streams"])
+    def test_bytes_that_are_not_utf8_are_a_located_error(self, read,
+                                                          tmp_path):
+        stream = tmp_path / "run-x.jsonl"
+        stream.write_bytes(b'{"v": 1}\n\xff\xfe\n')
+        with pytest.raises(TelemetryError) as raised:
+            read([tmp_path])
+        assert str(raised.value) == f"{stream}: not UTF-8 text (byte 9)"
+
     @pytest.mark.parametrize("action", ["validate", "summarize"])
     def test_no_stream_read_falls_back_to_the_locale_encoding(
         self, action, tmp_path
