@@ -42,16 +42,20 @@ class SybilIdentity:
         return replace(unsigned, signature=signature)
 
 
-def sybil_identities(attacker: int, count: int, id_base: int = 10_000) -> List[SybilIdentity]:
+#: The first fabricated id, far above any real node id.
+_SYBIL_ID_BASE = 10_000
+
+
+def sybil_identities(attacker: int, count: int) -> List[SybilIdentity]:
     """Fabricate ``count`` identities controlled by ``attacker``.
 
-    Ids start at ``id_base`` to avoid colliding with real nodes; keys
+    Ids start at 10,000 to avoid colliding with real nodes; keys
     are derived from the attacker's id so the attack is reproducible.
     """
     return [
         SybilIdentity(
-            claimed_id=id_base + i,
-            keypair=KeyPair.generate(id_base + i, seed=attacker),
+            claimed_id=_SYBIL_ID_BASE + i,
+            keypair=KeyPair.generate(_SYBIL_ID_BASE + i, seed=attacker),
         )
         for i in range(count)
     ]

@@ -1,7 +1,8 @@
 """Content-addressed on-disk cache of cell results, plus run journals.
 
-This is the repository's first durable artifact store.  Layout under
-the cache root (``$REPRO_CACHE_DIR`` or ``.repro_cache/``)::
+This is the repository's one durable artifact store, and it exists
+only where a caller names its root (the CLI's ``--cache-dir DIR``).
+Layout under that root::
 
     cells/<d2>/<digest>.json       one finished cell's payload envelope
     journal/<campaign>.jsonl       append-only per-run completion log
@@ -55,7 +56,6 @@ a crash is skipped on read.  The event schema (see
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
@@ -65,19 +65,6 @@ from repro.experiments.persistence import atomic_write_text
 
 #: Format marker for cache envelopes; mismatches load as cache misses.
 CACHE_FORMAT_VERSION = 1
-
-#: Environment override for the cache root.
-CACHE_ENV_VAR = "REPRO_CACHE_DIR"
-
-#: Default cache root, relative to the working directory.
-DEFAULT_CACHE_DIRNAME = ".repro_cache"
-
-
-def default_cache_dir() -> Path:
-    """The cache root: ``$REPRO_CACHE_DIR`` or ``./.repro_cache``."""
-    override = os.environ.get(CACHE_ENV_VAR)
-    return Path(override) if override else Path(DEFAULT_CACHE_DIRNAME)
-
 
 def payload_digest(payload: Dict[str, Any]) -> str:
     """SHA-256 over the canonical JSON of one cell payload.
@@ -127,8 +114,8 @@ def summarize_cell_events(events: List[Dict[str, Any]]) -> Dict[str, Dict[str, A
 class ResultCache:
     """Durable store of finished cell payloads, keyed by content digest."""
 
-    def __init__(self, root: Union[str, Path, None] = None) -> None:
-        self.root = Path(root) if root is not None else default_cache_dir()
+    def __init__(self, root: Union[str, Path]) -> None:
+        self.root = Path(root)
 
     @property
     def cells_dir(self) -> Path:

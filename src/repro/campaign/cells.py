@@ -3,16 +3,17 @@
 A *cell runner* is a function ``CellSpec -> dict`` whose return value
 is pure JSON data — it crosses process boundaries (the parallel
 executor runs cells in worker processes) and lands verbatim in the
-on-disk result cache.  Kinds register with
-:func:`register_cell_kind`; consumers that define their own kind
-(Fig. 9 probe series, sweep points, attack audits) register from their
-home module, and :data:`KIND_HOME_MODULES` lets any process — a fresh
-worker included — resolve a kind it has not imported yet.
-
-The built-in ``scenario`` kind runs the spec's whole slot workload and
-returns :meth:`~repro.scenario.runner.ScenarioResult.to_dict`, which
-carries the canonical trace digest — the byte-identity witness the
-campaign determinism tests compare across worker counts.
+on-disk result cache.  There are four kinds.  The built-in
+``scenario`` kind runs the spec's whole slot workload and returns
+:meth:`~repro.scenario.runner.ScenarioResult.to_dict`, which carries
+the canonical trace digest — the byte-identity witness the campaign
+determinism tests compare across worker counts.  Every cell that runs
+a whole scenario (the figures, the ledger and fault grids) is a
+``scenario`` cell.  The other three probe a grown deployment
+(``fig9-series``, ``sweep-point``, ``attack-audit``) and register
+from their home module through :func:`register_cell_kind`;
+:data:`KIND_HOME_MODULES` lets any process — a fresh worker included
+— resolve a kind it has not imported yet.
 """
 
 from __future__ import annotations
@@ -36,10 +37,8 @@ _CELL_KINDS: Dict[str, CellRunner] = {}
 KIND_HOME_MODULES: Dict[str, str] = {
     "scenario": "repro.campaign.cells",
     "fig9-series": "repro.experiments.fig9_consensus",
-    "gamma-sweep-point": "repro.experiments.sweeps",
-    "density-sweep-point": "repro.experiments.sweeps",
+    "sweep-point": "repro.experiments.sweeps",
     "attack-audit": "repro.experiments.attack_compare",
-    "fault-grid-point": "repro.experiments.fault_resilience",
 }
 
 
@@ -94,9 +93,8 @@ def observed_runner(spec: ScenarioSpec) -> ScenarioRunner:
     streams.  Both recorders are pure observers — the payload (and its
     trace digest, the campaign's byte-identity witness) is identical
     with them on or off — and both truncate their stream on
-    ``run_started``, so a chaos-retried cell rewrites cleanly.  The two
-    kinds that run a whole scenario (``scenario`` and
-    ``fault-grid-point``) build their runner here.
+    ``run_started``, so a chaos-retried cell rewrites cleanly.  Every
+    ``scenario`` cell builds its runner here.
     """
     from repro.telemetry import (
         run_recorders,

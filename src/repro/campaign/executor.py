@@ -11,11 +11,11 @@ many campaigns) with four independent capabilities:
   included — are byte-identical to a serial run; only wall-clock
   changes.  The default ``workers=0`` runs cells in-process, one at a
   time, under the same supervision loop.
-* **caching** — with ``use_cache=True`` each finished cell's payload
-  is persisted to the content-addressed :class:`ResultCache`; a later
-  run of any campaign containing that cell (same digest) is served
-  from disk without executing.  ``force=True`` recomputes and
-  overwrites.
+* **caching** — with a ``cache_dir`` each finished cell's payload is
+  persisted to the content-addressed :class:`ResultCache` under it; a
+  later run of any campaign containing that cell (same digest) is
+  served from disk without executing.  ``force=True`` recomputes and
+  overwrites.  Without one nothing is read or written.
 * **resumability** — because completion is journalled and cached
   per-cell, an interrupted campaign re-run computes only the cells
   that never finished; completed cells replay from the cache.  Failed
@@ -69,6 +69,7 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple, Union
 
 from repro.campaign.cache import ResultCache, payload_digest, summarize_cell_events
@@ -203,30 +204,6 @@ class CellResult:
         return value if isinstance(value, str) else ""
 
 
-@dataclass(frozen=True)
-class CellStatus:
-    """One cell's standing, from the cache plus the journal history."""
-
-    cell: CellSpec
-    digest: str
-    cached: bool
-    failed_attempts: int = 0
-    quarantined: bool = False
-    flaky: bool = False
-    last_error: str = ""
-
-    @property
-    def state(self) -> str:
-        """``done`` / ``quarantined`` / ``failing`` / ``pending``."""
-        if self.cached:
-            return "done"
-        if self.quarantined:
-            return "quarantined"
-        if self.failed_attempts:
-            return "failing"
-        return "pending"
-
-
 @dataclass
 class CampaignResult:
     """Everything a finished campaign run produced, in campaign order."""
@@ -311,12 +288,9 @@ class CampaignExecutor:
         a time in this process (the default; payloads and golden
         digests are the same either way).
     cache_dir:
-        Result-cache root; defaults to ``$REPRO_CACHE_DIR`` or
-        ``./.repro_cache``.
-    use_cache:
-        ``False`` disables both the cache and the journal — every cell
-        computes, nothing is persisted (what experiment entry points
-        use unless the caller opts in).
+        Root of the result cache and the journals.  ``None`` (the
+        default) keeps neither: every cell computes and nothing is
+        persisted.
     retries:
         How many times one cell may be re-attempted after a failed
         attempt (exception, timeout, or worker crash) before the run
@@ -340,8 +314,7 @@ class CampaignExecutor:
     def __init__(
         self,
         workers: int = 0,
-        cache_dir: Union[str, None] = None,
-        use_cache: bool = True,
+        cache_dir: Union[str, Path, None] = None,
         retries: int = 2,
         cell_timeout: Optional[float] = None,
         backoff_s: float = 0.05,
@@ -349,7 +322,7 @@ class CampaignExecutor:
     ) -> None:
         self.workers = max(0, int(workers or 0))
         self.cache: Optional[ResultCache] = (
-            ResultCache(cache_dir) if use_cache else None
+            ResultCache(cache_dir) if cache_dir is not None else None
         )
         self.retries = max(0, int(retries))
         self.cell_timeout = float(cell_timeout) if cell_timeout else None
@@ -778,75 +751,53 @@ class CampaignExecutor:
         )
 
     # -- inspection / maintenance -----------------------------------------
-    def status(self, campaign: CampaignSpec) -> List[Tuple[CellSpec, str, bool]]:
-        """Per-cell ``(cell, digest, cached)`` without executing anything."""
-        rows: List[Tuple[CellSpec, str, bool]] = []
-        for cell in campaign.cells:
-            digest = cell.digest()
-            cached = self.cache is not None and self.cache.load(digest) is not None
-            rows.append((cell, digest, cached))
-        return rows
-
-    def status_report(self, campaign: CampaignSpec) -> List[CellStatus]:
-        """Per-cell standing including journalled failure history.
-
-        Extends :meth:`status` with what the campaign's journal records
-        about failed attempts, quarantines and flakiness, so ``campaign
-        status`` can show *why* a cell is missing, not just that it is.
-        """
-        history: Dict[str, Dict[str, Any]] = {}
-        if self.cache is not None:
-            history = summarize_cell_events(
-                self.cache.read_journal(campaign.digest())
-            )
-        rows: List[CellStatus] = []
-        for cell, digest, cached in self.status(campaign):
-            record = history.get(digest, {})
-            rows.append(CellStatus(
-                cell=cell,
-                digest=digest,
-                cached=cached,
-                failed_attempts=int(record.get("failed_attempts", 0)),
-                quarantined=bool(record.get("quarantined")) and not cached,
-                flaky=bool(record.get("flaky")),
-                last_error=str(record.get("last_error", "")),
-            ))
-        return rows
-
     def status_document(self, campaign: CampaignSpec) -> Dict[str, Any]:
-        """:meth:`status_report` as a pinned-schema JSON document.
+        """Every cell's standing, from the cache and the journal history.
 
-        The machine face of ``campaign status --json``: CI and
-        scripts consume this instead of screen-scraping the text report.
-        Schema (version :data:`STATUS_SCHEMA_VERSION`; any key addition
-        or semantic change bumps it)::
+        The one status view: ``campaign status`` renders its text table
+        from this document and prints it whole under ``--json``.
+        Without a cache every cell is ``pending``.  A cell is ``done``
+        when cached, else ``quarantined`` or ``failing`` by what the
+        journal records.  Schema (version :data:`STATUS_SCHEMA_VERSION`;
+        any key addition or semantic change bumps it)::
 
             {schema, campaign, campaign_digest, total,
              counts: {done, failing, pending, quarantined},
              cells: [{index, label, digest, state, cached,
                       failed_attempts, quarantined, flaky, last_error}]}
         """
-        rows = self.status_report(campaign)
+        history: Dict[str, Dict[str, Any]] = {}
+        if self.cache is not None:
+            history = summarize_cell_events(
+                self.cache.read_journal(campaign.digest())
+            )
         counts = {"done": 0, "failing": 0, "pending": 0, "quarantined": 0}
         cells = []
-        for index, row in enumerate(rows):
-            counts[row.state] += 1
+        for index, cell in enumerate(campaign.cells):
+            digest = cell.digest()
+            cached = self.cache is not None and self.cache.load(digest) is not None
+            record = history.get(digest, {})
+            failed = int(record.get("failed_attempts", 0))
+            quarantined = bool(record.get("quarantined")) and not cached
+            state = ("done" if cached else "quarantined" if quarantined
+                     else "failing" if failed else "pending")
+            counts[state] += 1
             cells.append({
                 "index": index,
-                "label": row.cell.label,
-                "digest": row.digest,
-                "state": row.state,
-                "cached": row.cached,
-                "failed_attempts": row.failed_attempts,
-                "quarantined": row.quarantined,
-                "flaky": row.flaky,
-                "last_error": row.last_error,
+                "label": cell.label,
+                "digest": digest,
+                "state": state,
+                "cached": cached,
+                "failed_attempts": failed,
+                "quarantined": quarantined,
+                "flaky": bool(record.get("flaky")),
+                "last_error": str(record.get("last_error", "")),
             })
         return {
             "schema": STATUS_SCHEMA_VERSION,
             "campaign": campaign.name,
             "campaign_digest": campaign.digest(),
-            "total": len(rows),
+            "total": len(cells),
             "counts": counts,
             "cells": cells,
         }
@@ -874,5 +825,5 @@ def run_campaign(
     configured executor layers in parallelism, caching, retries and
     journaling.
     """
-    runner = executor if executor is not None else CampaignExecutor(use_cache=False)
+    runner = executor if executor is not None else CampaignExecutor()
     return runner.run(campaign, **run_kwargs)

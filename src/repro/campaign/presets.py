@@ -82,7 +82,8 @@ def _bench_grid() -> CampaignSpec:
         description=(
             "the bench-full macro workload (~1s per cell) over 6 seeds; "
             "run with --workers N to see near-linear wall-clock speedup, "
-            "re-run to see every cell served from cache"
+            "re-run with the same --cache-dir to see every cell served "
+            "from cache"
         ),
         cells=replicate_seeds(bench_scenario(fast=False), (0, 1, 2, 3, 4, 5)),
     )

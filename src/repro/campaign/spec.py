@@ -44,7 +44,7 @@ CAMPAIGN_FORMAT_VERSION = 1
 #: Bumped whenever cell execution semantics change in a way that makes
 #: previously cached payloads wrong; part of every cell digest, so a
 #: bump invalidates the whole result cache at once.
-CAMPAIGN_CODE_VERSION = 1
+CAMPAIGN_CODE_VERSION = 2
 
 
 class CampaignError(ValueError):
@@ -252,6 +252,13 @@ def _cells_from_entry(entry: Any, index: int) -> Tuple[CellSpec, ...]:
         raise CampaignError(f"cell entry {index}: 'grid' must be an object")
     if not isinstance(params, Mapping):
         raise CampaignError(f"cell entry {index}: 'params' must be an object")
+    from repro.campaign.cells import cell_kind_names
+
+    if kind not in cell_kind_names():
+        raise CampaignError(
+            f"cell entry {index}: unknown cell kind {kind!r}; "
+            f"known: {', '.join(cell_kind_names())}"
+        )
     try:
         base = _resolve_base_scenario(preset, scenario_data)
     except CampaignError as error:

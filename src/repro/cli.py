@@ -9,8 +9,8 @@ Run as ``python -m repro <command>``:
 * ``scenarios`` — ``list`` the named presets, ``show`` one as JSON, or
   ``validate`` a hand-written spec file without running it;
 * ``campaign``  — ``run``/``status``/``clean`` a fleet of scenario
-  cells through the parallel, cached, resumable campaign engine
-  (see ``docs/campaigns.md``);
+  cells through the parallel, resumable campaign engine, cached only
+  under the global ``--cache-dir DIR`` (see ``docs/campaigns.md``);
 * ``report``    — the markdown reproduction report: the abstract's
   measured ratios and Figs. 7-9 as text tables and ASCII charts, or
   the sections ``--only`` names;
@@ -22,10 +22,12 @@ Every workload-running subcommand accepts ``--scenario NAME`` (a
 registry preset) or ``--scenario file.json`` (a spec exported with
 ``scenarios show``); see ``docs/scenarios.md``.  ``simulate``/``verify``
 additionally take ``--backend 2ldag|pbft|iota`` to run the same
-scenario on a comparison-baseline ledger.  The global ``--workers N``
-flag (before the subcommand) fans multi-run commands out across worker
-processes — the default stays serial, preserving current behaviour and
-golden digests.  Examples::
+scenario on a comparison-baseline ledger.  Two global flags (before
+the subcommand) configure every multi-run command: ``--workers N``
+fans it out across worker processes — the default stays serial,
+preserving current behaviour and golden digests — and ``--cache-dir
+DIR`` keeps a result cache and run journals under DIR; without it
+nothing is cached.  Examples::
 
     python -m repro simulate --nodes 25 --slots 40 --gamma 8
     python -m repro simulate --scenario quickstart
@@ -38,10 +40,10 @@ golden digests.  Examples::
     python -m repro verify --nodes 16 --slots 20 --gamma 4 --target-slot 2
     python -m repro report --only fig7 --body-mb 0.5 --quick
     python -m repro --workers 4 report --only fig9 --panel d --quick
-    python -m repro --workers 4 campaign run bench-grid
+    python -m repro --workers 4 --cache-dir .cache campaign run bench-grid
     python -m repro campaign run fault-grid --keep-going --cell-timeout 120
-    python -m repro campaign status bench-grid
-    python -m repro campaign status fault-grid --json
+    python -m repro --cache-dir .cache campaign status bench-grid
+    python -m repro --cache-dir .cache campaign status fault-grid --json
     python -m repro simulate --scenario fault-demo --telemetry .telemetry
     python -m repro telemetry summarize .telemetry
     python -m repro telemetry diff .telemetry .telemetry-rerun
@@ -50,6 +52,7 @@ golden digests.  Examples::
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import List, Optional, Tuple
@@ -159,16 +162,44 @@ def _scenario_spec(args, validate: bool = False, run_until_quiet: bool = False) 
     return spec
 
 
+def _count(text: str) -> int:
+    """An argparse type: an integer >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, got {text!r}")
+    return value
+
+
+def _seconds(text: str) -> float:
+    """An argparse type: a finite number of seconds above 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number of seconds above 0, got {text!r}"
+        )
+    return value
+
+
 def _executor_from_args(args):
-    """The campaign executor the global flags describe.
+    """The one campaign executor construction, from the parsed flags.
 
-    Without ``--workers`` it runs serially in process; only an explicit
-    ``--cache-dir`` opts the command into the result cache.
+    Without ``--workers`` it runs serially in process; only
+    ``--cache-dir`` gives it a result cache and journals.  ``campaign
+    run``'s ``--retries`` and ``--cell-timeout`` apply where the parser
+    has them.  A bad ``$REPRO_CHAOS`` fails here, loudly, instead of
+    running chaos-free.
     """
-    from repro.campaign import CampaignExecutor
+    from repro.campaign import CampaignExecutor, ChaosError
 
-    return CampaignExecutor(workers=args.workers, cache_dir=args.cache_dir,
-                            use_cache=args.cache_dir is not None)
+    try:
+        return CampaignExecutor(
+            workers=args.workers,
+            cache_dir=args.cache_dir,
+            retries=getattr(args, "retries", 2),
+            cell_timeout=getattr(args, "cell_timeout", None),
+        )
+    except ChaosError as error:
+        raise SystemExit(f"bad chaos spec: {error}")
 
 
 def _figure_base(args) -> ScenarioSpec:
@@ -368,13 +399,7 @@ def _evaluate_monitors(telemetry_dir: str):
 
 def cmd_campaign(args) -> int:
     """Run, inspect, or clean a campaign of scenario cells."""
-    from repro.campaign import (
-        CampaignError,
-        CampaignExecutor,
-        ChaosError,
-        campaign_names,
-        get_campaign,
-    )
+    from repro.campaign import CampaignError, campaign_names, get_campaign
 
     if args.action == "list":
         width = max(len(name) for name in campaign_names())
@@ -409,43 +434,29 @@ def cmd_campaign(args) -> int:
             os.makedirs(telemetry_dir, exist_ok=True)
         if trace_sample is not None:
             os.environ[TRACE_SAMPLE_ENV_VAR] = f"{trace_sample:g}"
-    try:
-        # status/clean parsers lack the resilience flags; getattr keeps
-        # one construction path (and $REPRO_CHAOS is resolved here so a
-        # bad schedule fails loudly instead of running chaos-free).
-        executor = CampaignExecutor(
-            workers=getattr(args, "workers", 0) or 0,
-            cache_dir=args.cache_dir,
-            use_cache=not getattr(args, "no_cache", False),
-            retries=getattr(args, "retries", 2),
-            cell_timeout=getattr(args, "cell_timeout", None),
-        )
-    except ChaosError as error:
-        raise SystemExit(f"bad chaos spec: {error}")
-
-    if args.action == "status" and getattr(args, "json", False):
-        import json
-
-        document = executor.status_document(campaign)
-        print(json.dumps(document, indent=2, sort_keys=True))
-        return 0
+    executor = _executor_from_args(args)
 
     if args.action == "status":
-        rows = executor.status_report(campaign)
-        done = sum(1 for row in rows if row.cached)
-        for row in rows:
-            line = f"  {row.state:<11}  {row.cell.label:<40} {row.digest[:12]}"
-            if row.failed_attempts:
-                line += f"  [{row.failed_attempts} failed attempt(s)"
-                if row.flaky:
+        document = executor.status_document(campaign)
+        if args.json:
+            import json
+
+            print(json.dumps(document, indent=2, sort_keys=True))
+            return 0
+        for row in document["cells"]:
+            line = f"  {row['state']:<11}  {row['label']:<40} {row['digest'][:12]}"
+            if row["failed_attempts"]:
+                line += f"  [{row['failed_attempts']} failed attempt(s)"
+                if row["flaky"]:
                     line += ", FLAKY"
-                line += f": {row.last_error}]" if row.last_error else "]"
+                line += f": {row['last_error']}]" if row["last_error"] else "]"
             print(line)
-        quarantined = sum(1 for row in rows if row.quarantined)
-        tail = f"({len(rows) - done} to compute)"
-        if quarantined:
-            tail = f"({len(rows) - done} to compute, {quarantined} quarantined)"
-        print(f"campaign {campaign.name}: {done}/{len(rows)} cells cached {tail}")
+        counts, total = document["counts"], document["total"]
+        tail = f"{total - counts['done']} to compute"
+        if counts["quarantined"]:
+            tail += f", {counts['quarantined']} quarantined"
+        print(f"campaign {campaign.name}: {counts['done']}/{total} cells cached "
+              f"({tail})")
         events = executor.cache.read_journal(campaign.digest()) if executor.cache else []
         if events:
             last = events[-1]
@@ -467,12 +478,8 @@ def cmd_campaign(args) -> int:
 
     # run
     try:
-        result = executor.run(
-            campaign,
-            force=getattr(args, "force", False),
-            log=print,
-            keep_going=getattr(args, "keep_going", False),
-        )
+        result = executor.run(campaign, force=args.force, log=print,
+                              keep_going=args.keep_going)
     except CampaignError as error:
         print(f"campaign failed: {error}", file=sys.stderr)
         return 1
@@ -664,14 +671,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version",
                         version=f"repro {__version__}")
-    parser.add_argument("--workers", type=int, default=0, metavar="N",
+    parser.add_argument("--workers", type=_count, default=0, metavar="N",
                         help="worker processes for multi-run commands "
                              "(default: serial in-process)")
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help="enable the campaign result cache rooted at DIR "
-                             "for multi-run commands (the campaign subcommand "
-                             "always caches, defaulting to $REPRO_CACHE_DIR "
-                             "or .repro_cache)")
+                        help="keep the campaign result cache and run "
+                             "journals under DIR for multi-run commands "
+                             "(default: no cache; nothing is written)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def scenario_arg(p):
@@ -763,24 +769,18 @@ def build_parser() -> argparse.ArgumentParser:
         cp.add_argument("spec", metavar="NAME|FILE",
                         help="a campaign preset name (see 'campaign list') or "
                              "a campaign JSON document")
-        cp.add_argument("--cache-dir", default=argparse.SUPPRESS, metavar="DIR",
-                        help="result-cache root (overrides the global flag)")
 
     p_run = campaign_sub.add_parser(
-        "run", help="execute the campaign (cached cells replay from disk)"
+        "run", help="execute the campaign (under --cache-dir, cached cells "
+                    "replay from disk)"
     )
     campaign_common(p_run)
-    p_run.add_argument("--workers", type=int, default=argparse.SUPPRESS,
-                       metavar="N", help="worker processes (overrides the "
-                                         "global flag; default serial)")
     p_run.add_argument("--force", action="store_true",
                        help="recompute every cell, overwriting cached entries")
-    p_run.add_argument("--no-cache", action="store_true",
-                       help="compute without reading or writing the cache")
-    p_run.add_argument("--retries", type=int, default=2, metavar="N",
+    p_run.add_argument("--retries", type=_count, default=2, metavar="N",
                        help="re-attempts per failing cell before the run "
                             "aborts or quarantines it (default: 2)")
-    p_run.add_argument("--cell-timeout", type=float, default=None, metavar="S",
+    p_run.add_argument("--cell-timeout", type=_seconds, default=None, metavar="S",
                        help="wall-clock budget per cell attempt in seconds; "
                             "an attempt over it is retried, and a hung pool "
                             "worker is killed (default: none)")
@@ -797,8 +797,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "monitor")
     p_run.set_defaults(fn=cmd_campaign, action="run")
     p_status = campaign_sub.add_parser(
-        "status", help="per-cell done/failing/quarantined/pending report; "
-                       "nothing executes"
+        "status", help="per-cell done/failing/quarantined/pending report "
+                       "from --cache-dir; nothing executes"
     )
     campaign_common(p_status)
     p_status.add_argument("--json", action="store_true",
@@ -808,7 +808,8 @@ def build_parser() -> argparse.ArgumentParser:
     telemetry_arg(p_status)
     p_status.set_defaults(fn=cmd_campaign, action="status")
     p_clean = campaign_sub.add_parser(
-        "clean", help="drop the campaign's cached cells and journal"
+        "clean", help="drop the campaign's cached cells and journal "
+                      "from --cache-dir"
     )
     campaign_common(p_clean)
     p_clean.set_defaults(fn=cmd_campaign, action="clean")

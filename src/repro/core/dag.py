@@ -189,14 +189,10 @@ class LogicalDag:
                 stack.append((child, origins | {child.origin}))
         return best
 
-    def consensus_feasible(
-        self, block_id: BlockId, gamma: int, exclude_origins: Optional[Set[int]] = None
-    ) -> bool:
-        """Whether some descendant path collects ≥ γ+1 distinct honest nodes."""
+    def consensus_feasible(self, block_id: BlockId, gamma: int) -> bool:
+        """Whether some descendant path collects ≥ γ+1 distinct nodes."""
         return (
-            self.max_distinct_origins_on_path(
-                block_id, exclude_origins, stop_at=gamma + 1
-            )
+            self.max_distinct_origins_on_path(block_id, stop_at=gamma + 1)
             >= gamma + 1
         )
 

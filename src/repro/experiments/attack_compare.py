@@ -33,6 +33,10 @@ DEFAULT_ROSTER: Tuple[str, ...] = (
 )
 
 
+#: Audited blocks come from the first this-many slots.
+_TARGET_SLOTS = 5
+
+
 @dataclass
 class AttackAuditPoint:
     """One scenario's audit scoreboard row."""
@@ -53,7 +57,6 @@ def run_attack_audit_cell(cell: CellSpec) -> Dict[str, Any]:
     """Grow the scenario, audit early honest blocks from one validator."""
     spec = cell.scenario
     audits = int(cell.params.get("audits", 8))
-    target_slots = int(cell.params.get("target_slots", 5))
     runner = ScenarioRunner(spec).build()
     runner.advance_to(spec.workload.slots)
     deployment, workload = runner.deployment, runner.workload
@@ -79,7 +82,7 @@ def run_attack_audit_cell(cell: CellSpec) -> Dict[str, Any]:
     # traffic is dropped) — the victim-view cell covers that failure.
     targets = [
         block
-        for slot in range(target_slots)
+        for slot in range(_TARGET_SLOTS)
         for block in workload.blocks_by_slot.get(slot, [])
         if block.origin not in behaviors
         and block.origin != validator_id

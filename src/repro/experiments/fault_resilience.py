@@ -9,18 +9,19 @@ replays an intensity-mapped timeline — ``none`` (the control),
 PBFT primary included) and ``stress`` (degraded links, crash, a
 partition, full recovery).
 
-Each grid point is a campaign cell of kind ``fault-grid-point``: the
-whole run-and-measure recipe executes inside the cell, so points fan
+Each grid point is a plain ``scenario`` campaign cell, so points fan
 out across workers and memoise in the result cache when the caller
 passes a configured :class:`~repro.campaign.executor.CampaignExecutor`
-(``python -m repro --workers 4 campaign run fault-grid``).  Without
-one, points run serially in-process.
+(``python -m repro --workers 4 --cache-dir DIR campaign run
+fault-grid``).  Without one, points run serially in-process.
 
-Reported per point: consensus progress (committed blocks / appended
-transactions), final per-node storage, traffic, the PoP success rate
-and mean consensus latency where the backend measures them, and the
-canonical trace digest (the byte-identity witness the CI fault-grid
-gate compares across worker counts).
+Reported per point, projected from each cell's
+:class:`~repro.scenario.runner.ScenarioResult`: consensus progress
+(committed blocks / appended transactions), final per-node storage,
+traffic, and the PoP success rate and mean consensus latency where the
+backend measures them.  Each payload also carries the canonical trace
+digest (the byte-identity witness the CI fault-grid gate compares
+across worker counts).
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.campaign.cells import observed_runner, register_cell_kind
 from repro.campaign.spec import CampaignSpec, CellSpec
 from repro.faults.presets import build_fault_preset
 from repro.faults.spec import FaultScheduleSpec
@@ -117,37 +117,16 @@ def fault_grid_scenario(backend: str, intensity: str, seed: int) -> ScenarioSpec
     )
 
 
-@register_cell_kind("fault-grid-point")
-def run_fault_grid_cell(cell: CellSpec) -> Dict[str, Any]:
-    """Run one grid point and measure its degradation metrics."""
-    spec = cell.scenario
-    runner = observed_runner(spec)
-    result = runner.run()
-    latency = None
-    if runner.workload is not None and runner.workload.validations:
-        durations = [
-            record.outcome.finished_at - record.outcome.started_at
-            for record in runner.workload.validations
-            if record.outcome is not None and record.outcome.success
-        ]
-        if durations:
-            latency = sum(durations) / len(durations)
-    return {
-        "backend": spec.backend,
-        "intensity": str(cell.params.get("intensity", "none")),
-        "seed": spec.seed,
-        "blocks": result.total_blocks,
-        "storage_mb": result.storage_mb[-1],
-        "traffic_mbit": result.traffic_mbit[-1],
-        "validations": result.validations,
-        # None, not the BackendMetrics default of 1.0, when the backend
-        # ran no PoP validations — a baseline must not read as "perfect
-        # consensus success" in the table.
-        "success_rate": result.success_rate if result.validations else None,
-        "mean_consensus_s": latency,
-        "events": result.events,
-        "trace_sha256": result.trace_sha256,
-    }
+def _grid_points(
+    backends: Sequence[str], intensities: Sequence[str], seeds: Sequence[int]
+) -> List[Tuple[str, str, int]]:
+    """Every (backend, intensity, seed), in the grid's cell order."""
+    return [
+        (backend, intensity, seed)
+        for backend in backends
+        for intensity in intensities
+        for seed in seeds
+    ]
 
 
 def fault_grid_cells(
@@ -155,16 +134,10 @@ def fault_grid_cells(
     intensities: Sequence[str] = DEFAULT_INTENSITIES,
     seeds: Sequence[int] = DEFAULT_SEEDS,
 ) -> Tuple[CellSpec, ...]:
-    """One ``fault-grid-point`` cell per backend × intensity × seed."""
+    """One ``scenario`` cell per backend × intensity × seed."""
     return tuple(
-        CellSpec(
-            scenario=fault_grid_scenario(backend, intensity, seed),
-            kind="fault-grid-point",
-            params={"intensity": intensity},
-        )
-        for backend in backends
-        for intensity in intensities
-        for seed in seeds
+        CellSpec(scenario=fault_grid_scenario(*point))
+        for point in _grid_points(backends, intensities, seeds)
     )
 
 
@@ -236,52 +209,45 @@ def run_fault_resilience(
         name="fault-resilience",
         cells=fault_grid_cells(backends, intensities, seeds),
     )
-    payloads = list(run_campaign(campaign, executor).payloads())
+    groups: Dict[Tuple[str, str], List[Dict[str, Any]]] = {}
+    for (backend, intensity, _seed), result in zip(
+        _grid_points(backends, intensities, seeds),
+        run_campaign(campaign, executor).payloads(),
+    ):
+        groups.setdefault((backend, intensity), []).append(result)
 
     def mean(values: List[float]) -> float:
         return sum(values) / len(values)
 
-    # Controls first (order-independent of the intensities argument): a
-    # missing or zero-progress control yields progress_ratio=None, never
-    # a silent "no degradation" 1.0.
-    baseline_blocks: Dict[str, float] = {}
-    for backend in backends:
-        control_group = [
-            p for p in payloads
-            if p["backend"] == backend and p["intensity"] == "none"
-        ]
-        if control_group:
-            baseline_blocks[backend] = mean(
-                [float(p["blocks"]) for p in control_group]
-            )
-
     points: List[FaultGridPoint] = []
     for backend in backends:
+        # A missing or zero-progress control yields progress_ratio=None,
+        # never a silent "no degradation" 1.0.
+        control = groups.get((backend, "none"))
+        control_blocks = (
+            mean([float(r["total_blocks"]) for r in control]) if control else None
+        )
         for intensity in intensities:
-            group = [
-                p for p in payloads
-                if p["backend"] == backend and p["intensity"] == intensity
-            ]
-            blocks = mean([float(p["blocks"]) for p in group])
+            group = groups[(backend, intensity)]
+            blocks = mean([float(r["total_blocks"]) for r in group])
+            # A baseline runs no PoP validations, so it has no success
+            # rate: None, never the ScenarioResult default, which would
+            # read as "perfect consensus success" in the table.
+            successes = [float(r["success_rate"]) for r in group if r["validations"]]
             latencies = [
-                float(p["mean_consensus_s"]) for p in group
-                if p["mean_consensus_s"] is not None
+                float(r["mean_consensus_s"]) for r in group
+                if r["mean_consensus_s"] is not None
             ]
-            successes = [
-                float(p["success_rate"]) for p in group
-                if p["success_rate"] is not None
-            ]
-            control = baseline_blocks.get(backend)
             points.append(
                 FaultGridPoint(
                     backend=backend,
                     intensity=intensity,
                     blocks=blocks,
-                    storage_mb=mean([float(p["storage_mb"]) for p in group]),
-                    traffic_mbit=mean([float(p["traffic_mbit"]) for p in group]),
+                    storage_mb=mean([float(r["storage_mb"][-1]) for r in group]),
+                    traffic_mbit=mean([float(r["traffic_mbit"][-1]) for r in group]),
                     success_rate=mean(successes) if successes else None,
                     mean_consensus_s=mean(latencies) if latencies else None,
-                    progress_ratio=blocks / control if control else None,
+                    progress_ratio=blocks / control_blocks if control_blocks else None,
                 )
             )
     return FaultGridResult(points=points)

@@ -113,7 +113,7 @@ def check_model_agreement(executor=None) -> List[BaselineAgreement]:
     if executor is not None and getattr(executor, "cache", None) is not None:
         from repro.campaign.executor import CampaignExecutor
 
-        executor = CampaignExecutor(workers=executor.workers, use_cache=False)
+        executor = CampaignExecutor(workers=executor.workers)
     specs = [gate_scenario("pbft"), gate_scenario("iota")]
     results = run_scenario_cells(specs, executor, name="headline-gate")
 

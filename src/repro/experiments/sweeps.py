@@ -10,12 +10,13 @@ out but does not plot:
   Denser networks mean more digests per block (bigger Δ) but shorter
   PoP paths; the sweep exposes the trade-off.
 
-Each sweep point is a campaign cell (kinds ``gamma-sweep-point`` /
-``density-sweep-point``): the whole run-then-probe recipe executes
-inside the cell, so points fan out across workers and memoise in the
-result cache when the caller passes a configured
-:class:`~repro.campaign.executor.CampaignExecutor`.  Without one, the
-points run serially in-process exactly as they always have.
+Each point of either sweep is a campaign cell of one kind,
+``sweep-point``: the whole run-then-probe recipe executes inside the
+cell and returns every column of both sweeps, so points fan out across
+workers and memoise in the result cache when the caller passes a
+configured :class:`~repro.campaign.executor.CampaignExecutor`.
+Without one, the points run serially in-process exactly as they
+always have.
 """
 
 from __future__ import annotations
@@ -76,29 +77,37 @@ def _gamma_sweep_spec(gamma: int, node_count: int, slots: int, seed: int) -> Sce
     )
 
 
-@register_cell_kind("gamma-sweep-point")
-def run_gamma_sweep_cell(cell: CellSpec) -> Dict[str, Any]:
-    """Grow the DAG, run cold validations, report message costs."""
+@register_cell_kind("sweep-point")
+def run_sweep_cell(cell: CellSpec) -> Dict[str, Any]:
+    """Grow the DAG, run cold validations, report every sweep column."""
     spec = cell.scenario
     validations = int(cell.params.get("validations", 8))
-    runner = ScenarioRunner(spec).advance_to(spec.workload.slots)
+    slots = spec.workload.slots
+    runner = ScenarioRunner(spec).advance_to(slots)
     deployment, workload = runner.deployment, runner.workload
     outcomes = _run_cold_validations(
         deployment, workload, validations, runner.streams.get("sweep")
     )
     successes = [o for o in outcomes if o.success]
     gamma = spec.protocol.gamma
-    node_count = spec.node_count
-    rates = sorted((1.0 for _ in range(node_count)), reverse=True)
+    nodes = deployment.node_ids
+    topology = deployment.topology
     return {
         "gamma": gamma,
+        "comm_range": spec.topology.comm_range,
         "mean_messages": (
             sum(o.message_total for o in successes) / len(successes)
             if successes
             else None
         ),
         "prop4_lower": prop4_message_lower_bound(gamma),
-        "prop6_upper": prop6_message_upper_bound(rates, gamma, node_count),
+        "prop6_upper": prop6_message_upper_bound(
+            [1.0] * spec.node_count, gamma, spec.node_count
+        ),
+        "mean_degree": sum(topology.degree(n) for n in nodes) / len(nodes),
+        "digest_bits_per_slot": (
+            deployment.traffic.mean_tx_bits(nodes, ["dag"]) / slots
+        ),
         "success_rate": len(successes) / len(outcomes) if outcomes else 0.0,
     }
 
@@ -110,11 +119,11 @@ def gamma_sweep_cells(
     validations: int = 8,
     seed: int = 0,
 ) -> Tuple[CellSpec, ...]:
-    """One ``gamma-sweep-point`` cell per γ."""
+    """One ``sweep-point`` cell per γ."""
     return tuple(
         CellSpec(
             scenario=_gamma_sweep_spec(gamma, node_count, slots, seed),
-            kind="gamma-sweep-point",
+            kind="sweep-point",
             params={"validations": validations},
         )
         for gamma in gammas
@@ -178,35 +187,6 @@ def _density_sweep_spec(
     )
 
 
-@register_cell_kind("density-sweep-point")
-def run_density_sweep_cell(cell: CellSpec) -> Dict[str, Any]:
-    """Grow the DAG at one density, probe it, report the trade-off."""
-    spec = cell.scenario
-    validations = int(cell.params.get("validations", 6))
-    slots = spec.workload.slots
-    runner = ScenarioRunner(spec).advance_to(slots)
-    deployment, workload = runner.deployment, runner.workload
-    outcomes = _run_cold_validations(
-        deployment, workload, validations, runner.streams.get("sweep")
-    )
-    successes = [o for o in outcomes if o.success]
-    nodes = deployment.node_ids
-    topology = deployment.topology
-    return {
-        "comm_range": spec.topology.comm_range,
-        "mean_degree": sum(topology.degree(n) for n in nodes) / len(nodes),
-        "digest_bits_per_slot": (
-            deployment.traffic.mean_tx_bits(nodes, ["dag"]) / slots
-        ),
-        "mean_pop_messages": (
-            sum(o.message_total for o in successes) / len(successes)
-            if successes
-            else None
-        ),
-        "success_rate": len(successes) / len(outcomes) if outcomes else 0.0,
-    }
-
-
 def density_sweep_cells(
     comm_ranges: Sequence[float],
     node_count: int = 20,
@@ -215,11 +195,11 @@ def density_sweep_cells(
     gamma: int = 5,
     seed: int = 0,
 ) -> Tuple[CellSpec, ...]:
-    """One ``density-sweep-point`` cell per radio range."""
+    """One ``sweep-point`` cell per radio range."""
     return tuple(
         CellSpec(
             scenario=_density_sweep_spec(comm_range, node_count, slots, gamma, seed),
-            kind="density-sweep-point",
+            kind="sweep-point",
             params={"validations": validations},
         )
         for comm_range in comm_ranges
@@ -246,7 +226,7 @@ def density_sweep(
     )
     points = []
     for payload in run_campaign(campaign, executor).payloads():
-        mean_pop = payload["mean_pop_messages"]
+        mean_pop = payload["mean_messages"]
         points.append(
             DensitySweepPoint(
                 comm_range=float(payload["comm_range"]),

@@ -14,7 +14,6 @@ def format_series_table(
     x_label: str,
     x_values: Sequence[float],
     series: Dict[str, Sequence[float]],
-    float_format: str = "{:.4g}",
 ) -> str:
     """Render ``x`` against several named ``series`` as a text table.
 
@@ -33,8 +32,7 @@ def format_series_table(
     header = [x_label] + names
     rows: List[List[str]] = [header]
     for i, x in enumerate(x_values):
-        row = [float_format.format(x)]
-        row += [float_format.format(series[name][i]) for name in names]
+        row = [f"{x:.4g}"] + [f"{series[name][i]:.4g}" for name in names]
         rows.append(row)
     widths = [max(len(r[c]) for r in rows) for c in range(len(header))]
     lines = []

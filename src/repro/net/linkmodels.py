@@ -34,12 +34,14 @@ def constant_latency(seconds: float) -> LatencyModel:
     return model
 
 
-def distance_proportional_latency(
-    seconds_per_meter: float, floor: float = 1e-6
-) -> LatencyModel:
-    """Latency grows with link length (propagation + power control)."""
+def distance_proportional_latency(seconds_per_meter: float) -> LatencyModel:
+    """Latency grows with link length (propagation + power control).
+
+    A hop takes at least a microsecond, so co-located nodes still see
+    positive latency.
+    """
     def model(topology: Topology, hop_from: int, hop_to: int) -> float:
-        return max(floor, topology.distance(hop_from, hop_to) * seconds_per_meter)
+        return max(1e-6, topology.distance(hop_from, hop_to) * seconds_per_meter)
 
     return model
 

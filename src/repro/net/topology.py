@@ -144,7 +144,6 @@ def sequential_geometric_topology(
     area_side: float = 1000.0,
     comm_range: float = 50.0,
     streams: RandomStreams = None,
-    stream_name: str = "topology",
 ) -> Topology:
     """The paper's sequential connected placement (§VI).
 
@@ -162,13 +161,14 @@ def sequential_geometric_topology(
     comm_range:
         Radio range in metres; the paper uses 50.
     streams:
-        Random source; a fresh seed-0 source when omitted.
+        Random source (its ``topology`` stream); a fresh seed-0 source
+        when omitted.
     """
     if node_count <= 0:
         raise ValueError(f"node_count must be positive, got {node_count}")
     if streams is None:
         streams = RandomStreams(0)
-    rng = streams.get(stream_name)
+    rng = streams.get("topology")
 
     center = area_side / 2.0
     positions: Dict[int, Tuple[float, float]] = {0: (center, center)}
@@ -227,27 +227,30 @@ def ring_topology(
     return Topology(positions=positions, adjacency=adjacency, comm_range=comm_range)
 
 
+#: Layouts :func:`random_geometric_topology` draws before giving up.
+_MAX_PLACEMENT_ATTEMPTS = 200
+
+
 def random_geometric_topology(
     node_count: int = 20,
     area_side: float = 200.0,
     comm_range: float = 50.0,
     streams: RandomStreams = None,
-    stream_name: str = "topology",
-    max_attempts: int = 200,
 ) -> Topology:
     """A classic random geometric graph, resampled until connected.
 
     Unlike :func:`sequential_geometric_topology` (the paper's placement,
     connected by construction), every node lands uniformly in the square
     independently; disconnected layouts are rejected.  Denser by default
-    (200 m square) so connectivity is likely within a few attempts.
+    (200 m square) so connectivity is likely within a few attempts; it
+    gives up after :data:`_MAX_PLACEMENT_ATTEMPTS`.
     """
     if node_count <= 0:
         raise ValueError(f"node_count must be positive, got {node_count}")
     if streams is None:
         streams = RandomStreams(0)
-    rng = streams.get(stream_name)
-    for _ in range(max_attempts):
+    rng = streams.get("topology")
+    for _ in range(_MAX_PLACEMENT_ATTEMPTS):
         positions = {
             node: (rng.uniform(0.0, area_side), rng.uniform(0.0, area_side))
             for node in range(node_count)
@@ -260,12 +263,12 @@ def random_geometric_topology(
             return topology
     raise ValueError(
         f"no connected layout of {node_count} nodes in a {area_side} m square "
-        f"with {comm_range} m range after {max_attempts} attempts"
+        f"with {comm_range} m range after {_MAX_PLACEMENT_ATTEMPTS} attempts"
     )
 
 
-def explicit_topology(edges: Sequence[Tuple[int, int]], comm_range: float = 1.0) -> Topology:
-    """Build a topology from an explicit edge list (unit positions).
+def explicit_topology(edges: Sequence[Tuple[int, int]]) -> Topology:
+    """Build a topology from an explicit edge list (unit positions, unit range).
 
     Used throughout the tests to recreate the paper's worked examples
     (Fig. 3's four-node network, Fig. 5's 13-node network, Fig. 6's
@@ -283,4 +286,4 @@ def explicit_topology(edges: Sequence[Tuple[int, int]], comm_range: float = 1.0)
         neighbors[a].add(b)
         neighbors[b].add(a)
     adjacency = {n: frozenset(s) for n, s in neighbors.items()}
-    return Topology(positions=positions, adjacency=adjacency, comm_range=comm_range)
+    return Topology(positions=positions, adjacency=adjacency, comm_range=1.0)

@@ -135,6 +135,9 @@ class BackendMetrics:
     per_node_traffic_mb: List[float] = field(default_factory=list)
     events: int = 0
     sim_now: float = 0.0
+    #: Mean seconds from start to consensus of the successful PoP
+    #: validations; ``None`` when there were none.
+    mean_consensus_s: Optional[float] = None
 
 
 class LedgerBackend(ABC):
@@ -464,6 +467,10 @@ class TwoLayerDagBackend(LedgerBackend):
         metrics = super().collect()
         metrics.validations = len(self.workload.validations)
         metrics.success_rate = self.workload.success_rate()
+        durations = [o.finished_at - o.started_at
+                     for o in self.workload.completed_outcomes() if o.success]
+        if durations:
+            metrics.mean_consensus_s = sum(durations) / len(durations)
         return metrics
 
     def total_blocks(self) -> int:

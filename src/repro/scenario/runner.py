@@ -77,6 +77,7 @@ class ScenarioResult:
     events: int = 0
     sim_now: float = 0.0
     trace_sha256: str = ""
+    mean_consensus_s: Optional[float] = None
 
     @property
     def series(self) -> Dict[str, List[float]]:
@@ -115,6 +116,7 @@ class ScenarioResult:
             "events": self.events,
             "sim_now": self.sim_now,
             "trace_sha256": self.trace_sha256,
+            "mean_consensus_s": self.mean_consensus_s,
         }
 
     @classmethod
@@ -310,6 +312,7 @@ class ScenarioRunner:
             events=metrics.events,
             sim_now=metrics.sim_now,
             trace_sha256=self.backend.trace_digest(),
+            mean_consensus_s=metrics.mean_consensus_s,
         )
         if self.telemetry is not None:
             self.telemetry.run_finished(

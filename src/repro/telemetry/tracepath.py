@@ -186,14 +186,19 @@ def format_trace_report(report: Dict[str, Any]) -> str:
 
 # -- waterfalls ----------------------------------------------------------------
 
+#: Rows and bar columns of one :func:`block_waterfall`.
+_WATERFALL_ROWS = 24
+_WATERFALL_WIDTH = 60
+
+
 def _waterfall_rows(
-    trace: Dict[str, Any], backend: str, limit: int = 24
+    trace: Dict[str, Any], backend: str
 ) -> Tuple[float, float, List[Dict[str, Any]]]:
     """Time bounds + the spans a waterfall shows (critical path first).
 
     The critical path is always included; remaining spans fill up to
-    ``limit`` rows in time order so dense gossip fans don't swamp the
-    rendering.
+    :data:`_WATERFALL_ROWS` rows in time order so dense gossip fans
+    don't swamp the rendering.
     """
     spans = trace.get("spans", [])
     if not spans:
@@ -201,7 +206,7 @@ def _waterfall_rows(
     chosen = critical_path(trace, backend)
     seen = {id(span) for span in chosen}
     for span in sorted(spans, key=lambda s: (s["start"], s["end"])):
-        if len(chosen) >= limit:
+        if len(chosen) >= _WATERFALL_ROWS:
             break
         if id(span) not in seen:
             seen.add(id(span))
@@ -214,10 +219,8 @@ def _waterfall_rows(
     return t0, t1, chosen
 
 
-def block_waterfall(
-    trace: Dict[str, Any], backend: str, width: int = 60
-) -> str:
-    """One block's span tree as an ASCII waterfall."""
+def block_waterfall(trace: Dict[str, Any], backend: str) -> str:
+    """One block's span tree as an ASCII waterfall, 60 columns wide."""
     t0, t1, rows = _waterfall_rows(trace, backend)
     if not rows:
         return f"block {trace.get('block', '?')}: no spans"
@@ -228,13 +231,13 @@ def block_waterfall(
         f"t=[{t0:.3f}, {t1:.3f}]"
     ]
     for span in rows:
-        left = int((span["start"] - t0) / span_time * (width - 1))
-        right = int((span["end"] - t0) / span_time * (width - 1))
-        bar = [" "] * width
+        left = int((span["start"] - t0) / span_time * (_WATERFALL_WIDTH - 1))
+        right = int((span["end"] - t0) / span_time * (_WATERFALL_WIDTH - 1))
+        bar = [" "] * _WATERFALL_WIDTH
         for i in range(left, right + 1):
             bar[i] = "="
         bar[left] = "|"
-        bar[min(right, width - 1)] = "|"
+        bar[min(right, _WATERFALL_WIDTH - 1)] = "|"
         label = f"{span['phase']:<12} n{span['node']:<4}"
         lines.append(
             f"  {label} [{''.join(bar)}] "

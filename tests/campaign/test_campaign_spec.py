@@ -150,6 +150,17 @@ class TestCampaignDocument:
                 "name": "doc", "cells": [{"preset": "warp-drive"}],
             })
 
+    def test_unknown_kind_rejected_where_the_document_is_read(self):
+        with pytest.raises(
+            CampaignError, match="cell entry 1: unknown cell kind 'warp-drive'"
+        ):
+            CampaignSpec.from_dict({
+                "name": "doc",
+                "cells": [{"preset": "quickstart", "kind": "sweep-point",
+                           "params": {"validations": 1}},
+                          {"preset": "quickstart", "kind": "warp-drive"}],
+            })
+
     def test_preset_and_scenario_mutually_exclusive(self):
         inline = get_scenario("quickstart").to_dict()
         with pytest.raises(CampaignError, match="exactly one"):

@@ -23,9 +23,28 @@ class TestRegistry:
         assert "scenario" in cell_kind_names()
         assert resolve_cell_kind("scenario") is not None
 
+    def test_four_kinds(self):
+        # In a fresh interpreter: tests here register kinds of their own.
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        code = "from repro.campaign.cells import cell_kind_names as k; print(k())"
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, check=True, env=env,
+        ).stdout
+        assert out.strip() == str(
+            ["attack-audit", "fig9-series", "scenario", "sweep-point"]
+        )
+
     def test_consumer_kinds_resolve_via_home_module(self):
         # Resolution imports the experiments module on demand.
-        assert resolve_cell_kind("gamma-sweep-point") is not None
+        assert resolve_cell_kind("sweep-point") is not None
         assert resolve_cell_kind("fig9-series") is not None
         assert resolve_cell_kind("attack-audit") is not None
 

@@ -96,9 +96,9 @@ class TestChaosSpec:
     def test_executor_picks_up_env_chaos(self, monkeypatch):
         spec = ChaosSpec(seed=9, exceptions=1)
         monkeypatch.setenv("REPRO_CHAOS", json.dumps(spec.to_dict()))
-        assert CampaignExecutor(use_cache=False).chaos == spec
+        assert CampaignExecutor().chaos == spec
         monkeypatch.delenv("REPRO_CHAOS")
-        assert CampaignExecutor(use_cache=False).chaos is None
+        assert CampaignExecutor().chaos is None
 
 
 class TestSeededBackoff:
@@ -118,11 +118,11 @@ class TestChaosConvergence:
     """Chaos-ridden runs converge byte-identical to clean serial runs."""
 
     def clean_payloads(self, campaign):
-        return CampaignExecutor(use_cache=False).run(campaign).payloads()
+        return CampaignExecutor().run(campaign).payloads()
 
     def test_serial_chaos_converges(self, campaign):
         chaos = ChaosSpec(seed=11, exceptions=2, kills=1)  # every cell afflicted
-        result = CampaignExecutor(use_cache=False, chaos=chaos).run(campaign)
+        result = CampaignExecutor(chaos=chaos).run(campaign)
         assert result.payloads() == self.clean_payloads(campaign)
         assert result.ok and result.quarantined_count == 0
         assert result.flaky_count == 0
@@ -170,7 +170,7 @@ class TestChaosConvergence:
         # exceptions on every cell still converge with retries=1
         chaos = ChaosSpec(seed=2, exceptions=3)
         result = CampaignExecutor(
-            use_cache=False, chaos=chaos, retries=1
+            chaos=chaos, retries=1
         ).run(campaign)
         assert result.ok
         assert all(cell.attempts == 2 for cell in result.cells)

@@ -41,7 +41,7 @@ def campaign():
 
 class TestDeterminism:
     def test_parallel_run_matches_serial_byte_for_byte(self, campaign, tmp_path):
-        serial = CampaignExecutor(use_cache=False).run(campaign)
+        serial = CampaignExecutor().run(campaign)
         parallel = CampaignExecutor(
             workers=2, cache_dir=tmp_path / "cache"
         ).run(campaign)
@@ -151,11 +151,15 @@ class TestCaching:
         assert again.payloads() == first.payloads()
         assert cache.load(digest)["payload"] == stored["payload"]
 
-    def test_no_cache_executor_never_persists(self, campaign, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env-cache"))
-        result = CampaignExecutor(use_cache=False).run(campaign)
-        assert result.computed_count == 3
-        assert not (tmp_path / "env-cache").exists()
+    def test_executor_without_cache_dir_never_persists(
+        self, campaign, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        executor = CampaignExecutor()
+        assert executor.cache is None
+        assert executor.run(campaign).computed_count == 3
+        assert executor.run(campaign).computed_count == 3
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestJournal:
@@ -190,16 +194,16 @@ class TestJournal:
         assert events[-1]["event"] == "end"
 
 
+def cached_flags(executor, campaign):
+    return [cell["cached"] for cell in executor.status_document(campaign)["cells"]]
+
+
 class TestStatusAndClean:
     def test_status_reports_cached_and_pending(self, campaign, tmp_path):
         executor = CampaignExecutor(cache_dir=tmp_path)
-        assert [cached for _c, _d, cached in executor.status(campaign)] == [
-            False, False, False,
-        ]
+        assert cached_flags(executor, campaign) == [False, False, False]
         executor.run(campaign)
-        assert [cached for _c, _d, cached in executor.status(campaign)] == [
-            True, True, True,
-        ]
+        assert cached_flags(executor, campaign) == [True, True, True]
 
     def test_clean_drops_cells_and_journal(self, campaign, tmp_path):
         executor = CampaignExecutor(cache_dir=tmp_path)
@@ -207,9 +211,15 @@ class TestStatusAndClean:
         assert executor.clean(campaign) == 3
         cache = ResultCache(tmp_path)
         assert cache.read_journal(campaign.digest()) == []
-        assert [cached for _c, _d, cached in executor.status(campaign)] == [
-            False, False, False,
-        ]
+        assert cached_flags(executor, campaign) == [False, False, False]
+
+    def test_without_a_cache_status_is_pending_and_clean_removes_nothing(
+        self, campaign, tmp_path
+    ):
+        CampaignExecutor(cache_dir=tmp_path).run(campaign)
+        executor = CampaignExecutor()
+        assert cached_flags(executor, campaign) == [False, False, False]
+        assert executor.clean(campaign) == 0
 
 
 class TestErrors:
@@ -218,7 +228,7 @@ class TestErrors:
             name="bad", cells=(CellSpec(scenario=tiny_spec(), kind="warp-drive"),)
         )
         with pytest.raises(CampaignError, match="unknown cell kind"):
-            CampaignExecutor(use_cache=False).run(campaign)
+            CampaignExecutor().run(campaign)
 
     def test_worker_failure_is_wrapped(self, tmp_path):
         campaign = CampaignSpec(
@@ -239,13 +249,13 @@ class TestErrors:
             cells=(CellSpec(scenario=tiny_spec(), kind="test-exploding-kind"),),
         )
         with pytest.raises(CampaignError, match="boom"):
-            CampaignExecutor(use_cache=False).run(campaign)
+            CampaignExecutor().run(campaign)
 
 
 class TestRunCampaignHelper:
     def test_default_is_serial_and_cache_free(self, campaign, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env-cache"))
+        monkeypatch.chdir(tmp_path)
         result = run_campaign(campaign)
         assert result.workers == 0
         assert result.computed_count == 3
-        assert not (tmp_path / "env-cache").exists()
+        assert list(tmp_path.iterdir()) == []

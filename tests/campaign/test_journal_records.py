@@ -5,7 +5,7 @@ campaign digest.  These tests pin its three layers: the file itself
 (:class:`ResultCache` append/read/remove), the per-cell history
 distilled from it (:func:`summarize_cell_events`), and the standing
 ``campaign status`` derives from that history
-(:meth:`CampaignExecutor.status_report` / ``status_document``).  Most
+(:meth:`CampaignExecutor.status_document`).  Most
 journals here are written by hand, so each figure is checked against a
 known event sequence without running a cell.
 """
@@ -189,9 +189,9 @@ class TestStatusFromJournal:
             failed(sick, 0, "boom"),
             {"event": "cell-quarantined", "digest": sick, "attempts": 1},
         )
-        rows = CampaignExecutor(cache_dir=tmp_path).status_report(campaign)
-        assert [row.state for row in rows] == ["quarantined", "pending", "pending"]
-        assert rows[0].quarantined and not rows[0].cached
+        rows = CampaignExecutor(cache_dir=tmp_path).status_document(campaign)["cells"]
+        assert [row["state"] for row in rows] == ["quarantined", "pending", "pending"]
+        assert rows[0]["quarantined"] and not rows[0]["cached"]
 
     def test_a_cached_cell_is_done_even_after_quarantine(self, tmp_path):
         campaign = grid()
@@ -202,10 +202,10 @@ class TestStatusFromJournal:
             {"event": "cell-quarantined", "digest": cell.digest(), "attempts": 1},
         )
         cache.store(cell.digest(), cell, {"ok": True}, 0.5)
-        rows = CampaignExecutor(cache_dir=tmp_path).status_report(campaign)
-        assert rows[0].state == "done"
-        assert not rows[0].quarantined
-        assert rows[0].failed_attempts == 1
+        rows = CampaignExecutor(cache_dir=tmp_path).status_document(campaign)["cells"]
+        assert rows[0]["state"] == "done"
+        assert not rows[0]["quarantined"]
+        assert rows[0]["failed_attempts"] == 1
 
     def test_flaky_flag_surfaces_in_the_document(self, tmp_path):
         campaign = grid()
@@ -222,7 +222,7 @@ class TestStatusFromJournal:
     def test_without_a_cache_every_cell_is_pending(self, tmp_path):
         campaign = grid()
         self.journal(tmp_path, campaign, failed(campaign.cells[0].digest(), 0, "x"))
-        document = CampaignExecutor(use_cache=False).status_document(campaign)
+        document = CampaignExecutor().status_document(campaign)
         assert document["counts"] == {
             "done": 0, "failing": 0, "pending": 3, "quarantined": 0,
         }

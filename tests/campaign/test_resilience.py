@@ -140,7 +140,7 @@ class TestRetries:
             "test-transient-kind",
             marker_dir=str(tmp_path / "m"), fail_times=1,
         )
-        executor = CampaignExecutor(use_cache=False, retries=0)
+        executor = CampaignExecutor(retries=0)
         with pytest.raises(CampaignError, match="after 1 attempt"):
             executor.run(campaign)
 
@@ -191,7 +191,7 @@ class TestKeepGoing:
         assert "1 quarantined" in result.summary()
         assert [c.trace_sha256 for c in result.cells[:2]] == [
             c.trace_sha256
-            for c in CampaignExecutor(use_cache=False)
+            for c in CampaignExecutor()
             .run(CampaignSpec(name="ref", cells=campaign.cells[:2]))
             .cells
         ]
@@ -217,22 +217,22 @@ class TestKeepGoing:
         assert [cell.cached for cell in second.cells] == [True, True, False]
         assert second.cells[2].payload["ok"] is True
 
-    def test_status_report_tracks_quarantine_and_resolution(self, tmp_path):
+    def test_status_document_tracks_quarantine_and_resolution(self, tmp_path):
         campaign = self.grid(tmp_path, fail_times=3)
         executor = CampaignExecutor(
             cache_dir=tmp_path / "cache", retries=1, backoff_s=0.01
         )
         executor.run(campaign, keep_going=True)
-        rows = executor.status_report(campaign)
-        assert [row.state for row in rows] == ["done", "done", "quarantined"]
+        rows = executor.status_document(campaign)["cells"]
+        assert [row["state"] for row in rows] == ["done", "done", "quarantined"]
         sick = rows[2]
-        assert sick.failed_attempts == 2
-        assert "transient failure" in sick.last_error
+        assert sick["failed_attempts"] == 2
+        assert "transient failure" in sick["last_error"]
 
         executor.run(campaign, keep_going=True)  # heals on attempt 3
-        rows = executor.status_report(campaign)
-        assert [row.state for row in rows] == ["done", "done", "done"]
-        assert not rows[2].quarantined
+        rows = executor.status_document(campaign)["cells"]
+        assert [row["state"] for row in rows] == ["done", "done", "done"]
+        assert not rows[2]["quarantined"]
 
 
 class TestWorkerCrashRecovery:
@@ -255,7 +255,7 @@ class TestWorkerCrashRecovery:
         assert marker.exists()  # the kill really happened
 
         # marker now exists, so the serial reference computes cleanly
-        serial = CampaignExecutor(use_cache=False).run(campaign)
+        serial = CampaignExecutor().run(campaign)
         assert result.payloads() == serial.payloads()
         assert all(cell.trace_sha256 for cell in result.cells)
 
@@ -290,7 +290,7 @@ class TestCellTimeouts:
             marker_dir=str(tmp_path / "m"), slow_first=True,
         )
         result = CampaignExecutor(
-            use_cache=False, cell_timeout=0.05, backoff_s=0.01
+            cell_timeout=0.05, backoff_s=0.01
         ).run(campaign)
         cell = result.cells[0]
         assert cell.ok and cell.attempts == 2
@@ -336,7 +336,7 @@ class TestCellTimeouts:
         result = executor.run(campaign)
         cell = result.cells[0]
         assert cell.ok and cell.attempts == 2 and not cell.flaky
-        assert cell.payload == CampaignExecutor(use_cache=False).run(campaign).payloads()[0]
+        assert cell.payload == CampaignExecutor().run(campaign).payloads()[0]
         events = ResultCache(tmp_path / "cache").read_journal(campaign.digest())
         failed = [e for e in events if e["event"] == "cell-failed"]
         assert [e["kind"] for e in failed] == ["timeout"]
@@ -407,7 +407,9 @@ class TestJournalIsTheRecord:
         cells = replicate_seeds(light, (0, 1, 2)) + replicate_seeds(
             light.with_workload(slots=24), (3,)
         )
-        chaos = ChaosSpec(seed=0, exceptions=1, kills=1, hangs=1, hang_s=30.0)
+        # The plan is a function of the seed and the cell digests; with
+        # the current digests seed 8 leaves the slow cell clean.
+        chaos = ChaosSpec(seed=8, exceptions=1, kills=1, hangs=1, hang_s=30.0)
         plan = chaos.plan(cell.digest() for cell in cells)
         afflicted = {plan[cell.digest()]: cell for cell in cells if cell.digest() in plan}
         (clean,) = [cell for cell in cells if cell.digest() not in plan]

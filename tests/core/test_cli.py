@@ -46,15 +46,45 @@ class TestParser:
         args = build_parser().parse_args(["--workers", "4", "report"])
         assert args.workers == 4
 
-    def test_campaign_run_workers_overrides_global(self):
-        args = build_parser().parse_args(
-            ["--workers", "2", "campaign", "run", "smoke", "--workers", "8"]
-        )
-        assert args.workers == 8
-
     def test_campaign_run_inherits_global_workers(self):
         args = build_parser().parse_args(["--workers", "2", "campaign", "run", "smoke"])
         assert args.workers == 2
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["campaign", "run", "smoke", "--cell-timeout", "0"], "--cell-timeout"),
+        (["campaign", "run", "smoke", "--cell-timeout", "-1"], "--cell-timeout"),
+        (["campaign", "run", "smoke", "--cell-timeout", "nan"], "--cell-timeout"),
+        (["campaign", "run", "smoke", "--cell-timeout", "inf"], "--cell-timeout"),
+        (["campaign", "run", "smoke", "--retries", "-1"], "--retries"),
+        (["--workers", "-2", "campaign", "run", "smoke"], "--workers"),
+        (["--workers", "-1", "report"], "--workers"),
+    ])
+    def test_bad_execution_values_are_refused_at_parse_time(
+        self, capsys, argv, flag
+    ):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        (line,) = [
+            line for line in capsys.readouterr().err.splitlines()
+            if "error:" in line
+        ]
+        assert f"argument {flag}:" in line
+
+    @pytest.mark.parametrize("argv", [
+        ["campaign", "run", "smoke", "--no-cache"],
+        ["campaign", "run", "smoke", "--workers", "2"],
+        ["campaign", "run", "smoke", "--cache-dir", "x"],
+        ["campaign", "status", "smoke", "--cache-dir", "x"],
+        ["campaign", "clean", "smoke", "--cache-dir", "x"],
+    ])
+    def test_campaign_has_no_flags_of_its_own_for_cache_or_workers(
+        self, capsys, argv
+    ):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_version_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -184,18 +214,55 @@ class TestCampaignCommands:
     def test_run_two_workers_matches_serial_traces(
         self, capsys, tmp_path, campaign_file
     ):
-        assert main(["campaign", "run", campaign_file, "--no-cache"]) == 0
+        assert main(["campaign", "run", campaign_file]) == 0
         serial = [line for line in capsys.readouterr().out.splitlines()
                   if "trace" in line]
         assert main([
-            "--cache-dir", str(tmp_path / "c2"),
-            "campaign", "run", campaign_file, "--workers", "2",
+            "--workers", "2", "--cache-dir", str(tmp_path / "c2"),
+            "campaign", "run", campaign_file,
         ]) == 0
         parallel = [line for line in capsys.readouterr().out.splitlines()
                     if "trace" in line]
         def traces(lines):
             return [line.split("trace")[-1].strip() for line in lines]
         assert traces(serial) == traces(parallel)
+
+    def test_without_cache_dir_nothing_is_written_or_read(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        for _ in range(2):
+            assert main(["campaign", "run", "smoke"]) == 0
+            assert "4 computed, 0 cached" in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
+
+        assert main(["campaign", "status", "smoke"]) == 0
+        status = capsys.readouterr().out
+        assert status.count("pending") == 4
+        assert "0/4 cells cached (4 to compute)" in status
+        assert main(["campaign", "clean", "smoke"]) == 0
+        assert "removed 0 cached cell(s)" in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unknown_cell_kind_is_refused_when_the_file_is_read(
+        self, capsys, tmp_path
+    ):
+        import json
+
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(
+            {"name": "bad", "cells": [{"kind": "warp-drive", "preset": "quickstart"}]}
+        ))
+        for action in ("show", "run"):
+            with pytest.raises(SystemExit) as exc:
+                main(["campaign", action, str(path)])
+            # other tests in this process may have registered kinds too
+            assert str(exc.value).startswith(
+                f"invalid campaign file {path}: cell entry 0: unknown cell kind "
+                "'warp-drive'; known: attack-audit, fig9-series, scenario, "
+                "sweep-point"
+            )
+        assert "attempt" not in capsys.readouterr().out
 
     def test_unknown_campaign_errors(self):
         with pytest.raises(SystemExit):
@@ -245,12 +312,12 @@ class TestCampaignResilienceCLI:
     def test_bad_chaos_spec_exits_loudly(self, monkeypatch):
         monkeypatch.setenv("REPRO_CHAOS", "{nope")
         with pytest.raises(SystemExit, match="bad chaos spec"):
-            main(["campaign", "run", "smoke", "--no-cache"])
+            main(["campaign", "run", "smoke"])
 
     def test_chaos_with_retries_converges_and_exits_zero(
         self, capsys, tmp_path, campaign_file, monkeypatch
     ):
-        assert main(["campaign", "run", campaign_file, "--no-cache"]) == 0
+        assert main(["campaign", "run", campaign_file]) == 0
         clean = [line.split("trace")[-1].strip()
                  for line in capsys.readouterr().out.splitlines()
                  if "trace" in line]
@@ -317,7 +384,7 @@ class TestGlobalCacheDirOnExperiments:
     def test_without_flags_no_cache_is_written(self, capsys, tmp_path, monkeypatch):
         from repro.scenario import get_scenario
 
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env-cache"))
+        monkeypatch.chdir(tmp_path)
         spec_path = tmp_path / "tiny.json"
         get_scenario("quickstart").with_workload(
             slots=6, sample_slots=(3, 6)
@@ -325,7 +392,7 @@ class TestGlobalCacheDirOnExperiments:
         assert main(["report", "--only", "fig7", "--body-mb", "0.5",
                      "--scenario", str(spec_path)]) == 0
         capsys.readouterr()
-        assert not (tmp_path / "env-cache").exists()
+        assert list(tmp_path.iterdir()) == [spec_path]
 
 
 class TestCommands:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.campaign import get_campaign
-from repro.campaign.cells import KIND_HOME_MODULES, execute_cell, resolve_cell_kind
+from repro.campaign.cells import execute_cell
 from repro.experiments.fault_resilience import (
     DEFAULT_BACKENDS,
     DEFAULT_INTENSITIES,
@@ -12,6 +12,7 @@ from repro.experiments.fault_resilience import (
     fault_schedule_for,
     run_fault_resilience,
 )
+from repro.scenario import ScenarioResult, ScenarioRunner
 from repro.telemetry import TELEMETRY_ENV_VAR, TRACE_SAMPLE_ENV_VAR
 from repro.telemetry.monitors import MONITOR_PASS, evaluate_monitors
 from repro.telemetry.stream import discover_streams, read_streams
@@ -21,11 +22,12 @@ class TestGridConstruction:
     def test_cells_cover_the_grid(self):
         cells = fault_grid_cells()
         assert len(cells) == 3 * 3 * 2
-        coords = {
-            (c.scenario.backend, c.params["intensity"], c.scenario.seed)
-            for c in cells
-        }
-        assert len(coords) == len(cells)
+        assert {c.kind for c in cells} == {"scenario"}
+        assert [c.scenario.name for c in cells[:3]] == [
+            f"fault-grid[backend=2ldag,intensity={intensity},seed={seed}]"
+            for intensity, seed in (("none", 0), ("none", 1), ("crash", 0))
+        ]
+        assert len({c.scenario.name for c in cells}) == len(cells)
         assert len({c.digest() for c in cells}) == len(cells)
 
     def test_intensity_none_is_fault_free(self):
@@ -49,29 +51,37 @@ class TestGridConstruction:
         assert not fault_grid_scenario("iota", "crash", 0).workload.validate
 
 
-class TestCellKind:
-    def test_kind_registered_with_home_module(self):
-        assert (KIND_HOME_MODULES["fault-grid-point"]
-                == "repro.experiments.fault_resilience")
-        assert resolve_cell_kind("fault-grid-point") is not None
-
+class TestCellPayload:
     def test_cell_payload_shape(self):
         cell = fault_grid_cells(("2ldag",), ("crash",), (0,))[0]
         payload = execute_cell(cell)
-        assert payload["backend"] == "2ldag"
-        assert payload["intensity"] == "crash"
-        assert payload["blocks"] > 0
+        assert ScenarioResult.from_dict(payload).spec.backend == "2ldag"
+        assert payload["total_blocks"] > 0
         assert payload["validations"] > 0
         assert payload["mean_consensus_s"] > 0
         assert len(payload["trace_sha256"]) == 64
 
-    def test_baseline_cell_has_no_pop_metrics(self):
-        # Backends without PoP report None, never the 1.0 default —
-        # a baseline must not read as "perfect consensus success".
-        cell = fault_grid_cells(("iota",), ("crash",), (0,))[0]
-        payload = execute_cell(cell)
+    def test_mean_consensus_is_the_mean_successful_validation_time(self):
+        runner = ScenarioRunner(fault_grid_scenario("2ldag", "crash", 0))
+        result = runner.run()
+        durations = [
+            record.outcome.finished_at - record.outcome.started_at
+            for record in runner.workload.validations
+            if record.outcome.success
+        ]
+        assert durations
+        assert result.mean_consensus_s == sum(durations) / len(durations)
+
+    def test_baseline_has_no_pop_metrics(self):
+        # Backends without PoP report None, never a success-rate
+        # default — a baseline must not read as "perfect consensus
+        # success".
+        payload = execute_cell(fault_grid_cells(("iota",), ("crash",), (0,))[0])
+        assert payload["validations"] == 0
         assert payload["mean_consensus_s"] is None
-        assert payload["success_rate"] is None
+        point = run_fault_resilience(("iota",), ("crash",), (0,)).point("iota", "crash")
+        assert point.success_rate is None
+        assert point.mean_consensus_s is None
 
     def test_uniform_chunking_across_intensities(self):
         # Every cell pauses at the same slots (the union of all fault
@@ -165,4 +175,5 @@ class TestCampaignPreset:
     def test_fault_grid_preset_expands(self):
         campaign = get_campaign("fault-grid")
         assert len(campaign.cells) == 18
-        assert all(cell.kind == "fault-grid-point" for cell in campaign.cells)
+        assert all(cell.kind == "scenario" for cell in campaign.cells)
+        assert campaign.cells == fault_grid_cells()

@@ -2,7 +2,19 @@
 
 import pytest
 
-from repro.experiments.sweeps import density_sweep, gamma_sweep
+from repro.campaign.cells import execute_cell
+from repro.experiments.sweeps import (
+    density_sweep,
+    density_sweep_cells,
+    gamma_sweep,
+    gamma_sweep_cells,
+)
+
+#: Every column of both sweeps; each sweep-point payload carries all.
+SWEEP_COLUMNS = {
+    "gamma", "comm_range", "mean_messages", "prop4_lower", "prop6_upper",
+    "mean_degree", "digest_bits_per_slot", "success_rate",
+}
 
 
 @pytest.fixture(scope="module")
@@ -39,3 +51,23 @@ class TestDensitySweep:
         )
         # More neighbours -> more digest pushes per block.
         assert points[0].digest_bits_per_slot < points[1].digest_bits_per_slot
+
+
+class TestSweepPointKind:
+    def test_both_sweeps_use_one_kind(self):
+        cells = gamma_sweep_cells([2, 4]) + density_sweep_cells([60.0])
+        assert {cell.kind for cell in cells} == {"sweep-point"}
+
+    @pytest.mark.parametrize("cells", [
+        gamma_sweep_cells([3], node_count=8, slots=8, validations=2),
+        density_sweep_cells([90.0], node_count=8, slots=8, validations=2),
+    ], ids=["gamma", "density"])
+    def test_payload_carries_the_columns_of_both_sweeps(self, cells):
+        (cell,) = cells
+        payload = execute_cell(cell)
+        assert set(payload) == SWEEP_COLUMNS
+        assert payload["gamma"] == cell.scenario.protocol.gamma
+        assert payload["comm_range"] == cell.scenario.topology.comm_range
+        assert payload["mean_degree"] > 0
+        assert payload["digest_bits_per_slot"] > 0
+        assert payload["prop4_lower"] <= payload["prop6_upper"]

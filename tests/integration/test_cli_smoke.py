@@ -222,37 +222,38 @@ class TestReportOnlyFold:
     ran: the same cells, in the same order, printing the same rows.
 
     The digests were recorded on the tiny spec from the retired
-    commands; ``ROWS_SHA256`` hashes the lines of their stdout that
-    carry a ``|`` (every table row and chart row, no titles).
+    commands and re-pinned once when campaign code version 2 changed
+    every cell digest; ``ROWS_SHA256`` hashes the lines of their stdout
+    that carry a ``|`` (every table row and chart row, no titles).
     """
 
     FOLD = {
         "fig7": (
             ["--only", "fig7", "--body-mb", "0.001"],
-            ["a581c4d6ece9d9a6d4a55fde29ebff16b903a842542f7f55138324cfb78cffd6"],
+            ["c2487bb7747e63c93b019c4c1c2fd46c10c91eefae27d6f8cde129af597262fd"],
             "037a84e820d3e1ad8beb8d0576fff32fcf0e38d409ed6bf01cc63bd4fee172c2",
         ),
         "fig8": (
             ["--only", "fig8"],
-            ["a1a03ded432008c7598b0357917147d0c8026e693fa748d1e173728021bc7b58",
-             "493e527a7fca0fee7d7ff98a217802f60fe340e2df82738ed20318dd4362b4fe"],
+            ["cc6e1292166b80771415537c2c28beaef7f04e88e0d88d332b4858ca80292a81",
+             "72b5f390e7554357cc8391b633061bfde797204acd2ced27ebbbb1e6c17f55cc"],
             "a7cc5ac766182060a70eb1d941fdd02def64ecdc7f73a4ad84e35a09b864c395",
         ),
         "fig9": (
             ["--only", "fig9", "--panel", "a"],
-            ["65442ef68e7dcc532cca15695950d2c08f7f35d2bd1a55d65b537d44bf0b2069",
-             "69b840ce396c5ffe5864cc2ccc58a29314675976d3eb1fde03d7da014b61cb33",
-             "4a8b05d77066cbe3a736adb236296d579f58118c1f477cd6437ced07481ec572"],
+            ["eae33733b14be7ea6489cd733217a3a7c0616cc3f6decb2ba72a6e9b6d33e1c4",
+             "f38430d58760a87ded41dcf78a60cf046844b3c651eca57c61db08ab04f19651",
+             "d12039fc22e748eb2ddea8694fb417662f8e5fc05c2abf7524165f90d6360684"],
             "733a0753cad85925d369bce0b04ec7d5cb1b59e416226106c112dbd19e98b481",
         ),
         "headline": (
             ["--only", "headline"],
             # the model gate's PBFT and IOTA cells, C = 0.5 MB, Fig. 8
-            ["e672b145e9d9e098ca95e9f12b8fddc7c16d36f9c6cb87ce8f9b550bd42f6d10",
-             "fab4bbad4d70f2e1fce02287b2b65c07c833bd8c36b33a525950dc0d530db647",
-             "881be02ea936034062099f65b1badc20cecbb4fed3d80e113edc033100893476",
-             "a1a03ded432008c7598b0357917147d0c8026e693fa748d1e173728021bc7b58",
-             "493e527a7fca0fee7d7ff98a217802f60fe340e2df82738ed20318dd4362b4fe"],
+            ["0fb6cd879569a251c06b96d96986ca7c1ce50eb4a1b29c157bd2ba4b6c1928a1",
+             "3190a222100852acb43aeeb066868a7137ddc6ad4e0fa4ad92e3ebb694c60247",
+             "ebaba124ccd18f086344345b71b0c56db91d6ee4132592a8fc79ff3492dd99e8",
+             "cc6e1292166b80771415537c2c28beaef7f04e88e0d88d332b4858ca80292a81",
+             "72b5f390e7554357cc8391b633061bfde797204acd2ced27ebbbb1e6c17f55cc"],
             # sha256 of no lines: the headline summary has no table
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         ),
@@ -366,8 +367,8 @@ class TestTelemetryCLI:
 
 class TestCampaignObservability:
     def test_status_json_is_the_pinned_document(self, capsys, tmp_path):
-        code = main(["campaign", "status", "fault-grid", "--json",
-                     "--cache-dir", str(tmp_path / "cache")])
+        code = main(["--cache-dir", str(tmp_path / "cache"),
+                     "campaign", "status", "fault-grid", "--json"])
         assert code == 0
         document = json.loads(capsys.readouterr().out)
         assert document["schema"] == 1
@@ -447,7 +448,7 @@ class TestRetiredExportCommand:
         monkeypatch.chdir(tmp_path)
         # the command exports --telemetry for its workers; undo that
         monkeypatch.setenv("REPRO_TELEMETRY", "tel")
-        code = main(["campaign", "run", "smoke", "--cache-dir", "cache",
+        code = main(["--cache-dir", "cache", "campaign", "run", "smoke",
                      "--telemetry", "tel", "--monitors"])
         assert code == 0
         written = {
@@ -457,7 +458,7 @@ class TestRetiredExportCommand:
         assert written == self.SMOKE_FILES
 
         # all cached: nothing streams, and the verdicts are not kept
-        assert main(["campaign", "run", "smoke", "--cache-dir", "cache",
+        assert main(["--cache-dir", "cache", "campaign", "run", "smoke",
                      "--telemetry", "warm", "--monitors"]) == 0
         assert list((tmp_path / "warm").iterdir()) == []
 
@@ -520,7 +521,7 @@ class TestTracingCLI:
 
     @pytest.mark.parametrize("command", [
         ["simulate", "--scenario", "quickstart"],
-        ["campaign", "run", "smoke", "--no-cache"],
+        ["campaign", "run", "smoke"],
     ])
     def test_bad_trace_sample_env_exits_2(self, command, capsys, monkeypatch,
                                           tmp_path):
@@ -595,8 +596,8 @@ class TestMonitorsCLI:
     def test_campaign_run_with_monitors_reports_and_gates(self, capsys,
                                                           tmp_path):
         telemetry = tmp_path / "tel"
-        code = main(["campaign", "run", "smoke",
-                     "--cache-dir", str(tmp_path / "cache"),
+        code = main(["--cache-dir", str(tmp_path / "cache"),
+                     "campaign", "run", "smoke",
                      "--telemetry", str(telemetry),
                      "--trace-sample", "1.0",
                      "--monitors"])
@@ -606,8 +607,8 @@ class TestMonitorsCLI:
         assert not list(telemetry.glob("monitors-*"))
 
         # status reads the verdicts from the streams themselves
-        assert main(["campaign", "status", "smoke",
-                     "--cache-dir", str(tmp_path / "cache"),
+        assert main(["--cache-dir", str(tmp_path / "cache"),
+                     "campaign", "status", "smoke",
                      "--telemetry", str(telemetry)]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == (
             "invariant monitors: pass (12 pass, 0 fail, 4 skip)"
@@ -622,8 +623,8 @@ class TestMonitorsCLI:
         telemetry.mkdir()
         stream = telemetry / "run-smoke-2ldag-seed0.jsonl"
         stream.write_bytes(content)
-        code = main(["campaign", "status", "smoke",
-                     "--cache-dir", str(tmp_path / "cache"),
+        code = main(["--cache-dir", str(tmp_path / "cache"),
+                     "campaign", "status", "smoke",
                      "--telemetry", str(telemetry)])
         assert code == 1
         err = capsys.readouterr().err
@@ -633,8 +634,8 @@ class TestMonitorsCLI:
     def test_monitors_without_telemetry_dir_exits_2(self, capsys, tmp_path,
                                                     monkeypatch):
         monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
-        code = main(["campaign", "run", "smoke",
-                     "--cache-dir", str(tmp_path / "cache"),
+        code = main(["--cache-dir", str(tmp_path / "cache"),
+                     "campaign", "run", "smoke",
                      "--monitors"])
         assert code == 2
         assert "telemetry" in capsys.readouterr().err
