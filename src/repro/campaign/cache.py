@@ -7,14 +7,16 @@ Layout under that root::
     cells/<d2>/<digest>.json       one finished cell's payload envelope
     journal/<campaign>.jsonl       append-only per-run completion log
 
-Cell entries are keyed purely by the cell's content digest (spec +
-kind + params + code version — see
+Cell entries are keyed purely by the cell's content digest (spec
+without its labels + kind + params + code version — see
 :meth:`~repro.campaign.spec.CellSpec.digest`), so the cache needs no
-invalidation logic: changing anything about a cell changes its key,
-and stale entries are simply never read again.  Envelopes that are
-unreadable, truncated, or carry a different format/code version load
-as misses — a killed worker can at worst waste one recompute, never
-poison a result (writes are atomic via
+invalidation logic: changing anything a cell computes from changes its
+key, and stale entries are simply never read again.  An entry carries
+no label, so every campaign holding the same run shares it; labels
+live only in the journals and the CLI's progress lines.  Envelopes
+that are unreadable, truncated, or carry a different format/code
+version load as misses — a killed worker can at worst waste one
+recompute, never poison a result (writes are atomic via
 :func:`~repro.experiments.persistence.atomic_write_text`).
 
 Journals are the resume/status record: one JSON line per event.
@@ -162,7 +164,6 @@ class ResultCache:
             "code_version": CAMPAIGN_CODE_VERSION,
             "cell_digest": digest,
             "kind": cell.kind,
-            "scenario": cell.scenario.name,
             "elapsed_s": elapsed_s,
             "payload": payload,
         }

@@ -122,16 +122,25 @@ def run_scenario_cells(
     """Run plain scenario cells through an executor; results in order.
 
     The shared submission path for consumers (Fig. 7/8, the headline) whose
-    cells are whole scenario runs: with ``executor=None`` an ephemeral
-    serial, cache-free executor preserves the exact single-process
-    behaviour (and golden digests); passing a configured
+    cells are whole scenario runs.  Specs that share a cell digest —
+    equal apart from their labels — are one cell, submitted once; each
+    spec still gets its own result.  With ``executor=None`` an
+    ephemeral serial, cache-free executor preserves the exact
+    single-process behaviour (and golden digests); passing a configured
     :class:`~repro.campaign.executor.CampaignExecutor` adds parallelism
     and caching without touching the consumer.
     """
     from repro.campaign.executor import run_campaign
 
+    digests = [CellSpec(scenario=spec).digest() for spec in specs]
+    distinct: Dict[str, ScenarioSpec] = {}
+    for digest, spec in zip(digests, specs):
+        distinct.setdefault(digest, spec)
     campaign = CampaignSpec(
-        name=name, cells=tuple(CellSpec(scenario=spec) for spec in specs)
+        name=name, cells=tuple(CellSpec(scenario=spec) for spec in distinct.values())
     )
-    result = run_campaign(campaign, executor)
-    return [ScenarioResult.from_dict(cell.payload) for cell in result.cells]
+    payloads = dict(zip(distinct, run_campaign(campaign, executor).payloads()))
+    return [
+        ScenarioResult.from_dict(payloads[digest], spec)
+        for digest, spec in zip(digests, specs)
+    ]

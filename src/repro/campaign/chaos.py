@@ -18,12 +18,13 @@ run.  That property is what the chaos self-tests
 Determinism
 -----------
 Which cells suffer which fault is a pure function of the chaos seed
-and the cell digests (ranked via :func:`repro.sim.rng.derive_seed`,
-the same seeding idiom the fault layer and retry backoff use), so a
-chaos schedule replays identically regardless of worker count,
-completion order, or wall-clock.  Faults apply only to attempts
-``<= max_attempt`` (default: the first attempt only), which is what
-lets bounded retries always converge.
+and the cells' positions in the campaign (ranked via
+:func:`repro.sim.rng.derive_seed`, the same seeding idiom the fault
+layer and retry backoff use), so a chaos schedule replays identically
+regardless of worker count, completion order, or wall-clock — and a
+change to the cell digests leaves it alone.  Faults apply only to
+attempts ``<= max_attempt`` (default: the first attempt only), which
+is what lets bounded retries always converge.
 
 Enable chaos by passing ``chaos=ChaosSpec(...)`` to the executor, or
 globally via the ``REPRO_CHAOS`` environment variable (inline JSON or
@@ -41,6 +42,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterable, Mapping, Optional, Union
 
+from repro.faults.spec import read_section
 from repro.sim.rng import derive_seed, derive_unit
 
 #: Environment variable enabling chaos globally (inline JSON or a path).
@@ -71,7 +73,7 @@ class ChaosSpec:
 
     ``exceptions`` / ``kills`` / ``hangs`` count how many distinct
     pending cells suffer each fault kind; *which* cells is decided by
-    :meth:`plan`, a pure function of ``seed`` and the cell digests.
+    :meth:`plan`, a pure function of ``seed`` and the cell positions.
     ``hang_s`` is how long a hung attempt sleeps before executing
     normally (pair it with the executor's ``cell_timeout`` to exercise
     the kill-and-retry path).  Attempts numbered above ``max_attempt``
@@ -92,8 +94,10 @@ class ChaosSpec:
                 raise ChaosError(
                     f"chaos {name} must be a non-negative int, got {value!r}"
                 )
-        if self.hang_s <= 0:
-            raise ChaosError(f"chaos hang_s must be positive, got {self.hang_s!r}")
+        if not 0 < self.hang_s < float("inf"):
+            raise ChaosError(
+                f"chaos hang_s must be positive and finite, got {self.hang_s!r}"
+            )
         if not isinstance(self.max_attempt, int) or self.max_attempt < 0:
             raise ChaosError(
                 f"chaos max_attempt must be a non-negative int, got {self.max_attempt!r}"
@@ -104,28 +108,30 @@ class ChaosSpec:
         """How many cells the plan afflicts (at most)."""
         return self.exceptions + self.kills + self.hangs
 
-    def plan(self, digests: Iterable[str]) -> Dict[str, str]:
-        """``digest -> chaos kind`` for this run's pending cells.
+    def plan(self, positions: Iterable[int]) -> Dict[int, str]:
+        """``position -> chaos kind`` for this run's pending cells.
 
-        Digests are ranked by a seeded hash, then the first ``kills``
-        suffer worker kills, the next ``hangs`` hang, and the next
-        ``exceptions`` raise.  The ranking depends only on ``seed`` and
-        the digest *set* — never on submission or completion order —
-        so serial and parallel runs afflict the same cells.  With fewer
+        Positions (indices in the campaign's cell list) are ranked by a
+        seeded hash, then the first ``kills`` suffer worker kills, the
+        next ``hangs`` hang, and the next ``exceptions`` raise.  The
+        ranking depends only on ``seed`` and the position *set* — never
+        on the cells' digests, submission or completion order — so
+        serial and parallel runs afflict the same cells, and two cells
+        that share a digest are afflicted independently.  With fewer
         pending cells than faults, the plan truncates.
         """
         ranked = sorted(
-            set(digests), key=lambda d: (derive_seed(self.seed, f"chaos:{d}"), d)
+            set(positions), key=lambda p: (derive_seed(self.seed, f"chaos:{p}"), p)
         )
-        plan: Dict[str, str] = {}
+        plan: Dict[int, str] = {}
         cursor = 0
         for kind, count in (
             (CHAOS_KILL, self.kills),
             (CHAOS_HANG, self.hangs),
             (CHAOS_EXCEPTION, self.exceptions),
         ):
-            for digest in ranked[cursor:cursor + count]:
-                plan[digest] = kind
+            for position in ranked[cursor:cursor + count]:
+                plan[position] = kind
             cursor += count
         return plan
 
@@ -142,18 +148,9 @@ class ChaosSpec:
         }
 
     @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "ChaosSpec":
-        if not isinstance(payload, Mapping):
-            raise ChaosError(f"chaos spec must be an object, got {payload!r}")
-        data = dict(payload)
-        kwargs = {
-            name: data.pop(name)
-            for name in ("seed", "exceptions", "kills", "hangs", "hang_s", "max_attempt")
-            if name in data
-        }
-        if data:
-            raise ChaosError(f"unknown chaos field(s): {', '.join(sorted(data))}")
-        return cls(**kwargs)
+    def from_dict(cls, payload: Any) -> "ChaosSpec":
+        """Read a chaos document; every field is a typed spec leaf."""
+        return cls(**read_section(cls, "chaos", payload, ChaosError))
 
     @classmethod
     def from_file(cls, path: Union[str, Path]) -> "ChaosSpec":

@@ -274,7 +274,7 @@ class _RunState:
         self.attempts: Dict[int, int] = {}  # index -> failed attempts so far
         self.failures: Dict[int, List[CellFailure]] = {}
         self.prior_payload: Dict[int, str] = {}  # index -> earlier success digest
-        self.chaos_plan: Dict[str, str] = {}
+        self.chaos_plan: Dict[int, str] = {}  # index -> chaos kind
         self.journal_on = False
 
 
@@ -384,7 +384,7 @@ class CampaignExecutor:
 
         state.journal_on = self.cache is not None and bool(pending)
         if self.chaos is not None and pending:
-            state.chaos_plan = self.chaos.plan(digests[index] for index in pending)
+            state.chaos_plan = self.chaos.plan(pending)
             if state.chaos_plan:
                 emit(self.chaos.describe())
         if state.journal_on:
@@ -597,7 +597,7 @@ class CampaignExecutor:
         """The chaos to inflict on this attempt of this cell, if any."""
         if self.chaos is None or not state.chaos_plan:
             return None
-        kind = state.chaos_plan.get(state.digests[index])
+        kind = state.chaos_plan.get(index)
         if kind is None or state.attempts.get(index, 0) > self.chaos.max_attempt:
             return None
         directive: Dict[str, Any] = {"kind": kind}

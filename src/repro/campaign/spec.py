@@ -44,7 +44,7 @@ CAMPAIGN_FORMAT_VERSION = 1
 #: Bumped whenever cell execution semantics change in a way that makes
 #: previously cached payloads wrong; part of every cell digest, so a
 #: bump invalidates the whole result cache at once.
-CAMPAIGN_CODE_VERSION = 2
+CAMPAIGN_CODE_VERSION = 3
 
 
 class CampaignError(ValueError):
@@ -83,21 +83,26 @@ class CellSpec:
     def digest(self) -> str:
         """Stable content digest keying this cell's cached result.
 
-        Covers the cell kind, its params, the full scenario spec (which
+        Covers the cell kind, its params, the scenario spec (which
         embeds the spec format version) and the campaign code version —
         any change to what the cell would compute, or to how cells are
         computed, yields a different digest and therefore a cache miss.
 
-        Execution knobs are deliberately *excluded*: worker count,
-        caching, retries, timeouts and chaos schedules affect how (and
-        whether) a cell gets computed, never what it computes, so a
-        payload cached under any of them is valid under all of them.
+        Labels and execution knobs are deliberately *excluded*.  The
+        scenario's ``name`` and ``description`` only label a run, so
+        two cells that differ in nothing else share one digest and one
+        cached payload.  Worker count, caching, retries, timeouts and
+        chaos schedules affect how (and whether) a cell gets computed,
+        never what it computes, so a payload cached under any of them
+        is valid under all of them.
         """
+        scenario = self.scenario.to_dict()
+        del scenario["name"], scenario["description"]
         document = {
             "code_version": CAMPAIGN_CODE_VERSION,
             "kind": self.kind,
             "params": dict(self.params),
-            "scenario": self.scenario.to_dict(),
+            "scenario": scenario,
         }
         return sha256_lines([canonical_json(document)])
 
@@ -282,8 +287,8 @@ class CampaignSpec:
 
     Cell order is meaningful (results come back in campaign order
     regardless of completion order) and duplicate cells are rejected —
-    two cells with equal digests would compute the same thing twice and
-    make "this cached entry belongs to that cell" ambiguous.
+    two cells with equal digests (equal apart from their labels) would
+    compute the same thing twice.
     """
 
     name: str
@@ -301,7 +306,7 @@ class CampaignSpec:
             if digest in seen:
                 raise CampaignError(
                     f"campaign {self.name!r} contains duplicate cells: "
-                    f"{seen[digest]!r} and {cell.label!r} have identical specs"
+                    f"{seen[digest]!r} and {cell.label!r} are the same run"
                 )
             seen[digest] = cell.label
 

@@ -6,8 +6,8 @@ first for free via the header cache (TPS), then by querying neighbours
 of the current verifying node (chosen by WPS) with ``REQ_CHILD``.
 Invalid or missing replies cause the responder to be skipped; when all
 neighbours of the verifying node are exhausted, the validator *rolls
-back* one path element and permanently sidelines the dead-end node for
-this run.  Consensus is reached when the path has traversed γ+1
+back* one path element and permanently sidelines the dead-end block
+(not its node, whose other blocks stay usable) for this run.  Consensus is reached when the path has traversed γ+1
 distinct physical nodes; failure is reported when the path rolls back
 past the verifier itself.
 

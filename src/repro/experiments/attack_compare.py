@@ -101,7 +101,6 @@ def run_attack_audit_cell(cell: CellSpec) -> Dict[str, Any]:
         messages += outcome.message_total
         encounters += outcome.timeouts + outcome.invalid_replies
     return {
-        "scenario": spec.name,
         "validator": validator_id,
         "eclipsed": validator_id in eclipse_victims,
         "audits": len(targets),
@@ -158,7 +157,7 @@ def run_attack_comparison(
     )
     return [
         AttackAuditPoint(
-            scenario=str(payload["scenario"]),
+            scenario=cell.scenario.name,
             validator=int(payload["validator"]),
             eclipsed=bool(payload["eclipsed"]),
             audits=int(payload["audits"]),
@@ -168,7 +167,9 @@ def run_attack_comparison(
             malicious_encounters=int(payload["malicious_encounters"]),
             sybil_identities=int(payload["sybil_identities"]),
         )
-        for payload in run_campaign(campaign, executor).payloads()
+        for cell, payload in zip(
+            campaign.cells, run_campaign(campaign, executor).payloads()
+        )
     ]
 
 

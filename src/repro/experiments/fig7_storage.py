@@ -11,19 +11,21 @@ runner samples the storage series); the baselines use their validated
 closed-form cost models (every node stores every block — see
 :mod:`repro.baselines`).
 
-Panels are campaign cells: :func:`run_fig7_panels` submits one
-``scenario`` cell per body size, so passing a configured
-:class:`~repro.campaign.executor.CampaignExecutor` runs the three
-panels concurrently (and caches them); the default stays serial and
-in-process.  The cost-model topology is rebuilt deterministically from
-the spec's seed — named random streams guarantee it matches the
-worker-side deployment exactly.
+A panel is one ``scenario`` campaign cell plus a pure projection of
+its result (:func:`fig7_panel`), so the report can submit every
+figure's runs in one call — the three body sizes run concurrently
+under a configured :class:`~repro.campaign.executor.CampaignExecutor`,
+and a run another figure shares is computed once.  The body size only
+enters the storage accounting (Eq. (2)), never the simulated dynamics,
+so every panel shares one trace digest.  The cost-model topology is
+rebuilt deterministically from the spec's seed — named random streams
+guarantee it matches the worker-side deployment exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 # Closed-form cost models only — live cluster/tangle objects are
 # reached through repro.scenario.create_backend.
@@ -33,6 +35,7 @@ from repro.campaign.cells import run_scenario_cells
 from repro.metrics.cdf import EmpiricalCDF
 from repro.metrics.reporting import format_series_table
 from repro.scenario import ScenarioSpec, build_topology, fig7_scenario
+from repro.scenario.runner import ScenarioResult
 from repro.sim.rng import RandomStreams
 
 
@@ -54,43 +57,39 @@ class Fig7Result:
         return format_series_table("slots", self.sample_slots, self.series_mb)
 
 
-def run_fig7_panels(
-    bodies: Sequence[float],
-    base: ScenarioSpec,
-    executor=None,
-) -> Dict[float, Fig7Result]:
-    """Produce one Fig. 7 panel per body size, as one campaign.
+def fig7_panel(body_mb: float, measured: ScenarioResult) -> Fig7Result:
+    """The Fig. 7 panel of a finished ``fig7_scenario(body_mb, base)`` run.
 
-    ``base`` sizes the runs (see :func:`repro.scenario.fig7_scenario`).
     Every node generates one block per slot (``C/r_i = 1``, the
     caption's workload); 2LDAG nodes additionally validate one old
     block per generation when ``base.workload.validate`` is set, which
     grows their header caches — the realistic storage figure.
     """
-    specs = [fig7_scenario(body_mb, base) for body_mb in bodies]
-    measured_results = run_scenario_cells(specs, executor, name="fig7")
-
-    panels: Dict[float, Fig7Result] = {}
-    for body_mb, spec, measured in zip(bodies, specs, measured_results):
-        # The cell ran in a worker; rebuild the cost-model topology from
-        # the spec's own named stream — identical draws by construction.
-        topology = build_topology(spec.topology, RandomStreams(spec.seed))
-        pbft = PbftCostModel(topology, spec.protocol.body_bits)
-        iota = IotaCostModel(topology, spec.protocol.body_bits)
-        sample_slots = list(spec.workload.sample_slots)
-        panels[body_mb] = Fig7Result(
-            body_mb=body_mb,
-            sample_slots=sample_slots,
-            series_mb={
-                "PBFT": pbft.storage_series_mb(sample_slots),
-                "IOTA": iota.storage_series_mb(sample_slots),
-                "2LDAG": list(measured.storage_mb),
-            },
-            per_node_mb_final=list(measured.per_node_storage_mb),
-        )
-    return panels
+    spec = measured.spec
+    # The cell ran in a worker; rebuild the cost-model topology from
+    # the spec's own named stream — identical draws by construction.
+    topology = build_topology(spec.topology, RandomStreams(spec.seed))
+    pbft = PbftCostModel(topology, spec.protocol.body_bits)
+    iota = IotaCostModel(topology, spec.protocol.body_bits)
+    sample_slots = list(spec.workload.sample_slots)
+    return Fig7Result(
+        body_mb=body_mb,
+        sample_slots=sample_slots,
+        series_mb={
+            "PBFT": pbft.storage_series_mb(sample_slots),
+            "IOTA": iota.storage_series_mb(sample_slots),
+            "2LDAG": list(measured.storage_mb),
+        },
+        per_node_mb_final=list(measured.per_node_storage_mb),
+    )
 
 
 def run_fig7(body_mb: float, base: ScenarioSpec, executor=None) -> Fig7Result:
-    """Produce one Fig. 7 panel for body size ``body_mb``."""
-    return run_fig7_panels([body_mb], base, executor)[body_mb]
+    """Produce one Fig. 7 panel for body size ``body_mb``.
+
+    ``base`` sizes the run (see :func:`repro.scenario.fig7_scenario`).
+    """
+    (measured,) = run_scenario_cells(
+        [fig7_scenario(body_mb, base)], executor, name="fig7"
+    )
+    return fig7_panel(body_mb, measured)

@@ -10,7 +10,9 @@ generation-time validation (header-only fetches, matching the paper's
 header accounting); the baselines use their cost models.  "33%/49%
 malicious" select the tolerance γ — consensus paths of ⌈0.33|V|⌉+1 and
 ⌈0.49|V|⌉+1 nodes — as in the paper's §VI-B;
-:func:`repro.scenario.fig8_scenario` declares each run.
+:func:`repro.scenario.fig8_scenario` declares each run.  The 33% run
+is the Fig. 7 C = 0.5 MB run under other labels, so the report, which
+submits both figures' runs in one call, computes it once.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from repro.campaign.cells import run_scenario_cells
 from repro.metrics.cdf import EmpiricalCDF
 from repro.metrics.reporting import format_series_table
 from repro.scenario import ScenarioSpec, build_topology, fig8_scenario
+from repro.scenario.runner import ScenarioResult
 from repro.sim.rng import RandomStreams
 
 
@@ -49,20 +52,16 @@ class Fig8Result:
         return format_series_table("slots", self.sample_slots, series)
 
 
-def run_fig8(base: ScenarioSpec, executor=None) -> Fig8Result:
-    """Produce all Fig. 8 series at the size ``base`` declares.
+def fig8_scenarios(base: ScenarioSpec) -> List[ScenarioSpec]:
+    """The 33% and 49% tolerance runs at the size ``base`` declares."""
+    return [fig8_scenario(0.33, base), fig8_scenario(0.49, base)]
 
-    The 33% and 49% tolerance runs are two campaign cells — they
-    execute concurrently when ``executor`` has workers, serially
-    in-process otherwise.
-    """
+
+def fig8_series(run33: ScenarioResult, run49: ScenarioResult) -> Fig8Result:
+    """All Fig. 8 series of finished :func:`fig8_scenarios` runs."""
     label_33 = "2LDAG-33%"
     label_49 = "2LDAG-49%"
-    spec_33 = fig8_scenario(0.33, base)
-    run33, run49 = run_scenario_cells(
-        [spec_33, fig8_scenario(0.49, base)], executor, name="fig8"
-    )
-
+    spec_33 = run33.spec
     # Same named-stream rebuild the runner performs in the worker.
     topology = build_topology(spec_33.topology, RandomStreams(spec_33.seed))
     body_bits = spec_33.protocol.body_bits
@@ -90,4 +89,16 @@ def run_fig8(base: ScenarioSpec, executor=None) -> Fig8Result:
             label_33: list(run33.per_node_traffic_mb),
             label_49: list(run49.per_node_traffic_mb),
         },
+    )
+
+
+def run_fig8(base: ScenarioSpec, executor=None) -> Fig8Result:
+    """Produce all Fig. 8 series at the size ``base`` declares.
+
+    The 33% and 49% tolerance runs are two campaign cells — they
+    execute concurrently when ``executor`` has workers, serially
+    in-process otherwise.
+    """
+    return fig8_series(
+        *run_scenario_cells(fig8_scenarios(base), executor, name="fig8")
     )

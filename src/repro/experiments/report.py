@@ -12,8 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.experiments.fig7_storage import Fig7Result, run_fig7_panels
-from repro.experiments.fig8_comm import Fig8Result, run_fig8
+from repro.campaign.cells import run_scenario_cells
+from repro.experiments.fig7_storage import Fig7Result, fig7_panel
+from repro.experiments.fig8_comm import Fig8Result, fig8_scenarios, fig8_series
 from repro.experiments.fig9_consensus import (
     PAPER_PANELS,
     PAPER_PROBES,
@@ -27,7 +28,7 @@ from repro.experiments.headline import (
     headline_ratios,
 )
 from repro.metrics.charts import render_chart
-from repro.scenario import ScenarioSpec
+from repro.scenario import ScenarioSpec, fig7_scenario
 
 #: The report's sections, in the order they render.
 SECTIONS = ("headline", "fig7", "fig8", "fig9")
@@ -126,7 +127,9 @@ def generate_report(
     (a :class:`~repro.campaign.executor.CampaignExecutor`) parallelizes
     each experiment's cells.  The headline ratios need the model gate,
     a C = 0.5 MB Fig. 7 panel and Fig. 8; they run whether or not those
-    figures are shown, and a shown figure's cells are not run twice.
+    figures are shown.  Fig. 7's and Fig. 8's runs are submitted in one
+    call, so no run is computed twice: not a shown figure's, and not
+    Fig. 8's 33% run, which is the C = 0.5 MB run under other labels.
     """
     if fig7_bodies is None:
         fig7_bodies = [0.1, 0.5, 1.0]
@@ -137,8 +140,11 @@ def generate_report(
 
     agreements = check_model_agreement(executor) if headline else []
     bodies = [*shown, 0.5] if headline and 0.5 not in shown else shown
-    panels = run_fig7_panels(bodies, base, executor) if bodies else {}
-    fig8 = run_fig8(base, executor) if headline or "fig8" in sections else None
+    comm = fig8_scenarios(base) if headline or "fig8" in sections else []
+    specs = [fig7_scenario(body_mb, base) for body_mb in bodies] + comm
+    runs = run_scenario_cells(specs, executor, name="fig7-fig8") if specs else []
+    panels = {body_mb: fig7_panel(body_mb, run) for body_mb, run in zip(bodies, runs)}
+    fig8 = fig8_series(*runs[len(bodies):]) if comm else None
     fig9: Dict[str, Fig9Result] = {}
     for panel in fig9_panels if "fig9" in sections else []:
         gamma, malicious = paper_panel(panel, base.node_count)

@@ -5,7 +5,10 @@ topology, workload (slots, validation, fault timeline), adversaries, and seeds
 — with JSON round-trip for committing and replaying scenarios.  A
 :class:`ScenarioRunner` builds the deployment, drives it, and returns
 a structured :class:`ScenarioResult`.  Named presets (``quickstart``,
-``paper-fig7`` … ``attack-*``, ``bench-*``) live in the registry.
+``paper-fig7``, ``paper-fig9``, ``attack-*``, ``bench-*`` …) live in
+the registry; ``paper-fig7`` is the one paper-scale 2LDAG run, since
+Fig. 7's C = 0.5 MB run, Fig. 8's 33% run and the headline ratios'
+denominators are one spec apart from their labels.
 
 Every entry point in the repository — the CLI, the paper experiments,
 the examples, the attack demos and the repo benchmark — constructs its

@@ -219,32 +219,15 @@ def _quickstart() -> ScenarioSpec:
 
 
 @register_scenario
-def _headline() -> ScenarioSpec:
-    return dataclasses.replace(
-        fig8_scenario(0.33, PAPER_SCALE),
-        name="headline",
-        description=(
-            "the abstract's headline workload: paper-scale C=0.5 MB run at "
-            "33% tolerance (the storage/communication ratio denominators)"
-        ),
-    )
-
-
-@register_scenario
 def _paper_fig7() -> ScenarioSpec:
     return dataclasses.replace(
         fig7_scenario(0.5, PAPER_SCALE),
         name="paper-fig7",
-        description="Fig. 7(b) storage run at paper scale (C = 0.5 MB)",
-    )
-
-
-@register_scenario
-def _paper_fig8() -> ScenarioSpec:
-    return dataclasses.replace(
-        fig8_scenario(0.33, PAPER_SCALE),
-        name="paper-fig8",
-        description="Fig. 8 communication run at paper scale (33% tolerance)",
+        description=(
+            "the paper-scale 2LDAG run behind three results: Fig. 7(b) "
+            "storage at C = 0.5 MB, Fig. 8 communication at 33% tolerance "
+            "and the headline ratios' denominators"
+        ),
     )
 
 

@@ -99,10 +99,11 @@ class ScenarioResult:
 
         This is the payload format campaign cells of kind ``scenario``
         return: every leaf is a JSON primitive, so results can cross
-        process boundaries and live in the on-disk result cache.
+        process boundaries and live in the on-disk result cache.  The
+        spec is not echoed: runs that differ only in the spec's labels
+        share one payload, and the caller knows which spec it submitted.
         """
         return {
-            "spec": self.spec.to_dict(),
             "sample_slots": list(self.sample_slots),
             "total_blocks": self.total_blocks,
             "validations": self.validations,
@@ -120,17 +121,17 @@ class ScenarioResult:
         }
 
     @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "ScenarioResult":
-        """Rebuild a result from :meth:`to_dict` output."""
-        data = dict(payload)
-        spec = ScenarioSpec.from_dict(data.pop("spec"))
+    def from_dict(
+        cls, payload: Dict[str, object], spec: ScenarioSpec
+    ) -> "ScenarioResult":
+        """Rebuild the result of running ``spec`` from :meth:`to_dict` output."""
         known = {f.name for f in dataclasses.fields(cls)} - {"spec"}
-        unknown = set(data) - known
+        unknown = set(payload) - known
         if unknown:
             raise ValueError(
                 f"unknown ScenarioResult field(s): {', '.join(sorted(unknown))}"
             )
-        return cls(spec=spec, **data)
+        return cls(spec=spec, **payload)
 
     def summary(self) -> str:
         """A compact human-readable digest of the run."""

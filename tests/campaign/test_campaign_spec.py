@@ -1,6 +1,7 @@
 """Tests for campaign specs: grid expansion, digests, JSON round-trip."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -90,6 +91,29 @@ class TestCellDigest:
         other_params = CellSpec(scenario=base, params={"audits": 4})
         assert plain.digest() != other_params.digest()
 
+    def test_labels_are_not_part_of_the_digest(self, base):
+        relabelled = replace(base, name="elsewhere", description="another use")
+        assert CellSpec(scenario=relabelled).digest() == CellSpec(scenario=base).digest()
+
+    @pytest.mark.parametrize("path, value", [
+        ("seed", 8),
+        ("backend", "pbft"),
+        ("per_hop_latency", 0.002),
+        ("protocol.gamma", 2),
+        ("protocol.body_bits", 16_000),
+        ("topology.kind", "ring"),
+        ("workload.slots", 31),
+        ("workload.validate", True),
+        ("workload.sample_slots", [10, 20]),
+    ])
+    def test_every_other_spec_leaf_is_part_of_the_digest(self, base, path, value):
+        changed = apply_override(base, path, value)
+        assert CellSpec(scenario=changed).digest() != CellSpec(scenario=base).digest()
+
+    def test_kind_is_part_of_the_digest(self, base):
+        assert (CellSpec(scenario=base, kind="attack-audit").digest()
+                != CellSpec(scenario=base).digest())
+
     def test_unserializable_params_rejected(self, base):
         with pytest.raises(CampaignError, match="JSON-serializable"):
             CellSpec(scenario=base, params={"fn": lambda: None})
@@ -104,6 +128,11 @@ class TestCampaignSpec:
         cell = CellSpec(scenario=base)
         with pytest.raises(CampaignError, match="duplicate"):
             CampaignSpec(name="dup", cells=(cell, CellSpec(scenario=base)))
+
+    def test_cells_that_differ_only_in_labels_are_duplicates(self, base):
+        relabelled = CellSpec(scenario=replace(base, name="again"))
+        with pytest.raises(CampaignError, match="'quickstart' and 'again' are the same run"):
+            CampaignSpec(name="dup", cells=(CellSpec(scenario=base), relabelled))
 
     def test_digest_tracks_cells(self, base):
         a = CampaignSpec(name="c", cells=replicate_seeds(base, (0, 1)))

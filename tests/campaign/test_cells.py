@@ -1,5 +1,7 @@
 """Cell-kind registry and scenario payload round-trip tests."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.campaign.cells import (
@@ -77,9 +79,16 @@ class TestRegistry:
 class TestScenarioCell:
     def test_payload_round_trips_to_scenario_result(self, tiny):
         payload = execute_cell(CellSpec(scenario=tiny))
-        rebuilt = ScenarioResult.from_dict(payload)
+        rebuilt = ScenarioResult.from_dict(payload, tiny)
         direct = ScenarioRunner(tiny).run()
         assert rebuilt == direct
+
+    def test_payload_carries_no_label(self, tiny):
+        # Runs that differ only in the spec's labels share one payload.
+        payload = execute_cell(CellSpec(scenario=tiny))
+        assert "spec" not in payload
+        relabelled = replace(tiny, name="elsewhere", description="another use")
+        assert execute_cell(CellSpec(scenario=relabelled)) == payload
 
     def test_payload_is_pure_json(self, tiny):
         import json
@@ -91,7 +100,7 @@ class TestScenarioCell:
         payload = execute_cell(CellSpec(scenario=tiny))
         payload["bogus"] = 1
         with pytest.raises(ValueError, match="bogus"):
-            ScenarioResult.from_dict(payload)
+            ScenarioResult.from_dict(payload, tiny)
 
 
 class TestRunScenarioCells:
@@ -106,3 +115,24 @@ class TestRunScenarioCells:
         ]
         results = run_scenario_cells(specs)
         assert [r.spec.workload.slots for r in results] == [5, 6]
+
+    def test_a_run_under_several_labels_is_submitted_once(self, tiny, monkeypatch):
+        from repro.campaign.executor import CampaignExecutor
+
+        submitted = []
+        run = CampaignExecutor.run
+
+        def recording_run(self, campaign, **kwargs):
+            submitted.extend(cell.scenario.name for cell in campaign.cells)
+            return run(self, campaign, **kwargs)
+
+        monkeypatch.setattr(CampaignExecutor, "run", recording_run)
+        other = get_scenario("quickstart").with_workload(slots=6)
+        specs = [tiny, other, replace(tiny, name="again"), tiny]
+        results = run_scenario_cells(specs)
+        assert submitted == [tiny.name, other.name]
+        # one result per spec, in order, each carrying the spec it was
+        # submitted under
+        assert [r.spec for r in results] == specs
+        assert results[0].trace_sha256 == results[2].trace_sha256 == results[3].trace_sha256
+        assert results[1].trace_sha256 != results[0].trace_sha256

@@ -8,6 +8,9 @@ run.
 """
 
 import json
+import re
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -22,7 +25,8 @@ from repro.campaign.chaos import (
     seeded_backoff,
 )
 from repro.campaign.executor import CampaignExecutor
-from repro.campaign.spec import CampaignSpec, replicate_seeds
+from repro.campaign.presets import get_campaign
+from repro.campaign.spec import CampaignSpec, CellSpec, replicate_seeds
 from repro.scenario import get_scenario
 
 
@@ -45,9 +49,10 @@ class TestChaosSpec:
         with pytest.raises(ChaosError, match="kills"):
             ChaosSpec(kills=-2)
 
-    def test_rejects_nonpositive_hang(self):
+    @pytest.mark.parametrize("hang_s", [0, -1.0, float("nan"), float("inf")])
+    def test_rejects_a_hang_that_is_not_positive_and_finite(self, hang_s):
         with pytest.raises(ChaosError, match="hang_s"):
-            ChaosSpec(hangs=1, hang_s=0)
+            ChaosSpec(hangs=1, hang_s=hang_s)
 
     def test_rejects_unknown_fields(self):
         with pytest.raises(ChaosError, match="warp"):
@@ -57,25 +62,44 @@ class TestChaosSpec:
         spec = ChaosSpec(seed=7, exceptions=2, kills=1, hangs=1, hang_s=3.5)
         assert ChaosSpec.from_dict(spec.to_dict()) == spec
 
-    def test_plan_is_a_pure_function_of_seed_and_digest_set(self):
-        digests = [f"{i:064x}" for i in range(8)]
+    def test_plan_is_a_pure_function_of_seed_and_position_set(self):
+        positions = list(range(8))
         spec = ChaosSpec(seed=3, exceptions=2, kills=1, hangs=1)
-        plan = spec.plan(digests)
-        assert plan == spec.plan(reversed(digests))  # order-independent
+        plan = spec.plan(positions)
+        assert plan == spec.plan(reversed(positions))  # order-independent
         assert sorted(plan.values()).count(CHAOS_EXCEPTION) == 2
         assert sorted(plan.values()).count(CHAOS_KILL) == 1
         assert sorted(plan.values()).count(CHAOS_HANG) == 1
-        # a different seed afflicts (with 8 cells, near-certainly)
-        # a different selection — and always deterministically
-        assert spec.plan(digests) == plan
-        assert ChaosSpec(seed=4, exceptions=2, kills=1, hangs=1).plan(
-            digests
-        ) == ChaosSpec(seed=4, exceptions=2, kills=1, hangs=1).plan(digests)
+        assert set(plan) <= set(positions)
+        # a different seed afflicts a different selection here — and
+        # always deterministically
+        other = ChaosSpec(seed=4, exceptions=2, kills=1, hangs=1)
+        assert other.plan(positions) != plan
+        assert other.plan(positions) == other.plan(positions)
 
     def test_plan_truncates_when_cells_run_out(self):
         spec = ChaosSpec(exceptions=5, kills=5)
-        plan = spec.plan([f"{i:064x}" for i in range(3)])
+        plan = spec.plan(range(3))
         assert len(plan) == 3
+
+    @pytest.mark.parametrize("field, value, shown", [
+        ("hang_s", float("nan"), "nan"),
+        ("hang_s", float("inf"), "inf"),
+        ("hang_s", "5", "'5'"),
+        ("seed", "x", "'x'"),
+        ("seed", 1.5, "1.5"),
+        ("max_attempt", True, "True"),
+        ("kills", [1], "[1]"),
+    ])
+    def test_each_field_is_a_typed_leaf(self, field, value, shown):
+        with pytest.raises(ChaosError) as raised:
+            ChaosSpec.from_dict({field: value})
+        assert str(raised.value).startswith(f"chaos.{field} must be ")
+        assert str(raised.value).endswith(f", got {shown}")
+
+    def test_rejects_a_document_that_is_not_an_object(self):
+        with pytest.raises(ChaosError, match="chaos must be a JSON object"):
+            ChaosSpec.from_dict([1])
 
     def test_from_env_inline_file_and_off(self, tmp_path):
         assert chaos_from_env({}) is None
@@ -174,3 +198,62 @@ class TestChaosConvergence:
         ).run(campaign)
         assert result.ok
         assert all(cell.attempts == 2 for cell in result.cells)
+
+
+def ci_schedules():
+    """Every ``$REPRO_CHAOS`` schedule the CI workflow runs."""
+    workflow = Path(__file__).parents[2] / ".github" / "workflows" / "ci.yml"
+    return [
+        ChaosSpec.from_dict(json.loads(document))
+        for document in re.findall(r"REPRO_CHAOS='(\{[^']*\})'", workflow.read_text())
+    ]
+
+
+class TestCiSchedule:
+    """The fault-grid chaos gates: one seed, and a placement that charges
+    each fault on its own."""
+
+    def test_one_seed_for_every_chaos_gate(self):
+        schedules = ci_schedules()
+        assert len(schedules) == 3
+        # the in-process gate shortens only the hang
+        assert len({replace(spec, hang_s=1.0) for spec in schedules}) == 1
+
+    def test_kill_in_the_first_window_and_the_hang_after_the_respawn(self):
+        # Two workers take positions 0 and 1 first.  A killed worker
+        # charges its neighbour a worker-crash too, so every other fault
+        # must wait for the respawn, or it would be charged twice (a
+        # hang) or not at all (an exception).
+        spec = ci_schedules()[0]
+        plan = spec.plan(range(len(get_campaign("fault-grid").cells)))
+        first_window = {position for position, kind in plan.items() if position < 2}
+        assert [plan[p] for p in first_window] == [CHAOS_KILL]
+        assert sorted(plan.values()) == sorted(
+            [CHAOS_KILL, CHAOS_HANG, CHAOS_EXCEPTION, CHAOS_EXCEPTION]
+        )
+
+    def test_fault_grid_plan_survives_a_code_version_bump(self, monkeypatch):
+        import repro.campaign.executor as executor_module
+        import repro.campaign.spec as spec_module
+
+        def first_attempt_directives(version):
+            monkeypatch.setattr(spec_module, "CAMPAIGN_CODE_VERSION", version)
+            directives = {}
+
+            def recording_worker(cell_payload, chaos=None):
+                label = CellSpec.from_dict(cell_payload).label
+                directives.setdefault(label, chaos and chaos["kind"])
+                return {}, 0.0
+
+            monkeypatch.setattr(executor_module, "_cell_worker", recording_worker)
+            campaign = get_campaign("fault-grid")
+            CampaignExecutor(chaos=ci_schedules()[0]).run(campaign)
+            return campaign.digest(), directives
+
+        before, plan_before = first_attempt_directives(2)
+        after, plan_after = first_attempt_directives(3)
+        assert before != after
+        assert plan_before == plan_after
+        assert sorted(kind for kind in plan_after.values() if kind) == sorted(
+            [CHAOS_KILL, CHAOS_HANG, CHAOS_EXCEPTION, CHAOS_EXCEPTION]
+        )

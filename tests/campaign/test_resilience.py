@@ -404,24 +404,21 @@ class TestJournalIsTheRecord:
         pinned numbers are the ones the retired metrics exposition
         recorded for this very run."""
         light = tiny_spec()
-        cells = replicate_seeds(light, (0, 1, 2)) + replicate_seeds(
-            light.with_workload(slots=24), (3,)
+        (kill, hang, exception), (clean,) = (
+            replicate_seeds(light, (0, 1, 2)),
+            replicate_seeds(light.with_workload(slots=24), (3,)),
         )
-        # The plan is a function of the seed and the cell digests; with
-        # the current digests seed 8 leaves the slow cell clean.
-        chaos = ChaosSpec(seed=8, exceptions=1, kills=1, hangs=1, hang_s=30.0)
-        plan = chaos.plan(cell.digest() for cell in cells)
-        afflicted = {plan[cell.digest()]: cell for cell in cells if cell.digest() in plan}
-        (clean,) = [cell for cell in cells if cell.digest() not in plan]
-        # The slow clean cell shares the first window with the kill, so
-        # it is surely in flight (and charged a worker-crash) when the
-        # worker dies; the hang and the exception run after the respawn.
-        assert clean.scenario.workload.slots == 24
+        # The plan is a function of the seed and the cell positions: seed
+        # 27 kills position 0, leaves the slow cell at 1 clean, hangs 2
+        # and raises at 3.  The slow clean cell shares the first window
+        # with the kill, so it is surely in flight (and charged a
+        # worker-crash) when the worker dies; the hang and the exception
+        # run after the respawn.
+        chaos = ChaosSpec(seed=27, exceptions=1, kills=1, hangs=1, hang_s=30.0)
+        assert chaos.plan(range(4)) == {0: "kill", 2: "hang", 3: "exception"}
         warm = replicate_seeds(light, (4,))
         campaign = CampaignSpec(
-            name="journal-only",
-            cells=(afflicted["kill"], clean, afflicted["hang"], afflicted["exception"])
-            + warm,
+            name="journal-only", cells=(kill, clean, hang, exception) + warm
         )
         CampaignExecutor(cache_dir=tmp_path).run(CampaignSpec(name="warm", cells=warm))
         executor = CampaignExecutor(

@@ -211,6 +211,28 @@ class TestCampaignCommands:
         assert main(["--cache-dir", cache, "campaign", "clean", campaign_file]) == 0
         assert "removed 2" in capsys.readouterr().out
 
+    def test_ledger_grid_after_smoke_computes_only_its_own_cells(
+        self, capsys, tmp_path
+    ):
+        # smoke's four cells are ledger-grid's 2LDAG cells under other
+        # labels: one digest each, so one cache entry each.
+        def rows(out):  # label, source, "trace", token
+            return [line.split() for line in out.splitlines() if " trace " in line]
+
+        cache = str(tmp_path / "cache")
+        assert main(["--cache-dir", cache, "campaign", "run", "smoke"]) == 0
+        smoke = sorted(row[-1] for row in rows(capsys.readouterr().out))
+        assert main(["--cache-dir", cache, "campaign", "run", "ledger-grid"]) == 0
+        out = capsys.readouterr().out
+        assert "12 cells (8 computed, 4 cached)" in out
+        assert sorted(row[-1] for row in rows(out) if row[1] == "cached") == smoke
+
+        # so cleaning one campaign drops the entries it shares
+        assert main(["--cache-dir", cache, "campaign", "clean", "ledger-grid"]) == 0
+        assert "removed 12" in capsys.readouterr().out
+        assert main(["--cache-dir", cache, "campaign", "status", "smoke"]) == 0
+        assert "0/4 cells cached" in capsys.readouterr().out
+
     def test_run_two_workers_matches_serial_traces(
         self, capsys, tmp_path, campaign_file
     ):
@@ -313,6 +335,24 @@ class TestCampaignResilienceCLI:
         monkeypatch.setenv("REPRO_CHAOS", "{nope")
         with pytest.raises(SystemExit, match="bad chaos spec"):
             main(["campaign", "run", "smoke"])
+
+    @pytest.mark.parametrize("document, field", [
+        ('{"hang_s": NaN}', "hang_s"),
+        ('{"hang_s": Infinity}', "hang_s"),
+        ('{"hang_s": "5"}', "hang_s"),
+        ('{"seed": "x"}', "seed"),
+        ('{"seed": 1.5}', "seed"),
+        ('{"max_attempt": true}', "max_attempt"),
+    ])
+    def test_a_badly_typed_chaos_field_is_one_located_line(
+        self, monkeypatch, document, field
+    ):
+        monkeypatch.setenv("REPRO_CHAOS", document)
+        with pytest.raises(SystemExit) as raised:
+            main(["campaign", "run", "smoke"])
+        message = str(raised.value.code)
+        assert message.startswith(f"bad chaos spec: chaos.{field} must be ")
+        assert "\n" not in message
 
     def test_chaos_with_retries_converges_and_exits_zero(
         self, capsys, tmp_path, campaign_file, monkeypatch

@@ -55,7 +55,8 @@ class TestCellPayload:
     def test_cell_payload_shape(self):
         cell = fault_grid_cells(("2ldag",), ("crash",), (0,))[0]
         payload = execute_cell(cell)
-        assert ScenarioResult.from_dict(payload).spec.backend == "2ldag"
+        result = ScenarioResult.from_dict(payload, cell.scenario)
+        assert result.spec.backend == "2ldag"
         assert payload["total_blocks"] > 0
         assert payload["validations"] > 0
         assert payload["mean_consensus_s"] > 0

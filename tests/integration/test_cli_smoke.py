@@ -222,38 +222,41 @@ class TestReportOnlyFold:
     ran: the same cells, in the same order, printing the same rows.
 
     The digests were recorded on the tiny spec from the retired
-    commands and re-pinned once when campaign code version 2 changed
-    every cell digest; ``ROWS_SHA256`` hashes the lines of their stdout
-    that carry a ``|`` (every table row and chart row, no titles).
+    commands and re-pinned twice: once when campaign code version 2
+    changed every cell digest, and once when version 3 took the
+    scenario's labels out of the digest, which also made the headline's
+    C = 0.5 MB cell and Fig. 8's 33% cell one cell, submitted once.
+    ``ROWS_SHA256`` hashes the lines of their stdout that carry a ``|``
+    (every table row and chart row, no titles); it did not change.
     """
 
     FOLD = {
         "fig7": (
             ["--only", "fig7", "--body-mb", "0.001"],
-            ["c2487bb7747e63c93b019c4c1c2fd46c10c91eefae27d6f8cde129af597262fd"],
+            ["6a5d392513e1fdf757b46113e38c90ed3c8000339dbf147433fb4ce64b8f67e7"],
             "037a84e820d3e1ad8beb8d0576fff32fcf0e38d409ed6bf01cc63bd4fee172c2",
         ),
         "fig8": (
             ["--only", "fig8"],
-            ["cc6e1292166b80771415537c2c28beaef7f04e88e0d88d332b4858ca80292a81",
-             "72b5f390e7554357cc8391b633061bfde797204acd2ced27ebbbb1e6c17f55cc"],
+            ["c6e6653400c43619a722a7c639bdb22e68bc33ffd8fc40e7cd651d86a8bea431",
+             "9087dd51a59a083d02778c95645340eff3344bdb526bce9421e731a5dbb5496a"],
             "a7cc5ac766182060a70eb1d941fdd02def64ecdc7f73a4ad84e35a09b864c395",
         ),
         "fig9": (
             ["--only", "fig9", "--panel", "a"],
-            ["eae33733b14be7ea6489cd733217a3a7c0616cc3f6decb2ba72a6e9b6d33e1c4",
-             "f38430d58760a87ded41dcf78a60cf046844b3c651eca57c61db08ab04f19651",
-             "d12039fc22e748eb2ddea8694fb417662f8e5fc05c2abf7524165f90d6360684"],
+            ["d9a8025fe6226a255639145868c64a0a593718f14114196df8dcd83657d71620",
+             "58a11beeb95bdd5bf0f0942e06b6687ff142c8eab2368900195948010f85fe31",
+             "d15f42ce80d66547d8058be66be098e44df3c0b4ed35438fc512db3343580176"],
             "733a0753cad85925d369bce0b04ec7d5cb1b59e416226106c112dbd19e98b481",
         ),
         "headline": (
             ["--only", "headline"],
-            # the model gate's PBFT and IOTA cells, C = 0.5 MB, Fig. 8
-            ["0fb6cd879569a251c06b96d96986ca7c1ce50eb4a1b29c157bd2ba4b6c1928a1",
-             "3190a222100852acb43aeeb066868a7137ddc6ad4e0fa4ad92e3ebb694c60247",
-             "ebaba124ccd18f086344345b71b0c56db91d6ee4132592a8fc79ff3492dd99e8",
-             "cc6e1292166b80771415537c2c28beaef7f04e88e0d88d332b4858ca80292a81",
-             "72b5f390e7554357cc8391b633061bfde797204acd2ced27ebbbb1e6c17f55cc"],
+            # the model gate's PBFT and IOTA cells, then C = 0.5 MB, which
+            # is also Fig. 8's 33% run, and Fig. 8's 49% run
+            ["bcc865567ab2178dc86fce56dba3993863af745aba786f8d72f61398beeb89d4",
+             "9cf449fb5fa332e181e5970248f8be07ab1c7776c86e175f271c02897ee7d9f5",
+             "c6e6653400c43619a722a7c639bdb22e68bc33ffd8fc40e7cd651d86a8bea431",
+             "9087dd51a59a083d02778c95645340eff3344bdb526bce9421e731a5dbb5496a"],
             # sha256 of no lines: the headline summary has no table
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         ),
