@@ -17,7 +17,7 @@ aborting the fleet.  A seeded :class:`ChaosSpec` (``$REPRO_CHAOS``)
 injects harness faults on purpose to prove all of that converges to
 byte-identical results — see :mod:`repro.campaign.chaos`.
 
-Entry points: ``python -m repro campaign run/status/clean`` and the
+Entry points: ``python -m repro campaign run/status`` and the
 ``executor=`` parameter every multi-run experiment
 (Figs. 7-9, the sweeps, the attack comparison) now accepts.  See ``docs/campaigns.md``.
 """

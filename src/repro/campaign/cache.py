@@ -13,11 +13,14 @@ without its labels + kind + params + code version — see
 invalidation logic: changing anything a cell computes from changes its
 key, and stale entries are simply never read again.  An entry carries
 no label, so every campaign holding the same run shares it; labels
-live only in the journals and the CLI's progress lines.  Envelopes
+live only in the journals and the CLI's progress lines.  Nothing
+deletes one entry (a campaign cannot know who else holds it):
+``campaign run --force`` recomputes, and removing the root drops
+everything.  Envelopes
 that are unreadable, truncated, or carry a different format/code
 version load as misses — a killed worker can at worst waste one
 recompute, never poison a result (writes are atomic via
-:func:`~repro.experiments.persistence.atomic_write_text`).
+:func:`~repro.persistence.atomic_write_text`).
 
 Journals are the resume/status record: one JSON line per event.
 Appends are single ``write`` calls of one line; a torn final line from
@@ -63,7 +66,7 @@ from typing import Any, Dict, List, Optional, Union
 
 from repro.campaign.spec import CAMPAIGN_CODE_VERSION, CellSpec
 from repro.canonical import canonical_json, sha256_lines
-from repro.experiments.persistence import atomic_write_text
+from repro.persistence import atomic_write_text
 
 #: Format marker for cache envelopes; mismatches load as cache misses.
 CACHE_FORMAT_VERSION = 1
@@ -171,14 +174,6 @@ class ResultCache:
         path.parent.mkdir(parents=True, exist_ok=True)
         atomic_write_text(path, json.dumps(document, indent=2, sort_keys=True) + "\n")
 
-    def remove(self, digest: str) -> bool:
-        """Drop one entry; ``True`` if it existed."""
-        try:
-            self.cell_path(digest).unlink()
-            return True
-        except OSError:
-            return False
-
     # -- journals ----------------------------------------------------------
     def journal_path(self, campaign_digest: str) -> Path:
         return self.journal_dir / f"{campaign_digest}.jsonl"
@@ -208,11 +203,3 @@ class ResultCache:
             if isinstance(event, dict):
                 events.append(event)
         return events
-
-    def remove_journal(self, campaign_digest: str) -> bool:
-        """Drop one campaign's journal; ``True`` if it existed."""
-        try:
-            self.journal_path(campaign_digest).unlink()
-            return True
-        except OSError:
-            return False

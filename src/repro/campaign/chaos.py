@@ -13,7 +13,8 @@ Chaos never touches what a cell computes: an afflicted attempt fails,
 dies, or stalls *before* the cell executes, so a chaos-ridden run that
 converges must converge to payloads byte-identical to a clean serial
 run.  That property is what the chaos self-tests
-(``tests/campaign/test_chaos.py``) and the CI chaos gate pin.
+(``tests/campaign/test_chaos.py``) and the chaos rows of
+``tests/integration/test_execution_modes.py`` pin.
 
 Determinism
 -----------
@@ -28,7 +29,7 @@ is what lets bounded retries always converge.
 
 Enable chaos by passing ``chaos=ChaosSpec(...)`` to the executor, or
 globally via the ``REPRO_CHAOS`` environment variable (inline JSON or
-a path to a JSON file) — the hook the CI chaos gate and the test
+a path to a JSON file) — the hook the chaos rows and the test
 fixtures use.
 """
 

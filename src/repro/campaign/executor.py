@@ -802,16 +802,6 @@ class CampaignExecutor:
             "cells": cells,
         }
 
-    def clean(self, campaign: CampaignSpec) -> int:
-        """Drop the campaign's cached cells and journal; entries removed."""
-        if self.cache is None:
-            return 0
-        removed = sum(
-            1 for cell in campaign.cells if self.cache.remove(cell.digest())
-        )
-        self.cache.remove_journal(campaign.digest())
-        return removed
-
 
 def run_campaign(
     campaign: CampaignSpec,

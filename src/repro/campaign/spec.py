@@ -368,6 +368,6 @@ class CampaignSpec:
 
     def save(self, path: Union[str, Path]) -> None:
         """Write the expanded canonical JSON of this campaign atomically."""
-        from repro.experiments.persistence import atomic_write_text
+        from repro.persistence import atomic_write_text
 
         atomic_write_text(path, self.to_json())

@@ -292,7 +292,7 @@ class NonAtomicWriteRule(Rule):
         "open(path, 'w') truncates before writing: a campaign worker killed "
         "mid-write (or chaos doing it on purpose) leaves a corrupt partial "
         "file that poisons caches and reports.  "
-        "repro.experiments.persistence.atomic_write_text stages a temp file "
+        "repro.persistence.atomic_write_text stages a temp file "
         "and os.replace()s it, so readers see old-or-new, never a prefix.  "
         "Append-only journals (mode 'a', one JSONL line per write) are a "
         "different, deliberately incremental idiom and are not flagged."
@@ -302,7 +302,7 @@ class NonAtomicWriteRule(Rule):
     TRUNCATING = frozenset("wx")
 
     def check(self, module: ModuleUnderCheck) -> Iterator[Finding]:
-        if module.in_path("repro/experiments/persistence.py"):
+        if module.in_path("repro/persistence.py"):
             return
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
@@ -318,7 +318,7 @@ class NonAtomicWriteRule(Rule):
                     module,
                     node,
                     f"open(..., {mode!r}) truncates in place; use "
-                    f"repro.experiments.persistence.atomic_write_text so a "
+                    f"repro.persistence.atomic_write_text so a "
                     f"crash cannot leave a half-written file",
                 )
 

@@ -8,9 +8,10 @@ Run as ``python -m repro <command>``:
 * ``verify``    — run one PoP verification and print the outcome;
 * ``scenarios`` — ``list`` the named presets, ``show`` one as JSON, or
   ``validate`` a hand-written spec file without running it;
-* ``campaign``  — ``run``/``status``/``clean`` a fleet of scenario
-  cells through the parallel, resumable campaign engine, cached only
-  under the global ``--cache-dir DIR`` (see ``docs/campaigns.md``);
+* ``campaign``  — ``run`` a fleet of scenario cells through the
+  parallel, resumable campaign engine, cached only under the global
+  ``--cache-dir DIR``, and report its ``status`` from there (see
+  ``docs/campaigns.md``);
 * ``report``    — the markdown reproduction report: the abstract's
   measured ratios and Figs. 7-9 as text tables and ASCII charts, or
   the sections ``--only`` names;
@@ -398,7 +399,7 @@ def _evaluate_monitors(telemetry_dir: str):
 
 
 def cmd_campaign(args) -> int:
-    """Run, inspect, or clean a campaign of scenario cells."""
+    """List, show, run or inspect a campaign of scenario cells."""
     from repro.campaign import CampaignError, campaign_names, get_campaign
 
     if args.action == "list":
@@ -469,11 +470,6 @@ def cmd_campaign(args) -> int:
             if document is None:
                 return 1
             print(f"invariant {monitor_summary(document)}")
-        return 0
-
-    if args.action == "clean":
-        removed = executor.clean(campaign)
-        print(f"campaign {campaign.name}: removed {removed} cached cell(s)")
         return 0
 
     # run
@@ -646,7 +642,7 @@ def cmd_report(args) -> int:
         raise SystemExit(f"invalid figure scenario: {error}")
     markdown = report.to_markdown()
     if args.output:
-        from repro.experiments.persistence import atomic_write_text
+        from repro.persistence import atomic_write_text
 
         atomic_write_text(args.output, markdown)
         print(f"report written to {args.output}")
@@ -807,12 +803,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "docs/observability.md)")
     telemetry_arg(p_status)
     p_status.set_defaults(fn=cmd_campaign, action="status")
-    p_clean = campaign_sub.add_parser(
-        "clean", help="drop the campaign's cached cells and journal "
-                      "from --cache-dir"
-    )
-    campaign_common(p_clean)
-    p_clean.set_defaults(fn=cmd_campaign, action="clean")
 
     p = sub.add_parser(
         "lint",

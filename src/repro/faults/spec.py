@@ -398,6 +398,6 @@ class FaultScheduleSpec:
 
     def save(self, path: Union[str, Path]) -> None:
         """Write the canonical JSON of this schedule to ``path`` atomically."""
-        from repro.experiments.persistence import atomic_write_text
+        from repro.persistence import atomic_write_text
 
         atomic_write_text(path, self.to_json())

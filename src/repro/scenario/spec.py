@@ -516,6 +516,6 @@ class ScenarioSpec:
 
     def save(self, path: Union[str, Path]) -> None:
         """Write the canonical JSON of this spec to ``path`` atomically."""
-        from repro.experiments.persistence import atomic_write_text
+        from repro.persistence import atomic_write_text
 
         atomic_write_text(path, self.to_json())

@@ -1,6 +1,6 @@
 """Chaos harness tests: spec, plan determinism, and convergence.
 
-The headline guarantee pinned here is the ISSUE's chaos gate: a
+The headline guarantee pinned here is the chaos gate's: a
 campaign run under a seeded :class:`ChaosSpec` — injected exceptions,
 a killed worker, a hung cell hitting the cell timeout — converges,
 after bounded retries, to payloads byte-identical to a clean serial
@@ -8,7 +8,7 @@ run.
 """
 
 import json
-import re
+import runpy
 from dataclasses import replace
 from pathlib import Path
 
@@ -201,11 +201,13 @@ class TestChaosConvergence:
 
 
 def ci_schedules():
-    """Every ``$REPRO_CHAOS`` schedule the CI workflow runs."""
-    workflow = Path(__file__).parents[2] / ".github" / "workflows" / "ci.yml"
+    """The ``$REPRO_CHAOS`` schedules of the chaos rows of
+    ``tests/integration/test_execution_modes.py``: in a pool, in process."""
+    modes = runpy.run_path(
+        str(Path(__file__).parents[1] / "integration" / "test_execution_modes.py")
+    )
     return [
-        ChaosSpec.from_dict(json.loads(document))
-        for document in re.findall(r"REPRO_CHAOS='(\{[^']*\})'", workflow.read_text())
+        ChaosSpec.from_dict(modes[name]) for name in ("POOL_CHAOS", "IN_PROCESS_CHAOS")
     ]
 
 
@@ -215,7 +217,7 @@ class TestCiSchedule:
 
     def test_one_seed_for_every_chaos_gate(self):
         schedules = ci_schedules()
-        assert len(schedules) == 3
+        assert len(schedules) == 2
         # the in-process gate shortens only the hang
         assert len({replace(spec, hang_s=1.0) for spec in schedules}) == 1
 

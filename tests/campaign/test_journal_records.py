@@ -150,13 +150,6 @@ class TestJournalFile:
         assert cache.read_journal("c1") == [{"event": "start"}]
         assert cache.read_journal("c2") == [{"event": "end"}]
 
-    def test_remove_journal_reports_whether_it_existed(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cache.append_journal("c1", {"event": "start"})
-        assert cache.remove_journal("c1") is True
-        assert cache.remove_journal("c1") is False
-        assert cache.read_journal("c1") == []
-
 
 class TestStatusFromJournal:
     def journal(self, tmp_path, campaign, *records):

@@ -217,7 +217,7 @@ class TestNonAtomicWrite(RuleCase):
         assert (
             self.rules_fired(
                 "fh = open('f', 'w')\n",
-                path="src/repro/experiments/persistence.py",
+                path="src/repro/persistence.py",
             )
             == []
         )

@@ -76,7 +76,6 @@ class TestParser:
         ["campaign", "run", "smoke", "--workers", "2"],
         ["campaign", "run", "smoke", "--cache-dir", "x"],
         ["campaign", "status", "smoke", "--cache-dir", "x"],
-        ["campaign", "clean", "smoke", "--cache-dir", "x"],
     ])
     def test_campaign_has_no_flags_of_its_own_for_cache_or_workers(
         self, capsys, argv
@@ -195,7 +194,7 @@ class TestCampaignCommands:
         out = capsys.readouterr().out
         assert CampaignSpec.from_dict(json.loads(out)) == get_campaign("smoke")
 
-    def test_run_status_clean_cycle(self, capsys, tmp_path, campaign_file):
+    def test_run_status_cycle(self, capsys, tmp_path, campaign_file):
         cache = str(tmp_path / "cache")
         assert main(["--cache-dir", cache, "campaign", "run", campaign_file]) == 0
         out = capsys.readouterr().out
@@ -207,47 +206,6 @@ class TestCampaignCommands:
 
         assert main(["--cache-dir", cache, "campaign", "run", campaign_file]) == 0
         assert "0 computed, 2 cached" in capsys.readouterr().out
-
-        assert main(["--cache-dir", cache, "campaign", "clean", campaign_file]) == 0
-        assert "removed 2" in capsys.readouterr().out
-
-    def test_ledger_grid_after_smoke_computes_only_its_own_cells(
-        self, capsys, tmp_path
-    ):
-        # smoke's four cells are ledger-grid's 2LDAG cells under other
-        # labels: one digest each, so one cache entry each.
-        def rows(out):  # label, source, "trace", token
-            return [line.split() for line in out.splitlines() if " trace " in line]
-
-        cache = str(tmp_path / "cache")
-        assert main(["--cache-dir", cache, "campaign", "run", "smoke"]) == 0
-        smoke = sorted(row[-1] for row in rows(capsys.readouterr().out))
-        assert main(["--cache-dir", cache, "campaign", "run", "ledger-grid"]) == 0
-        out = capsys.readouterr().out
-        assert "12 cells (8 computed, 4 cached)" in out
-        assert sorted(row[-1] for row in rows(out) if row[1] == "cached") == smoke
-
-        # so cleaning one campaign drops the entries it shares
-        assert main(["--cache-dir", cache, "campaign", "clean", "ledger-grid"]) == 0
-        assert "removed 12" in capsys.readouterr().out
-        assert main(["--cache-dir", cache, "campaign", "status", "smoke"]) == 0
-        assert "0/4 cells cached" in capsys.readouterr().out
-
-    def test_run_two_workers_matches_serial_traces(
-        self, capsys, tmp_path, campaign_file
-    ):
-        assert main(["campaign", "run", campaign_file]) == 0
-        serial = [line for line in capsys.readouterr().out.splitlines()
-                  if "trace" in line]
-        assert main([
-            "--workers", "2", "--cache-dir", str(tmp_path / "c2"),
-            "campaign", "run", campaign_file,
-        ]) == 0
-        parallel = [line for line in capsys.readouterr().out.splitlines()
-                    if "trace" in line]
-        def traces(lines):
-            return [line.split("trace")[-1].strip() for line in lines]
-        assert traces(serial) == traces(parallel)
 
     def test_without_cache_dir_nothing_is_written_or_read(
         self, capsys, tmp_path, monkeypatch
@@ -262,8 +220,6 @@ class TestCampaignCommands:
         status = capsys.readouterr().out
         assert status.count("pending") == 4
         assert "0/4 cells cached (4 to compute)" in status
-        assert main(["campaign", "clean", "smoke"]) == 0
-        assert "removed 0 cached cell(s)" in capsys.readouterr().out
         assert list(tmp_path.iterdir()) == []
 
     def test_unknown_cell_kind_is_refused_when_the_file_is_read(
@@ -353,23 +309,6 @@ class TestCampaignResilienceCLI:
         message = str(raised.value.code)
         assert message.startswith(f"bad chaos spec: chaos.{field} must be ")
         assert "\n" not in message
-
-    def test_chaos_with_retries_converges_and_exits_zero(
-        self, capsys, tmp_path, campaign_file, monkeypatch
-    ):
-        assert main(["campaign", "run", campaign_file]) == 0
-        clean = [line.split("trace")[-1].strip()
-                 for line in capsys.readouterr().out.splitlines()
-                 if "trace" in line]
-
-        self.chaos_env(monkeypatch, seed=3, exceptions=2)
-        cache = str(tmp_path / "cache")
-        assert main(["--cache-dir", cache, "campaign", "run", campaign_file]) == 0
-        out = capsys.readouterr().out
-        chaotic = [line.split("trace")[-1].strip()
-                   for line in out.splitlines() if "trace" in line]
-        assert chaotic == clean
-        assert "2 computed, 0 cached" in out
 
     def test_keep_going_quarantines_and_rerun_heals(
         self, capsys, tmp_path, campaign_file, monkeypatch

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from repro.experiments.persistence import atomic_write_text
+from repro.persistence import atomic_write_text
 
 
 class TestAtomicWrite:

@@ -466,6 +466,18 @@ class TestRetiredExportCommand:
         assert list((tmp_path / "warm").iterdir()) == []
 
 
+class TestRetiredCampaignClean:
+    """Campaigns share cache entries, so none deletes "its own": there is
+    no ``campaign clean`` (``run --force`` recomputes; removing the
+    ``--cache-dir`` directory drops everything)."""
+
+    def test_is_an_invalid_choice(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as raised:
+            main(["--cache-dir", str(tmp_path), "campaign", "clean", "smoke"])
+        assert raised.value.code == 2
+        assert "invalid choice: 'clean'" in capsys.readouterr().err
+
+
 class TestRetiredViews:
     """The HTML dashboard and the SVG waterfalls are gone, with no stub."""
 
@@ -597,8 +609,12 @@ class TestTracingCLI:
 
 class TestMonitorsCLI:
     def test_campaign_run_with_monitors_reports_and_gates(self, capsys,
-                                                          tmp_path):
+                                                          tmp_path,
+                                                          monkeypatch):
         telemetry = tmp_path / "tel"
+        # the command exports both for its cells; undo that
+        monkeypatch.setenv("REPRO_TELEMETRY", str(telemetry))
+        monkeypatch.setenv("REPRO_TRACE_SAMPLE", "1")
         code = main(["--cache-dir", str(tmp_path / "cache"),
                      "campaign", "run", "smoke",
                      "--telemetry", str(telemetry),
