@@ -146,11 +146,12 @@ class BlockHeader:
     # Identity caching (see docs/performance.md).  Headers are frozen and
     # every field that feeds the canonical encodings is immutable once the
     # header is built, so one canonical byte string (the Eq. 6 payload,
-    # which holds Δ's encoding) and the header's hashes are memoised on
-    # the instance.  The cache slots are plain ``__dict__`` entries written
-    # via ``object.__setattr__`` (allowed on frozen dataclasses) and are
-    # deliberately *not* dataclass fields: they never participate in
-    # ``__eq__``/``repr`` and a ``dataclasses.replace`` starts cold.
+    # which holds Δ's encoding), the header's hashes and its last
+    # Eq. 5/6 acceptance are memoised on the instance.  The cache slots
+    # are plain ``__dict__`` entries written via ``object.__setattr__``
+    # (allowed on frozen dataclasses) and are deliberately *not*
+    # dataclass fields: they never participate in ``__eq__``/``repr``
+    # and a ``dataclasses.replace`` starts cold.
     # Invariant required: callers must never mutate ``digests`` after
     # construction (``build_block`` and ``decode_header`` both hand the
     # header a private dict).
@@ -252,6 +253,24 @@ class BlockHeader:
     def verify_nonce(self, puzzle: NoncePuzzle) -> bool:
         """Check the Eq. (5) difficulty condition."""
         return puzzle.check(self.puzzle_fields(), self.nonce)
+
+    def authentic(self, public_key: bytes, puzzle: NoncePuzzle) -> bool:
+        """Eq. (6) under ``public_key`` and Eq. (5) under ``puzzle``; memoised.
+
+        An acceptance is kept as its (key, difficulty, width) triple and
+        answers a repeat for free; a rejection is recomputed.  Both checks
+        are pure functions of the frozen header's bytes, the key and the
+        puzzle's two numbers, and the signature oracle never rebinds a
+        public key (``sign`` refuses), so an accepted triple stays
+        accepted.  A check under any other triple is a fresh one.
+        """
+        key = (public_key, puzzle.difficulty_bits, puzzle.bits)
+        if self.__dict__.get("_hdr_accepted") == key:
+            return True
+        if not (self.verify_signature(public_key) and self.verify_nonce(puzzle)):
+            return False
+        object.__setattr__(self, "_hdr_accepted", key)
+        return True
 
 
 @dataclass(frozen=True)

@@ -112,7 +112,7 @@ class IoTNode:
         registry.register(self.keypair)
 
         self.store = BlockStore(node_id, config.hash_bits)
-        self.cache = HeaderCache(config.hash_bits)
+        self.cache = HeaderCache()
         #: Churn state (§VII future work): offline nodes neither
         #: generate, respond nor track digests; they keep their storage
         #: and resume from it when they return.

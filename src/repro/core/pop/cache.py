@@ -22,8 +22,7 @@ from repro.crypto.hashing import Digest
 class HeaderCache:
     """``H_i``: verified headers with a child-lookup index."""
 
-    def __init__(self, hash_bits: int = 256) -> None:
-        self.hash_bits = hash_bits
+    def __init__(self) -> None:
         self._headers: Dict[BlockId, BlockHeader] = {}
         # A digest's cached children in insertion order: the child itself
         # while there is one, a tuple from the second on.  No key owns a

@@ -12,30 +12,10 @@ digested before anywhere in the process.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Set
+from typing import List, Optional, Set, Tuple
 
 from repro.core.block import BlockHeader, BlockId
 from repro.core.pop.cache import HeaderCache
-
-
-@dataclass
-class TpsResult:
-    """Mutation record of one TPS run.
-
-    Attributes
-    ----------
-    verifying_header:
-        The new verifying block ``b_{v,t}`` (unchanged if no progress).
-    added_headers:
-        Headers appended to the path, in order.
-    steps:
-        Number of free extensions performed.
-    """
-
-    verifying_header: BlockHeader
-    added_headers: List[BlockHeader]
-    steps: int
 
 
 def trust_path_selection(
@@ -45,15 +25,16 @@ def trust_path_selection(
     verifying_header: BlockHeader,
     hash_bits: int = 256,
     skip_ids: Optional[Set[BlockId]] = None,
-) -> TpsResult:
+) -> Tuple[BlockHeader, int]:
     """Algorithm 2, operating in place on ``consensus_set`` and ``path``.
 
     Parameters mirror the algorithm's inputs (``H_i``, ``R_i``,
     ``P_i``, ``b_{v,t}``); ``skip_ids`` holds blocks the validator has
     already rolled back past this run (dead ends) — re-adopting one
     from the cache would loop the pop/re-add cycle forever.  The
-    caller's ``consensus_set`` and ``path`` are extended; the returned
-    record reports what changed.
+    caller's ``consensus_set`` and ``path`` are extended; the result is
+    the new verifying block ``b_{v,t}`` (the given one if no step was
+    taken) and the number of free steps.
 
     ``consensus_set`` must hold the origin of every header on ``path``
     (it is the ``R_i`` of ``P_i``).  That is what keeps a path member
@@ -65,8 +46,7 @@ def trust_path_selection(
     from the next lookup and the walk ends within ``|V|`` steps on any
     cache, even a poisoned one.
     """
-    added: List[BlockHeader] = []
-    current = verifying_header
+    current, steps = verifying_header, 0
     while True:
         child = cache.find_child(
             current.digest(hash_bits),
@@ -77,6 +57,6 @@ def trust_path_selection(
             break
         consensus_set.add(child.origin)
         path.append(child)
-        added.append(child)
         current = child
-    return TpsResult(verifying_header=current, added_headers=added, steps=len(added))
+        steps += 1
+    return current, steps

@@ -22,7 +22,12 @@ Implementation notes (deviations documented):
 * Reply validation goes beyond line 21's digest comparison: the header
   must be authored by the queried responder, carry a valid signature
   (Eq. 6) and satisfy the nonce puzzle (Eq. 5) — the checks §IV-D
-  relies on against man-in-the-middle corruption.
+  relies on against man-in-the-middle corruption.  Origin and
+  registration are checked on every reply; the Eq. 5/6 verdict is the
+  header's own (:meth:`~repro.core.block.BlockHeader.authentic`), so a
+  header every validator receives as one shared object is hashed for
+  it once per process, not once per check.  A tampered copy or a
+  decoded one starts without a verdict and is checked in full.
 """
 
 from __future__ import annotations
@@ -103,9 +108,9 @@ class PopOutcome:
         return self.requests_sent + self.replies_received
 
 
-def _uniform_order(candidates: List[int], rng: Optional[random.Random]) -> Iterator[int]:
-    """The ``use_wps=False`` ablation: uniform random picks with removal."""
-    pool = sorted(candidates)
+def _uniform_order(pool: List[int], rng: Optional[random.Random]) -> Iterator[int]:
+    """The ``use_wps=False`` ablation: uniform random picks, removed from
+    ``pool`` (ascending ids; the order consumes it)."""
     while pool:
         chosen = rng.choice(pool) if rng is not None else pool[0]
         yield chosen
@@ -256,12 +261,11 @@ class _PopRun:
                 self.consensus_set = {h.origin for h in path}
 
             if validator.use_tps:
-                result = trust_path_selection(
+                verifying, steps = trust_path_selection(
                     validator.cache, self.consensus_set, path, verifying,
                     config.hash_bits, skip_ids=dead_ends,
                 )
-                outcome.tps_steps += result.steps
-                verifying = result.verifying_header
+                outcome.tps_steps += steps
             if len(self.consensus_set) >= config.consensus_quorum():
                 # Success: persist the path into H_i (line 39).
                 for header in self.fetched:
@@ -397,7 +401,7 @@ class PopValidator:
         # the cache (TPS handled them), so exclude self from candidates.
         blacklist = self.blacklist
         candidates = [
-            n for n in self.topology.neighbors(verifying_origin)
+            n for n in self.topology.sorted_neighbors[verifying_origin]
             if n != me and n not in blacklist
         ]
         order: Iterable[int]
@@ -469,12 +473,9 @@ class PopValidator:
         return header
 
     def _header_authentic(self, header: BlockHeader, expected_origin: int) -> bool:
-        """Signature (Eq. 6) + nonce puzzle (Eq. 5) + identity checks."""
+        """Identity checks on every reply, then the header's Eq. 5/6 verdict."""
         if header.origin != expected_origin:
             return False
         if not self.registry.is_registered(header.origin):
             return False
-        public = self.registry.public_key(header.origin)
-        if not header.verify_signature(public):
-            return False
-        return header.verify_nonce(self._puzzle)
+        return header.authentic(self.registry.public_key(header.origin), self._puzzle)

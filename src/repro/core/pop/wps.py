@@ -44,7 +44,7 @@ def closed_neighborhood_weight(
 
 def wps_order(
     consensus_set: AbstractSet[int],
-    candidates: Iterable[int],
+    candidates: Sequence[int],
     topology: Topology,
     rng: Optional[random.Random] = None,
 ) -> Iterator[int]:
@@ -62,7 +62,10 @@ def wps_order(
         ``R_i`` — physical nodes already on the path; must not change
         while the iterator is in use.
     candidates:
-        ``N'`` — neighbours of the verifying node still to ask.
+        ``N'`` — neighbours of the verifying node still to ask, in
+        ascending id order without repeats (the validator filters
+        :attr:`~repro.net.topology.Topology.sorted_neighbors`, so no
+        ranking sorts).
     topology:
         Shared knowledge ``G(V, E)`` (every node knows it, §III-A).
     rng:
@@ -72,7 +75,7 @@ def wps_order(
     # path-extension of every PoP run.  What a pick then costs is three
     # C-level scans of a short float list.
     closed_table = topology.closed_neighborhoods
-    pool = sorted(set(candidates))
+    pool = list(candidates)
     weights = [len((closed := closed_table[c]) & consensus_set) / len(closed) for c in pool]
     while pool:
         minimum = min(weights)
@@ -99,13 +102,13 @@ def weighted_path_selection(
     Raises ``ValueError`` on an empty candidate set — Algorithm 3 never
     calls WPS with one.
     """
-    for chosen in wps_order(consensus_set, candidates, topology, rng):
+    for chosen in wps_order(consensus_set, sorted(set(candidates)), topology, rng):
         return chosen
     raise ValueError("WPS called with no candidates")
 
 
 def rank_candidates(
-    consensus_set: AbstractSet[int], candidates: Sequence[int], topology: Topology
+    consensus_set: AbstractSet[int], candidates: Iterable[int], topology: Topology
 ) -> List[int]:
     """All candidates ordered as WPS would prefer them (diagnostics)."""
-    return list(wps_order(consensus_set, candidates, topology))
+    return list(wps_order(consensus_set, sorted(set(candidates)), topology))

@@ -33,13 +33,20 @@ SIGNATURE_BITS = 256
 # The verification oracle: public key -> private key.  Populated by
 # sign()'s first use of a pair; models the fact that in a real scheme the
 # public key alone suffices to verify.  Malicious simulation code never
-# reads this table directly — it can only call verify().
+# reads this table directly — it can only call verify().  An entry is
+# never removed or rebound, so a signature ``verify`` accepted stays
+# accepted: ``BlockHeader.authentic`` memoises acceptances on that ground.
 _PRIVATE_BY_PUBLIC: Dict[bytes, bytes] = {}
 
 
 def sign(message: bytes, pair: KeyPair) -> bytes:
-    """Sign ``message`` with the pair's private key (32-byte tag)."""
-    _PRIVATE_BY_PUBLIC[pair.public] = pair.private
+    """Sign ``message`` with the pair's private key (32-byte tag).
+
+    Raises ``ValueError`` for a pair whose public key the oracle already
+    binds to another private key.
+    """
+    if _PRIVATE_BY_PUBLIC.setdefault(pair.public, pair.private) != pair.private:
+        raise ValueError("public key already bound to a different private key")
     return hashlib.sha256(b"sig:" + pair.private + message).digest()
 
 

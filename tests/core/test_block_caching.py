@@ -9,6 +9,8 @@ by warm caches.
 """
 
 import dataclasses
+import importlib.util
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,7 @@ CACHE_ATTRS = (
     "_hdr_digest_by_bits",
     "_hdr_ref_values",
     "_hdr_block_id",
+    "_hdr_accepted",
 )
 
 
@@ -171,8 +174,11 @@ class TestIdentitySlots:
         self, header, keypair, field, changes_payload
     ):
         for warm_up in (header.digest, header.encode, header.signing_payload,
-                        header.puzzle_fields, lambda: header.block_id):
+                        header.puzzle_fields, lambda: header.block_id,
+                        lambda: header.references(hash_bytes(b"x")),
+                        lambda: header.authentic(keypair.public, NoncePuzzle(0))):
             warm_up()
+        assert set(CACHE_ATTRS) <= set(header.__dict__)
         changed = {
             "root": hash_bytes(b"another body"),
             "digests": {**header.digests, 9: hash_bytes(b"grafted parent")},
@@ -192,6 +198,68 @@ class TestIdentitySlots:
         else:
             assert copy.block_id != header.block_id
             assert copy.block_id == BlockId(copy.origin, copy.index)
+
+
+def _kernel_contract_counter():
+    """The kernel contract's ``Sha256Counter``: one way of counting hashes."""
+    path = Path(__file__).resolve().parents[1] / "crypto" / "test_kernel_contract.py"
+    spec = importlib.util.spec_from_file_location("kernel_contract", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.Sha256Counter
+
+
+Sha256Counter = _kernel_contract_counter()
+
+
+class TestAuthenticityVerdict:
+    """``authentic`` keeps an acceptance per (key, difficulty, width) and
+    nothing else: a repeat is free, any other triple or copy is checked."""
+
+    def hashes(self, header, public, puzzle):
+        with Sha256Counter() as counter:
+            verdict = header.authentic(public, puzzle)
+        return verdict, counter.count
+
+    def test_first_check_hashes_twice_and_a_repeat_not_at_all(self, header, keypair):
+        puzzle = NoncePuzzle(0)
+        assert self.hashes(header, keypair.public, puzzle) == (True, 2)
+        assert self.hashes(header, keypair.public, puzzle) == (True, 0)
+        # Another puzzle object with the same numbers is the same triple.
+        assert self.hashes(header, keypair.public, NoncePuzzle(0, 256)) == (True, 0)
+
+    def test_a_tampered_copy_starts_cold_and_is_rejected(self, header, keypair):
+        puzzle = NoncePuzzle(0)
+        assert header.authentic(keypair.public, puzzle)
+        copy = dataclasses.replace(header, root=hash_bytes(b"another body"))
+        assert "_hdr_accepted" not in copy.__dict__
+        # The signature fails first, so the puzzle is never hashed; a
+        # rejection is not kept, so asking again costs the same.
+        assert self.hashes(copy, keypair.public, puzzle) == (False, 1)
+        assert self.hashes(copy, keypair.public, puzzle) == (False, 1)
+        assert self.hashes(header, keypair.public, puzzle) == (True, 0)
+
+    def test_an_acceptance_does_not_carry_to_another_key(self, header, keypair):
+        puzzle = NoncePuzzle(0)
+        other = KeyPair.generate(4)
+        sign(b"registers the other key with the oracle", other)
+        assert header.authentic(keypair.public, puzzle)
+        assert self.hashes(header, other.public, puzzle) == (False, 1)
+        assert self.hashes(header, keypair.public, puzzle) == (True, 0)
+
+    def test_an_acceptance_does_not_carry_to_a_harder_puzzle(self, header, keypair):
+        easy, hard = NoncePuzzle(0), NoncePuzzle(8)
+        assert not header.verify_nonce(hard)  # nonce 0 was mined at difficulty 0
+        assert header.authentic(keypair.public, easy)
+        assert self.hashes(header, keypair.public, hard) == (False, 2)
+        assert self.hashes(header, keypair.public, easy) == (True, 0)
+
+    def test_the_oracle_never_rebinds_a_public_key(self, keypair):
+        impostor = KeyPair(owner=keypair.owner, private=b"\x01" * 32, public=keypair.public)
+        sign(b"binds the genuine pair", keypair)
+        with pytest.raises(ValueError, match="already bound"):
+            sign(b"would rebind it", impostor)
+        assert sign(b"the genuine pair again", keypair)
 
 
 class TestMutationSafety:
@@ -225,14 +293,18 @@ class TestReferences:
 
 
 class TestWireRoundTripWithWarmCaches:
-    def test_decode_encode_round_trip(self, header):
+    def test_decode_encode_round_trip(self, header, keypair):
         # Warm every cache first: round-tripping must not be affected.
         header.digest()
         header.digest(bits=128)
         header.encode()
         header.references(hash_bytes(b"warmup"))
+        header.authentic(keypair.public, NoncePuzzle(0))
+        assert header.block_id == BlockId(3, 5)
+        assert set(CACHE_ATTRS) <= set(header.__dict__)
         data = wire.encode_header(header)
         decoded = wire.decode_header(data)
+        assert not set(CACHE_ATTRS) & set(decoded.__dict__)
         assert decoded == header
         assert decoded.digest() == header.digest()
         assert wire.encode_header(decoded) == data

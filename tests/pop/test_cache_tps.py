@@ -156,20 +156,20 @@ class TestTps:
             cache.add(block.header)
         consensus = {1}
         path = [blocks[0].header]
-        result = trust_path_selection(cache, consensus, path, blocks[0].header)
-        assert result.steps == 3
+        tip, steps = trust_path_selection(cache, consensus, path, blocks[0].header)
+        assert steps == 3
         assert consensus == {1, 2, 3, 4}
         assert [h.block_id for h in path] == [b.block_id for b in blocks]
-        assert result.verifying_header is blocks[-1].header
+        assert tip is blocks[-1].header
 
     def test_no_progress_on_empty_cache(self, config):
         blocks = chain_blocks(config, [1, 2])
         cache = HeaderCache()
         consensus = {1}
         path = [blocks[0].header]
-        result = trust_path_selection(cache, consensus, path, blocks[0].header)
-        assert result.steps == 0
-        assert result.verifying_header is blocks[0].header
+        tip, steps = trust_path_selection(cache, consensus, path, blocks[0].header)
+        assert steps == 0
+        assert tip is blocks[0].header
 
     def test_skip_ids_stop_extension(self, config):
         blocks = chain_blocks(config, [1, 2, 3])
@@ -178,11 +178,11 @@ class TestTps:
             cache.add(block.header)
         consensus = {1}
         path = [blocks[0].header]
-        result = trust_path_selection(
+        _, steps = trust_path_selection(
             cache, consensus, path, blocks[0].header,
             skip_ids={blocks[1].block_id},
         )
-        assert result.steps == 0
+        assert steps == 0
 
     def test_path_members_never_revisited(self, config):
         blocks = chain_blocks(config, [1, 2])
@@ -190,5 +190,5 @@ class TestTps:
         cache.add(blocks[1].header)
         consensus = {1, 2}
         path = [blocks[0].header, blocks[1].header]
-        result = trust_path_selection(cache, consensus, path, blocks[0].header)
-        assert result.steps == 0
+        _, steps = trust_path_selection(cache, consensus, path, blocks[0].header)
+        assert steps == 0

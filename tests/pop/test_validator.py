@@ -18,6 +18,7 @@ from repro.core.pop.messages import RpyChild
 from repro.core.pop.responder import serve_req_child
 from repro.core.pop.wps import closed_neighborhood_weight
 from repro.core.protocol import SlotSimulation, TwoLayerDagNetwork
+from repro.crypto.keys import KeyRegistry
 from repro.crypto.puzzle import NoncePuzzle
 from repro.crypto.signature import sign
 from repro.net.topology import grid_topology
@@ -76,7 +77,7 @@ class TestSuccess:
         workload = grow_dag(deployment, 8)
         target = workload.blocks_by_slot[0][0]
         validator_node = deployment.node(8)
-        validator_node.cache = type(validator_node.cache)(config.hash_bits)  # wipe H_i
+        validator_node.cache = type(validator_node.cache)()  # wipe H_i
         outcome = run_validation(deployment, 8, target.origin, target, use_tps=False) \
             if False else run_validation(deployment, 8, target.origin, target)
         assert outcome.success
@@ -312,6 +313,23 @@ class TestPaperChecks:
         assert not outcome.success
         assert outcome.error == "merkle-root-mismatch"
         assert outcome.path == [] and outcome.requests_sent == 1
+
+
+class TestVerdictAndIdentity:
+    """The header keeps its Eq. 5/6 acceptance; the validator still checks
+    the responder and the registry on every reply."""
+
+    def test_identity_is_checked_after_the_verdict_is_kept(self, small_config, grid9):
+        deployment = TwoLayerDagNetwork(config=small_config, topology=grid9, seed=1)
+        block_id = grow_dag(deployment, 3).blocks_by_slot[1][0]
+        header = deployment.node(block_id.origin).store.get(block_id).header
+        validator = deployment.node((header.origin + 1) % 9).validator()
+        assert "_hdr_accepted" not in header.__dict__  # the DAG grew unvalidated
+        assert validator._header_authentic(header, expected_origin=header.origin)
+        assert "_hdr_accepted" in header.__dict__
+        assert not validator._header_authentic(header, expected_origin=header.origin + 1)
+        validator.registry = KeyRegistry()
+        assert not validator._header_authentic(header, expected_origin=header.origin)
 
 
 class TestAblations:

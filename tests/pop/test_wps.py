@@ -139,7 +139,8 @@ class TestOrder:
         rng = None if seed is None else random.Random(seed)
         reference_rng = None if seed is None else random.Random(seed)
 
-        got = list(islice(wps_order(consensus_set, case["candidates"], topology, rng), picks))
+        ascending = sorted(case["candidates"])
+        got = list(islice(wps_order(consensus_set, ascending, topology, rng), picks))
 
         remaining, want = set(case["candidates"]), []
         while remaining and len(want) < picks:
