@@ -12,6 +12,7 @@
 import pytest
 
 from repro.core.config import ProtocolConfig
+from repro.core.pop.validator import PopValidator
 from repro.core.protocol import SlotSimulation, TwoLayerDagNetwork
 from repro.net.topology import sequential_geometric_topology
 from repro.sim.rng import RandomStreams
@@ -27,7 +28,34 @@ def build_system(seed, node_count=20, slots=30, gamma=6):
     return deployment, workload
 
 
-def run_validations(finished, deployment, workload, validator_id, use_tps, use_wps, count=10):
+class UniformOrderValidator(PopValidator):
+    """The ablation of Algorithm 1: responders in uniform random order."""
+
+    def _responder_order(self, verifying_origin, consensus_set):
+        me, rng = self.interface.node_id, self.rng
+        pool = [
+            n for n in self.topology.sorted_neighbors[verifying_origin]
+            if n != me and n not in self.blacklist
+        ]
+        while pool:
+            chosen = rng.choice(pool) if rng is not None else pool[0]
+            yield chosen
+            pool.remove(chosen)
+        if verifying_origin != me:
+            yield verifying_origin
+
+
+def uniform_validator(node, use_tps):
+    """``node.validator(use_tps)`` with WPS replaced by uniform choice."""
+    return UniformOrderValidator(
+        node.interface, node.cache, node.topology, node.registry, node.config,
+        rng=node.rng, use_tps=use_tps, blacklist=node.blacklist,
+        on_no_reply=node.record_no_reply,
+    )
+
+
+def run_validations(finished, deployment, workload, validator_id, use_tps, uniform=False,
+                    count=10):
     """Run `count` verifications of distinct old blocks; return outcomes."""
     targets = [
         b for s in range(0, 5) for b in workload.blocks_by_slot[s]
@@ -36,11 +64,9 @@ def run_validations(finished, deployment, workload, validator_id, use_tps, use_w
     outcomes = []
     node = deployment.node(validator_id)
     for target in targets:
+        validator = uniform_validator(node, use_tps) if uniform else node.validator(use_tps)
         outcomes.append(finished(
-            deployment.sim,
-            node.validator(use_tps=use_tps, use_wps=use_wps).run(
-                target.origin, target, fetch_body=False
-            ),
+            deployment.sim, validator.run(target.origin, target, fetch_body=False)
         ))
     return outcomes
 
@@ -50,9 +76,9 @@ def test_ablation_wps_vs_random(benchmark, finished):
 
     def run_both():
         d1, w1 = build_system(seed=31)
-        wps = run_validations(finished, d1, w1, validator_id=0, use_tps=False, use_wps=True)
+        wps = run_validations(finished, d1, w1, validator_id=0, use_tps=False)
         d2, w2 = build_system(seed=31)
-        rnd = run_validations(finished, d2, w2, validator_id=0, use_tps=False, use_wps=False)
+        rnd = run_validations(finished, d2, w2, validator_id=0, use_tps=False, uniform=True)
         return wps, rnd
 
     wps, rnd = benchmark.pedantic(run_both, rounds=1, iterations=1)
@@ -60,6 +86,7 @@ def test_ablation_wps_vs_random(benchmark, finished):
     rnd_headers = sum(o.headers_retrieved for o in rnd) / len(rnd)
     print(f"\nheaders retrieved per verification: WPS={wps_headers:.1f} random={rnd_headers:.1f}")
     assert all(o.success for o in wps)
+    assert all(o.success for o in rnd)  # any responder order stays correct
     assert wps_headers <= rnd_headers * 1.5  # WPS is at least competitive
 
 
@@ -68,9 +95,9 @@ def test_ablation_tps_cache(benchmark, finished):
 
     def run_both():
         d1, w1 = build_system(seed=32)
-        with_tps = run_validations(finished, d1, w1, validator_id=0, use_tps=True, use_wps=True)
+        with_tps = run_validations(finished, d1, w1, validator_id=0, use_tps=True)
         d2, w2 = build_system(seed=32)
-        without = run_validations(finished, d2, w2, validator_id=0, use_tps=False, use_wps=True)
+        without = run_validations(finished, d2, w2, validator_id=0, use_tps=False)
         return with_tps, without
 
     with_tps, without = benchmark.pedantic(run_both, rounds=1, iterations=1)
@@ -95,7 +122,7 @@ def test_ablation_micro_loop_paths(benchmark, finished):
         workload = SlotSimulation(deployment, generation_period=periods)
         workload.run(24)
         return run_validations(finished, deployment, workload, validator_id=0,
-                               use_tps=True, use_wps=True, count=8)
+                               use_tps=True, count=8)
 
     outcomes = benchmark.pedantic(run, rounds=1, iterations=1)
     lengths = [len(o.path) for o in outcomes if o.success]

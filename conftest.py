@@ -7,8 +7,7 @@ import pytest
 def finished():
     """``finished(sim, handle)``: drain ``sim``, then the handle's value.
 
-    For what ``PopValidator.run``, ``IoTNode.verify_block`` and
-    ``verify_batch`` return.
+    For what ``PopValidator.run`` and ``IoTNode.verify_block`` return.
     """
 
     def finished(sim, handle):

@@ -71,31 +71,12 @@ class EquivocatingResponder(NodeBehavior):
         return RpyChild(header=latest.header)
 
 
-class SelfishNode(NodeBehavior):
+class SelfishNode(SilentResponder):
     """§IV-D-6: free-rides — generates blocks but never serves queries.
 
-    Functionally identical to :class:`SilentResponder` at the protocol
-    level; kept distinct so penalty-mechanism experiments can treat
-    selfishness (recoverable, node may resume cooperating) differently
-    from capture.
+    Identical to :class:`SilentResponder` at the protocol level; kept
+    distinct so a scenario's roster names selfishness apart from capture.
     """
-
-    def __init__(self) -> None:
-        self.cooperating = False
-
-    def answer_req_child(self, node: IoTNode, request: ReqChild) -> Optional[RpyChild]:
-        if not self.cooperating:
-            return None
-        return super().answer_req_child(node, request)
-
-    def answer_block_fetch(self, node: IoTNode, request: BlockFetch) -> Optional[DataBlock]:
-        if not self.cooperating:
-            return None
-        return super().answer_block_fetch(node, request)
-
-    def resume_cooperation(self) -> None:
-        """The node starts serving again (to exit neighbours' blacklists)."""
-        self.cooperating = True
 
 
 class DosFlooder(NodeBehavior):

@@ -50,11 +50,6 @@ class DigestRateLimiter:
                 return False
         return True
 
-    def unban(self, sender: int) -> None:
-        """Lift a ban (e.g. after the §IV-D-6 penance period)."""
-        self.banned.discard(sender)
-        self._arrivals.pop(sender, None)
-
 
 class RateLimitedBehavior(NodeBehavior):
     """Honest behaviour + digest admission control."""

@@ -181,6 +181,16 @@ def _seconds(text: str) -> float:
     return value
 
 
+def _megabytes(text: str) -> float:
+    """An argparse type: a finite number of megabytes, 0 or more."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number of megabytes, 0 or more, got {text!r}"
+        )
+    return value
+
+
 def _executor_from_args(args):
     """The one campaign executor construction, from the parsed flags.
 
@@ -711,7 +721,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0, help="master seed")
         p.add_argument("--nodes", type=int, default=25, help="|V|")
         p.add_argument("--gamma", type=int, default=8, help="tolerable malicious")
-        p.add_argument("--body-mb", type=float, default=0.5, help="C in MB")
+        p.add_argument("--body-mb", type=_megabytes, default=0.5, help="C in MB")
 
     p = sub.add_parser("simulate", help="run a scenario's slot workload")
     common(p)
@@ -869,7 +879,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("headline", "fig7", "fig8", "fig9"),
                    help="render only this section (repeatable; default: "
                         "all); only the cells it needs run")
-    p.add_argument("--body-mb", type=float, default=None, metavar="C",
+    p.add_argument("--body-mb", type=_megabytes, default=None, metavar="C",
                    help="the one Fig. 7 body size in MB (default: 0.1, "
                         "0.5 and 1.0, or 0.5 under --quick)")
     p.add_argument("--panel", choices="abcd", default=None,

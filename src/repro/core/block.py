@@ -232,10 +232,6 @@ class BlockHeader:
         """``GetDigest(b^h, node)`` of Algorithm 3 (``None`` if absent)."""
         return self.digests.get(node)
 
-    def parent_origins(self) -> List[int]:
-        """Origin node ids of all referenced parents."""
-        return sorted(self.digests)
-
     # -- size accounting -----------------------------------------------------
     def size_bits(self, config: ProtocolConfig) -> int:
         """Header wire/storage size per Fig. 2: ``f_c + f_H·|Δ|``.

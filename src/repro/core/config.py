@@ -103,10 +103,6 @@ class ProtocolConfig:
         return self.gamma + 1
 
     # -- variants ------------------------------------------------------------
-    def with_body_mb(self, mb: float) -> "ProtocolConfig":
-        """Copy with ``C`` set in decimal megabytes (Fig. 7 sweep)."""
-        return replace(self, body_bits=mb_to_bits(mb))
-
     def with_gamma(self, gamma: int) -> "ProtocolConfig":
         """Copy with a different malicious-tolerance γ (Figs. 8-9)."""
         return replace(self, gamma=gamma)

@@ -255,17 +255,10 @@ class IoTNode:
             )
 
     # -- validator role -----------------------------------------------------
-    def validator(
-        self,
-        rng: Optional[random.Random] = None,
-        use_tps: bool = True,
-        use_wps: bool = True,
-        hop_aware: bool = False,
-        use_blacklist: bool = True,
-    ) -> PopValidator:
+    def validator(self, use_tps: bool = True) -> PopValidator:
         """A :class:`PopValidator` bound to this node's cache and interface.
 
-        With ``use_blacklist`` (default), the validator skips responders
+        It breaks WPS ties from this node's ``rng``, skips responders
         this node has blacklisted and feeds timeouts back into the
         §IV-D-6 penalty counters.
         """
@@ -275,12 +268,10 @@ class IoTNode:
             topology=self.topology,
             registry=self.registry,
             config=self.config,
-            rng=rng if rng is not None else self.rng,
+            rng=self.rng,
             use_tps=use_tps,
-            use_wps=use_wps,
-            hop_aware=hop_aware,
-            blacklist=self.blacklist if use_blacklist else set(),
-            on_no_reply=self.record_no_reply if use_blacklist else None,
+            blacklist=self.blacklist,
+            on_no_reply=self.record_no_reply,
         )
 
     def verify_block(

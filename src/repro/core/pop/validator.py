@@ -35,7 +35,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.core.block import BlockHeader, BlockId, DataBlock
 from repro.core.config import ProtocolConfig
@@ -48,7 +48,7 @@ from repro.core.pop.messages import (
     RpyChild,
 )
 from repro.core.pop.tps import trust_path_selection
-from repro.core.pop.wps import closed_neighborhood_weight, wps_order
+from repro.core.pop.wps import wps_order
 from repro.crypto.hashing import Digest
 from repro.crypto.keys import KeyRegistry
 from repro.crypto.puzzle import NoncePuzzle
@@ -108,15 +108,6 @@ class PopOutcome:
         return self.requests_sent + self.replies_received
 
 
-def _uniform_order(pool: List[int], rng: Optional[random.Random]) -> Iterator[int]:
-    """The ``use_wps=False`` ablation: uniform random picks, removed from
-    ``pool`` (ascending ids; the order consumes it)."""
-    while pool:
-        chosen = rng.choice(pool) if rng is not None else pool[0]
-        yield chosen
-        pool.remove(chosen)
-
-
 def _completed() -> None:
     """The kernel event that marks a finished run (``sim.events`` is in every digest)."""
 
@@ -130,7 +121,8 @@ class _PopRun:
     the run's memo allow, and every ``REQ_CHILD`` answer or timeout
     re-enters the walk through :meth:`_on_child`.  ``triggered`` turns
     true and ``value`` becomes the :class:`PopOutcome` the moment the
-    run ends; ``ok`` is always true — a failing check raises out of
+    run ends, and the end is one kernel event, :func:`_completed`;
+    ``ok`` is always true — a failing check raises out of
     :meth:`~repro.sim.kernel.Simulator.run` at the event that hit it.
 
     Monotone per-run state guaranteeing termination:
@@ -147,7 +139,7 @@ class _PopRun:
     """
 
     __slots__ = (
-        "validator", "verifier", "block_id", "fetch_body", "on_done", "outcome",
+        "validator", "verifier", "block_id", "fetch_body", "outcome",
         "triggered", "value", "path", "consensus_set", "dead_ends", "reply_memo",
         "fetched", "verifying", "ask", "order", "responder",
     )
@@ -159,15 +151,11 @@ class _PopRun:
         verifier: int,
         block_id: Optional[BlockId],
         fetch_body: bool,
-        on_done: Optional[Callable[[PopOutcome], None]] = None,
     ) -> None:
         self.validator = validator
         self.verifier = verifier
         self.block_id = block_id
         self.fetch_body = fetch_body
-        #: Called with the outcome in the frame that ends the run; a run
-        #: without one marks its end with a kernel event instead.
-        self.on_done = on_done
         self.triggered = False
         self.value: Optional[PopOutcome] = None
         # P_i, and R_i kept in step with it: every adopted header adds
@@ -312,13 +300,9 @@ class _PopRun:
         outcome.finished_at = sim.now
         self.value = outcome
         self.triggered = True
-        on_done = self.on_done
         # Callers keep the handle for ``value``; the walk's state ends here.
-        del self.validator, self.on_done, self.reply_memo, self.dead_ends, self.fetched, self.order
-        if on_done is not None:
-            on_done(outcome)
-        else:
-            sim.call_in(0.0, _completed)
+        del self.validator, self.reply_memo, self.dead_ends, self.fetched, self.order
+        sim.call_in(0.0, _completed)
 
 
 class PopValidator:
@@ -345,13 +329,10 @@ class PopValidator:
         Protocol constants (γ, τ, field sizes).
     rng:
         WPS tie-break randomness (deterministic when omitted).
-    use_tps / use_wps:
-        Ablation switches: disable the cache (always query) or replace
-        WPS with uniform random neighbour choice.
-    hop_aware:
-        §VII future work: break WPS ties by physical hop distance from
-        the validator, preferring responders whose headers travel fewer
-        hops (reduces communication bytes, not message counts).
+    use_tps:
+        Whether TPS may extend the path from ``H_i``; without it every
+        extension queries the network (the cold audits of
+        :mod:`repro.experiments.sweeps`).
     blacklist:
         §IV-D-6 penalty mechanism: node ids skipped as responders
         (typically the owning node's ``blacklist`` set, shared by
@@ -371,8 +352,6 @@ class PopValidator:
         config: ProtocolConfig,
         rng: Optional[random.Random] = None,
         use_tps: bool = True,
-        use_wps: bool = True,
-        hop_aware: bool = False,
         blacklist: Optional[Set[int]] = None,
         on_no_reply: Optional[Callable[[int], None]] = None,
     ) -> None:
@@ -383,8 +362,6 @@ class PopValidator:
         self.config = config
         self.rng = rng
         self.use_tps = use_tps
-        self.use_wps = use_wps
-        self.hop_aware = hop_aware
         self.blacklist = blacklist if blacklist is not None else set()
         self.on_no_reply = on_no_reply
         self._puzzle = NoncePuzzle(config.puzzle_difficulty_bits, config.hash_bits)
@@ -404,23 +381,9 @@ class PopValidator:
             n for n in self.topology.sorted_neighbors[verifying_origin]
             if n != me and n not in blacklist
         ]
-        order: Iterable[int]
-        if not self.use_wps:
-            order = _uniform_order(candidates, self.rng)
-        elif self.hop_aware:
-            routing = self.interface.network.routing
-            order = sorted(
-                candidates,
-                key=lambda c: (
-                    closed_neighborhood_weight(c, consensus_set, self.topology),
-                    routing.hop_count(me, c),
-                    c,
-                ),
-            )
-        else:
-            order = wps_order(consensus_set, candidates, self.topology, self.rng)
+        order = wps_order(consensus_set, candidates, self.topology, self.rng)
         if verifying_origin == me:
-            return iter(order)
+            return order
         # The verifying node itself is kept as a *last-resort* candidate:
         # its next own block is always a child (the chain edge
         # b_{v,t-1} -> b_{v,t} of the logical DAG), which lets the walk

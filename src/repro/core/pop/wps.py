@@ -29,17 +29,9 @@ state of ``rng`` after a partial walk included.
 from __future__ import annotations
 
 import random
-from typing import AbstractSet, Iterable, Iterator, List, Optional, Sequence
+from typing import AbstractSet, Iterator, Optional, Sequence
 
 from repro.net.topology import Topology
-
-
-def closed_neighborhood_weight(
-    candidate: int, consensus_set: AbstractSet[int], topology: Topology
-) -> float:
-    """Eq. (7): fraction of ``candidate``'s closed neighbourhood in ``R_i``."""
-    closed = topology.closed_neighborhoods[candidate]
-    return len(closed & consensus_set) / len(closed)
 
 
 def wps_order(
@@ -90,25 +82,3 @@ def wps_order(
         yield pool[index]
         del pool[index], weights[index]
 
-
-def weighted_path_selection(
-    consensus_set: AbstractSet[int],
-    candidates: Iterable[int],
-    topology: Topology,
-    rng: Optional[random.Random] = None,
-) -> int:
-    """Algorithm 1: the next responder, the first of :func:`wps_order`.
-
-    Raises ``ValueError`` on an empty candidate set — Algorithm 3 never
-    calls WPS with one.
-    """
-    for chosen in wps_order(consensus_set, sorted(set(candidates)), topology, rng):
-        return chosen
-    raise ValueError("WPS called with no candidates")
-
-
-def rank_candidates(
-    consensus_set: AbstractSet[int], candidates: Iterable[int], topology: Topology
-) -> List[int]:
-    """All candidates ordered as WPS would prefer them (diagnostics)."""
-    return list(wps_order(consensus_set, sorted(set(candidates)), topology))

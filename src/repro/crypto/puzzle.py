@@ -82,7 +82,3 @@ class NoncePuzzle:
     def check(self, fields: Iterable[bytes], nonce: int) -> bool:
         """Verify a claimed nonce — what a receiving neighbour does."""
         return self.meets_difficulty(self._digest(frame_fields(fields), nonce))
-
-    def expected_attempts(self) -> float:
-        """Expected number of hash attempts (2^difficulty)."""
-        return float(2 ** self.difficulty_bits)

@@ -60,11 +60,6 @@ class Message(_Envelope):
             msg_id = _next_message_id()
         return _new_tuple(cls, (sender, recipient, kind, payload, size_bits, msg_id, in_reply_to))
 
-    @property
-    def size_bytes(self) -> float:
-        """Size in bytes."""
-        return self.size_bits / 8.0
-
     def reply(self, replier: int, kind: str, payload: Any, size_bits: int) -> "Message":
         """The message ``replier`` answers this one with, back to its sender."""
         return Message(replier, self.sender, kind, payload, size_bits, None, self.msg_id)

@@ -7,9 +7,8 @@ counts and next-hops with per-source BFS (unweighted links), which is
 exact for the paper's unit-cost wireless graph.
 
 The paper's §VII names "construct the shortest path from a validator to
-a verifier in the physical layer" as future work; this module is also
-the substrate for that extension (see the validator's ``hop_aware``
-option).
+a verifier in the physical layer" as future work; this module is the
+substrate such an extension would build on.
 """
 
 from __future__ import annotations
@@ -137,8 +136,3 @@ class RoutingTable:
     def diameter(self) -> int:
         """Largest hop count over all reachable pairs."""
         return max(self.eccentricity(n) for n in self.topology.node_ids)
-
-    def nodes_sorted_by_distance(self, source: int) -> List[int]:
-        """All reachable nodes ordered by (hops, id) — used by experiments."""
-        reachable = self._distance[source]
-        return sorted(reachable, key=lambda n: (reachable[n], n))

@@ -73,10 +73,6 @@ class Topology:
         """``N(node)`` in ascending id order — the digest-push send order."""
         return {node: tuple(sorted(n)) for node, n in self.adjacency.items()}
 
-    def closed_neighborhood(self, node: int) -> FrozenSet[int]:
-        """``N(node) ∪ {node}`` from the precomputed table."""
-        return self.closed_neighborhoods[node]
-
     def degree(self, node: int) -> int:
         """``|N(node)|``."""
         return len(self.adjacency[node])

@@ -72,16 +72,11 @@ class NodeInterface:
         self._handlers: Dict[str, Callable[[Message], None]] = {}
         #: Request id -> its ``on_reply``, until answered or expired.
         self._pending: Dict[int, Callable[[Optional[Message]], None]] = {}
-        self._default_handler: Optional[Callable[[Message], None]] = None
 
     # -- registration ---------------------------------------------------
     def on(self, kind: str, handler: Callable[[Message], None]) -> None:
         """Register ``handler`` for messages of ``kind``."""
         self._handlers[kind] = handler
-
-    def on_any(self, handler: Callable[[Message], None]) -> None:
-        """Register a fallback handler for unmatched kinds."""
-        self._default_handler = handler
 
     # -- sending -----------------------------------------------------------
     def send(self, recipient: int, kind: str, payload: Any, size_bits: int) -> Message:
@@ -189,10 +184,6 @@ class Network:
         except ValueError:
             pass
 
-    def clear_drop_rules(self) -> None:
-        """Remove all drop rules."""
-        self._drop_rules.clear()
-
     # -- delivery -------------------------------------------------------------
     def _transmit(self, message: Message, recipient: int) -> Optional[float]:
         """Account ``message`` hop by hop to ``recipient``; its delay, ``None`` if lost.
@@ -285,7 +276,7 @@ class Network:
             if on_reply is not None:
                 self.sim.call_in(0.0, on_reply, message)
                 return
-        handler = interface._handlers.get(message.kind, interface._default_handler)
+        handler = interface._handlers.get(message.kind)
         if handler is not None:
             handler(message)
 

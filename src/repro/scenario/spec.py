@@ -261,6 +261,13 @@ class WorkloadSpec:
             raise ScenarioError(
                 f"intra_slot_jitter must be non-negative, got {self.intra_slot_jitter}"
             )
+        if self.quiet_time < 0:
+            raise ScenarioError(f"quiet_time must be non-negative, got {self.quiet_time}")
+        if self.validation_min_age_slots is not None and self.validation_min_age_slots < 0:
+            raise ScenarioError(
+                "validation_min_age_slots must be non-negative, "
+                f"got {self.validation_min_age_slots}"
+            )
         if self.sample_slots:
             if list(self.sample_slots) != sorted(set(self.sample_slots)):
                 raise ScenarioError(

@@ -88,14 +88,10 @@ class TestEquivocating:
 
 
 class TestSelfish:
-    def test_selfish_node_silent_until_resumed(self, attack_config, grid9):
-        selfish = SelfishNode()
-        deployment, workload = deployment_with({4: selfish}, attack_config, grid9)
+    def test_selfish_node_stays_silent(self, attack_config, grid9):
+        deployment, workload = deployment_with({4: SelfishNode()}, attack_config, grid9)
         neighbor_block = deployment.node(3).store.by_index(0)
         assert ask_for_child(deployment, 0, 4, neighbor_block.digest(), 3) == []
-        selfish.resume_cooperation()
-        replies = ask_for_child(deployment, 1, 4, neighbor_block.digest(), 3)
-        assert len(replies) == 1
 
 
 class TestForgedRepliesAgainstWarmHeaders:

@@ -57,7 +57,6 @@ class TestConstruction:
         child = _block(config, keypair, digests={1: parent_digest}, index=1)
         assert child.header.references(parent_digest)
         assert child.header.digest_from(1) == parent_digest
-        assert child.header.parent_origins() == [1]
 
     def test_missing_digest_is_none(self, config, keypair):
         block = _block(config, keypair)

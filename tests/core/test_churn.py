@@ -72,21 +72,3 @@ class TestChurn:
         small_deployment.sim.run()
         assert process.value.success
 
-
-class TestHopAwareValidator:
-    def test_hop_aware_succeeds_and_spends_fewer_bytes(self, small_deployment, finished):
-        from repro.core.protocol import SlotSimulation
-
-        workload = SlotSimulation(small_deployment, generation_period=1)
-        workload.run(12)
-        target = workload.blocks_by_slot[0][0]
-        validator = 8 if target.origin != 8 else 7
-        node = small_deployment.node(validator)
-
-        outcome = finished(
-            small_deployment.sim, node.validator(hop_aware=True).run(target.origin, target)
-        )
-        assert outcome.success
-        assert len(outcome.consensus_set) >= (
-            small_deployment.config.consensus_quorum()
-        )

@@ -58,6 +58,15 @@ class TestParser:
         (["campaign", "run", "smoke", "--retries", "-1"], "--retries"),
         (["--workers", "-2", "campaign", "run", "smoke"], "--workers"),
         (["--workers", "-1", "report"], "--workers"),
+        # A body size is a finite number of MB, 0 or more; nan and inf
+        # used to die in mb_to_bits with a traceback.
+        (["simulate", "--body-mb", "nan"], "--body-mb"),
+        (["simulate", "--body-mb", "-1"], "--body-mb"),
+        (["verify", "--body-mb", "-0.5"], "--body-mb"),
+        (["report", "--quick", "--body-mb", "-1"], "--body-mb"),
+        (["report", "--only", "fig7", "--body-mb", "inf"], "--body-mb"),
+        (["verify", "--body-mb", "-inf"], "--body-mb"),
+        (["report", "--body-mb", "half"], "--body-mb"),
     ])
     def test_bad_execution_values_are_refused_at_parse_time(
         self, capsys, argv, flag
@@ -70,6 +79,14 @@ class TestParser:
             if "error:" in line
         ]
         assert f"argument {flag}:" in line
+
+    @pytest.mark.parametrize("argv, body_mb", [
+        (["simulate", "--body-mb", "0"], 0.0),
+        (["verify", "--body-mb", "1e-3"], 0.001),
+        (["report", "--quick", "--body-mb", "1"], 1.0),
+    ])
+    def test_a_finite_body_size_of_zero_or_more_is_accepted(self, argv, body_mb):
+        assert build_parser().parse_args(argv).body_mb == body_mb
 
     @pytest.mark.parametrize("argv", [
         ["campaign", "run", "smoke", "--no-cache"],
@@ -419,6 +436,31 @@ class TestCommands:
         assert err == "no node but block 0#0's origin to verify it\n"
 
 
+class TestNonFiniteBodySize:
+    """``--body-mb nan``/``inf`` once ended in a traceback from
+    ``mb_to_bits``; now the process exits 2 before anything runs."""
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--body-mb", "nan", "--slots", "3", "--nodes", "9", "--gamma", "2"],
+        ["verify", "--body-mb", "inf", "--nodes", "9", "--gamma", "2"],
+        ["report", "--only", "fig7", "--body-mb", "inf", "--quick"],
+    ], ids=" ".join)
+    def test_exits_2_with_one_error_line_naming_the_flag(self, argv):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(SRC) + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        (line,) = [line for line in proc.stderr.splitlines() if "error:" in line]
+        assert "argument --body-mb: must be a finite number" in line
+
+
 class TestArgvSpecErrors:
     """A flag that makes an invalid spec exits with one line, not a
     traceback, wherever argv becomes a spec."""
@@ -427,9 +469,7 @@ class TestArgvSpecErrors:
         ["simulate", "--nodes", "0"],
         ["simulate", "--slots", "0"],
         ["simulate", "--gamma", "-1"],
-        ["simulate", "--body-mb", "-1"],
         ["verify", "--nodes", "0"],
-        ["report", "--quick", "--body-mb", "-1"],
     ], ids=" ".join)
     def test_exits_with_one_line(self, argv):
         env = dict(os.environ)

@@ -56,10 +56,6 @@ class TestVariants:
         assert config.hash_bits == 256
         assert config.signature_bits == 256
 
-    def test_with_body_mb(self):
-        config = ProtocolConfig().with_body_mb(1.0)
-        assert config.body_bits == 8_000_000
-
     def test_with_gamma(self):
         config = ProtocolConfig().with_gamma(24)
         assert config.gamma == 24

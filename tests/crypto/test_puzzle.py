@@ -40,9 +40,6 @@ class TestPuzzle:
         assert easy_attempts >= 1
         assert hard_attempts >= 1
 
-    def test_expected_attempts(self):
-        assert NoncePuzzle(difficulty_bits=8).expected_attempts() == 256.0
-
     def test_invalid_difficulty_rejected(self):
         with pytest.raises(ValueError):
             NoncePuzzle(difficulty_bits=-1)

@@ -15,9 +15,6 @@ class TestMessage:
         with pytest.raises(ValueError):
             Message(0, 1, "k", None, -1)
 
-    def test_size_bytes(self):
-        assert Message(0, 1, "k", None, 80).size_bytes == 10.0
-
     def test_reply_swaps_endpoints(self):
         request = Message(3, 7, "ask", "q", 10)
         reply = request.reply(7, "answer", "a", 20)

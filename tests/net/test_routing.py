@@ -101,7 +101,3 @@ class TestAggregates:
         table = RoutingTable(grid9)
         assert table.eccentricity(4) == 2
         assert table.eccentricity(0) == 4
-
-    def test_nodes_sorted_by_distance(self, line_topology):
-        table = RoutingTable(line_topology)
-        assert table.nodes_sorted_by_distance(0) == [0, 1, 2, 3]

@@ -57,13 +57,6 @@ class TestDelivery:
         assert len(received) == 1
         assert network.ledger.tx_bits(2) == 0
 
-    def test_default_handler_catches_unknown_kinds(self, network):
-        received = []
-        network.attach(1).on_any(received.append)
-        network.attach(0).send(1, "mystery", None, 10)
-        network.sim.run()
-        assert len(received) == 1
-
     def test_unknown_kind_without_handler_is_dropped(self, network):
         network.attach(1)
         network.attach(0).send(1, "mystery", None, 10)
@@ -433,15 +426,6 @@ class TestDropRules:
         network.attach(0).send(3, "ping", None, 100)
         network.sim.run()
         assert asked == []
-
-    def test_clear_drop_rules(self, network):
-        received = []
-        network.attach(3).on("ping", received.append)
-        network.add_drop_rule(lambda m, a, b: True)
-        network.clear_drop_rules()
-        network.attach(0).send(3, "ping", None, 100)
-        network.sim.run()
-        assert len(received) == 1
 
     def test_attach_unknown_node_raises(self, network):
         with pytest.raises(KeyError):

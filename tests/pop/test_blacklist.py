@@ -4,6 +4,7 @@ import pytest
 
 from repro.attacks.behaviors import SilentResponder
 from repro.core.config import ProtocolConfig
+from repro.core.pop.validator import PopValidator
 from repro.core.protocol import SlotSimulation, TwoLayerDagNetwork
 from repro.net.topology import grid_topology
 
@@ -66,9 +67,14 @@ class TestBlacklistWiring:
         target = workload.blocks_by_slot[0][0]
         if target.origin == 15:
             target = workload.blocks_by_slot[0][1]
+        # The node's own validator skips node 5; one built without the
+        # node's blacklist may ask it.
+        unlisted = PopValidator(
+            validator.interface, validator.cache, validator.topology,
+            validator.registry, validator.config, rng=validator.rng,
+        )
         outcome = finished(
-            deployment.sim,
-            validator.validator(use_blacklist=False).run(target.origin, target, fetch_body=False),
+            deployment.sim, unlisted.run(target.origin, target, fetch_body=False)
         )
         assert outcome.success  # ignoring the blacklist still works
 

@@ -4,7 +4,6 @@ import random
 import sys
 from dataclasses import replace
 from functools import partial
-from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +15,8 @@ from repro.core.config import ProtocolConfig
 from repro.core.node import IoTNode, NodeBehavior
 from repro.core.pop.messages import RpyChild
 from repro.core.pop.responder import serve_req_child
-from repro.core.pop.wps import closed_neighborhood_weight
+from repro.core.pop.validator import PopValidator
+from repro.core.pop.wps import wps_order
 from repro.core.protocol import SlotSimulation, TwoLayerDagNetwork
 from repro.crypto.keys import KeyRegistry
 from repro.crypto.puzzle import NoncePuzzle
@@ -332,16 +332,38 @@ class TestVerdictAndIdentity:
         assert not validator._header_authentic(header, expected_origin=header.origin)
 
 
+class UniformOrderValidator(PopValidator):
+    """WPS ablated: the same responders, asked in a seeded random order;
+    the verifying origin stays the last resort."""
+
+    def __init__(self, *args, shuffle_seed, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.shuffle_rng = random.Random(shuffle_seed)
+
+    def _responder_order(self, verifying_origin, consensus_set):
+        order = list(super()._responder_order(verifying_origin, consensus_set))
+        last = [order.pop()] if verifying_origin != self.interface.node_id else []
+        self.shuffle_rng.shuffle(order)
+        return iter(order + last)
+
+
 class TestAblations:
     def test_wps_disabled_still_correct(self, small_config, grid9, finished):
-        deployment = TwoLayerDagNetwork(config=small_config, topology=grid9, seed=4)
-        workload = grow_dag(deployment, 10)
-        target = workload.blocks_by_slot[0][0]
-        node = deployment.node(8)
-        outcome = finished(
-            deployment.sim, node.validator(use_wps=False).run(target.origin, target)
-        )
-        assert outcome.success
+        """Algorithm 3 reaches consensus whatever order the responders are
+        asked in; WPS only makes the path cheaper."""
+        for shuffle_seed in range(3):
+            deployment = TwoLayerDagNetwork(config=small_config, topology=grid9, seed=4)
+            workload = grow_dag(deployment, 10)
+            target = workload.blocks_by_slot[0][0]
+            node = deployment.node(8)
+            validator = UniformOrderValidator(
+                node.interface, node.cache, node.topology, node.registry, node.config,
+                rng=node.rng, blacklist=node.blacklist, on_no_reply=node.record_no_reply,
+                shuffle_seed=shuffle_seed,
+            )
+            outcome = finished(deployment.sim, validator.run(target.origin, target))
+            assert outcome.success
+            assert len(outcome.consensus_set) >= small_config.consensus_quorum()
 
     def test_tps_disabled_costs_more_messages(self, small_config, grid9, finished):
         deployment = TwoLayerDagNetwork(config=small_config, topology=grid9, seed=4)
@@ -361,62 +383,35 @@ class TestAblations:
         assert without_tps.requests_sent > 0
 
 
-def choose_candidate(validator, consensus_set, candidates):
-    """One responder pick as it was before the per-extension order."""
-    if not validator.use_wps:
-        if validator.rng is not None:
-            return validator.rng.choice(sorted(candidates))
-        return sorted(candidates)[0]
-    routing = validator.interface.network.routing
-    me = validator.interface.node_id
-    return min(
-        sorted(candidates),
-        key=lambda c: (
-            closed_neighborhood_weight(c, consensus_set, validator.topology),
-            routing.hop_count(me, c),
-            c,
-        ),
-    )
-
-
-class TestResponderOrder:
-    """The ablation orders ≡ repeated single picks with removal."""
+class TestResponderCandidates:
+    """Lines 13-25 ask WPS's order of ``N(v)``, less the validator and its
+    blacklist, and then ``v`` itself as the last resort."""
 
     @given(
-        st.sampled_from([{"use_wps": False}, {"hop_aware": True}]),
         st.one_of(st.none(), st.integers(0, 2**32)),
         st.integers(0, 15),
         st.sets(st.integers(0, 15)),
         st.sets(st.integers(0, 15)),
-        st.integers(0, 6),
     )
-    @settings(max_examples=200, deadline=None)
-    def test_prefix_equals_picks_with_removal(
-        self, switches, seed, verifying, consensus_set, blacklist, picks
+    @settings(max_examples=100, deadline=None)
+    def test_wps_over_the_other_neighbours_then_the_verifying_origin(
+        self, seed, verifying, consensus_set, blacklist
     ):
         deployment = TwoLayerDagNetwork(
             config=ProtocolConfig(body_bits=8_000, gamma=3), topology=grid_topology(4, 4), seed=1
         )
         me, topology = 5, deployment.topology
-        validators = [deployment.node(me).validator(**switches) for _ in range(2)]
-        for validator in validators:
-            validator.rng = None if seed is None else random.Random(seed)
-            validator.blacklist = blacklist
-        got = list(islice(validators[0]._responder_order(verifying, consensus_set), picks))
+        validator = deployment.node(me).validator()
+        validator.rng = None if seed is None else random.Random(seed)
+        validator.blacklist = blacklist
+        got = list(validator._responder_order(verifying, consensus_set))
 
-        remaining = {
-            n for n in topology.neighbors(verifying) if n != me and n not in blacklist
-        }
-        want = []
-        while remaining and len(want) < picks:
-            want.append(choose_candidate(validators[1], consensus_set, remaining))
-            remaining.discard(want[-1])
-        # The verifying node itself is the last resort, unless it is the validator.
-        if not remaining and len(want) < picks and verifying != me:
+        others = sorted(n for n in topology.neighbors(verifying) if n != me and n not in blacklist)
+        rng = None if seed is None else random.Random(seed)
+        want = list(wps_order(consensus_set, others, topology, rng))
+        if verifying != me:
             want.append(verifying)
         assert got == want
-        if seed is not None:
-            assert validators[0].rng.getstate() == validators[1].rng.getstate()
 
 
 class TestContinuation:

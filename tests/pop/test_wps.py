@@ -7,12 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.pop.wps import (
-    closed_neighborhood_weight,
-    rank_candidates,
-    weighted_path_selection,
-    wps_order,
-)
+from repro.core.pop.wps import wps_order
 from repro.net.topology import explicit_topology
 
 
@@ -25,65 +20,38 @@ def fig4_topology():
     return explicit_topology([(0, 1), (1, 2), (1, 3), (2, 3), (3, 4)])
 
 
-class TestWeights:
-    def test_fig4_worked_example_weights(self, fig4_topology):
-        """The paper computes w_A=1/2, w_C=1/3, w_D=1/4 with R={B}."""
-        consensus = {1}  # R_i = {B}
-        assert closed_neighborhood_weight(0, consensus, fig4_topology) == pytest.approx(1 / 2)
-        assert closed_neighborhood_weight(2, consensus, fig4_topology) == pytest.approx(1 / 3)
-        assert closed_neighborhood_weight(3, consensus, fig4_topology) == pytest.approx(1 / 4)
+class TestFig4:
+    """Fig. 4's worked example, read off the order WPS asks in."""
 
-    def test_fig4_second_step_weights(self, fig4_topology):
-        """After adding D: weights of D's neighbours B, C, E."""
-        consensus = {1, 3}  # R_i = {B, D}
-        assert closed_neighborhood_weight(1, consensus, fig4_topology) == pytest.approx(2 / 4)
-        assert closed_neighborhood_weight(2, consensus, fig4_topology) == pytest.approx(2 / 3)
-        assert closed_neighborhood_weight(4, consensus, fig4_topology) == pytest.approx(1 / 2)
+    def test_first_extension_ranks_by_weight(self, fig4_topology):
+        """With R={B}: w_A=1/2, w_C=1/3, w_D=1/4, so D, then C, then A."""
+        assert list(wps_order({1}, [0, 2, 3], fig4_topology)) == [3, 2, 0]
 
-    def test_weight_zero_when_disjoint(self, fig4_topology):
-        assert closed_neighborhood_weight(0, set(), fig4_topology) == 0.0
+    def test_second_extension_prefers_e_on_the_tie(self, fig4_topology):
+        """With R={B, D}: w_B=2/4 and w_E=1/2 tie below w_C=2/3; E goes
+        first because B is already in R (Algorithm 1 lines 11-13)."""
+        assert list(wps_order({1, 3}, [1, 2, 4], fig4_topology)) == [4, 1, 2]
 
-    def test_weight_one_when_fully_covered(self, fig4_topology):
-        assert closed_neighborhood_weight(0, {0, 1}, fig4_topology) == 1.0
+    def test_a_fully_counted_neighbourhood_ranks_last(self, fig4_topology):
+        """w_A=1 once R covers {A, B}; w_C=1/3."""
+        assert list(wps_order({0, 1}, [0, 2], fig4_topology)) == [2, 0]
 
 
 class TestSelection:
-    def test_fig4_selects_d_first(self, fig4_topology):
-        """From B1 with R={B}, WPS must pick D (minimum weight)."""
-        chosen = weighted_path_selection({1}, [0, 2, 3], fig4_topology)
-        assert chosen == 3
-
-    def test_fig4_selects_e_second(self, fig4_topology):
-        """From D1 with R={B, D}: ties at 1/2 between B and E resolve to
-        E because B is already in R (Algorithm 1 lines 11-13)."""
-        chosen = weighted_path_selection({1, 3}, [1, 2, 4], fig4_topology)
-        assert chosen == 4
-
-    def test_empty_candidates_raise(self, fig4_topology):
-        with pytest.raises(ValueError):
-            weighted_path_selection({1}, [], fig4_topology)
+    def test_no_candidates_no_picks(self, fig4_topology):
+        assert list(wps_order({1}, [], fig4_topology)) == []
 
     def test_single_candidate_returned(self, fig4_topology):
-        assert weighted_path_selection({1}, [2], fig4_topology) == 2
+        assert list(wps_order({1}, [2], fig4_topology)) == [2]
 
     def test_random_tie_break_stays_within_tied_set(self, fig4_topology):
         rng = random.Random(0)
-        # With an empty consensus set, all of B's neighbours tie at 0...
-        # except their neighbourhood sizes differ, so craft a real tie:
-        # candidates C and D with R = {} -> w_C = 0, w_D = 0: tie.
+        # With R = {}, w_C = w_D = 0: a tie.
         for _ in range(20):
-            chosen = weighted_path_selection(set(), [2, 3], fig4_topology, rng)
-            assert chosen in (2, 3)
+            assert next(wps_order(set(), [2, 3], fig4_topology, rng)) in (2, 3)
 
-    def test_deterministic_without_rng(self, fig4_topology):
-        a = weighted_path_selection(set(), [2, 3], fig4_topology)
-        b = weighted_path_selection(set(), [2, 3], fig4_topology)
-        assert a == b
-
-    def test_rank_orders_by_weight(self, fig4_topology):
-        ranked = rank_candidates({1}, [0, 2, 3], fig4_topology)
-        assert ranked[0] == 3  # lowest weight first
-        assert set(ranked) == {0, 2, 3}
+    def test_ascending_without_rng_on_a_tie(self, fig4_topology):
+        assert list(wps_order(set(), [2, 3], fig4_topology)) == [2, 3]
 
 
 def single_pick(consensus_set, candidates, topology, rng=None):
@@ -151,23 +119,6 @@ class TestOrder:
         # where single picks would have: no tie is broken ahead of time.
         if rng is not None:
             assert rng.getstate() == reference_rng.getstate()
-
-    @given(extension())
-    @settings(max_examples=100, deadline=None)
-    def test_single_pick_is_the_first_of_the_order(self, case):
-        topology, consensus_set, candidates = (
-            case["topology"], case["consensus_set"], case["candidates"]
-        )
-        if not candidates:
-            with pytest.raises(ValueError):
-                weighted_path_selection(consensus_set, candidates, topology)
-            return
-        seed = case["seed"]
-        rng = None if seed is None else random.Random(seed)
-        reference_rng = None if seed is None else random.Random(seed)
-        assert weighted_path_selection(
-            consensus_set, candidates, topology, rng
-        ) == single_pick(consensus_set, candidates, topology, reference_rng)
 
     def test_nothing_is_scored_or_drawn_before_the_first_pick(self, fig4_topology):
         rng = random.Random(5)

@@ -1,7 +1,7 @@
-"""WPS incremental scorer ≡ the definitional Eq. (7) formula.
+"""WPS's table-based scorer ≡ the definitional Eq. (7) formula.
 
-The optimised scorer reads the topology's precomputed
-closed-neighbourhood table; these tests hold it bit-identical to the
+``wps_order`` reads the topology's precomputed closed-neighbourhood
+table; these tests hold its picks and its ranking to the
 straightforward set-construction formula on randomised consensus sets
 over both test topologies, including tie-break behaviour under a
 seeded RNG.
@@ -11,11 +11,7 @@ import random
 
 import pytest
 
-from repro.core.pop.wps import (
-    closed_neighborhood_weight,
-    rank_candidates,
-    weighted_path_selection,
-)
+from repro.core.pop.wps import wps_order
 from repro.net.topology import grid_topology, sequential_geometric_topology
 from repro.sim.rng import RandomStreams
 
@@ -53,16 +49,6 @@ TOPOLOGIES = [
 
 @pytest.mark.parametrize("topology", TOPOLOGIES)
 class TestEquivalence:
-    def test_weights_match_reference(self, topology):
-        case_rng = random.Random(11)
-        nodes = topology.node_ids
-        for _ in range(50):
-            consensus = set(case_rng.sample(nodes, case_rng.randint(0, len(nodes))))
-            for candidate in nodes:
-                assert closed_neighborhood_weight(
-                    candidate, consensus, topology
-                ) == reference_weight(candidate, consensus, topology)
-
     def test_selection_matches_reference(self, topology):
         case_rng = random.Random(23)
         nodes = topology.node_ids
@@ -73,9 +59,7 @@ class TestEquivalence:
                 continue
             consensus = set(case_rng.sample(nodes, case_rng.randint(0, 12)))
             # Identical, independently seeded tie-break streams.
-            got = weighted_path_selection(
-                consensus, candidates, topology, random.Random(trial)
-            )
+            got = next(wps_order(consensus, candidates, topology, random.Random(trial)))
             want = reference_selection(
                 consensus, candidates, topology, random.Random(trial)
             )
@@ -90,15 +74,16 @@ class TestEquivalence:
             if not candidates:
                 continue
             consensus = set(case_rng.sample(nodes, case_rng.randint(0, 12)))
-            assert weighted_path_selection(
+            assert next(wps_order(consensus, candidates, topology)) == reference_selection(
                 consensus, candidates, topology, None
-            ) == reference_selection(consensus, candidates, topology, None)
+            )
 
-    def test_rank_candidates_orders_by_reference_weight(self, topology):
+    def test_order_ranks_by_reference_weight(self, topology):
         case_rng = random.Random(41)
         nodes = topology.node_ids
         consensus = set(case_rng.sample(nodes, 8))
-        ranking = rank_candidates(consensus, nodes, topology)
+        ranking = list(wps_order(consensus, sorted(nodes), topology))
+        assert sorted(ranking) == sorted(nodes)
         weights = [reference_weight(c, consensus, topology) for c in ranking]
         assert weights == sorted(weights)
 
@@ -107,7 +92,7 @@ class TestClosedNeighborhoodTable:
     def test_table_matches_adjacency(self):
         topology = grid_topology(4, 4)
         for node in topology.node_ids:
-            assert topology.closed_neighborhood(node) == (
+            assert topology.closed_neighborhoods[node] == (
                 set(topology.neighbors(node)) | {node}
             )
 
@@ -121,4 +106,4 @@ class TestClosedNeighborhoodTable:
         sub = topology.subgraph_without({0})
         assert 0 not in sub.closed_neighborhoods
         for node in sub.node_ids:
-            assert 0 not in sub.closed_neighborhood(node)
+            assert 0 not in sub.closed_neighborhoods[node]

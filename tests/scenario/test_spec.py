@@ -106,6 +106,10 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="reply_timeout"):
             ProtocolSpec(reply_timeout=-1.0)
 
+    def test_zero_quiet_time_and_minimum_age_are_allowed(self):
+        workload = WorkloadSpec(quiet_time=0.0, validation_min_age_slots=0)
+        assert (workload.quiet_time, workload.validation_min_age_slots) == (0.0, 0)
+
 
 class TestRoundTrip:
     def test_plain_spec(self):
@@ -235,6 +239,11 @@ HOSTILE_DOCUMENTS = [
     ({"per_hop_latency": True}, "scenario.per_hop_latency must be float"),
     ({"workload": {"faults": {"events": [{"kind": "heal", "slot": 1.5}]}}},
      r"invalid fault schedule: events\[0\].slot must be int"),
+    # Both loaded: a negative quiet time skipped the drain, a negative
+    # minimum age acted as 0.
+    ({"workload": {"quiet_time": -5.0}}, "quiet_time must be non-negative"),
+    ({"workload": {"validation_min_age_slots": -3}},
+     "validation_min_age_slots must be non-negative"),
 ]
 
 
@@ -295,7 +304,7 @@ class TestHostileDocuments:
         spec = ScenarioSpec.from_dict({
             "topology": {"node_count": 9, "comm_range": 50},
             "protocol": {"gamma": 2, "reply_timeout": 1},
-            "workload": {"slots": 5, "faults": None,
+            "workload": {"slots": 5, "faults": None, "quiet_time": 0,
                          "validate": 1, "validation_min_age_slots": None},
             "adversaries": [],
             "seed": 3.0,
