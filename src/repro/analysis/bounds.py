@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 from repro.core.config import ProtocolConfig
 
 
-def prop1_total_blocks(rates: Mapping[int, float], body_bits: float, time: float) -> int:
+def prop1_total_blocks(rates: Mapping[int, float], body_bits: float, time: float) -> int:  # repro: allow[test-only-public-name] paper oracle for tests
     """Proposition 1: total blocks in the network at time ``t``.
 
     ``Σ_j ⌊t·r_j / C⌋``.
@@ -24,7 +24,7 @@ def prop1_total_blocks(rates: Mapping[int, float], body_bits: float, time: float
     return sum(math.floor(time * r / body_bits) for r in rates.values())
 
 
-def prop2_header_cache_bound_bits(
+def prop2_header_cache_bound_bits(  # repro: allow[test-only-public-name] paper oracle for tests
     rates: Mapping[int, float],
     body_bits: float,
     time: float,
@@ -43,7 +43,7 @@ def prop2_header_cache_bound_bits(
     return time * per_block_bits / body_bits * others
 
 
-def prop3_node_storage_bound_bits(
+def prop3_node_storage_bound_bits(  # repro: allow[test-only-public-name] paper oracle for tests
     rates: Mapping[int, float],
     body_bits: float,
     time: float,
@@ -68,7 +68,7 @@ def prop4_message_lower_bound(gamma: int) -> int:
     return 2 * (gamma + 1)
 
 
-def prop5_micro_loop_block_bound(
+def prop5_micro_loop_block_bound(  # repro: allow[test-only-public-name] paper oracle for tests
     loop_rates: Sequence[float], outside_min_rate: float
 ) -> int:
     """Proposition 5: max blocks inside a micro-loop.

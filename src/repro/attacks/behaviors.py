@@ -79,7 +79,7 @@ class SelfishNode(SilentResponder):
     """
 
 
-class DosFlooder(NodeBehavior):
+class DosFlooder(NodeBehavior):  # repro: allow[test-only-public-name] test fixture: the §IV-D-5 flood
     """§IV-D-5: floods neighbours with digests beyond the puzzle rate.
 
     The flood happens out-of-band of normal generation: call
@@ -88,7 +88,7 @@ class DosFlooder(NodeBehavior):
     :mod:`repro.attacks.defenses`) and ban the flooder.
     """
 
-    def flood(self, node: IoTNode, count: int) -> None:
+    def flood(self, node: IoTNode, count: int) -> None:  # repro: allow[test-only-public-name] test fixture: the §IV-D-5 flood
         """Emit ``count`` junk digests to all neighbours."""
         for i in range(count):
             junk = hash_bytes(f"junk:{node.node_id}:{i}".encode(), node.config.hash_bits)

@@ -51,7 +51,7 @@ class DigestRateLimiter:
         return True
 
 
-class RateLimitedBehavior(NodeBehavior):
+class RateLimitedBehavior(NodeBehavior):  # repro: allow[test-only-public-name] test fixture: the §IV-D-5 defence
     """Honest behaviour + digest admission control."""
 
     def __init__(self, limiter: DigestRateLimiter = None) -> None:

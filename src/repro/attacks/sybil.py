@@ -28,7 +28,7 @@ class SybilIdentity:
     claimed_id: int
     keypair: KeyPair
 
-    def forge_header(self, template: BlockHeader) -> BlockHeader:
+    def forge_header(self, template: BlockHeader) -> BlockHeader:  # repro: allow[test-only-public-name] test fixture: a forgery validators reject
         """Re-sign a header under the fabricated identity.
 
         The forgery is internally consistent (signature verifies under

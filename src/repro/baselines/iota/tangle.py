@@ -134,14 +134,6 @@ class Tangle:
             frontier.extend(self._approvers.get(current, []))
         return len(seen)
 
-    def is_consistent(self) -> bool:
-        """All referenced parents are present (steady-state check)."""
-        return all(
-            parent in self._transactions
-            for t in self._transactions.values()
-            for parent in t.parents
-        )
-
     def size_bits(self) -> int:
         """Full-tangle storage — the per-node cost Fig. 7 charges IOTA."""
         return sum(t.size_bits for t in self._transactions.values())

@@ -98,10 +98,6 @@ class PbftCluster(WiredDeployment):
                     return False
         return True
 
-    def min_height(self) -> int:
-        """Lowest committed height among live replicas."""
-        return min(r.chain.height for r in self.live_replicas())
-
     def storage_bits(self) -> List[int]:
         """Per-replica chain storage."""
         return [r.storage_bits() for r in self.replicas.values()]

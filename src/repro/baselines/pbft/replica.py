@@ -21,8 +21,10 @@ byte accounting is comparable with 2LDAG's.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from functools import partial
+from typing import DefaultDict, Dict, List, Optional, Set, Tuple
 
 from repro.baselines.pbft.chain import Blockchain, ChainBlock
 from repro.baselines.pbft.messages import (
@@ -57,11 +59,17 @@ def request_digest(request: Request) -> Digest:
 
 @dataclass
 class _SlotState:
-    """Per-(view, sequence) vote bookkeeping."""
+    """Per-(view, sequence) vote bookkeeping.
+
+    ``prepares`` and ``commits`` map a request digest to the replicas
+    that voted for it, one bit per replica id, so a vote that arrives
+    before the pre-prepare is kept with its digest and only votes
+    matching the accepted pre-prepare's digest count.
+    """
 
     pre_prepare: Optional[PrePrepare] = None
-    prepares: Set[int] = field(default_factory=set)
-    commits: Set[int] = field(default_factory=set)
+    prepares: DefaultDict[bytes, int] = field(default_factory=partial(defaultdict, int))
+    commits: DefaultDict[bytes, int] = field(default_factory=partial(defaultdict, int))
     sent_commit: bool = False
     executed: bool = False
 
@@ -200,7 +208,7 @@ class PbftReplica:
             digest=pre_prepare.digest,
             replica=self.replica_id,
         )
-        state.prepares.add(self.replica_id)
+        state.prepares[prepare.digest.value] |= 1 << self.replica_id
         self._broadcast(KIND_PREPARE, prepare, prepare.size_bits)
         self._maybe_commit(state)
 
@@ -211,14 +219,15 @@ class PbftReplica:
         if prepare.view != self.view or prepare.replica != message.sender:
             return
         state = self._slot(prepare.view, prepare.sequence)
-        state.prepares.add(prepare.replica)
+        state.prepares[prepare.digest.value] |= 1 << prepare.replica
         self._maybe_commit(state)
 
     def _maybe_commit(self, state: _SlotState) -> None:
         """Prepared predicate: pre-prepare + 2f prepares (incl. own)."""
         if state.sent_commit or state.pre_prepare is None:
             return
-        if len(state.prepares) < 2 * self.f:
+        votes = state.prepares.get(state.pre_prepare.digest.value, 0)
+        if votes.bit_count() < 2 * self.f:
             return
         state.sent_commit = True
         tracer = self.network.tracer
@@ -236,7 +245,7 @@ class PbftReplica:
             digest=state.pre_prepare.digest,
             replica=self.replica_id,
         )
-        state.commits.add(self.replica_id)
+        state.commits[commit.digest.value] |= 1 << self.replica_id
         self._broadcast(KIND_COMMIT, commit, commit.size_bits)
         self._maybe_execute(state)
 
@@ -247,14 +256,15 @@ class PbftReplica:
         if commit.replica != message.sender:
             return
         state = self._slot(commit.view, commit.sequence)
-        state.commits.add(commit.replica)
+        state.commits[commit.digest.value] |= 1 << commit.replica
         self._maybe_execute(state)
 
     def _maybe_execute(self, state: _SlotState) -> None:
         """Committed predicate: prepared + 2f+1 commits; execute in order."""
         if state.executed or state.pre_prepare is None or not state.sent_commit:
             return
-        if len(state.commits) < 2 * self.f + 1:
+        votes = state.commits.get(state.pre_prepare.digest.value, 0)
+        if votes.bit_count() < 2 * self.f + 1:
             return
         state.executed = True
         pre_prepare = state.pre_prepare

@@ -661,13 +661,6 @@ def cmd_report(args) -> int:
     return 0
 
 
-def cmd_lint(args) -> int:
-    """Run the static determinism & architecture analyzer."""
-    from repro.checks import run_lint
-
-    return run_lint(args)
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for testing)."""
     from repro import __version__
@@ -813,17 +806,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "docs/observability.md)")
     telemetry_arg(p_status)
     p_status.set_defaults(fn=cmd_campaign, action="status")
-
-    p = sub.add_parser(
-        "lint",
-        help="statically check determinism & architecture invariants "
-             "(see docs/static-analysis.md)",
-    )
-    p.add_argument("paths", nargs="*", metavar="PATH",
-                   help="files or directories to check (default: src)")
-    p.add_argument("--list", dest="list_rules", action="store_true",
-                   help="print the rule catalogue and exit")
-    p.set_defaults(fn=cmd_lint)
 
     p = sub.add_parser(
         "telemetry",

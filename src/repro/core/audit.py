@@ -18,7 +18,7 @@ This module implements both ends:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 from repro.core.block import BlockHeader, BlockId, DataBlock
 from repro.crypto.hashing import Digest
@@ -88,20 +88,3 @@ def verify_chunk_proof(proof: ChunkProof, header: BlockHeader) -> bool:
         proof.chunk, list(proof.path), header.root, header.root.bits
     )
 
-
-def audit_chunks(
-    block: DataBlock, header: BlockHeader, indices: List[int]
-) -> List[ChunkProof]:
-    """Convenience: produce-and-verify several chunk proofs at once.
-
-    Raises :class:`AuditError` if any proof fails against ``header`` —
-    the storing node is then serving a body inconsistent with the
-    header the network vouched for.
-    """
-    proofs = []
-    for index in indices:
-        proof = make_chunk_proof(block, index)
-        if not verify_chunk_proof(proof, header):
-            raise AuditError(f"chunk {index} failed verification")
-        proofs.append(proof)
-    return proofs

@@ -215,7 +215,7 @@ class BlockHeader:
         return digest
 
     # -- queries used by PoP ----------------------------------------------------
-    def references(self, other_digest: Digest) -> bool:
+    def references(self, other_digest: Digest) -> bool:  # repro: allow[test-only-public-name] test oracle of the digest links
         """Whether Δ contains ``other_digest`` (child-of test, §III-C).
 
         Backed by a cached frozenset of digest bytes — a ``Digest``'s

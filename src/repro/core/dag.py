@@ -17,7 +17,6 @@ from collections import deque
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.block import BlockHeader, BlockId
-from repro.crypto.hashing import Digest
 
 
 class LogicalDag:
@@ -82,10 +81,6 @@ class LogicalDag:
         """All known blocks, sorted."""
         return sorted(self._headers)
 
-    def resolve_digest(self, digest: Digest) -> Optional[BlockId]:
-        """The block whose header hashes to ``digest``, if known."""
-        return self._by_digest.get(digest.value)
-
     def children(self, block_id: BlockId) -> List[BlockId]:
         """Blocks whose headers reference this block's digest."""
         return sorted(self._children.get(block_id, []))
@@ -120,10 +115,6 @@ class LogicalDag:
             seen.add(block)
             frontier.extend(self._children[block])
         return seen
-
-    def nodes_pointing_to(self, block_id: BlockId) -> Set[int]:
-        """Physical nodes storing a descendant of ``block_id`` (§III-C)."""
-        return {b.origin for b in self.descendants(block_id)}
 
     def max_distinct_origins_on_path(
         self,
@@ -189,32 +180,12 @@ class LogicalDag:
                 stack.append((child, origins | {child.origin}))
         return best
 
-    def consensus_feasible(self, block_id: BlockId, gamma: int) -> bool:
+    def consensus_feasible(self, block_id: BlockId, gamma: int) -> bool:  # repro: allow[test-only-public-name] test oracle of PoP feasibility
         """Whether some descendant path collects ≥ γ+1 distinct nodes."""
         return (
             self.max_distinct_origins_on_path(block_id, stop_at=gamma + 1)
             >= gamma + 1
         )
-
-    def find_path(self, start: BlockId, end: BlockId) -> Optional[List[BlockId]]:
-        """Some parent->child path from ``start`` to ``end`` (BFS), or None."""
-        if start == end:
-            return [start]
-        parent_of: Dict[BlockId, BlockId] = {}
-        frontier = deque([start])
-        while frontier:
-            block = frontier.popleft()
-            for child in self._children[block]:
-                if child in parent_of or child == start:
-                    continue
-                parent_of[child] = block
-                if child == end:
-                    path = [end]
-                    while path[-1] != start:
-                        path.append(parent_of[path[-1]])
-                    return list(reversed(path))
-                frontier.append(child)
-        return None
 
     def edge_count(self) -> int:
         """Number of directed edges ``|L|``."""

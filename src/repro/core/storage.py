@@ -63,10 +63,6 @@ class BlockStore:
         """The most recent own block (``None`` before the genesis block)."""
         return self._blocks[-1] if self._blocks else None
 
-    def by_index(self, index: int) -> DataBlock:
-        """Block with per-node sequence ``index``."""
-        return self._blocks[index]
-
     def get(self, block_id: BlockId) -> Optional[DataBlock]:
         """Block by full id, if it is ours and exists."""
         if block_id.origin != self.owner or not 0 <= block_id.index < len(self._blocks):

@@ -7,7 +7,7 @@ how many malicious encounters (timeouts + rejected forgeries) the
 path-selection routed around.  Comparing the clean baseline with the
 ``attack-*`` presets — including the eclipse victim's own viewpoint,
 which *should* fail — reproduces the §IV-D resilience story as one
-table instead of three ad-hoc demos.
+campaign instead of three ad-hoc demos.
 
 Every row is a campaign cell of kind ``attack-audit``, so the roster
 fans out across workers and caches through a configured
@@ -17,11 +17,10 @@ campaign preset exposes it on the CLI.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.campaign.cells import register_cell_kind
-from repro.campaign.spec import CampaignSpec, CellSpec
+from repro.campaign.spec import CellSpec
 from repro.scenario import ScenarioRunner, get_scenario
 
 #: The default comparison roster: clean baseline plus every attack preset.
@@ -35,21 +34,6 @@ DEFAULT_ROSTER: Tuple[str, ...] = (
 
 #: Audited blocks come from the first this-many slots.
 _TARGET_SLOTS = 5
-
-
-@dataclass
-class AttackAuditPoint:
-    """One scenario's audit scoreboard row."""
-
-    scenario: str
-    validator: int
-    eclipsed: bool
-    audits: int
-    successes: int
-    success_rate: float
-    mean_messages: float
-    malicious_encounters: int
-    sybil_identities: int
 
 
 @register_cell_kind("attack-audit")
@@ -141,52 +125,3 @@ def attack_roster_cells(
                     )
     return tuple(cells)
 
-
-def run_attack_comparison(
-    roster: Sequence[str] = DEFAULT_ROSTER,
-    audits: int = 8,
-    include_victim_view: bool = True,
-    executor=None,
-) -> List[AttackAuditPoint]:
-    """Audit every roster scenario; returns one scoreboard row per cell."""
-    from repro.campaign.executor import run_campaign
-
-    campaign = CampaignSpec(
-        name="attack-roster",
-        cells=attack_roster_cells(roster, audits, include_victim_view),
-    )
-    return [
-        AttackAuditPoint(
-            scenario=cell.scenario.name,
-            validator=int(payload["validator"]),
-            eclipsed=bool(payload["eclipsed"]),
-            audits=int(payload["audits"]),
-            successes=int(payload["successes"]),
-            success_rate=float(payload["success_rate"]),
-            mean_messages=float(payload["mean_messages"]),
-            malicious_encounters=int(payload["malicious_encounters"]),
-            sybil_identities=int(payload["sybil_identities"]),
-        )
-        for cell, payload in zip(
-            campaign.cells, run_campaign(campaign, executor).payloads()
-        )
-    ]
-
-
-def comparison_table(points: Sequence[AttackAuditPoint]) -> str:
-    """The scoreboard as an aligned text table."""
-    from repro.metrics.reporting import format_table
-
-    rows = []
-    for point in points:
-        label = point.scenario + (" (victim view)" if point.eclipsed else "")
-        rows.append([
-            label,
-            str(point.audits),
-            f"{point.success_rate:.2f}",
-            f"{point.mean_messages:.1f}",
-            str(point.malicious_encounters),
-        ])
-    return format_table(
-        ["scenario", "audits", "success", "mean msgs", "routed around"], rows
-    )

@@ -15,24 +15,21 @@ passes a configured :class:`~repro.campaign.executor.CampaignExecutor`
 (``python -m repro --workers 4 --cache-dir DIR campaign run
 fault-grid``).  Without one, points run serially in-process.
 
-Reported per point, projected from each cell's
+Each cell's payload is its run's
 :class:`~repro.scenario.runner.ScenarioResult`: consensus progress
-(committed blocks / appended transactions), final per-node storage,
-traffic, and the PoP success rate and mean consensus latency where the
-backend measures them.  Each payload also carries the canonical trace
-digest (the byte-identity witness the CI fault-grid gate compares
-across worker counts).
+(committed blocks / appended transactions), per-node storage, traffic,
+and the PoP success rate and mean consensus latency where the backend
+measures them, plus the canonical trace digest (the byte-identity
+witness the CI fault-grid gate compares across worker counts).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.campaign.spec import CampaignSpec, CellSpec
+from repro.campaign.spec import CellSpec
 from repro.faults.presets import build_fault_preset
 from repro.faults.spec import FaultScheduleSpec
-from repro.metrics.reporting import format_table
 from repro.scenario import (
     ProtocolSpec,
     ScenarioSpec,
@@ -140,114 +137,3 @@ def fault_grid_cells(
         for point in _grid_points(backends, intensities, seeds)
     )
 
-
-@dataclass
-class FaultGridPoint:
-    """Seed-averaged measurements of one backend at one intensity."""
-
-    backend: str
-    intensity: str
-    blocks: float
-    storage_mb: float
-    traffic_mbit: float
-    #: PoP success rate; ``None`` on backends that run no validations.
-    success_rate: Optional[float]
-    mean_consensus_s: Optional[float]
-    #: Consensus progress relative to the same backend's fault-free
-    #: control (1.0 = no degradation; ``None`` when the sweep ran
-    #: without a usable ``"none"`` control for this backend).
-    progress_ratio: Optional[float]
-
-
-@dataclass
-class FaultGridResult:
-    """The whole sweep, ready for tables and reports."""
-
-    points: List[FaultGridPoint]
-
-    def point(self, backend: str, intensity: str) -> FaultGridPoint:
-        """The seed-averaged point for one grid coordinate."""
-        for point in self.points:
-            if point.backend == backend and point.intensity == intensity:
-                return point
-        raise KeyError(f"no grid point for {backend}/{intensity}")
-
-    def to_table(self) -> str:
-        """An aligned text table, one row per backend × intensity."""
-        rows = []
-        for point in self.points:
-            rows.append([
-                point.backend,
-                point.intensity,
-                f"{point.blocks:.1f}",
-                "-" if point.progress_ratio is None
-                else f"{point.progress_ratio:.3f}",
-                f"{point.storage_mb:.2f}",
-                f"{point.traffic_mbit:.3f}",
-                "-" if point.success_rate is None
-                else f"{point.success_rate:.3f}",
-                "-" if point.mean_consensus_s is None
-                else f"{point.mean_consensus_s:.4f}",
-            ])
-        return format_table(
-            ["backend", "intensity", "blocks", "progress", "storage MB",
-             "traffic Mbit", "pop success", "consensus s"],
-            rows,
-        )
-
-
-def run_fault_resilience(
-    backends: Sequence[str] = DEFAULT_BACKENDS,
-    intensities: Sequence[str] = DEFAULT_INTENSITIES,
-    seeds: Sequence[int] = DEFAULT_SEEDS,
-    executor=None,
-) -> FaultGridResult:
-    """Run the grid and aggregate per-coordinate seed averages."""
-    from repro.campaign.executor import run_campaign
-
-    campaign = CampaignSpec(
-        name="fault-resilience",
-        cells=fault_grid_cells(backends, intensities, seeds),
-    )
-    groups: Dict[Tuple[str, str], List[Dict[str, Any]]] = {}
-    for (backend, intensity, _seed), result in zip(
-        _grid_points(backends, intensities, seeds),
-        run_campaign(campaign, executor).payloads(),
-    ):
-        groups.setdefault((backend, intensity), []).append(result)
-
-    def mean(values: List[float]) -> float:
-        return sum(values) / len(values)
-
-    points: List[FaultGridPoint] = []
-    for backend in backends:
-        # A missing or zero-progress control yields progress_ratio=None,
-        # never a silent "no degradation" 1.0.
-        control = groups.get((backend, "none"))
-        control_blocks = (
-            mean([float(r["total_blocks"]) for r in control]) if control else None
-        )
-        for intensity in intensities:
-            group = groups[(backend, intensity)]
-            blocks = mean([float(r["total_blocks"]) for r in group])
-            # A baseline runs no PoP validations, so it has no success
-            # rate: None, never the ScenarioResult default, which would
-            # read as "perfect consensus success" in the table.
-            successes = [float(r["success_rate"]) for r in group if r["validations"]]
-            latencies = [
-                float(r["mean_consensus_s"]) for r in group
-                if r["mean_consensus_s"] is not None
-            ]
-            points.append(
-                FaultGridPoint(
-                    backend=backend,
-                    intensity=intensity,
-                    blocks=blocks,
-                    storage_mb=mean([float(r["storage_mb"][-1]) for r in group]),
-                    traffic_mbit=mean([float(r["traffic_mbit"][-1]) for r in group]),
-                    success_rate=mean(successes) if successes else None,
-                    mean_consensus_s=mean(latencies) if latencies else None,
-                    progress_ratio=blocks / control_blocks if control_blocks else None,
-                )
-            )
-    return FaultGridResult(points=points)

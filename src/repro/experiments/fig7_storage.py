@@ -48,7 +48,7 @@ class Fig7Result:
     series_mb: Dict[str, List[float]]
     per_node_mb_final: List[float] = field(default_factory=list)
 
-    def cdf(self) -> EmpiricalCDF:
+    def cdf(self) -> EmpiricalCDF:  # repro: allow[test-only-public-name] figure-suite output
         """The Fig. 7(d) CDF over final per-node storage."""
         return EmpiricalCDF(self.per_node_mb_final)
 
@@ -84,7 +84,7 @@ def fig7_panel(body_mb: float, measured: ScenarioResult) -> Fig7Result:
     )
 
 
-def run_fig7(body_mb: float, base: ScenarioSpec, executor=None) -> Fig7Result:
+def run_fig7(body_mb: float, base: ScenarioSpec, executor=None) -> Fig7Result:  # repro: allow[test-only-public-name] figure-suite entry point
     """Produce one Fig. 7 panel for body size ``body_mb``.
 
     ``base`` sizes the run (see :func:`repro.scenario.fig7_scenario`).

@@ -42,7 +42,7 @@ class Fig8Result:
     consensus_mbit: Dict[str, List[float]]     # panel (c)
     per_node_total_mb_final: Dict[str, List[float]] = field(default_factory=dict)
 
-    def cdf(self, label: str) -> EmpiricalCDF:
+    def cdf(self, label: str) -> EmpiricalCDF:  # repro: allow[test-only-public-name] figure-suite output
         """Panel (d): CDF over final per-node communication (MB)."""
         return EmpiricalCDF(self.per_node_total_mb_final[label])
 
@@ -92,7 +92,7 @@ def fig8_series(run33: ScenarioResult, run49: ScenarioResult) -> Fig8Result:
     )
 
 
-def run_fig8(base: ScenarioSpec, executor=None) -> Fig8Result:
+def run_fig8(base: ScenarioSpec, executor=None) -> Fig8Result:  # repro: allow[test-only-public-name] figure-suite entry point
     """Produce all Fig. 8 series at the size ``base`` declares.
 
     The 33% and 49% tolerance runs are two campaign cells — they

@@ -130,7 +130,7 @@ def gamma_sweep_cells(
     )
 
 
-def gamma_sweep(
+def gamma_sweep(  # repro: allow[test-only-public-name] sweep entry point
     gammas: Sequence[int],
     node_count: int = 20,
     slots: int = 30,
@@ -206,7 +206,7 @@ def density_sweep_cells(
     )
 
 
-def density_sweep(
+def density_sweep(  # repro: allow[test-only-public-name] sweep entry point
     comm_ranges: Sequence[float],
     node_count: int = 20,
     slots: int = 25,

@@ -65,7 +65,7 @@ def format_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     return "\n".join(lines)
 
 
-def render_cdf_rows(
+def render_cdf_rows(  # repro: allow[test-only-public-name] figure-suite output
     points: Sequence[Tuple[float, float]], value_label: str = "value"
 ) -> str:
     """Render CDF step points as two aligned columns."""
@@ -73,10 +73,3 @@ def render_cdf_rows(
     for value, prob in points:
         lines.append(f"{value:16.4f} | {prob:.3f}")
     return "\n".join(lines)
-
-
-def format_ratio(numerator: float, denominator: float) -> str:
-    """Human ratio like ``"412x"`` guarding division by zero."""
-    if denominator == 0:
-        return "inf"
-    return f"{numerator / denominator:.0f}x"

@@ -26,7 +26,7 @@ from repro.net.transport import DropRule, Network
 LatencyModel = Callable[[Topology, int, int], float]
 
 
-def constant_latency(seconds: float) -> LatencyModel:
+def constant_latency(seconds: float) -> LatencyModel:  # repro: allow[test-only-public-name] test fixture for link_latency
     """The default behaviour as an explicit model."""
     def model(topology: Topology, hop_from: int, hop_to: int) -> float:
         return seconds
@@ -34,7 +34,7 @@ def constant_latency(seconds: float) -> LatencyModel:
     return model
 
 
-def distance_proportional_latency(seconds_per_meter: float) -> LatencyModel:
+def distance_proportional_latency(seconds_per_meter: float) -> LatencyModel:  # repro: allow[test-only-public-name] test fixture for link_latency
     """Latency grows with link length (propagation + power control).
 
     A hop takes at least a microsecond, so co-located nodes still see
@@ -46,7 +46,7 @@ def distance_proportional_latency(seconds_per_meter: float) -> LatencyModel:
     return model
 
 
-def bandwidth_latency(
+def bandwidth_latency(  # repro: allow[test-only-public-name] test fixture for link_latency
     bits_per_second: float, base: float = 0.0
 ) -> Callable[[Topology, int, int, int], float]:
     """Serialization-delay model: latency depends on message size.
@@ -63,7 +63,7 @@ def bandwidth_latency(
     return model
 
 
-def install_latency_model(network: Network, model, size_aware: bool = False) -> None:
+def install_latency_model(network: Network, model, size_aware: bool = False) -> None:  # repro: allow[test-only-public-name] test fixture for link_latency
     """Replace the network's constant per-hop latency with ``model``.
 
     Sets :attr:`Network.link_latency`, the transport's one delay hook:
@@ -119,7 +119,7 @@ class LinkDegradation:
         network: Network,
         loss: float,
         extra_latency: float,
-        rng: Optional[random.Random] = None,
+        rng: random.Random,
     ) -> None:
         if extra_latency < 0:
             raise ValueError(f"extra_latency must be non-negative, got {extra_latency}")
@@ -146,7 +146,7 @@ class LinkDegradation:
 
 def random_loss_rule(
     loss_probability: float,
-    rng: Optional[random.Random] = None,
+    rng: random.Random,
     kinds: Optional[set] = None,
 ) -> DropRule:
     """A seeded Bernoulli per-hop loss rule.
@@ -155,15 +155,14 @@ def random_loss_rule(
     ----------
     loss_probability:
         Chance each hop transmission is lost.
+    rng:
+        The stream each loss is drawn from (a scenario passes its
+        ``faults`` named stream).
     kinds:
         Restrict loss to these message kinds (``None`` = all).
     """
     if not 0.0 <= loss_probability <= 1.0:
         raise ValueError(f"loss probability must be in [0, 1], got {loss_probability}")
-    if rng is None:
-        # Fixed-seed fallback for ad-hoc use; scenario paths always pass
-        # the "faults"/"loss" named stream in.
-        rng = random.Random(0)  # repro: allow[unseeded-random]
 
     def rule(message: Message, hop_from: int, hop_to: int) -> bool:
         if kinds is not None and message.kind not in kinds:

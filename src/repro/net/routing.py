@@ -128,11 +128,3 @@ class RoutingTable:
                 tuple((count, tuple(group)) for count, group in arrivals.items()),
             )
         return plan
-
-    def eccentricity(self, node: int) -> int:
-        """Largest hop count from ``node`` to any reachable node."""
-        return max(self._distance[node].values())
-
-    def diameter(self) -> int:
-        """Largest hop count over all reachable pairs."""
-        return max(self.eccentricity(n) for n in self.topology.node_ids)

@@ -109,7 +109,7 @@ class Topology:
                     frontier.append(neighbor)
         return len(seen) == len(ids)
 
-    def subgraph_without(self, removed: Set[int]) -> "Topology":
+    def subgraph_without(self, removed: Set[int]) -> "Topology":  # repro: allow[test-only-public-name] test oracle of the routing property test
         """The topology with ``removed`` nodes (and their edges) deleted."""
         positions = {n: p for n, p in self.positions.items() if n not in removed}
         adjacency = {
@@ -263,7 +263,7 @@ def random_geometric_topology(
     )
 
 
-def explicit_topology(edges: Sequence[Tuple[int, int]]) -> Topology:
+def explicit_topology(edges: Sequence[Tuple[int, int]]) -> Topology:  # repro: allow[test-only-public-name] test fixture: hand-drawn graphs
     """Build a topology from an explicit edge list (unit positions, unit range).
 
     Used throughout the tests to recreate the paper's worked examples

@@ -166,7 +166,7 @@ class Simulator:
                 break
         return done
 
-    def peek(self) -> Optional[float]:
+    def peek(self) -> Optional[float]:  # repro: allow[test-only-public-name] test oracle of the kernel property test
         """Time of the next queued event, or ``None`` if the heap is empty."""
         return self._heap[0][0] if self._heap else None
 

@@ -45,7 +45,7 @@ def ask_for_child(deployment, asker, responder, digest, origin):
 class TestSilent:
     def test_silent_node_sends_no_reply(self, attack_config, grid9):
         deployment, workload = deployment_with({4: SilentResponder()}, attack_config, grid9)
-        target = deployment.node(3).store.by_index(0)
+        target = list(deployment.node(3).store)[0]
         replies = ask_for_child(
             deployment, 0, 4, target.digest(), 3
         )
@@ -62,7 +62,7 @@ class TestCorrupt:
         # Pick a digest node 4 *definitely* references: one from its own
         # second block's Δ (generation-order races make guessing which
         # neighbour block it embedded unreliable).
-        own_second = deployment.node(4).store.by_index(1).header
+        own_second = list(deployment.node(4).store)[1].header
         origin, digest = next(iter(own_second.digests.items()))
         replies = ask_for_child(deployment, 0, 4, digest, origin)
         assert len(replies) == 1
@@ -77,7 +77,7 @@ class TestEquivocating:
         deployment, workload = deployment_with(
             {4: EquivocatingResponder()}, attack_config, grid9
         )
-        neighbor_block = deployment.node(3).store.by_index(0)
+        neighbor_block = list(deployment.node(3).store)[0]
         digest = neighbor_block.digest()
         replies = ask_for_child(deployment, 0, 4, digest, 3)
         assert len(replies) == 1
@@ -90,7 +90,7 @@ class TestEquivocating:
 class TestSelfish:
     def test_selfish_node_stays_silent(self, attack_config, grid9):
         deployment, workload = deployment_with({4: SelfishNode()}, attack_config, grid9)
-        neighbor_block = deployment.node(3).store.by_index(0)
+        neighbor_block = list(deployment.node(3).store)[0]
         assert ask_for_child(deployment, 0, 4, neighbor_block.digest(), 3) == []
 
 
@@ -104,7 +104,7 @@ class TestForgedRepliesAgainstWarmHeaders:
 
     def _parent_and_child(self, deployment):
         """A header of node 4 and a header it references, both warmed."""
-        child = deployment.node(4).store.by_index(1).header
+        child = list(deployment.node(4).store)[1].header
         origin, digest = next(
             (o, d) for o, d in child.digests.items() if o != 4
         )

@@ -20,7 +20,7 @@ class TestSybil:
         workload = SlotSimulation(small_deployment, validate=False)
         workload.run(3)
         (identity,) = sybil_identities(attacker=4, count=1)
-        template = small_deployment.node(4).store.by_index(0).header
+        template = list(small_deployment.node(4).store)[0].header
         forged = identity.forge_header(template)
         # The forgery self-verifies under the Sybil's own key...
         assert forged.verify_signature(identity.keypair.public)

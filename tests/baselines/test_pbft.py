@@ -8,9 +8,12 @@ from repro.baselines.pbft import replica as replica_module
 from repro.baselines.pbft.chain import Blockchain, ChainBlock
 from repro.baselines.pbft.cluster import PbftCluster
 from repro.baselines.pbft.messages import (
+    KIND_COMMIT,
     KIND_PRE_PREPARE,
     KIND_PREPARE,
+    Commit,
     PrePrepare,
+    Prepare,
     Request,
 )
 from repro.baselines.pbft.replica import request_digest
@@ -210,7 +213,7 @@ class TestFaults:
         live = cluster.live_replicas()
         assert all(r.view >= 1 for r in live)
         # The three live clients' requests eventually commit.
-        assert cluster.min_height() == 3
+        assert min(r.chain.height for r in live) == 3
         assert cluster.chains_consistent()
 
 
@@ -252,3 +255,52 @@ class TestByzantineGuards:
         assert cluster.traffic.message_count(KIND_PREPARE) == prepares
         assert [r.chain.height for r in cluster.replicas.values()] == heights
         assert cluster.chains_consistent()
+
+    @pytest.mark.parametrize("n", [4, 7, 10])
+    @pytest.mark.parametrize("votes_first", [False, True],
+                             ids=["after-pre-prepare", "before-pre-prepare"])
+    def test_mismatched_votes_neither_prepare_nor_execute(self, n, votes_first):
+        # Only the target backup sees the primary's PRE-PREPARE, so the
+        # only other votes for its (view, sequence) are 2f PREPAREs and
+        # 2f COMMITs for another digest.  With the target's own votes
+        # they would make 2f + 1 of each if digests were not compared.
+        cluster = PbftCluster(topology=ring_topology(n), payload_bits=4000, seed=n)
+        cluster.run_slots(2)
+        heights = [r.chain.height for r in cluster.replicas.values()]
+        primary_id, target_id, *others = sorted(cluster.replicas)
+        primary = cluster.replicas[primary_id]
+        view, sequence = primary.view, primary.next_sequence
+        request = Request(client=target_id, payload_seed=b"honest",
+                          payload_bits=4000, timestamp=9.0)
+        pre_prepare = PrePrepare(view=view, sequence=sequence,
+                                 digest=request_digest(request), request=request)
+        wrong = request_digest(Request(client=target_id, payload_seed=b"other",
+                                       payload_bits=4000, timestamp=9.0))
+        network = cluster.network
+
+        def send_pre_prepare():
+            network.interface(primary_id).send(
+                target_id, KIND_PRE_PREPARE, pre_prepare, pre_prepare.size_bits
+            )
+
+        def send_votes():
+            for voter in others[:2 * primary.f]:
+                for kind, vote in ((KIND_PREPARE, Prepare), (KIND_COMMIT, Commit)):
+                    message = vote(view=view, sequence=sequence, digest=wrong,
+                                   replica=voter)
+                    network.interface(voter).send(
+                        target_id, kind, message, message.size_bits
+                    )
+
+        for step in (send_votes, send_pre_prepare) if votes_first else (
+            send_pre_prepare, send_votes
+        ):
+            step()
+            cluster.sim.run()
+
+        state = cluster.replicas[target_id]._slots[(view, sequence)]
+        assert state.pre_prepare == pre_prepare
+        assert state.prepares[pre_prepare.digest.value] == 1 << target_id
+        assert pre_prepare.digest.value not in state.commits
+        assert not state.sent_commit and not state.executed
+        assert [r.chain.height for r in cluster.replicas.values()] == heights

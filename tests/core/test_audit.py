@@ -6,7 +6,6 @@ import pytest
 
 from repro.core.audit import (
     AuditError,
-    audit_chunks,
     make_chunk_proof,
     verify_chunk_proof,
 )
@@ -69,8 +68,3 @@ class TestChunkProofs:
     def test_proof_smaller_than_body(self, block, config):
         proof = make_chunk_proof(block, 0)
         assert proof.size_bits() < config.body_bits
-
-    def test_audit_chunks_batch(self, block):
-        proofs = audit_chunks(block, block.header, [0, 1])
-        assert len(proofs) == 2
-        assert all(verify_chunk_proof(p, block.header) for p in proofs)

@@ -39,8 +39,8 @@ class TestChurn:
         # Generated in slots 0-2 and 6-9: 7 blocks.
         assert len(node.store) == 7
         # Its chain continuity is preserved: block 3 references block 2.
-        digest_prev = node.store.by_index(2).digest()
-        assert node.store.by_index(3).header.digests[4] == digest_prev
+        digest_prev = list(node.store)[2].digest()
+        assert list(node.store)[3].header.digests[4] == digest_prev
 
     def test_rejoining_node_clears_stale_digests(self, small_deployment):
         workload = SlotSimulation(small_deployment, generation_period=1)

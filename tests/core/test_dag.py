@@ -63,11 +63,6 @@ class TestStructure:
         assert dag.children(blocks[0].block_id) == [blocks[1].block_id]
         assert dag.children(blocks[1].block_id) == [blocks[2].block_id]
 
-    def test_resolve_digest(self, config):
-        dag, blocks = make_chain(config, [1, 2])
-        digest = blocks[0].digest(config.hash_bits)
-        assert dag.resolve_digest(digest) == blocks[0].block_id
-
     def test_acyclic(self, config):
         dag, _ = make_chain(config, [1, 2, 3, 1, 2])
         assert dag.is_acyclic()
@@ -86,10 +81,6 @@ class TestDescendants:
     def test_descendants_of_tip_empty(self, config):
         dag, blocks = make_chain(config, [1, 2, 3])
         assert dag.descendants(blocks[-1].block_id) == set()
-
-    def test_nodes_pointing_to(self, config):
-        dag, blocks = make_chain(config, [1, 2, 3, 2])
-        assert dag.nodes_pointing_to(blocks[0].block_id) == {2, 3}
 
 
 class TestConsensusOracle:
@@ -114,15 +105,6 @@ class TestConsensusOracle:
         assert dag.consensus_feasible(blocks[0].block_id, gamma=2)
         assert not dag.consensus_feasible(blocks[0].block_id, gamma=3)
 
-    def test_find_path(self, config):
-        dag, blocks = make_chain(config, [1, 2, 3])
-        path = dag.find_path(blocks[0].block_id, blocks[2].block_id)
-        assert path == [b.block_id for b in blocks]
-
-    def test_find_path_no_route(self, config):
-        dag, blocks = make_chain(config, [1, 2, 3])
-        assert dag.find_path(blocks[2].block_id, blocks[0].block_id) is None
-
     def test_deep_chain_no_recursion_error(self, config):
         """Thousand-block chains must not hit Python's recursion limit."""
         origins = [1 + (i % 2) for i in range(2000)]
@@ -131,8 +113,8 @@ class TestConsensusOracle:
 
 
 class TestEdgeOrder:
-    """``find_path`` / ``descendants`` walk the raw child lists, so the
-    order edges are appended in is behaviour.  The reference links one
+    """``descendants`` and the origin search walk the raw child lists, so
+    the order edges are appended in is behaviour.  The reference links one
     edge at a time through both indexes, as ``add_header`` once did."""
 
     @staticmethod

@@ -2,22 +2,28 @@
 
 import pytest
 
-from repro.experiments.attack_compare import (
-    AttackAuditPoint,
-    attack_roster_cells,
-    comparison_table,
-    run_attack_comparison,
-)
+from repro.campaign.executor import run_campaign
+from repro.campaign.spec import CampaignSpec
+from repro.experiments.attack_compare import attack_roster_cells
+
+#: A trimmed roster keeps this module CI-friendly: the clean grid
+#: baseline, the eclipse demo (plus its victim view, added
+#: automatically) and the sybil demo — all 9-node/20-slot scenarios.
+ROSTER = ("quickstart", "attack-eclipse", "attack-sybil")
+
+
+def scoreboard():
+    """``(scenario name, payload)`` per ``attack-audit`` cell, in order."""
+    campaign = CampaignSpec(
+        name="attack-roster", cells=attack_roster_cells(ROSTER, audits=4)
+    )
+    payloads = run_campaign(campaign).payloads()
+    return [(cell.scenario.name, payload) for cell, payload in zip(campaign.cells, payloads)]
 
 
 @pytest.fixture(scope="module")
 def points():
-    # A trimmed roster keeps this module CI-friendly: the clean grid
-    # baseline, the eclipse demo (plus its victim view, added
-    # automatically) and the sybil demo — all 9-node/20-slot scenarios.
-    return run_attack_comparison(
-        roster=("quickstart", "attack-eclipse", "attack-sybil"), audits=4
-    )
+    return scoreboard()
 
 
 class TestRoster:
@@ -39,45 +45,36 @@ class TestRoster:
 
 class TestComparison:
     def test_one_row_per_cell_in_order(self, points):
-        assert [point.scenario for point in points] == [
+        assert [name for name, _ in points] == [
             "quickstart", "attack-eclipse", "attack-eclipse", "attack-sybil",
         ]
 
     def test_clean_baseline_fully_succeeds(self, points):
-        baseline = points[0]
-        assert baseline.audits == 4
-        assert baseline.success_rate == 1.0
-        assert not baseline.eclipsed
+        _, baseline = points[0]
+        assert baseline["audits"] == 4
+        assert baseline["success_rate"] == 1.0
+        assert not baseline["eclipsed"]
 
     def test_honest_validator_mostly_survives_eclipse(self, points):
         # Not necessarily 1.0: PoP requests whose shortest route relays
         # through the victim's grid position are dropped too.
-        honest_view = points[1]
-        assert not honest_view.eclipsed
-        assert honest_view.success_rate >= 0.5
-        assert honest_view.success_rate > points[2].success_rate
+        _, honest_view = points[1]
+        assert not honest_view["eclipsed"]
+        assert honest_view["success_rate"] >= 0.5
+        assert honest_view["success_rate"] > points[2][1]["success_rate"]
 
     def test_eclipse_victim_fails_every_audit(self, points):
-        victim_view = points[2]
-        assert victim_view.eclipsed
-        assert victim_view.validator == 4
-        assert victim_view.success_rate == 0.0
+        _, victim_view = points[2]
+        assert victim_view["eclipsed"]
+        assert victim_view["validator"] == 4
+        assert victim_view["success_rate"] == 0.0
 
     def test_sybil_identities_reported_but_harmless(self, points):
-        sybil = points[3]
-        assert sybil.sybil_identities == 5
-        assert sybil.success_rate == 1.0
-
-    def test_table_renders_all_rows(self, points):
-        table = comparison_table(points)
-        assert "attack-eclipse (victim view)" in table
-        assert table.count("\n") == len(points) + 1  # header + rule + rows
+        _, sybil = points[3]
+        assert sybil["sybil_identities"] == 5
+        assert sybil["success_rate"] == 1.0
 
 
 class TestDeterminism:
     def test_points_are_reproducible(self, points):
-        again = run_attack_comparison(
-            roster=("quickstart", "attack-eclipse", "attack-sybil"), audits=4
-        )
-        assert again == points
-        assert all(isinstance(point, AttackAuditPoint) for point in again)
+        assert scoreboard() == points

@@ -400,9 +400,20 @@ class TestRetiredBenchCommand:
             if action.dest == "command"
         ]
         assert list(subparsers.choices) == [
-            "simulate", "verify", "scenarios", "campaign", "lint",
-            "telemetry", "report",
+            "simulate", "verify", "scenarios", "campaign", "telemetry",
+            "report",
         ]
+
+
+class TestRetiredLintCommand:
+    """The determinism and architecture rules are a tier-1 test module
+    (``tests/invariants/test_rules.py``), not a subcommand."""
+
+    def test_lint_is_an_invalid_choice(self, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main(["lint", "src"])
+        assert raised.value.code == 2
+        assert "invalid choice: 'lint'" in capsys.readouterr().err
 
 
 class TestRetiredExportCommand:

@@ -71,12 +71,11 @@ class TestCombinedStress:
     def test_sleeper_chain_continuity(self, stressed):
         deployment, workload, behaviors, sleepers = stressed
         for node_id in sleepers:
-            store = deployment.node(node_id).store
+            blocks = list(deployment.node(node_id).store)
             # 20 pre-sleep + 8 post-rejoin blocks.
-            assert len(store) == 28
-            for index in range(1, len(store)):
-                previous_digest = store.by_index(index - 1).digest()
-                assert store.by_index(index).header.digests[node_id] == previous_digest
+            assert len(blocks) == 28
+            for previous, block in zip(blocks, blocks[1:]):
+                assert block.header.digests[node_id] == previous.digest()
 
     def test_corrupt_node_headers_never_on_paths(self, stressed):
         deployment, workload, behaviors, sleepers = stressed

@@ -4,7 +4,7 @@ import pytest
 
 from repro.metrics.cdf import EmpiricalCDF
 from repro.metrics.collector import TrafficLedger
-from repro.metrics.reporting import format_ratio, format_series_table, render_cdf_rows
+from repro.metrics.reporting import format_series_table, render_cdf_rows
 from repro.metrics.units import bits_to_kb, bits_to_mb, bits_to_mbit, mb_to_bits
 
 
@@ -117,7 +117,3 @@ class TestReporting:
         rows = render_cdf_rows([(1.0, 0.5), (2.0, 1.0)], "MB")
         assert "MB" in rows.splitlines()[0]
         assert "1.000" in rows
-
-    def test_ratio(self):
-        assert format_ratio(100, 10) == "10x"
-        assert format_ratio(1, 0) == "inf"

@@ -99,7 +99,7 @@ class TestLatencyModels:
 
 class TestLossModels:
     def test_full_loss_drops_everything(self, network):
-        network.add_drop_rule(random_loss_rule(1.0))
+        network.add_drop_rule(random_loss_rule(1.0, random.Random(0)))
         received = []
         network.attach(3).on("ping", received.append)
         network.attach(0).send(3, "ping", None, 10)
@@ -107,7 +107,7 @@ class TestLossModels:
         assert received == []
 
     def test_zero_loss_drops_nothing(self, network):
-        network.add_drop_rule(random_loss_rule(0.0))
+        network.add_drop_rule(random_loss_rule(0.0, random.Random(0)))
         received = []
         network.attach(3).on("ping", received.append)
         for _ in range(10):
@@ -116,7 +116,7 @@ class TestLossModels:
         assert len(received) == 10
 
     def test_loss_restricted_to_kinds(self, network):
-        network.add_drop_rule(random_loss_rule(1.0, kinds={"lossy"}))
+        network.add_drop_rule(random_loss_rule(1.0, random.Random(0), kinds={"lossy"}))
         received = []
         network.attach(1).on("safe", received.append)
         network.attach(1).on("lossy", received.append)
@@ -140,7 +140,7 @@ class TestLossModels:
 
     def test_invalid_probability_rejected(self):
         with pytest.raises(ValueError):
-            random_loss_rule(1.5)
+            random_loss_rule(1.5, random.Random(0))
 
     def test_pop_survives_moderate_loss(self, small_deployment):
         """Failure injection: PoP still converges under 10% frame loss
@@ -201,7 +201,7 @@ class TestPartitionRule:
     def test_remove_respects_other_rules(self, network):
         from repro.net.linkmodels import partition_drop_rule
 
-        other = random_loss_rule(1.0)
+        other = random_loss_rule(1.0, random.Random(0))
         rule = partition_drop_rule([(0,)])
         network.add_drop_rule(other)
         network.add_drop_rule(rule)
@@ -218,7 +218,9 @@ class TestLinkDegradation:
         from repro.net.linkmodels import LinkDegradation
 
         base = network.per_hop_latency
-        degradation = LinkDegradation(network, loss=0.0, extra_latency=0.004)
+        degradation = LinkDegradation(
+            network, loss=0.0, extra_latency=0.004, rng=random.Random(0)
+        )
         assert network.per_hop_latency == pytest.approx(base + 0.004)
         degradation.revoke()
         assert network.per_hop_latency == pytest.approx(base)
@@ -245,4 +247,6 @@ class TestLinkDegradation:
         from repro.net.linkmodels import LinkDegradation
 
         with pytest.raises(ValueError, match="non-negative"):
-            LinkDegradation(network, loss=0.0, extra_latency=-1.0)
+            LinkDegradation(
+                network, loss=0.0, extra_latency=-1.0, rng=random.Random(0)
+            )

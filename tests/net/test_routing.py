@@ -88,16 +88,3 @@ class TestPaths:
         table = RoutingTable(grid9)
         table.path(0, 8).append(99)
         assert table.path(0, 8)[-1] == 8
-
-
-class TestAggregates:
-    def test_diameter_line(self, line_topology):
-        assert RoutingTable(line_topology).diameter() == 3
-
-    def test_diameter_grid(self):
-        assert RoutingTable(grid_topology(3, 3)).diameter() == 4
-
-    def test_eccentricity_center_vs_corner(self, grid9):
-        table = RoutingTable(grid9)
-        assert table.eccentricity(4) == 2
-        assert table.eccentricity(0) == 4

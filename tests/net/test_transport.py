@@ -1,6 +1,7 @@
 """Unit tests for the message transport and byte accounting."""
 
 import gc
+import random
 import sys
 import weakref
 
@@ -166,7 +167,9 @@ class TestDelivery:
         live = []
         sim.call_at(0.0, source.send, 3, "ping", "before", 10)
         sim.call_at(0.99, source.send, 3, "ping", "in-flight", 10)
-        sim.call_at(1.0, lambda: live.append(LinkDegradation(network, loss=0.0, extra_latency=0.005)))
+        sim.call_at(1.0, lambda: live.append(LinkDegradation(
+            network, loss=0.0, extra_latency=0.005, rng=random.Random(0)
+        )))
         sim.call_at(1.0, source.send, 3, "ping", "degraded", 10)
         sim.call_at(2.0, lambda: live.pop().revoke())
         sim.call_at(2.0, source.send, 3, "ping", "restored", 10)

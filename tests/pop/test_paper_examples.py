@@ -102,7 +102,7 @@ class TestFig6MicroLoop:
 
         # Verify B's genesis block from A; quorum needs A, B and C, so
         # the path must run the A/B micro-loop until it reaches C's block.
-        target = node_b.store.by_index(0).block_id
+        target = list(node_b.store)[0].block_id
         outcome = finished(sim, node_a.validator().run(1, target))
         assert outcome.success
         origins = [h.origin for h in outcome.path]
@@ -127,7 +127,7 @@ class TestFig6MicroLoop:
         node_c.generate_block()
         sim.run()
 
-        target = node_b.store.by_index(0).block_id
+        target = list(node_b.store)[0].block_id
         outcome = finished(sim, node_a.validator().run(1, target))
         assert outcome.success
 

@@ -47,13 +47,6 @@ def test_the_root_package_loads_no_submodule():
     assert loaded_after("import repro", ("repro.",)) == "[]"
 
 
-def test_the_lint_engine_loads_no_protocol():
-    assert loaded_after(
-        "import repro.checks.engine",
-        ("repro.core", "repro.scenario", "repro.baselines"),
-    ) == "[]"
-
-
 def test_the_experiments_package_imports_nothing():
     # The campaign presets import experiment modules when a preset is
     # built, and `report` does too, so every such import executes this
@@ -115,7 +108,7 @@ def test_each_package_reexports_only_what_callers_import_through_it():
         for tree in ("src", "tests", "benchmarks", "examples", "tools")
         for path in sorted((REPO / tree).rglob("*.py"))
     ]
-    fixtures = REPO / "tests/checks/test_rules.py"
+    fixtures = REPO / "tests/invariants/test_rules.py"
     used = {package: set() for package in facades}
     for path in sources:
         text = path.read_text()

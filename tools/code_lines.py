@@ -8,6 +8,7 @@ is every ``*.py`` under it) and a total; exits 1 above the ceiling.
 
 import argparse
 import ast
+import bisect
 import sys
 import tokenize
 from pathlib import Path
@@ -20,16 +21,25 @@ def code_lines(path: Path) -> int:
     """Code lines of one Python source file."""
     with tokenize.open(path) as handle:
         source = handle.read()
-    prose = set()
-    for node in ast.walk(ast.parse(source)):
-        if (isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
-                and isinstance(node.value.value, str)):
-            prose.update(range(node.lineno, node.end_lineno + 1))
-    lines = set()
+    prose = sorted(
+        ((node.lineno, node.col_offset), (node.end_lineno, node.end_col_offset))
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+        and isinstance(node.value.value, str)
+    )
+    starts = [start for start, _ in prose]
+    counted = set()
     for token in tokenize.generate_tokens(iter(source.splitlines(True)).__next__):
-        if token.type not in _LAYOUT:
-            lines.update(range(token.start[0], token.end[0] + 1))
-    return len(lines - prose)
+        if token.type in _LAYOUT:
+            continue
+        if token.type == tokenize.STRING:
+            # A bare string statement's tokens (implicit concatenation
+            # included) are prose; the code beside them still counts.
+            at = bisect.bisect_right(starts, token.start) - 1
+            if at >= 0 and token.end <= prose[at][1]:
+                continue
+        counted.update(range(token.start[0], token.end[0] + 1))
+    return len(counted)
 
 
 def main(argv=None) -> int:
