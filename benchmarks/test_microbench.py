@@ -92,19 +92,6 @@ def test_bench_header_digest_cold(benchmark, headers):
     assert benchmark.pedantic(digest_all, setup=cold_copies, rounds=200) == warm
 
 
-def test_bench_header_references(benchmark, headers):
-    first = headers[0]
-    hit = next(iter(first.digests.values()))
-    miss = hash_bytes(b"not-a-parent")
-
-    def probe_all():
-        return [
-            (first.references(hit), header.references(miss)) for header in headers
-        ]
-
-    assert benchmark(probe_all) == [(True, False)] * len(headers)
-
-
 def test_bench_header_verify_signature(benchmark, headers):
     def verify_all(public):
         return [header.verify_signature(public) for header in headers]

@@ -16,3 +16,17 @@ def finished():
         return handle.value
 
     return finished
+
+
+@pytest.fixture(scope="session")
+def references():
+    """``references(child, digest)``: whether ``child``'s Δ holds ``digest``.
+
+    The child-of test of §III-C, for checking that a path is a chain of
+    digest links.  Session-scoped so hypothesis tests may use it.
+    """
+
+    def references(child, digest):
+        return digest.value in {parent.value for parent in child.digests.values()}
+
+    return references

@@ -22,5 +22,14 @@ canonical_json = partial(json.dumps, sort_keys=True, separators=(",", ":"))
 
 
 def sha256_lines(lines: Iterable[str]) -> str:
-    """Hex SHA-256 over ``lines`` joined by ``\\n`` (no trailing newline)."""
-    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+    """Hex SHA-256 over ``lines`` joined by ``\\n`` (no trailing newline).
+
+    The lines are fed one at a time, so no joined copy of a long trace
+    is ever held; the pre-image is the joined text's, byte for byte.
+    """
+    digest, separator = hashlib.sha256(), b""
+    for line in lines:
+        digest.update(separator)
+        digest.update(line.encode("utf-8"))
+        separator = b"\n"
+    return digest.hexdigest()

@@ -215,19 +215,6 @@ class BlockHeader:
         return digest
 
     # -- queries used by PoP ----------------------------------------------------
-    def references(self, other_digest: Digest) -> bool:  # repro: allow[test-only-public-name] test oracle of the digest links
-        """Whether Δ contains ``other_digest`` (child-of test, §III-C).
-
-        Backed by a cached frozenset of digest bytes — a ``Digest``'s
-        width is determined by its byte length, so byte equality is
-        exactly ``Digest`` equality and the linear scan is unnecessary.
-        """
-        values = self.__dict__.get("_hdr_ref_values")
-        if values is None:
-            values = frozenset(d.value for d in self.digests.values())
-            object.__setattr__(self, "_hdr_ref_values", values)
-        return other_digest.value in values
-
     def digest_from(self, node: int) -> Optional[Digest]:
         """``GetDigest(b^h, node)`` of Algorithm 3 (``None`` if absent)."""
         return self.digests.get(node)

@@ -112,7 +112,7 @@ class IoTNode:
         registry.register(self.keypair)
 
         self.store = BlockStore(node_id, config.hash_bits)
-        self.cache = HeaderCache()
+        self.cache = HeaderCache(self.store)
         #: Churn state (§VII future work): offline nodes neither
         #: generate, respond nor track digests; they keep their storage
         #: and resume from it when they return.
@@ -161,10 +161,9 @@ class IoTNode:
             puzzle=self._puzzle,
         )
         block = self.behavior.transform_outgoing_block(self, block)
+        # Our own headers are trivially trusted: H_i reads them from S_i,
+        # so TPS traverses our blocks without a self-request.
         self.store.add(block)
-        # Our own headers are trivially trusted: seed H_i so TPS can
-        # traverse through our blocks without a self-request.
-        self.cache.add(block.header)
         tracer = self.network.tracer
         if tracer.enabled:
             # Lifecycle emission for span collectors; the detail stays

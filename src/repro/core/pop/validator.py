@@ -70,10 +70,9 @@ class PopOutcome:
         Whether consensus (|R_i| ≥ γ+1) was reached.
     error:
         Failure reason when ``success`` is ``False``.
-    consensus_set:
-        ``R_i`` — distinct physical nodes on the final path.
     path:
-        ``P_i`` — headers from the target block to the path tip.
+        ``P_i`` — headers from the target block to the path tip (empty
+        on failure).
     requests_sent / replies_received / timeouts / invalid_replies:
         PoP message statistics (Props. 4 & 6 bound these).
     tps_steps:
@@ -86,7 +85,6 @@ class PopOutcome:
 
     success: bool = False
     error: Optional[str] = None
-    consensus_set: Set[int] = field(default_factory=set)
     path: List[BlockHeader] = field(default_factory=list)
     requests_sent: int = 0
     replies_received: int = 0
@@ -96,6 +94,15 @@ class PopOutcome:
     rollbacks: int = 0
     started_at: float = 0.0
     finished_at: float = 0.0
+
+    @property
+    def consensus_set(self) -> Set[int]:
+        """``R_i`` — the distinct physical nodes on the final path.
+
+        Derived, not kept: the walk's ``R_i`` is always the set of its
+        path's origins, and a finished run holds only the path.
+        """
+        return {header.origin for header in self.path}
 
     @property
     def headers_retrieved(self) -> int:
@@ -259,7 +266,6 @@ class _PopRun:
                 for header in self.fetched:
                     validator.cache.add(header)
                 outcome.success = True
-                outcome.consensus_set = self.consensus_set
                 outcome.path = path
                 return self._finish(None)
 
@@ -301,7 +307,8 @@ class _PopRun:
         self.value = outcome
         self.triggered = True
         # Callers keep the handle for ``value``; the walk's state ends here.
-        del self.validator, self.reply_memo, self.dead_ends, self.fetched, self.order
+        del self.validator, self.consensus_set, self.reply_memo, self.dead_ends
+        del self.fetched, self.order
         sim.call_in(0.0, _completed)
 
 

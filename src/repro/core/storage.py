@@ -8,7 +8,7 @@ child search O(1) per request instead of scanning the whole store.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from typing import AbstractSet, Dict, Iterator, List, Optional
 
 from repro.core.block import BlockId, DataBlock
 from repro.core.config import ProtocolConfig
@@ -69,17 +69,36 @@ class BlockStore:
             return None
         return self._blocks[block_id.index]
 
-    def oldest_child_of(self, digest: Digest) -> Optional[DataBlock]:
+    @property
+    def delta_total(self) -> int:
+        """Σ|Δ| over the stored blocks (``H_i`` charges it for own headers)."""
+        return self._delta_total
+
+    def oldest_child_of(
+        self, digest: Digest, skip_ids: Optional[AbstractSet[BlockId]] = None
+    ) -> Optional[DataBlock]:
         """Eq. (10)-(11): oldest own block whose Δ contains ``digest``.
 
         Served from the incrementally maintained oldest-child index —
         ties on generation time break towards the earlier sequence
         position, matching the previous ``min`` over all children.
+        Blocks in ``skip_ids`` do not count: when the indexed child is
+        one of them (``H_i``'s lookup past a rolled-back dead end, which
+        is rare), the next child is found by a scan in the same order.
         """
         position = self._oldest_child_of_digest.get(digest.value)
         if position is None:
             return None
-        return self._blocks[position]
+        block = self._blocks[position]
+        if not skip_ids or block.block_id not in skip_ids:
+            return block
+        key = digest.value
+        children = [
+            (other.header.time, at) for at, other in enumerate(self._blocks)
+            if other.block_id not in skip_ids
+            and any(parent.value == key for parent in other.header.digests.values())
+        ]
+        return self._blocks[min(children)[1]] if children else None
 
     def size_bits(self, config: ProtocolConfig) -> int:
         """Total stored bits of ``S_i`` (Eq. 2 summed over blocks).

@@ -51,11 +51,11 @@ class TestConstruction:
         block = _block(config, keypair)
         assert block.verify_body_root()
 
-    def test_references_parent_digests(self, config, keypair):
+    def test_references_parent_digests(self, config, keypair, references):
         parent = _block(config, keypair)
         parent_digest = parent.digest(config.hash_bits)
         child = _block(config, keypair, digests={1: parent_digest}, index=1)
-        assert child.header.references(parent_digest)
+        assert references(child.header, parent_digest)
         assert child.header.digest_from(1) == parent_digest
 
     def test_missing_digest_is_none(self, config, keypair):

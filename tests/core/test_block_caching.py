@@ -27,7 +27,6 @@ from repro.crypto.signature import sign
 CACHE_ATTRS = (
     "_hdr_signing_payload",
     "_hdr_digest_by_bits",
-    "_hdr_ref_values",
     "_hdr_block_id",
     "_hdr_accepted",
 )
@@ -175,7 +174,6 @@ class TestIdentitySlots:
     ):
         for warm_up in (header.digest, header.encode, header.signing_payload,
                         header.puzzle_fields, lambda: header.block_id,
-                        lambda: header.references(hash_bytes(b"x")),
                         lambda: header.authentic(keypair.public, NoncePuzzle(0))):
             warm_up()
         assert set(CACHE_ATTRS) <= set(header.__dict__)
@@ -272,24 +270,8 @@ class TestMutationSafety:
     def test_caches_do_not_affect_equality_or_repr(self, header):
         twin = dataclasses.replace(header)
         header.digest()
-        header.references(hash_bytes(b"x"))
         assert header == twin
         assert repr(header) == repr(twin)
-
-
-class TestReferences:
-    def test_matches_linear_scan(self, header):
-        present = list(header.digests.values())
-        absent = [hash_bytes(f"absent-{i}".encode()) for i in range(3)]
-        for digest in present + absent:
-            expected = any(d == digest for d in header.digests.values())
-            assert header.references(digest) is expected
-
-    def test_consistent_after_warmup(self, header):
-        target = next(iter(header.digests.values()))
-        assert header.references(target)
-        assert header.references(target)  # cached frozenset path
-        assert not header.references(hash_bytes(b"never-referenced"))
 
 
 class TestWireRoundTripWithWarmCaches:
@@ -298,7 +280,6 @@ class TestWireRoundTripWithWarmCaches:
         header.digest()
         header.digest(bits=128)
         header.encode()
-        header.references(hash_bytes(b"warmup"))
         header.authentic(keypair.public, NoncePuzzle(0))
         assert header.block_id == BlockId(3, 5)
         assert set(CACHE_ATTRS) <= set(header.__dict__)

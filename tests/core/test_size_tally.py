@@ -80,12 +80,13 @@ class TestSizeTallyEqualsSum:
             if again:  # a re-added block is refused and must add nothing
                 with pytest.raises(ValueError):
                     store.add(own)
-            assert_sizes_equal_reference(store, HeaderCache())
+            # The owner's H_i reads its headers from the store.
+            assert_sizes_equal_reference(store, HeaderCache(store))
 
     @settings(max_examples=60, deadline=None)
     @given(steps=STEPS)
     def test_header_cache(self, steps):
-        cache = HeaderCache()
+        cache = HeaderCache(BlockStore(owner=0))  # an owner that stored nothing
         for index, (kind, delta_size, forged_size, again) in enumerate(steps):
             honest = block(1 + index % 3, index, delta_size)
             header = transform(honest, kind, forged_size).header
@@ -94,7 +95,8 @@ class TestSizeTallyEqualsSum:
                 # Same id, other Δ: the duplicate is refused and adds nothing.
                 assert not cache.add(header)
                 assert not cache.add(replace(header, digests=delta(forged_size + 1, b"dup")))
-            assert_sizes_equal_reference(BlockStore(owner=1), cache)
+            assert_sizes_equal_reference(BlockStore(owner=0), cache)
 
     def test_empty(self):
-        assert_sizes_equal_reference(BlockStore(owner=1), HeaderCache())
+        store = BlockStore(owner=1)
+        assert_sizes_equal_reference(store, HeaderCache(store))

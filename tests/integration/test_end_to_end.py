@@ -45,14 +45,14 @@ class TestPaperTopologyEndToEnd:
             if record.outcome.success:
                 assert record.outcome.path[0].block_id == record.block_id
 
-    def test_paths_are_genuine_dag_paths(self, system):
+    def test_paths_are_genuine_dag_paths(self, system, references):
         deployment, workload = system
         hash_bits = deployment.config.hash_bits
         for record in workload.validations[:40]:
             if not record.outcome.success:
                 continue
             for parent, child in zip(record.outcome.path, record.outcome.path[1:]):
-                assert child.references(parent.digest(hash_bits))
+                assert references(child, parent.digest(hash_bits))
 
     def test_oracle_agrees_paths_existed(self, system):
         deployment, workload = system

@@ -13,11 +13,13 @@ from repro.attacks.behaviors import CorruptResponder, EquivocatingResponder, Sil
 from repro.core.block import DataBlock
 from repro.core.config import ProtocolConfig
 from repro.core.node import IoTNode, NodeBehavior
+from repro.core.pop.cache import HeaderCache
 from repro.core.pop.messages import RpyChild
 from repro.core.pop.responder import serve_req_child
 from repro.core.pop.validator import PopValidator
 from repro.core.pop.wps import wps_order
 from repro.core.protocol import SlotSimulation, TwoLayerDagNetwork
+from repro.core.storage import BlockStore
 from repro.crypto.keys import KeyRegistry
 from repro.crypto.puzzle import NoncePuzzle
 from repro.crypto.signature import sign
@@ -53,14 +55,16 @@ class TestSuccess:
         assert len(outcome.consensus_set) >= small_config.consensus_quorum()
         assert outcome.path[0].block_id == target
 
-    def test_path_is_connected_chain_of_children(self, small_config, grid9, run_validation):
+    def test_path_is_connected_chain_of_children(
+        self, small_config, grid9, run_validation, references
+    ):
         deployment = TwoLayerDagNetwork(config=small_config, topology=grid9, seed=1)
         workload = grow_dag(deployment, 10)
         target = workload.blocks_by_slot[0][0]
         outcome = run_validation(deployment, 8, target.origin, target)
         hash_bits = small_config.hash_bits
         for parent, child in zip(outcome.path, outcome.path[1:]):
-            assert child.references(parent.digest(hash_bits))
+            assert references(child, parent.digest(hash_bits))
 
     def test_verify_latest_block_without_id(self, small_config, grid9, run_validation):
         deployment = TwoLayerDagNetwork(config=small_config, topology=grid9, seed=1)
@@ -77,7 +81,8 @@ class TestSuccess:
         workload = grow_dag(deployment, 8)
         target = workload.blocks_by_slot[0][0]
         validator_node = deployment.node(8)
-        validator_node.cache = type(validator_node.cache)()  # wipe H_i
+        # Wipe H_i, the own part included: a cache over an empty store.
+        validator_node.cache = HeaderCache(BlockStore(owner=validator_node.node_id))
         outcome = run_validation(deployment, 8, target.origin, target, use_tps=False) \
             if False else run_validation(deployment, 8, target.origin, target)
         assert outcome.success
@@ -176,7 +181,7 @@ class TestAdversaries:
             public = deployment.registry.public_key(header.origin)
             assert header.verify_signature(public)
 
-    def test_equivocating_replies_rejected(self, run_validation):
+    def test_equivocating_replies_rejected(self, run_validation, references):
         config = ProtocolConfig(body_bits=8_000, gamma=3, reply_timeout=0.1)
         grid = grid_topology(4, 4)
         behaviors = {5: EquivocatingResponder()}
@@ -191,7 +196,7 @@ class TestAdversaries:
         assert outcome.success
         hash_bits = config.hash_bits
         for parent, child in zip(outcome.path, outcome.path[1:]):
-            assert child.references(parent.digest(hash_bits))
+            assert references(child, parent.digest(hash_bits))
 
 
 class UnminedResponder(NodeBehavior):

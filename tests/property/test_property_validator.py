@@ -57,7 +57,7 @@ def scenario(draw):
 class TestValidatorInvariants:
     @given(scenario())
     @settings(max_examples=15, deadline=None)
-    def test_success_implies_valid_path(self, params):
+    def test_success_implies_valid_path(self, references, params):
         deployment, workload, behaviors = build_attacked_system(**params)
         config = deployment.config
         honest = [n for n in deployment.node_ids if n not in behaviors]
@@ -88,7 +88,7 @@ class TestValidatorInvariants:
         assert all(cache.get(h.block_id) == h for h in outcome.path)
         # Genuine chain: each element references its predecessor.
         for parent, child in zip(outcome.path, outcome.path[1:]):
-            assert child.references(parent.digest(config.hash_bits))
+            assert references(child, parent.digest(config.hash_bits))
         # Every header authentic under the registered key.
         for header in outcome.path:
             public = deployment.registry.public_key(header.origin)
