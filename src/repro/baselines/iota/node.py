@@ -68,15 +68,9 @@ class IotaNode:
         )
         self._issued += 1
         self.tangle.add(transaction)
-        tracer = self.network.tracer
-        if tracer.enabled:
-            # Lifecycle emission for span collectors; the transaction
-            # travels whole so the enabled path stays cheap — the
-            # collector derives key/digest/parents only as needed.
-            tracer.emit(
-                self.network.sim.now, "iota.attach", self.node_id,
-                tx=transaction,
-            )
+        spans = self.network.spans
+        if spans is not None:
+            spans.attach(self, transaction)
         self._forward(transaction, exclude=None)
         return transaction
 
@@ -86,12 +80,9 @@ class IotaNode:
             return
         transaction: Transaction = message.payload
         if self.tangle.add(transaction):
-            tracer = self.network.tracer
-            if tracer.enabled:
-                tracer.emit(
-                    self.network.sim.now, "iota.received", self.node_id,
-                    tx=transaction,
-                )
+            spans = self.network.spans
+            if spans is not None:
+                spans.received(self, transaction)
             self._forward(transaction, exclude=message.sender)
 
     def _forward(self, transaction: Transaction, exclude: Optional[int]) -> None:

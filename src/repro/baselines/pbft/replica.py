@@ -129,14 +129,9 @@ class PbftReplica:
             return
         digest = request_digest(request)
         self._pending_requests[digest.value] = request
-        tracer = self.network.tracer
-        if tracer.enabled:
-            # Lifecycle emissions for span collectors; detail reads are
-            # guarded so disabled runs pay one predicate check.
-            tracer.emit(
-                self.network.sim.now, "pbft.request", self.replica_id,
-                key=request.payload_seed.decode("utf-8", "replace"),
-            )
+        spans = self.network.spans
+        if spans is not None:
+            spans.request(self, request)
         if self.is_primary:
             self._propose(request)
         else:
@@ -195,13 +190,9 @@ class PbftReplica:
         if request_digest(pre_prepare.request) != pre_prepare.digest:
             return  # digest mismatch: equivocation attempt
         state.pre_prepare = pre_prepare
-        tracer = self.network.tracer
-        if tracer.enabled:
-            tracer.emit(
-                self.network.sim.now, "pbft.preprepare", self.replica_id,
-                key=pre_prepare.request.payload_seed.decode("utf-8", "replace"),
-                view=pre_prepare.view, seq=pre_prepare.sequence,
-            )
+        spans = self.network.spans
+        if spans is not None:
+            spans.phase(self, "pre-prepare", pre_prepare)
         prepare = Prepare(
             view=pre_prepare.view,
             sequence=pre_prepare.sequence,
@@ -230,15 +221,9 @@ class PbftReplica:
         if votes.bit_count() < 2 * self.f:
             return
         state.sent_commit = True
-        tracer = self.network.tracer
-        if tracer.enabled:
-            tracer.emit(
-                self.network.sim.now, "pbft.prepared", self.replica_id,
-                key=state.pre_prepare.request.payload_seed.decode(
-                    "utf-8", "replace"
-                ),
-                view=state.pre_prepare.view, seq=state.pre_prepare.sequence,
-            )
+        spans = self.network.spans
+        if spans is not None:
+            spans.phase(self, "prepare", state.pre_prepare)
         commit = Commit(
             view=state.pre_prepare.view,
             sequence=state.pre_prepare.sequence,
@@ -269,13 +254,9 @@ class PbftReplica:
         state.executed = True
         pre_prepare = state.pre_prepare
         request = pre_prepare.request
-        tracer = self.network.tracer
-        if tracer.enabled:
-            tracer.emit(
-                self.network.sim.now, "pbft.executed", self.replica_id,
-                key=request.payload_seed.decode("utf-8", "replace"),
-                view=pre_prepare.view, seq=pre_prepare.sequence,
-            )
+        spans = self.network.spans
+        if spans is not None:
+            spans.executed(self, pre_prepare)
         self._executed_digests.add(pre_prepare.digest.value)
         self._pending_requests.pop(pre_prepare.digest.value, None)
         self._deferred[pre_prepare.sequence] = request
@@ -297,12 +278,9 @@ class PbftReplica:
     def _start_view_change(self, new_view: int) -> None:
         if new_view <= self.view:
             return
-        tracer = self.network.tracer
-        if tracer.enabled:
-            tracer.emit(
-                self.network.sim.now, "pbft.viewchange", self.replica_id,
-                view=new_view,
-            )
+        spans = self.network.spans
+        if spans is not None:
+            spans.view_change(self, new_view)
         vote = ViewChange(
             new_view=new_view, last_sequence=self.chain.height, replica=self.replica_id
         )
@@ -325,12 +303,9 @@ class PbftReplica:
             return
         self.view = new_view
         self.next_sequence = max(self.next_sequence, self.chain.height)
-        tracer = self.network.tracer
-        if tracer.enabled:
-            tracer.emit(
-                self.network.sim.now, "pbft.newview", self.replica_id,
-                view=new_view,
-            )
+        spans = self.network.spans
+        if spans is not None:
+            spans.view_change(self, new_view)
         if self.is_primary:
             announcement = NewView(view=new_view, last_sequence=self.chain.height)
             self._broadcast(KIND_NEW_VIEW, announcement, announcement.size_bits)

@@ -164,34 +164,18 @@ class IoTNode:
         # Our own headers are trivially trusted: H_i reads them from S_i,
         # so TPS traverses our blocks without a self-request.
         self.store.add(block)
-        tracer = self.network.tracer
-        if tracer.enabled:
-            # Lifecycle emission for span collectors; the detail stays
-            # raw (Digest objects, no hex) so the enabled path is cheap
-            # — the collector stringifies only for sampled blocks.
-            tracer.emit(
-                self.network.sim.now, "block.created", self.node_id,
-                block=str(block.block_id),
-                digest=block.digest(self.config.hash_bits),
-                refs=tuple(digests.values()),
-            )
+        spans = self.network.spans
+        if spans is not None:
+            spans.created(self, block)
         self.broadcast_digest(block)
-        if tracer.enabled:
-            tracer.emit(
-                self.network.sim.now, "block.generated", self.node_id,
-                block=str(block.block_id),
-            )
         return block
 
     def broadcast_digest(self, block: DataBlock) -> None:
         """Push ``H(b^h)`` to every neighbour (the only proactive traffic)."""
         digest = block.digest(self.config.hash_bits)
-        tracer = self.network.tracer
-        if tracer.enabled:
-            tracer.emit(
-                self.network.sim.now, "block.gossiped", self.node_id,
-                block=str(block.block_id), neighbors=len(self.neighbors),
-            )
+        spans = self.network.spans
+        if spans is not None:
+            spans.gossiped(self, block)
         self.interface.broadcast_neighbors(
             "digest", (self.node_id, digest), self.config.digest_message_bits
         )
@@ -209,18 +193,9 @@ class IoTNode:
             # spoofed and discarded (§IV-D-5).
             return
         self.neighbor_digests[sender] = digest
-        tracer = self.network.tracer
-        if tracer.enabled:
-            # Filterable category: digest receipts are the sim's most
-            # frequent event, so a collector sampling few blocks
-            # registers an interest container and unwatched digests
-            # cost one membership test instead of a full emission.
-            interest = tracer.interests.get("block.digest_received")
-            if interest is None or digest.value in interest:
-                tracer.emit(
-                    self.network.sim.now, "block.digest_received", self.node_id,
-                    sender=sender, digest=digest,
-                )
+        spans = self.network.spans
+        if spans is not None:
+            spans.received(self, sender, digest)
 
     def _on_req_child(self, message: Message) -> None:
         """Responder role (Algorithm 4), via the behaviour hook."""

@@ -17,7 +17,7 @@ verify another block that is generated in the past using PoP").
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter
 from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
 
@@ -29,7 +29,6 @@ from repro.core.pop.validator import PopOutcome
 from repro.crypto.keys import KeyRegistry
 from repro.net.deployment import WiredDeployment
 from repro.net.topology import Topology
-from repro.sim.tracing import Tracer
 
 #: Traffic categories used by the Fig. 8 breakdown.
 CATEGORY_DAG = "dag"        # digest pushes (DAG construction)
@@ -66,10 +65,9 @@ class TwoLayerDagNetwork(WiredDeployment):
         topology: Optional[Topology] = None,
         seed: int = 0,
         behaviors: Optional[Mapping[int, NodeBehavior]] = None,
-        tracer: Optional[Tracer] = None,
         per_hop_latency: float = 0.001,
     ) -> None:
-        super().__init__(topology, seed, per_hop_latency, _pop_category, tracer)
+        super().__init__(topology, seed, per_hop_latency, _pop_category)
         self.config = config if config is not None else ProtocolConfig.paper_defaults()
         self.registry = KeyRegistry()
         self._dag: Optional[LogicalDag] = None
@@ -151,15 +149,6 @@ class _PoolWithoutOrigin:
 
 
 @dataclass
-class SlotReport:
-    """What happened during one simulated slot."""
-
-    slot: int
-    blocks_generated: List[BlockId] = field(default_factory=list)
-    validations_started: int = 0
-
-
-@dataclass
 class ValidationRecord:
     """A completed PoP run with its workload context."""
 
@@ -229,7 +218,6 @@ class SlotSimulation:
 
         #: (slot -> block ids generated in that slot)
         self.blocks_by_slot: Dict[int, List[BlockId]] = {}
-        self.slot_reports: List[SlotReport] = []
         self.validations: List[ValidationRecord] = []
         #: Validations in flight, each with its ``verify_block`` handle.
         self._pending: List[Tuple[ValidationRecord, Any]] = []
@@ -243,9 +231,8 @@ class SlotSimulation:
         self._eligible_merged_slot: Optional[int] = None
 
     # -- scheduling one slot --------------------------------------------------
-    def _schedule_slot(self, slot: int) -> SlotReport:
+    def _schedule_slot(self, slot: int) -> None:
         deployment = self.deployment
-        report = SlotReport(slot=slot)
         order = deployment.streams.shuffled(f"order:{slot}", deployment.node_ids)
         # Ad-hoc verifications between run() calls may have advanced the
         # clock past the nominal slot boundary; never schedule behind it.
@@ -258,12 +245,9 @@ class SlotSimulation:
                 if self.intra_slot_jitter > 0
                 else 0.0
             )
-            deployment.sim.call_at(
-                slot_base + jitter, self._generate, node_id, slot, report
-            )
-        return report
+            deployment.sim.call_at(slot_base + jitter, self._generate, node_id, slot)
 
-    def _generate(self, node_id: int, slot: int, report: SlotReport) -> None:
+    def _generate(self, node_id: int, slot: int) -> None:
         """One node's slot work: build a block, maybe audit an old one."""
         node = self.deployment.node(node_id)
         if not node.online:
@@ -277,7 +261,6 @@ class SlotSimulation:
             # slot was already folded into the pool, so fold the
             # block in directly to keep the pool an exact snapshot.
             insort(self._eligible_sorted, block.block_id)
-        report.blocks_generated.append(block.block_id)
         if self.validate:
             target = self._pick_validation_target(slot, exclude_origin=node_id)
             if target is not None:
@@ -292,13 +275,6 @@ class SlotSimulation:
                     target.origin, target, fetch_body=self.fetch_body
                 )
                 self._pending.append((record, run))
-                report.validations_started += 1
-                tracer = self.deployment.tracer
-                if tracer.enabled:
-                    tracer.emit(
-                        self.deployment.sim.now, "pop.started", node_id,
-                        block=str(target), verifier=target.origin,
-                    )
 
     def _merge_eligible_through(self, boundary: int) -> None:
         """Fold blocks of fully simulated slots ≤ ``boundary`` into the pool.
@@ -350,8 +326,7 @@ class SlotSimulation:
         for slot in range(start_slot, start_slot + slots):
             if slot <= self.current_slot:
                 raise ValueError(f"slot {slot} already simulated")
-            report = self._schedule_slot(slot)
-            self.slot_reports.append(report)
+            self._schedule_slot(slot)
             self.deployment.sim.run(
                 until=max(float(slot + 1), self.deployment.sim.now + 1.0)
             )
@@ -364,22 +339,14 @@ class SlotSimulation:
         self._harvest_completed()
 
     def _harvest_completed(self) -> None:
-        tracer = self.deployment.tracer
+        spans = self.deployment.network.spans
         still_pending: List[Tuple[ValidationRecord, Any]] = []
         for record, run in self._pending:
             if run.triggered:
                 record.outcome = run.value
                 self.validations.append(record)
-                if tracer.enabled:
-                    # Emitted at the validation's own finish time (the
-                    # outcome brackets it), not the harvest boundary.
-                    tracer.emit(
-                        record.outcome.finished_at, "pop.completed",
-                        record.validator,
-                        block=str(record.block_id),
-                        success=record.outcome.success,
-                        started=record.outcome.started_at,
-                    )
+                if spans is not None:
+                    spans.validated(record)
             else:
                 still_pending.append((record, run))
         self._pending = still_pending

@@ -3,9 +3,9 @@
 The paper's comparison sets 2LDAG against PBFT and the tangle on *one*
 topology under *one* slot workload.  :class:`WiredDeployment` is that
 shared ground, assembled in one place: the deployment's named random
-streams, the physical topology, the event kernel, the tracer, the
-traffic ledger and the transport that ties them together.  The three
-ledgers (:class:`~repro.core.protocol.TwoLayerDagNetwork`,
+streams, the physical topology, the event kernel, the traffic ledger
+and the transport that ties them together.  The three ledgers
+(:class:`~repro.core.protocol.TwoLayerDagNetwork`,
 :class:`~repro.baselines.pbft.cluster.PbftCluster`,
 :class:`~repro.baselines.iota.node.IotaNetwork`) subclass it and add
 only their nodes, so what a :class:`~repro.scenario.backends.
@@ -22,14 +22,13 @@ from repro.net.topology import Topology, sequential_geometric_topology
 from repro.net.transport import CategoryFn, Network
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RandomStreams
-from repro.sim.tracing import Tracer
 
 #: One slot submission, as ``Simulator.call_at`` takes it: ``(fn, *args)``.
 Submission = Tuple[Any, ...]
 
 
 class WiredDeployment:
-    """streams → topology → kernel → tracer → ledger → transport.
+    """streams → topology → kernel → ledger → transport.
 
     ``topology`` defaults to the paper's 50-node sequential geometric
     placement drawn from the deployment's own streams; ``seed`` masters
@@ -43,7 +42,6 @@ class WiredDeployment:
         seed: int,
         per_hop_latency: float,
         category_fn: CategoryFn,
-        tracer: Optional[Tracer] = None,
     ) -> None:
         self.streams = RandomStreams(seed)
         self.topology = (
@@ -52,7 +50,6 @@ class WiredDeployment:
             else sequential_geometric_topology(streams=self.streams)
         )
         self.sim = Simulator()
-        self.tracer = tracer if tracer is not None else Tracer()
         self.traffic = TrafficLedger()
         self.network = Network(
             self.sim,
@@ -60,7 +57,6 @@ class WiredDeployment:
             ledger=self.traffic,
             per_hop_latency=per_hop_latency,
             category_fn=category_fn,
-            tracer=self.tracer,
         )
         #: Last slot :meth:`_run_slots` drove (the baselines' workload).
         self.current_slot = -1

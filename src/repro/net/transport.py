@@ -26,14 +26,13 @@ read from the transport's state at each send:
   :meth:`~repro.net.routing.RoutingTable.fanout_plan` memoises, which
   holds exactly what the hop walks would have added up to;
 * **walked** — otherwise each recipient goes through ``_transmit``, the
-  hop walk a unicast takes, so a drop still charges the prefix it spent
-  and losses are traced in send order.
+  hop walk a unicast takes, so a drop still charges the prefix it spent.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.metrics.collector import TrafficLedger
 from repro.net.messages import Message
@@ -41,7 +40,9 @@ from repro.net.routing import RoutingTable
 from repro.net.topology import Topology
 from repro.sim.errors import SchedulingError
 from repro.sim.kernel import Simulator
-from repro.sim.tracing import Tracer
+
+if TYPE_CHECKING:
+    from repro.telemetry.spans import SpanCollector
 
 #: A drop rule decides, per message and hop, whether the link eats it.
 DropRule = Callable[[Message, int, int], bool]
@@ -138,7 +139,6 @@ class Network:
         ledger: Optional[TrafficLedger] = None,
         per_hop_latency: float = 0.001,
         category_fn: CategoryFn = default_category,
-        tracer: Optional[Tracer] = None,
     ) -> None:
         self.sim = sim
         self.topology = topology
@@ -149,7 +149,10 @@ class Network:
         #: :func:`repro.net.linkmodels.install_latency_model`.
         self.link_latency: Optional[LinkLatency] = None
         self.category_fn = category_fn
-        self.tracer = tracer if tracer is not None else Tracer()
+        #: The run's block-lifecycle collector, installed by
+        #: :meth:`~repro.telemetry.spans.SpanRecorder.run_started`; the
+        #: ledger's emission sites call it only when it is set.
+        self.spans: Optional[SpanCollector] = None
         self._interfaces: Dict[int, NodeInterface] = {}
         self._drop_rules: List[DropRule] = []
 
@@ -199,8 +202,6 @@ class Network:
         # Loopback has no hops: it costs nothing on the medium and no time.
         hops = self.routing.hops[message.sender].get(recipient)
         if hops is None:
-            self.tracer.emit(self.sim.now, "net.unroutable", message.sender,
-                             recipient=recipient, kind=kind)
             return None
         record_tx, record_rx = self.ledger.record_tx, self.ledger.record_rx
         rules, bits = self._drop_rules, message.size_bits
@@ -208,8 +209,6 @@ class Network:
             record_tx(hop_from, category, bits)
             for rule in rules:
                 if rule(message, hop_from, hop_to):
-                    self.tracer.emit(self.sim.now, "net.dropped", hop_from,
-                                     hop_to=hop_to, kind=kind)
                     return None
             record_rx(hop_to, category, bits)
         # Read per send: link faults change the constant mid-run.
@@ -232,9 +231,9 @@ class Network:
     ) -> Message:
         """Send one envelope to ``recipients`` in order; one event per arrival.
 
-        Accounting, losses and trace records are those of so many
-        unicasts (see the module docstring for how).  Recipients that
-        arrive together keep their send order inside one
+        Accounting and losses are those of so many unicasts (see the
+        module docstring for how).  Recipients that arrive together keep
+        their send order inside one
         :meth:`~repro.sim.kernel.Simulator.call_in_each`.
         """
         members = tuple(recipients)

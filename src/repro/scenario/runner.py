@@ -182,8 +182,9 @@ class ScenarioRunner:
         self.telemetry = telemetry
         #: Optional :class:`~repro.telemetry.spans.SpanRecorder` — the
         #: block-lifecycle tracing twin, bound by the same no-op
-        #: contract (collectors subscribe to existing tracer emissions
-        #: and never touch simulation state).
+        #: contract (its collector, installed on the deployment's
+        #: network, only reads what the emission sites hand it and
+        #: never touches simulation state).
         self.spans = spans
         self._next_slot = 0
         self._sampled: Dict[int, Dict[str, float]] = {}
@@ -204,7 +205,7 @@ class ScenarioRunner:
         # The span recorder goes first: a backend it cannot trace is
         # refused before either recorder has opened a stream file.
         if self.spans is not None:
-            self.spans.run_started(self.spec, backend.wired.tracer)
+            self.spans.run_started(self.spec, backend.wired.network)
         if self.telemetry is not None:
             self.telemetry.run_started(self.spec)
         schedule = self.spec.workload.faults

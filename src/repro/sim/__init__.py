@@ -2,9 +2,8 @@
 
 This package provides the simulation substrate used by every protocol in
 the reproduction: an event heap with deterministic tie-breaking
-(:mod:`repro.sim.kernel`), named deterministic random streams
-(:mod:`repro.sim.rng`) and structured event tracing
-(:mod:`repro.sim.tracing`).
+(:mod:`repro.sim.kernel`) and named deterministic random streams
+(:mod:`repro.sim.rng`).
 
 The kernel is intentionally small and dependency-free; it resembles a
 reduced ``simpy`` with explicit determinism guarantees, which the paper's

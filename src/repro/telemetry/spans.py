@@ -10,20 +10,20 @@ never the wall clock.
 The moving parts:
 
 * :class:`SpanCollector` subclasses (one per registered ledger
-  backend, rostered in :data:`SPAN_COLLECTORS`) subscribe to the
-  deployment's existing :class:`~repro.sim.tracing.Tracer` and fold
-  lifecycle emissions into per-block traces.  Collection is pure
-  observation: no RNG draws from existing streams, no event
-  scheduling, no state written back into the simulation — which is
-  what keeps a tracing-enabled run byte-identical to a disabled one
-  (the determinism no-op contract, pinned per backend in tests and
-  diffed in CI).
+  backend, rostered in :data:`SPAN_COLLECTORS` with their phase order)
+  sit on the deployment's ``Network.spans``; the backend's emission
+  sites call their lifecycle methods directly and fold each call into
+  per-block traces.  Collection is pure observation: no RNG draws from
+  existing streams, no event scheduling, no state written back into
+  the simulation — which is what keeps a tracing-enabled run
+  byte-identical to a disabled one (the determinism no-op contract,
+  pinned per backend in tests and diffed in CI).
 * Block sampling is seeded from a named ``tracing`` stream:
   :func:`block_sampled` is a pure function of the scenario's master
   seed and the block key, so the sampled set is identical across
   processes, replays and backends that share a key.
 * :class:`SpanRecorder` owns the run's collector — it picks it from
-  the roster by ``spec.backend``, attaches it to the tracer it is
+  the roster by ``spec.backend``, installs it on the network it is
   handed and drains it at the end — and writes the trace stream as
   JSONL under the telemetry directory, through the
   :class:`~repro.telemetry.stream.StreamWriter` it shares with the v1
@@ -74,16 +74,6 @@ TRACE_SAMPLE_ENV_VAR = "REPRO_TRACE_SAMPLE"
 
 #: Default block sample rate when tracing is enabled without a rate.
 DEFAULT_TRACE_SAMPLE = 0.25
-
-#: Canonical lifecycle phases per backend, in causal order.  Phases
-#: not listed here (``view-change``) are annotations: they attach to a
-#: trace without claiming a position on the critical path.
-PHASE_ORDER: Dict[str, Tuple[str, ...]] = {
-    "2ldag": ("created", "gossiped", "received", "referenced",
-              "validated", "confirmed"),
-    "pbft": ("created", "pre-prepare", "prepare", "commit", "confirmed"),
-    "iota": ("created", "received", "approved", "confirmed"),
-}
 
 #: Cumulative approval weight at which the IOTA collector calls a
 #: transaction confirmed (the tangle analogue of a commit quorum).
@@ -152,32 +142,30 @@ class _BlockTrace:
 
 
 class SpanCollector:
-    """Fold a deployment's tracer emissions into per-block span trees.
+    """Fold a run's lifecycle calls into per-block span trees.
 
-    Subclasses implement :meth:`_on_trace` for their backend's
-    lifecycle categories.  Everything here is read-side: the collector
-    never touches simulation state, never draws from existing random
-    streams, and defers all aggregation to :meth:`block_traces` (one
-    pure drain after the run).
+    :meth:`SpanRecorder.run_started` installs the collector as the
+    deployment's ``Network.spans``; the emission sites of its backend
+    call the subclass's lifecycle methods with objects they already
+    hold.  Everything here is read-side: the collector never touches
+    simulation state, never draws from existing random streams, and
+    defers all aggregation to :meth:`block_traces` (one pure drain
+    after the run).
     """
 
     backend = ""
-    categories: Tuple[str, ...] = ()
+    #: Canonical lifecycle phases in causal order.  Phases not listed
+    #: (``view-change``) are annotations: they attach to a trace
+    #: without claiming a position on the critical path.
+    phases: Tuple[str, ...] = ()
 
-    def __init__(self, spec, sample_rate: float) -> None:
+    def __init__(self, spec, sample_rate: float, sim) -> None:
         self.master_seed = int(spec.seed)
         self.sample_rate = float(sample_rate)
+        #: The run's kernel: lifecycle calls are stamped with its clock.
+        self.sim = sim
         self._traces: Dict[str, _BlockTrace] = {}
         self._sampled: Dict[str, bool] = {}
-
-    # -- wiring ------------------------------------------------------------
-    def attach(self, tracer) -> None:
-        """Subscribe to the deployment tracer's lifecycle categories."""
-        for prefix in self.categories:
-            tracer.subscribe(prefix, self._on_trace)
-
-    def _on_trace(self, record) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
 
     # -- bookkeeping -------------------------------------------------------
     def sampled(self, key: str) -> bool:
@@ -248,10 +236,7 @@ class SpanCollector:
         latest earlier-phase predecessor ended (annotation phases fall
         back to the latest earlier event of any phase).
         """
-        order = {
-            phase: rank
-            for rank, phase in enumerate(PHASE_ORDER.get(self.backend, ()))
-        }
+        order = {phase: rank for rank, phase in enumerate(self.phases)}
         out: List[Dict[str, Any]] = []
         for trace in self._traces.values():
             events = sorted(trace.events, key=lambda item: item[0])
@@ -301,65 +286,68 @@ class DagSpanCollector(SpanCollector):
     """
 
     backend = "2ldag"
-    categories = ("block.", "pop.")
+    phases = ("created", "gossiped", "received", "referenced",
+              "validated", "confirmed")
 
-    def __init__(self, spec, sample_rate: float) -> None:
-        super().__init__(spec, sample_rate)
-        #: raw digest bytes -> block key, for *sampled* blocks only.
-        #: Registered with the tracer as the ``block.digest_received``
-        #: interest filter, so the per-neighbour receipt flood (the
-        #: sim's most frequent event) is suppressed at the emission
-        #: site for the unsampled majority.
+    def __init__(self, spec, sample_rate: float, sim) -> None:
+        super().__init__(spec, sample_rate, sim)
+        #: raw digest bytes -> block key, for *sampled* blocks only, so
+        #: the per-neighbour receipt flood (the sim's most frequent
+        #: event) costs one lookup for the unsampled majority.
         self._digest_to_key: Dict[bytes, str] = {}
 
-    def attach(self, tracer) -> None:
-        super().attach(tracer)
-        tracer.set_interest("block.digest_received", self._digest_to_key)
+    def created(self, node, block) -> None:
+        """``node`` generated ``block`` (and referenced its Δ parents)."""
+        key = str(block.block_id)
+        time = self.sim.now
+        if self.sampled(key):
+            digest = block.digest(node.config.hash_bits).value
+            self._digest_to_key[digest] = key
+            self._begin(key, node.node_id, time, digest=digest.hex())
+        for parent in block.header.digests.values():
+            # Only sampled parents are in the map, so membership here
+            # already implies an open trace.
+            parent_key = self._digest_to_key.get(parent.value)
+            if parent_key is not None:
+                self._record(
+                    parent_key, "referenced", node.node_id, time, by=key
+                )
 
-    def _on_trace(self, record) -> None:
-        # Branch order follows emission frequency: digest receipts
-        # outnumber every other lifecycle event by an order of
-        # magnitude, so they take the first comparison.
-        category, detail = record.category, record.detail
-        if category == "block.digest_received":
-            key = self._digest_to_key.get(detail["digest"].value)
-            if key is not None:
-                self._record(
-                    key, "received", record.node, record.time,
-                    sender=detail["sender"],
-                )
-        elif category == "block.created":
-            key = detail["block"]
-            digest = detail["digest"]
-            if self.sampled(key):
-                self._digest_to_key[digest.value] = key
-                self._begin(
-                    key, record.node, record.time,
-                    digest=digest.value.hex(),
-                )
-            for parent in detail.get("refs", ()):
-                # Only sampled parents are in the map, so membership
-                # here already implies an open trace.
-                parent_key = self._digest_to_key.get(parent.value)
-                if parent_key is not None:
-                    self._record(
-                        parent_key, "referenced", record.node, record.time,
-                        by=key,
-                    )
-        elif category == "block.gossiped":
-            if detail["block"] in self._traces:
-                self._record(
-                    detail["block"], "gossiped", record.node, record.time,
-                    neighbors=detail["neighbors"],
-                )
-        elif category == "pop.completed":
-            key = detail["block"]
+    def gossiped(self, node, block) -> None:
+        """``node`` pushed ``block``'s digest to its neighbours."""
+        key = str(block.block_id)
+        if key in self._traces:
             self._record(
-                key, "validated", record.node, record.time,
-                start=detail["started"], success=detail["success"],
+                key, "gossiped", node.node_id, self.sim.now,
+                neighbors=len(node.neighbors),
             )
-            if detail["success"]:
-                self._confirm(key, record.node, record.time)
+
+    def received(self, node, sender: int, digest) -> None:
+        """``node`` took ``sender``'s digest into its ``A_i``."""
+        key = self._digest_to_key.get(digest.value)
+        if key is not None:
+            self._record(key, "received", node.node_id, self.sim.now,
+                         sender=sender)
+
+    def validated(self, record) -> None:
+        """A workload PoP run (a ``ValidationRecord``) finished.
+
+        Stamped with the run's own finish time (the outcome brackets
+        it), not the harvest boundary.
+        """
+        outcome = record.outcome
+        key = str(record.block_id)
+        self._record(
+            key, "validated", record.validator, outcome.finished_at,
+            start=outcome.started_at, success=outcome.success,
+        )
+        if outcome.success:
+            self._confirm(key, record.validator, outcome.finished_at)
+
+
+def _seed_key(item) -> str:
+    """A PBFT request's or IOTA transaction's span key: its payload seed."""
+    return item.payload_seed.decode("utf-8", "replace")
 
 
 class PbftSpanCollector(SpanCollector):
@@ -372,54 +360,52 @@ class PbftSpanCollector(SpanCollector):
     """
 
     backend = "pbft"
-    categories = ("pbft.",)
+    phases = ("created", "pre-prepare", "prepare", "commit", "confirmed")
 
-    def __init__(self, spec, sample_rate: float) -> None:
-        super().__init__(spec, sample_rate)
+    def __init__(self, spec, sample_rate: float, sim) -> None:
+        super().__init__(spec, sample_rate, sim)
         self.quorum = 2 * ((spec.node_count - 1) // 3) + 1
         self._executions: Dict[str, int] = {}
 
-    def _annotate_open(self, phase: str, record) -> None:
+    def request(self, replica, request) -> None:
+        """A client submitted ``request`` at ``replica``."""
+        key = _seed_key(request)
+        if self.sampled(key):
+            self._begin(key, replica.replica_id, self.sim.now)
+
+    def phase(self, replica, phase: str, pre_prepare) -> None:
+        """``replica`` reached ``phase`` (pre-prepare, prepare) on a slot."""
+        key = _seed_key(pre_prepare.request)
+        if key in self._traces:
+            self._record(
+                key, phase, replica.replica_id, self.sim.now,
+                view=pre_prepare.view, seq=pre_prepare.sequence,
+            )
+
+    def executed(self, replica, pre_prepare) -> None:
+        """``replica`` committed and executed the slot's request."""
+        key = _seed_key(pre_prepare.request)
+        if key not in self._traces:
+            return
+        time = self.sim.now
+        self._record(
+            key, "commit", replica.replica_id, time,
+            view=pre_prepare.view, seq=pre_prepare.sequence,
+        )
+        count = self._executions.get(key, 0) + 1
+        self._executions[key] = count
+        if count >= self.quorum:
+            self._confirm(key, replica.replica_id, time, seq=pre_prepare.sequence)
+
+    def view_change(self, replica, view: int) -> None:
+        """``replica`` voted for, or entered, ``view``."""
+        time = self.sim.now
         for trace in self._traces.values():
             if not trace.confirmed:
                 self._record(
-                    trace.key, phase, record.node, record.time,
-                    start=record.time, view=record.detail["view"],
+                    trace.key, "view-change", replica.replica_id, time,
+                    start=time, view=view,
                 )
-
-    def _on_trace(self, record) -> None:
-        category, detail = record.category, record.detail
-        if category == "pbft.request":
-            if self.sampled(detail["key"]):
-                self._begin(detail["key"], record.node, record.time)
-        elif category == "pbft.preprepare":
-            if detail["key"] in self._traces:
-                self._record(
-                    detail["key"], "pre-prepare", record.node, record.time,
-                    view=detail["view"], seq=detail["seq"],
-                )
-        elif category == "pbft.prepared":
-            if detail["key"] in self._traces:
-                self._record(
-                    detail["key"], "prepare", record.node, record.time,
-                    view=detail["view"], seq=detail["seq"],
-                )
-        elif category == "pbft.executed":
-            key = detail["key"]
-            if key not in self._traces:
-                return
-            self._record(
-                key, "commit", record.node, record.time,
-                view=detail["view"], seq=detail["seq"],
-            )
-            count = self._executions.get(key, 0) + 1
-            self._executions[key] = count
-            if count >= self.quorum:
-                self._confirm(key, record.node, record.time, seq=detail["seq"])
-        elif category == "pbft.viewchange":
-            self._annotate_open("view-change", record)
-        elif category == "pbft.newview":
-            self._annotate_open("view-change", record)
 
 
 class IotaSpanCollector(SpanCollector):
@@ -432,64 +418,58 @@ class IotaSpanCollector(SpanCollector):
     """
 
     backend = "iota"
-    categories = ("iota.",)
+    phases = ("created", "received", "approved", "confirmed")
 
-    def __init__(self, spec, sample_rate: float) -> None:
-        super().__init__(spec, sample_rate)
+    def __init__(self, spec, sample_rate: float, sim) -> None:
+        super().__init__(spec, sample_rate, sim)
         #: raw digest bytes -> key / parent digests / cumulative weight.
-        #: The emission site hands over the Transaction itself; its
-        #: memoised digest keeps the per-receive cost to a dict lookup.
+        #: A transaction's memoised digest keeps the per-receive cost
+        #: to a dict lookup.
         self._digest_to_key: Dict[bytes, str] = {}
         self._parents: Dict[bytes, Tuple[bytes, ...]] = {}
         self._weights: Dict[bytes, int] = {}
 
-    def _on_trace(self, record) -> None:
-        category, detail = record.category, record.detail
-        if category == "iota.attach":
-            tx = detail["tx"]
-            digest = tx.digest().value
-            key = tx.payload_seed.decode("utf-8", "replace")
-            parents = tuple(tx.parents)
-            self._digest_to_key[digest] = key
-            self._parents[digest] = parents
-            if self.sampled(key):
-                self._begin(
-                    key, record.node, record.time, digest=digest.hex()
-                )
-            for parent in parents:
-                parent_key = self._digest_to_key.get(parent)
-                if parent_key is not None and parent_key in self._traces:
-                    self._record(
-                        parent_key, "approved", record.node, record.time,
-                        by=key,
-                    )
-            # Incremental cumulative weight: the new transaction adds
-            # one unit to every (transitive) ancestor it approves.
-            seen = set()
-            frontier = list(parents)
-            while frontier:
-                ancestor = frontier.pop()
-                if ancestor in seen or ancestor not in self._parents:
-                    continue
-                seen.add(ancestor)
-                weight = self._weights.get(ancestor, 0) + 1
-                self._weights[ancestor] = weight
-                frontier.extend(self._parents[ancestor])
-                if weight == IOTA_CONFIRM_WEIGHT:
-                    ancestor_key = self._digest_to_key.get(ancestor)
-                    if ancestor_key is not None:
-                        self._confirm(
-                            ancestor_key, record.node, record.time,
-                            weight=weight,
-                        )
-        elif category == "iota.received":
-            key = self._digest_to_key.get(detail["tx"].digest().value)
-            if key is not None and key in self._traces:
-                self._record(key, "received", record.node, record.time)
+    def attach(self, node, tx) -> None:
+        """``node`` issued ``tx`` onto its tangle."""
+        time = self.sim.now
+        digest = tx.digest().value
+        key = _seed_key(tx)
+        parents = tuple(tx.parents)
+        self._digest_to_key[digest] = key
+        self._parents[digest] = parents
+        if self.sampled(key):
+            self._begin(key, node.node_id, time, digest=digest.hex())
+        for parent in parents:
+            parent_key = self._digest_to_key.get(parent)
+            if parent_key is not None and parent_key in self._traces:
+                self._record(parent_key, "approved", node.node_id, time, by=key)
+        # Incremental cumulative weight: the new transaction adds one
+        # unit to every (transitive) ancestor it approves.
+        seen = set()
+        frontier = list(parents)
+        while frontier:
+            ancestor = frontier.pop()
+            if ancestor in seen or ancestor not in self._parents:
+                continue
+            seen.add(ancestor)
+            weight = self._weights.get(ancestor, 0) + 1
+            self._weights[ancestor] = weight
+            frontier.extend(self._parents[ancestor])
+            if weight == IOTA_CONFIRM_WEIGHT:
+                ancestor_key = self._digest_to_key.get(ancestor)
+                if ancestor_key is not None:
+                    self._confirm(ancestor_key, node.node_id, time,
+                                  weight=weight)
+
+    def received(self, node, tx) -> None:
+        """``node`` first took ``tx`` in from gossip."""
+        key = self._digest_to_key.get(tx.digest().value)
+        if key is not None and key in self._traces:
+            self._record(key, "received", node.node_id, self.sim.now)
 
 
 #: Backend name -> its collector, the roster of backends that can be
-#: traced (beside :data:`PHASE_ORDER`, which is keyed the same way).
+#: traced; each collector also carries its backend's phase order.
 SPAN_COLLECTORS: Dict[str, Type[SpanCollector]] = {
     collector.backend: collector
     for collector in (DagSpanCollector, PbftSpanCollector, IotaSpanCollector)
@@ -523,12 +503,13 @@ class SpanRecorder(StreamWriter):
         self._collector: Optional[SpanCollector] = None
 
     # -- the runner-facing hooks -------------------------------------------
-    def run_started(self, spec, tracer) -> None:
-        """Attach the backend's collector, open the stream, emit ``trace-start``.
+    def run_started(self, spec, network) -> None:
+        """Install the backend's collector, open the stream, emit ``trace-start``.
 
-        ``tracer`` is the built deployment's; no slot may have been
-        driven yet.  A backend outside the roster is refused before a
-        file is touched.
+        ``network`` is the built deployment's transport; the collector
+        becomes its ``spans``, which every lifecycle emission site
+        reads.  No slot may have been driven yet.  A backend outside
+        the roster is refused before a file is touched.
         """
         collector = SPAN_COLLECTORS.get(spec.backend)
         if collector is None:
@@ -536,8 +517,8 @@ class SpanRecorder(StreamWriter):
                 f"the {spec.backend} backend has no span collector; block "
                 f"tracing covers: {', '.join(sorted(SPAN_COLLECTORS))}"
             )
-        self._collector = collector(spec, self.sample)
-        self._collector.attach(tracer)
+        self._collector = collector(spec, self.sample, network.sim)
+        network.spans = self._collector
         header = self._open(spec)
         self._body = self._write(
             {"event": TRACE_START, **header, "sample": self.sample}

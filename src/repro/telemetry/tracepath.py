@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.metrics.reporting import format_table
-from repro.telemetry.spans import PHASE_ORDER
+from repro.telemetry.spans import SPAN_COLLECTORS
 from repro.telemetry.stream import BLOCK_TRACE, TelemetryError, stream_start
 
 
@@ -30,8 +30,14 @@ def percentile(values: Sequence[float], q: float) -> float:
     return float(ordered[index])
 
 
+def _phases(backend: str) -> Tuple[str, ...]:
+    """``backend``'s lifecycle phases in causal order (none if untraced)."""
+    collector = SPAN_COLLECTORS.get(backend)
+    return collector.phases if collector is not None else ()
+
+
 def _phase_rank(backend: str, phase: str) -> int:
-    order = PHASE_ORDER.get(backend, ())
+    order = _phases(backend)
     try:
         return order.index(phase)
     except ValueError:
@@ -47,7 +53,7 @@ def critical_path(
     is latest among spans that finish no later than confirmation — the
     chain whose segments sum to the block's confirmation latency.
     """
-    order = PHASE_ORDER.get(backend, ())
+    order = _phases(backend)
     spans = trace.get("spans", [])
     confirm_end: Optional[float] = None
     for span in spans:

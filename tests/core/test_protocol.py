@@ -64,11 +64,30 @@ class TestSlotWorkload:
         assert workload.total_blocks() == prop1_total_blocks(rates, 1.0, slots)
 
 
+class _CreationOrder:
+    """A span-collector stand-in that keeps the order blocks were created in."""
+
+    def __init__(self, created):
+        self._created = created
+
+    def created(self, node, block):
+        self._created.append(str(block.block_id))
+
+    def gossiped(self, node, block):
+        pass
+
+    def received(self, node, sender, digest):
+        pass
+
+    def validated(self, record):
+        pass
+
+
 class TestDagView:
     """``TwoLayerDagNetwork.dag`` is a view over the stores, built on read.
 
     The reference is a ``LogicalDag`` fed every generated header in the
-    order the ``block.generated`` trace announced it.
+    order a stub span collector on the network saw the blocks created.
     """
 
     def spec(self):
@@ -93,9 +112,7 @@ class TestDagView:
         runner = ScenarioRunner(self.spec()).build()
         deployment = runner.deployment
         generated = []
-        deployment.tracer.subscribe(
-            "block.generated", lambda record: generated.append(record.detail["block"])
-        )
+        deployment.network.spans = _CreationOrder(generated)
         for slot in range(1, runner.spec.workload.slots + 1):
             runner.advance_to(slot)
             view = deployment.dag

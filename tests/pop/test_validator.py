@@ -30,9 +30,12 @@ from repro.net.topology import grid_topology
 def run_validation(finished):
     """Drive one PoP run to completion and return the outcome."""
 
-    def run_validation(deployment, validator_id, verifier_id, block_id=None, **kwargs):
+    def run_validation(
+        deployment, validator_id, verifier_id, block_id=None, use_tps=True, **kwargs
+    ):
         node = deployment.node(validator_id)
-        return finished(deployment.sim, node.validator().run(verifier_id, block_id, **kwargs))
+        validator = node.validator(use_tps)
+        return finished(deployment.sim, validator.run(verifier_id, block_id, **kwargs))
 
     return run_validation
 
@@ -83,8 +86,7 @@ class TestSuccess:
         validator_node = deployment.node(8)
         # Wipe H_i, the own part included: a cache over an empty store.
         validator_node.cache = HeaderCache(BlockStore(owner=validator_node.node_id))
-        outcome = run_validation(deployment, 8, target.origin, target, use_tps=False) \
-            if False else run_validation(deployment, 8, target.origin, target)
+        outcome = run_validation(deployment, 8, target.origin, target, use_tps=False)
         assert outcome.success
         # Proposition 4: ≥ 2(γ+1) messages when H_i is empty.
         assert outcome.message_total >= 2 * (config.gamma + 1)

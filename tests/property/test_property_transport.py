@@ -20,7 +20,6 @@ from repro.net.routing import RoutingTable
 from repro.net.topology import explicit_topology
 from repro.net.transport import Network
 from repro.sim.kernel import Simulator
-from repro.sim.tracing import Tracer
 
 _NODES = 8
 #: Random graphs over at most eight nodes, often disconnected.
@@ -98,16 +97,12 @@ class _HopByHopNetwork(Network):
         try:
             route = self.routing.path(message.sender, message.recipient)
         except ValueError:
-            self.tracer.emit(self.sim.now, "net.unroutable", message.sender,
-                             recipient=message.recipient, kind=message.kind)
             return
         for hop_index in range(len(route) - 1):
             hop_from, hop_to = route[hop_index], route[hop_index + 1]
             self.ledger.record_tx(hop_from, category, message.size_bits)
             for rule in self._drop_rules:
                 if rule(message, hop_from, hop_to):
-                    self.tracer.emit(self.sim.now, "net.dropped", hop_from,
-                                     hop_to=hop_to, kind=message.kind)
                     return
             self.ledger.record_rx(hop_to, category, message.size_bits)
         if self.link_latency is None:
@@ -136,11 +131,9 @@ def _drive(network_class, edges, steps, per_hop_latency=0.01):
     topology = explicit_topology(edges)
     nodes = topology.node_ids
     sim = Simulator()
-    tracer, records = Tracer(), []
-    tracer.subscribe("", records.append)
     network = network_class(
         sim, topology, ledger=TrafficLedger(), per_hop_latency=per_hop_latency,
-        category_fn=lambda kind: kind.split(".")[0], tracer=tracer,
+        category_fn=lambda kind: kind.split(".")[0],
     )
     delivered, answers = [], []
     #: Per send call, the message ids it drew: one, or on the reference one
@@ -228,7 +221,6 @@ def _drive(network_class, edges, steps, per_hop_latency=0.01):
         "traffic": {n: (dict(ledger._tx.get(n, {})), dict(ledger._rx.get(n, {}))) for n in nodes},
         "ledger order": (list(ledger._tx), list(ledger._rx), list(ledger.snapshot_tx())),
         "messages": ledger.message_counts(),
-        "trace": [(r.time, r.category, r.node, r.detail) for r in records],
         "clock": (sim.now, sim.processed_count, sim.cancelled_count),
         "latency": network.per_hop_latency,
     }
@@ -288,7 +280,6 @@ class TestUnicastMatchesHopByHopWalk:
         observed = _drive(Network, edges, steps)
         assert observed == _drive(_HopByHopNetwork, edges, steps)
         assert _drive(Network, edges, steps, 0.0) == _drive(_HopByHopNetwork, edges, steps, 0.0)
-        assert {r[1] for r in observed["trace"]} == {"net.unroutable", "net.dropped"}
         # Seven recipients from 0: loopback now, 1/2/4 after one hop, 3 after two, 5 and 6 never.
         first_fan = [(time, node) for time, node, sender, size, *_ in observed["delivered"] if size == 0][:5]
         assert first_fan == [(0.0, 0), (0.01, 1), (0.01, 2), (0.01, 4), (0.02, 3)]
@@ -313,8 +304,6 @@ class TestUnicastMatchesHopByHopWalk:
         observed = _drive(Network, edges, steps)
         assert observed == _drive(_HopByHopNetwork, edges, steps)
         # The cut at relay 1 charged 0's transmission and 1's reception, then 1's attempt.
-        categories = {r[1] for r in observed["trace"]}
-        assert categories == {"net.unroutable", "net.dropped"}
         assert observed["traffic"][0][0]["data"] >= 3000
         assert observed["traffic"][4] == ({}, {})
         assert observed["latency"] == 0.01

@@ -35,6 +35,7 @@ from repro.telemetry import (
     read_streams,
     validate_streams,
 )
+from repro.telemetry.tracepath import trace_report
 
 ALL_BACKENDS = ("2ldag", "pbft", "iota")
 
@@ -414,6 +415,10 @@ class TestMinimalBackend:
         assert [r["slot"] for r in slots] == sorted(clock)
         assert [r["sim_now"] for r in slots] == [clock[r["slot"]] for r in slots]
         ((_, trace_records),) = read_streams([tmp_path], 2)
+        # The reused collector's roster row carries the tangle's phase
+        # order, so the critical-path report attributes this backend too.
+        report = trace_report(read_streams([tmp_path], 2))
+        assert report["attribution"]["mini-tangle"]["phases"]
         faults = [r for r in trace_records if r["event"] == "fault"]
         assert [(r["slot"], r["kind"]) for r in faults] == [
             (e.slot, e.kind) for e in MIXED_FAULTS.events

@@ -256,21 +256,3 @@ class TestSampling:
 
     def test_default_sample_is_a_quarter(self):
         assert DEFAULT_TRACE_SAMPLE == 0.25
-
-
-class TestEmissionCost:
-    def test_unsampled_digest_receipts_are_suppressed_at_source(self, tmp_path):
-        """The interest filter keeps the receipt flood off the emit path."""
-        from repro.scenario.runner import ScenarioRunner
-
-        spec = tiny_spec("2ldag")
-        spans = SpanRecorder(tmp_path, sample=0.25)
-        runner = ScenarioRunner(spec, spans=spans).build()
-        tracer = runner.deployment.network.tracer
-        receipts = []
-        tracer.subscribe("block.digest_received", receipts.append)
-        interest = tracer.interests["block.digest_received"]
-        runner.advance_to(spec.workload.slots)
-        assert receipts, "sampled blocks still emit their receipts"
-        # Every receipt that reached the tracer was for a sampled digest.
-        assert all(r.detail["digest"].value in interest for r in receipts)

@@ -10,7 +10,7 @@ import json
 import pytest
 
 from repro.telemetry import read_streams
-from repro.telemetry.spans import PHASE_ORDER, SpanRecorder
+from repro.telemetry.spans import SPAN_COLLECTORS, SpanRecorder
 from repro.telemetry.tracepath import (
     block_waterfall,
     critical_path,
@@ -83,7 +83,7 @@ class TestCriticalPath:
         path = critical_path(crafted_trace(), "2ldag")
         phases = [s["phase"] for s in path]
         assert phases == [
-            p for p in PHASE_ORDER["2ldag"] if p in set(phases)
+            p for p in SPAN_COLLECTORS["2ldag"].phases if p in set(phases)
         ]
         # The completing "received" span is the slower node-4 one.
         received = next(s for s in path if s["phase"] == "received")
