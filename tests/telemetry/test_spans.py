@@ -9,9 +9,13 @@ v2 schema.
 """
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
+from repro.baselines.iota.tangle import Transaction
+from repro.baselines.pbft.messages import PrePrepare, Request
+from repro.crypto.hashing import hash_fields
 from repro.faults import build_fault_preset
 from repro.scenario import (
     ProtocolSpec,
@@ -31,8 +35,13 @@ from repro.telemetry import (
 )
 from repro.telemetry.spans import (
     DEFAULT_TRACE_SAMPLE,
+    IOTA_CONFIRM_WEIGHT,
+    SPAN_COLLECTORS,
     SPAN_SCHEMA_VERSION,
     TRACE_SAMPLE_ENV_VAR,
+    DagSpanCollector,
+    IotaSpanCollector,
+    PbftSpanCollector,
     SpanRecorder,
     block_sampled,
     trace_sample_from_env,
@@ -256,3 +265,141 @@ class TestSampling:
 
     def test_default_sample_is_a_quarter(self):
         assert DEFAULT_TRACE_SAMPLE == 0.25
+
+
+class TestCollectorInstallation:
+    """The run's collector sits on ``Network.spans``, and only there."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_a_run_without_a_recorder_leaves_spans_unset(self, backend):
+        from repro.scenario.runner import ScenarioRunner
+
+        runner = ScenarioRunner(tiny_spec(backend)).build()
+        assert runner.backend.wired.network.spans is None
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_run_started_installs_the_rostered_collector(self, backend, tmp_path):
+        from repro.scenario.runner import ScenarioRunner
+
+        runner = ScenarioRunner(
+            tiny_spec(backend), spans=SpanRecorder(tmp_path, sample=1.0)
+        ).build()
+        network = runner.backend.wired.network
+        assert type(network.spans) is SPAN_COLLECTORS[backend]
+        # Lifecycle calls are stamped with the run's own kernel clock.
+        assert network.spans.sim is network.sim
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_each_roster_row_orders_created_to_confirmed(self, backend):
+        collector = SPAN_COLLECTORS[backend]
+        assert collector.backend == backend
+        assert collector.phases[0] == "created"
+        assert collector.phases[-1] == "confirmed"
+        assert len(set(collector.phases)) == len(collector.phases)
+
+    def test_unsampled_digest_receipts_open_no_trace(self, tmp_path, monkeypatch):
+        """The digest lookup keeps the receipt flood off unsampled blocks."""
+        receipts = []
+
+        class CountingDagCollector(DagSpanCollector):
+            def received(self, node, sender, digest):
+                receipts.append(digest.value)
+                super().received(node, sender, digest)
+
+        monkeypatch.setitem(SPAN_COLLECTORS, "2ldag", CountingDagCollector)
+        spans, _ = record_trace(tmp_path, "2ldag", sample=0.25)
+        records = parse_stream(spans.path.read_text())
+        traces = [r for r in records if r["event"] == "block-trace"]
+        traced_digests = {
+            bytes.fromhex(r["spans"][0]["detail"]["digest"]) for r in traces
+        }
+        received = [
+            s for r in traces for s in r["spans"] if s["phase"] == "received"
+        ]
+        assert received, "sampled blocks still record their receipts"
+        # Every receipt reaches the collector, but only the sampled
+        # blocks' receipts become spans.
+        sampled_receipts = [d for d in receipts if d in traced_digests]
+        assert len(sampled_receipts) == len(received) < len(receipts)
+        assert all(
+            block_sampled(4, r["block"], 0.25) for r in traces
+        )
+
+
+def _clock(now=0.0):
+    return SimpleNamespace(now=now)
+
+
+class TestCollectorMethods:
+    """Each collector folds its backend's direct calls into span trees."""
+
+    def test_pbft_request_confirms_at_the_quorum_th_execution(self):
+        spec = tiny_spec("pbft")  # nine replicas: f = 2, quorum 5
+        sim = _clock()
+        collector = PbftSpanCollector(spec, 1.0, sim)
+        assert collector.quorum == 5
+        request = Request(client=0, payload_seed=b"0#0", payload_bits=8,
+                          timestamp=0.0)
+        pre_prepare = PrePrepare(view=0, sequence=1,
+                                 digest=hash_fields([b"0#0"]), request=request)
+        collector.request(SimpleNamespace(replica_id=0), request)
+        sim.now = 0.5
+        collector.phase(SimpleNamespace(replica_id=0), "pre-prepare", pre_prepare)
+        for replica_id in range(9):
+            sim.now = 1.0 + replica_id
+            collector.executed(SimpleNamespace(replica_id=replica_id), pre_prepare)
+        (trace,) = collector.block_traces()
+        assert trace["block"] == "0#0" and trace["confirmed"]
+        phases = [s["phase"] for s in trace["spans"]]
+        assert phases.count("commit") == 9
+        assert phases.count("confirmed") == 1
+        confirmed = next(s for s in trace["spans"] if s["phase"] == "confirmed")
+        assert (confirmed["node"], confirmed["end"]) == (4, 5.0)
+
+    def test_pbft_view_change_annotates_only_open_requests(self):
+        sim = _clock()
+        collector = PbftSpanCollector(tiny_spec("pbft"), 1.0, sim)
+        for seed in (b"0#0", b"1#0"):
+            collector.request(
+                SimpleNamespace(replica_id=0),
+                Request(client=0, payload_seed=seed, payload_bits=8, timestamp=0.0),
+            )
+        done = Request(client=0, payload_seed=b"0#0", payload_bits=8, timestamp=0.0)
+        pre_prepare = PrePrepare(view=0, sequence=1,
+                                 digest=hash_fields([b"0#0"]), request=done)
+        for replica_id in range(collector.quorum):
+            collector.executed(SimpleNamespace(replica_id=replica_id), pre_prepare)
+        sim.now = 3.0
+        collector.view_change(SimpleNamespace(replica_id=2), 1)
+        changes = {
+            trace["block"]: [s for s in trace["spans"] if s["phase"] == "view-change"]
+            for trace in collector.block_traces()
+        }
+        assert changes["0#0"] == []
+        assert [(s["node"], s["start"], s["end"], s["detail"]) for s in changes["1#0"]] \
+            == [(2, 3.0, 3.0, {"view": 1})]
+
+    def test_iota_transaction_confirms_at_the_approval_weight(self):
+        sim = _clock()
+        collector = IotaSpanCollector(tiny_spec("iota"), 1.0, sim)
+        node = SimpleNamespace(node_id=1)
+        chain, parents = [], ()
+        # A chain: each transaction approves the one before, so the
+        # first gains one unit of cumulative weight per later attach.
+        for index in range(IOTA_CONFIRM_WEIGHT + 1):
+            sim.now = float(index)
+            tx = Transaction(issuer=1, index=index, parents=parents,
+                             payload_seed=f"1#{index}".encode(),
+                             payload_bits=8, timestamp=sim.now)
+            collector.attach(node, tx)
+            chain.append(tx)
+            parents = (tx.digest().value,)
+        collector.received(SimpleNamespace(node_id=2), chain[0])
+        traces = {t["block"]: t for t in collector.block_traces()}
+        first = traces["1#0"]
+        assert first["confirmed"]
+        confirmed = next(s for s in first["spans"] if s["phase"] == "confirmed")
+        assert confirmed["end"] == float(IOTA_CONFIRM_WEIGHT)
+        assert confirmed["detail"] == {"weight": IOTA_CONFIRM_WEIGHT}
+        assert [s["phase"] for s in first["spans"]].count("approved") == 1
+        assert not traces[f"1#{IOTA_CONFIRM_WEIGHT}"]["confirmed"]
