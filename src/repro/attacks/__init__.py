@@ -11,8 +11,6 @@ Behaviour classes plug into :class:`repro.core.node.IoTNode` via the
   header (rejected by the digest comparison of Algorithm 3 line 21);
 * :class:`SelfishNode` — §IV-D-6: participates in generation but never
   serves others;
-* :class:`DosFlooder` — §IV-D-5: pushes digests faster than the nonce
-  puzzle permits;
 * :func:`eclipse_victim` — drop rule isolating a victim's PoP traffic;
 * :func:`sybil_identities` — §IV-D-3: forged identities that fail
   registry checks;

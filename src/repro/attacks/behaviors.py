@@ -77,21 +77,3 @@ class SelfishNode(SilentResponder):
     Identical to :class:`SilentResponder` at the protocol level; kept
     distinct so a scenario's roster names selfishness apart from capture.
     """
-
-
-class DosFlooder(NodeBehavior):  # repro: allow[test-only-public-name] test fixture: the §IV-D-5 flood
-    """§IV-D-5: floods neighbours with digests beyond the puzzle rate.
-
-    The flood happens out-of-band of normal generation: call
-    :meth:`flood` to emit ``count`` junk digests.  Honest receivers
-    rate-limit via :class:`DigestRateLimiter` (see
-    :mod:`repro.attacks.defenses`) and ban the flooder.
-    """
-
-    def flood(self, node: IoTNode, count: int) -> None:  # repro: allow[test-only-public-name] test fixture: the §IV-D-5 flood
-        """Emit ``count`` junk digests to all neighbours."""
-        for i in range(count):
-            junk = hash_bytes(f"junk:{node.node_id}:{i}".encode(), node.config.hash_bits)
-            node.interface.broadcast_neighbors(
-                "digest", (node.node_id, junk), node.config.digest_message_bits
-            )

@@ -16,14 +16,14 @@ from typing import List
 from repro.baselines.iota.tangle import Tangle
 
 
-def select_tips_uniform(tangle: Tangle, rng: random.Random, count: int = 2) -> List[bytes]:
-    """Uniform random tips (with replacement when too few exist)."""
+def select_tips_uniform(tangle: Tangle, rng: random.Random) -> List[bytes]:
+    """Two uniform random tips (with replacement when fewer exist)."""
     tips = tangle.tips()
     if not tips:
         return []
-    if len(tips) >= count:
-        return rng.sample(tips, count)
-    return [rng.choice(tips) for _ in range(count)]
+    if len(tips) >= 2:
+        return rng.sample(tips, 2)
+    return [rng.choice(tips) for _ in range(2)]
 
 
 def _walk_once(tangle: Tangle, rng: random.Random, alpha: float, start: bytes) -> bytes:

@@ -18,8 +18,8 @@ injects harness faults on purpose to prove all of that converges to
 byte-identical results — see :mod:`repro.campaign.chaos`.
 
 Entry points: ``python -m repro campaign run/status`` and the
-``executor=`` parameter every multi-run experiment
-(Figs. 7-9, the sweeps, the attack comparison) now accepts.  See ``docs/campaigns.md``.
+``executor=`` parameter of ``run_fig9``, ``check_model_agreement``
+and ``generate_report``.  See ``docs/campaigns.md``.
 """
 
 from repro.campaign.chaos import ChaosError

@@ -208,14 +208,9 @@ def expand_grid(
     return tuple(cells)
 
 
-def replicate_seeds(
-    base: ScenarioSpec,
-    seeds: Sequence[int],
-    kind: str = "scenario",
-    params: Mapping[str, Any] = None,
-) -> Tuple[CellSpec, ...]:
-    """Seed replication: the same scenario once per master seed."""
-    return expand_grid(base, {"seed": list(seeds)}, kind=kind, params=params)
+def replicate_seeds(base: ScenarioSpec, seeds: Sequence[int]) -> Tuple[CellSpec, ...]:
+    """Seed replication: the same ``scenario`` cell once per master seed."""
+    return expand_grid(base, {"seed": list(seeds)})
 
 
 def _resolve_base_scenario(preset: Any, scenario_data: Any) -> ScenarioSpec:

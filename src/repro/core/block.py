@@ -323,7 +323,7 @@ def build_block(
     return DataBlock(header=header, body=body)
 
 
-def make_body(origin: int, index: int, config: ProtocolConfig, salt: bytes = b"") -> BlockBody:
+def make_body(origin: int, index: int, config: ProtocolConfig) -> BlockBody:
     """A deterministic synthetic body for (origin, index)."""
-    seed = b"body:" + salt + origin.to_bytes(4, "big") + index.to_bytes(8, "big")
+    seed = b"body:" + origin.to_bytes(4, "big") + index.to_bytes(8, "big")
     return BlockBody(content_seed=seed, size_bits=config.body_bits)

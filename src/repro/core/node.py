@@ -2,11 +2,11 @@
 
 An :class:`IoTNode` stores only its own blocks (``S_i``), caches the
 latest digest received from each neighbour (``A_i``), keeps verified
-headers (``H_i``) and answers PoP queries.  All externally observable
-behaviour that a *malicious* node could change is routed through a
-:class:`NodeBehavior` strategy, which the attack models in
-:mod:`repro.attacks` override — the honest node logic itself stays in
-one place.
+headers (``H_i``) and answers PoP queries.  Its two replies — to a
+REQ_CHILD and to a block fetch — go through a :class:`NodeBehavior`
+strategy, which the attack models in :mod:`repro.attacks` override to
+stay silent or answer falsely; everything else a node does is the
+honest protocol, kept in one place.
 """
 
 from __future__ import annotations
@@ -35,14 +35,16 @@ from repro.crypto.puzzle import NoncePuzzle
 from repro.net.messages import Message
 from repro.net.transport import Network, NodeInterface
 
+#: Non-replies after which a node blacklists a responder (§IV-D-6).
+STRIKES_TO_BLACKLIST = 3
+
 
 class NodeBehavior:
-    """Strategy hooks for everything an adversary could subvert.
+    """The reply hooks an adversary overrides.
 
     The default implementation is the honest protocol.  Attack models
-    subclass this and override individual hooks; returning ``None``
-    from a reply hook means "stay silent" (the validator will time
-    out).
+    subclass this and override either hook; returning ``None`` means
+    "stay silent" (the validator will time out).
     """
 
     def answer_req_child(self, node: "IoTNode", request: ReqChild) -> Optional[RpyChild]:
@@ -54,14 +56,6 @@ class NodeBehavior:
         if request.block_id is None:
             return node.store.latest
         return node.store.get(request.block_id)
-
-    def transform_outgoing_block(self, node: "IoTNode", block: DataBlock) -> DataBlock:
-        """Hook on freshly generated blocks (tampering point for attacks)."""
-        return block
-
-    def should_process_digest(self, node: "IoTNode", message: Message) -> bool:
-        """Admission control on incoming digests (DoS defence hook)."""
-        return True
 
 
 class IoTNode:
@@ -134,7 +128,7 @@ class IoTNode:
         return f"<IoTNode {self.node_id} blocks={len(self.store)}>"
 
     # -- block generation (§III-D) -----------------------------------------------
-    def generate_block(self, salt: bytes = b"") -> DataBlock:
+    def generate_block(self) -> DataBlock:
         """Create, mine, sign and announce the next data block.
 
         Digests field Δ = latest digest from each neighbour (``A_i``)
@@ -149,7 +143,7 @@ class IoTNode:
         if previous is not None:
             digests[self.node_id] = previous.digest(self.config.hash_bits)
 
-        body = make_body(self.node_id, index, self.config, salt)
+        body = make_body(self.node_id, index, self.config)
         block = build_block(
             origin=self.node_id,
             index=index,
@@ -160,7 +154,6 @@ class IoTNode:
             config=self.config,
             puzzle=self._puzzle,
         )
-        block = self.behavior.transform_outgoing_block(self, block)
         # Our own headers are trivially trusted: H_i reads them from S_i,
         # so TPS traverses our blocks without a self-request.
         self.store.add(block)
@@ -184,8 +177,6 @@ class IoTNode:
     def _on_digest(self, message: Message) -> None:
         """Update ``A_i``, replacing the sender's previous digest."""
         if not self.online:
-            return
-        if not self.behavior.should_process_digest(self, message):
             return
         sender, digest = message.payload
         if sender != message.sender or sender not in self.neighbors:
@@ -282,10 +273,10 @@ class IoTNode:
         self.neighbor_digests.clear()
 
     # -- penalty mechanism (§IV-D-6) ------------------------------------------
-    def record_no_reply(self, node: int, strikes_to_blacklist: int = 3) -> None:
-        """Count a non-reply; blacklist after repeated offences."""
+    def record_no_reply(self, node: int) -> None:
+        """Count a non-reply; blacklist after :data:`STRIKES_TO_BLACKLIST`."""
         self._blacklist_strikes[node] = self._blacklist_strikes.get(node, 0) + 1
-        if self._blacklist_strikes[node] >= strikes_to_blacklist:
+        if self._blacklist_strikes[node] >= STRIKES_TO_BLACKLIST:
             self.blacklist.add(node)
 
     def record_cooperation(self, node: int) -> None:

@@ -19,9 +19,11 @@ prints the rows the paper plots.  The benchmark harness under
 
 Figure runs are sized by a base :class:`~repro.scenario.ScenarioSpec`
 (``repro.scenario.PAPER_SCALE`` / ``QUICK_SCALE`` or any spec of the
-caller's).  Multi-run experiments accept an ``executor=`` (a
+caller's).  ``run_fig9``, ``check_model_agreement`` and
+``generate_report`` accept an ``executor=`` (a
 :class:`~repro.campaign.executor.CampaignExecutor`) to fan their cells
-out across worker processes and memoise results — see
+out across worker processes and memoise results; the sweeps are cells
+the ``gamma-sweep`` and ``density-sweep`` campaigns run — see
 ``docs/campaigns.md``.
 
 Import the runners from their modules: this package imports nothing,

@@ -84,12 +84,10 @@ def fig7_panel(body_mb: float, measured: ScenarioResult) -> Fig7Result:
     )
 
 
-def run_fig7(body_mb: float, base: ScenarioSpec, executor=None) -> Fig7Result:  # repro: allow[test-only-public-name] figure-suite entry point
+def run_fig7(body_mb: float, base: ScenarioSpec) -> Fig7Result:  # repro: allow[test-only-public-name] figure-suite entry point
     """Produce one Fig. 7 panel for body size ``body_mb``.
 
     ``base`` sizes the run (see :func:`repro.scenario.fig7_scenario`).
     """
-    (measured,) = run_scenario_cells(
-        [fig7_scenario(body_mb, base)], executor, name="fig7"
-    )
+    (measured,) = run_scenario_cells([fig7_scenario(body_mb, base)], name="fig7")
     return fig7_panel(body_mb, measured)

@@ -92,13 +92,10 @@ def fig8_series(run33: ScenarioResult, run49: ScenarioResult) -> Fig8Result:
     )
 
 
-def run_fig8(base: ScenarioSpec, executor=None) -> Fig8Result:  # repro: allow[test-only-public-name] figure-suite entry point
+def run_fig8(base: ScenarioSpec) -> Fig8Result:  # repro: allow[test-only-public-name] figure-suite entry point
     """Produce all Fig. 8 series at the size ``base`` declares.
 
-    The 33% and 49% tolerance runs are two campaign cells — they
-    execute concurrently when ``executor`` has workers, serially
-    in-process otherwise.
+    The 33% and 49% tolerance runs are two campaign cells, run serially
+    in-process; ``report`` submits the same cells to its executor.
     """
-    return fig8_series(
-        *run_scenario_cells(fig8_scenarios(base), executor, name="fig8")
-    )
+    return fig8_series(*run_scenario_cells(fig8_scenarios(base), name="fig8"))

@@ -3,30 +3,27 @@
 Two sweeps that probe the design space the paper's analysis (§V) maps
 out but does not plot:
 
-* :func:`gamma_sweep` — PoP message cost versus the tolerance γ.
+* :func:`gamma_sweep_cells` — PoP message cost versus the tolerance γ.
   Proposition 4 lower-bounds it at ``2(γ+1)``; Proposition 6
   upper-bounds it; the sweep shows where reality falls.
-* :func:`density_sweep` — communication cost versus radio range.
+* :func:`density_sweep_cells` — communication cost versus radio range.
   Denser networks mean more digests per block (bigger Δ) but shorter
   PoP paths; the sweep exposes the trade-off.
 
 Each point of either sweep is a campaign cell of one kind,
 ``sweep-point``: the whole run-then-probe recipe executes inside the
-cell and returns every column of both sweeps, so points fan out across
-workers and memoise in the result cache when the caller passes a
-configured :class:`~repro.campaign.executor.CampaignExecutor`.
-Without one, the points run serially in-process exactly as they
-always have.
+cell and returns every column of both sweeps as its payload.  The
+``gamma-sweep`` and ``density-sweep`` campaign presets run them, so
+points fan out across workers and memoise in the result cache.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.analysis.bounds import prop4_message_lower_bound, prop6_message_upper_bound
 from repro.campaign.cells import register_cell_kind
-from repro.campaign.spec import CampaignSpec, CellSpec
+from repro.campaign.spec import CellSpec
 from repro.scenario import (
     ProtocolSpec,
     ScenarioRunner,
@@ -34,17 +31,6 @@ from repro.scenario import (
     TopologySpec,
     WorkloadSpec,
 )
-
-
-@dataclass
-class GammaSweepPoint:
-    """Measured PoP cost at one γ."""
-
-    gamma: int
-    mean_messages: float
-    prop4_lower: int
-    prop6_upper: float
-    success_rate: float
 
 
 def _run_cold_validations(deployment, workload, count: int, rng) -> List:
@@ -130,49 +116,6 @@ def gamma_sweep_cells(
     )
 
 
-def gamma_sweep(  # repro: allow[test-only-public-name] sweep entry point
-    gammas: Sequence[int],
-    node_count: int = 20,
-    slots: int = 30,
-    validations: int = 8,
-    seed: int = 0,
-    executor=None,
-) -> List[GammaSweepPoint]:
-    """Measure cold-cache PoP message cost across tolerances."""
-    from repro.campaign.executor import run_campaign
-
-    campaign = CampaignSpec(
-        name="gamma-sweep",
-        cells=gamma_sweep_cells(gammas, node_count, slots, validations, seed),
-    )
-    points = []
-    for payload in run_campaign(campaign, executor).payloads():
-        mean_messages = payload["mean_messages"]
-        points.append(
-            GammaSweepPoint(
-                gamma=int(payload["gamma"]),
-                mean_messages=(
-                    float("nan") if mean_messages is None else float(mean_messages)
-                ),
-                prop4_lower=int(payload["prop4_lower"]),
-                prop6_upper=float(payload["prop6_upper"]),
-                success_rate=float(payload["success_rate"]),
-            )
-        )
-    return points
-
-
-@dataclass
-class DensitySweepPoint:
-    """Measured costs at one radio range."""
-
-    comm_range: float
-    mean_degree: float
-    digest_bits_per_slot: float
-    mean_pop_messages: float
-    success_rate: float
-
-
 def _density_sweep_spec(
     comm_range: float, node_count: int, slots: int, gamma: int, seed: int
 ) -> ScenarioSpec:
@@ -205,37 +148,3 @@ def density_sweep_cells(
         for comm_range in comm_ranges
     )
 
-
-def density_sweep(  # repro: allow[test-only-public-name] sweep entry point
-    comm_ranges: Sequence[float],
-    node_count: int = 20,
-    slots: int = 25,
-    validations: int = 6,
-    gamma: int = 5,
-    seed: int = 0,
-    executor=None,
-) -> List[DensitySweepPoint]:
-    """Measure digest overhead vs PoP cost across network densities."""
-    from repro.campaign.executor import run_campaign
-
-    campaign = CampaignSpec(
-        name="density-sweep",
-        cells=density_sweep_cells(
-            comm_ranges, node_count, slots, validations, gamma, seed
-        ),
-    )
-    points = []
-    for payload in run_campaign(campaign, executor).payloads():
-        mean_pop = payload["mean_messages"]
-        points.append(
-            DensitySweepPoint(
-                comm_range=float(payload["comm_range"]),
-                mean_degree=float(payload["mean_degree"]),
-                digest_bits_per_slot=float(payload["digest_bits_per_slot"]),
-                mean_pop_messages=(
-                    float("nan") if mean_pop is None else float(mean_pop)
-                ),
-                success_rate=float(payload["success_rate"]),
-            )
-        )
-    return points

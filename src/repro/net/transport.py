@@ -11,17 +11,16 @@
   is charged transmit bits and every receiving node receive bits, so a
   few central relays accumulate the heavy tails seen in Fig. 8(d).
 
-Messages are delivered after ``hops × per_hop_latency`` simulated time
-(or the installed per-link model summed over the route).  Per-node drop
-rules model malicious silence, DoS filtering and eclipse partitions
-(§IV-D).
+Messages are delivered after ``hops × per_hop_latency`` simulated time.
+Per-node drop rules model malicious silence, lossy links and eclipse
+partitions (§IV-D).
 
 A fan-out — :meth:`NodeInterface.multicast` — is one transmission: one
 shared :class:`Message` addressed to all its recipients, one event per
 recipient, one kernel entry per arrival instant.  How it is accounted is
 read from the transport's state at each send:
 
-* **planned** — no drop rule, no link model, every recipient routable:
+* **planned** — no drop rule, every recipient routable:
   the ledger takes the whole fan-out in one call from the plan
   :meth:`~repro.net.routing.RoutingTable.fanout_plan` memoises, which
   holds exactly what the hop walks would have added up to;
@@ -46,9 +45,6 @@ if TYPE_CHECKING:
 
 #: A drop rule decides, per message and hop, whether the link eats it.
 DropRule = Callable[[Message, int, int], bool]
-
-#: Seconds one hop takes: ``(hop_from, hop_to, size_bits) -> delay``.
-LinkLatency = Callable[[int, int, int], float]
 
 #: Maps a message kind to the ledger category it is accounted under.
 CategoryFn = Callable[[str], str]
@@ -145,9 +141,6 @@ class Network:
         self.routing = RoutingTable(topology)
         self.ledger = ledger if ledger is not None else TrafficLedger()
         self.per_hop_latency = per_hop_latency
-        #: Per-link delay replacing the constant one; see
-        #: :func:`repro.net.linkmodels.install_latency_model`.
-        self.link_latency: Optional[LinkLatency] = None
         self.category_fn = category_fn
         #: The run's block-lifecycle collector, installed by
         #: :meth:`~repro.telemetry.spans.SpanRecorder.run_started`; the
@@ -212,10 +205,7 @@ class Network:
                     return None
             record_rx(hop_to, category, bits)
         # Read per send: link faults change the constant mid-run.
-        link_latency = self.link_latency
-        if link_latency is None:
-            return self.per_hop_latency * len(hops)
-        return sum([link_latency(hop_from, hop_to, bits) for hop_from, hop_to in hops])
+        return self.per_hop_latency * len(hops)
 
     def unicast(self, message: Message) -> None:
         """Route ``message`` over its shortest path and schedule its delivery."""
@@ -240,7 +230,7 @@ class Network:
         message = Message(sender, members, kind, payload, size_bits)
         sim, deliver = self.sim, partial(self._deliver_to, message)
         now = sim.now
-        plannable = members and not self._drop_rules and self.link_latency is None
+        plannable = members and not self._drop_rules
         plan = self.routing.fanout_plan(sender, members) if plannable else None
         delays: Sequence[Optional[float]]
         if plan is None:

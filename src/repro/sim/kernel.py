@@ -38,11 +38,7 @@ from repro.sim.errors import SchedulingError, SimulationError
 class Simulator:
     """The discrete-event loop.
 
-    Parameters
-    ----------
-    start_time:
-        Initial value of :attr:`now`; the paper's evaluation uses
-        integer "time slots" starting at 0.
+    The clock starts at 0, the paper's first integer "time slot".
 
     Notes
     -----
@@ -53,8 +49,8 @@ class Simulator:
     between :meth:`_drain` and the callback.
     """
 
-    def __init__(self, start_time: float = 0.0) -> None:
-        self._now = float(start_time)
+    def __init__(self) -> None:
+        self._now = 0.0
         # ``args`` is a tuple for a call and a member iterator for a fan-out.
         self._heap: List[Tuple[float, int, Callable[..., None], Any]] = []
         self._sequence = itertools.count()

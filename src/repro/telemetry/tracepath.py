@@ -31,9 +31,8 @@ def percentile(values: Sequence[float], q: float) -> float:
 
 
 def _phases(backend: str) -> Tuple[str, ...]:
-    """``backend``'s lifecycle phases in causal order (none if untraced)."""
-    collector = SPAN_COLLECTORS.get(backend)
-    return collector.phases if collector is not None else ()
+    """``backend``'s lifecycle phases in causal order."""
+    return SPAN_COLLECTORS[backend].phases
 
 
 def _phase_rank(backend: str, phase: str) -> int:
@@ -73,11 +72,21 @@ def critical_path(
 
 
 def trace_start(path: Path, records: List[Dict[str, Any]]) -> Dict[str, Any]:
-    """The stream's ``trace-start``; a headerless fragment (which the
-    validator accepts) names no backend, so it is an error here."""
+    """The stream's ``trace-start``, naming a backend whose phases are known.
+
+    A headerless fragment (which the validator accepts) names no
+    backend, and a backend with no :data:`SPAN_COLLECTORS` row in this
+    process has no phase order to attribute spans to: both are errors
+    here, not an empty report.
+    """
     start = stream_start(records)
     if start is None:
         raise TelemetryError(f"{path}: stream carries no trace-start")
+    if start["backend"] not in SPAN_COLLECTORS:
+        raise TelemetryError(
+            f"{path}: the {start['backend']} backend has no span collector in "
+            f"this process; phases are known for: {', '.join(sorted(SPAN_COLLECTORS))}"
+        )
     return start
 
 

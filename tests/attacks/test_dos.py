@@ -1,10 +1,67 @@
-"""DoS-flooding attack and the rate-limiter defence (§IV-D-5)."""
+"""DoS-flooding attack and the rate-limiter defence (§IV-D-5).
 
+The defence the paper sketches: "a node may ban a neighbour that
+generates blocks quicker than the expected time to solve the puzzle".
+Both sides are fixtures of this module: the flood is a burst of junk
+digest pushes, and the limiter sits in front of a node's digest handler.
+"""
 
-from repro.attacks.behaviors import DosFlooder
-from repro.attacks.defenses import DigestRateLimiter, RateLimitedBehavior
+from collections import defaultdict, deque
+
 from repro.core.config import ProtocolConfig
-from repro.core.protocol import TwoLayerDagNetwork
+from repro.core.protocol import SlotSimulation, TwoLayerDagNetwork
+from repro.crypto.hashing import hash_bytes
+
+
+def flood(node, count):
+    """Push ``count`` junk digests from ``node`` to all its neighbours."""
+    for i in range(count):
+        junk = hash_bytes(f"junk:{node.node_id}:{i}".encode(), node.config.hash_bits)
+        node.interface.broadcast_neighbors(
+            "digest", (node.node_id, junk), node.config.digest_message_bits
+        )
+
+
+class DigestRateLimiter:
+    """Bans neighbours that push digests faster than the puzzle allows.
+
+    ``min_interval`` is the expected minimum time between honest blocks
+    (the puzzle's solve time); ``burst`` arrivals faster than that are
+    tolerated as honest jitter before the sender is banned.
+    """
+
+    def __init__(self, min_interval=0.5, burst=3):
+        self.min_interval = min_interval
+        self.burst = burst
+        self._arrivals = defaultdict(deque)
+        self.banned = set()
+
+    def admit(self, sender, now):
+        """Record an arrival; ``False`` means drop (and ban) the sender."""
+        if sender in self.banned:
+            return False
+        window = self._arrivals[sender]
+        window.append(now)
+        # Keep only the last `burst + 1` arrivals.
+        while len(window) > self.burst + 1:
+            window.popleft()
+        if len(window) == self.burst + 1:
+            span = window[-1] - window[0]
+            if span < self.min_interval * self.burst:
+                self.banned.add(sender)
+                return False
+        return True
+
+
+def rate_limit(node, limiter):
+    """Put ``limiter`` in front of ``node``'s digest handler."""
+    honest = node._on_digest
+
+    def on_digest(message):
+        if limiter.admit(message.sender, node.network.sim.now):
+            honest(message)
+
+    node.interface.on("digest", on_digest)
 
 
 class TestRateLimiter:
@@ -38,11 +95,8 @@ class TestFloodScenario:
         """§IV-D-5: digests are not flooded network-wide, so a DoS
         attacker only burdens its one-hop neighbourhood."""
         config = ProtocolConfig(body_bits=8_000, gamma=2)
-        flooder = DosFlooder()
-        deployment = TwoLayerDagNetwork(
-            config=config, topology=grid9, seed=1, behaviors={4: flooder}
-        )
-        flooder.flood(deployment.node(4), count=50)
+        deployment = TwoLayerDagNetwork(config=config, topology=grid9, seed=1)
+        flood(deployment.node(4), count=50)
         deployment.sim.run()
         ledger = deployment.traffic
         neighbors = set(grid9.neighbors(4))
@@ -56,27 +110,18 @@ class TestFloodScenario:
 
     def test_rate_limited_victim_bans_flooder(self, grid9):
         config = ProtocolConfig(body_bits=8_000, gamma=2)
-        flooder = DosFlooder()
         limiter = DigestRateLimiter(min_interval=0.5, burst=3)
-        deployment = TwoLayerDagNetwork(
-            config=config,
-            topology=grid9,
-            seed=1,
-            behaviors={4: flooder, 1: RateLimitedBehavior(limiter)},
-        )
-        flooder.flood(deployment.node(4), count=20)
+        deployment = TwoLayerDagNetwork(config=config, topology=grid9, seed=1)
+        rate_limit(deployment.node(1), limiter)
+        flood(deployment.node(4), count=20)
         deployment.sim.run()
         assert 4 in limiter.banned
 
     def test_honest_rate_passes_limiter(self, grid9):
-        from repro.core.protocol import SlotSimulation
-
         config = ProtocolConfig(body_bits=8_000, gamma=2)
         limiter = DigestRateLimiter(min_interval=0.5, burst=3)
-        deployment = TwoLayerDagNetwork(
-            config=config, topology=grid9, seed=1,
-            behaviors={1: RateLimitedBehavior(limiter)},
-        )
+        deployment = TwoLayerDagNetwork(config=config, topology=grid9, seed=1)
+        rate_limit(deployment.node(1), limiter)
         workload = SlotSimulation(deployment, generation_period=1)
         workload.run(6)
         assert limiter.banned == set()

@@ -73,49 +73,49 @@ class TestStructure:
 
 
 class TestDescendants:
-    def test_descendants_of_head(self, config):
+    def test_descendants_of_head(self, config, descendants):
         dag, blocks = make_chain(config, [1, 2, 3, 4])
-        descendants = dag.descendants(blocks[0].block_id)
-        assert descendants == {b.block_id for b in blocks[1:]}
+        assert descendants(dag, blocks[0].block_id) == {b.block_id for b in blocks[1:]}
 
-    def test_descendants_of_tip_empty(self, config):
+    def test_descendants_of_tip_empty(self, config, descendants):
         dag, blocks = make_chain(config, [1, 2, 3])
-        assert dag.descendants(blocks[-1].block_id) == set()
+        assert descendants(dag, blocks[-1].block_id) == set()
 
 
 class TestConsensusOracle:
-    def test_distinct_origins_on_chain(self, config):
+    def test_distinct_origins_on_chain(self, config, max_distinct_origins_on_path):
         dag, blocks = make_chain(config, [1, 2, 3, 4, 5])
-        assert dag.max_distinct_origins_on_path(blocks[0].block_id) == 5
+        assert max_distinct_origins_on_path(dag, blocks[0].block_id) == 5
 
-    def test_micro_loop_counts_each_origin_once(self, config):
+    def test_micro_loop_counts_each_origin_once(self, config, max_distinct_origins_on_path):
         """A 1-2-1-2-1 alternation has only two distinct origins."""
         dag, blocks = make_chain(config, [1, 2, 1, 2, 1])
-        assert dag.max_distinct_origins_on_path(blocks[0].block_id) == 2
+        assert max_distinct_origins_on_path(dag, blocks[0].block_id) == 2
 
-    def test_excluded_origins_block_paths(self, config):
+    def test_excluded_origins_block_paths(self, config, max_distinct_origins_on_path):
         dag, blocks = make_chain(config, [1, 2, 3, 4])
         # Excluding node 2 cuts the only path after block 0.
-        assert dag.max_distinct_origins_on_path(
-            blocks[0].block_id, exclude_origins={2}
+        assert max_distinct_origins_on_path(
+            dag, blocks[0].block_id, exclude_origins={2}
         ) == 1
 
-    def test_consensus_feasible_threshold(self, config):
+    def test_consensus_feasible_threshold(self, config, consensus_feasible):
         dag, blocks = make_chain(config, [1, 2, 3])
-        assert dag.consensus_feasible(blocks[0].block_id, gamma=2)
-        assert not dag.consensus_feasible(blocks[0].block_id, gamma=3)
+        assert consensus_feasible(dag, blocks[0].block_id, gamma=2)
+        assert not consensus_feasible(dag, blocks[0].block_id, gamma=3)
 
-    def test_deep_chain_no_recursion_error(self, config):
+    def test_deep_chain_no_recursion_error(self, config, max_distinct_origins_on_path):
         """Thousand-block chains must not hit Python's recursion limit."""
         origins = [1 + (i % 2) for i in range(2000)]
         dag, blocks = make_chain(config, origins)
-        assert dag.max_distinct_origins_on_path(blocks[0].block_id) == 2
+        assert max_distinct_origins_on_path(dag, blocks[0].block_id) == 2
 
 
 class TestEdgeOrder:
-    """``descendants`` and the origin search walk the raw child lists, so
-    the order edges are appended in is behaviour.  The reference links one
-    edge at a time through both indexes, as ``add_header`` once did."""
+    """The oracle fixtures (root ``conftest.py``) walk the raw child
+    lists, so the order edges are appended in is behaviour.  The reference
+    links one edge at a time through both indexes, as ``add_header`` once
+    did."""
 
     @staticmethod
     def reference_edges(headers, hash_bits):

@@ -3,12 +3,7 @@
 import pytest
 
 from repro.campaign.cells import execute_cell
-from repro.experiments.sweeps import (
-    density_sweep,
-    density_sweep_cells,
-    gamma_sweep,
-    gamma_sweep_cells,
-)
+from repro.experiments.sweeps import density_sweep_cells, gamma_sweep_cells
 
 #: Every column of both sweeps; each sweep-point payload carries all.
 SWEEP_COLUMNS = {
@@ -19,38 +14,44 @@ SWEEP_COLUMNS = {
 
 @pytest.fixture(scope="module")
 def gamma_points():
-    return gamma_sweep([2, 4, 6], node_count=12, slots=18, validations=5, seed=1)
+    cells = gamma_sweep_cells([2, 4, 6], node_count=12, slots=18, validations=5, seed=1)
+    return [execute_cell(cell) for cell in cells]
+
+
+@pytest.fixture(scope="module")
+def density_points():
+    cells = density_sweep_cells(
+        [80.0, 160.0], node_count=12, slots=15, validations=4, gamma=4, seed=2
+    )
+    return [execute_cell(cell) for cell in cells]
 
 
 class TestGammaSweep:
     def test_messages_within_proposition_bounds(self, gamma_points):
         for point in gamma_points:
-            if point.success_rate > 0:
-                assert point.mean_messages >= point.prop4_lower
-                assert point.mean_messages <= point.prop6_upper
+            if point["success_rate"] > 0:
+                assert point["mean_messages"] >= point["prop4_lower"]
+                assert point["mean_messages"] <= point["prop6_upper"]
 
     def test_cost_grows_with_gamma(self, gamma_points):
-        messages = [p.mean_messages for p in gamma_points if p.success_rate > 0]
+        messages = [p["mean_messages"] for p in gamma_points if p["success_rate"] > 0]
         assert messages == sorted(messages)
 
     def test_all_gammas_verifiable(self, gamma_points):
         for point in gamma_points:
-            assert point.success_rate > 0.5
+            assert point["success_rate"] > 0.5
 
 
 class TestDensitySweep:
-    def test_degree_grows_with_range(self):
-        points = density_sweep(
-            [80.0, 160.0], node_count=12, slots=15, validations=4, gamma=4, seed=2
-        )
-        assert points[0].mean_degree < points[1].mean_degree
+    def test_degree_grows_with_range(self, density_points):
+        assert density_points[0]["mean_degree"] < density_points[1]["mean_degree"]
 
-    def test_digest_traffic_grows_with_density(self):
-        points = density_sweep(
-            [80.0, 160.0], node_count=12, slots=15, validations=4, gamma=4, seed=2
-        )
+    def test_digest_traffic_grows_with_density(self, density_points):
         # More neighbours -> more digest pushes per block.
-        assert points[0].digest_bits_per_slot < points[1].digest_bits_per_slot
+        assert (
+            density_points[0]["digest_bits_per_slot"]
+            < density_points[1]["digest_bits_per_slot"]
+        )
 
 
 class TestSweepPointKind:

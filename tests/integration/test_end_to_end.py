@@ -54,12 +54,12 @@ class TestPaperTopologyEndToEnd:
             for parent, child in zip(record.outcome.path, record.outcome.path[1:]):
                 assert references(child, parent.digest(hash_bits))
 
-    def test_oracle_agrees_paths_existed(self, system):
+    def test_oracle_agrees_paths_existed(self, system, consensus_feasible):
         deployment, workload = system
         for record in workload.validations[:20]:
             if record.outcome.success:
-                assert deployment.dag.consensus_feasible(
-                    record.block_id, deployment.config.gamma
+                assert consensus_feasible(
+                    deployment.dag, record.block_id, deployment.config.gamma
                 )
 
     def test_storage_stays_near_own_data(self, system):

@@ -64,11 +64,11 @@ class TestLargeScale:
         assert len(deployment.dag) == workload.total_blocks()
         assert deployment.dag.is_acyclic()
 
-    def test_oracle_feasibility_fast_at_scale(self, large_system):
+    def test_oracle_feasibility_fast_at_scale(self, large_system, consensus_feasible):
         """The feasibility oracle (early-exit) answers quickly even on a
         ~2800-block DAG — a regression guard for the exponential-search
         fix."""
         deployment, workload = large_system
         targets = workload.blocks_by_slot[0][:5]
         for target in targets:
-            assert deployment.dag.consensus_feasible(target, deployment.config.gamma)
+            assert consensus_feasible(deployment.dag, target, deployment.config.gamma)

@@ -29,8 +29,9 @@ def stressed():
     )
     # 5% loss on PoP messages only (digests stay reliable: they are
     # tiny and rebroadcast every slot anyway).
+    lossy = random_loss_rule(0.05, random.Random(61))
     deployment.network.add_drop_rule(
-        random_loss_rule(0.05, random.Random(61), kinds={"req_child", "rpy_child"})
+        lambda message, a, b: message.kind in ("req_child", "rpy_child") and lossy(message, a, b)
     )
     workload = SlotSimulation(deployment, generation_period=1)
     workload.run(20)

@@ -9,12 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.metrics.collector import TrafficLedger
-from repro.net.linkmodels import (
-    LinkDegradation,
-    bandwidth_latency,
-    distance_proportional_latency,
-    install_latency_model,
-)
+from repro.net.linkmodels import LinkDegradation
 from repro.net.messages import Message
 from repro.net.routing import RoutingTable
 from repro.net.topology import explicit_topology
@@ -105,10 +100,7 @@ class _HopByHopNetwork(Network):
                 if rule(message, hop_from, hop_to):
                     return
             self.ledger.record_rx(hop_to, category, message.size_bits)
-        if self.link_latency is None:
-            delay = self.per_hop_latency * (len(route) - 1)
-        else:
-            delay = sum(self.link_latency(a, b, message.size_bits) for a, b in zip(route, route[1:]))
+        delay = self.per_hop_latency * (len(route) - 1)
         self.sim.call_in(delay, partial(self._deliver_to, message, message.recipient))
 
 
@@ -118,7 +110,7 @@ _STEPS = st.lists(
         st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.0, 3.5]),
         st.sampled_from([
             "send", "send", "loopback", "request", "degrade", "restore", "cut", "mend",
-            "push", "push", "fan", "fan", "fan", "block", "model", "sized-model", "unmodel",
+            "push", "push", "fan", "fan", "fan", "block",
         ]),
         st.integers(0, 63), st.integers(0, 63), st.integers(0, 4096),
     ),
@@ -187,12 +179,6 @@ def _drive(network_class, edges, steps, per_hop_latency=0.01):
             # Fires in the middle of a fan-out that has ``target`` among its recipients.
             state["block"] = lambda message, hop_from, hop_to: hop_to == target
             network.add_drop_rule(state["block"])
-        elif what == "model":
-            install_latency_model(network, distance_proportional_latency(0.003 * (1 + size % 3)))
-        elif what == "sized-model":
-            install_latency_model(network, bandwidth_latency(1e5, base=0.002), size_aware=True)
-        elif what == "unmodel":
-            network.link_latency = None
         elif what == "degrade" and state["degradation"] is None:
             state["degradation"] = LinkDegradation(network, loss=0.3, extra_latency=0.004, rng=random.Random(size))
         elif what == "restore" and state["degradation"] is not None:
@@ -236,15 +222,15 @@ class TestUnicastMatchesHopByHopWalk:
     @pytest.mark.parametrize("latency", [0.01, 0.0, 1e-18])
     def test_one_fan_out_before_while_and_after_each_fault(self, latency):
         # Star 0-{1,2,4} with the chain 2-3; 0 sends to everyone, itself
-        # included, over and over: planned, walked while a rule, a
-        # degradation or a link model is installed, planned again.
+        # included, over and over: planned, walked while a rule or a
+        # degradation is installed, planned again.
         edges = [(0, 1), (0, 2), (0, 4), (2, 3)]
         fan, idle = ("fan", 0, 0b11111, 0), (0, 0, 0)
         steps = [
             (0.0, *fan), (0.0, *fan),
             (0.5, "block", 0, 2, 0), (0.5, *fan), (0.5, "mend", *idle), (0.5, *fan),
             (1.0, "degrade", 0, 0, 3), (1.0, *fan), (1.0, "restore", *idle), (1.0, *fan),
-            (2.0, "model", *idle), (2.0, *fan), (2.0, "unmodel", *idle), (2.0, *fan),
+            (2.0, *fan), (2.0, *fan),
             (3.5, "cut", 0, 2, 0), (3.5, *fan), (3.5, "mend", *idle), (3.5, *fan),
         ]
         observed = _drive(Network, edges, steps, latency)
@@ -252,20 +238,19 @@ class TestUnicastMatchesHopByHopWalk:
         arrivals = {}
         for time, node, _sender, _size, call, *_ in observed["delivered"]:
             arrivals.setdefault(call, []).append(node)
-        # Calls 0, 1, 3, 5, 7 and 9 found nothing installed: by hop count,
-        # or in send order where the latency is nothing beside the clock.
+        # Calls 0, 1, 3, 5, 6, 7 and 9 found nothing installed: by hop
+        # count, or in send order where the latency is nothing beside the clock.
         by_hops, as_sent = [0, 1, 2, 4, 3], [0, 1, 2, 3, 4]
-        assert [arrivals[call] for call in (0, 1, 3, 5, 7, 9)] == {
-            0.01: [by_hops] * 6, 0.0: [as_sent] * 6, 1e-18: [by_hops] * 2 + [as_sent] * 4,
+        assert [arrivals[call] for call in (0, 1, 3, 5, 6, 7, 9)] == {
+            0.01: [by_hops] * 7, 0.0: [as_sent] * 7, 1e-18: [by_hops] * 2 + [as_sent] * 5,
         }[latency]
         # Under the rules 2, and 3 behind it, are lost; the loss is seeded.
         assert arrivals[2] == [0, 1, 4] and arrivals[8] == [0, 1, 2, 4]
-        assert sorted(arrivals[6]) == [0, 1, 2, 3, 4] and len(arrivals[4]) < 5
+        assert len(arrivals[4]) < 5
         assert observed["messages"] == {"data.blob": 50}
 
     def test_fan_outs_covering_every_case(self):
-        # Star 0-{1,2,4} with the chain 2-3 and the island 5-6; under the
-        # distance model the three links out of 0 are 1, 2 and 4 m long.
+        # Star 0-{1,2,4} with the chain 2-3 and the island 5-6.
         edges = [(0, 1), (0, 2), (0, 4), (2, 3), (5, 6)]
         everyone = 0b1111111
         steps = [
@@ -273,9 +258,9 @@ class TestUnicastMatchesHopByHopWalk:
             (0.5, "block", 0, 2, 0), (0.5, "fan", 0, everyone, 0), (0.5, "push", 0, 0, 100),
             (1.0, "mend", 0, 0, 0), (1.0, "degrade", 0, 0, 3), (1.0, "fan", 0, everyone, 0),
             (1.0, "fan", 3, everyone - 1, 1),
-            (2.0, "restore", 0, 0, 0), (2.0, "model", 0, 0, 0), (2.0, "push", 0, 0, 640),
-            (2.0, "fan", 0, everyone, 0), (2.5, "sized-model", 0, 0, 0), (2.5, "fan", 0, everyone, 2000),
-            (3.5, "unmodel", 0, 0, 0), (3.5, "push", 0, 0, 10),
+            (2.0, "restore", 0, 0, 0), (2.0, "push", 0, 0, 640),
+            (2.0, "fan", 0, everyone, 0), (2.5, "fan", 0, everyone, 2000),
+            (3.5, "push", 0, 0, 10),
         ]
         observed = _drive(Network, edges, steps)
         assert observed == _drive(_HopByHopNetwork, edges, steps)
@@ -283,12 +268,6 @@ class TestUnicastMatchesHopByHopWalk:
         # Seven recipients from 0: loopback now, 1/2/4 after one hop, 3 after two, 5 and 6 never.
         first_fan = [(time, node) for time, node, sender, size, *_ in observed["delivered"] if size == 0][:5]
         assert first_fan == [(0.0, 0), (0.01, 1), (0.01, 2), (0.01, 4), (0.02, 3)]
-        # Under the distance model the same push lands in link-length order.
-        modelled = [
-            (round(time - 2.0, 6), node)
-            for time, node, _sender, size, *_ in observed["delivered"] if size == 640
-        ]
-        assert modelled == [(0.003, 1), (0.006, 2), (0.012, 4)]
 
     def test_schedule_covering_every_case(self):
         # line 0-1-2-3 plus the island 4-5: a mid-route cut, an unroutable

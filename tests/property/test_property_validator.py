@@ -57,7 +57,7 @@ def scenario(draw):
 class TestValidatorInvariants:
     @given(scenario())
     @settings(max_examples=15, deadline=None)
-    def test_success_implies_valid_path(self, references, params):
+    def test_success_implies_valid_path(self, references, consensus_feasible, params):
         deployment, workload, behaviors = build_attacked_system(**params)
         config = deployment.config
         honest = [n for n in deployment.node_ids if n not in behaviors]
@@ -94,7 +94,7 @@ class TestValidatorInvariants:
             public = deployment.registry.public_key(header.origin)
             assert header.verify_signature(public)
         # The omniscient oracle agrees a path existed.
-        assert deployment.dag.consensus_feasible(target, config.gamma)
+        assert consensus_feasible(deployment.dag, target, config.gamma)
 
     @given(scenario())
     @settings(max_examples=10, deadline=None)

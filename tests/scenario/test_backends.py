@@ -449,6 +449,25 @@ class TestMinimalBackend:
             runner.build()
         assert list(tmp_path.iterdir()) == []  # no stream file was opened
 
+    def test_trace_report_refuses_a_backend_without_a_collector(
+        self, documented_backend, tmp_path, capsys
+    ):
+        # A process that never registered the backend (a fresh `python -m
+        # repro`) has no phase order for its spans: exit 2, not "0 confirmed".
+        from repro.cli import main
+        from repro.telemetry.spans import SPAN_COLLECTORS
+
+        run_scenario(small_spec(backend="mini-tangle"), spans=SpanRecorder(tmp_path, sample=1.0))
+        (stream,) = tmp_path.glob("trace-*.jsonl")
+        del SPAN_COLLECTORS["mini-tangle"]
+        assert main(["telemetry", "trace", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            f"{stream}: the mini-tangle backend has no span collector in this "
+            "process; phases are known for: 2ldag, iota, pbft\n"
+        )
+
 
 class TestGridExpansion:
     def test_backend_axis_expands(self):
