@@ -117,6 +117,19 @@ class TestFloodScenario:
         deployment.sim.run()
         assert 4 in limiter.banned
 
+    def test_ban_freezes_the_flooders_digest_slot(self, grid9):
+        # The limiter sits in front of the handler, so A_1 keeps the last
+        # digest admitted before the ban; an unguarded neighbour takes all.
+        config = ProtocolConfig(body_bits=8_000, gamma=2)
+        limiter = DigestRateLimiter(min_interval=0.5, burst=3)
+        deployment = TwoLayerDagNetwork(config=config, topology=grid9, seed=1)
+        rate_limit(deployment.node(1), limiter)
+        flood(deployment.node(4), count=20)
+        deployment.sim.run()
+        junk = [hash_bytes(f"junk:4:{i}".encode(), config.hash_bits) for i in range(20)]
+        assert deployment.node(1).neighbor_digests[4] == junk[limiter.burst - 1]
+        assert deployment.node(3).neighbor_digests[4] == junk[-1]
+
     def test_honest_rate_passes_limiter(self, grid9):
         config = ProtocolConfig(body_bits=8_000, gamma=2)
         limiter = DigestRateLimiter(min_interval=0.5, burst=3)

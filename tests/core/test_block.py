@@ -112,6 +112,18 @@ class TestSizes:
         body = make_body(1, 0, config)
         assert body.chunks() == body.chunks()
 
+    def test_body_roots_are_pinned(self, config):
+        # The synthetic body of (origin, index) is part of every digest a
+        # run reports; its seed bytes must not drift.
+        roots = {
+            (origin, index): make_body(origin, index, config).root(config.hash_bits).value.hex()
+            for origin, index in ((1, 0), (7, 3))
+        }
+        assert roots == {
+            (1, 0): "2ef6208e2be6d34b83e4dbc01a7023310d085e140e8851b11b9bd0d7fdfd3930",
+            (7, 3): "c948e51849c98f7131d5b9324096e53ad20c8c9ada97516affe2f4be92b79ef4",
+        }
+
     def test_body_chunks_bounded(self):
         big = BlockBody(content_seed=b"x", size_bits=8_000_000)
         assert 1 <= len(big.chunks()) <= 8

@@ -4,6 +4,7 @@ import pytest
 
 from repro.attacks.behaviors import SilentResponder
 from repro.core.config import ProtocolConfig
+from repro.core.node import STRIKES_TO_BLACKLIST
 from repro.core.pop.validator import PopValidator
 from repro.core.protocol import SlotSimulation, TwoLayerDagNetwork
 from repro.net.topology import grid_topology
@@ -86,3 +87,13 @@ class TestBlacklistWiring:
         assert 5 in validator.blacklist
         validator.record_cooperation(5)
         assert 5 not in validator.blacklist
+
+    def test_the_last_strike_blacklists(self, attacked_deployment):
+        deployment, _ = attacked_deployment
+        validator = deployment.node(15)
+        validator.record_cooperation(5)  # clear the run's strikes
+        for _ in range(STRIKES_TO_BLACKLIST - 1):
+            validator.record_no_reply(5)
+        assert 5 not in validator.blacklist
+        validator.record_no_reply(5)
+        assert 5 in validator.blacklist
