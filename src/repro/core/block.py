@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from hashlib import sha256
-from typing import List, Mapping, Optional
+from typing import List, Mapping, NamedTuple, Optional
 
 from repro.core import codec
 from repro.core.config import ProtocolConfig
@@ -31,9 +31,12 @@ from repro.crypto.signature import sign, verify
 BODY_CHUNK_BYTES = 4096
 
 
-@dataclass(frozen=True, order=True)
-class BlockId:
-    """Stable identity of a block: (origin node id, per-node index)."""
+class BlockId(NamedTuple):
+    """Stable identity of a block: (origin node id, per-node index).
+
+    A tuple, so hash, equality and order are ``(origin, index)``'s and
+    run in C.
+    """
 
     origin: int
     index: int
@@ -70,20 +73,17 @@ class BlockBody:
         ]
 
     def root(self, bits: int) -> Digest:
-        """Merkle root ``M(b^d)`` of the body; memoised per width.
+        """Merkle root ``M(b^d)`` of the body; the last width asked is memoised.
 
         Bodies are frozen and the chunk expansion is a pure function of
-        the seed, so the root is computed at most once per width —
-        ``verify_body_root`` on a fetched block reuses the value.
+        the seed; every caller asks at ``config.hash_bits``, so the root
+        is computed once — ``verify_body_root`` on a fetched block
+        reuses the value.  A caller alternating widths recomputes.
         """
-        by_bits = self.__dict__.get("_body_root_by_bits")
-        if by_bits is None:
-            by_bits = {}
-            object.__setattr__(self, "_body_root_by_bits", by_bits)
-        root = by_bits.get(bits)
-        if root is None:
+        root = self.__dict__.get("_body_root")
+        if root is None or root.bits != bits:
             root = merkle_root(self.chunks(), bits)
-            by_bits[bits] = root
+            object.__setattr__(self, "_body_root", root)
         return root
 
 
@@ -108,6 +108,18 @@ def _signing_payload(version: int, time: float, root: bytes, delta: bytes, nonce
 #: after as many bytes as an empty payload's other fields plus the root.
 _AFTER_DELTA = len(codec.encode_fields([("nonce", codec.encode_u64(0))]))
 _BEFORE_DELTA = len(_signing_payload(0, 0.0, b"", b"", 0)) - _AFTER_DELTA
+
+
+def _digest_preimage(origin: int, index: int, payload: bytes, signature: bytes) -> bytes:
+    """The pre-image of ``H(b^h)``: identity, Eq. (6) payload, signature."""
+    return codec.encode_fields(
+        [
+            ("origin", codec.encode_u32(origin)),
+            ("index", codec.encode_u32(index)),
+            ("body", payload),
+            ("signature", signature),
+        ]
+    )
 
 
 @dataclass(frozen=True)
@@ -145,9 +157,9 @@ class BlockHeader:
 
     # Identity caching (see docs/performance.md).  Headers are frozen and
     # every field that feeds the canonical encodings is immutable once the
-    # header is built, so one canonical byte string (the Eq. 6 payload,
-    # which holds Δ's encoding), the header's hashes and its last
-    # Eq. 5/6 acceptance are memoised on the instance.  The cache slots
+    # header is built, so the header's results — its ``BlockId``, its
+    # digest and its last Eq. 5/6 acceptance — are memoised on the
+    # instance; the bytes they were computed from are not.  The cache slots
     # are plain ``__dict__`` entries written via ``object.__setattr__``
     # (allowed on frozen dataclasses) and are deliberately *not*
     # dataclass fields: they never participate in ``__eq__``/``repr``
@@ -167,51 +179,41 @@ class BlockHeader:
         return block_id
 
     # -- canonical encodings ------------------------------------------------
-    def puzzle_fields(self) -> List[bytes]:
+    def puzzle_fields(self, payload: Optional[bytes] = None) -> List[bytes]:
         """The fields hashed by the Eq. (5) nonce puzzle: root and Δ.
 
-        Δ's canonical bytes are the payload's own — a slice, not a copy
-        kept beside it.
+        Δ's canonical bytes are a slice of the Eq. (6) payload — of
+        ``payload`` if the caller has encoded it already.
         """
         root = self.root.value
-        return [root, self.signing_payload()[_BEFORE_DELTA + len(root):-_AFTER_DELTA]]
+        payload = payload or self.signing_payload()
+        return [root, payload[_BEFORE_DELTA + len(root):-_AFTER_DELTA]]
 
     def signing_payload(self) -> bytes:
-        """Canonical bytes covered by the signature (Eq. 6); memoised."""
-        payload = self.__dict__.get("_hdr_signing_payload")
-        if payload is None:
-            delta = codec.encode_digest_map(self.digests)
-            payload = _signing_payload(self.version, self.time, self.root.value, delta, self.nonce)
-            object.__setattr__(self, "_hdr_signing_payload", payload)
-        return payload
+        """Canonical bytes covered by the signature (Eq. 6)."""
+        delta = codec.encode_digest_map(self.digests)
+        return _signing_payload(self.version, self.time, self.root.value, delta, self.nonce)
 
     def encode(self) -> bytes:
         """Canonical bytes of the full header: the pre-image of :meth:`digest`."""
-        return codec.encode_fields(
-            [
-                ("origin", codec.encode_u32(self.origin)),
-                ("index", codec.encode_u32(self.index)),
-                ("body", self.signing_payload()),
-                ("signature", self.signature),
-            ]
-        )
+        return _digest_preimage(self.origin, self.index, self.signing_payload(), self.signature)
 
     def digest(self, bits: int = 256) -> Digest:
         """``H(b^h)`` — the block digest pushed to neighbours.
 
-        Memoised per requested width: the simulation digests every
+        Memoised at the header's own width (its root's), the one every
+        caller under ``src/`` asks for: the simulation digests every
         header many times (neighbour pushes, DAG insertion, every WPS
         round trip of every PoP run), always through the same shared
-        header object, so after the first call this is a dict lookup.
+        header object, and ``build_block`` fills the slot.  Another
+        width is hashed afresh on each call.
         """
-        by_bits = self.__dict__.get("_hdr_digest_by_bits")
-        if by_bits is None:
-            by_bits = {}
-            object.__setattr__(self, "_hdr_digest_by_bits", by_bits)
-        digest = by_bits.get(bits)
-        if digest is None:
-            digest = hash_bytes(self.encode(), bits)
-            by_bits[bits] = digest
+        digest = self.__dict__.get("_hdr_digest")
+        if digest is not None and digest.bits == bits:
+            return digest
+        digest = hash_bytes(self.encode(), bits)
+        if bits == self.root.bits:
+            object.__setattr__(self, "_hdr_digest", digest)
         return digest
 
     # -- queries used by PoP ----------------------------------------------------
@@ -233,9 +235,9 @@ class BlockHeader:
         """Check the Eq. (6) signature against the origin's public key."""
         return verify(self.signing_payload(), self.signature, public_key)
 
-    def verify_nonce(self, puzzle: NoncePuzzle) -> bool:
+    def verify_nonce(self, puzzle: NoncePuzzle, payload: Optional[bytes] = None) -> bool:
         """Check the Eq. (5) difficulty condition."""
-        return puzzle.check(self.puzzle_fields(), self.nonce)
+        return puzzle.check(self.puzzle_fields(payload), self.nonce)
 
     def authentic(self, public_key: bytes, puzzle: NoncePuzzle) -> bool:
         """Eq. (6) under ``public_key`` and Eq. (5) under ``puzzle``; memoised.
@@ -245,12 +247,14 @@ class BlockHeader:
         are pure functions of the frozen header's bytes, the key and the
         puzzle's two numbers, and the signature oracle never rebinds a
         public key (``sign`` refuses), so an accepted triple stays
-        accepted.  A check under any other triple is a fresh one.
+        accepted.  A check under any other triple is a fresh one, and
+        encodes the payload once for both equations.
         """
         key = (public_key, puzzle.difficulty_bits, puzzle.bits)
         if self.__dict__.get("_hdr_accepted") == key:
             return True
-        if not (self.verify_signature(public_key) and self.verify_nonce(puzzle)):
+        payload = self.signing_payload()
+        if not (verify(payload, self.signature, public_key) and self.verify_nonce(puzzle, payload)):
             return False
         object.__setattr__(self, "_hdr_accepted", key)
         return True
@@ -297,8 +301,9 @@ def build_block(
     """Assemble, mine and sign a block (§III-D's generation procedure).
 
     Steps: compute the Merkle root, copy Δ (neighbour digests + own
-    previous digest), search a nonce satisfying Eq. (5), then sign per
-    Eq. (6).
+    previous digest), search a nonce satisfying Eq. (5), sign per
+    Eq. (6), then hash the header: the block keeps its digest, not the
+    payload it was hashed from.
     """
     if puzzle is None:
         puzzle = NoncePuzzle(config.puzzle_difficulty_bits, config.hash_bits)
@@ -307,6 +312,7 @@ def build_block(
     encoded_digests = codec.encode_digest_map(digest_map)
     nonce = puzzle.solve([root.value, encoded_digests]).nonce
     payload = _signing_payload(config.protocol_version, time, root.value, encoded_digests, nonce)
+    signature = sign(payload, keypair)
     header = BlockHeader(
         origin=origin,
         index=index,
@@ -315,11 +321,12 @@ def build_block(
         root=root,
         digests=digest_map,
         nonce=nonce,
-        signature=sign(payload, keypair),
+        signature=signature,
     )
-    # Computed from the very fields the header holds, so it is what a
-    # cold header would recompute — warm its cache.
-    object.__setattr__(header, "_hdr_signing_payload", payload)
+    # Hashed from the very fields the header holds, so it is what a cold
+    # header would compute; the payload itself is dropped.
+    preimage = _digest_preimage(origin, index, payload, signature)
+    object.__setattr__(header, "_hdr_digest", hash_bytes(preimage, config.hash_bits))
     return DataBlock(header=header, body=body)
 
 

@@ -11,31 +11,19 @@ replying with a newer one would lengthen micro-loops (Fig. 6).
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.core.block import DataBlock
 from repro.core.pop.messages import ReqChild, RpyChild
 from repro.core.storage import BlockStore
-from repro.crypto.hashing import Digest
-
-
-def find_oldest_child(store: BlockStore, digest: Digest) -> Optional[DataBlock]:
-    """Eq. (10)-(11): the oldest own block referencing ``digest``.
-
-    One dict lookup: the store maintains its oldest-child index
-    incrementally as blocks are generated, so serving a ``REQ_CHILD``
-    costs O(1) regardless of how many own blocks embed the digest.
-    """
-    return store.oldest_child_of(digest)
 
 
 def serve_req_child(store: BlockStore, request: ReqChild) -> RpyChild:
     """Algorithm 4: build the reply for a ``REQ_CHILD`` payload.
 
-    Returns a reply with ``header=None`` when no own block references
-    the digest; the transport still sends it (a real node answers "not
-    found" rather than staying silent — silence is the *malicious*
-    behaviour, §IV-D-1).
+    The oldest own block referencing the digest (Eqs. 10-11) is one
+    lookup in the store's incrementally kept index.  Returns a reply
+    with ``header=None`` when no own block references the digest; the
+    transport still sends it (a real node answers "not found" rather
+    than staying silent — silence is the *malicious* behaviour,
+    §IV-D-1).
     """
-    child = find_oldest_child(store, request.digest)
+    child = store.oldest_child_of(request.digest)
     return RpyChild(header=None if child is None else child.header)

@@ -18,9 +18,12 @@ DIGEST_BITS_DEFAULT = 256
 BytesLike = Union[bytes, bytearray, memoryview]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Digest:
     """An immutable hash value with explicit bit width.
+
+    Slotted: a run keeps one per header, per root and per Δ entry, and
+    a ``__dict__`` each would outweigh the bytes.
 
     Attributes
     ----------

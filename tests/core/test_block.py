@@ -1,6 +1,7 @@
 """Unit tests for data blocks: construction, sizes, verification."""
 
 import dataclasses
+import pickle
 
 import pytest
 
@@ -61,6 +62,30 @@ class TestConstruction:
     def test_missing_digest_is_none(self, config, keypair):
         block = _block(config, keypair)
         assert block.header.digest_from(99) is None
+
+
+class TestBlockIdContract:
+    """A ``BlockId`` is the tuple ``(origin, index)``: it hashes and orders
+    like one, so sets and sorted lists of ids are what tuples would give."""
+
+    def test_hash_and_order_are_the_tuples(self):
+        ids = [BlockId(2, 0), BlockId(1, 7), BlockId(1, 3), BlockId(0, 9)]
+        assert [hash(i) for i in ids] == [hash(tuple(i)) for i in ids]
+        assert hash(BlockId(1, 3)) == hash((1, 3))
+        assert sorted(ids) == sorted(ids, key=lambda i: (i.origin, i.index))
+        assert BlockId(1, 3) < BlockId(1, 7) < BlockId(2, 0)
+        assert BlockId(1, 3) == BlockId(1, 3) and BlockId(1, 3) != BlockId(3, 1)
+
+    def test_renderings(self):
+        assert str(BlockId(4, 12)) == "4#12"
+        assert f"{BlockId(4, 12)}" == "4#12"
+        assert repr(BlockId(4, 12)) == "BlockId(origin=4, index=12)"
+
+    def test_pickle_round_trip(self):
+        original = BlockId(4, 12)
+        clone = pickle.loads(pickle.dumps(original))
+        assert clone == original and type(clone) is BlockId
+        assert (clone.origin, clone.index) == (4, 12)
 
 
 class TestTamperDetection:

@@ -1,9 +1,10 @@
 """Header/body identity caching (docs/performance.md).
 
-Headers are frozen, so one canonical byte string (the Eq. 6 payload,
-of which Δ's encoding is a slice) and their digests are memoised on the
-instance.  These tests pin the cache's contract: cached values equal
-fresh recomputations, entries are keyed by digest width, the
+Headers are frozen, so their results — block id, digest, last
+acceptance — are memoised on the instance, and the bytes those were
+computed from are not.  These tests pin the cache's contract: cached
+values equal fresh recomputations, one digest is kept at the header's
+own width, no byte string but the signature stays on a used header, the
 frozen-dataclass guarantee holds, and wire round-trips are unaffected
 by warm caches.
 """
@@ -22,11 +23,10 @@ from repro.core.config import ProtocolConfig
 from repro.crypto.hashing import hash_bytes
 from repro.crypto.keys import KeyPair
 from repro.crypto.puzzle import NoncePuzzle
-from repro.crypto.signature import sign
+from repro.crypto.signature import sign, verify
 
 CACHE_ATTRS = (
-    "_hdr_signing_payload",
-    "_hdr_digest_by_bits",
+    "_hdr_digest",
     "_hdr_block_id",
     "_hdr_accepted",
 )
@@ -78,30 +78,45 @@ class TestDigestCache:
     def test_second_call_returns_cached_object(self, header):
         assert header.digest() is header.digest()
 
-    def test_width_keyed_entries(self, header):
+    def test_one_slot_at_the_headers_own_width(self, header):
         wide = header.digest()
-        narrow = header.digest(bits=128)
+        with Sha256Counter() as counter:
+            narrow = header.digest(bits=128)
+            again = header.digest(bits=128)
         assert wide.bits == 256 and narrow.bits == 128
         # Truncated SHA-256: the narrow digest is the wide one's prefix.
         assert narrow.value == wide.value[:16]
-        # Both widths stay cached independently.
-        assert header.digest(bits=128) is narrow
-        assert header.digest() is wide
+        # Another width is hashed on every call and never evicts the
+        # header's own, which build_block filled.
+        assert counter.count == 2 and again == narrow and again is not narrow
+        assert header.digest() is wide is vars(header)["_hdr_digest"]
+
+    def test_a_narrow_header_keeps_its_own_width(self, keypair):
+        config = ProtocolConfig(body_bits=8_000, gamma=2, hash_bits=128)
+        header = build_block(
+            origin=3, index=5, time=2.5, body=make_body(3, 5, config),
+            digests={}, keypair=keypair, config=config,
+        ).header
+        kept = vars(header)["_hdr_digest"]
+        assert kept.bits == 128 and header.digest(128) is kept
+        assert header.digest().value[:16] == kept.value
+        assert vars(header)["_hdr_digest"] is kept
 
     def test_encode_cached_and_stable(self, header):
         first = header.encode()
         clear_caches(header)
         assert header.encode() == first
 
-    def test_signing_payload_prewarmed_by_build(self, header):
-        warm = header.signing_payload()
-        clear_caches(header)
-        assert header.signing_payload() == warm
+    def test_signing_payload_is_encoded_when_asked(self, header, keypair):
+        payload = header.signing_payload()
+        assert header.signing_payload() == payload
+        assert header.signing_payload() is not payload
+        assert verify(payload, header.signature, keypair.public)
 
     def test_replace_starts_cold(self, header):
         header.digest()
         tampered = dataclasses.replace(header, nonce=header.nonce + 1)
-        assert "_hdr_digest_by_bits" not in tampered.__dict__
+        assert "_hdr_digest" not in tampered.__dict__
         assert tampered.digest() != header.digest()
 
 
@@ -112,25 +127,24 @@ class TestIdentitySlots:
         assert header.block_id == BlockId(3, 5)
         assert header.block_id is header.block_id
 
-    def test_encoded_digests_prewarmed_and_shared(self, header):
-        warm = header.puzzle_fields()[1]  # a slice of build_block's payload
+    def test_encoded_digests_are_a_payload_slice(self, header):
+        warm = header.puzzle_fields()[1]  # a slice of the payload
         assert header.puzzle_fields() == [header.root.value, warm]
         assert warm == reference_encode_digests(header.digests)
         clear_caches(header)
         assert header.puzzle_fields()[1] == warm
         assert warm in header.signing_payload()
 
-    def test_a_used_header_holds_one_byte_string(self, header, keypair):
+    def test_a_used_header_holds_no_bytes_but_its_signature(self, header, keypair):
         header.digest()
-        assert header.verify_signature(keypair.public)
-        assert header.verify_nonce(NoncePuzzle(0, 256))
-        header.encode()
+        assert header.authentic(keypair.public, NoncePuzzle(0, 256))
         wire.encode_header(header)
-        kept = [
-            value for value in vars(header).values()
-            if isinstance(value, bytes) and len(value) > len(header.signature)
-        ]
-        assert kept == [header.signing_payload()]
+        assert {"_hdr_digest", "_hdr_accepted"} <= set(vars(header))
+        kept = {
+            name for name, value in vars(header).items()
+            if isinstance(value, (bytes, bytearray, memoryview))
+        }
+        assert kept == {"signature"}
 
     @given(
         st.sampled_from([64, 128, 256]),
@@ -163,6 +177,7 @@ class TestIdentitySlots:
                 puzzle = NoncePuzzle(difficulty, hash_bits)
                 expected = puzzle.check([built.root.value, delta], header.nonce)
                 assert header.verify_nonce(puzzle) is expected
+                assert header.verify_nonce(puzzle, header.signing_payload()) is expected
                 # The mined nonce meets every difficulty up to the one mined at.
                 assert expected or difficulty > mined_bits or header is headers[-1]
 
@@ -301,6 +316,11 @@ class TestWireRoundTripWithWarmCaches:
         # A fresh body object recomputes to the same value.
         fresh = make_body(1, 0, config)
         assert fresh.root(config.hash_bits) == root
+        # One slot: the last width asked.
+        narrow = block.body.root(128)
+        assert block.body.root(128) is narrow
+        assert block.body.root(config.hash_bits) == root
+        assert block.body.root(config.hash_bits) is not root
 
 
 def two_step_build(origin, index, time, body, digests, keypair, config):
@@ -322,7 +342,7 @@ def two_step_build(origin, index, time, body, digests, keypair, config):
 
 class TestOneConstructionEqualsTwo:
     """``build_block`` makes its header once; what it returns — fields,
-    digest and the pre-warmed payload — is what signing an unsigned
+    encodings and the pre-warmed digest — is what signing an unsigned
     header and copying it with the signature gives."""
 
     @pytest.mark.parametrize("difficulty, hash_bits, parents", [
@@ -346,10 +366,10 @@ class TestOneConstructionEqualsTwo:
         assert built.verify_signature(keypair.public)
         assert built.digests is not digests  # a private copy of Δ
 
-        warm_payload = built.__dict__["_hdr_signing_payload"]
+        warm_digest = built.__dict__["_hdr_digest"]
         cold = dataclasses.replace(built)
         assert not set(CACHE_ATTRS) & set(cold.__dict__)
-        assert cold.signing_payload() == warm_payload == reference.signing_payload()
+        assert cold.digest(hash_bits) == warm_digest == reference.digest(hash_bits)
+        assert cold.signing_payload() == built.signing_payload() == reference.signing_payload()
         assert cold.puzzle_fields() == built.puzzle_fields() == reference.puzzle_fields()
         assert cold.puzzle_fields() == [built.root.value, reference_encode_digests(digests)]
-        assert cold.digest(hash_bits) == built.digest(hash_bits)

@@ -3,10 +3,11 @@
 Measured with ``tools/heap_by_line.py`` — ``tracemalloc`` over one
 ``ScenarioRunner`` run, the runner still alive, ``gc.collect()`` first —
 on the 4 x 4, 32-slot lattice of the ``--quick`` perf workloads.  Each
-bound is 10% above the value read when it was set: 4.18 KB per block
-with validation off, 5.16 with it on, once the logical DAG became a
-view built on read (docs/performance.md; the tree before read 4.65 and
-5.64).
+bound is 10% above the value read when it was set: 2.45 KB per block
+with validation off, 3.26 with it on, once a header stopped keeping its
+signing payload and per-width memo dicts and ``Digest`` / ``BlockId``
+lost their ``__dict__`` (docs/performance.md; the tree before read 3.63
+and 4.42).
 """
 
 import importlib.util
@@ -27,7 +28,7 @@ def live_heap():
     return module.live_heap
 
 
-@pytest.mark.parametrize("validate, bound_kb", [(False, 4.60), (True, 5.68)])
+@pytest.mark.parametrize("validate, bound_kb", [(False, 2.70), (True, 3.59)])
 def test_live_kb_per_block(live_heap, validate, bound_kb):
     spec = ScenarioSpec(
         name="lattice",

@@ -293,6 +293,7 @@ class TestDigestContract:
     def test_value_semantics(self, make):
         digest = make()
         assert len(digest.value) * 8 == digest.bits
+        assert not hasattr(digest, "__dict__")  # slotted: no per-instance dict
         with pytest.raises(AttributeError):
             digest.value = b""
         with pytest.raises(AttributeError):

@@ -5,7 +5,7 @@ import pytest
 from repro.core.block import build_block, make_body
 from repro.core.config import ProtocolConfig
 from repro.core.pop.messages import ReqChild
-from repro.core.pop.responder import find_oldest_child, serve_req_child
+from repro.core.pop.responder import serve_req_child
 from repro.core.storage import BlockStore
 from repro.crypto.hashing import hash_bytes
 from repro.crypto.keys import KeyPair
@@ -61,11 +61,5 @@ class TestServeReqChild:
         early = own_block(config, 1, {9: wanted}, time=5.0)
         store.add(late)
         store.add(early)
-        assert find_oldest_child(store, wanted).header.index == 1
+        assert store.oldest_child_of(wanted).header.index == 1
 
-    def test_find_oldest_child_alias(self, config):
-        store = BlockStore(owner=1)
-        wanted = hash_bytes(b"wanted", config.hash_bits)
-        block = own_block(config, 0, {9: wanted})
-        store.add(block)
-        assert find_oldest_child(store, wanted) is store.oldest_child_of(wanted)
