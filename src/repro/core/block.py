@@ -35,7 +35,8 @@ class BlockId(NamedTuple):
     """Stable identity of a block: (origin node id, per-node index).
 
     A tuple, so hash, equality and order are ``(origin, index)``'s and
-    run in C.
+    run in C: ``BlockId(1, 3) == (1, 3)``, so a plain pair and a
+    ``BlockId`` are the same key of a set or dict.
     """
 
     origin: int
@@ -179,14 +180,13 @@ class BlockHeader:
         return block_id
 
     # -- canonical encodings ------------------------------------------------
-    def puzzle_fields(self, payload: Optional[bytes] = None) -> List[bytes]:
+    def puzzle_fields(self, payload: bytes) -> List[bytes]:
         """The fields hashed by the Eq. (5) nonce puzzle: root and Δ.
 
-        Δ's canonical bytes are a slice of the Eq. (6) payload — of
-        ``payload`` if the caller has encoded it already.
+        Δ's canonical bytes are a slice of ``payload``, this header's
+        :meth:`signing_payload`, which the caller has encoded already.
         """
         root = self.root.value
-        payload = payload or self.signing_payload()
         return [root, payload[_BEFORE_DELTA + len(root):-_AFTER_DELTA]]
 
     def signing_payload(self) -> bytes:
@@ -201,18 +201,16 @@ class BlockHeader:
     def digest(self, bits: int = 256) -> Digest:
         """``H(b^h)`` — the block digest pushed to neighbours.
 
-        Memoised at the header's own width (its root's), the one every
-        caller under ``src/`` asks for: the simulation digests every
+        The last width asked is memoised: the simulation digests every
         header many times (neighbour pushes, DAG insertion, every WPS
         round trip of every PoP run), always through the same shared
-        header object, and ``build_block`` fills the slot.  Another
-        width is hashed afresh on each call.
+        header object and at ``config.hash_bits``, which ``build_block``
+        fills, so this is an attribute read.  A caller alternating widths
+        recomputes.
         """
         digest = self.__dict__.get("_hdr_digest")
-        if digest is not None and digest.bits == bits:
-            return digest
-        digest = hash_bytes(self.encode(), bits)
-        if bits == self.root.bits:
+        if digest is None or digest.bits != bits:
+            digest = hash_bytes(self.encode(), bits)
             object.__setattr__(self, "_hdr_digest", digest)
         return digest
 
@@ -235,8 +233,8 @@ class BlockHeader:
         """Check the Eq. (6) signature against the origin's public key."""
         return verify(self.signing_payload(), self.signature, public_key)
 
-    def verify_nonce(self, puzzle: NoncePuzzle, payload: Optional[bytes] = None) -> bool:
-        """Check the Eq. (5) difficulty condition."""
+    def verify_nonce(self, puzzle: NoncePuzzle, payload: bytes) -> bool:
+        """Check the Eq. (5) difficulty condition (``payload`` as in :meth:`puzzle_fields`)."""
         return puzzle.check(self.puzzle_fields(payload), self.nonce)
 
     def authentic(self, public_key: bytes, puzzle: NoncePuzzle) -> bool:
@@ -302,8 +300,10 @@ def build_block(
 
     Steps: compute the Merkle root, copy Δ (neighbour digests + own
     previous digest), search a nonce satisfying Eq. (5), sign per
-    Eq. (6), then hash the header: the block keeps its digest, not the
-    payload it was hashed from.
+    Eq. (6), then hash the header from the payload just signed: the block
+    keeps its digest, not the payload.  Re-encoding Δ at the first
+    :meth:`BlockHeader.digest` instead costs ``dag-build`` 5–10% of its
+    wall time (docs/performance.md).
     """
     if puzzle is None:
         puzzle = NoncePuzzle(config.puzzle_difficulty_bits, config.hash_bits)

@@ -112,7 +112,7 @@ class TestForgedRepliesAgainstWarmHeaders:
             b.header for b in deployment.node(origin).store if b.digest() == digest
         )
         for header in (parent, child):
-            header.digest(), header.signing_payload(), header.puzzle_fields()
+            header.digest(), header.puzzle_fields(header.signing_payload())
             _ = header.block_id
         return parent, child
 

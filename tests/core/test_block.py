@@ -46,7 +46,8 @@ class TestConstruction:
     def test_nonce_satisfies_puzzle(self, config, keypair):
         puzzle_config = dataclasses.replace(config, puzzle_difficulty_bits=4)
         block = _block(puzzle_config, keypair)
-        assert block.header.verify_nonce(NoncePuzzle(4, puzzle_config.hash_bits))
+        header = block.header
+        assert header.verify_nonce(NoncePuzzle(4, puzzle_config.hash_bits), header.signing_payload())
 
     def test_body_root_verifies(self, config, keypair):
         block = _block(config, keypair)
@@ -75,6 +76,8 @@ class TestBlockIdContract:
         assert sorted(ids) == sorted(ids, key=lambda i: (i.origin, i.index))
         assert BlockId(1, 3) < BlockId(1, 7) < BlockId(2, 0)
         assert BlockId(1, 3) == BlockId(1, 3) and BlockId(1, 3) != BlockId(3, 1)
+        # A plain pair is the same key: sets and dicts may mix the two.
+        assert BlockId(1, 3) == (1, 3) and (1, 3) in {BlockId(1, 3)}
 
     def test_renderings(self):
         assert str(BlockId(4, 12)) == "4#12"

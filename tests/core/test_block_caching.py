@@ -78,7 +78,7 @@ class TestDigestCache:
     def test_second_call_returns_cached_object(self, header):
         assert header.digest() is header.digest()
 
-    def test_one_slot_at_the_headers_own_width(self, header):
+    def test_one_slot_the_last_width_asked(self, header):
         wide = header.digest()
         with Sha256Counter() as counter:
             narrow = header.digest(bits=128)
@@ -86,21 +86,19 @@ class TestDigestCache:
         assert wide.bits == 256 and narrow.bits == 128
         # Truncated SHA-256: the narrow digest is the wide one's prefix.
         assert narrow.value == wide.value[:16]
-        # Another width is hashed on every call and never evicts the
-        # header's own, which build_block filled.
-        assert counter.count == 2 and again == narrow and again is not narrow
-        assert header.digest() is wide is vars(header)["_hdr_digest"]
+        # The narrow ask took the slot, so asking it again is free ...
+        assert counter.count == 1 and again is narrow is vars(header)["_hdr_digest"]
+        # ... and the wide one is hashed afresh.
+        with Sha256Counter() as counter:
+            back = header.digest()
+        assert counter.count == 1 and back == wide and back is not wide
 
-    def test_a_narrow_header_keeps_its_own_width(self, keypair):
-        config = ProtocolConfig(body_bits=8_000, gamma=2, hash_bits=128)
-        header = build_block(
-            origin=3, index=5, time=2.5, body=make_body(3, 5, config),
-            digests={}, keypair=keypair, config=config,
-        ).header
-        kept = vars(header)["_hdr_digest"]
-        assert kept.bits == 128 and header.digest(128) is kept
-        assert header.digest().value[:16] == kept.value
-        assert vars(header)["_hdr_digest"] is kept
+    def test_build_fills_the_slot(self, header):
+        kept = vars(header)["_hdr_digest"]  # hashed by build_block
+        with Sha256Counter() as counter:
+            assert header.digest() is kept
+        assert counter.count == 0
+        assert kept == hash_bytes(header.encode())
 
     def test_encode_cached_and_stable(self, header):
         first = header.encode()
@@ -128,12 +126,11 @@ class TestIdentitySlots:
         assert header.block_id is header.block_id
 
     def test_encoded_digests_are_a_payload_slice(self, header):
-        warm = header.puzzle_fields()[1]  # a slice of the payload
-        assert header.puzzle_fields() == [header.root.value, warm]
-        assert warm == reference_encode_digests(header.digests)
-        clear_caches(header)
-        assert header.puzzle_fields()[1] == warm
-        assert warm in header.signing_payload()
+        payload = header.signing_payload()
+        root, delta = header.puzzle_fields(payload)
+        assert root == header.root.value
+        assert delta == reference_encode_digests(header.digests)
+        assert delta in payload
 
     def test_a_used_header_holds_no_bytes_but_its_signature(self, header, keypair):
         header.digest()
@@ -172,12 +169,12 @@ class TestIdentitySlots:
         ]
         delta = reference_encode_digests(digests)
         for header in headers:
-            assert header.puzzle_fields() == [built.root.value, delta]
+            payload = header.signing_payload()
+            assert header.puzzle_fields(payload) == [built.root.value, delta]
             for difficulty in (0, 4, 8):
                 puzzle = NoncePuzzle(difficulty, hash_bits)
                 expected = puzzle.check([built.root.value, delta], header.nonce)
-                assert header.verify_nonce(puzzle) is expected
-                assert header.verify_nonce(puzzle, header.signing_payload()) is expected
+                assert header.verify_nonce(puzzle, payload) is expected
                 # The mined nonce meets every difficulty up to the one mined at.
                 assert expected or difficulty > mined_bits or header is headers[-1]
 
@@ -188,7 +185,8 @@ class TestIdentitySlots:
         self, header, keypair, field, changes_payload
     ):
         for warm_up in (header.digest, header.encode, header.signing_payload,
-                        header.puzzle_fields, lambda: header.block_id,
+                        lambda: header.puzzle_fields(header.signing_payload()),
+                        lambda: header.block_id,
                         lambda: header.authentic(keypair.public, NoncePuzzle(0))):
             warm_up()
         assert set(CACHE_ATTRS) <= set(header.__dict__)
@@ -203,7 +201,9 @@ class TestIdentitySlots:
         assert copy.digest() != header.digest()
         if changes_payload:
             assert copy.block_id == header.block_id
-            assert copy.puzzle_fields() != header.puzzle_fields()
+            assert copy.puzzle_fields(copy.signing_payload()) != header.puzzle_fields(
+                header.signing_payload()
+            )
             assert copy.signing_payload() != header.signing_payload()
             # The nonce was mined and the signature made over the old bytes.
             assert header.verify_signature(keypair.public)
@@ -262,7 +262,8 @@ class TestAuthenticityVerdict:
 
     def test_an_acceptance_does_not_carry_to_a_harder_puzzle(self, header, keypair):
         easy, hard = NoncePuzzle(0), NoncePuzzle(8)
-        assert not header.verify_nonce(hard)  # nonce 0 was mined at difficulty 0
+        # Nonce 0 was mined at difficulty 0.
+        assert not header.verify_nonce(hard, header.signing_payload())
         assert header.authentic(keypair.public, easy)
         assert self.hashes(header, keypair.public, hard) == (False, 2)
         assert self.hashes(header, keypair.public, easy) == (True, 0)
@@ -342,8 +343,8 @@ def two_step_build(origin, index, time, body, digests, keypair, config):
 
 class TestOneConstructionEqualsTwo:
     """``build_block`` makes its header once; what it returns — fields,
-    encodings and the pre-warmed digest — is what signing an unsigned
-    header and copying it with the signature gives."""
+    encodings and digest — is what signing an unsigned header and
+    copying it with the signature gives."""
 
     @pytest.mark.parametrize("difficulty, hash_bits, parents", [
         (0, 256, 4), (0, 256, 0), (5, 256, 3), (0, 128, 6), (4, 64, 2),
@@ -371,5 +372,5 @@ class TestOneConstructionEqualsTwo:
         assert not set(CACHE_ATTRS) & set(cold.__dict__)
         assert cold.digest(hash_bits) == warm_digest == reference.digest(hash_bits)
         assert cold.signing_payload() == built.signing_payload() == reference.signing_payload()
-        assert cold.puzzle_fields() == built.puzzle_fields() == reference.puzzle_fields()
-        assert cold.puzzle_fields() == [built.root.value, reference_encode_digests(digests)]
+        delta = reference_encode_digests(digests)
+        assert built.puzzle_fields(built.signing_payload()) == [built.root.value, delta]

@@ -125,7 +125,7 @@ class TestKnownAnswers:
     def test_fixed_block_mined(self):
         header = fixed_block(puzzle_difficulty_bits=6).header
         assert header.nonce == 55
-        assert header.verify_nonce(NoncePuzzle(6))
+        assert header.verify_nonce(NoncePuzzle(6), header.signing_payload())
         assert header.digest().hex() == (
             "71e3559120e4036ca2bec70e519b70e26e8bdb2690fd026d0881714fbf079115"
         )
@@ -256,7 +256,7 @@ class TestSha256Count:
             assert copy_.verify_body_root()
         assert cold_root.count == 23
         with Sha256Counter() as nonce:
-            assert copy_.header.verify_nonce(puzzle)
+            assert copy_.header.verify_nonce(puzzle, copy_.header.signing_payload())
         assert nonce.count == 1
         with Sha256Counter() as signature:
             assert copy_.header.verify_signature(keypair.public)

@@ -216,7 +216,7 @@ class UnminedResponder(NodeBehavior):
         header = honest.header
         nonce = next(
             n for n in range(header.nonce + 1, header.nonce + 1000)
-            if not self.puzzle.check(header.puzzle_fields(), n)
+            if not self.puzzle.check(header.puzzle_fields(header.signing_payload()), n)
         )
         unsigned = replace(header, nonce=nonce)
         forged = replace(unsigned, signature=sign(unsigned.signing_payload(), node.keypair))
@@ -278,7 +278,7 @@ class TestPaperChecks:
         assert sent
         for header in sent:
             assert header.verify_signature(deployment.registry.public_key(header.origin))
-            assert not header.verify_nonce(puzzle)
+            assert not header.verify_nonce(puzzle, header.signing_payload())
         assert outcome.invalid_replies >= len(sent)
         assert not outcome.success and outcome.error == "exhausted"
         assert outcome.path == []
@@ -303,7 +303,7 @@ class TestPaperChecks:
         for responder, header in sent:
             assert header.origin != responder
             assert header.verify_signature(deployment.registry.public_key(header.origin))
-            assert header.verify_nonce(puzzle)
+            assert header.verify_nonce(puzzle, header.signing_payload())
         assert outcome.invalid_replies >= len(sent)
         stolen = {header.block_id for _responder, header in sent}
         assert not stolen & {header.block_id for header in outcome.path}
