@@ -16,6 +16,7 @@ generate at irregular times.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from hashlib import sha256
 from typing import List, Mapping, NamedTuple, Optional
 
@@ -161,23 +162,23 @@ class BlockHeader:
     # header is built, so the header's results — its ``BlockId``, its
     # digest and its last Eq. 5/6 acceptance — are memoised on the
     # instance; the bytes they were computed from are not.  The cache slots
-    # are plain ``__dict__`` entries written via ``object.__setattr__``
-    # (allowed on frozen dataclasses) and are deliberately *not*
-    # dataclass fields: they never participate in ``__eq__``/``repr``
-    # and a ``dataclasses.replace`` starts cold.
+    # are plain ``__dict__`` entries, written via ``object.__setattr__``
+    # (allowed on frozen dataclasses) or by ``cached_property``, and are
+    # deliberately *not* dataclass fields: they never participate in
+    # ``__eq__``/``repr`` and a ``dataclasses.replace`` starts cold.
     # Invariant required: callers must never mutate ``digests`` after
     # construction (``build_block`` and ``decode_header`` both hand the
     # header a private dict).
 
     # -- identity -------------------------------------------------------------
-    @property
+    @cached_property
     def block_id(self) -> BlockId:
-        """(origin, index); one shared :class:`BlockId` per header."""
-        block_id = self.__dict__.get("_hdr_block_id")
-        if block_id is None:
-            block_id = BlockId(self.origin, self.index)
-            object.__setattr__(self, "_hdr_block_id", block_id)
-        return block_id
+        """(origin, index); one shared :class:`BlockId` per header.
+
+        After the first read it is a plain ``__dict__`` attribute, so a
+        lookup calls no function (PoP reads it on every reply it judges).
+        """
+        return BlockId(self.origin, self.index)
 
     # -- canonical encodings ------------------------------------------------
     def puzzle_fields(self, payload: bytes) -> List[bytes]:

@@ -54,10 +54,8 @@ class HeaderCache:
         index = self._children_of_digest
         for parent_digest in header.digests.values():
             key = parent_digest.value
-            known = index.get(key)
-            if known is None:
-                index[key] = header
-            else:
+            known = index.setdefault(key, header)
+            if known is not header:
                 index[key] = known + (header,) if type(known) is tuple else (known, header)
         return True
 
@@ -110,13 +108,16 @@ class HeaderCache:
         # Single pass: filter and track the (time, id) minimum without
         # materialising the eligible list — TPS calls this once per free
         # path step, often with most children filtered out.  The index
-        # holds the headers themselves: no ``BlockId`` is hashed here.
+        # holds the headers themselves: no ``BlockId`` is hashed here,
+        # and ids are compared only when two times tie.
         for child in children:
             if skip_ids and child.block_id in skip_ids:
                 continue
             if exclude_origins and child.origin in exclude_origins:
                 continue
-            if best is None or (child.time, child.block_id) < (best.time, best.block_id):
+            if best is None or child.time < best.time or (
+                child.time == best.time and child.block_id < best.block_id
+            ):
                 best = child
         return best
 

@@ -15,15 +15,19 @@ from repro.core.pop.messages import ReqChild, RpyChild
 from repro.core.storage import BlockStore
 
 
+#: The one "no child" reply: frozen, so every miss can share it.
+NO_CHILD = RpyChild(header=None)
+
+
 def serve_req_child(store: BlockStore, request: ReqChild) -> RpyChild:
     """Algorithm 4: build the reply for a ``REQ_CHILD`` payload.
 
     The oldest own block referencing the digest (Eqs. 10-11) is one
-    lookup in the store's incrementally kept index.  Returns a reply
-    with ``header=None`` when no own block references the digest; the
-    transport still sends it (a real node answers "not found" rather
-    than staying silent — silence is the *malicious* behaviour,
-    §IV-D-1).
+    lookup in the store's incrementally kept index.  Returns
+    :data:`NO_CHILD` (``header=None``) when no own block references the
+    digest; the transport still sends it (a real node answers "not
+    found" rather than staying silent — silence is the *malicious*
+    behaviour, §IV-D-1).
     """
     child = store.oldest_child_of(request.digest)
-    return RpyChild(header=None if child is None else child.header)
+    return NO_CHILD if child is None else RpyChild(header=child.header)

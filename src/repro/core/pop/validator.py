@@ -380,15 +380,16 @@ class PopValidator:
         ranked once; it is lazy, and draws from ``rng`` pick by pick.
         """
         me = self.interface.node_id
+        topology = self.topology
         # The validator can serve from its own store for free: if it is a
         # neighbour of the verifying node, its own headers are already in
         # the cache (TPS handled them), so exclude self from candidates.
+        # Mostly there is nothing to filter, and the shared tuple serves.
         blacklist = self.blacklist
-        candidates = [
-            n for n in self.topology.sorted_neighbors[verifying_origin]
-            if n != me and n not in blacklist
-        ]
-        order = wps_order(consensus_set, candidates, self.topology, self.rng)
+        candidates = topology.sorted_neighbors[verifying_origin]
+        if blacklist or me in topology.adjacency[verifying_origin]:
+            candidates = [n for n in candidates if n != me and n not in blacklist]
+        order = wps_order(consensus_set, candidates, topology, self.rng)
         if verifying_origin == me:
             return order
         # The verifying node itself is kept as a *last-resort* candidate:
@@ -435,8 +436,10 @@ class PopValidator:
             return None
         header = payload.header
         # GetDigest(b^h_{j',t*}, v): the digest the child stored for node v.
+        # Comparing the bytes is comparing the digests: a digest's width
+        # is its byte length (``Digest.__post_init__`` refuses any other).
         recorded = header.digest_from(verifying.origin)
-        if recorded is None or recorded != verifying_digest:
+        if recorded is None or recorded.value != verifying_digest.value:
             return None
         if not self._header_authentic(header, expected_origin=responder):
             return None

@@ -12,18 +12,20 @@ counted — and picks the minimum.  Ties are broken in favour of nodes
 not yet in ``R_i``, then uniformly at random (we use a seeded stream so
 runs are reproducible).
 
-Performance note: the closed neighbourhoods come from the topology's
-precomputed table (:attr:`~repro.net.topology.Topology.closed_neighborhoods`),
-so no candidate's neighbourhood set is ever rebuilt — scoring is one
-C-level intersection count against the frozen table entry.  The weight
-values are exactly the same integer-ratio floats as the definitional
-formula, so selections (including tie-breaks) are bit-identical;
-``tests/pop/test_wps_equivalence.py`` holds the two implementations
-equal on randomised consensus sets.  Within one path extension ``R_i``
-does not change, so :func:`wps_order` scores every candidate once and
-serves all of the extension's picks from that one ranking;
-``tests/pop/test_wps.py`` holds it equal to repeated single picks, the
-state of ``rng`` after a partial walk included.
+Performance note: each closed neighbourhood is an integer bitmask from
+the topology's precomputed table
+(:attr:`~repro.net.topology.Topology.closed_masks`), and ``R_i`` is
+turned into one mask per extension, so a candidate's score is one AND
+and one popcount, with no set built.  The popcount is the same integer
+as ``|R_i ∩ (N(v) ∪ {v})|`` and the divisor the same ``|N(v)| + 1``, so
+the weights are bit-identical floats and selections (tie-breaks
+included) do not change; ``tests/pop/test_wps_equivalence.py`` holds
+the table and the weights equal to the definitional sets on randomised
+consensus sets.  Within one path extension ``R_i`` does not change, so
+:func:`wps_order` scores every candidate once and serves all of the
+extension's picks from that one ranking; ``tests/pop/test_wps.py``
+holds it equal to repeated single picks, the state of ``rng`` after a
+partial walk included.
 """
 
 from __future__ import annotations
@@ -66,9 +68,11 @@ def wps_order(
     # The weight expression is inlined — this runs for every live
     # path-extension of every PoP run.  What a pick then costs is three
     # C-level scans of a short float list.
-    closed_table = topology.closed_neighborhoods
+    bit, closed = topology.closed_masks
+    # R_i's nodes are distinct, so the sum of their bits is their OR.
+    r = sum(map(bit.__getitem__, consensus_set))
     pool = list(candidates)
-    weights = [len((closed := closed_table[c]) & consensus_set) / len(closed) for c in pool]
+    weights = [(mask & r).bit_count() / size for mask, size in map(closed.__getitem__, pool)]
     while pool:
         minimum = min(weights)
         index = weights.index(minimum)

@@ -14,9 +14,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterator, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Sequence, Set, Tuple
 
 from repro.sim.rng import RandomStreams
+
+
+class ClosedMasks(NamedTuple):
+    """Closed neighbourhoods as integers (:attr:`Topology.closed_masks`).
+
+    ``bit[v]`` is ``1 << rank(v)``; ``closed[v]`` is ``(mask, size)``:
+    the OR of the bits of ``N(v) ∪ {v}``, and ``|N(v)| + 1``.
+    """
+
+    bit: Dict[int, int]
+    closed: Dict[int, Tuple[int, int]]
 
 
 @dataclass(frozen=True)
@@ -53,20 +64,24 @@ class Topology:
         return self.adjacency[node]
 
     @cached_property
-    def closed_neighborhoods(self) -> Dict[int, FrozenSet[int]]:
-        """``N(node) ∪ {node}`` for every node, built once per topology.
+    def closed_masks(self) -> ClosedMasks:
+        """``N(node) ∪ {node}`` for every node as a bitmask, built once per topology.
 
         WPS scores every candidate by its closed neighbourhood (Eq. 7)
-        on every path-extension step of every PoP run; precomputing the
-        frozen sets here turns each score into set lookups with no
-        per-candidate allocation.  The topology is immutable, so the
+        on every path-extension step of every PoP run.  With one bit per
+        node *rank* in :attr:`node_ids` (so any int id works), an
+        intersection size is ``(mask & r).bit_count()`` of two ints, with
+        no per-candidate allocation.  The topology is immutable, so the
         table can never go stale (``subgraph_without`` returns a fresh
-        instance with its own table).
+        instance with its own ranks and table).
         """
-        return {
-            node: frozenset(neighbors | {node})
-            for node, neighbors in self.adjacency.items()
-        }
+        bit = {node: 1 << rank for rank, node in enumerate(self.node_ids)}
+        closed = {}
+        for node, neighbors in self.adjacency.items():
+            # Distinct nodes, so the sum of their bits is their OR.
+            mask = sum(map(bit.__getitem__, neighbors | {node}))
+            closed[node] = (mask, mask.bit_count())
+        return ClosedMasks(bit, closed)
 
     @cached_property
     def sorted_neighbors(self) -> Dict[int, Tuple[int, ...]]:

@@ -27,7 +27,7 @@ from repro.crypto.signature import sign, verify
 
 CACHE_ATTRS = (
     "_hdr_digest",
-    "_hdr_block_id",
+    "block_id",
     "_hdr_accepted",
 )
 
@@ -124,6 +124,28 @@ class TestIdentitySlots:
     def test_block_id_is_one_shared_object(self, header):
         assert header.block_id == BlockId(3, 5)
         assert header.block_id is header.block_id
+
+    def test_block_id_is_a_plain_attribute_after_the_first_read(self, header):
+        assert "block_id" not in vars(header)
+        first = header.block_id
+        # Instance ``__dict__`` entries shadow the non-data descriptor.
+        assert vars(header)["block_id"] is first
+        assert all(header.block_id is first for _ in range(3))
+        assert type(first) is BlockId
+
+    def test_block_id_starts_cold_on_copies_and_decoded_headers(self, header):
+        warm = header.block_id
+        copies = [
+            dataclasses.replace(header),
+            dataclasses.replace(header, index=header.index + 1),
+            wire.decode_header(wire.encode_header(header)),
+        ]
+        for copy in copies:
+            assert "block_id" not in vars(copy)
+            read = copy.block_id
+            assert read is not warm and read is copy.block_id
+            assert read == BlockId(copy.origin, copy.index)
+        assert copies[0].block_id == warm != copies[1].block_id
 
     def test_encoded_digests_are_a_payload_slice(self, header):
         payload = header.signing_payload()

@@ -209,6 +209,36 @@ class TestIndexEqualsReference:
         assert cache.find_child(parent, skip_ids={own[0].block_id, own[2].block_id}) is fetched
         assert cache.find_child(parent, exclude_origins={OWNER}) is fetched
 
+    def test_equal_times_decide_by_id(self):
+        """On a time tie the smaller (origin, index) wins, whether the
+        rivals are an own child and a fetched one or two fetched ones,
+        and whatever order they arrived in."""
+        parent = hash_bytes(b"parent")
+
+        def child(origin, index, time=4.0):
+            return BlockHeader(
+                origin=origin, index=index, version=1, time=time, root=parent,
+                digests={0: parent}, nonce=0, signature=b"",
+            )
+
+        store = BlockStore(owner=OWNER)
+        cache = HeaderCache(store)
+        store.add(DataBlock(header=child(OWNER, 0, time=1.0), body=BODY))
+        store.add(DataBlock(header=child(OWNER, 1), body=BODY))
+        cache.add(later := child(12, 0))
+        own = store.get(BlockId(OWNER, 1)).header
+        skip = {BlockId(OWNER, 0)}
+        # Own (9, 1) beats fetched (12, 0) at time 4.0 ...
+        assert cache.find_child(parent, skip_ids=skip) is own
+        # ... and fetched (4, 3) beats both, though added last.
+        cache.add(earlier := child(4, 3))
+        assert cache.find_child(parent, skip_ids=skip) is earlier
+        assert cache.find_child(parent, skip_ids=skip | {earlier.block_id}) is own
+        assert cache.find_child(parent, skip_ids=skip, exclude_origins={OWNER, 4}) is later
+        # A strictly older child wins on time alone, whatever its id.
+        cache.add(oldest := child(50, 0, time=3.5))
+        assert cache.find_child(parent, skip_ids=skip) is oldest
+
 
 @pytest.fixture(scope="module")
 def validated_run():

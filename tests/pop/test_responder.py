@@ -1,11 +1,13 @@
 """Direct unit tests for the responder functions (Algorithm 4)."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.block import build_block, make_body
 from repro.core.config import ProtocolConfig
-from repro.core.pop.messages import ReqChild
-from repro.core.pop.responder import serve_req_child
+from repro.core.pop.messages import ReqChild, RpyChild
+from repro.core.pop.responder import NO_CHILD, serve_req_child
 from repro.core.storage import BlockStore
 from repro.crypto.hashing import hash_bytes
 from repro.crypto.keys import KeyPair
@@ -51,6 +53,23 @@ class TestServeReqChild:
             ReqChild(digest=hash_bytes(b"x", config.hash_bits), verifying_origin=9),
         )
         assert reply.header is None
+
+    def test_every_miss_shares_one_frozen_nack(self, config):
+        stores = [BlockStore(owner=1), BlockStore(owner=1)]
+        wanted = hash_bytes(b"wanted", config.hash_bits)
+        stores[1].add(own_block(config, 0, {9: wanted}))
+        replies = [
+            serve_req_child(store, ReqChild(digest=hash_bytes(seed, config.hash_bits),
+                                            verifying_origin=9))
+            for store in stores for seed in (b"x", b"y")
+        ]
+        assert all(reply is NO_CHILD for reply in replies)
+        assert NO_CHILD == RpyChild(header=None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            NO_CHILD.header = stores[1].latest.header
+        # A hit is a reply of its own, carrying the oldest child.
+        hit = serve_req_child(stores[1], ReqChild(digest=wanted, verifying_origin=9))
+        assert hit is not NO_CHILD and hit.header is stores[1].latest.header
 
     def test_oldest_by_time_not_index(self, config):
         """Eq. (11) orders by generation time; if indices and times ever

@@ -57,11 +57,10 @@ class TestSelection:
 def single_pick(consensus_set, candidates, topology, rng=None):
     """Algorithm 1 as it was before ``wps_order``: one pick, weights rescored."""
     pool = sorted(set(candidates))
-    closed_table = topology.closed_neighborhoods
     minimum = 2.0
     tied = []
     for candidate in pool:
-        closed = closed_table[candidate]
+        closed = topology.adjacency[candidate] | {candidate}
         weight = len(closed & consensus_set) / len(closed)
         if weight < minimum:
             minimum = weight
