@@ -35,7 +35,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.block import BlockHeader, BlockId, DataBlock
 from repro.core.config import ProtocolConfig
@@ -386,7 +386,7 @@ class PopValidator:
         # the cache (TPS handled them), so exclude self from candidates.
         # Mostly there is nothing to filter, and the shared tuple serves.
         blacklist = self.blacklist
-        candidates = topology.sorted_neighbors[verifying_origin]
+        candidates: Sequence[int] = topology.sorted_neighbors[verifying_origin]
         if blacklist or me in topology.adjacency[verifying_origin]:
             candidates = [n for n in candidates if n != me and n not in blacklist]
         order = wps_order(consensus_set, candidates, topology, self.rng)

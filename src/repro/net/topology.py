@@ -14,20 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Sequence, Set, Tuple
 
 from repro.sim.rng import RandomStreams
-
-
-class ClosedMasks(NamedTuple):
-    """Closed neighbourhoods as integers (:attr:`Topology.closed_masks`).
-
-    ``bit[v]`` is ``1 << rank(v)``; ``closed[v]`` is ``(mask, size)``:
-    the OR of the bits of ``N(v) ∪ {v}``, and ``|N(v)| + 1``.
-    """
-
-    bit: Dict[int, int]
-    closed: Dict[int, Tuple[int, int]]
 
 
 @dataclass(frozen=True)
@@ -64,8 +53,12 @@ class Topology:
         return self.adjacency[node]
 
     @cached_property
-    def closed_masks(self) -> ClosedMasks:
+    def closed_masks(self) -> Tuple[Dict[int, int], Dict[int, Tuple[int, int]]]:
         """``N(node) ∪ {node}`` for every node as a bitmask, built once per topology.
+
+        Returns ``(bit, closed)``: ``bit[v]`` is ``1 << rank(v)``, and
+        ``closed[v]`` is ``(mask, size)``, the OR of the bits of
+        ``N(v) ∪ {v}`` and ``|N(v)| + 1``.
 
         WPS scores every candidate by its closed neighbourhood (Eq. 7)
         on every path-extension step of every PoP run.  With one bit per
@@ -81,7 +74,7 @@ class Topology:
             # Distinct nodes, so the sum of their bits is their OR.
             mask = sum(map(bit.__getitem__, neighbors | {node}))
             closed[node] = (mask, mask.bit_count())
-        return ClosedMasks(bit, closed)
+        return bit, closed
 
     @cached_property
     def sorted_neighbors(self) -> Dict[int, Tuple[int, ...]]:

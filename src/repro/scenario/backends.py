@@ -488,10 +488,8 @@ class TwoLayerDagBackend(LedgerBackend):
             lines.append(f"slot {slot}: {blocks}")
         for record in workload.validations:
             outcome = record.outcome
-            # ``str(BlockId)`` and ``PopOutcome.consensus_set`` spelled out
-            # on the path's headers: no id object per path element.
-            consensus = ",".join(str(n) for n in sorted({h.origin for h in outcome.path}))
-            path = ",".join(f"{h.origin}#{h.index}" for h in outcome.path)
+            consensus = ",".join(str(n) for n in sorted(outcome.consensus_set))
+            path = ",".join(str(h.block_id) for h in outcome.path)
             lines.append(
                 f"pop validator={record.validator} verifier={record.verifier} "
                 f"target={record.block_id} slot={record.slot_started} "

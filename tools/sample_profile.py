@@ -3,13 +3,12 @@
 
 Runs ``setup()`` of one ``benchmarks/perf/workloads.py`` workload, then
 its ``run()`` under a signal-timer sampler: ``ITIMER_PROF`` fires every
-``--interval`` seconds of this process's own CPU time (children a
-workload launches are not sampled) and the handler records the Python
-stack it interrupted.  Prints, per function, the share of samples in
-which the function was the innermost Python frame (self; the C calls
+2 ms of this process's own CPU time (children a workload launches are
+not sampled) and the handler records the Python stack it interrupted.
+Prints, for the 30 functions first by ``--sort``, the share of samples
+in which the function was the innermost Python frame (self; the C calls
 it makes count as its own) and in which it was anywhere on the stack
-(inclusive, once per sample however deep it recurses), largest
-first by ``--sort``.
+(inclusive, once per sample however deep it recurses).
 
 Unlike ``cProfile`` the sampler adds no cost per call, so the shares are
 close to those of an untraced run.  The workload's sizes and seed are
@@ -24,6 +23,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+INTERVAL = 0.002  # CPU seconds between samples
+TOP = 30
 
 
 def load_workloads():
@@ -45,7 +46,7 @@ def label(code) -> str:
     return f"{path}:{code.co_firstlineno}({code.co_qualname})"
 
 
-def sample(call, interval: float):
+def sample(call):
     """Run ``call()`` under the sampler; ``(samples, self, inclusive)`` counts."""
     own = collections.Counter()
     inclusive = collections.Counter()
@@ -64,7 +65,7 @@ def sample(call, interval: float):
         inclusive.update(seen)
 
     previous = signal.signal(signal.SIGPROF, on_tick)
-    signal.setitimer(signal.ITIMER_PROF, interval, interval)
+    signal.setitimer(signal.ITIMER_PROF, INTERVAL, INTERVAL)
     try:
         call()
     finally:
@@ -78,27 +79,21 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("workload", choices=sorted(workloads.WORKLOADS))
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--quick", action="store_true", help="the harness's tenfold smaller sizes")
-    parser.add_argument("--interval", type=float, default=0.005, metavar="S",
-                        help="CPU seconds between samples (default 0.005)")
-    parser.add_argument("--top", type=int, default=30, metavar="N")
     parser.add_argument("--sort", choices=("incl", "self"), default="incl")
     args = parser.parse_args(argv)
-    if not args.interval > 0:
-        parser.error(f"--interval must be a positive number of seconds, got {args.interval}")
 
     with tempfile.TemporaryDirectory(prefix="sample-profile-") as work_dir:
         workload = workloads.WORKLOADS[args.workload](
-            args.seed, args.quick, Path(work_dir), traced=False
+            args.seed, quick=False, work_dir=Path(work_dir), traced=False
         )
         workload.setup()
-        taken, own, inclusive = sample(workload.run, args.interval)
+        taken, own, inclusive = sample(workload.run)
     if not taken:
         print("no samples: the timed region ran for less than one interval")
         return 1
-    print(f"{args.workload} seed {args.seed}: {taken} samples every {args.interval} CPU s")
+    print(f"{args.workload} seed {args.seed}: {taken} samples every {INTERVAL} CPU s")
     print(f"{'self%':>6} {'incl%':>6}  function")
-    for code, _ in (inclusive if args.sort == "incl" else own).most_common(args.top):
+    for code, _ in (inclusive if args.sort == "incl" else own).most_common(TOP):
         print(f"{100 * own[code] / taken:6.1f} {100 * inclusive[code] / taken:6.1f}  {label(code)}")
     return 0
 
