@@ -118,8 +118,10 @@ def test_ablation_micro_loop_paths(benchmark, finished):
         topology = sequential_geometric_topology(node_count=15, streams=streams)
         config = ProtocolConfig(body_bits=80_000, gamma=4, reply_timeout=0.1)
         deployment = TwoLayerDagNetwork(config=config, topology=topology, seed=33)
-        periods = {n: (1 if n % 3 else 4) for n in deployment.node_ids}
-        workload = SlotSimulation(deployment, generation_period=periods)
+        workload = SlotSimulation(deployment)
+        # A 4:1 rate skew no spec declares: two of three nodes every slot,
+        # the third every fourth slot.
+        workload.period = {n: (1 if n % 3 else 4) for n in deployment.node_ids}
         workload.run(24)
         return run_validations(finished, deployment, workload, validator_id=0,
                                use_tps=True, count=8)

@@ -47,33 +47,3 @@ class CorruptResponder(NodeBehavior):
         header = honest.header
         tampered_root = hash_bytes(b"tampered:" + header.root.value, header.root.bits)
         return RpyChild(header=replace(header, root=tampered_root))
-
-
-class EquivocatingResponder(NodeBehavior):
-    """Replies with a genuine own header that does NOT reference the digest.
-
-    The header authenticates (it is really ours), but the
-    ``GetDigest(b^h, v)`` comparison of Algorithm 3 line 21 fails, so
-    the validator skips us.  Models a node trying to graft the path
-    onto an unrelated branch.
-    """
-
-    def answer_req_child(self, node: IoTNode, request: ReqChild) -> Optional[RpyChild]:
-        latest = node.store.latest
-        if latest is None:
-            return None
-        honest = super().answer_req_child(node, request)
-        if honest is not None and honest.header is not None:
-            # Deliberately send some block that is NOT the requested child.
-            for block in node.store:
-                if block.header.block_id != honest.header.block_id:
-                    return RpyChild(header=block.header)
-        return RpyChild(header=latest.header)
-
-
-class SelfishNode(SilentResponder):
-    """§IV-D-6: free-rides — generates blocks but never serves queries.
-
-    Identical to :class:`SilentResponder` at the protocol level; kept
-    distinct so a scenario's roster names selfishness apart from capture.
-    """

@@ -13,7 +13,7 @@ import random
 from typing import Dict, Iterator, List, Optional
 
 from repro.baselines.iota.tangle import Tangle, Transaction
-from repro.baselines.iota.tip_selection import select_tips_mcmc, select_tips_uniform
+from repro.baselines.iota.tip_selection import select_tips_uniform
 from repro.net.deployment import Submission, WiredDeployment
 from repro.net.messages import Message
 from repro.net.topology import Topology
@@ -25,21 +25,10 @@ KIND_TX = "iota.tx"
 class IotaNode:
     """One tangle participant."""
 
-    def __init__(
-        self,
-        node_id: int,
-        network: Network,
-        rng: random.Random,
-        tip_strategy: str = "uniform",
-        mcmc_alpha: float = 0.01,
-    ) -> None:
-        if tip_strategy not in ("uniform", "mcmc"):
-            raise ValueError(f"unknown tip strategy: {tip_strategy}")
+    def __init__(self, node_id: int, network: Network, rng: random.Random) -> None:
         self.node_id = node_id
         self.network = network
         self.rng = rng
-        self.tip_strategy = tip_strategy
-        self.mcmc_alpha = mcmc_alpha
         self.tangle = Tangle()
         self._issued = 0
         #: A crashed node neither issues nor processes gossip until it
@@ -50,14 +39,9 @@ class IotaNode:
         self.interface.on(KIND_TX, self._on_transaction)
 
     # -- issuing --------------------------------------------------------------
-    def _select_tips(self) -> List[bytes]:
-        if self.tip_strategy == "mcmc":
-            return select_tips_mcmc(self.tangle, self.rng, alpha=self.mcmc_alpha)
-        return select_tips_uniform(self.tangle, self.rng)
-
     def issue(self, payload_bits: int) -> Transaction:
         """Create a transaction approving two tips and gossip it."""
-        parents = tuple(self._select_tips())
+        parents = tuple(select_tips_uniform(self.tangle, self.rng))
         transaction = Transaction(
             issuer=self.node_id,
             index=self._issued,
@@ -106,20 +90,12 @@ class IotaNetwork(WiredDeployment):
         topology: Optional[Topology] = None,
         payload_bits: int = 4_000_000,
         seed: int = 0,
-        tip_strategy: str = "uniform",
-        mcmc_alpha: float = 0.01,
         per_hop_latency: float = 0.001,
     ) -> None:
         super().__init__(topology, seed, per_hop_latency, lambda kind: "iota")
         self.payload_bits = payload_bits
         self.nodes: Dict[int, IotaNode] = {
-            node_id: IotaNode(
-                node_id,
-                self.network,
-                rng=self.streams.get(f"iota:{node_id}"),
-                tip_strategy=tip_strategy,
-                mcmc_alpha=mcmc_alpha,
-            )
+            node_id: IotaNode(node_id, self.network, rng=self.streams.get(f"iota:{node_id}"))
             for node_id in self.topology.node_ids
         }
 

@@ -1,15 +1,13 @@
 """The Tangle: IOTA's transaction DAG.
 
 Each transaction approves (references by hash) up to two earlier
-transactions.  Tips are transactions with no approvers yet.  Cumulative
-weight — the number of transactions directly or indirectly approving a
-transaction — drives the weighted tip-selection walk.
+transactions.  Tips are transactions with no approvers yet.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.crypto.hashing import Digest, hash_fields
 
@@ -113,26 +111,6 @@ class Tangle:
         transactions' insertion order without sorting anything.
         """
         return list(self._tips)
-
-    def approvers(self, digest: bytes) -> List[bytes]:
-        """Direct approvers of a transaction."""
-        return list(self._approvers.get(digest, []))
-
-    def genesis_digests(self) -> List[bytes]:
-        """Transactions with no parents."""
-        return [d for d, t in self._transactions.items() if not t.parents]
-
-    def cumulative_weight(self, digest: bytes) -> int:
-        """Own weight plus all direct/indirect approvers (BFS)."""
-        seen: Set[bytes] = set()
-        frontier = [digest]
-        while frontier:
-            current = frontier.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            frontier.extend(self._approvers.get(current, []))
-        return len(seen)
 
     def size_bits(self) -> int:
         """Full-tangle storage — the per-node cost Fig. 7 charges IOTA."""

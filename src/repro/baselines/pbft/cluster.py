@@ -8,7 +8,7 @@ for 2LDAG, so storage/communication figures are directly comparable.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Set
+from typing import Dict, Iterator, List, Optional
 
 from repro.baselines.pbft.messages import Request
 from repro.baselines.pbft.replica import PbftReplica
@@ -24,21 +24,15 @@ class PbftCluster(WiredDeployment):
         topology: Optional[Topology] = None,
         payload_bits: int = 4_000_000,
         seed: int = 0,
-        crashed: Optional[Set[int]] = None,
         view_change_timeout: float = 5.0,
         per_hop_latency: float = 0.001,
     ) -> None:
         super().__init__(topology, seed, per_hop_latency, lambda kind: "pbft")
         self.payload_bits = payload_bits
-        crashed = crashed or set()
         ids = self.topology.node_ids
         self.replicas: Dict[int, PbftReplica] = {
             node_id: PbftReplica(
-                node_id,
-                ids,
-                self.network,
-                view_change_timeout=view_change_timeout,
-                crashed=node_id in crashed,
+                node_id, ids, self.network, view_change_timeout=view_change_timeout
             )
             for node_id in ids
         }

@@ -83,7 +83,6 @@ class PbftReplica:
         replica_ids: List[int],
         network: Network,
         view_change_timeout: float = 5.0,
-        crashed: bool = False,
     ) -> None:
         self.replica_id = replica_id
         self.replica_ids = sorted(replica_ids)
@@ -93,7 +92,7 @@ class PbftReplica:
         self.network = network
         self.view_change_timeout = view_change_timeout
         #: A crashed/byzantine-silent replica neither sends nor processes.
-        self.crashed = crashed
+        self.crashed = False
 
         self.view = 0
         self.next_sequence = 0  # primary's ordering counter

@@ -175,8 +175,10 @@ class BlockHeader:
     def block_id(self) -> BlockId:
         """(origin, index); one shared :class:`BlockId` per header.
 
-        After the first read it is a plain ``__dict__`` attribute, so a
-        lookup calls no function (PoP reads it on every reply it judges).
+        ``build_block`` fills it; a ``replace`` copy or a decoded header
+        computes it at the first read.  Either way it is then a plain
+        ``__dict__`` attribute, so a lookup calls no function (PoP reads
+        it on every reply it judges).
         """
         return BlockId(self.origin, self.index)
 
@@ -328,6 +330,7 @@ def build_block(
     # header would compute; the payload itself is dropped.
     preimage = _digest_preimage(origin, index, payload, signature)
     object.__setattr__(header, "_hdr_digest", hash_bytes(preimage, config.hash_bits))
+    object.__setattr__(header, "block_id", BlockId(origin, index))
     return DataBlock(header=header, body=body)
 
 

@@ -167,10 +167,10 @@ class SlotSimulation:
     deployment:
         A wired :class:`TwoLayerDagNetwork`.
     generation_period:
-        Slots between blocks per node.  An int applies to all nodes; a
-        mapping sets per-node rates; the string ``"random-1-2"``
-        reproduces Fig. 9's "one block per one or two time slots"
-        (drawn once per node from the seeded stream).
+        Slots between blocks per node.  An int applies to all nodes;
+        the string ``"random-1-2"`` reproduces Fig. 9's "one block per
+        one or two time slots" (drawn once per node from the seeded
+        stream).
     validate:
         Whether generating nodes also run PoP on an old block.
     fetch_body:
@@ -208,13 +208,10 @@ class SlotSimulation:
         self._rng = rng
         if generation_period == "random-1-2":
             self.period: Dict[int, int] = {n: rng.choice([1, 2]) for n in node_ids}
-        elif isinstance(generation_period, int):
-            self.period = {n: generation_period for n in node_ids}
+        elif generation_period < 1:
+            raise ValueError(f"generation period must be >= 1, got {generation_period}")
         else:
-            self.period = {n: int(generation_period[n]) for n in node_ids}
-        for node_id, period in self.period.items():
-            if period < 1:
-                raise ValueError(f"generation period of node {node_id} must be >= 1")
+            self.period = {n: generation_period for n in node_ids}
 
         #: (slot -> block ids generated in that slot)
         self.blocks_by_slot: Dict[int, List[BlockId]] = {}

@@ -39,17 +39,18 @@ class BlockStore:
             raise ValueError(
                 f"non-contiguous block index {block.header.index}, expected {expected_index}"
             )
-        position = len(self._blocks)
+        if self._blocks and block.header.time < self._blocks[-1].header.time:
+            raise ValueError(
+                f"block time {block.header.time} is older than the latest "
+                f"{self._blocks[-1].header.time}"
+            )
+        # Times never decrease, so the first block to reference a digest
+        # stays its oldest child: (time, position) order is position order.
+        index = self._oldest_child_of_digest
+        for parent_digest in block.header.digests.values():
+            index.setdefault(parent_digest.value, expected_index)
         self._blocks.append(block)
         self._delta_total += len(block.header.digests)
-        time = block.header.time
-        for parent_digest in block.header.digests.values():
-            key = parent_digest.value
-            oldest = self._oldest_child_of_digest.get(key)
-            if oldest is None or (time, position) < (
-                self._blocks[oldest].header.time, oldest
-            ):
-                self._oldest_child_of_digest[key] = position
 
     # -- queries ----------------------------------------------------------
     def __len__(self) -> int:
@@ -81,24 +82,25 @@ class BlockStore:
 
         Served from the incrementally maintained oldest-child index —
         ties on generation time break towards the earlier sequence
-        position, matching the previous ``min`` over all children.
-        Blocks in ``skip_ids`` do not count: when the indexed child is
-        one of them (``H_i``'s lookup past a rolled-back dead end, which
-        is rare), the next child is found by a scan in the same order.
+        position.  Blocks in ``skip_ids`` do not count: when the indexed
+        child is one of them (``H_i``'s lookup past a rolled-back dead
+        end, which is rare), the scan goes forward from it and stops at
+        the first child not skipped, which is the oldest because block
+        times never decrease along the store (``add`` refuses otherwise).
         """
-        position = self._oldest_child_of_digest.get(digest.value)
+        key = digest.value
+        position = self._oldest_child_of_digest.get(key)
         if position is None:
             return None
         block = self._blocks[position]
         if not skip_ids or block.block_id not in skip_ids:
             return block
-        key = digest.value
-        children = [
-            (other.header.time, at) for at, other in enumerate(self._blocks)
-            if other.block_id not in skip_ids
-            and any(parent.value == key for parent in other.header.digests.values())
-        ]
-        return self._blocks[min(children)[1]] if children else None
+        for other in self._blocks[position + 1:]:
+            if other.block_id not in skip_ids and any(
+                parent.value == key for parent in other.header.digests.values()
+            ):
+                return other
+        return None
 
     def size_bits(self, config: ProtocolConfig) -> int:
         """Total stored bits of ``S_i`` (Eq. 2 summed over blocks).

@@ -6,7 +6,7 @@ partitions, heals and link degradation — validated on construction and
 round-tripping through JSON exactly like the rest of the spec tree.
 The :class:`FaultEngine` applies due events at slot boundaries by
 dispatching through the fault hooks every
-:class:`~repro.scenario.backends.LedgerBackend` declares, so one
+:class:`~repro.scenario.backends.LedgerBackend` implements, so one
 schedule runs identically on the paper's two-layer DAG, the PBFT
 cluster (crashed replicas exercise view changes) and the IOTA tangle.
 
@@ -26,7 +26,7 @@ harness itself, chaos-testing the campaign executor's retries,
 timeouts and worker-crash recovery.
 """
 
-from repro.faults.engine import FaultCapabilityError, FaultEngine
+from repro.faults.engine import FaultEngine
 from repro.faults.presets import build_fault_preset, fault_preset_names
 from repro.faults.spec import (
     FAULT_KINDS,
@@ -47,7 +47,6 @@ __all__ = [
     "NODE_CRASH",
     "NODE_REJOIN",
     "PARTITION",
-    "FaultCapabilityError",
     "FaultEngine",
     "FaultError",
     "FaultEvent",

@@ -5,36 +5,19 @@
 :attr:`~repro.faults.spec.FaultScheduleSpec.boundary_slots` entry and
 calls :meth:`FaultEngine.apply_due`, which dispatches each due event
 through the backend's ``apply_fault`` hook (see
-:class:`~repro.scenario.backends.LedgerBackend`).  Events fire in
-timeline order exactly once, *before* their slot is scheduled.
+:class:`~repro.scenario.backends.LedgerBackend`: every backend honours
+every kind, so there is no roster to check).  Events fire in timeline
+order exactly once, *before* their slot is scheduled.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
-from repro.faults.spec import FaultError, FaultEvent, FaultScheduleSpec
+from repro.faults.spec import FaultEvent, FaultScheduleSpec
 
 #: Called after each applied event with (event, slot it fired before).
 FaultObserver = Callable[[FaultEvent, int], None]
-
-
-class FaultCapabilityError(FaultError):
-    """A backend was asked to apply a fault kind it does not support.
-
-    The message carries the backend's full capability roster so a user
-    can immediately see what *would* work.
-    """
-
-    def __init__(self, backend: str, kind: str, capabilities: Sequence[str]) -> None:
-        self.backend = backend
-        self.kind = kind
-        self.capabilities = tuple(capabilities)
-        roster = ", ".join(self.capabilities) if self.capabilities else "none"
-        super().__init__(
-            f"the {backend} backend does not support fault kind {kind!r}; "
-            f"its capabilities: {roster}"
-        )
 
 
 class FaultEngine:

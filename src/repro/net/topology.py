@@ -205,72 +205,6 @@ def grid_topology(rows: int, cols: int, spacing: float = 40.0, comm_range: float
     return Topology(positions=positions, adjacency=adjacency, comm_range=comm_range)
 
 
-def ring_topology(
-    node_count: int, spacing: float = 40.0, comm_range: float = 50.0
-) -> Topology:
-    """A deterministic ring: nodes evenly spaced on a circle.
-
-    The circle's circumference is ``node_count * spacing``, so with the
-    default spacing/range each node reaches exactly its two ring
-    neighbours (chord length ≈ spacing < comm_range < 2·spacing) — the
-    worst case for PoP path construction: every consensus path must
-    walk the ring.
-    """
-    if node_count < 3:
-        raise ValueError(f"a ring needs at least 3 nodes, got {node_count}")
-    radius = node_count * spacing / (2.0 * math.pi)
-    center = radius + comm_range
-    positions = {
-        k: (
-            center + radius * math.cos(2.0 * math.pi * k / node_count),
-            center + radius * math.sin(2.0 * math.pi * k / node_count),
-        )
-        for k in range(node_count)
-    }
-    adjacency = _adjacency_from_positions(positions, comm_range)
-    return Topology(positions=positions, adjacency=adjacency, comm_range=comm_range)
-
-
-#: Layouts :func:`random_geometric_topology` draws before giving up.
-_MAX_PLACEMENT_ATTEMPTS = 200
-
-
-def random_geometric_topology(
-    node_count: int = 20,
-    area_side: float = 200.0,
-    comm_range: float = 50.0,
-    streams: RandomStreams = None,
-) -> Topology:
-    """A classic random geometric graph, resampled until connected.
-
-    Unlike :func:`sequential_geometric_topology` (the paper's placement,
-    connected by construction), every node lands uniformly in the square
-    independently; disconnected layouts are rejected.  Denser by default
-    (200 m square) so connectivity is likely within a few attempts; it
-    gives up after :data:`_MAX_PLACEMENT_ATTEMPTS`.
-    """
-    if node_count <= 0:
-        raise ValueError(f"node_count must be positive, got {node_count}")
-    if streams is None:
-        streams = RandomStreams(0)
-    rng = streams.get("topology")
-    for _ in range(_MAX_PLACEMENT_ATTEMPTS):
-        positions = {
-            node: (rng.uniform(0.0, area_side), rng.uniform(0.0, area_side))
-            for node in range(node_count)
-        }
-        adjacency = _adjacency_from_positions(positions, comm_range)
-        topology = Topology(
-            positions=positions, adjacency=adjacency, comm_range=comm_range
-        )
-        if topology.is_connected():
-            return topology
-    raise ValueError(
-        f"no connected layout of {node_count} nodes in a {area_side} m square "
-        f"with {comm_range} m range after {_MAX_PLACEMENT_ATTEMPTS} attempts"
-    )
-
-
 def explicit_topology(edges: Sequence[Tuple[int, int]]) -> Topology:  # repro: allow[test-only-public-name] test fixture: hand-drawn graphs
     """Build a topology from an explicit edge list (unit positions, unit range).
 

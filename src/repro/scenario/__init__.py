@@ -44,8 +44,6 @@ from repro.scenario.runner import (
 from repro.scenario.spec import (
     DEFAULT_BACKEND,
     AdversarySpec,
-    IotaParams,
-    PbftParams,
     ProtocolSpec,
     ScenarioError,
     ScenarioSpec,
@@ -58,8 +56,6 @@ __all__ = [
     "PAPER_SCALE",
     "QUICK_SCALE",
     "AdversarySpec",
-    "IotaParams",
-    "PbftParams",
     "ProtocolSpec",
     "ScenarioError",
     "ScenarioResult",

@@ -15,7 +15,7 @@ its ledger knows:
   last slot) — drive the slot workload;
 * :meth:`~LedgerBackend.crash_nodes` /
   :meth:`~LedgerBackend.rejoin_nodes` — the two ledger-specific fault
-  kinds, declared in ``fault_capabilities``;
+  kinds;
 * :meth:`~LedgerBackend.total_blocks`,
   :meth:`~LedgerBackend.trace_lines` and
   :meth:`~LedgerBackend.ledger_counters` — what the ledger committed,
@@ -55,9 +55,7 @@ from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Dict, Iterable, List, Optional, Tuple, Type
 
 from repro.canonical import sha256_lines
-from repro.faults.engine import FaultCapabilityError
 from repro.faults.spec import (
-    FAULT_KINDS,
     HEAL,
     LINK_DEGRADE,
     NODE_CRASH,
@@ -69,13 +67,7 @@ from repro.faults.spec import (
 from repro.metrics.units import bits_to_mb, bits_to_mbit
 from repro.net.deployment import WiredDeployment
 from repro.net.linkmodels import LinkDegradation, partition_drop_rule
-from repro.net.topology import (
-    Topology,
-    grid_topology,
-    random_geometric_topology,
-    ring_topology,
-    sequential_geometric_topology,
-)
+from repro.net.topology import Topology, grid_topology, sequential_geometric_topology
 from repro.scenario.spec import (
     COALITION_KINDS,
     DEFAULT_BACKEND,
@@ -97,17 +89,6 @@ def build_topology(spec: TopologySpec, streams: RandomStreams) -> Topology:
     if spec.kind == "grid":
         return grid_topology(
             spec.rows, spec.cols, spacing=spec.spacing, comm_range=spec.comm_range
-        )
-    if spec.kind == "ring":
-        return ring_topology(
-            spec.node_count, spacing=spec.spacing, comm_range=spec.comm_range
-        )
-    if spec.kind == "random-geometric":
-        return random_geometric_topology(
-            node_count=spec.node_count,
-            area_side=spec.area_side,
-            comm_range=spec.comm_range,
-            streams=streams,
         )
     raise ValueError(f"unknown topology kind {spec.kind!r}")  # pragma: no cover
 
@@ -159,12 +140,6 @@ class LedgerBackend(ABC):
     #: Registry name; also the value of ``ScenarioSpec.backend``.
     name: ClassVar[str] = ""
 
-    #: Fault event kinds this backend honours; spec validation checks a
-    #: scenario's schedule against this roster, and
-    #: :meth:`apply_fault` re-checks at dispatch time so a mid-run
-    #: schedule swap cannot smuggle an unsupported event through.
-    fault_capabilities: ClassVar[Tuple[str, ...]] = ()
-
     #: Traffic-ledger categories behind Fig. 8's two series: bits spent
     #: building the DAG and bits spent on consensus.
     dag_categories: ClassVar[Tuple[str, ...]] = ()
@@ -204,11 +179,6 @@ class LedgerBackend(ABC):
     # -- fault hooks --------------------------------------------------------
     def apply_fault(self, event: FaultEvent) -> None:
         """Dispatch one due fault event to the kind-specific hook."""
-        if event.kind not in self.fault_capabilities:
-            raise FaultCapabilityError(
-                backend=self.name, kind=event.kind,
-                capabilities=self.fault_capabilities,
-            )
         if self.wired is None:
             raise FaultError(
                 f"the {self.name} backend has no wired deployment to apply "
@@ -225,24 +195,13 @@ class LedgerBackend(ABC):
         elif event.kind == LINK_DEGRADE:
             self.degrade_links(event.loss, event.extra_latency)
 
+    @abstractmethod
     def crash_nodes(self, node_ids: Iterable[int]) -> None:
-        """Take the named nodes down (ledger-specific semantics).
+        """Take the named nodes down (ledger-specific semantics)."""
 
-        Only reachable when a backend *declares* the capability but
-        forgot the hook (``apply_fault`` gates undeclared kinds first),
-        so the error names the missing implementation, not the roster.
-        """
-        raise FaultError(
-            f"the {self.name} backend declares {NODE_CRASH!r} capability "
-            f"but implements no crash_nodes()"
-        )
-
+    @abstractmethod
     def rejoin_nodes(self, node_ids: Iterable[int], forgive: bool) -> None:
         """Bring previously crashed nodes back."""
-        raise FaultError(
-            f"the {self.name} backend declares {NODE_REJOIN!r} capability "
-            f"but implements no rejoin_nodes()"
-        )
 
     def set_partition(self, groups) -> None:
         """Split the network along ``groups`` (cross-group hops drop)."""
@@ -355,11 +314,6 @@ def backend_names() -> List[str]:
     return [DEFAULT_BACKEND] + others if DEFAULT_BACKEND in _BACKENDS else others
 
 
-def backend_fault_capabilities(name: str) -> Tuple[str, ...]:
-    """The fault event kinds the named backend declares support for."""
-    return tuple(_BACKENDS[name].fault_capabilities)
-
-
 def create_backend(spec: ScenarioSpec) -> LedgerBackend:
     """The backend instance ``spec.backend`` names (spec validation
     guarantees the name is registered)."""
@@ -380,7 +334,6 @@ class TwoLayerDagBackend(LedgerBackend):
     """
 
     name = DEFAULT_BACKEND
-    fault_capabilities = FAULT_KINDS
     dag_categories = ("dag",)   # digest pushes
     pop_categories = ("pop",)   # REQ_CHILD / RPY_CHILD / block fetch
 
@@ -392,12 +345,7 @@ class TwoLayerDagBackend(LedgerBackend):
         self.sybil_identities: List[object] = []
 
     def build(self) -> None:
-        from repro.attacks.behaviors import (
-            CorruptResponder,
-            EquivocatingResponder,
-            SelfishNode,
-            SilentResponder,
-        )
+        from repro.attacks.behaviors import CorruptResponder, SilentResponder
         from repro.attacks.eclipse import eclipse_victim
         from repro.attacks.majority import make_coalition
         from repro.attacks.sybil import sybil_identities
@@ -406,8 +354,6 @@ class TwoLayerDagBackend(LedgerBackend):
         behavior_factories: Dict[str, Callable[[], object]] = {
             "silent": SilentResponder,
             "corrupt": CorruptResponder,
-            "equivocating": EquivocatingResponder,
-            "selfish": SelfishNode,
         }
 
         spec = self.spec
@@ -538,7 +484,6 @@ class PbftBackend(LedgerBackend):
     """
 
     name = "pbft"
-    fault_capabilities = FAULT_KINDS
     pop_categories = ("pbft",)
 
     def __init__(self, spec: ScenarioSpec) -> None:
@@ -553,14 +498,13 @@ class PbftBackend(LedgerBackend):
             topology=self._scenario_topology(),
             payload_bits=spec.protocol.body_bits,
             seed=spec.seed,
-            view_change_timeout=spec.pbft.view_change_timeout,
             per_hop_latency=spec.per_hop_latency,
         )
 
     def advance_slots(self, start_slot: int, count: int) -> None:
         # run_slots settles the three-phase pipeline after the chunk, so
         # a sample taken at the boundary sees committed state.
-        self.cluster.run_slots(count, settle_time=self.spec.pbft.settle_time)
+        self.cluster.run_slots(count)
 
     # -- faults ------------------------------------------------------------
     def crash_nodes(self, node_ids: Iterable[int]) -> None:
@@ -608,7 +552,6 @@ class IotaBackend(LedgerBackend):
     """
 
     name = "iota"
-    fault_capabilities = FAULT_KINDS
     dag_categories = ("iota",)
 
     def __init__(self, spec: ScenarioSpec) -> None:
@@ -623,13 +566,11 @@ class IotaBackend(LedgerBackend):
             topology=self._scenario_topology(),
             payload_bits=spec.protocol.body_bits,
             seed=spec.seed,
-            tip_strategy=spec.iota.tip_strategy,
-            mcmc_alpha=spec.iota.mcmc_alpha,
             per_hop_latency=spec.per_hop_latency,
         )
 
     def advance_slots(self, start_slot: int, count: int) -> None:
-        self.network.run_slots(count, settle_time=self.spec.iota.settle_time)
+        self.network.run_slots(count)
 
     # -- faults ------------------------------------------------------------
     def crash_nodes(self, node_ids: Iterable[int]) -> None:

@@ -31,20 +31,17 @@ from repro.metrics.units import bits_to_mb, mb_to_bits
 SPEC_FORMAT_VERSION = 1
 
 #: Topology kinds :func:`repro.scenario.backends.build_topology` understands.
-TOPOLOGY_KINDS = ("sequential-geometric", "grid", "ring", "random-geometric")
+TOPOLOGY_KINDS = ("sequential-geometric", "grid")
 
 #: Coalition adversary kinds -> behaviour factories live in the 2LDAG
 #: backend (:class:`repro.scenario.backends.TwoLayerDagBackend`).
-COALITION_KINDS = ("silent", "corrupt", "equivocating", "selfish")
+COALITION_KINDS = ("silent", "corrupt")
 
 #: All adversary kinds (coalitions plus the structural attacks).
 ADVERSARY_KINDS = COALITION_KINDS + ("eclipse", "sybil")
 
 #: The default ledger backend (the paper's two-layer DAG).
 DEFAULT_BACKEND = "2ldag"
-
-#: IOTA tip-selection strategies the tangle backend understands.
-IOTA_TIP_STRATEGIES = ("uniform", "mcmc")
 
 #: The sentinel generation period reproducing Fig. 9's workload.
 RANDOM_1_2 = "random-1-2"
@@ -76,60 +73,6 @@ def known_backend_names() -> Tuple[str, ...]:
     return tuple(backend_names())
 
 
-def known_fault_capabilities(backend: str) -> Tuple[str, ...]:
-    """The fault kinds ``backend`` supports (lazily imported registry)."""
-    from repro.scenario.backends import backend_fault_capabilities
-
-    return backend_fault_capabilities(backend)
-
-
-@dataclass(frozen=True)
-class PbftParams:
-    """Knobs of the ``pbft`` ledger backend (ignored by the others).
-
-    ``settle_time`` is how long the three-phase commit is allowed to
-    drain after each driven slot chunk — the live-cluster equivalent of
-    2LDAG's ``run_until_quiet``.
-    """
-
-    view_change_timeout: float = 5.0
-    settle_time: float = 3.0
-
-    def __post_init__(self) -> None:
-        if self.view_change_timeout <= 0:
-            raise ScenarioError(
-                f"view_change_timeout must be positive, got {self.view_change_timeout}"
-            )
-        if self.settle_time < 0:
-            raise ScenarioError(
-                f"settle_time must be non-negative, got {self.settle_time}"
-            )
-
-
-@dataclass(frozen=True)
-class IotaParams:
-    """Knobs of the ``iota`` ledger backend (ignored by the others)."""
-
-    tip_strategy: str = "uniform"
-    mcmc_alpha: float = 0.01
-    settle_time: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.tip_strategy not in IOTA_TIP_STRATEGIES:
-            raise ScenarioError(
-                f"unknown tip_strategy {self.tip_strategy!r}; "
-                f"known: {', '.join(IOTA_TIP_STRATEGIES)}"
-            )
-        if self.mcmc_alpha < 0:
-            raise ScenarioError(
-                f"mcmc_alpha must be non-negative, got {self.mcmc_alpha}"
-            )
-        if self.settle_time < 0:
-            raise ScenarioError(
-                f"settle_time must be non-negative, got {self.settle_time}"
-            )
-
-
 @dataclass(frozen=True)
 class TopologySpec:
     """A named, parameterized physical graph.
@@ -140,11 +83,7 @@ class TopologySpec:
     * ``sequential-geometric`` — the paper's §VI placement
       (``node_count``, ``area_side``, ``comm_range``);
     * ``grid`` — deterministic ``rows`` × ``cols`` lattice
-      (``spacing``, ``comm_range``);
-    * ``ring`` — nodes on a circle (``node_count``, ``spacing``,
-      ``comm_range``);
-    * ``random-geometric`` — uniform placement, resampled until
-      connected (``node_count``, ``area_side``, ``comm_range``).
+      (``spacing``, ``comm_range``).
     """
 
     kind: str = "sequential-geometric"
@@ -291,8 +230,7 @@ class WorkloadSpec:
 class AdversarySpec:
     """One adversary in the scenario's roster.
 
-    Coalition kinds (``silent``, ``corrupt``, ``equivocating``,
-    ``selfish``) pick ``count`` nodes via
+    Coalition kinds (``silent``, ``corrupt``) pick ``count`` nodes via
     :func:`repro.attacks.majority.make_coalition` on the named stream,
     sparing ``protect``.  ``eclipse`` installs the
     :func:`repro.attacks.eclipse.eclipse_victim` drop rule around
@@ -338,8 +276,7 @@ class ScenarioSpec:
     needed.  ``backend`` names the ledger implementation the runner
     dispatches to (``"2ldag"`` — the paper's protocol — by default;
     ``"pbft"`` and ``"iota"`` run the comparison baselines on the same
-    topology, workload and seed); ``pbft``/``iota`` carry the
-    backend-specific knobs and are ignored by the other backends.
+    topology, workload and seed).
     """
 
     name: str = "custom"
@@ -349,8 +286,6 @@ class ScenarioSpec:
     topology: TopologySpec = field(default_factory=TopologySpec)
     workload: WorkloadSpec = field(default_factory=WorkloadSpec)
     adversaries: Tuple[AdversarySpec, ...] = ()
-    pbft: PbftParams = field(default_factory=PbftParams)
-    iota: IotaParams = field(default_factory=IotaParams)
     seed: int = 0
     per_hop_latency: float = 0.001
 
@@ -377,16 +312,6 @@ class ScenarioSpec:
                     f"{self.workload.generation_period!r}"
                 )
         schedule = self.workload.faults
-        if schedule is not None:
-            capabilities = known_fault_capabilities(self.backend)
-            unsupported = sorted(schedule.kinds - set(capabilities))
-            if unsupported:
-                roster = ", ".join(capabilities) if capabilities else "none"
-                raise ScenarioError(
-                    f"the {self.backend} backend does not support fault "
-                    f"kind(s) {', '.join(unsupported)}; its capabilities: "
-                    f"{roster}"
-                )
         size = self.topology.size
         if schedule is not None:
             bad = [n for n in schedule.referenced_nodes if n < 0 or n >= size]
@@ -464,14 +389,10 @@ class ScenarioSpec:
             payload["workload"].pop("faults")
         else:
             payload["workload"]["faults"] = self.workload.faults.to_dict()
-        # Default backend sections are omitted so pre-backend specs (and
-        # their campaign cell digests) serialize byte-identically.
+        # The default backend is omitted so pre-backend specs (and their
+        # campaign cell digests) serialize byte-identically.
         if self.backend == DEFAULT_BACKEND:
             payload.pop("backend")
-        if self.pbft == PbftParams():
-            payload.pop("pbft")
-        if self.iota == IotaParams():
-            payload.pop("iota")
         return payload
 
     def to_json(self, indent: int = 2) -> str:
@@ -501,12 +422,7 @@ class ScenarioSpec:
             except FaultError as error:
                 raise ScenarioError(f"invalid fault schedule: {error}")
         data["workload"] = WorkloadSpec(**workload)
-        for name, cls_ in (
-            ("protocol", ProtocolSpec),
-            ("topology", TopologySpec),
-            ("pbft", PbftParams),
-            ("iota", IotaParams),
-        ):
+        for name, cls_ in (("protocol", ProtocolSpec), ("topology", TopologySpec)):
             if name in data:
                 data[name] = _build(cls_, name, data[name])
         data["adversaries"] = tuple(

@@ -4,12 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.attacks.behaviors import (
-    CorruptResponder,
-    EquivocatingResponder,
-    SelfishNode,
-    SilentResponder,
-)
+from repro.attacks.behaviors import CorruptResponder, SilentResponder
 from repro.attacks.sybil import sybil_identities
 from repro.core.config import ProtocolConfig
 from repro.core.pop.messages import KIND_REQ_CHILD, KIND_RPY_CHILD, ReqChild, RpyChild
@@ -73,9 +68,11 @@ class TestCorrupt:
 
 
 class TestEquivocating:
-    def test_equivocating_reply_fails_digest_check(self, attack_config, grid9):
+    def test_equivocating_reply_fails_digest_check(
+        self, attack_config, grid9, equivocating_responder
+    ):
         deployment, workload = deployment_with(
-            {4: EquivocatingResponder()}, attack_config, grid9
+            {4: equivocating_responder}, attack_config, grid9
         )
         neighbor_block = list(deployment.node(3).store)[0]
         digest = neighbor_block.digest()
@@ -85,13 +82,6 @@ class TestEquivocating:
         # The returned header is authentic but wrong: Algorithm 3's
         # GetDigest comparison exposes it.
         assert header.digest_from(3) != digest
-
-
-class TestSelfish:
-    def test_selfish_node_stays_silent(self, attack_config, grid9):
-        deployment, workload = deployment_with({4: SelfishNode()}, attack_config, grid9)
-        neighbor_block = list(deployment.node(3).store)[0]
-        assert ask_for_child(deployment, 0, 4, neighbor_block.digest(), 3) == []
 
 
 class TestForgedRepliesAgainstWarmHeaders:

@@ -2,22 +2,13 @@
 
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.iota.node import IotaNetwork
 from repro.baselines.iota.tangle import Tangle, Transaction
-from repro.baselines.iota.tip_selection import select_tips_mcmc, select_tips_uniform
+from repro.baselines.iota.tip_selection import select_tips_uniform
 from repro.net.topology import grid_topology
-from repro.scenario import (
-    IotaParams,
-    ProtocolSpec,
-    ScenarioRunner,
-    ScenarioSpec,
-    TopologySpec,
-    WorkloadSpec,
-)
 
 
 def tx(issuer, index, parents=(), payload_bits=100):
@@ -124,20 +115,8 @@ class TestTangle:
         child = tx(1, 0, [genesis.digest().value])
         tangle.add(child)
         tangle.add(genesis)
-        assert tangle.approvers(genesis.digest().value) == [child.digest().value]
         # Genesis is approved, so it must not be a tip.
-        assert genesis.digest().value not in tangle.tips()
-
-    def test_cumulative_weight(self):
-        tangle = Tangle()
-        genesis = tx(0, 0)
-        a = tx(1, 0, [genesis.digest().value])
-        b = tx(2, 0, [genesis.digest().value])
-        c = tx(3, 0, [a.digest().value, b.digest().value])
-        for transaction in (genesis, a, b, c):
-            tangle.add(transaction)
-        assert tangle.cumulative_weight(genesis.digest().value) == 4
-        assert tangle.cumulative_weight(c.digest().value) == 1
+        assert tangle.tips() == [child.digest().value]
 
     def test_size_bits(self):
         tangle = Tangle()
@@ -170,54 +149,6 @@ class TestTipSelection:
 
     def test_uniform_empty_tangle(self):
         assert select_tips_uniform(Tangle(), random.Random(0)) == []
-
-    def test_mcmc_reaches_tips(self):
-        tangle = self._tangle_with_tips()
-        tips = select_tips_mcmc(tangle, random.Random(0))
-        assert len(tips) == 2
-        for tip in tips:
-            assert tangle.approvers(tip) == []
-
-    def test_mcmc_alpha_zero_takes_the_uniform_walk(self):
-        tangle = Tangle()
-        genesis = tx(0, 0)
-        tangle.add(genesis)
-        layer = [genesis.digest().value]
-        for depth in range(1, 5):
-            approvers = [tx(issuer, depth, layer[issuer:issuer + 2] or layer) for issuer in range(3)]
-            for approver in approvers:
-                tangle.add(approver)
-            layer = [approver.digest().value for approver in approvers]
-        reference_rng = random.Random(4)
-        expected = []
-        for _ in range(8):
-            current = reference_rng.choice(tangle.genesis_digests())
-            while tangle.approvers(current):
-                current = reference_rng.choice(tangle.approvers(current))
-            expected.append(current)
-        tips = select_tips_mcmc(tangle, random.Random(4), count=8, alpha=0.0)
-        assert tips == expected
-        assert set(tips) <= set(tangle.tips())
-
-    def test_mcmc_prefers_heavy_branch(self):
-        """With a large alpha the walk must enter the heavy subtangle."""
-        tangle = Tangle()
-        genesis = tx(0, 0)
-        tangle.add(genesis)
-        heavy_root = tx(1, 0, [genesis.digest().value])
-        light_root = tx(2, 0, [genesis.digest().value])
-        tangle.add(heavy_root)
-        tangle.add(light_root)
-        previous = heavy_root
-        for i in range(10):  # long heavy chain
-            nxt = tx(3, i, [previous.digest().value])
-            tangle.add(nxt)
-            previous = nxt
-        rng = random.Random(0)
-        hits = select_tips_mcmc(tangle, rng, count=20, alpha=5.0)
-        heavy_tip = previous.digest().value
-        assert hits.count(heavy_tip) >= 15
-
 
 class TestGossip:
     def test_all_nodes_converge(self):
@@ -276,35 +207,3 @@ class TestGossip:
         network.sim.run()
         assert network.traffic.message_count("iota.tx") == 1
         assert len(network.nodes[2].tangle) == 0
-
-    def test_mcmc_strategy_runs(self):
-        network = IotaNetwork(
-            topology=grid_topology(2, 2), payload_bits=800, seed=1,
-            tip_strategy="mcmc",
-        )
-        network.run_slots(3)
-        assert network.tangles_consistent()
-
-    def test_mcmc_alpha_zero_run_is_deterministic(self):
-        spec = ScenarioSpec(
-            name="iota-alpha-zero",
-            protocol=ProtocolSpec(body_bits=8_000, gamma=2),
-            topology=TopologySpec(kind="grid", rows=3, cols=3),
-            workload=WorkloadSpec(slots=4),
-            backend="iota",
-            iota=IotaParams(tip_strategy="mcmc", mcmc_alpha=0.0),
-            seed=3,
-        )
-        first, second = ScenarioRunner(spec).run(), ScenarioRunner(spec).run()
-        assert first.total_blocks == 4 * 9
-        assert first.trace_sha256 == second.trace_sha256
-
-    def test_unknown_strategy_rejected(self):
-        from repro.baselines.iota.node import IotaNode
-        from repro.net.transport import Network
-        from repro.sim.kernel import Simulator
-
-        topology = grid_topology(2, 2)
-        network = Network(Simulator(), topology)
-        with pytest.raises(ValueError):
-            IotaNode(0, network, random.Random(0), tip_strategy="bogus")

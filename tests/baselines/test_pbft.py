@@ -17,7 +17,12 @@ from repro.baselines.pbft.messages import (
     Request,
 )
 from repro.baselines.pbft.replica import request_digest
-from repro.net.topology import grid_topology, ring_topology
+from repro.net.topology import explicit_topology, grid_topology
+
+
+def ring(n):
+    """An ``n``-node cycle: each replica links to its two ring neighbours."""
+    return explicit_topology([(k, (k + 1) % n) for k in range(n)])
 
 
 class DigestCounter:
@@ -176,9 +181,8 @@ class TestFaults:
     def test_commits_despite_f_crashed_replicas(self):
         """n=7 tolerates f=2 silent replicas (non-primary)."""
         topology = grid_topology(1, 7)
-        cluster = PbftCluster(
-            topology=topology, payload_bits=4000, seed=1, crashed={5, 6}
-        )
+        cluster = PbftCluster(topology=topology, payload_bits=4000, seed=1)
+        cluster.crash([5, 6])
         cluster.run_slots(2, settle_time=8.0)
         live_heights = [r.chain.height for r in cluster.live_replicas()]
         # 5 live clients × 2 slots = 10 requests must commit.
@@ -186,7 +190,8 @@ class TestFaults:
         assert cluster.chains_consistent()
 
     def test_crashed_replica_originates_nothing(self):
-        cluster = PbftCluster(topology=grid_topology(1, 7), payload_bits=4000, seed=1, crashed={5})
+        cluster = PbftCluster(topology=grid_topology(1, 7), payload_bits=4000, seed=1)
+        cluster.crash([5])
         senders = set()
         cluster.network.add_drop_rule(lambda message, a, b: senders.add(message.sender) and False)
         cluster.run_slots(1, settle_time=8.0)
@@ -206,9 +211,9 @@ class TestFaults:
             topology=topology,
             payload_bits=4000,
             seed=1,
-            crashed={primary},
             view_change_timeout=2.0,
         )
+        cluster.crash([primary])
         cluster.run_slots(1, settle_time=20.0)
         live = cluster.live_replicas()
         assert all(r.view >= 1 for r in live)
@@ -226,7 +231,7 @@ class TestByzantineGuards:
     @pytest.mark.parametrize("forged_by_primary", [False, True],
                              ids=["non-primary-sender", "digest-mismatch"])
     def test_forged_pre_prepare_is_ignored(self, n, forged_by_primary):
-        cluster = PbftCluster(topology=ring_topology(n), payload_bits=4000, seed=n)
+        cluster = PbftCluster(topology=ring(n), payload_bits=4000, seed=n)
         cluster.run_slots(2)
         heights = [r.chain.height for r in cluster.replicas.values()]
         primary_id, target_id, other_id = sorted(cluster.replicas)[:3]
@@ -264,7 +269,7 @@ class TestByzantineGuards:
         # only other votes for its (view, sequence) are 2f PREPAREs and
         # 2f COMMITs for another digest.  With the target's own votes
         # they would make 2f + 1 of each if digests were not compared.
-        cluster = PbftCluster(topology=ring_topology(n), payload_bits=4000, seed=n)
+        cluster = PbftCluster(topology=ring(n), payload_bits=4000, seed=n)
         cluster.run_slots(2)
         heights = [r.chain.height for r in cluster.replicas.values()]
         primary_id, target_id, *others = sorted(cluster.replicas)

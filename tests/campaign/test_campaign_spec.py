@@ -101,7 +101,7 @@ class TestCellDigest:
         ("per_hop_latency", 0.002),
         ("protocol.gamma", 2),
         ("protocol.body_bits", 16_000),
-        ("topology.kind", "ring"),
+        ("topology.kind", "sequential-geometric"),
         ("workload.slots", 31),
         ("workload.validate", True),
         ("workload.sample_slots", [10, 20]),

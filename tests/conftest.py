@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.config import ProtocolConfig
+from repro.core.node import NodeBehavior
+from repro.core.pop.messages import RpyChild
 from repro.core.protocol import SlotSimulation, TwoLayerDagNetwork
 from repro.net.topology import explicit_topology, grid_topology
 from repro.sim.kernel import Simulator
@@ -45,6 +47,34 @@ def fig3_topology():
 def grid9():
     """3×3 grid (4-neighbour links)."""
     return grid_topology(3, 3)
+
+
+class EquivocatingResponder(NodeBehavior):
+    """Replies with a genuine own header that does NOT reference the digest.
+
+    The header authenticates (it is really the responder's), but the
+    ``GetDigest(b^h, v)`` comparison of Algorithm 3 line 21 fails, so
+    the validator skips it: a node trying to graft the path onto an
+    unrelated branch.
+    """
+
+    def answer_req_child(self, node, request):
+        latest = node.store.latest
+        if latest is None:
+            return None
+        honest = super().answer_req_child(node, request)
+        if honest is not None and honest.header is not None:
+            # Deliberately send some block that is NOT the requested child.
+            for block in node.store:
+                if block.header.block_id != honest.header.block_id:
+                    return RpyChild(header=block.header)
+        return RpyChild(header=latest.header)
+
+
+@pytest.fixture
+def equivocating_responder() -> EquivocatingResponder:
+    """A fresh behaviour that answers with the wrong own header."""
+    return EquivocatingResponder()
 
 
 @pytest.fixture

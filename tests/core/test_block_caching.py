@@ -125,13 +125,14 @@ class TestIdentitySlots:
         assert header.block_id == BlockId(3, 5)
         assert header.block_id is header.block_id
 
-    def test_block_id_is_a_plain_attribute_after_the_first_read(self, header):
-        assert "block_id" not in vars(header)
-        first = header.block_id
-        # Instance ``__dict__`` entries shadow the non-data descriptor.
-        assert vars(header)["block_id"] is first
-        assert all(header.block_id is first for _ in range(3))
+    def test_a_built_header_already_holds_its_block_id(self, header):
+        # ``build_block`` fills the slot, so not even the first read
+        # calls the property: instance ``__dict__`` entries shadow the
+        # non-data descriptor.
+        first = vars(header)["block_id"]
+        assert first == (header.origin, header.index) == (3, 5)
         assert type(first) is BlockId
+        assert all(header.block_id is first for _ in range(3))
 
     def test_block_id_starts_cold_on_copies_and_decoded_headers(self, header):
         warm = header.block_id

@@ -33,15 +33,6 @@ class TestSlotWorkload:
         workload = SlotSimulation(deployment, generation_period="random-1-2")
         assert set(workload.period.values()) <= {1, 2}
 
-    def test_per_node_period_mapping(self, small_config, grid9):
-        deployment = TwoLayerDagNetwork(config=small_config, topology=grid9, seed=1)
-        periods = {n: 1 + (n % 3) for n in deployment.node_ids}
-        workload = SlotSimulation(deployment, generation_period=periods)
-        workload.run(6)
-        for node_id in deployment.node_ids:
-            expected = len([s for s in range(6) if s % periods[node_id] == 0])
-            assert len(deployment.node(node_id).store) == expected
-
     def test_invalid_period_rejected(self, small_config, grid9):
         deployment = TwoLayerDagNetwork(config=small_config, topology=grid9, seed=1)
         with pytest.raises(ValueError):
@@ -104,7 +95,7 @@ class TestDagView:
                     FaultEvent(kind=NODE_REJOIN, slot=14, nodes=(1, 6)),
                 )),
             ),
-            adversaries=(AdversarySpec(kind="equivocating", count=3),),
+            adversaries=(AdversarySpec(kind="corrupt", count=3),),
             seed=5,
         )
 

@@ -11,19 +11,14 @@ The contracts pinned here:
   and the pinned churn block counts);
 * fault-free specs serialize and replay exactly as before (spec JSON
   and campaign cell digests untouched);
-* unsupported event kinds fail with the backend's capability roster.
+* a backend without a wired deployment refuses a fault with a clear
+  error.
 """
 
 import pytest
 
 from repro.campaign.spec import CellSpec
-from repro.faults import (
-    FAULT_KINDS,
-    FaultCapabilityError,
-    FaultEngine,
-    FaultEvent,
-    FaultScheduleSpec,
-)
+from repro.faults import FaultEngine, FaultEvent, FaultScheduleSpec
 from repro.scenario import (
     ProtocolSpec,
     ScenarioRunner,
@@ -32,7 +27,6 @@ from repro.scenario import (
     WorkloadSpec,
     run_scenario,
 )
-from repro.scenario.backends import backend_fault_capabilities, backend_names
 
 ALL_BACKENDS = ("2ldag", "pbft", "iota")
 
@@ -59,7 +53,6 @@ class RecordingBackend:
     """A fake backend capturing apply_fault order."""
 
     name = "recording"
-    fault_capabilities = FAULT_KINDS
 
     def __init__(self):
         self.applied = []
@@ -97,36 +90,18 @@ class TestEngine:
         assert len(backend.applied) == 2
 
 
-class TestCapabilities:
-    def test_all_backends_declare_full_roster(self):
-        for name in backend_names():
-            assert backend_fault_capabilities(name) == FAULT_KINDS
-
-    def test_unsupported_kind_raises_with_roster(self):
-        from repro.scenario.backends import LedgerBackend
-
-        class NoFaultsBackend(LedgerBackend):
-            name = "no-faults"
-
-            def build(self): ...
-            def advance_slots(self, start_slot, count): ...
-            def total_blocks(self): return 0
-            def trace_lines(self): return []
-
-        backend = NoFaultsBackend(grid_spec())
-        with pytest.raises(FaultCapabilityError, match="its capabilities: none"):
-            backend.apply_fault(FaultEvent(kind="node-crash", slot=1, nodes=(0,)))
-
+class TestDispatch:
     def test_link_capable_backend_without_network_reports_clearly(self):
         from repro.faults import FaultError
         from repro.scenario.backends import LedgerBackend
 
         class NetlessBackend(LedgerBackend):
             name = "netless"
-            fault_capabilities = ("link-degrade",)
 
             def build(self): ...
             def advance_slots(self, start_slot, count): ...
+            def crash_nodes(self, node_ids): ...
+            def rejoin_nodes(self, node_ids, forgive): ...
             def total_blocks(self): return 0
             def trace_lines(self): return []
 

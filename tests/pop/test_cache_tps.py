@@ -169,7 +169,14 @@ class TestIndexEqualsReference:
         cache, reference = HeaderCache(store), ListIndexCache()
         for operation in operations:
             if isinstance(operation, DataBlock):
-                header = replace(operation.header, origin=OWNER, index=len(store))
+                # A store's block times never decrease (``add`` refuses).
+                latest = store.latest
+                time = operation.header.time if latest is None else max(
+                    operation.header.time, latest.header.time
+                )
+                header = replace(
+                    operation.header, origin=OWNER, index=len(store), time=time
+                )
                 store.add(DataBlock(header=header, body=operation.body))
                 assert reference.add(header)  # generation added it to H_i
                 assert not cache.add(header)
@@ -188,11 +195,11 @@ class TestIndexEqualsReference:
 
     def test_oldest_own_child_skipped_falls_back_to_the_next(self, config):
         """A rolled-back own child hides only itself: the next own child of
-        the digest (here older than every fetched one) is the answer."""
+        the digest (here older than the fetched one) is the answer."""
         store = BlockStore(owner=OWNER)
         cache = HeaderCache(store)
         parent = hash_bytes(b"parent")
-        for index, time in enumerate([1.0, 3.0, 2.0]):
+        for index, time in enumerate([1.0, 2.0, 3.0]):
             header = BlockHeader(
                 origin=OWNER, index=index, version=1, time=time, root=parent,
                 digests={0: parent}, nonce=0, signature=b"",
@@ -205,8 +212,8 @@ class TestIndexEqualsReference:
         cache.add(fetched)
         own = [block.header for block in store]
         assert cache.find_child(parent) is own[0]
-        assert cache.find_child(parent, skip_ids={own[0].block_id}) is own[2]
-        assert cache.find_child(parent, skip_ids={own[0].block_id, own[2].block_id}) is fetched
+        assert cache.find_child(parent, skip_ids={own[0].block_id}) is own[1]
+        assert cache.find_child(parent, skip_ids={own[0].block_id, own[1].block_id}) is fetched
         assert cache.find_child(parent, exclude_origins={OWNER}) is fetched
 
     def test_equal_times_decide_by_id(self):

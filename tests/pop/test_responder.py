@@ -71,14 +71,3 @@ class TestServeReqChild:
         hit = serve_req_child(stores[1], ReqChild(digest=wanted, verifying_origin=9))
         assert hit is not NO_CHILD and hit.header is stores[1].latest.header
 
-    def test_oldest_by_time_not_index(self, config):
-        """Eq. (11) orders by generation time; if indices and times ever
-        disagree (clock adjustments), time wins."""
-        store = BlockStore(owner=1)
-        wanted = hash_bytes(b"wanted", config.hash_bits)
-        late = own_block(config, 0, {9: wanted}, time=10.0)
-        early = own_block(config, 1, {9: wanted}, time=5.0)
-        store.add(late)
-        store.add(early)
-        assert store.oldest_child_of(wanted).header.index == 1
-

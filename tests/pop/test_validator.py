@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.attacks.behaviors import CorruptResponder, EquivocatingResponder, SilentResponder
+from repro.attacks.behaviors import CorruptResponder, SilentResponder
 from repro.core.block import DataBlock
 from repro.core.config import ProtocolConfig
 from repro.core.node import IoTNode, NodeBehavior
@@ -183,10 +183,12 @@ class TestAdversaries:
             public = deployment.registry.public_key(header.origin)
             assert header.verify_signature(public)
 
-    def test_equivocating_replies_rejected(self, run_validation, references):
+    def test_equivocating_replies_rejected(
+        self, run_validation, references, equivocating_responder
+    ):
         config = ProtocolConfig(body_bits=8_000, gamma=3, reply_timeout=0.1)
         grid = grid_topology(4, 4)
-        behaviors = {5: EquivocatingResponder()}
+        behaviors = {5: equivocating_responder}
         deployment = TwoLayerDagNetwork(
             config=config, topology=grid, seed=2, behaviors=behaviors
         )

@@ -19,7 +19,6 @@ from repro.core.pop.wps import wps_order
 from repro.net.topology import (
     explicit_topology,
     grid_topology,
-    ring_topology,
     sequential_geometric_topology,
 )
 from repro.sim.rng import RandomStreams
@@ -111,7 +110,7 @@ def table_weight(candidate, consensus_set, topology):
 
 TABLE_TOPOLOGIES = [
     pytest.param(grid_topology(4, 4), id="grid-4x4"),
-    pytest.param(ring_topology(7), id="ring-7"),
+    pytest.param(explicit_topology([(k, (k + 1) % 7) for k in range(7)]), id="ring-7"),
     pytest.param(
         sequential_geometric_topology(node_count=30, streams=RandomStreams(3)),
         id="geometric-30",

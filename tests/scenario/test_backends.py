@@ -1,11 +1,14 @@
 """The pluggable ledger backend layer: registry, validation, dispatch,
-determinism, and spec round-trip of the backend parameter blocks."""
+determinism, and spec round-trip of the backend field."""
 
 import dataclasses
+import inspect
 from pathlib import Path
 
 import pytest
 
+from repro.baselines.iota.node import IotaNetwork
+from repro.baselines.pbft.cluster import PbftCluster
 from repro.campaign.spec import expand_grid
 from repro.canonical import sha256_lines
 from repro.faults import FaultEvent, FaultScheduleSpec
@@ -14,8 +17,6 @@ from repro.net.deployment import WiredDeployment
 from repro.scenario import (
     DEFAULT_BACKEND,
     AdversarySpec,
-    IotaParams,
-    PbftParams,
     ProtocolSpec,
     ScenarioError,
     ScenarioRunner,
@@ -84,8 +85,8 @@ class TestValidation:
                 )
 
     def test_baseline_backends_accept_churn(self):
-        # Churn is a crash/rejoin timeline, and every registered backend
-        # declares both kinds in its capability roster.
+        # Churn is a crash/rejoin timeline, and every backend implements
+        # both hooks.
         churn = FaultScheduleSpec(events=(
             FaultEvent(kind="node-crash", slot=2, nodes=(1,)),
             FaultEvent(kind="node-rejoin", slot=4, nodes=(1,)),
@@ -96,42 +97,22 @@ class TestValidation:
             )
             assert run_scenario(spec).total_blocks > 0
 
-    def test_unsupported_fault_kind_lists_capability_roster(self):
-        from repro.faults import FaultEvent, FaultScheduleSpec
-        from repro.scenario.backends import _BACKENDS, LedgerBackend, register_backend
+    def test_a_backend_without_the_crash_hooks_cannot_be_built(self):
+        # The two ledger-specific fault kinds are abstract hooks: a
+        # backend that leaves them out fails at construction, before any
+        # schedule could reach it.
+        from repro.scenario.backends import LedgerBackend
 
-        class CrashOnlyBackend(LedgerBackend):
-            name = "crash-only"
-            fault_capabilities = ("node-crash",)
+        class NoCrashBackend(LedgerBackend):
+            name = "no-crash"
 
-            def build(self):  # pragma: no cover - never driven
-                pass
+            def build(self): ...
+            def advance_slots(self, start_slot, count): ...
+            def total_blocks(self): return 0
+            def trace_lines(self): return []
 
-            def advance_slots(self, start_slot, count):  # pragma: no cover
-                pass
-
-            def total_blocks(self):  # pragma: no cover
-                return 0
-
-            def trace_lines(self):  # pragma: no cover
-                return []
-
-        register_backend(CrashOnlyBackend)
-        try:
-            faults = FaultScheduleSpec(
-                events=(FaultEvent(kind="partition", slot=2, groups=((0, 1),)),)
-            )
-            with pytest.raises(
-                ScenarioError,
-                match=r"does not support fault kind\(s\) partition; "
-                      r"its capabilities: node-crash",
-            ):
-                small_spec(
-                    backend="crash-only",
-                    workload=WorkloadSpec(slots=6, faults=faults),
-                )
-        finally:
-            _BACKENDS.pop("crash-only", None)
+        with pytest.raises(TypeError, match="abstract.*crash_nodes.*rejoin_nodes"):
+            NoCrashBackend(small_spec())
 
     def test_baseline_backends_reject_other_generation_periods(self):
         for period in (2, "random-1-2"):
@@ -146,13 +127,19 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="does not support"):
             spec.with_backend("iota")
 
-    def test_bad_pbft_params(self):
-        with pytest.raises(ScenarioError, match="view_change_timeout"):
-            PbftParams(view_change_timeout=0)
 
-    def test_bad_iota_tip_strategy(self):
-        with pytest.raises(ScenarioError, match="tip_strategy"):
-            IotaParams(tip_strategy="urts2")
+class TestBaselineDefaults:
+    """The baseline backends drive their ledgers at the ledgers' own
+    defaults, which are the values the deleted ``pbft`` / ``iota`` spec
+    sections carried, so every baseline run is unchanged."""
+
+    @pytest.mark.parametrize("function, parameter, value", [
+        (PbftCluster.__init__, "view_change_timeout", 5.0),
+        (PbftCluster.run_slots, "settle_time", 3.0),
+        (IotaNetwork.run_slots, "settle_time", 2.0),
+    ], ids=["pbft-view-change", "pbft-settle", "iota-settle"])
+    def test_the_ledger_default_is_the_deleted_sections(self, function, parameter, value):
+        assert inspect.signature(function).parameters[parameter].default == value
 
 
 class TestRoundTrip:
@@ -169,24 +156,6 @@ class TestRoundTrip:
             again = ScenarioSpec.from_dict(spec.to_dict())
             assert again == spec
             assert again.backend == name
-
-    def test_param_blocks_round_trip(self):
-        spec = small_spec(
-            backend="iota",
-            pbft=PbftParams(view_change_timeout=2.0, settle_time=1.0),
-            iota=IotaParams(tip_strategy="mcmc", mcmc_alpha=0.5),
-        )
-        payload = spec.to_dict()
-        assert payload["backend"] == "iota"
-        assert payload["pbft"]["view_change_timeout"] == 2.0
-        assert payload["iota"]["tip_strategy"] == "mcmc"
-        assert ScenarioSpec.from_dict(payload) == spec
-
-    def test_unknown_param_block_field_rejected(self):
-        payload = small_spec(backend="pbft").to_dict()
-        payload["pbft"] = {"quorum": 3}
-        with pytest.raises(ScenarioError, match="quorum"):
-            ScenarioSpec.from_dict(payload)
 
     def test_unknown_backend_rejected_on_load(self):
         payload = small_spec().to_dict()
@@ -259,16 +228,6 @@ class TestDispatch:
         }
         assert results["pbft"].storage_mb[-1] > 5 * results["2ldag"].storage_mb[-1]
         assert results["iota"].storage_mb[-1] > 5 * results["2ldag"].storage_mb[-1]
-
-    def test_mcmc_tip_strategy_dispatch(self):
-        spec = small_spec(
-            backend="iota",
-            iota=IotaParams(tip_strategy="mcmc", mcmc_alpha=0.25),
-        )
-        runner = ScenarioRunner(spec).build()
-        node = next(iter(runner.backend.network.nodes.values()))
-        assert node.tip_strategy == "mcmc"
-        assert node.mcmc_alpha == 0.25
 
 
 #: crash + partition + heal + degrade (+ rejoin, restore) on the 3x3 grid.

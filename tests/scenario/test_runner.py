@@ -35,18 +35,12 @@ def tiny_spec(**overrides) -> ScenarioSpec:
 class TestTopologies:
     @pytest.mark.parametrize("spec,expected_nodes", [
         (TopologySpec(kind="grid", rows=3, cols=4), 12),
-        (TopologySpec(kind="ring", node_count=10), 10),
         (TopologySpec(kind="sequential-geometric", node_count=15), 15),
-        (TopologySpec(kind="random-geometric", node_count=12, area_side=150.0), 12),
     ])
     def test_kinds_build_connected(self, spec, expected_nodes):
         topology = build_topology(spec, RandomStreams(1))
         assert topology.node_count == expected_nodes
         assert topology.is_connected()
-
-    def test_ring_is_a_cycle(self):
-        topology = build_topology(TopologySpec(kind="ring", node_count=8), RandomStreams(0))
-        assert all(topology.degree(n) == 2 for n in topology.node_ids)
 
 
 class TestRunner:

@@ -54,7 +54,7 @@ class TestValidation:
 
     def test_nonpositive_node_count(self):
         with pytest.raises(ScenarioError, match="node_count"):
-            TopologySpec(kind="ring", node_count=0)
+            TopologySpec(kind="sequential-geometric", node_count=0)
 
     def test_unknown_generation_period_string(self):
         with pytest.raises(ScenarioError, match="generation_period"):
@@ -223,7 +223,8 @@ HOSTILE_DOCUMENTS = [
         {"kind": "node-crash", "slot": 1, "nodes": ["x"]}]}}},
      r"invalid fault schedule: events\[0\].nodes must be Tuple"),
     ({"workload": {"faults": 5}}, "invalid fault schedule"),
-    ({"iota": {"mcmc_alpha": None}}, "iota.mcmc_alpha must be float"),
+    # The deleted ``iota`` section: no field of it is read any more.
+    ({"iota": {"mcmc_alpha": None}}, r"unknown scenario field\(s\): iota"),
     # A leaf has the type its annotation says.  The first four loaded and
     # meant something else ("no" ran with validation on, 1.9 and true
     # became seed 1, gamma 2.5 ran with no validations); the last three
@@ -234,7 +235,7 @@ HOSTILE_DOCUMENTS = [
     ({"protocol": {"gamma": 2.5}}, "protocol.gamma must be int"),
     ({"workload": {"slots": 10.5}}, "workload.slots must be int"),
     ({"workload": {"sample_slots": [1.5]}}, "workload.sample_slots must be Tuple"),
-    ({"topology": {"kind": "ring", "node_count": 9.5}},
+    ({"topology": {"kind": "sequential-geometric", "node_count": 9.5}},
      "topology.node_count must be int"),
     ({"per_hop_latency": True}, "scenario.per_hop_latency must be float"),
     ({"workload": {"faults": {"events": [{"kind": "heal", "slot": 1.5}]}}},
@@ -244,6 +245,18 @@ HOSTILE_DOCUMENTS = [
     ({"workload": {"quiet_time": -5.0}}, "quiet_time must be non-negative"),
     ({"workload": {"validation_min_age_slots": -3}},
      "validation_min_age_slots must be non-negative"),
+    # Values no run declared, refused like any other unknown kind or
+    # section (the ``iota`` section is the document further up).
+    ({"topology": {"kind": "ring", "node_count": 9}},
+     "unknown topology kind 'ring'; known: sequential-geometric, grid"),
+    ({"topology": {"kind": "random-geometric", "node_count": 9}},
+     "unknown topology kind 'random-geometric'; known: sequential-geometric, grid"),
+    ({"adversaries": [{"kind": "selfish", "count": 2}]},
+     "unknown adversary kind 'selfish'; known: silent, corrupt, eclipse, sybil"),
+    ({"adversaries": [{"kind": "equivocating", "count": 2}]},
+     "unknown adversary kind 'equivocating'; known: silent, corrupt, eclipse, sybil"),
+    ({"pbft": {"view_change_timeout": 5.0, "settle_time": 3.0}},
+     r"unknown scenario field\(s\): pbft"),
 ]
 
 
@@ -322,14 +335,12 @@ class TestHostileDocuments:
 
         from repro.faults import FaultEvent
         from repro.faults.spec import LEAF_READERS
-        from repro.scenario import IotaParams, PbftParams
-
         open_annotations = {
             "ProtocolSpec", "TopologySpec", "WorkloadSpec",
-            "PbftParams", "IotaParams", "Optional[FaultScheduleSpec]",
+            "Optional[FaultScheduleSpec]",
         }
         for cls in (ScenarioSpec, ProtocolSpec, TopologySpec, WorkloadSpec,
-                    AdversarySpec, PbftParams, IotaParams, FaultEvent):
+                    AdversarySpec, FaultEvent):
             for field in dataclasses.fields(cls):
                 assert field.type in LEAF_READERS or field.type in open_annotations, (
                     f"{cls.__name__}.{field.name}: {field.type}"

@@ -28,8 +28,6 @@ from repro.faults import (
 from repro.faults.spec import LEAF_READERS
 from repro.scenario import (
     AdversarySpec,
-    IotaParams,
-    PbftParams,
     ProtocolSpec,
     ScenarioError,
     ScenarioSpec,
@@ -71,8 +69,6 @@ SECTIONS = {
         lambda body: {"adversaries": [{"kind": "silent", **body}]},
         None,
     ),
-    "pbft": Section(PbftParams, lambda body: {"pbft": body}, "pbft."),
-    "iota": Section(IotaParams, lambda body: {"iota": body}, "iota."),
 }
 
 SCENARIO_LEAVES = [
