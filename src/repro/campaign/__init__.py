@@ -9,20 +9,17 @@ content-addressed on-disk cache, and journals completions so an
 interrupted fleet resumes where it left off.  Serial and parallel runs
 are byte-identical — only wall-clock changes.
 
-The executor is chaos-tolerant: failed attempts retry with
+The executor is fault-tolerant: failed attempts retry with
 deterministic seeded backoff, hung cells are killed at a wall-clock
 budget, a crashed worker pool respawns with only the lost cells
 resubmitted, and ``keep_going`` quarantines incurable cells instead of
-aborting the fleet.  A seeded :class:`ChaosSpec` (``$REPRO_CHAOS``)
-injects harness faults on purpose to prove all of that converges to
-byte-identical results — see :mod:`repro.campaign.chaos`.
+aborting the fleet.
 
 Entry points: ``python -m repro campaign run/status`` and the
 ``executor=`` parameter of ``run_fig9``, ``check_model_agreement``
 and ``generate_report``.  See ``docs/campaigns.md``.
 """
 
-from repro.campaign.chaos import ChaosError
 from repro.campaign.executor import STATUS_SCHEMA_VERSION, CampaignExecutor
 from repro.campaign.presets import campaign_names, get_campaign
 from repro.campaign.spec import CampaignError, CampaignSpec, replicate_seeds
@@ -32,7 +29,6 @@ __all__ = [
     "CampaignError",
     "CampaignExecutor",
     "CampaignSpec",
-    "ChaosError",
     "campaign_names",
     "get_campaign",
     "replicate_seeds",

@@ -29,13 +29,13 @@ a crash is skipped on read.  The event schema (see
 
 ``start``
     A run began with uncached work: campaign name, cell counts,
-    worker count (plus the active ``chaos`` schedule, if any).
+    worker count.
 ``cell``
     One cell computed successfully: index, digest, label, wall time
     (plus ``attempts`` when retries were consumed).
 ``cell-failed``
     One attempt of one cell failed: ``attempt`` (0-based), ``kind``
-    (``exception`` / ``chaos`` / ``timeout`` / ``worker-crash``) and
+    (``exception`` / ``timeout`` / ``worker-crash``) and
     the error text.
 ``cell-retry``
     A failed cell was rescheduled: the next attempt number and the

@@ -93,7 +93,7 @@ def observed_runner(spec: ScenarioSpec) -> ScenarioRunner:
     streams.  Both recorders are pure observers — the payload (and its
     trace digest, the campaign's byte-identity witness) is identical
     with them on or off — and both truncate their stream on
-    ``run_started``, so a chaos-retried cell rewrites cleanly.  Every
+    ``run_started``, so a retried cell rewrites cleanly.  Every
     ``scenario`` cell builds its runner here.
     """
     from repro.telemetry import (

@@ -1,4 +1,4 @@
-"""Chaos-tolerant parallel, cached, resumable execution of campaign cells.
+"""Fault-tolerant parallel, cached, resumable execution of campaign cells.
 
 :class:`CampaignExecutor` is a service object (construct once, run
 many campaigns) with four independent capabilities:
@@ -27,22 +27,19 @@ many campaigns) with four independent capabilities:
   (:class:`~concurrent.futures.process.BrokenProcessPool`) respawns
   the pool and resubmits only the lost cells; ``keep_going=True``
   completes every healthy cell and quarantines the rest with
-  structured journal events instead of aborting.  A seeded
-  :class:`~repro.campaign.chaos.ChaosSpec` (``$REPRO_CHAOS``) drives
-  the self-tests that pin all of this.
+  structured journal events instead of aborting.
 
 Results always come back in campaign order, regardless of worker
 completion order, so downstream consumers see deterministic output.
 
 Failure semantics
 -----------------
-An attempt can fail four ways, all journalled as ``cell-failed``
-events: its own exception (``exception``, or ``chaos`` when injected),
-a wall-clock overrun (``timeout``), or its worker dying
-(``worker-crash``).  One timeout rule holds in process and in a
-pool: a result whose elapsed time is over ``cell_timeout`` fails as a
-timeout (the payload is discarded, but its digest seeds the flaky
-cross-check).  A pool cell still running past its deadline is stopped
+An attempt can fail three ways, all journalled as ``cell-failed``
+events: its own exception (``exception``), a wall-clock overrun
+(``timeout``), or its worker dying (``worker-crash``).  One timeout
+rule holds in process and in a pool: a result whose elapsed time is
+over ``cell_timeout`` fails as a timeout (the payload is discarded,
+but its digest seeds the flaky cross-check).  A pool cell still running past its deadline is stopped
 too: the pool is killed — ``Future.cancel`` cannot stop a running
 cell — and respawned.  When a worker dies, *every* in-flight cell is
 charged one ``worker-crash`` attempt — the culprit cannot be
@@ -74,20 +71,11 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Tuple, Union
 
 from repro.campaign.cache import ResultCache, payload_digest, summarize_cell_events
 from repro.campaign.cells import execute_cell
-from repro.campaign.chaos import (
-    CHAOS_HANG,
-    CHAOS_KILL,
-    ChaosInjectedError,
-    ChaosSpec,
-    chaos_from_env,
-    perform_chaos,
-    seeded_backoff,
-)
 from repro.campaign.spec import CampaignError, CampaignSpec, CellSpec
+from repro.sim.rng import derive_unit
 
 #: Failure kinds recorded on attempts (``cell-failed`` journal events).
 FAIL_EXCEPTION = "exception"
-FAIL_CHAOS = "chaos"
 FAIL_TIMEOUT = "timeout"
 FAIL_WORKER_CRASH = "worker-crash"
 
@@ -95,22 +83,27 @@ FAIL_WORKER_CRASH = "worker-crash"
 STATUS_SCHEMA_VERSION = 1
 
 
-def _cell_worker(
-    cell_payload: Dict[str, Any], chaos: Optional[Dict[str, Any]] = None
-) -> Tuple[Dict[str, Any], float]:
+def seeded_backoff(base_s: float, digest: str, attempt: int) -> float:
+    """Deterministic exponential backoff before retry ``attempt`` (1-based).
+
+    ``base_s * 2**(attempt-1)``, jittered into ``[0.5x, 1.5x)`` by a
+    unit draw seeded from the cell digest and attempt number (the
+    :func:`~repro.sim.rng.derive_unit` idiom), so a retried cell backs
+    off identically in every run, on every worker.
+    """
+    if base_s <= 0:
+        return 0.0
+    jitter = 0.5 + derive_unit(int(digest[:16], 16), f"backoff:{attempt}")
+    return base_s * (2 ** max(0, attempt - 1)) * jitter
+
+
+def _cell_worker(cell_payload: Dict[str, Any]) -> Tuple[Dict[str, Any], float]:
     """Execute one serialized cell; module-level so workers can pickle it.
 
-    ``chaos`` is an optional directive from the seeded
-    :class:`~repro.campaign.chaos.ChaosSpec` plan, inflicted *before*
-    the cell executes (raise / SIGKILL / sleep) so an afflicted attempt
-    can fail or stall but never alter a payload.  The clock starts
-    before the chaos, so a hang counts against the cell timeout.  An
-    in-process run calls this same function, which is what guarantees
-    parallel and serial runs compute byte-identical payloads.
+    An in-process run calls this same function, which is what
+    guarantees parallel and serial runs compute byte-identical payloads.
     """
     start = time.perf_counter()
-    if chaos is not None:
-        perform_chaos(chaos)
     payload = execute_cell(CellSpec.from_dict(cell_payload))
     return payload, time.perf_counter() - start
 
@@ -154,11 +147,6 @@ def _terminate_pool(pool: Union[ProcessPoolExecutor, _InProcess]) -> None:
             pass
 
 
-def _classify(error: BaseException) -> str:
-    """The journal failure kind for one attempt's exception."""
-    return FAIL_CHAOS if isinstance(error, ChaosInjectedError) else FAIL_EXCEPTION
-
-
 class _Abort(Exception):
     """Internal fail-fast signal; carries the error to raise and its cause."""
 
@@ -173,7 +161,7 @@ class CellFailure:
     """One failed execution attempt of one cell."""
 
     attempt: int  # 0-based attempt number that failed
-    kind: str  # exception | chaos | timeout | worker-crash
+    kind: str  # exception | timeout | worker-crash
     error: str
 
 
@@ -274,7 +262,6 @@ class _RunState:
         self.attempts: Dict[int, int] = {}  # index -> failed attempts so far
         self.failures: Dict[int, List[CellFailure]] = {}
         self.prior_payload: Dict[int, str] = {}  # index -> earlier success digest
-        self.chaos_plan: Dict[int, str] = {}  # index -> chaos kind
         self.journal_on = False
 
 
@@ -296,7 +283,7 @@ class CampaignExecutor:
         attempt (exception, timeout, or worker crash) before the run
         aborts — or, under ``keep_going``, the cell is quarantined.
         Each retry waits a deterministic seeded backoff
-        (:func:`~repro.campaign.chaos.seeded_backoff` over
+        (:func:`seeded_backoff` over
         ``backoff_s``) while other cells run.
     cell_timeout:
         Wall-clock budget per cell attempt, in seconds.  A result
@@ -305,10 +292,6 @@ class CampaignExecutor:
         innocent in-flight cells are requeued without being charged an
         attempt); a cell running in process cannot be pre-empted.
         ``None`` (default) disables the budget.
-    chaos:
-        A :class:`~repro.campaign.chaos.ChaosSpec` of harness faults
-        to inject (self-test/CI instrumentation).  Defaults to the
-        ``$REPRO_CHAOS`` schedule, or no chaos.
     """
 
     def __init__(
@@ -318,7 +301,6 @@ class CampaignExecutor:
         retries: int = 2,
         cell_timeout: Optional[float] = None,
         backoff_s: float = 0.05,
-        chaos: Optional[ChaosSpec] = None,
     ) -> None:
         self.workers = max(0, int(workers or 0))
         self.cache: Optional[ResultCache] = (
@@ -327,7 +309,6 @@ class CampaignExecutor:
         self.retries = max(0, int(retries))
         self.cell_timeout = float(cell_timeout) if cell_timeout else None
         self.backoff_s = max(0.0, float(backoff_s))
-        self.chaos = chaos if chaos is not None else chaos_from_env()
 
     # -- execution ---------------------------------------------------------
     def run(
@@ -383,21 +364,13 @@ class CampaignExecutor:
             pending.append(index)
 
         state.journal_on = self.cache is not None and bool(pending)
-        if self.chaos is not None and pending:
-            state.chaos_plan = self.chaos.plan(pending)
-            if state.chaos_plan:
-                emit(self.chaos.describe())
-        if state.journal_on:
-            record = {
-                "event": "start",
-                "campaign": campaign.name,
-                "cells": total,
-                "pending": len(pending),
-                "workers": self.workers,
-            }
-            if state.chaos_plan:
-                record["chaos"] = self.chaos.to_dict()
-            self._journal(state, record)
+        self._journal(state, {
+            "event": "start",
+            "campaign": campaign.name,
+            "cells": total,
+            "pending": len(pending),
+            "workers": self.workers,
+        })
 
         try:
             if pending:
@@ -474,9 +447,7 @@ class CampaignExecutor:
                 while ready and len(inflight) < window:
                     index = ready.popleft()
                     future = pool.submit(
-                        _cell_worker,
-                        state.campaign.cells[index].to_dict(),
-                        self._chaos_directive(state, index, in_process),
+                        _cell_worker, state.campaign.cells[index].to_dict()
                     )
                     deadline = (
                         now + self.cell_timeout if self.cell_timeout else float("inf")
@@ -510,7 +481,7 @@ class CampaignExecutor:
                     except Exception as error:
                         self._fail_attempt(
                             state, retries_due, index,
-                            _classify(error), str(error), cause=error,
+                            FAIL_EXCEPTION, str(error), cause=error,
                         )
                     else:
                         if self.cell_timeout is None or elapsed <= self.cell_timeout:
@@ -591,22 +562,6 @@ class CampaignExecutor:
         pool.shutdown(wait=True)
 
     # -- per-cell bookkeeping ----------------------------------------------
-    def _chaos_directive(
-        self, state: _RunState, index: int, in_process: bool
-    ) -> Optional[Dict[str, Any]]:
-        """The chaos to inflict on this attempt of this cell, if any."""
-        if self.chaos is None or not state.chaos_plan:
-            return None
-        kind = state.chaos_plan.get(index)
-        if kind is None or state.attempts.get(index, 0) > self.chaos.max_attempt:
-            return None
-        directive: Dict[str, Any] = {"kind": kind}
-        if kind == CHAOS_HANG:
-            directive["hang_s"] = self.chaos.hang_s
-        elif kind == CHAOS_KILL and in_process:
-            directive["simulate_kill"] = True
-        return directive
-
     def _journal(self, state: _RunState, record: Dict[str, Any]) -> None:
         if state.journal_on and self.cache is not None:
             self.cache.append_journal(state.campaign_digest, record)

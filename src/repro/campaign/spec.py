@@ -57,8 +57,9 @@ class CellSpec:
 
     ``kind`` selects the registered cell runner (see
     :mod:`repro.campaign.cells`); ``params`` are kind-specific knobs
-    (e.g. probe counts) and must be JSON-serializable — they are part
-    of the cell's cache digest.
+    (e.g. probe counts) and must be JSON-serializable with finite
+    numbers only — they are part of the cell's cache digest, and
+    ``NaN`` is not JSON.
     """
 
     scenario: ScenarioSpec
@@ -69,9 +70,12 @@ class CellSpec:
         if not self.kind or not isinstance(self.kind, str):
             raise CampaignError(f"cell kind must be a non-empty string, got {self.kind!r}")
         try:
-            canonical_json(dict(self.params))
+            canonical_json(dict(self.params), allow_nan=False)
         except (TypeError, ValueError) as error:
-            raise CampaignError(f"cell params must be JSON-serializable: {error}")
+            raise CampaignError(
+                f"cell params {dict(self.params)!r} must be JSON-serializable "
+                f"with finite numbers: {error}"
+            )
 
     @property
     def label(self) -> str:
@@ -91,10 +95,10 @@ class CellSpec:
         Labels and execution knobs are deliberately *excluded*.  The
         scenario's ``name`` and ``description`` only label a run, so
         two cells that differ in nothing else share one digest and one
-        cached payload.  Worker count, caching, retries, timeouts and
-        chaos schedules affect how (and whether) a cell gets computed,
-        never what it computes, so a payload cached under any of them
-        is valid under all of them.
+        cached payload.  Worker count, caching, retries and timeouts
+        affect how (and whether) a cell gets computed, never what it
+        computes, so a payload cached under any of them is valid under
+        all of them.
         """
         scenario = self.scenario.to_dict()
         del scenario["name"], scenario["description"]

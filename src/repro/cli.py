@@ -197,20 +197,16 @@ def _executor_from_args(args):
     Without ``--workers`` it runs serially in process; only
     ``--cache-dir`` gives it a result cache and journals.  ``campaign
     run``'s ``--retries`` and ``--cell-timeout`` apply where the parser
-    has them.  A bad ``$REPRO_CHAOS`` fails here, loudly, instead of
-    running chaos-free.
+    has them.
     """
-    from repro.campaign import CampaignExecutor, ChaosError
+    from repro.campaign import CampaignExecutor
 
-    try:
-        return CampaignExecutor(
-            workers=args.workers,
-            cache_dir=args.cache_dir,
-            retries=getattr(args, "retries", 2),
-            cell_timeout=getattr(args, "cell_timeout", None),
-        )
-    except ChaosError as error:
-        raise SystemExit(f"bad chaos spec: {error}")
+    return CampaignExecutor(
+        workers=args.workers,
+        cache_dir=args.cache_dir,
+        retries=getattr(args, "retries", 2),
+        cell_timeout=getattr(args, "cell_timeout", None),
+    )
 
 
 def _figure_base(args) -> ScenarioSpec:

@@ -21,9 +21,16 @@ Format (all integers big-endian):
 from __future__ import annotations
 
 import struct
-from typing import Dict
+from typing import Callable, Dict, List
 
 from repro.core.block import BlockBody, BlockHeader, DataBlock
+from repro.core.codec import (
+    encode_bytes,
+    encode_digest_map,
+    encode_time,
+    encode_u32,
+    encode_u64,
+)
 from repro.crypto.hashing import Digest
 
 _HEADER_MAGIC = b"2H"
@@ -86,43 +93,29 @@ class _Reader:
             raise WireError(f"unsupported wire version {version}")
 
 
-def _u32(value: int) -> bytes:
-    if not 0 <= value < 2 ** 32:
-        raise WireError(f"u32 out of range: {value}")
-    return struct.pack(">I", value)
-
-
-def _u64(value: int) -> bytes:
-    if not 0 <= value < 2 ** 64:
-        raise WireError(f"u64 out of range: {value}")
-    return struct.pack(">Q", value)
-
-
-def _blob(data: bytes) -> bytes:
-    return _u32(len(data)) + data
+def _message(magic: bytes, fields: Callable[[], List[bytes]]) -> bytes:
+    """``magic``, the wire version, then the fields :mod:`repro.core.codec`
+    encodes; a value the codec refuses (out of range) is a :class:`WireError`."""
+    try:
+        return b"".join([magic, bytes([_WIRE_VERSION]), *fields()])
+    except ValueError as error:
+        raise WireError(str(error)) from None
 
 
 # -- headers ---------------------------------------------------------------
 
 def encode_header(header: BlockHeader) -> bytes:
     """Serialize a block header to wire bytes."""
-    parts = [
-        _HEADER_MAGIC,
-        bytes([_WIRE_VERSION]),
-        _u32(header.origin),
-        _u32(header.index),
-        _u64(int(round(header.time * 1_000_000))),
-        _u32(header.version),
-        _blob(header.root.value),
-        _u32(len(header.digests)),
-    ]
-    for node in sorted(header.digests):
-        digest = header.digests[node]
-        parts.append(_u32(node))
-        parts.append(_blob(digest.value))
-    parts.append(_u64(header.nonce))
-    parts.append(_blob(header.signature))
-    return b"".join(parts)
+    return _message(_HEADER_MAGIC, lambda: [
+        encode_u32(header.origin),
+        encode_u32(header.index),
+        encode_time(header.time),
+        encode_u32(header.version),
+        encode_bytes(header.root.value),
+        encode_digest_map(header.digests),
+        encode_u64(header.nonce),
+        encode_bytes(header.signature),
+    ])
 
 
 def decode_header(data: bytes, hash_bits: int = 256) -> BlockHeader:
@@ -167,11 +160,9 @@ def _read_header(reader: _Reader, hash_bits: int) -> BlockHeader:
 
 def encode_body(body: BlockBody) -> bytes:
     """Serialize a body descriptor (seed + declared size)."""
-    return b"".join([
-        _BODY_MAGIC,
-        bytes([_WIRE_VERSION]),
-        _blob(body.content_seed),
-        _u64(body.size_bits),
+    return _message(_BODY_MAGIC, lambda: [
+        encode_bytes(body.content_seed),
+        encode_u64(body.size_bits),
     ])
 
 
@@ -192,11 +183,9 @@ def _read_body(reader: _Reader) -> BlockBody:
 
 def encode_block(block: DataBlock) -> bytes:
     """Serialize a full block (header + body)."""
-    return b"".join([
-        _BLOCK_MAGIC,
-        bytes([_WIRE_VERSION]),
-        _blob(encode_header(block.header)),
-        _blob(encode_body(block.body)),
+    return _message(_BLOCK_MAGIC, lambda: [
+        encode_bytes(encode_header(block.header)),
+        encode_bytes(encode_body(block.body)),
     ])
 
 

@@ -123,6 +123,13 @@ def run_fig9_series_cell(cell: CellSpec) -> Dict[str, Any]:
 PAPER_PROBES = 8
 
 
+def fig9_sample_slots(gamma: int) -> List[int]:
+    """``run_fig9``'s default sample slots: nine slots from γ in steps
+    of max(2, γ // 2), bracketing the expected consensus time."""
+    step = max(2, gamma // 2)
+    return sorted({gamma + k * step for k in range(9)})
+
+
 def fig9_cells(
     gamma: int,
     malicious_counts: Sequence[int],
@@ -169,8 +176,8 @@ def run_fig9(
         Sizes the runs: its node count and seed are read (see
         :func:`repro.scenario.fig9_scenario`).
     sample_slots:
-        Slots at which failure probability is measured; defaults to a
-        range bracketing the expected consensus time (γ .. ~5γ).
+        Slots at which failure probability is measured; defaults to
+        :func:`fig9_sample_slots` (γ .. ~5γ).
     executor:
         Optional campaign executor; the malicious-count series run
         concurrently (and cache) through it.
@@ -180,8 +187,7 @@ def run_fig9(
     from repro.campaign.executor import run_campaign
 
     if sample_slots is None:
-        step = max(2, gamma // 2)
-        sample_slots = sorted({gamma + k * step for k in range(0, 9)})
+        sample_slots = fig9_sample_slots(gamma)
     sample_slots = sorted(sample_slots)
 
     campaign = CampaignSpec(

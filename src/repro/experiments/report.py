@@ -33,6 +33,9 @@ from repro.scenario import ScenarioSpec, fig7_scenario
 #: The report's sections, in the order they render.
 SECTIONS = ("headline", "fig7", "fig8", "fig9")
 
+#: Fig. 7's body sizes C in MB: the panels ``generate_report`` runs by default.
+FIG7_BODIES_MB = (0.1, 0.5, 1.0)
+
 
 @dataclass
 class ReproductionReport:
@@ -132,7 +135,7 @@ def generate_report(
     Fig. 8's 33% run, which is the C = 0.5 MB run under other labels.
     """
     if fig7_bodies is None:
-        fig7_bodies = [0.1, 0.5, 1.0]
+        fig7_bodies = list(FIG7_BODIES_MB)
     if fig9_panels is None:
         fig9_panels = list(PAPER_PANELS)
     headline = "headline" in sections

@@ -18,12 +18,6 @@ Named schedule builders parameterized on the scenario's shape live in
 :mod:`repro.faults.presets` (``mid-crash``, ``partition-heal``,
 ``lossy-links``, ``stress``) and back the CLI's ``--faults PRESET``
 flag and the ``fault-grid`` campaign.
-
-This layer injects faults into the *ledgers under test*;
-:mod:`repro.campaign.chaos` applies the same philosophy — and the same
-:func:`~repro.sim.rng.derive_seed` seeding idiom — to the measurement
-harness itself, chaos-testing the campaign executor's retries,
-timeouts and worker-crash recovery.
 """
 
 from repro.faults.engine import FaultEngine

@@ -52,7 +52,6 @@ from typing import (
     Any,
     Callable,
     Dict,
-    FrozenSet,
     List,
     Tuple,
     Type,
@@ -341,11 +340,6 @@ class FaultScheduleSpec:
     def max_slot(self) -> int:
         """The latest event slot (for workload-length validation)."""
         return self.events[-1].slot
-
-    @property
-    def kinds(self) -> FrozenSet[str]:
-        """The set of event kinds used (for capability validation)."""
-        return frozenset(event.kind for event in self.events)
 
     @property
     def referenced_nodes(self) -> Tuple[int, ...]:

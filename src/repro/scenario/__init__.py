@@ -36,11 +36,7 @@ from repro.scenario.registry import (
     get_scenario,
     scenario_names,
 )
-from repro.scenario.runner import (
-    ScenarioResult,
-    ScenarioRunner,
-    run_scenario,
-)
+from repro.scenario.runner import ScenarioResult, ScenarioRunner
 from repro.scenario.spec import (
     DEFAULT_BACKEND,
     AdversarySpec,
@@ -72,6 +68,5 @@ __all__ = [
     "fig9_scenario",
     "figure_base",
     "get_scenario",
-    "run_scenario",
     "scenario_names",
 ]

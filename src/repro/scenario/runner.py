@@ -333,8 +333,3 @@ class ScenarioRunner:
     def run(self) -> ScenarioResult:
         """``build()`` + drive the whole workload + ``finish()``."""
         return self.finish()
-
-
-def run_scenario(spec: ScenarioSpec, telemetry=None, spans=None) -> ScenarioResult:
-    """One-shot convenience: run ``spec`` and return its result."""
-    return ScenarioRunner(spec, telemetry=telemetry, spans=spans).run()

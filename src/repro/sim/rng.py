@@ -27,8 +27,8 @@ def derive_seed(master_seed: int, name: str) -> int:
 def derive_unit(master_seed: int, name: str) -> float:
     """Derive a deterministic unit-interval value in ``[0, 1)``.
 
-    The seeding idiom for infrastructure-level jitter (retry backoff,
-    chaos schedules — see :mod:`repro.campaign.chaos`): like
+    The seeding idiom for infrastructure-level jitter (the campaign
+    executor's retry backoff): like
     :func:`derive_seed` it is a pure function of its inputs, never of
     global RNG state, so decisions built on it replay identically
     across processes and runs.

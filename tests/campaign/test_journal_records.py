@@ -44,8 +44,8 @@ class TestSummarizeCellEvents:
         events = [
             {"event": "start", "campaign": "g", "cells": 2, "pending": 2},
             {"event": "pool-respawn", "respawn": 1, "lost": [0, 1]},
-            {"event": "cell-failed", "digest": "", "kind": "chaos"},
-            {"event": "cell-failed", "digest": 7, "kind": "chaos"},
+            {"event": "cell-failed", "digest": "", "kind": "exception"},
+            {"event": "cell-failed", "digest": 7, "kind": "timeout"},
             {"event": "end", "computed": 2, "wall_s": 0.5},
             {"event": "abort", "reason": "boom", "wall_s": 0.1},
         ]
@@ -53,7 +53,7 @@ class TestSummarizeCellEvents:
 
     def test_failures_count_and_keep_the_last_error(self):
         history = summarize_cell_events([
-            failed("d1", 0, "first", kind="chaos"),
+            failed("d1", 0, "first", kind="exception"),
             failed("d1", 1, "second", kind="timeout"),
             failed("d1", 2, "third", kind="worker-crash"),
         ])
@@ -163,7 +163,7 @@ class TestStatusFromJournal:
         sick = campaign.cells[1].digest()
         self.journal(
             tmp_path, campaign,
-            failed(sick, 0, "one", kind="chaos"), failed(sick, 1, "two"),
+            failed(sick, 0, "one", kind="timeout"), failed(sick, 1, "two"),
         )
         document = CampaignExecutor(cache_dir=tmp_path).status_document(campaign)
         assert document["counts"] == {

@@ -18,11 +18,12 @@ import pytest
 
 from repro.campaign.cache import ResultCache
 from repro.campaign.cells import register_cell_kind
-from repro.campaign.chaos import ChaosSpec
-from repro.campaign.executor import CampaignExecutor, _cell_worker
+from repro.campaign.executor import CampaignExecutor, _cell_worker, seeded_backoff
 from repro.campaign.spec import CampaignError, CampaignSpec, CellSpec, replicate_seeds
 from repro.scenario import get_scenario
 from repro.scenario.runner import ScenarioRunner
+
+from campaign.cell_faults import HANG, KILL, RAISE, inject_faults
 
 
 def tiny_spec():
@@ -79,13 +80,13 @@ def hang_kind(cell):
     return {"ok": True, "seed": cell.scenario.seed}
 
 
-def overrun_worker(cell_payload, chaos=None):
+def overrun_worker(cell_payload):
     """The cell worker, but a first attempt reports a minute of wall clock.
 
     Module-level so pool workers (forked after this module is imported)
     can unpickle it; the counter kind's payload says which attempt ran.
     """
-    payload, elapsed = _cell_worker(cell_payload, chaos)
+    payload, elapsed = _cell_worker(cell_payload)
     return payload, 60.0 if payload["attempt"] == 0 else elapsed
 
 
@@ -94,6 +95,19 @@ def one_cell(kind: str, **params) -> CampaignSpec:
         name="resilience",
         cells=(CellSpec(scenario=tiny_spec(), kind=kind, params=params),),
     )
+
+
+class TestSeededBackoff:
+    def test_deterministic_and_exponential(self):
+        digest = "ab" * 32
+        first = seeded_backoff(0.1, digest, 1)
+        assert first == seeded_backoff(0.1, digest, 1)
+        assert 0.05 <= first < 0.15  # base x [0.5, 1.5) jitter
+        assert 0.1 <= seeded_backoff(0.1, digest, 2) < 0.3
+        assert seeded_backoff(0.1, digest, 1) != seeded_backoff(0.1, "cd" * 32, 1)
+
+    def test_zero_base_means_no_wait(self):
+        assert seeded_backoff(0.0, "ab" * 32, 3) == 0.0
 
 
 class TestRetries:
@@ -325,15 +339,15 @@ class TestCellTimeouts:
         events = ResultCache(tmp_path / "cache").read_journal(campaign.digest())
         assert "pool-respawn" not in [e["event"] for e in events]
 
-    def test_serial_chaos_hang_is_journalled_as_a_timeout(self, tmp_path):
-        # The clock starts before the chaos directive, so an in-process
+    def test_serial_injected_hang_is_journalled_as_a_timeout(self, tmp_path):
+        # The clock starts before the injected hang, so an in-process
         # hang counts against the budget like any slow cell.
         campaign = CampaignSpec(name="hang", cells=replicate_seeds(tiny_spec(), (0,)))
         executor = CampaignExecutor(
             cache_dir=tmp_path / "cache", cell_timeout=0.5, backoff_s=0.01,
-            chaos=ChaosSpec(seed=0, hangs=1, hang_s=0.8),
         )
-        result = executor.run(campaign)
+        with inject_faults(campaign.cells, {0: HANG}, hang_s=0.8):
+            result = executor.run(campaign)
         cell = result.cells[0]
         assert cell.ok and cell.attempts == 2 and not cell.flaky
         assert cell.payload == CampaignExecutor().run(campaign).payloads()[0]
@@ -373,6 +387,62 @@ class TestFlakyDetection:
         assert forced.flaky_count == 0
 
 
+class TestInjectedFaultsConverge:
+    """Runs under injected faults converge byte-identical to clean serial runs."""
+
+    @pytest.fixture
+    def campaign(self):
+        return CampaignSpec(name="grid", cells=replicate_seeds(tiny_spec(), (0, 1, 2)))
+
+    def clean_payloads(self, campaign):
+        return CampaignExecutor().run(campaign).payloads()
+
+    def test_serial_run_converges_and_a_kill_raises_in_process(self, campaign):
+        with inject_faults(campaign.cells, {0: RAISE, 1: KILL, 2: RAISE}):
+            result = CampaignExecutor().run(campaign)
+        assert result.payloads() == self.clean_payloads(campaign)
+        assert result.ok and result.flaky_count == 0
+        assert [cell.attempts for cell in result.cells] == [2, 2, 2]
+        kinds = {f.kind for cell in result.cells for f in cell.failures}
+        assert kinds == {"exception"}
+
+    def test_parallel_run_with_a_real_worker_kill_converges(self, campaign, tmp_path):
+        with inject_faults(campaign.cells, {0: KILL, 2: RAISE}):
+            result = CampaignExecutor(workers=2, cache_dir=tmp_path).run(campaign)
+        assert result.payloads() == self.clean_payloads(campaign)
+        assert result.ok and result.flaky_count == 0
+
+        events = ResultCache(tmp_path).read_journal(campaign.digest())
+        kinds = [event["event"] for event in events]
+        assert kinds[0] == "start" and kinds[-1] == "end"
+        assert "pool-respawn" in kinds  # the SIGKILL'd worker
+        failed = [event for event in events if event["event"] == "cell-failed"]
+        assert "worker-crash" in {event["kind"] for event in failed}
+        assert {event["kind"] for event in failed} <= {"exception", "worker-crash"}
+        assert kinds.count("cell") == 3  # every cell eventually landed
+
+    def test_parallel_hang_is_killed_at_timeout_and_converges(self, campaign, tmp_path):
+        with inject_faults(campaign.cells, {1: HANG}, hang_s=30.0):
+            result = CampaignExecutor(
+                workers=2, cache_dir=tmp_path, cell_timeout=1.5
+            ).run(campaign)
+        assert result.payloads() == self.clean_payloads(campaign)
+        assert result.ok
+        events = ResultCache(tmp_path).read_journal(campaign.digest())
+        respawns = [e for e in events if e["event"] == "pool-respawn"]
+        assert any(e.get("timed_out") for e in respawns)
+        failed = [e for e in events if e["event"] == "cell-failed"]
+        assert "timeout" in {e["kind"] for e in failed}
+
+    def test_only_the_first_attempt_is_afflicted(self, campaign):
+        # an exception on every cell still converges with retries=1
+        plan = dict.fromkeys(range(3), RAISE)
+        with inject_faults(campaign.cells, plan):
+            result = CampaignExecutor(retries=1).run(campaign)
+        assert result.ok
+        assert all(cell.attempts == 2 for cell in result.cells)
+
+
 def journal_figures(events):
     """Every harness figure of one run, read from its journal alone."""
     start, end = events[0], events[-1]
@@ -399,32 +469,30 @@ def journal_figures(events):
 
 class TestJournalIsTheRecord:
     def test_journal_alone_gives_every_harness_figure(self, tmp_path):
-        """A parallel run under one chaos exception, kill and hang: the
-        journal yields every count the campaign's harness reports.  The
-        pinned numbers are the ones the retired metrics exposition
-        recorded for this very run."""
+        """A parallel run under one injected exception, kill and hang:
+        the journal yields every count the campaign's harness reports.
+        The pinned numbers are the ones the retired metrics exposition
+        recorded for this very run (an injected exception then counted
+        as ``chaos``)."""
         light = tiny_spec()
         (kill, hang, exception), (clean,) = (
             replicate_seeds(light, (0, 1, 2)),
             replicate_seeds(light.with_workload(slots=24), (3,)),
         )
-        # The plan is a function of the seed and the cell positions: seed
-        # 27 kills position 0, leaves the slow cell at 1 clean, hangs 2
-        # and raises at 3.  The slow clean cell shares the first window
-        # with the kill, so it is surely in flight (and charged a
-        # worker-crash) when the worker dies; the hang and the exception
-        # run after the respawn.
-        chaos = ChaosSpec(seed=27, exceptions=1, kills=1, hangs=1, hang_s=30.0)
-        assert chaos.plan(range(4)) == {0: "kill", 2: "hang", 3: "exception"}
+        # The slow clean cell at 1 shares the first window with the kill
+        # at 0, so it is surely in flight (and charged a worker-crash)
+        # when the worker dies; the hang and the exception run after the
+        # respawn.
         warm = replicate_seeds(light, (4,))
         campaign = CampaignSpec(
             name="journal-only", cells=(kill, clean, hang, exception) + warm
         )
         CampaignExecutor(cache_dir=tmp_path).run(CampaignSpec(name="warm", cells=warm))
         executor = CampaignExecutor(
-            workers=2, cache_dir=tmp_path, chaos=chaos, cell_timeout=2.0, backoff_s=0.01
+            workers=2, cache_dir=tmp_path, cell_timeout=2.0, backoff_s=0.01
         )
-        result = executor.run(campaign)
+        with inject_faults(campaign.cells, {0: KILL, 2: HANG, 3: RAISE}):
+            result = executor.run(campaign)
         assert result.ok
 
         figures = journal_figures(ResultCache(tmp_path).read_journal(campaign.digest()))
@@ -432,7 +500,7 @@ class TestJournalIsTheRecord:
             "computed": 4,
             "cached": 1,
             "quarantined": 0,
-            "failed": {"worker-crash": 2, "timeout": 1, "chaos": 1},
+            "failed": {"worker-crash": 2, "timeout": 1, "exception": 1},
             "retries": 4,
             "respawns": 2,
             "flaky": 0,

@@ -9,6 +9,9 @@ import pytest
 
 from repro.cli import build_parser, main
 
+# tests/campaign/cell_faults.py; tests/ is on sys.path through its conftest
+from campaign.cell_faults import RAISE, inject_faults
+
 SRC = Path(__file__).resolve().parents[2] / "src"
 
 
@@ -290,7 +293,7 @@ class TestCampaignResilienceCLI:
         from repro.scenario import get_scenario
 
         campaign = CampaignSpec(
-            name="cli-chaos",
+            name="cli-faults",
             cells=replicate_seeds(
                 get_scenario("quickstart").with_workload(slots=5), (0, 1)
             ),
@@ -299,42 +302,17 @@ class TestCampaignResilienceCLI:
         campaign.save(path)
         return str(path)
 
-    def chaos_env(self, monkeypatch, **fields):
-        import json
-
-        monkeypatch.setenv("REPRO_CHAOS", json.dumps(fields))
-
-    def test_bad_chaos_spec_exits_loudly(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHAOS", "{nope")
-        with pytest.raises(SystemExit, match="bad chaos spec"):
-            main(["campaign", "run", "smoke"])
-
-    @pytest.mark.parametrize("document, field", [
-        ('{"hang_s": NaN}', "hang_s"),
-        ('{"hang_s": Infinity}', "hang_s"),
-        ('{"hang_s": "5"}', "hang_s"),
-        ('{"seed": "x"}', "seed"),
-        ('{"seed": 1.5}', "seed"),
-        ('{"max_attempt": true}', "max_attempt"),
-    ])
-    def test_a_badly_typed_chaos_field_is_one_located_line(
-        self, monkeypatch, document, field
-    ):
-        monkeypatch.setenv("REPRO_CHAOS", document)
-        with pytest.raises(SystemExit) as raised:
-            main(["campaign", "run", "smoke"])
-        message = str(raised.value.code)
-        assert message.startswith(f"bad chaos spec: chaos.{field} must be ")
-        assert "\n" not in message
-
     def test_keep_going_quarantines_and_rerun_heals(
-        self, capsys, tmp_path, campaign_file, monkeypatch
+        self, capsys, tmp_path, campaign_file
     ):
-        # chaos on every attempt + retries 1: one cell cannot heal
-        self.chaos_env(monkeypatch, seed=3, exceptions=1, max_attempt=99)
+        from repro.campaign.spec import CampaignSpec
+
+        # a failed first attempt + retries 0: one cell cannot heal
+        cells = CampaignSpec.from_file(campaign_file).cells
         cache = str(tmp_path / "cache")
-        code = main(["--cache-dir", cache, "campaign", "run", campaign_file,
-                     "--retries", "1", "--keep-going"])
+        with inject_faults(cells, {1: RAISE}):
+            code = main(["--cache-dir", cache, "campaign", "run", campaign_file,
+                         "--retries", "0", "--keep-going"])
         out = capsys.readouterr().out
         assert code == 1
         assert "QUARANTINED" in out
@@ -346,8 +324,7 @@ class TestCampaignResilienceCLI:
         assert "quarantined" in status
         assert "failed attempt" in status
 
-        # chaos off: the rerun retries only the quarantined cell
-        monkeypatch.delenv("REPRO_CHAOS")
+        # the rerun retries only the quarantined cell
         assert main(["--cache-dir", cache, "campaign", "run",
                      campaign_file]) == 0
         assert "1 computed, 1 cached" in capsys.readouterr().out

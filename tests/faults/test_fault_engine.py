@@ -25,7 +25,6 @@ from repro.scenario import (
     ScenarioSpec,
     TopologySpec,
     WorkloadSpec,
-    run_scenario,
 )
 
 ALL_BACKENDS = ("2ldag", "pbft", "iota")
@@ -128,7 +127,7 @@ class TestRunnerIntegration:
         split = ScenarioRunner(spec).build()
         split.advance_to(5)
         split.advance_to(10)
-        assert split.finish().trace_sha256 == run_scenario(spec).trace_sha256
+        assert split.finish().trace_sha256 == ScenarioRunner(spec).run().trace_sha256
 
     def test_partition_blocks_cross_group_delivery(self):
         # 3x3 grid: isolate the left column; PoP from the right side
@@ -138,7 +137,7 @@ class TestRunnerIntegration:
         ))
         runner = ScenarioRunner(grid_spec(slots=8, faults=schedule))
         result = runner.run()
-        clean = run_scenario(grid_spec(slots=8))
+        clean = ScenarioRunner(grid_spec(slots=8)).run()
         assert result.trace_sha256 != clean.trace_sha256
         # Partitioned nodes keep generating locally (crash ≠ partition).
         assert result.total_blocks == clean.total_blocks
@@ -179,8 +178,8 @@ class TestRunnerIntegration:
         schedule = FaultScheduleSpec(events=(
             FaultEvent(kind="link-degrade", slot=2, loss=0.4),
         ))
-        lossy = run_scenario(grid_spec(slots=12, faults=schedule, **workload))
-        clean = run_scenario(grid_spec(slots=12, **workload))
+        lossy = ScenarioRunner(grid_spec(slots=12, faults=schedule, **workload)).run()
+        clean = ScenarioRunner(grid_spec(slots=12, **workload)).run()
         assert lossy.trace_sha256 != clean.trace_sha256
         assert lossy.success_rate <= clean.success_rate
 
@@ -189,15 +188,15 @@ class TestDeterminismPerBackend:
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_same_seed_same_schedule_same_trace(self, backend):
         spec = grid_spec(backend=backend, faults=crash_rejoin())
-        first, second = run_scenario(spec), run_scenario(spec)
+        first, second = ScenarioRunner(spec).run(), ScenarioRunner(spec).run()
         assert first.trace_sha256 == second.trace_sha256
         assert first.series == second.series
         assert first.events == second.events
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_faults_reach_the_trace(self, backend):
-        faulted = run_scenario(grid_spec(backend=backend, faults=crash_rejoin()))
-        clean = run_scenario(grid_spec(backend=backend))
+        faulted = ScenarioRunner(grid_spec(backend=backend, faults=crash_rejoin())).run()
+        clean = ScenarioRunner(grid_spec(backend=backend)).run()
         assert faulted.trace_sha256 != clean.trace_sha256
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
@@ -205,8 +204,8 @@ class TestDeterminismPerBackend:
         from repro.faults import build_fault_preset
 
         spec = grid_spec(backend=backend, faults=build_fault_preset("stress", 9, 8))
-        assert (run_scenario(spec).trace_sha256
-                == run_scenario(spec).trace_sha256)
+        assert (ScenarioRunner(spec).run().trace_sha256
+                == ScenarioRunner(spec).run().trace_sha256)
 
     def test_pbft_crash_exercises_view_change(self):
         # Crashing replica 0 (the view-0 primary) must push live
@@ -245,16 +244,16 @@ CHURN_GOLDENS = {
 class TestChurnEquivalence:
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_crash_rejoin_timeline_matches_the_churn_golden(self, backend):
-        result = run_scenario(grid_spec(backend=backend, faults=crash_rejoin()))
+        result = ScenarioRunner(grid_spec(backend=backend, faults=crash_rejoin())).run()
         assert (result.trace_sha256, result.total_blocks) == CHURN_GOLDENS[backend]
 
     def test_churn_golden_block_counts_unchanged(self):
         # The pre-fault-engine churn behaviour, pinned by the original
         # runner tests: 9 nodes x 5 slots, then 7 x 5 with no rejoin.
         crash = FaultEvent(kind="node-crash", slot=5, nodes=(0, 1))
-        result = run_scenario(
+        result = ScenarioRunner(
             grid_spec(slots=10, faults=FaultScheduleSpec(events=(crash,)))
-        )
+        ).run()
         assert result.total_blocks == 9 * 5 + 7 * 5
 
 

@@ -112,13 +112,12 @@ class TestScheduleValidation:
         ))
         assert schedule.boundary_slots == (2, 6)
 
-    def test_kinds_and_referenced_nodes(self):
+    def test_referenced_nodes_are_sorted_and_unique(self):
         schedule = FaultScheduleSpec(events=(
             FaultEvent(kind="partition", slot=1, groups=((4, 2),)),
             FaultEvent(kind="heal", slot=3),
             crash(5, nodes=(7,)),
         ))
-        assert schedule.kinds == {"partition", "heal", "node-crash"}
         assert schedule.referenced_nodes == (2, 4, 7)
 
 

@@ -37,11 +37,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.campaign.chaos import CHAOS_ENV_VAR
+from repro.campaign.presets import get_campaign
 from repro.cli import main
 from repro.telemetry import TELEMETRY_ENV_VAR
 from repro.telemetry.diff import diff_streams
 from repro.telemetry.spans import TRACE_SAMPLE_ENV_VAR
+
+# tests/campaign/cell_faults.py; tests/ is on sys.path through its conftest
+from campaign.cell_faults import HANG, KILL, RAISE, inject_faults
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -52,15 +55,14 @@ CELLS = {"smoke": 4, "ledger-grid": 12, "fault-grid": 18}
 #: cell digest carries no label), so a cache that ran smoke serves them.
 RUN_BEFORE = {"ledger-grid": "smoke"}
 
-#: The chaos schedules, both on fault-grid: two injected exceptions, one
-#: SIGKILL'd pool worker and one hang.  Seed 27 puts the kill in the first
-#: window of two workers and the hang after the respawn, so each fault is
-#: charged on its own (tests/campaign/test_chaos.py pins the placement).
-#: In a pool the hang outlasts the cell timeout and its worker is killed.
-POOL_CHAOS = {"seed": 27, "exceptions": 2, "kills": 1, "hangs": 1, "hang_s": 120}
-#: In process the kill is an injected exception, and the hang runs to its
-#: end and is judged over the cell budget (its clock starts before it).
-IN_PROCESS_CHAOS = dict(POOL_CHAOS, hang_s=3)
+#: The injected faults of the fault-grid rows, by cell position: two
+#: exceptions, one SIGKILL'd pool worker and one hang.  These are the
+#: positions a seeded schedule (seed 27) picked when fault injection lived
+#: in the executor.  The kill is in the first window of two workers and
+#: every other fault after the respawn, so each fault is charged on its
+#: own: a dead worker also charges the cell in flight beside it, which
+#: would charge a hang twice or swallow an exception.
+FAULT_GRID_FAULTS = {0: KILL, 2: HANG, 3: RAISE, 17: RAISE}
 
 #: A hash seed other than this process's, for the reference interpreter.
 REFERENCE_HASH_SEED = "1" if os.environ.get("PYTHONHASHSEED") == "0" else "0"
@@ -84,7 +86,7 @@ def reference_cli(*argv):
     """``python -m repro ARGV`` in a fresh interpreter; its stdout."""
     env = {
         name: value for name, value in os.environ.items()
-        if name not in (CHAOS_ENV_VAR, TELEMETRY_ENV_VAR, TRACE_SAMPLE_ENV_VAR)
+        if name not in (TELEMETRY_ENV_VAR, TRACE_SAMPLE_ENV_VAR)
     }
     env.update(PYTHONPATH=str(SRC), PYTHONHASHSEED=REFERENCE_HASH_SEED)
     done = subprocess.run(
@@ -145,9 +147,9 @@ def validated_streams(directory):
 
 @pytest.fixture(scope="module", autouse=True)
 def quiet_environment():
-    """No chaos, telemetry or tracing from the caller's shell."""
+    """No telemetry or tracing from the caller's shell."""
     with pytest.MonkeyPatch.context() as patch:
-        for name in (CHAOS_ENV_VAR, TELEMETRY_ENV_VAR, TRACE_SAMPLE_ENV_VAR):
+        for name in (TELEMETRY_ENV_VAR, TRACE_SAMPLE_ENV_VAR):
             patch.delenv(name, raising=False)
         yield
 
@@ -230,29 +232,31 @@ def test_warm_rerun_is_all_hits(name, reference, two_worker_cache):
     assert journal_counts(cache, name) == (CELLS[name], 0)
 
 
-@pytest.mark.parametrize("pool, chaos, cell_timeout, failed", [
+@pytest.mark.parametrize("pool, hang_s, cell_timeout, failed", [
     # 2 exceptions + the hang's timeout + the killed cell + the cell that
-    # was in flight beside it (a dead worker takes its running cells)
-    (True, POOL_CHAOS, 5, 5),
-    # 2 exceptions + the simulated kill + the hang's timeout
-    (False, IN_PROCESS_CHAOS, 2, 4),
+    # was in flight beside it (a dead worker takes its running cells);
+    # the hang outlasts the cell timeout and its worker is killed
+    (True, 120, 5, 5),
+    # 2 exceptions + the kill, raised in process + the hang's timeout; the
+    # hang runs to its end and is judged over the cell budget
+    (False, 3, 2, 4),
 ], ids=["pool", "in-process"])
-def test_chaos_converges_to_the_serial_run(
-    pool, chaos, cell_timeout, failed, reference, tmp_path, monkeypatch
+def test_injected_faults_converge_to_the_serial_run(
+    pool, hang_s, cell_timeout, failed, reference, tmp_path
 ):
     name = "fault-grid"
-    monkeypatch.setenv(CHAOS_ENV_VAR, json.dumps(chaos))
     argv = ["--workers", 2 if pool else 0, "--cache-dir", tmp_path,
             "campaign", "run", name, "--cell-timeout", cell_timeout, "--keep-going"]
-    code, out = cli(*argv)
-    assert code == 0  # --keep-going exits 1 when a cell is quarantined
-    assert_same_traces(name, out, reference(name))
-    assert split(out) == (CELLS[name], 0)
-    assert journal_counts(tmp_path, name) == (CELLS[name], failed)
+    with inject_faults(get_campaign(name).cells, FAULT_GRID_FAULTS, hang_s=hang_s):
+        code, out = cli(*argv)
+        assert code == 0  # --keep-going exits 1 when a cell is quarantined
+        assert_same_traces(name, out, reference(name))
+        assert split(out) == (CELLS[name], 0)
+        assert journal_counts(tmp_path, name) == (CELLS[name], failed)
 
-    code, out = cli(*argv)
-    assert code == 0
-    assert split(out) == (0, CELLS[name])
+        code, out = cli(*argv)
+        assert code == 0
+        assert split(out) == (0, CELLS[name])
 
 
 @pytest.mark.parametrize("name", CELLS)

@@ -19,9 +19,11 @@ from repro.experiments.fig9_consensus import (
     PAPER_PANELS,
     PAPER_PROBES,
     fig9_cells,
+    fig9_sample_slots,
     paper_panel,
 )
 from repro.experiments.headline import gate_scenario
+from repro.experiments.report import FIG7_BODIES_MB
 from repro.faults import FAULT_KINDS
 from repro.scenario import (
     PAPER_SCALE,
@@ -52,13 +54,12 @@ SINGLE_VALUED_LEAVES_CEILING = 5
 def figure_specs(base):
     """The scenarios ``report`` runs at ``base``'s size: Fig. 7's three
     bodies, Fig. 8's two tolerances and every Fig. 9 panel's series, at
-    ``run_fig9``'s default sample slots (γ .. γ + 8·max(2, γ // 2))."""
-    specs = [fig7_scenario(body_mb, base) for body_mb in (0.1, 0.5, 1.0)]
+    ``run_fig9``'s default sample slots."""
+    specs = [fig7_scenario(body_mb, base) for body_mb in FIG7_BODIES_MB]
     specs += fig8_scenarios(base)
     for panel in PAPER_PANELS:
         gamma, malicious = paper_panel(panel, base.node_count)
-        step = max(2, gamma // 2)
-        slots = sorted({gamma + k * step for k in range(9)})
+        slots = fig9_sample_slots(gamma)
         specs += [
             cell.scenario
             for cell in fig9_cells(gamma, malicious, slots, base, PAPER_PROBES)

@@ -1,13 +1,14 @@
 """The tree's determinism and architecture rules, as one tier-1 gate.
 
 Seeded trace digests and campaign cell digests are byte-identical
-across serial, parallel and chaos runs only while the code keeps a few
-conventions: randomness through named streams, no wall clock in
-simulation or telemetry paths, crash-atomic writes, frozen specs, one
-pipeline that builds deployments.  Each convention is a rule here: a
-function over a parsed :class:`Module` that yields ``(node, message)``
-for every violation, listed in :data:`RULES` under its stable id.  The
-rationale of each rule is the table in ``docs/static-analysis.md``.
+across serial, parallel and fault-injected runs only while the code
+keeps a few conventions: randomness through named streams, no wall
+clock in simulation or telemetry paths, crash-atomic writes, frozen
+specs, one pipeline that builds deployments.  Each convention is a rule
+here: a function over a parsed :class:`Module` that yields ``(node,
+message)`` for every violation, listed in :data:`RULES` under its
+stable id.  The rationale of each rule is the table in
+``docs/static-analysis.md``.
 
 The gate parses ``src/`` and ``examples/`` once per session and runs one
 case per rule; a failure prints ``path:line:col: rule-id message``.  A
@@ -82,15 +83,18 @@ MUTABLE_FACTORIES = frozenset({
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def used_names(trees):
+def used_names(trees, reexports=frozenset()):
     """How often each identifier is spelled in ``trees``: names,
     attributes, imported names and the words of string constants.  A
-    ``def`` or ``class`` statement's own name, a module path and a
-    docstring (any bare string statement) are not uses."""
+    ``def`` or ``class`` statement's own name, a module path, a
+    docstring (any bare string statement) and a node of ``reexports``
+    are not uses."""
     names = Counter()
     for tree in trees:
         prose = set()
         for node in ast.walk(tree):
+            if node in reexports:
+                continue
             if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
                 prose.add(id(node.value))
             elif isinstance(node, ast.Name):
@@ -124,7 +128,24 @@ class Module:
 
     @cached_property
     def names(self):
-        return used_names([self.tree])
+        return used_names([self.tree], self.reexports)
+
+    @cached_property
+    def reexports(self):
+        """A package ``__init__``'s re-exports, which are no use of a name:
+        the names its import-froms bind and the entries of its ``__all__``."""
+        nodes = set()
+        if not self.rel.endswith("__init__.py"):
+            return nodes
+        for node in self.tree.body:
+            if isinstance(node, ast.ImportFrom):
+                nodes.update(node.names)
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets
+            ):
+                nodes.update(ast.walk(node.value))
+        return nodes
 
     @cached_property
     def imports(self):
@@ -437,7 +458,10 @@ def tree():
         ast.parse(path.read_text(encoding="utf-8"))
         for path in sorted((REPO / "benchmarks/perf").rglob("*.py"))
     ]
-    names = used_names([module.tree for module in modules] + harness)
+    names = used_names(
+        [module.tree for module in modules] + harness,
+        set().union(*(module.reexports for module in modules)),
+    )
     for module in modules:
         module.names = names
     return modules
@@ -684,6 +708,12 @@ CASES = {
         "@registry.register_cell_kind('scenario')\ndef run_cell(cell):\n    pass\n", []),
     "outside-the-package": ("test-only-public-name", "examples/quickstart.py",
         "def main():\n    pass\n", []),
+    "package-reexport-is-no-use": ("test-only-public-name", "src/repro/core/__init__.py",
+        "def helper():\n    return 1\nfrom repro.core.victim import helper\n"
+        "__all__ = ['helper']\n", ["test-only-public-name"]),
+    "reexport-elsewhere-is-a-use": ("test-only-public-name", CORE,
+        "def helper():\n    return 1\nfrom repro.core.victim import helper\n"
+        "__all__ = ['helper']\n", []),
     "def-line-pragma": ("test-only-public-name", CORE,
         "def oracle():  # repro: allow[test-only-public-name] a test oracle\n"
         "    return 1\n", ["allow[test-only-public-name]"]),

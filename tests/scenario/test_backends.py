@@ -26,7 +26,6 @@ from repro.scenario import (
     backend_names,
     create_backend,
     get_scenario,
-    run_scenario,
 )
 from repro.scenario.runner import SERIES_KEYS
 from repro.telemetry import (
@@ -95,7 +94,7 @@ class TestValidation:
             spec = small_spec(
                 backend=name, workload=WorkloadSpec(slots=6, faults=churn)
             )
-            assert run_scenario(spec).total_blocks > 0
+            assert ScenarioRunner(spec).run().total_blocks > 0
 
     def test_a_backend_without_the_crash_hooks_cannot_be_built(self):
         # The two ledger-specific fault kinds are abstract hooks: a
@@ -168,7 +167,7 @@ class TestDeterminism:
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_same_spec_same_trace_and_series(self, backend):
         spec = small_spec(backend=backend)
-        first, second = run_scenario(spec), run_scenario(spec)
+        first, second = ScenarioRunner(spec).run(), ScenarioRunner(spec).run()
         assert first.trace_sha256 == second.trace_sha256
         assert first.series == second.series
         assert first.per_node_storage_mb == second.per_node_storage_mb
@@ -177,13 +176,13 @@ class TestDeterminism:
     def test_iota_seed_reaches_trace(self):
         # Tip selection draws from the seeded streams, so the master
         # seed must be observable in the tangle trace.
-        first = run_scenario(small_spec(backend="iota"))
-        second = run_scenario(small_spec(backend="iota", seed=12))
+        first = ScenarioRunner(small_spec(backend="iota")).run()
+        second = ScenarioRunner(small_spec(backend="iota", seed=12)).run()
         assert first.trace_sha256 != second.trace_sha256
 
     def test_backends_disagree_on_trace(self):
         digests = {
-            run_scenario(small_spec(backend=b)).trace_sha256
+            ScenarioRunner(small_spec(backend=b)).run().trace_sha256
             for b in ALL_BACKENDS
         }
         assert len(digests) == len(ALL_BACKENDS)
@@ -205,7 +204,7 @@ class TestDispatch:
     def test_result_series_shape_is_uniform(self):
         spec = small_spec(workload=WorkloadSpec(slots=6, sample_slots=(2, 4, 6)))
         for backend in ALL_BACKENDS:
-            result = run_scenario(dataclasses.replace(spec, backend=backend))
+            result = ScenarioRunner(dataclasses.replace(spec, backend=backend)).run()
             assert result.sample_slots == [2, 4, 6]
             for series in result.series.values():
                 assert len(series) == 3
@@ -213,8 +212,8 @@ class TestDispatch:
 
     def test_traffic_category_split(self):
         spec = small_spec()
-        pbft = run_scenario(spec.with_backend("pbft"))
-        iota = run_scenario(spec.with_backend("iota"))
+        pbft = ScenarioRunner(spec.with_backend("pbft")).run()
+        iota = ScenarioRunner(spec.with_backend("iota")).run()
         assert pbft.traffic_dag_mbit[-1] == 0.0
         assert pbft.traffic_pop_mbit[-1] == pbft.traffic_mbit[-1] > 0
         assert iota.traffic_pop_mbit[-1] == 0.0
@@ -224,7 +223,7 @@ class TestDispatch:
         # The comparative claim in miniature: full replication on the
         # baselines vs header-sized 2LDAG state.
         results = {
-            b: run_scenario(small_spec(backend=b)) for b in ALL_BACKENDS
+            b: ScenarioRunner(small_spec(backend=b)).run() for b in ALL_BACKENDS
         }
         assert results["pbft"].storage_mb[-1] > 5 * results["2ldag"].storage_mb[-1]
         assert results["iota"].storage_mb[-1] > 5 * results["2ldag"].storage_mb[-1]
@@ -364,7 +363,7 @@ class TestMinimalBackend:
         assert defects == []
         assert len(streams) == 2
         # Recording is a no-op for the simulation.
-        assert observed.trace_sha256 == run_scenario(spec).trace_sha256
+        assert observed.trace_sha256 == ScenarioRunner(spec).run().trace_sha256
 
         # The substrate's clock, not a forgotten default of 0.0, stamps
         # every slot record, fault record and fault note.
@@ -416,7 +415,7 @@ class TestMinimalBackend:
         from repro.cli import main
         from repro.telemetry.spans import SPAN_COLLECTORS
 
-        run_scenario(small_spec(backend="mini-tangle"), spans=SpanRecorder(tmp_path, sample=1.0))
+        ScenarioRunner(small_spec(backend="mini-tangle"), spans=SpanRecorder(tmp_path, sample=1.0)).run()
         (stream,) = tmp_path.glob("trace-*.jsonl")
         del SPAN_COLLECTORS["mini-tangle"]
         assert main(["telemetry", "trace", str(tmp_path)]) == 2

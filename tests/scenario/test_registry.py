@@ -8,6 +8,7 @@ from repro.faults import NODE_CRASH, NODE_REJOIN
 from repro.scenario import (
     PAPER_SCALE,
     QUICK_SCALE,
+    ScenarioRunner,
     ScenarioSpec,
     bench_scenario,
     fig7_scenario,
@@ -15,7 +16,6 @@ from repro.scenario import (
     fig9_scenario,
     figure_base,
     get_scenario,
-    run_scenario,
     scenario_names,
 )
 
@@ -173,6 +173,6 @@ class TestChurnPreset:
         assert events[1].forgive
 
     def test_trace_digest_and_block_count_are_pinned(self):
-        result = run_scenario(get_scenario("churn"))
+        result = ScenarioRunner(get_scenario("churn")).run()
         assert result.trace_sha256 == CHURN_TRACE_SHA256
         assert result.total_blocks == CHURN_BLOCKS

@@ -15,7 +15,6 @@ from repro.scenario import (
     WorkloadSpec,
     build_topology,
     get_scenario,
-    run_scenario,
 )
 from repro.sim.rng import RandomStreams
 
@@ -45,15 +44,15 @@ class TestTopologies:
 
 class TestRunner:
     def test_run_produces_expected_blocks(self):
-        result = run_scenario(tiny_spec())
+        result = ScenarioRunner(tiny_spec()).run()
         assert result.total_blocks == 9 * 12
         assert result.trace_sha256
         assert result.sample_slots == [12]
         assert len(result.per_node_storage_mb) == 9
 
     def test_same_spec_same_trace(self):
-        first = run_scenario(tiny_spec())
-        second = run_scenario(tiny_spec())
+        first = ScenarioRunner(tiny_spec()).run()
+        second = ScenarioRunner(tiny_spec()).run()
         assert first.trace_sha256 == second.trace_sha256
 
     def test_different_seed_different_trace(self):
@@ -65,13 +64,13 @@ class TestRunner:
             slots=14, validate=True, validation_min_age_slots=9,
             run_until_quiet=True,
         )
-        first = run_scenario(tiny_spec(workload=workload))
-        second = run_scenario(tiny_spec(workload=workload, seed=5))
+        first = ScenarioRunner(tiny_spec(workload=workload)).run()
+        second = ScenarioRunner(tiny_spec(workload=workload, seed=5)).run()
         assert first.trace_sha256 != second.trace_sha256
 
     def test_sampled_series_lengths(self):
         spec = tiny_spec(workload=WorkloadSpec(slots=12, sample_slots=(4, 8, 12)))
-        result = run_scenario(spec)
+        result = ScenarioRunner(spec).run()
         assert result.sample_slots == [4, 8, 12]
         for series in result.series.values():
             assert len(series) == 3
@@ -82,7 +81,7 @@ class TestRunner:
         # final-slot point is appended (run_fig7/8 align these series
         # with equally-long cost-model series).
         spec = tiny_spec(workload=WorkloadSpec(slots=12, sample_slots=(4, 8)))
-        result = run_scenario(spec)
+        result = ScenarioRunner(spec).run()
         assert result.sample_slots == [4, 8]
         for series in result.series.values():
             assert len(series) == 2
@@ -111,7 +110,7 @@ class TestRunner:
         runner.advance_to(5)
         runner.advance_to(12)
         split = runner.finish()
-        whole = run_scenario(tiny_spec())
+        whole = ScenarioRunner(tiny_spec()).run()
         assert split.trace_sha256 == whole.trace_sha256
 
     def test_validation_workload(self):
@@ -121,16 +120,16 @@ class TestRunner:
                 run_until_quiet=True,
             )
         )
-        result = run_scenario(spec)
+        result = ScenarioRunner(spec).run()
         assert result.validations > 0
         assert result.success_rate == 1.0
 
     def test_result_serializes_through_persistence(self):
-        result = run_scenario(tiny_spec())
+        result = ScenarioRunner(tiny_spec()).run()
         assert json.dumps(result.to_dict()).count("trace_sha256") == 1
 
     def test_result_table_renders(self):
-        result = run_scenario(tiny_spec())
+        result = ScenarioRunner(tiny_spec()).run()
         table = result.to_table()
         assert "storage_mb" in table and "slots" in table
 

@@ -257,6 +257,29 @@ class TestNonFiniteFloats:
         )
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("value", NON_FINITE, ids=repr)
+    def test_cell_params_reader(self, value):
+        entry = {"kind": "attack-audit", "preset": "quickstart", "params": {"audits": value}}
+        with pytest.raises(CampaignError, match=(
+            rf"^cell entry 0: cell params {{'audits': {value!r}}} must be "
+            "JSON-serializable with finite numbers"
+        )):
+            CampaignSpec.from_dict({"cells": [entry]})
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=repr)
+    def test_campaign_show_exits_1_naming_the_params(self, value, tmp_path, capsys):
+        path = tmp_path / "campaign.json"
+        path.write_text(json.dumps({"cells": [
+            {"kind": "attack-audit", "preset": "quickstart", "params": {"audits": value}}
+        ]}))
+        with pytest.raises(SystemExit) as raised:
+            main(["campaign", "show", str(path)])
+        assert raised.value.code.startswith(
+            f"invalid campaign file {path}: cell entry 0: "
+            f"cell params {{'audits': {value!r}}} must be JSON-serializable"
+        )
+        assert capsys.readouterr().out == ""
+
 
 class TestEverythingTheTreeWritesStillLoads:
     @pytest.mark.parametrize("name", scenario_names())

@@ -17,7 +17,6 @@ from repro.scenario import (
     ScenarioSpec,
     TopologySpec,
     WorkloadSpec,
-    run_scenario,
 )
 from repro.telemetry import TelemetryRecorder, parse_stream
 
@@ -60,36 +59,36 @@ def tiny_spec(backend="2ldag", with_faults=False, **overrides):
 class TestNoOpContract:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_trace_identical_with_and_without_telemetry(self, backend, tmp_path):
-        bare = run_scenario(tiny_spec(backend))
+        bare = ScenarioRunner(tiny_spec(backend)).run()
         recorder = TelemetryRecorder(tmp_path)
-        observed = run_scenario(tiny_spec(backend), telemetry=recorder)
+        observed = ScenarioRunner(tiny_spec(backend), telemetry=recorder).run()
         assert bare.trace_sha256 == observed.trace_sha256
         assert bare.total_blocks == observed.total_blocks
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_trace_identical_under_faults(self, backend, tmp_path):
-        bare = run_scenario(tiny_spec(backend, with_faults=True))
+        bare = ScenarioRunner(tiny_spec(backend, with_faults=True)).run()
         recorder = TelemetryRecorder(tmp_path)
-        observed = run_scenario(
+        observed = ScenarioRunner(
             tiny_spec(backend, with_faults=True), telemetry=recorder
-        )
+        ).run()
         assert bare.trace_sha256 == observed.trace_sha256
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("with_faults", (False, True))
     def test_stream_bytes_are_pinned(self, backend, with_faults, tmp_path):
         recorder = TelemetryRecorder(tmp_path)
-        run_scenario(
+        ScenarioRunner(
             tiny_spec(backend, with_faults=with_faults), telemetry=recorder
-        )
+        ).run()
         digest = hashlib.sha256(recorder.path.read_bytes()).hexdigest()
         assert digest == PINNED_STREAM_SHA256[(backend, with_faults)]
 
     def test_repeat_recording_is_byte_identical(self, tmp_path):
         first = TelemetryRecorder(tmp_path / "a")
         second = TelemetryRecorder(tmp_path / "b")
-        run_scenario(tiny_spec(with_faults=True), telemetry=first)
-        run_scenario(tiny_spec(with_faults=True), telemetry=second)
+        ScenarioRunner(tiny_spec(with_faults=True), telemetry=first).run()
+        ScenarioRunner(tiny_spec(with_faults=True), telemetry=second).run()
         assert first.path.read_bytes() == second.path.read_bytes()
 
 
@@ -97,7 +96,7 @@ class TestStreamContents:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_stream_fits_schema_and_mirrors_result(self, backend, tmp_path):
         recorder = TelemetryRecorder(tmp_path)
-        result = run_scenario(tiny_spec(backend), telemetry=recorder)
+        result = ScenarioRunner(tiny_spec(backend), telemetry=recorder).run()
         records = parse_stream(recorder.path.read_text())
 
         kinds = [r["event"] for r in records]
@@ -133,7 +132,7 @@ class TestStreamContents:
     def test_timestamps_are_slot_time(self, tmp_path):
         """sim_now is the simulated clock — machine-speed independent."""
         recorder = TelemetryRecorder(tmp_path)
-        result = run_scenario(tiny_spec(), telemetry=recorder)
+        result = ScenarioRunner(tiny_spec(), telemetry=recorder).run()
         records = parse_stream(recorder.path.read_text())
         stamps = [r["sim_now"] for r in records if "sim_now" in r]
         assert stamps == sorted(stamps)

@@ -8,7 +8,7 @@ be coaxed into violating its own invariants.
 
 import pytest
 
-from repro.scenario import run_scenario
+from repro.scenario import ScenarioRunner
 from repro.telemetry import TelemetryRecorder
 from repro.telemetry.monitors import (
     FAULT_CONSISTENCY,
@@ -184,11 +184,11 @@ class TestEvaluateEndToEnd:
     def verdict_doc(self, tmp_path_factory):
         directory = tmp_path_factory.mktemp("streams")
         for backend in ("2ldag", "pbft", "iota"):
-            run_scenario(
+            ScenarioRunner(
                 tiny_spec(backend, with_faults=True),
                 telemetry=TelemetryRecorder(directory),
                 spans=SpanRecorder(directory, sample=1.0),
-            )
+            ).run()
         return evaluate_monitors([directory])
 
     def test_real_runs_raise_no_failures(self, verdict_doc):
@@ -219,7 +219,7 @@ class TestEvaluateEndToEnd:
 
     def test_trace_only_run_skips_slot_probes(self, tmp_path):
         spans = SpanRecorder(tmp_path, sample=1.0)
-        run_scenario(tiny_spec("2ldag"), spans=spans)
+        ScenarioRunner(tiny_spec("2ldag"), spans=spans).run()
         document = evaluate_monitors([tmp_path])
         (run,) = document["runs"]
         statuses = {v["id"]: v["status"] for v in run["monitors"]}

@@ -19,10 +19,10 @@ from repro.crypto.hashing import hash_fields
 from repro.faults import build_fault_preset
 from repro.scenario import (
     ProtocolSpec,
+    ScenarioRunner,
     ScenarioSpec,
     TopologySpec,
     WorkloadSpec,
-    run_scenario,
 )
 from repro.telemetry import (
     TelemetryError,
@@ -85,7 +85,7 @@ def tiny_spec(backend="2ldag", with_faults=False, **overrides):
 
 def record_trace(tmp_path, backend, with_faults=False, sample=1.0):
     spans = SpanRecorder(tmp_path, sample=sample)
-    result = run_scenario(tiny_spec(backend, with_faults=with_faults), spans=spans)
+    result = ScenarioRunner(tiny_spec(backend, with_faults=with_faults), spans=spans).run()
     return spans, result
 
 
@@ -95,7 +95,7 @@ class TestNoOpContract:
     def test_sim_digest_identical_and_trace_digest_pinned(
         self, backend, with_faults, tmp_path
     ):
-        bare = run_scenario(tiny_spec(backend, with_faults=with_faults))
+        bare = ScenarioRunner(tiny_spec(backend, with_faults=with_faults)).run()
         spans, traced = record_trace(tmp_path, backend, with_faults)
         assert bare.trace_sha256 == traced.trace_sha256
         assert bare.total_blocks == traced.total_blocks
@@ -113,7 +113,7 @@ class TestNoOpContract:
         assert first.path.read_bytes() == second.path.read_bytes()
 
     def test_quarter_sample_also_leaves_sim_digest_alone(self, tmp_path):
-        bare = run_scenario(tiny_spec("2ldag"))
+        bare = ScenarioRunner(tiny_spec("2ldag")).run()
         _, traced = record_trace(tmp_path, "2ldag", sample=0.25)
         assert bare.trace_sha256 == traced.trace_sha256
 

@@ -25,11 +25,11 @@ from test_spans import tiny_spec  # noqa: E402 - sibling test helper
 @pytest.fixture(scope="module")
 def traced_dir(tmp_path_factory):
     """One traced 2LDAG run with faults, recorded at full sample."""
-    from repro.scenario import run_scenario
+    from repro.scenario import ScenarioRunner
 
     directory = tmp_path_factory.mktemp("traces")
     spans = SpanRecorder(directory, sample=1.0)
-    run_scenario(tiny_spec("2ldag", with_faults=True), spans=spans)
+    ScenarioRunner(tiny_spec("2ldag", with_faults=True), spans=spans).run()
     return directory
 
 
