@@ -18,7 +18,14 @@ import pytest
 
 from repro.campaign.cache import ResultCache
 from repro.campaign.cells import register_cell_kind
-from repro.campaign.executor import CampaignExecutor, _cell_worker, seeded_backoff
+from repro.campaign.executor import (
+    FAIL_EXCEPTION,
+    FAIL_TIMEOUT,
+    FAIL_WORKER_CRASH,
+    CampaignExecutor,
+    _cell_worker,
+    seeded_backoff,
+)
 from repro.campaign.spec import CampaignError, CampaignSpec, CellSpec, replicate_seeds
 from repro.scenario import get_scenario
 from repro.scenario.runner import ScenarioRunner
@@ -441,6 +448,58 @@ class TestInjectedFaultsConverge:
             result = CampaignExecutor(retries=1).run(campaign)
         assert result.ok
         assert all(cell.attempts == 2 for cell in result.cells)
+
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_a_plan_afflicts_exactly_the_cell_at_its_position(self, campaign, position):
+        with inject_faults(campaign.cells, {position: RAISE}):
+            result = CampaignExecutor().run(campaign)
+        assert result.payloads() == self.clean_payloads(campaign)
+        assert [cell.attempts for cell in result.cells] == [
+            2 if index == position else 1 for index in range(3)
+        ]
+
+    def test_a_chaos_variable_in_the_environment_is_not_read(self, campaign, monkeypatch):
+        # fault injection lives in tests alone: no variable afflicts a run
+        monkeypatch.setenv("REPRO_CHAOS", '{"seed": 11, "exceptions": 3}')
+        result = CampaignExecutor().run(campaign)
+        assert result.payloads() == self.clean_payloads(campaign)
+        assert [cell.attempts for cell in result.cells] == [1, 1, 1]
+
+
+class TestFailureKinds:
+    """An attempt fails as one of three kinds, whatever went wrong."""
+
+    @pytest.mark.parametrize("fault, workers, kind", [
+        (RAISE, 0, FAIL_EXCEPTION),
+        (KILL, 0, FAIL_EXCEPTION),  # in process a kill raises
+        (HANG, 0, FAIL_TIMEOUT),  # judged over budget when it returns
+        (RAISE, 2, FAIL_EXCEPTION),
+        (KILL, 2, FAIL_WORKER_CRASH),
+        (HANG, 2, FAIL_TIMEOUT),  # killed at the cell timeout
+    ], ids=["raise-serial", "kill-serial", "hang-serial",
+            "raise-pool", "kill-pool", "hang-pool"])
+    def test_each_fault_is_charged_as_its_kind(self, tmp_path, fault, workers, kind):
+        campaign = CampaignSpec(name="kinds", cells=replicate_seeds(tiny_spec(), (0,)))
+        executor = CampaignExecutor(
+            workers=workers, cache_dir=tmp_path, cell_timeout=1.0, backoff_s=0.01
+        )
+        with inject_faults(campaign.cells, {0: fault}, hang_s=1.5):
+            result = executor.run(campaign)
+        cell = result.cells[0]
+        assert cell.ok and cell.attempts == 2 and not cell.flaky
+        assert [failure.kind for failure in cell.failures] == [kind]
+        assert result.payloads() == CampaignExecutor().run(campaign).payloads()
+        events = ResultCache(tmp_path).read_journal(campaign.digest())
+        assert [e["kind"] for e in events if e["event"] == "cell-failed"] == [kind]
+
+    def test_the_start_record_carries_no_fault_schedule(self, tmp_path):
+        campaign = CampaignSpec(name="start", cells=replicate_seeds(tiny_spec(), (0, 1)))
+        CampaignExecutor(workers=2, cache_dir=tmp_path).run(campaign)
+        start = ResultCache(tmp_path).read_journal(campaign.digest())[0]
+        assert start == {
+            "event": "start", "campaign": "start", "cells": 2, "pending": 2, "workers": 2,
+        }
 
 
 def journal_figures(events):

@@ -302,6 +302,14 @@ class TestCampaignResilienceCLI:
         campaign.save(path)
         return str(path)
 
+    def test_a_chaos_variable_in_the_environment_is_ignored(
+        self, capsys, campaign_file, monkeypatch
+    ):
+        # the retired "bad chaos spec" exit: the variable is no input now
+        monkeypatch.setenv("REPRO_CHAOS", "{nope")
+        assert main(["campaign", "run", campaign_file]) == 0
+        assert "2 computed, 0 cached" in capsys.readouterr().out
+
     def test_keep_going_quarantines_and_rerun_heals(
         self, capsys, tmp_path, campaign_file
     ):

@@ -105,11 +105,37 @@ class TestStrictParsing:
         with pytest.raises(WireError):
             decode_block(bytes(encoded))
 
-    @pytest.mark.parametrize("field, value", [("origin", 2 ** 32), ("nonce", 2 ** 64)])
+    @pytest.mark.parametrize("field, value", [
+        ("origin", 2 ** 32), ("nonce", 2 ** 64), ("origin", -1), ("index", 2 ** 32),
+        ("version", 2 ** 32), ("nonce", -1),
+    ])
     def test_out_of_range_integer_not_encoded(self, block, field, value):
         header = dataclasses.replace(block.header, **{field: value})
         with pytest.raises(WireError, match="out of range"):
             encode_header(header)
+
+    def test_negative_time_not_encoded(self, block):
+        header = dataclasses.replace(block.header, time=-0.5)
+        with pytest.raises(WireError, match="negative time: -0.5"):
+            encode_header(header)
+
+    def test_out_of_range_digest_node_not_encoded(self, block):
+        digests = dict(block.header.digests)
+        digests[2 ** 32] = digests[2]
+        header = dataclasses.replace(block.header, digests=digests)
+        with pytest.raises(WireError, match=f"u32 out of range: {2 ** 32}"):
+            encode_header(header)
+
+    @pytest.mark.parametrize("size_bits", [2 ** 64, -1])
+    def test_out_of_range_body_size_not_encoded(self, block, size_bits):
+        body = dataclasses.replace(block.body, size_bits=size_bits)
+        with pytest.raises(WireError, match="u64 out of range"):
+            encode_body(body)
+
+    def test_a_block_with_an_unencodable_header_is_a_wire_error(self, block):
+        bad = dataclasses.replace(block, header=dataclasses.replace(block.header, index=-1))
+        with pytest.raises(WireError, match="u32 out of range: -1"):
+            encode_block(bad)
 
     def test_implausible_digest_count_rejected(self, block):
         # Header layout: the digest count is the u32 at offset 59.

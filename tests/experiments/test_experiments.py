@@ -9,7 +9,12 @@ import pytest
 
 from repro.experiments.fig7_storage import run_fig7
 from repro.experiments.fig8_comm import run_fig8
-from repro.experiments.fig9_consensus import PAPER_PANELS, paper_panel, run_fig9
+from repro.experiments.fig9_consensus import (
+    PAPER_PANELS,
+    fig9_sample_slots,
+    paper_panel,
+    run_fig9,
+)
 from repro.experiments.report import generate_report
 from repro.scenario import figure_base
 from repro.scenario.registry import fig8_gamma
@@ -115,6 +120,15 @@ class TestFig9:
         assert slot_honest is not None
         if slot_attacked is not None:
             assert slot_attacked >= slot_honest
+
+    @pytest.mark.parametrize("gamma, slots", [
+        (1, [1, 3, 5, 7, 9, 11, 13, 15, 17]),
+        (4, [4, 6, 8, 10, 12, 14, 16, 18, 20]),
+        (24, [24, 36, 48, 60, 72, 84, 96, 108, 120]),
+    ])
+    def test_default_sample_slots_step_from_gamma(self, gamma, slots):
+        # nine slots from γ in steps of max(2, γ // 2)
+        assert fig9_sample_slots(gamma) == slots
 
     def test_panel_definitions_cover_paper(self):
         assert set(PAPER_PANELS) == {"a", "b", "c", "d"}

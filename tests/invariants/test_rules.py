@@ -711,6 +711,13 @@ CASES = {
     "package-reexport-is-no-use": ("test-only-public-name", "src/repro/core/__init__.py",
         "def helper():\n    return 1\nfrom repro.core.victim import helper\n"
         "__all__ = ['helper']\n", ["test-only-public-name"]),
+    "package-all-entry-is-no-use": ("test-only-public-name", "src/repro/core/__init__.py",
+        "def helper():\n    return 1\n__all__ = ['helper']\n", ["test-only-public-name"]),
+    "package-import-from-is-no-use": ("test-only-public-name", "src/repro/core/__init__.py",
+        "def helper():\n    return 1\nfrom repro.core.victim import helper\n",
+        ["test-only-public-name"]),
+    "package-call-is-a-use": ("test-only-public-name", "src/repro/core/__init__.py",
+        "def helper():\n    return 1\n__all__ = ['helper']\nDEFAULT = helper()\n", []),
     "reexport-elsewhere-is-a-use": ("test-only-public-name", CORE,
         "def helper():\n    return 1\nfrom repro.core.victim import helper\n"
         "__all__ = ['helper']\n", []),

@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple, Optional
 import pytest
 
 from repro.campaign import CampaignError, CampaignSpec, campaign_names, get_campaign
-from repro.campaign.spec import apply_override
+from repro.campaign.spec import CellSpec, apply_override
 from repro.cli import main
 from repro.faults import (
     FaultError,
@@ -265,6 +265,31 @@ class TestNonFiniteFloats:
             "JSON-serializable with finite numbers"
         )):
             CampaignSpec.from_dict({"cells": [entry]})
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=repr)
+    def test_a_constructed_cell_refuses_a_nested_non_finite_param(self, value):
+        params = {"probes": [1, {"weight": value}]}
+        with pytest.raises(CampaignError, match=(
+            rf"^cell params {{'probes': \[1, {{'weight': {value!r}}}\]}} must be "
+            "JSON-serializable with finite numbers"
+        )):
+            CellSpec(scenario=get_scenario("quickstart"), kind="attack-audit", params=params)
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=repr)
+    def test_campaign_run_exits_1_before_any_cell_runs(self, value, tmp_path, capsys):
+        path = tmp_path / "campaign.json"
+        path.write_text(json.dumps({"cells": [
+            {"kind": "attack-audit", "preset": "quickstart", "params": {"audits": value}}
+        ]}))
+        cache = tmp_path / "cache"
+        with pytest.raises(SystemExit) as raised:
+            main(["--cache-dir", str(cache), "campaign", "run", str(path)])
+        assert raised.value.code.startswith(
+            f"invalid campaign file {path}: cell entry 0: "
+            f"cell params {{'audits': {value!r}}} must be JSON-serializable"
+        )
+        assert capsys.readouterr().out == ""
+        assert not cache.exists()
 
     @pytest.mark.parametrize("value", NON_FINITE, ids=repr)
     def test_campaign_show_exits_1_naming_the_params(self, value, tmp_path, capsys):
